@@ -2,10 +2,14 @@
 """Time the packed simulator under both kernel backends.
 
 The backend is picked at import time from ``AXSEC_BACKEND``, so every
-measurement runs in a fresh child interpreter.  Each child does one
-untimed warm-up pass (which also pays the jit compile cost) and then
-reports the best of ``--repeat`` timed passes over a flattened filter
-netlist.
+measurement runs in a fresh child interpreter with the checkout's ``src``
+on ``PYTHONPATH``.  Each child does one untimed warm-up pass (which also
+pays the jit compile cost) and then reports the best of ``--repeat`` timed
+passes over a flattened filter netlist.  A backend whose dependency is not
+installed is reported as unavailable; the script fails when no backend
+produced a timing.
+
+    python3 benchmarks/bench_sim.py [--vectors N] [--width W] [--repeat R]
 """
 
 import argparse
@@ -14,10 +18,20 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _child(args):
-    from axsec._kernels import BACKEND
+    backend = os.environ["AXSEC_BACKEND"]
+    try:
+        from axsec._kernels import BACKEND
+    except ImportError as exc:
+        if exc.name != backend:
+            raise
+        print(json.dumps({"backend": backend, "unavailable": str(exc)}))
+        return
     from axsec.designs import fir_spec
     from axsec.sim import VectorStream, simulate
 
@@ -47,8 +61,10 @@ def main():
         return
 
     rows = []
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
     for backend in ("numba", "numpy"):
-        env = dict(os.environ, AXSEC_BACKEND=backend)
+        env = dict(os.environ, AXSEC_BACKEND=backend, PYTHONPATH=path)
         cmd = [sys.executable, __file__, "--child",
                "--vectors", str(args.vectors), "--width", str(args.width),
                "--repeat", str(args.repeat)]
@@ -56,7 +72,14 @@ def main():
         if out.returncode != 0:
             print(f"{backend}: failed\n{out.stderr.strip()}", file=sys.stderr)
             continue
-        rows.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        row = json.loads(out.stdout.strip().splitlines()[-1])
+        if "unavailable" in row:
+            print(f"{backend}: unavailable ({row['unavailable']})",
+                  file=sys.stderr)
+            continue
+        rows.append(row)
+    if not rows:
+        sys.exit("no backend produced a timing")
 
     print(f"{'backend':<8} {'gates':>6} {'vectors':>9} {'seconds':>9} "
           f"{'Mvec/s':>8}")

@@ -112,16 +112,15 @@ def _pick_backend():
     if choice not in ("", "numba", "numpy"):
         raise ValueError(f"AXSEC_BACKEND must be 'numba' or 'numpy', got {choice!r}")
     if choice == "numpy":
-        return "numpy", eval_gates_numpy, None
+        return "numpy", eval_gates_numpy
     try:
         from numba import njit
     except ImportError:
         if choice == "numba":
             raise
-        return "numpy", eval_gates_numpy, None
-    compiled = njit(**NJIT_OPTS)(_eval_gates_py)
-    return "numba", compiled, compiled
+        return "numpy", eval_gates_numpy
+    return "numba", njit(**NJIT_OPTS)(_eval_gates_py)
 
 
 #: active backend name ("numba" or "numpy") and the kernel in use
-BACKEND, eval_gates, eval_gates_numba = _pick_backend()
+BACKEND, eval_gates = _pick_backend()

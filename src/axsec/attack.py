@@ -8,6 +8,10 @@ then composes word-wise from trace cycles that realized each rare value,
 and the firing probability under independent uniform inputs is the product
 of the per-literal rarities.  Insertion is fail-closed: a netlist is only
 emitted together with a replayed, verified witness.
+
+Stealth error folds :func:`axsec.sim.error_sums` and checks
+:meth:`Netlist.signature`; :func:`_fire_mask` alone evaluates a trigger over
+simulated traces.
 """
 
 from __future__ import annotations
@@ -23,15 +27,9 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (ActivityReport, VectorStream, activity_profile,
-                  error_profile, eval_vector, exhaustive_bits, iter_traces,
-                  power_proxy, rare_nets, simulate)
+                  error_profile, error_sums, eval_vector, exhaustive_bits,
+                  iter_traces, power_proxy, rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
-
-
-def _stream_key(stream):
-    if isinstance(stream, VectorStream):
-        return (stream.n_vectors, stream.seed, stream.mode, stream.rho)
-    return ("bits", id(stream))
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     sc = scoap(nl)
     summary = max((int(sc.cc1[n]) for n, _ in rare), default=0)
     return ModuleSpec(params, err.mred, proxy.ratio, len(rare),
-                      len(rare) / nl.n_nets, summary, _stream_key(stream))
+                      len(rare) / nl.n_nets, summary, stream_key(stream))
 
 
 def attack_score(spec: ModuleSpec, weights: CostWeights = CostWeights()) -> float:
@@ -187,6 +185,24 @@ def _replace_output(b, old, new):
 def _fires(nl, witness, taps):
     vals = eval_vector(nl, witness)
     return all(vals[n] == v for n, v in taps)
+
+
+def _fire_mask(tr, taps):
+    """Per-vector truth of the trigger conjunction over simulated traces."""
+    fire = np.ones(tr.n_vectors, bool)
+    for net, val in taps:
+        fire &= tr.bits(net) == val
+    return fire
+
+
+def _first_firing(nl, bits, taps):
+    """Input word values of the first vector in ``bits`` that fires every
+    tap, or None."""
+    tr = simulate(nl, bits)
+    idx = np.flatnonzero(_fire_mask(tr, taps))
+    if not idx.size:
+        return None
+    return {w: int(tr.word_values(b)[idx[0]]) for w, b in nl.input_words()}
 
 
 def insert_trojan(nl: Netlist, activity: ActivityReport,
@@ -360,26 +376,15 @@ def _find_witness(nl, groups, taps, vals_at, config):
         left -= n
         bits = {w: rng.integers(0, 2, size=(n, len(b)), dtype=np.uint8)
                 for w, b in in_words}
-        tr = simulate(nl, bits)
-        fire = np.ones(n, bool)
-        for net, val in taps:
-            fire &= tr.bits(net) == val
-        idx = np.nonzero(fire)[0]
-        if idx.size:
-            t = int(idx[0])
-            return {w: int(tr.word_values(b)[t]) for w, b in in_words}
+        found = _first_firing(nl, bits, taps)
+        if found is not None:
+            return found
 
     # exhaustive for small input spaces
-    total_bits = sum(len(b) for _, b in in_words)
-    if total_bits <= 20:
-        tr = simulate(nl, exhaustive_bits(nl))
-        fire = np.ones(tr.n_vectors, bool)
-        for net, val in taps:
-            fire &= tr.bits(net) == val
-        idx = np.nonzero(fire)[0]
-        if idx.size:
-            t = int(idx[0])
-            return {w: int(tr.word_values(b)[t]) for w, b in in_words}
+    if sum(len(b) for _, b in in_words) <= 20:
+        found = _first_firing(nl, exhaustive_bits(nl), taps)
+        if found is not None:
+            return found
         raise NoWitness("trigger conjunction is unsatisfiable")
     raise NoWitness(f"no witness within {config.witness_budget} trials")
 
@@ -396,51 +401,31 @@ class StealthReport:
     min_slack: float | None = None
 
 
-def _signature(nl):
-    return ([(w, len(b)) for w, b in nl.input_words()],
-            [(w, len(b)) for w, b in nl.output_words()])
-
-
-def _mred_terms(nl, reference):
-    ows = dict(nl.output_words())
-    if callable(reference):
-        name = next(iter(ows))
-        return [(name, ows[name], reference)]
-    return [(w, ows[w], fn) for w, fn in reference.items()]
-
-
 def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
                    reference, stream, clock: float | None = None,
                    model: DelayModel | None = None) -> StealthReport:
     """Differential stealth measurement of an insertion.
 
-    ``reference`` is a callable on input word arrays (single output word) or
-    a dict of per-output-word callables; error_delta is the infected-minus-
-    clean difference of MRED against it.  trigger_rate counts cycles where
-    every trigger literal holds.
+    ``reference`` is anything :func:`~axsec.sim.error_sums` accepts;
+    error_delta is the infected-minus-clean difference of MRED against it,
+    averaged over the referenced output words.  trigger_rate counts cycles
+    where every trigger literal holds.
     """
-    if _signature(clean) != _signature(infected):
+    if clean.signature() != infected.signature():
         raise SignatureMismatch("clean and infected netlists disagree on "
                                 "primary I/O words")
-    terms = _mred_terms(clean, reference)
-    srel = {0: 0.0, 1: 0.0}
+    srel = [0.0, 0.0]
     fires = 0
     total = 0
     chunks = zip(iter_traces(clean, stream), iter_traces(infected, stream))
     for (_, tc), (_, ti) in chunks:
-        for who, tr in ((0, tc), (1, ti)):
-            wv = {w: tr.word_values(b) for w, b in tr.netlist.input_words()}
-            for name, bits, fn in terms:
-                got = tr.word_values(tr.netlist.words[name])
-                exp = np.asarray(fn(wv), np.int64)
-                d = np.abs(got - exp)
-                srel[who] += float((d / np.maximum(exp, 1)).sum())
-        fire = np.ones(ti.n_vectors, bool)
-        for net, val in ht.trigger_nets:
-            fire &= ti.bits(net) == val
-        fires += int(fire.sum())
+        for who, tr in enumerate((tc, ti)):
+            sums = error_sums(tr, reference)
+            for _, _, rel, _ in sums:
+                srel[who] += rel
+        fires += int(_fire_mask(ti, ht.trigger_nets).sum())
         total += ti.n_vectors
-    denom = total * len(terms)
+    denom = total * len(sums)
     error_delta = srel[1] / denom - srel[0] / denom
     p_clean = power_proxy(clean, activity_profile(clean, stream))
     p_inf = power_proxy(infected, activity_profile(infected, stream), p_clean)

@@ -19,8 +19,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .arith import ARCHS, ArchParams, gen_module
 from .attack import AttackConfig, insert_trojan, verify_stealth
 from .designs import bfly_spec, fir_spec
@@ -30,10 +28,11 @@ from .errors import (BadParams, BadThreshold, BudgetInfeasible, EmptySet,
                      LabelMismatch, NetlistError, NoRareNets, NoWitness,
                      SignatureMismatch, UnitMismatch, UnknownInstance,
                      WouldViolateTiming)
-from .experiment import ExperimentConfig, run_experiment, _fmt, _write_csv
+from .experiment import (ExperimentConfig, run_experiment, write_detection,
+                         _fmt, _write_csv)
 from .scoap import scoap
-from .sim import (VectorStream, activity_profile, error_profile, power_proxy,
-                  rare_nets, simulate)
+from .sim import (EXACT_OPS, VectorStream, activity_profile, error_profile,
+                  power_proxy, rare_nets, simulate, sub_seed)
 from .sta import DelayModel, critical_delay, near_critical_paths, slacks
 from .textfmt import read_netlist, write_netlist
 
@@ -61,10 +60,6 @@ def _tuple_of(elem):
 
 _ints = _tuple_of(int)
 _floats = _tuple_of(float)
-
-
-def _salted(seed, *salt) -> int:
-    return int(np.random.SeedSequence((seed,) + salt).generate_state(1)[0])
 
 
 def _load_config(path):
@@ -130,9 +125,7 @@ def _reference_for(nl, choice):
                 or not {"a", "b"} <= inames:
             return None
         choice = ops[0]
-    if choice == "add":
-        return lambda wv: wv["a"] + wv["b"]
-    return lambda wv: wv["a"] * wv["b"]
+    return EXACT_OPS[choice]
 
 
 def _parse_assign(text, slots):
@@ -255,18 +248,18 @@ def _cmd_attack(args):
     wit = ";".join(f"{w}={x}" for w, x in ht.witness)
     head = (ht.host_instances[0], ht.payload_kind, ht.q, taps, wit)
     ref = _reference_for(nl, args.ref)
-    if ref is not None and args.stealth_vectors > 0:
-        sv = VectorStream(args.stealth_vectors, _salted(args.seed, 4),
+    sv = None
+    if args.stealth_vectors > 0:
+        sv = VectorStream(args.stealth_vectors, sub_seed(args.seed, 4),
                           "uniform")
+    if ref is not None and sv is not None:
         st = verify_stealth(nl, infected, ht, ref, sv, args.clock, model)
         tail = (st.error_delta, st.power_delta_fraction, st.trigger_rate,
                 st.min_slack)
     else:
         # no reference: deltas stay open, rate and slack are still checkable
         rate = mslack = None
-        if args.stealth_vectors > 0:
-            sv = VectorStream(args.stealth_vectors, _salted(args.seed, 4),
-                              "uniform")
+        if sv is not None:
             rate = float(simulate(infected, sv).bits(ht.trigger_net).mean())
         if args.clock is not None:
             mslack = float(slacks(infected, model, args.clock).min())
@@ -286,18 +279,7 @@ def _cmd_detect(args):
         vectors=args.vectors, rho=args.rho, stress_budget=args.stress,
         dev_tol=args.dev_tol, threshold=args.threshold, seed=args.seed)
     report = classify(cands, cfg)
-    rows, dbg = [], []
-    for r in report.netlists:
-        for e in r.instances:
-            rows.append((r.netlist_id, r.verdict, e.tag, e.suspicion))
-            dbg.append((r.netlist_id, e.tag, e.kind_label, e.hits,
-                        e.resilience, e.rare, e.raw, e.suspicion, e.flagged))
-    _write_csv(args.out, ["netlist", "verdict", "instance", "suspicion"],
-               rows)
-    if args.debug:
-        _write_csv(args.debug,
-                   ["netlist", "instance", "kind", "hits", "resilience",
-                    "rare", "raw", "suspicion", "flagged"], dbg)
+    write_detection(report, args.out, args.debug)
     for r in report.netlists:
         print(f"{r.netlist_id}: {r.verdict}")
     print(f"{len(report.netlists)} candidates -> {args.out}")

@@ -7,6 +7,10 @@ deviation checks, so a lone tampered netlist gives itself away by
 disagreeing under the right stimulus.  Per-instance suspicion fuses three
 signals: presence on near-critical paths, loss of resilience under directed
 stress vectors, and ownership of rarely switching nets.
+
+Candidates must share one :meth:`Netlist.signature`; the ranking scores
+vectors with :func:`axsec.sim.relative_error` against the majority, reading
+the one profiling simulation per candidate kept in :class:`_Profile`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
                      UnknownInstance)
 from .netlist import GateKind, Netlist
-from .sim import VectorStream, simulate
+from .sim import VectorStream, relative_error, simulate
 from .sta import DelayModel, critical_delay, near_critical_paths, \
     paths_to_instances
 
@@ -79,17 +83,12 @@ def _checked(candidates):
         cands = sorted((str(i), nl) for i, nl in candidates)
     if not cands:
         raise EmptySet("no candidate netlists")
-    sig = _signature(cands[0][1])
+    sig = cands[0][1].signature()
     for cid, nl in cands[1:]:
-        if _signature(nl) != sig:
+        if nl.signature() != sig:
             raise SignatureMismatch(
                 f"netlist {cid!r} does not match the common I/O words")
     return cands
-
-
-def _signature(nl: Netlist):
-    return ([(w, len(b)) for w, b in nl.input_words()],
-            [(w, len(b)) for w, b in nl.output_words()])
 
 
 def _majority(vals: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -126,6 +125,20 @@ class _Profile:
                          for w, b in nl.output_words()}
         self._bits = {}
 
+    def rare(self, theta: float) -> dict:
+        """Non-constant gate outputs stuck near one value, each mapped to
+        the value it takes with probability below ``theta``."""
+        out = {}
+        for g in self.nl.gates:
+            if g.kind in (GateKind.CONST0, GateKind.CONST1):
+                continue
+            p = self.p1[g.output]
+            if p < theta:
+                out[g.output] = 1
+            elif 1.0 - p < theta:
+                out[g.output] = 0
+        return out
+
     def bits(self, net: int) -> np.ndarray:
         if net not in self._bits:
             self._bits[net] = np.concatenate([t.bits(net)
@@ -150,7 +163,7 @@ class RankEntry:
 
 
 def _rank(cands, out_vals, tol_frac):
-    widths = {w: len(b) for w, b in cands[0][1].output_words()}
+    widths = dict(cands[0][1].signature()[1])
     words = sorted(out_vals[0])
     n = len(out_vals[0][words[0]])
     er = np.zeros(len(cands))
@@ -163,7 +176,7 @@ def _rank(cands, out_vals, tol_frac):
         ad = np.abs(stack - maj).astype(np.float64)
         er += (ad > 0).mean(axis=1)
         med += ad.mean(axis=1)
-        mred += (ad / np.maximum(maj, 1)).mean(axis=1)
+        mred += relative_error(ad, maj).mean(axis=1)
         wce = np.maximum(wce, ad.max(axis=1))
     k = len(words)
     entries = [RankEntry(cid, float(er[i] / k), float(med[i] / k),
@@ -179,15 +192,8 @@ def rank_by_error(candidates, streams,
     value, least deviating first (ties by id).  ``streams`` maps mode names
     to :class:`VectorStream` instances; all of them contribute vectors."""
     cands = _checked(candidates)
-    out_vals = []
-    for cid, nl in cands:
-        per = {}
-        for mode in sorted(streams):
-            tr = simulate(nl, streams[mode])
-            for w, bits in nl.output_words():
-                per.setdefault(w, []).append(tr.word_values(bits))
-        out_vals.append({w: np.concatenate(v) for w, v in per.items()})
-    return _rank(cands, out_vals, tol)
+    return _rank(cands, [_Profile(nl, streams).out_vals for _, nl in cands],
+                 tol)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +224,6 @@ def suspect_instances(nl: Netlist, clock: float, scales=(1.0, 1.2),
     return dict(sorted(hits.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _rare_tags(profile: _Profile, theta: float) -> dict:
-    """Tags owning a non-constant net stuck near one value."""
-    out = {}
-    for g in profile.nl.gates:
-        if g.kind in (GateKind.CONST0, GateKind.CONST1):
-            continue
-        p = profile.p1[g.output]
-        if p < theta or 1.0 - p < theta:
-            out.setdefault(g.tag, []).append(g.output)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # resilience
 
@@ -256,18 +250,10 @@ def _replay_groups(nl, profile, cone_nets, theta):
     """Rarity-ranked input word assignments that reproduce observed rare
     values, grouped by disjoint word support (most specific support wins)."""
     per_sup = {}
-    for g in nl.gates:
-        net = g.output
-        if net not in cone_nets or g.kind in (GateKind.CONST0,
-                                              GateKind.CONST1):
+    for net, val in profile.rare(theta).items():
+        if net not in cone_nets:
             continue
         p = float(profile.p1[net])
-        if p < theta:
-            val = 1
-        elif 1.0 - p < theta:
-            val = 0
-        else:
-            continue
         times = np.nonzero(profile.bits(net) == val)[0]
         if not len(times):
             continue
@@ -360,8 +346,7 @@ def resilience_test(netlist: Netlist, instance_tag: str, budget: int,
         (config.seed, 0xE51, zlib.crc32(instance_tag.encode()))))
     vals = _stress_values(netlist, instance_tag, budget, profile,
                           config.theta, rng)
-    widths = {w: len(b) for w, b in netlist.input_words()}
-    bits = _word_bits(vals, widths)
+    bits = _word_bits(vals, dict(netlist.signature()[0]))
     own = simulate(netlist, bits)
     peer_vals = {w: [] for w, _ in netlist.output_words()}
     for _, nl in peers:
@@ -439,7 +424,7 @@ def classify(candidates, config: DetectConfig | None = None) \
         hits = suspect_instances(nl, config.clock, config.scales,
                                  config.n_paths, config.window,
                                  config.margin)
-        rare = _rare_tags(profiles[idx], config.theta)
+        rare = {nl.driver(n).tag for n in profiles[idx].rare(config.theta)}
         rows = []
         raws = {}
         for tag in sorted(nl.instances):

@@ -18,19 +18,21 @@ import numpy as np
 from .arith import ArchParams
 from .attack import (AttackConfig, BudgetConstraints, attack_score,
                      characterize, check_budget, insert_trojan,
-                     verify_stealth, _stream_key)
+                     verify_stealth)
 from .designs import DesignSpec, bfly_spec, fir_spec
 from .detect import DetectConfig, classify, score
 from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
                      WouldViolateTiming)
 from .netlist import Netlist
-from .sim import VectorStream, activity_profile, power_proxy, simulate
+from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
+                  simulate, stream_key, sub_seed)
 from .sta import DelayModel, critical_delay
 from .textfmt import write_netlist
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "Variant", "arch_menu",
     "characterize_library", "generate_variants", "run_experiment",
+    "write_detection",
 ]
 
 
@@ -94,10 +96,6 @@ class ExperimentConfig:
             seed=self.seed)
 
 
-def _sub_seed(seed: int, *salt) -> int:
-    return int(np.random.SeedSequence((seed,) + salt).generate_state(1)[0])
-
-
 def _fmt(x) -> str:
     if x is None:
         return "n/a"
@@ -114,6 +112,22 @@ def _write_csv(path: Path, header, rows):
         w.writerow(header)
         for r in rows:
             w.writerow([_fmt(x) for x in r])
+
+
+def write_detection(report, path, debug_path=None):
+    """Write a detection report as per-instance suspicion rows and, when
+    ``debug_path`` is given, the full per-instance evidence."""
+    rows, dbg = [], []
+    for r in report.netlists:
+        for e in r.instances:
+            rows.append((r.netlist_id, r.verdict, e.tag, e.suspicion))
+            dbg.append((r.netlist_id, e.tag, e.kind_label, e.hits,
+                        e.resilience, e.rare, e.raw, e.suspicion, e.flagged))
+    _write_csv(path, ["netlist", "verdict", "instance", "suspicion"], rows)
+    if debug_path:
+        _write_csv(debug_path,
+                   ["netlist", "instance", "kind", "hits", "resilience",
+                    "rare", "raw", "suspicion", "flagged"], dbg)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +213,10 @@ def _pareto_pool(E, P, cap):
 
 
 def _composed_error(nl: Netlist, reference, stream) -> float:
+    """MRED averaged over the referenced output words."""
     tr = simulate(nl, stream)
-    wv = {w: tr.word_values(b) for w, b in nl.input_words()}
-    mred = []
-    ows = dict(nl.output_words())
-    refs = {next(iter(ows)): reference} if callable(reference) \
-        else reference
-    for w, fn in sorted(refs.items()):
-        got = tr.word_values(ows[w])
-        exp = np.asarray(fn(wv), np.int64)
-        mred.append(float((np.abs(got - exp)
-                           / np.maximum(exp, 1)).mean()))
-    return float(np.mean(mred))
+    return float(np.mean([rel / tr.n_vectors
+                          for _, _, rel, _ in error_sums(tr, reference)]))
 
 
 def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
@@ -236,7 +242,7 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
                    for name, op, w in spec.slots}
     base_nl = spec.build(base_assign)
     base_power = power_proxy(base_nl, activity_profile(base_nl, stream))
-    key = _stream_key(stream)
+    key = stream_key(stream)
 
     def decode(ix):
         picks = []
@@ -300,7 +306,7 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
     for v in order:
         if len(infected) >= n_inf:
             break
-        aseed = _sub_seed(config.seed, 3, int(v.netlist_id[1:]))
+        aseed = sub_seed(config.seed, 3, int(v.netlist_id[1:]))
         stream = VectorStream(config.characterize_vectors, aseed,
                               "correlated", config.rho)
         act = activity_profile(v.netlist, VectorStream(
@@ -321,7 +327,7 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
         sv = verify_stealth(
             v.netlist, bad, ht, spec.reference,
             VectorStream(config.stealth_vectors,
-                         _sub_seed(config.seed, 4, int(v.netlist_id[1:])),
+                         sub_seed(config.seed, 4, int(v.netlist_id[1:])),
                          "uniform"),
             clock=config.clock, model=model)
         infected[v.netlist_id] = (bad, ht)
@@ -362,7 +368,7 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
             f.write(f"{k}={_fmt(getattr(config, k))}\n")
 
     char_stream = VectorStream(config.characterize_vectors,
-                               _sub_seed(config.seed, 1), "correlated",
+                               sub_seed(config.seed, 1), "correlated",
                                config.rho)
     library = characterize_library(spec, char_stream, config.theta)
     rows = []
@@ -422,23 +428,12 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
                gt_rows)
 
     report = classify(cands, config.detect_config())
-    rep_rows = []
-    dbg_rows = []
-    rank_rows = []
-    for r in report.netlists:
-        rank_rows.append((r.netlist_id, r.error_rank, r.mred, r.verdict))
-        for e in r.instances:
-            rep_rows.append((r.netlist_id, r.verdict, e.tag, e.suspicion))
-            dbg_rows.append((r.netlist_id, e.tag, e.kind_label, e.hits,
-                             e.resilience, e.rare, e.raw, e.suspicion,
-                             e.flagged))
-    _write_csv(out / "detect_report.csv",
-               ["netlist", "verdict", "instance", "suspicion"], rep_rows)
-    _write_csv(out / "detect_debug.csv",
-               ["netlist", "instance", "kind", "hits", "resilience",
-                "rare", "raw", "suspicion", "flagged"], dbg_rows)
+    write_detection(report, out / "detect_report.csv",
+                    out / "detect_debug.csv")
     _write_csv(out / "ranking.csv",
-               ["netlist", "error_rank", "mred", "verdict"], rank_rows)
+               ["netlist", "error_rank", "mred", "verdict"],
+               [(r.netlist_id, r.error_rank, r.mred, r.verdict)
+                for r in report.netlists])
 
     metrics = score(report, truth)
     _write_csv(out / "metrics.csv", ["accuracy", "fpr", "fnr"],

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 from .errors import (
     CycleError,
@@ -144,10 +145,22 @@ class Netlist:
         position of their first bit; ungrouped inputs become 1-bit words
         named after the net.
         """
-        return self._grouped(self.inputs)
+        return self._io[0]
 
     def output_words(self):
-        return self._grouped(self.outputs)
+        return self._io[1]
+
+    def signature(self):
+        """Primary I/O words as ((input name, width), ...) and ((output
+        name, width), ...); netlists are interchangeable only when their
+        signatures agree."""
+        return self._io[2]
+
+    @cached_property
+    def _io(self):
+        ins, outs = self._grouped(self.inputs), self._grouped(self.outputs)
+        return ins, outs, tuple(tuple((w, len(b)) for w, b in words)
+                                for words in (ins, outs))
 
     def _grouped(self, nets):
         net_set = set(nets)
@@ -164,7 +177,7 @@ class Netlist:
             elif w not in seen:
                 seen.add(w)
                 out.append((w, self.words[w]))
-        return out
+        return tuple(out)
 
     def gates_of_tag(self, tag):
         return tuple(g for g in self.gates if g.tag == tag)
@@ -374,13 +387,6 @@ class NetlistBuilder:
             k += 1
         return self.net(f"{stem}_{k}")
 
-    def rename(self, net: int, name: str):
-        if name in self._by_name:
-            raise SemanticError(f"net name {name!r} already used")
-        del self._by_name[self.net_names[net]]
-        self.net_names[net] = name
-        self._by_name[name] = net
-
     def pi(self, name: str) -> int:
         nid = self.net(name)
         self.inputs.append(nid)
@@ -444,15 +450,19 @@ def flatten(design: Design) -> Netlist:
     Instance tags become hierarchical paths rooted at the design name
     (``top.mul0`` for instance ``mul0`` of a design named ``top``); a leaf
     module whose gates share one tag collapses onto the instance path.
-    Raises :class:`PortMismatch` for unmapped or width-incompatible ports and
-    :class:`UnknownModule` for instances that are not modules.
+    Raises :class:`PortMismatch` for unmapped or width-incompatible ports
+    and for groups that redefine a port word, and :class:`UnknownModule` for
+    instances that are not modules.
     """
     b = NetlistBuilder()
     _emit(design, b)
     nl = b.build()
-    # words must cover the declared top-level interface
+    # a group reusing a port name would silently widen that port
     for name, width in design.inputs + design.outputs:
-        assert len(nl.words[name]) == width
+        if len(nl.words[name]) != width:
+            raise PortMismatch(
+                f"design {design.name!r}: port word {name!r} is "
+                f"{len(nl.words[name])} bits, declared {width}")
     return nl
 
 

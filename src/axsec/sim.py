@@ -11,6 +11,10 @@ plus the ordered input word widths of the netlist under test.  Values are
 always drawn in fixed :data:`CHUNK`-sized slices with one generator per input
 word, so the same stream is produced no matter how a consumer batches the run
 and regardless of any other words present.
+
+Every error figure of the workbench folds :func:`error_sums` and its one
+MRED term :func:`relative_error`; seed salting (:func:`sub_seed`) and
+stream identity (:func:`stream_key`) are owned here as well.
 """
 
 from __future__ import annotations
@@ -52,6 +56,19 @@ class VectorStream:
             raise BadParams("n_vectors must be positive")
         if not 0.0 <= self.rho <= 1.0:
             raise BadParams("rho must be within [0, 1]")
+
+
+def stream_key(stream) -> tuple:
+    """Identity of a stream, so measurements taken under different streams
+    are not mixed."""
+    if isinstance(stream, VectorStream):
+        return (stream.n_vectors, stream.seed, stream.mode, stream.rho)
+    return ("bits", id(stream))
+
+
+def sub_seed(seed: int, *salt) -> int:
+    """Independent child seed of ``seed`` for the given salt values."""
+    return int(np.random.SeedSequence((seed,) + salt).generate_state(1)[0])
 
 
 def _chunk_bits(rng, mode, rho, n, width, carry):
@@ -179,10 +196,9 @@ def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
 def simulate(netlist: Netlist, source) -> Traces:
     """Simulate a :class:`VectorStream` or a dict of prebuilt bit arrays and
     return full traces.  For very long runs prefer :func:`iter_traces`."""
-    words = [(n, len(b)) for n, b in netlist.input_words()]
     parts = []
     total = 0
-    for _, n, bits in _bits_chunks(source, words):
+    for _, n, bits in _bits_chunks(source, netlist.signature()[0]):
         parts.append(_run_packed(netlist, bits, n))
         total += n
     if not parts:
@@ -194,8 +210,7 @@ def simulate(netlist: Netlist, source) -> Traces:
 def iter_traces(netlist: Netlist, source):
     """Yield (start, :class:`Traces`) chunk by chunk without retaining the
     whole run in memory."""
-    words = [(n, len(b)) for n, b in netlist.input_words()]
-    for start, n, bits in _bits_chunks(source, words):
+    for start, n, bits in _bits_chunks(source, netlist.signature()[0]):
         yield start, Traces(netlist, _run_packed(netlist, bits, n), n)
 
 
@@ -261,37 +276,59 @@ class ErrorReport:
     n_vectors: int
 
 
-def _ref_fn(ref):
-    if callable(ref):
-        return ref
-    # an ArchParams-like object selects the exact operator as reference
-    if ref.op_type == "add":
-        return lambda wv: wv["a"] + wv["b"]
-    if ref.op_type == "mul":
-        return lambda wv: wv["a"] * wv["b"]
-    raise BadParams(f"no reference for op_type {ref.op_type!r}")
+#: exact word-level operators of generated modules (input words a and b)
+EXACT_OPS = {"add": lambda wv: wv["a"] + wv["b"],
+             "mul": lambda wv: wv["a"] * wv["b"]}
+
+
+def relative_error(diff, exp):
+    """Per-vector relative error ``|got - exp| / max(exp, 1)`` from
+    ``diff = |got - exp|``."""
+    return diff / np.maximum(exp, 1)
+
+
+def error_sums(tr: Traces, ref) -> list[tuple]:
+    """Per referenced output word, the (error count, absolute sum, relative
+    sum, worst absolute difference) of a simulated run, whole or one chunk;
+    callers divide by their own vector counts.
+
+    ``ref`` is a callable on input word value arrays (checked against the
+    first output word), a dict of such callables per output word (taken in
+    sorted word order), or arch params whose exact operator is used.
+    """
+    nl = tr.netlist
+    if not isinstance(ref, dict):
+        if not callable(ref):
+            # an ArchParams-like object selects the exact operator
+            if ref.op_type not in EXACT_OPS:
+                raise BadParams(f"no reference for op_type {ref.op_type!r}")
+            ref = EXACT_OPS[ref.op_type]
+        ref = {nl.output_words()[0][0]: ref}
+    outs = dict(nl.output_words())
+    wv = {w: tr.word_values(nets) for w, nets in nl.input_words()}
+    sums = []
+    for word, fn in sorted(ref.items()):
+        exp = np.asarray(fn(wv), np.int64)
+        d = np.abs(tr.word_values(outs[word]) - exp)
+        sums.append((int(np.count_nonzero(d)), int(d.sum()),
+                     float(relative_error(d, exp).sum()),
+                     int(d.max(initial=0))))
+    return sums
 
 
 def error_profile(netlist: Netlist, ref, source) -> ErrorReport:
     """Error statistics of the netlist's single output word against a
-    reference mapping (callable on input word value arrays, or arch params
-    whose exact operator is used)."""
-    ows = netlist.output_words()
-    if len(ows) != 1:
+    reference (see :func:`error_sums`)."""
+    if len(netlist.output_words()) != 1:
         raise BadParams("error_profile needs exactly one output word")
-    _, onets = ows[0]
-    fn = _ref_fn(ref)
     n = errs = sabs = wce = 0
     srel = 0.0
     for _, tr in iter_traces(netlist, source):
-        wv = {wn: tr.word_values(nets) for wn, nets in netlist.input_words()}
-        got = tr.word_values(onets)
-        exp = np.asarray(fn(wv), np.int64)
-        d = np.abs(got - exp)
-        errs += int(np.count_nonzero(d))
-        sabs += int(d.sum())
-        srel += float((d / np.maximum(exp, 1)).sum())
-        wce = max(wce, int(d.max(initial=0)))
+        (e, a, r, w), = error_sums(tr, ref)
+        errs += e
+        sabs += a
+        srel += r
+        wce = max(wce, w)
         n += tr.n_vectors
     return ErrorReport(errs / n, sabs / n, srel / n, wce, n)
 

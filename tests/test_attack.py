@@ -11,15 +11,15 @@ import pytest
 
 from axsec.arith import ArchParams
 from axsec.attack import (AttackConfig, BudgetConstraints, CostWeights,
-                          ModuleSpec, attack_score, characterize,
+                          HTInstance, ModuleSpec, attack_score, characterize,
                           check_budget, insert_trojan, rank_candidates,
                           verify_stealth)
-from axsec.designs import fir_spec
+from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
-from axsec.sim import (VectorStream, activity_profile, eval_vector,
-                       simulate, word_value)
+from axsec.sim import (VectorStream, activity_profile, error_profile,
+                       eval_vector, simulate, word_value)
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -229,6 +229,29 @@ def test_stealth_report_on_the_leak(inserted):
     assert rep.error_delta == 0.0       # identical outputs off the trigger
     assert abs(rep.power_delta_fraction) <= 0.02
     assert rep.min_slack is not None and rep.min_slack > 0.0
+
+
+def test_stealth_error_delta_is_the_mred_difference(inserted):
+    clean, _, _, _, ht = inserted
+    exact = SPEC.build(None)
+    stream = VectorStream(3000, 17, "uniform")
+    rep = verify_stealth(exact, clean, ht, SPEC.reference, stream)
+    assert rep.error_delta > 0.0
+    assert rep.error_delta == (
+        error_profile(clean, SPEC.reference, stream).mred
+        - error_profile(exact, SPEC.reference, stream).mred)
+
+
+def test_stealth_against_itself_under_word_references():
+    spec = bfly_spec()
+    nl = spec.build({"add0": ArchParams("add", "loa", spec.slots[1][2], 4)})
+    a0 = dict(nl.input_words())["a"][0]
+    ht = HTInstance(((a0, 1),), 1, "corrupt", "y0", (0,), (), (), (), a0)
+    stream = VectorStream(2000, 4, "uniform")
+    rep = verify_stealth(nl, nl, ht, spec.reference, stream)
+    assert rep.error_delta == 0.0
+    assert rep.power_delta_fraction == 0.0
+    assert rep.trigger_rate == simulate(nl, stream).bits(a0).mean()
 
 
 def test_stealth_requires_matching_signatures(inserted):

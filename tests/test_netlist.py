@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec.errors import CycleError, SemanticError
-from axsec.netlist import (GateKind, Netlist, NetlistBuilder,
-                           structurally_equal)
+from axsec.errors import CycleError, PortMismatch, SemanticError
+from axsec.netlist import (Design, GateKind, ModuleInst, Netlist,
+                           NetlistBuilder, flatten, structurally_equal)
 
 
 def _and2():
@@ -138,8 +138,26 @@ def test_word_grouping_and_support():
     nl = b.build()
     assert dict(nl.input_words()) == {"a": tuple(a), "b": tuple(c)}
     assert dict(nl.output_words()) == {"y": (y, z)}
+    assert nl.signature() == ((("a", 2), ("b", 2)), (("y", 2),))
     assert nl.input_word_support((z,)) == ("a",)
     assert nl.input_word_support((y, z)) == ("a", "b")
+
+
+def test_flatten_rejects_a_group_that_redefines_a_port():
+    b = NetlistBuilder()
+    a = [b.pi(f"a{i}") for i in range(4)]
+    b.word("a", a)
+    b.instance("u", "deterministic", "misc", "exact")
+    y = [b.gate(GateKind.BUF, (n,), tag="u") for n in a]
+    b.word("y", y)
+    for n in y:
+        b.po(n)
+    d = Design("top", inputs=[("x", 4), ("y", 4)], outputs=[("z", 4)],
+               insts=[ModuleInst("buf", b.build(), {"a": "x", "y": "z"})])
+    assert len(flatten(d).words["x"]) == 4
+    d.groups = [("x", ["x", "y"])]
+    with pytest.raises(PortMismatch, match="'x' is 8 bits, declared 4"):
+        flatten(d)
 
 
 def test_ungrouped_nets_become_one_bit_words():
