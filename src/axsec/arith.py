@@ -75,16 +75,21 @@ def _check(params: ArchParams, op: str):
 
 def exact_oracle(op_type: str, a: int, b: int, width: int) -> int:
     """Reference integer result of the exact operator."""
-    assert 0 <= a < 1 << width and 0 <= b < 1 << width
-    return a + b if op_type == "add" else a * b
+    return model_value(ArchParams(op_type, "exact", width), a, b)
 
 
 def model_value(params: ArchParams, a: int, b: int) -> int:
-    """Integer behavioral model of the architecture selected by ``params``."""
+    """Integer behavioral model of the architecture selected by ``params``.
+
+    Raises :class:`BadParams` for an operand outside ``[0, 2**width)``.
+    """
     p = params
     w, k = p.width, p.k
+    for name, v in (("a", a), ("b", b)):
+        if not 0 <= v < 1 << w:
+            raise BadParams(f"operand {name}={v} does not fit {w} bits")
     if p.arch_id == "exact" or k == 0:
-        return exact_oracle(p.op_type, a, b, w)
+        return a + b if p.op_type == "add" else a * b
     if p.op_type == "add":
         if p.arch_id == "loa":
             lo = (a | b) & ((1 << k) - 1)

@@ -123,12 +123,16 @@ class _Profile:
         self.out_vals = {w: np.concatenate([t.word_values(b)
                                             for t in self.traces])
                          for w, b in nl.output_words()}
-        self._bits = {}
+        self._first = {}
+        self._rare = {}
 
     def rare(self, theta: float) -> dict:
         """Non-constant gate outputs stuck near one value, each mapped to
-        the value it takes with probability below ``theta``."""
-        out = {}
+        the value it takes with probability below ``theta``.  Memoized per
+        ``theta``; callers must not mutate the result."""
+        if theta in self._rare:
+            return self._rare[theta]
+        out = self._rare[theta] = {}
         for g in self.nl.gates:
             if g.kind in (GateKind.CONST0, GateKind.CONST1):
                 continue
@@ -139,11 +143,16 @@ class _Profile:
                 out[g.output] = 0
         return out
 
-    def bits(self, net: int) -> np.ndarray:
-        if net not in self._bits:
-            self._bits[net] = np.concatenate([t.bits(net)
-                                              for t in self.traces])
-        return self._bits[net]
+    def first(self, net: int, val: int) -> int | None:
+        """Index of the first profiling vector on which ``net`` carries
+        ``val``, or None.  Only the index is cached, not the net's bits."""
+        key = (net, val)
+        if key not in self._first:
+            hits = np.flatnonzero(np.concatenate([t.bits(net)
+                                                  for t in self.traces])
+                                  == val)
+            self._first[key] = int(hits[0]) if len(hits) else None
+        return self._first[key]
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +263,14 @@ def _replay_groups(nl, profile, cone_nets, theta):
         if net not in cone_nets:
             continue
         p = float(profile.p1[net])
-        times = np.nonzero(profile.bits(net) == val)[0]
-        if not len(times):
+        t = profile.first(net, val)
+        if t is None:
             continue
         sup = nl.input_word_support((net,))
         rarity = p if val == 1 else 1.0 - p
         # key by first realization and name, not net id: ids are renumbered
         # on a serialization round trip and must not steer tie-breaks
-        per_sup.setdefault(sup, []).append(
-            (rarity, int(times[0]), nl.net_names[net]))
+        per_sup.setdefault(sup, []).append((rarity, t, nl.net_names[net]))
     claimed = set()
     groups = []
     order = sorted(per_sup, key=lambda s: (len(s), min(per_sup[s])[0], s))
@@ -322,6 +330,61 @@ def _word_bits(vals, widths):
             for w, v in vals.items()}
 
 
+def _output_values(nl, bits):
+    """Output word values of one run; the full traces are dropped."""
+    tr = simulate(nl, bits)
+    return {w: tr.word_values(b) for w, b in nl.output_words()}
+
+
+def _stress_scores(jobs, peers, budget, config):
+    """Resilience of each ``(netlist, tag, profile)`` job against the
+    per-vector majority of the ``peers`` candidates.
+
+    Every job's stress vectors come from its own per-tag rng, so they do
+    not depend on which other jobs share the batch.  The jobs' vectors are
+    concatenated and each distinct netlist is simulated once on the union;
+    only its output word values are kept.  The majority is taken per
+    vector, so scoring a job's column slice of the union gives the same
+    float as simulating that job alone.  A job netlist that is not one of
+    the peers is simulated as an extra, non-voting row.
+    """
+    if not jobs:
+        return []
+    if budget <= 0:
+        raise BadParams("stress budget must be positive")
+    for nl, tag, _ in jobs:
+        if not nl.gates_of_tag(tag):
+            raise UnknownInstance(tag)
+    voters = [nl for _, nl in _checked(peers)]
+    stress = []
+    for nl, tag, profile in jobs:
+        if profile is None:
+            profile = _Profile(nl, defender_streams(config))
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (config.seed, 0xE51, zlib.crc32(tag.encode()))))
+        stress.append(_stress_values(nl, tag, budget, profile, config.theta,
+                                     rng))
+    widths = dict(jobs[0][0].signature()[0])
+    bits = _word_bits({w: np.concatenate([v[w] for v in stress])
+                       for w in widths}, widths)
+    rows = {}
+    for nl in voters + [nl for nl, _, _ in jobs]:
+        if id(nl) not in rows:
+            rows[id(nl)] = _output_values(nl, bits)
+    tols = {w: config.dev_tol * ((1 << len(b)) - 1)
+            for w, b in jobs[0][0].output_words()}
+    scores = []
+    for j, (nl, _, _) in enumerate(jobs):
+        cols = slice(j * budget, (j + 1) * budget)
+        deviating = np.zeros(budget, bool)
+        for w, tol in tols.items():
+            maj = _majority(np.stack([rows[id(v)][w][cols] for v in voters]),
+                            tol)
+            deviating |= np.abs(rows[id(nl)][w][cols] - maj) > tol
+        scores.append(float(1.0 - deviating.mean()))
+    return scores
+
+
 def resilience_test(netlist: Netlist, instance_tag: str, budget: int,
                     peers=None, config: DetectConfig | None = None,
                     profile: _Profile | None = None) -> float:
@@ -331,34 +394,14 @@ def resilience_test(netlist: Netlist, instance_tag: str, budget: int,
     Stress aims at the instance's input cone: small operands, large
     operands, and composed replays of input values that made cone nets take
     their rare values during profiling.  ``peers`` supplies the candidates
-    that vote on the expected outputs; without peers the netlist is its own
-    majority and the score is vacuously 1.
+    that vote on the expected outputs; a netlist that is not among them does
+    not vote.  Without peers the netlist is its own majority and the score
+    is vacuously 1.
     """
     config = config or DetectConfig()
-    if budget <= 0:
-        raise BadParams("stress budget must be positive")
-    if not netlist.gates_of_tag(instance_tag):
-        raise UnknownInstance(instance_tag)
-    peers = _checked(peers) if peers else [("self", netlist)]
-    if profile is None:
-        profile = _Profile(netlist, defender_streams(config))
-    rng = np.random.default_rng(np.random.SeedSequence(
-        (config.seed, 0xE51, zlib.crc32(instance_tag.encode()))))
-    vals = _stress_values(netlist, instance_tag, budget, profile,
-                          config.theta, rng)
-    bits = _word_bits(vals, dict(netlist.signature()[0]))
-    own = simulate(netlist, bits)
-    peer_vals = {w: [] for w, _ in netlist.output_words()}
-    for _, nl in peers:
-        tr = simulate(nl, bits)
-        for w, b in nl.output_words():
-            peer_vals[w].append(tr.word_values(b))
-    deviating = np.zeros(budget, bool)
-    for w, nets in netlist.output_words():
-        tol = config.dev_tol * ((1 << len(nets)) - 1)
-        maj = _majority(np.stack(peer_vals[w]), tol)
-        deviating |= np.abs(own.word_values(nets) - maj) > tol
-    return float(1.0 - deviating.mean())
+    (res,) = _stress_scores([(netlist, instance_tag, profile)],
+                            peers or [("self", netlist)], budget, config)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +453,8 @@ def classify(candidates, config: DetectConfig | None = None) \
     Deterministic instances skip the stress step and are flagged on the
     path plus rare-net combination alone.  Scores are normalised to the
     worst instance of the same netlist; a netlist with at least one flag is
-    INFECTED.
+    INFECTED.  The stress vectors of all instances are batched: each
+    candidate is simulated once on their union, not once per instance.
     """
     config = config or DetectConfig()
     cands = _checked(candidates)
@@ -419,23 +463,27 @@ def classify(candidates, config: DetectConfig | None = None) \
     rank = _rank(cands, [p.out_vals for p in profiles], config.dev_tol)
     pos = {e.netlist_id: i for i, e in enumerate(rank)}
     mred = {e.netlist_id: e.mred for e in rank}
+    hits = [suspect_instances(nl, config.clock, config.scales,
+                              config.n_paths, config.window, config.margin)
+            for _, nl in cands]
+    jobs = [(idx, tag) for idx, (_, nl) in enumerate(cands)
+            for tag in sorted(nl.instances)
+            if nl.instances[tag].kind_label == "approximate"
+            and hits[idx].get(tag, 0)]
+    stressed = dict(zip(jobs, _stress_scores(
+        [(cands[idx][1], tag, profiles[idx]) for idx, tag in jobs],
+        cands, config.stress_budget, config)))
     reports = []
     for idx, (cid, nl) in enumerate(cands):
-        hits = suspect_instances(nl, config.clock, config.scales,
-                                 config.n_paths, config.window,
-                                 config.margin)
         rare = {nl.driver(n).tag for n in profiles[idx].rare(config.theta)}
         rows = []
         raws = {}
         for tag in sorted(nl.instances):
             inst = nl.instances[tag]
-            h = hits.get(tag, 0)
+            h = hits[idx].get(tag, 0)
             r = tag in rare
-            res = None
+            res = stressed.get((idx, tag))
             if inst.kind_label == "approximate":
-                if h:
-                    res = resilience_test(nl, tag, config.stress_budget,
-                                          cands, config, profiles[idx])
                 raw = h * (1.0 - (res if res is not None else 1.0)) \
                     * (2.0 if r else 1.0)
             else:

@@ -8,8 +8,8 @@ own code.  Single frozen values are worked out by hand in comments.
 import numpy as np
 import pytest
 
-from axsec.arith import (ARCHS, ArchParams, gen_adder, gen_module,
-                         gen_multiplier, model_value)
+from axsec.arith import (ARCHS, ArchParams, exact_oracle, gen_adder,
+                         gen_module, gen_multiplier, model_value)
 from axsec.errors import BadParams
 from axsec.sim import exhaustive_bits, simulate
 
@@ -176,6 +176,27 @@ def test_modules_are_labeled_approximate():
 def test_bad_params_rejected(params):
     with pytest.raises(BadParams):
         gen_module(params)
+
+
+@pytest.mark.parametrize("params", [
+    ArchParams("add", "exact", 4),
+    ArchParams("add", "loa", 4, 2, True),
+    ArchParams("add", "trunc", 4, 3),
+    ArchParams("mul", "exact", 4),
+    ArchParams("mul", "trunc", 4, 2),
+    ArchParams("mul", "block22", 4, 3),
+])
+@pytest.mark.parametrize("a,b", [(16, 0), (0, 16), (-1, 3), (3, -1)])
+def test_model_rejects_out_of_range_operands(params, a, b):
+    assert model_value(params, 15, 15) >= 0   # the top of the range is fine
+    with pytest.raises(BadParams):
+        model_value(params, a, b)
+
+
+def test_exact_oracle_rejects_out_of_range_operands():
+    assert exact_oracle("mul", 15, 15, 4) == 225
+    with pytest.raises(BadParams):
+        exact_oracle("add", 16, 0, 4)
 
 
 def test_arch_registry():

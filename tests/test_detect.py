@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from axsec import detect
 from axsec.arith import ArchParams
 from axsec.attack import AttackConfig, insert_trojan
 from axsec.designs import fir_spec
@@ -98,12 +99,35 @@ def test_resilience_flags_the_host_against_peers(trio):
     assert 0.0 <= res < 1.0
 
 
+def test_resilience_pinned_values(trio):
+    """Figures recorded before stress vectors were batched across
+    instances."""
+    cands, ht = trio
+    (host,) = ht.host_instances
+    assert resilience_test(cands["v2"], host, 300, peers=cands) \
+        == 0.9733333333333334
+    # a netlist outside its peers does not vote: with it as a third row the
+    # add2 score would read 0.9466..., not 0.0
+    rough = SPEC.build({"add0": ArchParams("add", "trunc", 16, 12),
+                        "add2": ArchParams("add", "trunc", 17, 12)})
+    peers = {"v0": cands["v0"], "v1": cands["v1"]}
+    cfg = DetectConfig(dev_tol=0.0)
+    assert resilience_test(rough, "top.add2", 300, peers, cfg) == 0.0
+    assert resilience_test(rough, "top.mul0", 300, peers, cfg) \
+        == 0.010000000000000009
+
+
 def test_resilience_input_validation(trio):
     cands, _ = trio
     with pytest.raises(BadParams):
         resilience_test(cands["v0"], "top.add2", 0)
     with pytest.raises(UnknownInstance):
         resilience_test(cands["v0"], "top.addX", 10)
+    # the stress arguments are checked before the peers
+    with pytest.raises(BadParams):
+        resilience_test(cands["v0"], "top.add2", 0,
+                        {"a": cands["v0"],
+                         "b": fir_spec(4, (1, 2, 3, 4)).build(None)})
 
 
 # -- classification ---------------------------------------------------------
@@ -131,6 +155,30 @@ def test_classify_isolates_the_infected_candidate(trio):
     assert by_tag[host].rare
     assert by_tag[host].resilience is not None
     assert by_tag[host].resilience < 1.0
+
+
+def test_classify_resilience_matches_standalone_test(trio):
+    cands, _ = trio
+    config = DetectConfig()
+    rep = classify(cands, config)
+    scored = [(r.netlist_id, e.tag, e.resilience) for r in rep.netlists
+              for e in r.instances if e.resilience is not None]
+    assert len({cid for cid, _, _ in scored}) == len(cands)
+    for cid, tag, res in scored:
+        assert res == resilience_test(cands[cid], tag, config.stress_budget,
+                                      cands, config), (cid, tag)
+
+
+def test_classify_simulates_each_candidate_once_for_stress(trio,
+                                                           monkeypatch):
+    cands, _ = trio
+    calls = []
+    real = detect.simulate
+    monkeypatch.setattr(detect, "simulate",
+                        lambda nl, source: calls.append(nl) or real(nl, source))
+    classify(cands)
+    # two profiling streams plus one batched stress run per candidate
+    assert len(calls) <= 3 * len(cands)
 
 
 def test_classify_report_shape(trio):
