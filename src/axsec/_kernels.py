@@ -1,126 +1,85 @@
-"""Bit-parallel gate evaluation kernels.
+"""Levelized bit-parallel gate evaluation.
 
-Gate graphs are lowered to flat int arrays (one row per gate in dependency
-order) and evaluated over 64 packed test vectors per machine word.  The hot
-loop exists twice with the same signature: a numba ``@njit`` version and a
-pure-numpy version that works row-wise.  Selection:
-
-* ``AXSEC_BACKEND=numpy``  force the numpy path
-* ``AXSEC_BACKEND=numba``  force numba (ImportError if unavailable)
-* unset                    numba when importable, else numpy
-
-``benchmarks/bench_sim.py`` compares both paths on the same netlist.
+A netlist is lowered once to a plan: its gates sorted by (logic level,
+kind, arity), the output net of each gate, and its input nets position by
+position.  Gates of one level never read each other, so every run of gates
+sharing (level, kind, arity) is one group, evaluated over 64 packed test
+vectors per machine word with one numpy operation per input position.
 """
 
-import os
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 _AND, _OR, _NAND, _NOR, _XOR, _XNOR = 0, 1, 2, 3, 4, 5
-_NOT, _BUF, _MUX2, _CONST0, _CONST1 = 6, 7, 8, 9, 10
+_NOT, _MUX2, _CONST0, _CONST1 = 6, 8, 9, 10
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-NJIT_OPTS = dict(nogil=True, cache=True)
+_FOLD = {_AND: np.bitwise_and, _NAND: np.bitwise_and,
+         _OR: np.bitwise_or, _NOR: np.bitwise_or,
+         _XOR: np.bitwise_xor, _XNOR: np.bitwise_xor}
 
 
-def _eval_gates_py(kinds, outs, in_off, in_cnt, flat, c):
-    """Evaluate gates in order over packed vector words.
+def plan(nl):
+    """``(outs, ins, groups)`` of a netlist, built once and cached on it.
 
-    c: uint64 array (nets, words); input rows are pre-filled, every other
-    row is written exactly once.  Trailing pad bits of the last word carry
-    garbage and must be masked by the caller.
+    ``outs[g]`` is the output net of gate ``g`` in group order, ``ins[j, g]``
+    its ``j``-th input net (0 past its arity) and ``groups`` holds one
+    ``(kind, start, stop, arity)`` gate slice per group, in level order.
     """
-    n_words = c.shape[1]
-    for g in range(kinds.shape[0]):
-        k = kinds[g]
-        o = outs[g]
-        s = in_off[g]
-        n = in_cnt[g]
-        if k == _CONST0:
-            for w in range(n_words):
-                c[o, w] = 0
-        elif k == _CONST1:
-            for w in range(n_words):
-                c[o, w] = _FULL
-        elif k == _NOT:
-            i0 = flat[s]
-            for w in range(n_words):
-                c[o, w] = ~c[i0, w]
-        elif k == _BUF:
-            i0 = flat[s]
-            for w in range(n_words):
-                c[o, w] = c[i0, w]
-        elif k == _MUX2:
-            sel, ia, ib = flat[s], flat[s + 1], flat[s + 2]
-            for w in range(n_words):
-                c[o, w] = (c[ia, w] & ~c[sel, w]) | (c[ib, w] & c[sel, w])
-        elif k == _AND or k == _NAND:
-            i0 = flat[s]
-            for w in range(n_words):
-                v = c[i0, w]
-                for j in range(1, n):
-                    v &= c[flat[s + j], w]
-                c[o, w] = ~v if k == _NAND else v
-        elif k == _OR or k == _NOR:
-            i0 = flat[s]
-            for w in range(n_words):
-                v = c[i0, w]
-                for j in range(1, n):
-                    v |= c[flat[s + j], w]
-                c[o, w] = ~v if k == _NOR else v
-        else:  # XOR / XNOR
-            i0 = flat[s]
-            for w in range(n_words):
-                v = c[i0, w]
-                for j in range(1, n):
-                    v ^= c[flat[s + j], w]
-                c[o, w] = ~v if k == _XNOR else v
+    if nl._plan is None:
+        level = [0] * nl.n_nets
+        keyed = []
+        for gid in nl.topo_order():
+            g = nl.gate_by_id(gid)
+            lv = 0
+            for i in g.inputs:  # several times faster than max(map(...))
+                if level[i] > lv:
+                    lv = level[i]
+            level[g.output] = lv + 1
+            keyed.append(((lv, g.kind, len(g.inputs)), g))
+        keyed.sort(key=itemgetter(0))
+        width = max((len(g.inputs) for _, g in keyed), default=0)
+        outs = np.array([g.output for _, g in keyed], np.intp)
+        ins = np.array([g.inputs + (0,) * (width - len(g.inputs))
+                        for _, g in keyed], np.intp)
+        groups, start = [], 0
+        for (_, kind, arity), run in groupby(keyed, key=itemgetter(0)):
+            stop = start + sum(1 for _ in run)
+            groups.append((int(kind), start, stop, arity))
+            start = stop
+        nl._plan = (outs, ins.reshape(len(keyed), width).T.copy(),
+                    tuple(groups))
+    return nl._plan
 
 
-def eval_gates_numpy(kinds, outs, in_off, in_cnt, flat, c):
-    """Row-wise numpy twin of the kernel (no per-word Python loop)."""
-    for g in range(kinds.shape[0]):
-        k = kinds[g]
-        o = outs[g]
-        s = in_off[g]
-        n = in_cnt[g]
-        if k == _CONST0:
+def eval_gates(outs, ins, groups, c):
+    """Evaluate a plan over packed vector words.
+
+    c: uint64 array (nets, words); input rows are pre-filled, every gate
+    output row is written exactly once.  Trailing pad bits of the last word
+    carry garbage and must be masked by the caller.
+    """
+    take = c.take
+    for kind, start, stop, arity in groups:
+        o = outs[start:stop]
+        if kind == _CONST0:
             c[o] = 0
-        elif k == _CONST1:
+        elif kind == _CONST1:
             c[o] = _FULL
-        elif k == _NOT:
-            np.bitwise_not(c[flat[s]], out=c[o])
-        elif k == _BUF:
-            c[o] = c[flat[s]]
-        elif k == _MUX2:
-            sel = c[flat[s]]
-            np.bitwise_or(c[flat[s + 1]] & ~sel, c[flat[s + 2]] & sel, out=c[o])
+        elif kind == _MUX2:  # (sel, a, b) -> a ^ ((a ^ b) & sel)
+            a = take(ins[1, start:stop], axis=0)
+            v = take(ins[2, start:stop], axis=0)
+            v ^= a
+            v &= take(ins[0, start:stop], axis=0)
+            v ^= a
+            c[o] = v
         else:
-            op = (np.bitwise_and if k in (_AND, _NAND)
-                  else np.bitwise_or if k in (_OR, _NOR)
-                  else np.bitwise_xor)
-            op(c[flat[s]], c[flat[s + 1]], out=c[o])
-            for j in range(2, n):
-                op(c[o], c[flat[s + j]], out=c[o])
-            if k in (_NAND, _NOR, _XNOR):
-                np.bitwise_not(c[o], out=c[o])
-
-
-def _pick_backend():
-    choice = os.environ.get("AXSEC_BACKEND", "").strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        raise ValueError(f"AXSEC_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numpy":
-        return "numpy", eval_gates_numpy
-    try:
-        from numba import njit
-    except ImportError:
-        if choice == "numba":
-            raise
-        return "numpy", eval_gates_numpy
-    return "numba", njit(**NJIT_OPTS)(_eval_gates_py)
-
-
-#: active backend name ("numba" or "numpy") and the kernel in use
-BACKEND, eval_gates = _pick_backend()
+            v = take(ins[0, start:stop], axis=0)
+            for j in range(1, arity):
+                _FOLD[kind](v, take(ins[j, start:stop], axis=0), out=v)
+            if kind in (_NOT, _NAND, _NOR, _XNOR):
+                np.invert(v, out=v)
+            c[o] = v

@@ -213,6 +213,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     :class:`NoRareNets`, :class:`NoWitness` or :class:`WouldViolateTiming`;
     on any failure nothing is emitted.
     """
+    if config.q < 1:
+        raise BadParams(f"q must be at least 1, got {config.q}")
     if config.stream is None:
         raise BadParams("config.stream must carry the profiling stream")
     if testability is None:

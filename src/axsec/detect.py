@@ -60,6 +60,10 @@ class DetectConfig:
     threshold: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise BadParams(f"seed must be non-negative, got {self.seed}")
+
 
 def defender_streams(config: DetectConfig) -> dict:
     """The two profiling streams every candidate is replayed under."""

@@ -70,6 +70,8 @@ class ExperimentConfig:
     dev_tol: float = 0.05
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise BadParams(f"seed must be non-negative, got {self.seed}")
         if self.design not in ("fir", "bfly"):
             raise BadParams(f"unknown design {self.design!r}")
         if not 0.0 <= self.infected_fraction <= 1.0:

@@ -1,7 +1,7 @@
 """Vector streams, bit-parallel simulation and activity/error profiling.
 
 Simulation packs 64 test vectors into each machine word and evaluates the
-gate graph once per 64-vector slice through the kernels in
+gate graph once per 64-vector slice through the levelized kernel in
 :mod:`axsec._kernels`.  A slow scalar evaluator (:func:`eval_vector`) with
 plain-int semantics is kept as an independent reference and for single-vector
 replay.
@@ -54,6 +54,8 @@ class VectorStream:
             raise BadParams(f"unknown stream mode {self.mode!r}")
         if self.n_vectors <= 0:
             raise BadParams("n_vectors must be positive")
+        if self.seed < 0:
+            raise BadParams(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.rho <= 1.0:
             raise BadParams("rho must be within [0, 1]")
 
@@ -137,20 +139,6 @@ def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:
 # packed simulation
 
 
-def _plan(nl: Netlist):
-    if nl._plan is None:
-        gates = [nl.gate_by_id(g) for g in nl.topo_order()]
-        kinds = np.array([g.kind for g in gates], np.int8)
-        outs = np.array([g.output for g in gates], np.int32)
-        in_cnt = np.array([len(g.inputs) for g in gates], np.int32)
-        in_off = np.zeros(len(gates), np.int32)
-        if len(gates):
-            in_off[1:] = np.cumsum(in_cnt)[:-1]
-        flat = np.array([i for g in gates for i in g.inputs], np.int32)
-        nl._plan = (kinds, outs, in_off, in_cnt, flat)
-    return nl._plan
-
-
 class Traces:
     """Packed per-net values for a simulated run (vector t lives at bit
     ``t % 64`` of word ``t // 64``)."""
@@ -185,8 +173,7 @@ def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
                 packed = np.concatenate(
                     [packed, np.zeros(8 - packed.size % 8, np.uint8)])
             c[net] = packed.view(np.uint64)
-    kinds, outs, in_off, in_cnt, flat = _plan(nl)
-    _kernels.eval_gates(kinds, outs, in_off, in_cnt, flat, c)
+    _kernels.eval_gates(*_kernels.plan(nl), c)
     r = n % 64
     if r:
         c[:, -1] &= np.uint64((1 << r) - 1)

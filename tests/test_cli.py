@@ -215,3 +215,39 @@ def test_experiment_verb_and_config_round_trip(tmp_path, capsys):
     for name in ("metrics.csv", "detect_report.csv", "variants.csv",
                  "ht_ground_truth.csv"):
         assert (e1 / name).read_bytes() == (e2 / name).read_bytes(), name
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("q", ["0", "-2"])
+def test_attack_rejects_a_trigger_without_taps(tmp_path, capsys, q):
+    nl = tmp_path / "v.nl"
+    main(["gen-design", "--design", "fir", "--out", str(nl)])
+    capsys.readouterr()
+    code = main(["attack", "--netlist", str(nl), "--secret", "coef",
+                 "--vectors", "500", "--q", q,
+                 "--out", str(tmp_path / "bad.nl")])
+    assert code == 2
+    assert "q must be at least 1" in _one_error_line(capsys)
+    assert not (tmp_path / "bad.nl").exists()
+
+
+@pytest.mark.parametrize("verb", ["profile", "attack", "detect",
+                                  "experiment"])
+def test_negative_seed_is_a_user_error(tmp_path, capsys, verb):
+    nl = tmp_path / "c" / "v.nl"
+    nl.parent.mkdir()
+    main(["gen-design", "--design", "fir", "--out", str(nl)])
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    args = {"profile": ["--netlist", str(nl), "--out-dir", out],
+            "attack": ["--netlist", str(nl), "--secret", "coef",
+                       "--out", out],
+            "detect": ["--candidates", str(nl.parent), "--out", out],
+            "experiment": ["--out", out]}[verb]
+    assert main([verb, "--seed", "-1"] + args) == 2
+    assert "seed must be non-negative" in _one_error_line(capsys)

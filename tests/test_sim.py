@@ -1,12 +1,10 @@
 """Packed simulation against scalar evaluation, stream behavior, and the
 activity, power and error profilers."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axsec.arith import ArchParams, gen_adder, gen_module
 from axsec.errors import BadParams, BadThreshold
@@ -170,30 +168,54 @@ def test_error_profile_accepts_callable_reference():
     assert rep.er == 0.0 and rep.wce == 0
 
 
-def test_backend_selection_is_equivalent():
-    """The numpy fallback must produce bit-identical traces."""
-    digest = subprocess.run(
-        [sys.executable, "-c",
-         "import hashlib, numpy as np\n"
-         "from axsec.arith import ArchParams, gen_module\n"
-         "from axsec.sim import VectorStream, simulate\n"
-         "from axsec._kernels import BACKEND\n"
-         "nl = gen_module(ArchParams('mul', 'block22', 6, 3))\n"
-         "tr = simulate(nl, VectorStream(3000, 5, 'correlated', 0.8))\n"
-         "h = hashlib.sha256()\n"
-         "for n in range(nl.n_nets): h.update(tr.bits(n).tobytes())\n"
-         "print(BACKEND, h.hexdigest())"],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, AXSEC_BACKEND="numpy"))
-    name, want = digest.stdout.split()
-    assert name == "numpy"
-    import hashlib
-    nl = gen_module(ArchParams("mul", "block22", 6, 3))
-    tr = simulate(nl, VectorStream(3000, 5, "correlated", 0.8))
-    h = hashlib.sha256()
-    for n in range(nl.n_nets):
-        h.update(tr.bits(n).tobytes())
-    assert h.hexdigest() == want
+#: arities drawn per gate kind; n-ary kinds get 2 to 4 inputs
+_ARITIES = {GateKind.NOT: (1,), GateKind.BUF: (1,), GateKind.MUX2: (3,),
+            GateKind.CONST0: (0,), GateKind.CONST1: (0,)}
+
+
+@st.composite
+def _layered_netlists(draw):
+    """Every gate kind on every layer, each (kind, arity) at least twice,
+    reading any earlier net; the first gate of each run repeats an input."""
+    b = NetlistBuilder()
+    x = [b.pi(f"x{i}") for i in range(draw(st.integers(2, 5)))]
+    b.word("x", x)
+    b.instance("u", "deterministic", "misc", "exact")
+    pool = list(x)
+    for _ in range(draw(st.integers(1, 3))):
+        made = []
+        for kind in draw(st.permutations(list(GateKind))):
+            arities = draw(st.lists(st.sampled_from(
+                _ARITIES.get(kind, (2, 3, 4))), min_size=1, max_size=2,
+                unique=True))
+            for arity in arities:
+                for i in range(draw(st.integers(2, 3))):
+                    ins = draw(st.lists(st.sampled_from(pool),
+                                        min_size=arity, max_size=arity))
+                    if i == 0 and arity >= 2:
+                        ins[1] = ins[0]
+                    made.append(b.gate(kind, ins, tag="u"))
+        pool += made
+    for net in pool[len(x):]:
+        b.po(net)
+    return b.build()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_layered_netlists(), st.integers(0, 2 ** 32 - 1))
+def test_levelized_kernel_matches_scalar_evaluation(nl, seed):
+    """200 vectors span four words with a partial last one: every net of
+    the packed run must equal the scalar evaluation, pad bits cleared."""
+    n = 200
+    bits = np.random.default_rng(seed).integers(
+        0, 2, (n, len(nl.inputs)), dtype=np.uint8)
+    tr = simulate(nl, {"x": bits})
+    got = np.array([tr.bits(net) for net in range(nl.n_nets)])
+    for t in range(n):
+        xv = int((bits[t].astype(np.int64) << np.arange(len(nl.inputs))).sum())
+        assert eval_vector(nl, {"x": xv}) == got[:, t].tolist()
+    assert tr.c.shape[1] == 4
+    assert not (tr.c[:, -1] >> np.uint64(n % 64)).any()
 
 
 def test_chunk_boundaries_do_not_change_statistics():
