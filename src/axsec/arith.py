@@ -28,6 +28,7 @@ Architectures
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadParams
 from .netlist import GateKind, Netlist, NetlistBuilder
@@ -158,7 +159,9 @@ class _Cells:
 
         Returns len(xs)+1 sum nets (the last is the carry out).
         """
-        assert len(xs) == len(ys)
+        if len(xs) != len(ys):
+            raise BadParams(f"ripple operands differ in width: "
+                            f"{len(xs)} and {len(ys)}")
         out = []
         carry = cin
         for x, y in zip(xs, ys):
@@ -270,8 +273,14 @@ def _block22_grid(cells, a, bb, k):
                             (off + 3, top))
 
 
+@lru_cache(maxsize=128)
 def gen_module(params: ArchParams, tag: str = "u") -> Netlist:
-    """Dispatch to :func:`gen_adder` or :func:`gen_multiplier`."""
+    """Dispatch to :func:`gen_adder` or :func:`gen_multiplier`.
+
+    Memoized per ``(params, tag)``: netlists are immutable, and
+    :func:`~axsec.netlist.flatten` and ``NetlistBuilder(base)`` only copy
+    from them, so every caller may share one build.
+    """
     if params.op_type == "add":
         return gen_adder(params, tag)
     if params.op_type == "mul":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import ArchParams, gen_adder, gen_multiplier
+from .arith import ArchParams, gen_module
 from .errors import BadParams
 from .netlist import (Design, GateKind, ModuleInst, Netlist, NetlistBuilder,
                       flatten)
@@ -88,7 +88,7 @@ def _module_for(slot, assign):
         raise BadParams(
             f"slot {name!r} needs a {op} of width {w}, got {p.label()} "
             f"{p.op_type}/{p.width}")
-    return gen_adder(p) if op == "add" else gen_multiplier(p)
+    return gen_module(p)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ class DetectConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise BadParams(f"seed must be non-negative, got {self.seed}")
+        if not self.clock > 0:  # also rejects NaN
+            raise BadParams(f"clock must be positive, got {self.clock}")
 
 
 def defender_streams(config: DetectConfig) -> dict:

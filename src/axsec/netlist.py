@@ -180,7 +180,15 @@ class Netlist:
         return tuple(out)
 
     def gates_of_tag(self, tag):
-        return tuple(g for g in self.gates if g.tag == tag)
+        """Gates carrying ``tag`` in gate id order; () for an unknown tag."""
+        return self._by_tag.get(tag, ())
+
+    @cached_property
+    def _by_tag(self):
+        index = {}
+        for g in self.gates:
+            index.setdefault(g.tag, []).append(g)
+        return {t: tuple(gs) for t, gs in index.items()}
 
     # -- invariants --------------------------------------------------------
 
@@ -298,13 +306,31 @@ class Netlist:
         return seen
 
     def input_word_support(self, nets):
-        """Names of input words that can influence the given nets."""
-        cone = self.fanin_nets(nets)
-        sup = []
-        for name, bits in self.input_words():
-            if any(b in cone for b in bits):
-                sup.append(name)
-        return tuple(sup)
+        """Names of input words that can influence the given nets, in
+        :meth:`input_words` order: those with a bit in the nets' fan-in
+        cone."""
+        masks = self._support_masks
+        m = 0
+        for n in nets:
+            m |= masks[n]
+        return tuple(name for i, (name, _) in enumerate(self.input_words())
+                     if m >> i & 1)
+
+    @cached_property
+    def _support_masks(self):
+        # bit i of a net's mask: the i-th input word reaches the net;
+        # one topological pass ORs each gate's input masks
+        masks = [0] * self.n_nets
+        for i, (_, bits) in enumerate(self.input_words()):
+            for b in bits:
+                masks[b] |= 1 << i
+        for gid in self.topo_order():
+            g = self._gate_by_id[gid]
+            m = 0
+            for i in g.inputs:
+                m |= masks[i]
+            masks[g.output] = m
+        return masks
 
     def __repr__(self):
         return (f"Netlist({len(self.gates)} gates, {self.n_nets} nets, "

@@ -10,7 +10,9 @@ Streams are pseudo-random and fully determined by ``(seed, mode, n_vectors)``
 plus the ordered input word widths of the netlist under test.  Values are
 always drawn in fixed :data:`CHUNK`-sized slices with one generator per input
 word, so the same stream is produced no matter how a consumer batches the run
-and regardless of any other words present.
+and regardless of any other words present.  A stream that fits in one chunk
+is generated once per input signature and reused read-only
+(:func:`_single_chunk_bits`); longer streams are generated lazily.
 
 Every error figure of the workbench folds :func:`error_sums` and its one
 MRED term :func:`relative_error`; seed salting (:func:`sub_seed`) and
@@ -20,6 +22,7 @@ stream identity (:func:`stream_key`) are owned here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,33 +91,48 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
     return vals, vals[-1].copy()
 
 
-def _bits_chunks(source, words, n_vectors=None):
+def _stream_chunks(stream, words):
+    """Yield (start, n, bits) chunks of a :class:`VectorStream`, generated
+    lazily one :data:`CHUNK` at a time."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
+            for i in range(len(words))]
+    carry = [None] * len(words)
+    for start in range(0, stream.n_vectors, CHUNK):
+        n = min(CHUNK, stream.n_vectors - start)
+        bits = {}
+        for i, (name, width) in enumerate(words):
+            bits[name], carry[i] = _chunk_bits(
+                rngs[i], stream.mode, stream.rho, n, width, carry[i])
+        yield start, n, bits
+
+
+@lru_cache(maxsize=2)
+def _single_chunk_bits(stream, words):
+    """Read-only bits of a stream that fits in one chunk, generated once
+    per (stream, input words).  Two entries cover the usual alternation
+    (the defender's two profiling streams, a clean and an infected run)."""
+    (_, _, bits), = _stream_chunks(stream, words)
+    for arr in bits.values():
+        arr.flags.writeable = False
+    return bits
+
+
+def _bits_chunks(source, words):
     """Yield (start, n, {word: (n, width) uint8}) chunks from a stream or a
     prebuilt dict of bit arrays."""
     if isinstance(source, VectorStream):
-        total = source.n_vectors if n_vectors is None else min(n_vectors, source.n_vectors)
-        rngs = [np.random.default_rng(np.random.SeedSequence((source.seed, i)))
-                for i in range(len(words))]
-        carry = [None] * len(words)
-        start = 0
-        while start < total:
-            n = min(CHUNK, total - start)
-            bits = {}
-            for i, (name, width) in enumerate(words):
-                bits[name], carry[i] = _chunk_bits(
-                    rngs[i], source.mode, source.rho, n, width, carry[i])
-            yield start, n, bits
-            start += n
-    else:
-        for name, width in words:
-            if name not in source:
-                raise BadParams(f"missing bits for input word {name!r}")
-        total = len(next(iter(source.values()))) if source else (n_vectors or 0)
-        start = 0
-        while start < total:
-            n = min(CHUNK, total - start)
-            yield start, n, {w: source[w][start:start + n] for w, _ in words}
-            start += n
+        if source.n_vectors <= CHUNK:
+            yield 0, source.n_vectors, dict(_single_chunk_bits(source, words))
+        else:
+            yield from _stream_chunks(source, words)
+        return
+    for name, width in words:
+        if name not in source:
+            raise BadParams(f"missing bits for input word {name!r}")
+    total = len(next(iter(source.values()))) if source else 0
+    for start in range(0, total, CHUNK):
+        n = min(CHUNK, total - start)
+        yield start, n, {w: source[w][start:start + n] for w, _ in words}
 
 
 def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadParams
 from .netlist import GateKind, Netlist
 
 _EPS = 1e-9
@@ -186,11 +187,16 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
                         window: float | None = None) -> list[TimingPath]:
     """Up to ``n_paths`` maximal paths with slack in [0, window], ordered by
     increasing slack (ties by net sequence).  ``window`` defaults to a tenth
-    of the clock."""
+    of the clock.  Raises :class:`BadParams` for a clock that is not
+    positive or a negative ``n_paths``."""
+    if not clock > 0:  # also rejects NaN
+        raise BadParams(f"clock must be positive, got {clock}")
+    if n_paths < 0:
+        raise BadParams(f"n_paths must be non-negative, got {n_paths}")
     if window is None:
         window = 0.1 * clock
     lo = clock - window
-    if n_paths <= 0:
+    if n_paths == 0:
         return []
     u = _uniform_delay(nl, model)
     if u is not None:

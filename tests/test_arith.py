@@ -8,9 +8,10 @@ own code.  Single frozen values are worked out by hand in comments.
 import numpy as np
 import pytest
 
-from axsec.arith import (ARCHS, ArchParams, exact_oracle, gen_adder,
+from axsec.arith import (ARCHS, ArchParams, _Cells, exact_oracle, gen_adder,
                          gen_module, gen_multiplier, model_value)
 from axsec.errors import BadParams
+from axsec.netlist import NetlistBuilder, structurally_equal
 from axsec.sim import exhaustive_bits, simulate
 
 
@@ -226,3 +227,23 @@ def test_loa_degradation_is_monotone():
         med = float(np.abs(y - (a + b)).mean())
         assert med >= prev
         prev = med
+
+
+def test_ripple_rejects_operands_of_different_widths():
+    b = NetlistBuilder()
+    b.instance("u", "approximate", "add", "exact")
+    cells = _Cells(b, "u")
+    xs = [b.pi(f"x{i}") for i in range(3)]
+    ys = [b.pi(f"y{i}") for i in range(2)]
+    with pytest.raises(BadParams, match="differ in width"):
+        cells.ripple(xs, ys)
+
+
+def test_gen_module_is_memoized_per_params_and_tag():
+    p = ArchParams("mul", "trunc", 6, 2)
+    assert gen_module(p) is gen_module(p)
+    assert gen_module(p, "v") is gen_module(p, "v")
+    assert gen_module(p, "v") is not gen_module(p)
+    assert gen_module(p, "v").instances.keys() == {"v"}
+    # the memo holds the same netlist a fresh build gives
+    assert structurally_equal(gen_module(p), gen_multiplier(p))

@@ -251,3 +251,26 @@ def test_negative_seed_is_a_user_error(tmp_path, capsys, verb):
             "experiment": ["--out", out]}[verb]
     assert main([verb, "--seed", "-1"] + args) == 2
     assert "seed must be non-negative" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("verb,flags,message", [
+    ("sta", ["--clock", "0"], "clock must be positive"),
+    ("sta", ["--clock", "-5"], "clock must be positive"),
+    ("sta", ["--clock", "nan"], "clock must be positive"),
+    ("sta", ["--clock", "10", "--paths", "-3"],
+     "n_paths must be non-negative"),
+    ("detect", ["--clock", "-1"], "clock must be positive"),
+], ids=["sta-clock-0", "sta-clock-neg", "sta-clock-nan", "sta-paths-neg",
+        "detect-clock-neg"])
+def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
+                                              message):
+    nl = tmp_path / "c" / "v.nl"
+    nl.parent.mkdir()
+    main(["gen-design", "--design", "fir", "--out", str(nl)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = {"sta": ["--netlist", str(nl), "--out", str(out)],
+            "detect": ["--candidates", str(nl.parent), "--out", str(out)]}
+    assert main([verb] + flags + args[verb]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from axsec.arith import ArchParams
+from axsec.arith import ArchParams, gen_adder, gen_module, gen_multiplier
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import BadParams
+from axsec.netlist import structurally_equal
 from axsec.sim import VectorStream, eval_vector, simulate, word_value
 
 
@@ -104,3 +105,17 @@ def test_bfly_reference_matches_exact_build():
     for w, nets in nl.output_words():
         assert np.array_equal(tr.word_values(nets), spec.reference[w](wv)), w
     assert spec.secret_word == "twid"
+
+
+def test_flatten_leaves_the_memoized_modules_unchanged():
+    assign = {"mul1": ArchParams("mul", "trunc", 8, 4),
+              "add0": ArchParams("add", "loa", 16, 4),
+              "add2": ArchParams("add", "exact", 17)}
+    fresh = {s: gen_multiplier(p) if p.op_type == "mul" else gen_adder(p)
+             for s, p in assign.items()}
+    kids = {s: gen_module(p) for s, p in assign.items()}
+    fir_spec(8, (3, 5, 7, 9)).build(assign)
+    bfly_spec(8, 3).build({"mul0": assign["mul1"]})
+    for slot, p in assign.items():
+        assert gen_module(p) is kids[slot]
+        assert structurally_equal(kids[slot], fresh[slot])

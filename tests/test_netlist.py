@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import CycleError, PortMismatch, SemanticError
 from axsec.netlist import (Design, GateKind, ModuleInst, Netlist,
                            NetlistBuilder, flatten, structurally_equal)
@@ -199,3 +200,70 @@ def test_random_layered_builds_are_valid(data):
     assert len(order) == n_gates
     again = NetlistBuilder(nl).build()
     assert structurally_equal(nl, again)
+
+
+def _support_by_definition(nl, nets):
+    cone = nl.fanin_nets(nets)
+    return tuple(w for w, bits in nl.input_words()
+                 if any(b in cone for b in bits))
+
+
+@st.composite
+def _worded_netlists(draw):
+    """Layered random netlists with several input words (some ungrouped
+    inputs, some overlapping words, one word mixing in a gate output) and
+    gates spread over a few tags."""
+    b = NetlistBuilder()
+    xs = [b.pi(f"x{i}") for i in range(draw(st.integers(1, 8)))]
+    for t in ("p", "q", "r"):
+        b.instance(t, "approximate", "add", "exact")
+    pool = list(xs)
+    for _ in range(draw(st.integers(1, 4))):
+        made = []
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from([GateKind.AND, GateKind.XOR,
+                                         GateKind.NOT, GateKind.MUX2,
+                                         GateKind.CONST1]))
+            arity = {GateKind.NOT: 1, GateKind.MUX2: 3,
+                     GateKind.CONST1: 0}.get(kind, 2)
+            ins = draw(st.lists(st.sampled_from(pool), min_size=arity,
+                                max_size=arity))
+            made.append(b.gate(kind, ins, tag=draw(st.sampled_from("pqr"))))
+        pool += made
+    for k in range(draw(st.integers(0, 4))):
+        bits = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                             unique=True))
+        b.word(f"w{k}", bits)
+    for net in pool[len(xs):]:
+        b.po(net)
+    return b.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_worded_netlists(), st.data())
+def test_support_bitmasks_match_the_fanin_definition(nl, data):
+    for n in range(nl.n_nets):
+        assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
+    nets = data.draw(st.lists(st.integers(0, nl.n_nets - 1), max_size=5))
+    assert nl.input_word_support(nets) == _support_by_definition(nl, nets)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_worded_netlists())
+def test_tag_index_matches_the_linear_filter(nl):
+    for tag in list(nl.instances) + ["missing"]:
+        assert nl.gates_of_tag(tag) == tuple(g for g in nl.gates
+                                             if g.tag == tag)
+    assert nl.gates_of_tag("missing") == ()
+
+
+@pytest.mark.parametrize("spec", [fir_spec(), bfly_spec()],
+                         ids=lambda s: s.name)
+def test_memoized_derivations_on_the_reference_designs(spec):
+    nl = spec.build(None)
+    for n in range(nl.n_nets):
+        assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
+    for tag in nl.instances:
+        assert nl.gates_of_tag(tag) == tuple(g for g in nl.gates
+                                             if g.tag == tag)
+    assert nl.gates_of_tag("top") == ()

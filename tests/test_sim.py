@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from axsec.arith import ArchParams, gen_adder, gen_module
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
-from axsec.sim import (VectorStream, activity_profile, error_profile,
-                       eval_vector, exhaustive_bits, power_proxy, rare_nets,
-                       simulate, word_value)
+from axsec.sim import (CHUNK, STREAM_MODES, VectorStream, _bits_chunks,
+                       _chunk_bits, _single_chunk_bits, activity_profile,
+                       error_profile, eval_vector, exhaustive_bits,
+                       power_proxy, rare_nets, simulate, word_value)
 
 
 def _mix_netlist():
@@ -231,3 +232,59 @@ def test_chunk_boundaries_do_not_change_statistics():
     act_dict = activity_profile(nl, bits)
     assert np.array_equal(act_stream.toggles, act_dict.toggles)
     assert np.array_equal(act_stream.p1, act_dict.p1)
+
+
+def _fresh_bits(stream, words):
+    """A single-chunk stream generated from scratch, bypassing the memo."""
+    out = {}
+    for i, (name, width) in enumerate(words):
+        rng = np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
+        out[name], _ = _chunk_bits(rng, stream.mode, stream.rho,
+                                   stream.n_vectors, width, None)
+    return out
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+def test_single_chunk_stream_memo_equals_a_fresh_generation(mode):
+    stream = VectorStream(1000, 5, mode)
+    words = (("a", 8), ("b", 3))
+    cached = _single_chunk_bits(stream, words)
+    fresh = _fresh_bits(stream, words)
+    assert cached.keys() == fresh.keys()
+    for w in fresh:
+        assert np.array_equal(cached[w], fresh[w])
+        with pytest.raises(ValueError):
+            cached[w][0, 0] ^= 1
+    assert _single_chunk_bits(stream, words) is cached
+
+
+def test_stream_memo_keys_on_the_input_words():
+    _single_chunk_bits.cache_clear()
+    stream = VectorStream(500, 2)
+    narrow = _single_chunk_bits(stream, (("a", 4),))
+    wide = _single_chunk_bits(stream, (("a", 8), ("b", 8)))
+    assert narrow is not wide
+    assert narrow["a"].shape == (500, 4) and wide["a"].shape == (500, 8)
+    assert _single_chunk_bits.cache_info().currsize == 2
+    # a stream longer than one chunk is generated lazily, never memoized
+    long = VectorStream(CHUNK + 1, 2)
+    assert [n for _, n, _ in _bits_chunks(long, (("a", 1),))] == [CHUNK, 1]
+    assert _single_chunk_bits.cache_info().misses == 2
+
+
+def test_simulate_on_a_memoized_stream_equals_the_dict_of_its_bits():
+    b = NetlistBuilder()
+    z = [b.pi(f"z{i}") for i in range(3)]
+    a = [b.pi(f"a{i}") for i in range(5)]
+    b.word("z", z)   # declared first: words are drawn in signature order,
+    b.word("a", a)   # not by name
+    b.instance("u", "deterministic", "misc", "exact")
+    for i in range(3):
+        b.po(b.gate(GateKind.XOR, (z[i], a[i], a[i + 2]), tag="u"))
+    nl = b.build()
+    assert [w for w, _ in nl.signature()[0]] == ["z", "a"]
+    stream = VectorStream(3000, 9, "correlated")
+    bits = _fresh_bits(stream, nl.signature()[0])
+    want = simulate(nl, bits).c
+    assert np.array_equal(simulate(nl, stream).c, want)
+    assert np.array_equal(simulate(nl, stream).c, want)  # memo hit
