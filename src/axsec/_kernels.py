@@ -1,10 +1,11 @@
 """Levelized bit-parallel gate evaluation.
 
-A netlist is lowered once to a plan: its gates sorted by (logic level,
-kind, arity), the output net of each gate, and its input nets position by
-position.  Gates of one level never read each other, so every run of gates
-sharing (level, kind, arity) is one group, evaluated over 64 packed test
-vectors per machine word with one numpy operation per input position.
+A netlist's logic levels are lowered once to a plan: its gates sorted by
+(logic level, kind, arity), the output net of each gate, and its input
+nets position by position.  Gates of one level never read each other, so
+every run of gates sharing (level, kind, arity) is one group, evaluated
+over 64 packed test vectors per machine word with one numpy operation per
+input position.
 """
 
 from itertools import groupby
@@ -22,37 +23,27 @@ _FOLD = {_AND: np.bitwise_and, _NAND: np.bitwise_and,
          _XOR: np.bitwise_xor, _XNOR: np.bitwise_xor}
 
 
-def plan(nl):
-    """``(outs, ins, groups)`` of a netlist, built once and cached on it.
+def plan(levels):
+    """``(outs, ins, groups)`` of a netlist's gates grouped by logic level
+    (:meth:`axsec.netlist.Netlist.levels`).
 
     ``outs[g]`` is the output net of gate ``g`` in group order, ``ins[j, g]``
     its ``j``-th input net (0 past its arity) and ``groups`` holds one
     ``(kind, start, stop, arity)`` gate slice per group, in level order.
     """
-    if nl._plan is None:
-        level = [0] * nl.n_nets
-        keyed = []
-        for gid in nl.topo_order():
-            g = nl.gate_by_id(gid)
-            lv = 0
-            for i in g.inputs:  # several times faster than max(map(...))
-                if level[i] > lv:
-                    lv = level[i]
-            level[g.output] = lv + 1
-            keyed.append(((lv, g.kind, len(g.inputs)), g))
-        keyed.sort(key=itemgetter(0))
-        width = max((len(g.inputs) for _, g in keyed), default=0)
-        outs = np.array([g.output for _, g in keyed], np.intp)
-        ins = np.array([g.inputs + (0,) * (width - len(g.inputs))
-                        for _, g in keyed], np.intp)
-        groups, start = [], 0
-        for (_, kind, arity), run in groupby(keyed, key=itemgetter(0)):
-            stop = start + sum(1 for _ in run)
-            groups.append((int(kind), start, stop, arity))
-            start = stop
-        nl._plan = (outs, ins.reshape(len(keyed), width).T.copy(),
-                    tuple(groups))
-    return nl._plan
+    keyed = sorted((((lv, g.kind, len(g.inputs)), g)
+                    for lv, gates in enumerate(levels) for g in gates),
+                   key=itemgetter(0))
+    width = max((len(g.inputs) for _, g in keyed), default=0)
+    outs = np.array([g.output for _, g in keyed], np.intp)
+    ins = np.array([g.inputs + (0,) * (width - len(g.inputs))
+                    for _, g in keyed], np.intp)
+    groups, start = [], 0
+    for (_, kind, arity), run in groupby(keyed, key=itemgetter(0)):
+        stop = start + sum(1 for _ in run)
+        groups.append((int(kind), start, stop, arity))
+        start = stop
+    return outs, ins.reshape(len(keyed), width).T.copy(), tuple(groups)
 
 
 def eval_gates(outs, ins, groups, c):

@@ -33,7 +33,8 @@ from .experiment import (ExperimentConfig, run_experiment, write_detection,
 from .scoap import scoap
 from .sim import (EXACT_OPS, VectorStream, activity_profile, error_profile,
                   power_proxy, rare_nets, simulate, sub_seed)
-from .sta import DelayModel, critical_delay, near_critical_paths, slacks
+from .sta import (DelayModel, calibrated_model, critical_delay,
+                  near_critical_paths, slacks)
 from .textfmt import read_netlist, write_netlist
 
 __all__ = ["main"]
@@ -231,8 +232,7 @@ def _cmd_attack(args):
     act = activity_profile(nl, stream)
     model = None
     if args.clock is not None:
-        model = DelayModel(
-            scale=args.margin * args.clock / critical_delay(nl))
+        model = calibrated_model(nl, args.clock, args.margin)
     cfg = AttackConfig(
         q=args.q, theta=args.theta, scoap_ceiling=args.scoap_ceiling,
         witness_budget=args.witness_budget, payload=args.payload,

@@ -12,6 +12,7 @@ fixed deterministic logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import ArchParams, gen_module
 from .errors import BadParams
@@ -19,6 +20,7 @@ from .netlist import (Design, GateKind, ModuleInst, Netlist, NetlistBuilder,
                       flatten)
 
 
+@lru_cache(maxsize=128)
 def const_module(value: int, width: int, word: str = "c") -> Netlist:
     """Constant word driver (coefficient / twiddle logic)."""
     if not 0 <= value < 1 << width:
@@ -35,6 +37,7 @@ def const_module(value: int, width: int, word: str = "c") -> Netlist:
     return b.build()
 
 
+@lru_cache(maxsize=128)
 def resize_module(w_in: int, w_out: int) -> Netlist:
     """Buffer the low bits of word ``a`` into ``y`` of a different width,
     zero-filling on top; upper input bits beyond ``w_out`` are ignored."""
@@ -54,6 +57,7 @@ def resize_module(w_in: int, w_out: int) -> Netlist:
     return b.build()
 
 
+@lru_cache(maxsize=128)
 def sub_module(width: int) -> Netlist:
     """Exact two's-complement subtractor: d = (a - b) mod 2^width."""
     b = NetlistBuilder()

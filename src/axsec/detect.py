@@ -26,8 +26,7 @@ from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
                      UnknownInstance)
 from .netlist import GateKind, Netlist
 from .sim import VectorStream, relative_error, simulate
-from .sta import DelayModel, critical_delay, near_critical_paths, \
-    paths_to_instances
+from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
     "DetectConfig", "RankEntry", "InstanceScore", "NetlistReport",
@@ -213,15 +212,6 @@ def rank_by_error(candidates, streams,
 
 # ---------------------------------------------------------------------------
 # structural suspects
-
-
-def calibrated_model(nl: Netlist, clock: float,
-                     margin: float = 0.9) -> DelayModel:
-    """Unit delays scaled so the critical path sits at ``margin * clock``."""
-    crit = critical_delay(nl)
-    if crit <= 0.0:
-        return DelayModel()
-    return DelayModel(scale=margin * clock / crit)
 
 
 def suspect_instances(nl: Netlist, clock: float, scales=(1.0, 1.2),

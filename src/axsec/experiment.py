@@ -26,7 +26,7 @@ from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
 from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
                   simulate, stream_key, sub_seed)
-from .sta import DelayModel, critical_delay
+from .sta import calibrated_model
 from .textfmt import write_netlist
 
 __all__ = [
@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise BadParams("infected_fraction must be within [0, 1]")
         if self.n_variants < 1:
             raise BadParams("need at least one variant")
+        if not self.clock > 0:  # also rejects NaN
+            raise BadParams(f"clock must be positive, got {self.clock}")
 
     def design_spec(self) -> DesignSpec:
         if self.design == "fir":
@@ -313,8 +315,7 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
                               "correlated", config.rho)
         act = activity_profile(v.netlist, VectorStream(
             config.trace_vectors, aseed, "correlated", config.rho))
-        model = DelayModel(scale=config.margin * config.clock
-                           / critical_delay(v.netlist))
+        model = calibrated_model(v.netlist, config.clock, config.margin)
         acfg = AttackConfig(
             q=config.q, theta=config.theta,
             scoap_ceiling=config.scoap_ceiling,

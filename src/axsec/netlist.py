@@ -16,11 +16,12 @@ instance tags into hierarchical paths such as ``top.mul0``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from operator import attrgetter
 
+from . import _kernels
 from .errors import (
     CycleError,
     PortMismatch,
@@ -88,7 +89,8 @@ KIND_LABELS = ("approximate", "deterministic")
 
 
 class Netlist:
-    """Flat combinational gate graph.  Build via :class:`NetlistBuilder`.
+    """Flat combinational gate graph.  Build via :class:`NetlistBuilder`;
+    raises :class:`CycleError`, carrying the net ids of one loop, on cycles.
 
     :param net_names: net name per dense net id.
     :param inputs: ordered primary input net ids.
@@ -106,9 +108,6 @@ class Netlist:
         self.gates = tuple(sorted(gates, key=lambda g: g.id))
         self.instances = dict(instances)
         self._net_id = {n: i for i, n in enumerate(self.net_names)}
-        self._topo = None
-        self._fanout = None
-        self._plan = None
         self._validate()
 
     # -- accessors ---------------------------------------------------------
@@ -128,15 +127,18 @@ class Netlist:
         gid = self._driver[net]
         return None if gid < 0 else self._gate_by_id[gid]
 
+    def readers(self, net):
+        """Gates reading ``net``, each listed once, in gate id order."""
+        return self._readers[net]
+
     def fanout_counts(self):
         """Number of gate input pins fed by each net."""
-        if self._fanout is None:
-            counts = [0] * self.n_nets
-            for g in self.gates:
-                for i in g.inputs:
-                    counts[i] += 1
-            self._fanout = tuple(counts)
         return self._fanout
+
+    @cached_property
+    def _fanout(self):
+        return tuple(sum(g.inputs.count(n) for g in gates)
+                     for n, gates in enumerate(self._readers))
 
     def input_words(self):
         """Canonical ordered input interface as (name, net ids) pairs.
@@ -237,43 +239,58 @@ class Netlist:
         for tag, inst in self.instances.items():
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
-        self.topo_order()  # raises CycleError on loops
+        self._levels, self._readers = self._levelize(driver)
+        self._ordered = tuple(g for level in self._levels for g in level)
+
+    def _levelize(self, driver):
+        # Kahn's sort one level at a time; pending keeps gate id order, so
+        # a loop is reported from the lowest stuck gate
+        readers = [[] for _ in range(self.n_nets)]
+        pending, level = {}, []
+        for g in self.gates:
+            n = 0
+            for i in set(g.inputs):
+                readers[i].append(g)
+                n += driver[i] >= 0
+            if n:
+                pending[g.id] = n
+            else:
+                level.append(g)
+        levels = []
+        while level:
+            levels.append(tuple(level))
+            level = []
+            for g in levels[-1]:
+                for r in readers[g.output]:
+                    pending[r.id] -= 1
+                    if not pending[r.id]:
+                        del pending[r.id]
+                        level.append(r)
+            level.sort(key=attrgetter("id"))
+        if pending:
+            raise CycleError(self._find_cycle(pending))
+        return tuple(levels), tuple(map(tuple, readers))
 
     # -- orders ------------------------------------------------------------
 
-    def topo_order(self):
-        """Gate ids in dependency order, ready gates drained lowest-id first.
+    def levels(self):
+        """Gates by logic level, lowest id first: a gate sits one level above
+        its highest driver, so gates of one level never read each other."""
+        return self._levels
 
-        Deterministic for a given netlist.  Raises :class:`CycleError`
-        carrying the net ids of one combinational loop.
-        """
-        if self._topo is not None:
-            return self._topo
-        pending = {}
-        ready = []
-        consumers = {}
-        for g in self.gates:
-            missing = sum(1 for i in g.inputs if self._driver[i] >= 0)
-            if missing:
-                pending[g.id] = missing
-                for i in g.inputs:
-                    if self._driver[i] >= 0:
-                        consumers.setdefault(self._driver[i], []).append(g.id)
-            else:
-                heapq.heappush(ready, g.id)
-        order = []
-        while ready:
-            gid = heapq.heappop(ready)
-            order.append(gid)
-            for nxt in consumers.get(gid, ()):
-                pending[nxt] -= 1
-                if pending[nxt] == 0:
-                    del pending[nxt]
-                    heapq.heappush(ready, nxt)
-        if pending:
-            raise CycleError(self._find_cycle(pending))
-        self._topo = tuple(order)
-        return self._topo
+    def ordered_gates(self):
+        """The gates of :meth:`levels`, level after level."""
+        return self._ordered
+
+    def topo_order(self):
+        """Gate ids in :meth:`levels` order, so every gate follows the
+        drivers of its inputs."""
+        return tuple(g.id for g in self._ordered)
+
+    @cached_property
+    def plan(self):
+        """The kernel plan of :func:`axsec._kernels.plan`, built once."""
+        return _kernels.plan(self._levels)
 
     def _find_cycle(self, pending):
         # Walk drivers inside the stuck subgraph until a gate repeats.
@@ -324,8 +341,7 @@ class Netlist:
         for i, (_, bits) in enumerate(self.input_words()):
             for b in bits:
                 masks[b] |= 1 << i
-        for gid in self.topo_order():
-            g = self._gate_by_id[gid]
+        for g in self._ordered:
             m = 0
             for i in g.inputs:
                 m |= masks[i]

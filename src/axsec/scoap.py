@@ -39,12 +39,11 @@ _VNOT = GateKind.NOT
 
 
 def _expand(nl: Netlist):
-    """Gate list in topo order with MUX2 rewritten, plus the total net count
-    including virtual nets.  Each entry is (kind, inputs, output)."""
+    """Gate list in level order with MUX2 rewritten, plus the total net
+    count including virtual nets.  Each entry is (kind, inputs, output)."""
     n = nl.n_nets
     entries = []
-    for gid in nl.topo_order():
-        g = nl.gate_by_id(gid)
+    for g in nl.ordered_gates():
         if g.kind is not GateKind.MUX2:
             entries.append((g.kind, g.inputs, g.output))
             continue

@@ -191,7 +191,7 @@ def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
                 packed = np.concatenate(
                     [packed, np.zeros(8 - packed.size % 8, np.uint8)])
             c[net] = packed.view(np.uint64)
-    _kernels.eval_gates(*_kernels.plan(nl), c)
+    _kernels.eval_gates(*nl.plan, c)
     r = n % 64
     if r:
         c[:, -1] &= np.uint64((1 << r) - 1)
@@ -232,8 +232,7 @@ def eval_vector(netlist: Netlist, word_values: dict) -> list[int]:
         v = int(word_values.get(name, 0))
         for i, b in enumerate(nets):
             vals[b] = (v >> i) & 1
-    for gid in netlist.topo_order():
-        g = netlist.gate_by_id(gid)
+    for g in netlist.ordered_gates():
         ins = [vals[i] for i in g.inputs]
         k = g.kind
         if k is GateKind.AND:

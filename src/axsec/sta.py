@@ -53,12 +53,15 @@ class DelayModel:
 
 
 def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
+    """Latest arrival time at every net, one kernel-plan group at a time."""
     model = model or DelayModel()
+    outs, ins, groups = nl.plan
     arr = np.zeros(nl.n_nets, np.float64)
-    for gid in nl.topo_order():
-        g = nl.gate_by_id(gid)
-        d = model.of(g.kind)
-        arr[g.output] = d + (max(arr[i] for i in g.inputs) if g.inputs else 0.0)
+    for kind, start, stop, arity in groups:
+        m = arr[ins[0, start:stop]] if arity else np.zeros(stop - start)
+        for j in range(1, arity):
+            np.maximum(m, arr[ins[j, start:stop]], out=m)
+        arr[outs[start:stop]] = model.of(kind) + m
     return arr
 
 
@@ -67,18 +70,28 @@ def critical_delay(nl: Netlist, model: DelayModel | None = None) -> float:
     return float(max((arr[o] for o in nl.outputs), default=0.0))
 
 
+def calibrated_model(nl: Netlist, clock: float,
+                     margin: float = 0.9) -> DelayModel:
+    """Unit delays scaled so the critical path sits at ``margin * clock``."""
+    if not clock > 0:  # also rejects NaN
+        raise BadParams(f"clock must be positive, got {clock}")
+    crit = critical_delay(nl)
+    if crit <= 0.0:
+        return DelayModel()
+    return DelayModel(scale=margin * clock / crit)
+
+
 def slacks(nl: Netlist, model: DelayModel, clock: float) -> np.ndarray:
     """Per-net slack against the clock period (inf where no output is
     reachable)."""
     arr = arrival_times(nl, model)
+    outs, ins, groups = nl.plan
     req = np.full(nl.n_nets, np.inf)
-    for o in nl.outputs:
-        req[o] = min(req[o], clock)
-    for gid in reversed(nl.topo_order()):
-        g = nl.gate_by_id(gid)
-        r = req[g.output] - model.of(g.kind)
-        for i in g.inputs:
-            req[i] = min(req[i], r)
+    req[list(nl.outputs)] = clock
+    for kind, start, stop, arity in reversed(groups):
+        r = req[outs[start:stop]] - model.of(kind)
+        for j in range(arity):
+            np.minimum.at(req, ins[j, start:stop], r)
     return req - arr
 
 
@@ -112,15 +125,6 @@ def _uniform_delay(nl: Netlist, model: DelayModel):
     return u if u is not None and u > 0.0 else None
 
 
-def _consumers(nl: Netlist):
-    cons: list[list] = [[] for _ in range(nl.n_nets)]
-    for gid in nl.topo_order():
-        g = nl.gate_by_id(gid)
-        for i in set(g.inputs):
-            cons[i].append(g)
-    return cons
-
-
 def _uniform_paths(nl: Netlist, u: float, clock: float, n_paths: int,
                    lo: float) -> list[TimingPath]:
     """Exact-length path enumeration for uniform gate delays.
@@ -131,14 +135,12 @@ def _uniform_paths(nl: Netlist, u: float, clock: float, n_paths: int,
     are never visited, which keeps this immune to the path explosion above
     the clock that the general search would have to wade through.
     """
-    cons = _consumers(nl)
-    for c in cons:
-        c.sort(key=lambda g: g.output)
+    cons = [sorted(nl.readers(n), key=lambda g: g.output)
+            for n in range(nl.n_nets)]
     suf = [0] * nl.n_nets
     for o in set(nl.outputs):
         suf[o] = 1
-    for gid in reversed(nl.topo_order()):
-        g = nl.gate_by_id(gid)
+    for g in reversed(nl.ordered_gates()):
         s = suf[g.output]
         if s:
             for i in set(g.inputs):
@@ -201,8 +203,6 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
     u = _uniform_delay(nl, model)
     if u is not None:
         return _uniform_paths(nl, u, clock, n_paths, lo)
-    topo = nl.topo_order()
-    consumers = _consumers(nl)
 
     # longest and shortest completion distance from each net to any output
     maxsuf = np.full(nl.n_nets, -np.inf)
@@ -210,8 +210,7 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
     po_set = frozenset(nl.outputs)
     for o in po_set:
         maxsuf[o], minsuf[o] = 0.0, 0.0
-    for gid in reversed(topo):
-        g = nl.gate_by_id(gid)
+    for g in reversed(nl.ordered_gates()):
         if maxsuf[g.output] == -np.inf:
             continue
         d = model.of(g.kind)
@@ -239,7 +238,7 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
         net = nets[-1]
         if net in po_set and dist >= lo - _EPS:
             heapq.heappush(heap, (-dist, nets, 0, dist, gids))
-        for g in consumers[net]:
+        for g in nl.readers(net):
             d2 = dist + model.of(g.kind)
             if d2 + maxsuf[g.output] < lo - _EPS:
                 continue

@@ -260,8 +260,14 @@ def test_negative_seed_is_a_user_error(tmp_path, capsys, verb):
     ("sta", ["--clock", "10", "--paths", "-3"],
      "n_paths must be non-negative"),
     ("detect", ["--clock", "-1"], "clock must be positive"),
+    ("experiment", ["--clock", "0"], "clock must be positive"),
+    ("experiment", ["--clock", "-1"], "clock must be positive"),
+    ("experiment", ["--clock", "nan"], "clock must be positive"),
+    ("attack", ["--clock", "0"], "clock must be positive"),
+    ("attack", ["--clock", "nan"], "clock must be positive"),
 ], ids=["sta-clock-0", "sta-clock-neg", "sta-clock-nan", "sta-paths-neg",
-        "detect-clock-neg"])
+        "detect-clock-neg", "experiment-clock-0", "experiment-clock-neg",
+        "experiment-clock-nan", "attack-clock-0", "attack-clock-nan"])
 def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
                                               message):
     nl = tmp_path / "c" / "v.nl"
@@ -270,7 +276,21 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
     capsys.readouterr()
     out = tmp_path / "out"
     args = {"sta": ["--netlist", str(nl), "--out", str(out)],
-            "detect": ["--candidates", str(nl.parent), "--out", str(out)]}
+            "detect": ["--candidates", str(nl.parent), "--out", str(out)],
+            "experiment": ["--out", str(out)],
+            "attack": ["--netlist", str(nl), "--secret", "coef",
+                       "--out", str(out)]}
     assert main([verb] + flags + args[verb]) == 2
     assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):
+    # a zero critical delay used to end in a ZeroDivisionError traceback
+    nl = tmp_path / "wire.nl"
+    nl.write_text("input a\noutput a\n")
+    out = tmp_path / "bad.nl"
+    assert main(["attack", "--netlist", str(nl), "--clock", "10",
+                 "--out", str(out)]) == 2
+    assert "rare nets" in _one_error_line(capsys)
     assert not out.exists()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from axsec.arith import ArchParams, gen_adder, gen_module, gen_multiplier
-from axsec.designs import bfly_spec, fir_spec
+from axsec.designs import (bfly_spec, const_module, fir_spec, resize_module,
+                           sub_module)
 from axsec.errors import BadParams
 from axsec.netlist import structurally_equal
 from axsec.sim import VectorStream, eval_vector, simulate, word_value
@@ -114,8 +115,15 @@ def test_flatten_leaves_the_memoized_modules_unchanged():
     fresh = {s: gen_multiplier(p) if p.op_type == "mul" else gen_adder(p)
              for s, p in assign.items()}
     kids = {s: gen_module(p) for s, p in assign.items()}
+    glue = [(const_module, (3, 8)), (const_module, (9, 8)),
+            (resize_module, (8, 11)), (resize_module, (16, 11)),
+            (sub_module, (11,))]
+    glue_kids = [make(*args) for make, args in glue]
     fir_spec(8, (3, 5, 7, 9)).build(assign)
     bfly_spec(8, 3).build({"mul0": assign["mul1"]})
     for slot, p in assign.items():
         assert gen_module(p) is kids[slot]
         assert structurally_equal(kids[slot], fresh[slot])
+    for (make, args), kid in zip(glue, glue_kids):
+        assert make(*args) is kid
+        assert structurally_equal(kid, make.__wrapped__(*args))

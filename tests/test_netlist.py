@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import CycleError, PortMismatch, SemanticError
-from axsec.netlist import (Design, GateKind, ModuleInst, Netlist,
+from axsec.netlist import (Design, Gate, GateKind, ModuleInst, Netlist,
                            NetlistBuilder, flatten, structurally_equal)
 
 
@@ -246,6 +246,30 @@ def test_support_bitmasks_match_the_fanin_definition(nl, data):
         assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
     nets = data.draw(st.lists(st.integers(0, nl.n_nets - 1), max_size=5))
     assert nl.input_word_support(nets) == _support_by_definition(nl, nets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_worded_netlists(), st.randoms(use_true_random=False))
+def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
+    # renumber the gates so that id order is not a dependency order
+    ids = list(range(len(nl.gates)))
+    rnd.shuffle(ids)
+    nl = Netlist(nl.net_names, nl.inputs, nl.outputs, nl.words,
+                 [Gate(ids[g.id], g.kind, g.inputs, g.output, g.tag)
+                  for g in nl.gates], nl.instances)
+    level = {g.id: lv for lv, gates in enumerate(nl.levels()) for g in gates}
+    assert sorted(level) == [g.id for g in nl.gates]
+    for g in nl.gates:
+        below = [level[nl.driver(i).id] for i in g.inputs
+                 if nl.driver(i) is not None]
+        assert level[g.id] == 1 + max(below, default=-1)
+    assert list(nl.topo_order()) == sorted(level,
+                                           key=lambda i: (level[i], i))
+    assert nl.ordered_gates() == tuple(map(nl.gate_by_id, nl.topo_order()))
+    pins = [i for g in nl.gates for i in g.inputs]
+    for n in range(nl.n_nets):
+        assert nl.readers(n) == tuple(g for g in nl.gates if n in g.inputs)
+        assert nl.fanout_counts()[n] == pins.count(n)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,9 +4,11 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axsec.designs import fir_spec
-from axsec.netlist import GateKind, NetlistBuilder
+from axsec.netlist import ARITY, GateKind, NetlistBuilder
 from axsec.sta import (DelayModel, TimingPath, arrival_times, critical_delay,
                        near_critical_paths, paths_to_instances, slacks)
 
@@ -162,3 +164,67 @@ def test_paths_to_instances_ranks_by_count():
     for (t1, c1), (t2, c2) in zip(ranking, ranking[1:]):
         assert (-c1, t1) <= (-c2, t2)
     assert all(isinstance(p, TimingPath) for p in paths)
+
+
+def _arrival_times_by_gate(nl, model):
+    """The per-gate arrival loop that the levelized pass replaced."""
+    arr = np.zeros(nl.n_nets, np.float64)
+    for gid in nl.topo_order():
+        g = nl.gate_by_id(gid)
+        d = model.of(g.kind)
+        arr[g.output] = d + (max(arr[i] for i in g.inputs) if g.inputs else 0.0)
+    return arr
+
+
+def _slacks_by_gate(nl, model, clock):
+    """The per-gate required-time loop that the levelized pass replaced."""
+    arr = _arrival_times_by_gate(nl, model)
+    req = np.full(nl.n_nets, np.inf)
+    for o in nl.outputs:
+        req[o] = min(req[o], clock)
+    for gid in reversed(nl.topo_order()):
+        g = nl.gate_by_id(gid)
+        r = req[g.output] - model.of(g.kind)
+        for i in g.inputs:
+            req[i] = min(req[i], r)
+    return req - arr
+
+
+_TIMED_KINDS = [GateKind.AND, GateKind.OR, GateKind.NAND, GateKind.XOR,
+                GateKind.NOT, GateKind.MUX2, GateKind.CONST0,
+                GateKind.CONST1]
+
+
+@st.composite
+def _timed_dags(draw):
+    """Random DAGs mixing n-ary, NOT, MUX2 and constant gates, with
+    repeated inputs and nets that reach no output, under a partial per-kind
+    delay table and a scale."""
+    b = NetlistBuilder()
+    nets = [b.pi(f"x{i}") for i in range(draw(st.integers(1, 4)))]
+    b.instance("u", "deterministic", "misc", "exact")
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(_TIMED_KINDS))
+        lo, hi = ARITY[kind]
+        ins = draw(st.lists(st.sampled_from(nets), min_size=lo,
+                            max_size=4 if hi is None else hi))
+        nets.append(b.gate(kind, ins, tag="u"))
+    for n in draw(st.lists(st.sampled_from(nets), min_size=1, unique=True)):
+        b.po(n)
+    table = draw(st.dictionaries(st.sampled_from(_TIMED_KINDS),
+                                 st.floats(0.0, 4.0)))
+    return b.build(), DelayModel(table, draw(st.floats(0.1, 3.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_timed_dags(), st.floats(0.5, 40.0))
+def test_levelized_timing_equals_the_per_gate_loops(dag, clock):
+    nl, model = dag
+    want = _arrival_times_by_gate(nl, model)
+    assert np.array_equal(arrival_times(nl, model), want)
+    assert np.array_equal(arrival_times(nl),
+                          _arrival_times_by_gate(nl, DelayModel()))
+    assert critical_delay(nl, model) == float(
+        max((want[o] for o in nl.outputs), default=0.0))
+    assert np.array_equal(slacks(nl, model, clock),
+                          _slacks_by_gate(nl, model, clock))
