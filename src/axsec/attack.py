@@ -17,7 +17,7 @@ simulated traces.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,8 +62,9 @@ def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     """Measure one architecture's error, relative power and rare-net profile
     on the given stream, against the exact architecture as baseline."""
     nl = gen_module(params)
-    err = error_profile(nl, params, stream)
-    act = activity_profile(nl, stream)
+    run = simulate(nl, stream)
+    err = error_profile(nl, params, run)
+    act = activity_profile(nl, run)
     base_nl = gen_module(ArchParams(params.op_type, "exact", params.width))
     base = power_proxy(base_nl, activity_profile(base_nl, stream))
     proxy = power_proxy(nl, act, base)
@@ -97,7 +98,7 @@ class BudgetConstraints:
     delta_p: float
 
     def __post_init__(self):
-        if self.delta_e <= 0 or self.delta_p <= 0:
+        if not (self.delta_e > 0 and self.delta_p > 0):  # also rejects NaN
             raise BadParams("budget slacks must be positive")
 
 
@@ -135,9 +136,9 @@ class AttackConfig:
     witness_budget: int = 10 ** 6
     payload: str = "leak"            # or "corrupt"
     secret_word: str | None = None   # required for leak
-    stream: object = None            # the stream behind the activity report
-    trace_vectors: int = 20_000      # realization trace length (same stream
-                                     # family as the profile, extended)
+    stream: object = None            # stream or run behind the activity
+    trace_vectors: int = 20_000      # realization length when ``stream``
+                                     # is a shorter VectorStream
     clock: float | None = None       # reject insertions beyond this period
     model: DelayModel | None = None
     instance_scores: dict | None = None
@@ -209,12 +210,17 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
                   testability: ScoapReport | None, config: AttackConfig):
     """Insert a rare-net-triggered combinational payload.
 
+    Taps are realized on a run of ``config.stream`` (a shorter
+    :class:`VectorStream` is extended), held whole in memory.
+
     Returns (infected netlist, :class:`HTInstance`).  Raises
     :class:`NoRareNets`, :class:`NoWitness` or :class:`WouldViolateTiming`;
     on any failure nothing is emitted.
     """
     if config.q < 1:
         raise BadParams(f"q must be at least 1, got {config.q}")
+    if config.clock is not None and not config.clock > 0:  # also NaN
+        raise BadParams(f"clock must be positive, got {config.clock}")
     if config.stream is None:
         raise BadParams("config.stream must carry the profiling stream")
     if testability is None:
@@ -227,28 +233,16 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     cand = [(n, v) for n, v in rare
             if testability.cc0[n] <= ceiling and testability.cc1[n] <= ceiling]
 
-    # trace pass: realized cycles per candidate plus input values per cycle;
-    # rarity is judged on the profile but realization may use a longer run
-    # of the same stream family
+    # realization: the first 64 cycles that show each candidate's rare
+    # value, and the input word values of every cycle
     trace = config.stream
     if isinstance(trace, VectorStream) and config.trace_vectors > trace.n_vectors:
-        trace = VectorStream(config.trace_vectors, trace.seed, trace.mode,
-                             trace.rho)
-    times: dict[tuple, list[int]] = {}
-    vals_at: dict[int, dict] = {}
-    in_words = nl.input_words()
-    for start, tr in iter_traces(nl, trace):
-        wv = {w: tr.word_values(bits) for w, bits in in_words}
-        for c in cand:
-            lst = times.setdefault(c, [])
-            if len(lst) >= 64:
-                continue
-            hits = np.nonzero(tr.bits(c[0]) == c[1])[0]
-            for t in hits[:64 - len(lst)]:
-                t = start + int(t)
-                lst.append(t)
-                if t not in vals_at:
-                    vals_at[t] = {w: int(wv[w][t - start]) for w, _ in in_words}
+        trace = replace(trace, n_vectors=config.trace_vectors)
+    tr = simulate(nl, trace)
+    times = {c: np.flatnonzero(tr.bits(c[0]) == c[1])[:64].tolist()
+             for c in cand}
+    word_vals = {w: tr.word_values(bits) for w, bits in nl.input_words()}
+    del tr
     cand = [c for c in cand if times[c]]
     if len(cand) < config.q:
         raise NoRareNets(
@@ -293,7 +287,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
         raise NoWitness(f"only {len(taps)} composable trigger taps of "
                         f"{config.q} requested")
 
-    witness = _find_witness(nl, groups, taps, vals_at, config)
+    witness = _find_witness(nl, groups, taps, word_vals, config)
 
     # build the infected copy
     b = NetlistBuilder(nl)
@@ -347,13 +341,13 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     return infected, ht
 
 
-def _find_witness(nl, groups, taps, vals_at, config):
+def _find_witness(nl, groups, taps, word_vals, config):
     """Input word assignment that sets every tap to its rare value."""
     def compose(pick):
         wv = {}
         for g, t in zip(groups, pick):
             for w in g["words"]:
-                wv[w] = vals_at[t][w]
+                wv[w] = int(word_vals[w][t])
         return wv
 
     # trace-composed assignments: earliest realized cycles first
@@ -411,7 +405,7 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     ``reference`` is anything :func:`~axsec.sim.error_sums` accepts;
     error_delta is the infected-minus-clean difference of MRED against it,
     averaged over the referenced output words.  trigger_rate counts cycles
-    where every trigger literal holds.
+    where every trigger literal holds.  Both runs are held whole in memory.
     """
     if clean.signature() != infected.signature():
         raise SignatureMismatch("clean and infected netlists disagree on "
@@ -419,7 +413,8 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     srel = [0.0, 0.0]
     fires = 0
     total = 0
-    chunks = zip(iter_traces(clean, stream), iter_traces(infected, stream))
+    run_c, run_i = simulate(clean, stream), simulate(infected, stream)
+    chunks = zip(iter_traces(clean, run_c), iter_traces(infected, run_i))
     for (_, tc), (_, ti) in chunks:
         for who, tr in enumerate((tc, ti)):
             sums = error_sums(tr, reference)
@@ -429,8 +424,8 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
         total += ti.n_vectors
     denom = total * len(sums)
     error_delta = srel[1] / denom - srel[0] / denom
-    p_clean = power_proxy(clean, activity_profile(clean, stream))
-    p_inf = power_proxy(infected, activity_profile(infected, stream), p_clean)
+    p_clean = power_proxy(clean, activity_profile(clean, run_c))
+    p_inf = power_proxy(infected, activity_profile(infected, run_i), p_clean)
     min_slack = None
     if clock is not None:
         s = slacks(infected, model or DelayModel(), clock)

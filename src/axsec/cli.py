@@ -228,17 +228,19 @@ def _cmd_sta(args):
 
 def _cmd_attack(args):
     nl = read_netlist(args.netlist)
-    stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
-    act = activity_profile(nl, stream)
+    # triggers are profiled and realized on one run
+    run = simulate(nl, VectorStream(args.vectors, args.seed, args.mode,
+                                    args.rho))
     model = None
     if args.clock is not None:
         model = calibrated_model(nl, args.clock, args.margin)
     cfg = AttackConfig(
         q=args.q, theta=args.theta, scoap_ceiling=args.scoap_ceiling,
         witness_budget=args.witness_budget, payload=args.payload,
-        secret_word=args.secret, stream=stream, trace_vectors=args.vectors,
-        clock=args.clock, model=model, seed=args.seed)
-    infected, ht = insert_trojan(nl, act, None, cfg)
+        secret_word=args.secret, stream=run, clock=args.clock, model=model,
+        seed=args.seed)
+    infected, ht = insert_trojan(nl, activity_profile(nl, run), None, cfg)
+    del run, cfg  # release the run before the stealth check
     write_netlist(infected, args.out)
     print(f"{ht.payload_kind} payload hosted at {ht.host_instances[0]}, "
           f"{len(ht.trigger_nets)} trigger taps -> {args.out}")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
-                     UnknownInstance)
+from .errors import (BadParams, BadThreshold, EmptySet, LabelMismatch,
+                     SignatureMismatch, UnknownInstance)
 from .netlist import GateKind, Netlist
 from .sim import VectorStream, relative_error, simulate
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
@@ -64,6 +64,8 @@ class DetectConfig:
             raise BadParams(f"seed must be non-negative, got {self.seed}")
         if not self.clock > 0:  # also rejects NaN
             raise BadParams(f"clock must be positive, got {self.clock}")
+        if not 0.0 < self.theta < 0.5:  # the range of sim.rare_nets
+            raise BadThreshold(f"theta must be in (0, 0.5), got {self.theta}")
 
 
 def defender_streams(config: DetectConfig) -> dict:

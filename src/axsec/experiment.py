@@ -70,16 +70,15 @@ class ExperimentConfig:
     dev_tol: float = 0.05
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise BadParams(f"seed must be non-negative, got {self.seed}")
         if self.design not in ("fir", "bfly"):
             raise BadParams(f"unknown design {self.design!r}")
         if not 0.0 <= self.infected_fraction <= 1.0:
             raise BadParams("infected_fraction must be within [0, 1]")
         if self.n_variants < 1:
             raise BadParams("need at least one variant")
-        if not self.clock > 0:  # also rejects NaN
-            raise BadParams(f"clock must be positive, got {self.clock}")
+        # forwarded values are checked by their owners, before any output
+        self.detect_config()
+        self.budget()
 
     def design_spec(self) -> DesignSpec:
         if self.design == "fir":
@@ -186,41 +185,23 @@ class Variant:
 
 def _pareto_pool(E, P, cap):
     """Indices grouped into successive non-dominated fronts (minimising
-    both), each front ordered by (E, P, index), until ``cap`` collected."""
+    both), each front ordered by (E, P, index), until ``cap`` collected:
+    the least-P entries of each equal-E run whose P beats all earlier runs."""
     remaining = np.arange(len(E))
     pool = []
     front = 0
     while remaining.size and len(pool) < cap:
-        e, p = E[remaining], P[remaining]
-        order = np.lexsort((remaining, p, e))
-        keep = np.zeros(len(order), bool)
-        best = np.inf
-        i = 0
-        while i < len(order):
-            j = i
-            while j < len(order) and e[order[j]] == e[order[i]]:
-                j += 1
-            gmin = p[order[i:j]].min()
-            if gmin < best:
-                for t in range(i, j):
-                    if p[order[t]] == gmin:
-                        keep[order[t]] = True
-                best = gmin
-            i = j
-        sel = remaining[order][keep[order]]
-        pool.extend((front, int(ix)) for ix in sel)
-        mask = np.ones(remaining.size, bool)
-        mask[keep] = False
-        remaining = remaining[mask]
+        order = remaining[np.lexsort((remaining, P[remaining], E[remaining]))]
+        e, p = E[order], P[order]
+        starts = np.r_[True, e[1:] != e[:-1]]
+        gmin = p[starts]
+        on_front = np.r_[True, gmin[1:] < np.minimum.accumulate(gmin)[:-1]]
+        run = np.cumsum(starts) - 1
+        keep = on_front[run] & (p == gmin[run])
+        pool.extend((front, int(ix)) for ix in order[keep])
+        remaining = order[~keep]
         front += 1
     return pool
-
-
-def _composed_error(nl: Netlist, reference, stream) -> float:
-    """MRED averaged over the referenced output words."""
-    tr = simulate(nl, stream)
-    return float(np.mean([rel / tr.n_vectors
-                          for _, _, rel, _ in error_sums(tr, reference)]))
 
 
 def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
@@ -267,8 +248,11 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
         specs = [menus[s][j] for s, j in enumerate(picks)]
         assign = {spec.slots[s][0]: m.params for s, m in enumerate(specs)}
         nl = spec.build(assign)
-        ce = _composed_error(nl, spec.reference, stream)
-        cp = power_proxy(nl, activity_profile(nl, stream), base_power).ratio
+        run = simulate(nl, stream)
+        # MRED averaged over the referenced output words
+        ce = float(np.mean([rel / run.n_vectors for _, _, rel, _
+                            in error_sums(run, spec.reference)]))
+        cp = power_proxy(nl, activity_profile(nl, run), base_power).ratio
         chk = check_budget(specs, ce, cp, budget, key)
         label = ";".join(f"{spec.slots[s][0]}={m.params.label()}"
                          for s, m in enumerate(specs))
@@ -311,22 +295,24 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
         if len(infected) >= n_inf:
             break
         aseed = sub_seed(config.seed, 3, int(v.netlist_id[1:]))
-        stream = VectorStream(config.characterize_vectors, aseed,
-                              "correlated", config.rho)
-        act = activity_profile(v.netlist, VectorStream(
+        # triggers are profiled and realized on one run
+        run = simulate(v.netlist, VectorStream(
             config.trace_vectors, aseed, "correlated", config.rho))
         model = calibrated_model(v.netlist, config.clock, config.margin)
         acfg = AttackConfig(
             q=config.q, theta=config.theta,
             scoap_ceiling=config.scoap_ceiling,
             payload=config.payload, secret_word=spec.secret_word,
-            stream=stream, trace_vectors=config.trace_vectors,
-            clock=config.clock, model=model, seed=aseed)
+            stream=run, clock=config.clock, model=model, seed=aseed)
         try:
-            bad, ht = insert_trojan(v.netlist, act, None, acfg)
+            bad, ht = insert_trojan(v.netlist,
+                                    activity_profile(v.netlist, run), None,
+                                    acfg)
         except (NoRareNets, NoWitness, WouldViolateTiming) as exc:
             log.append(f"skip {v.netlist_id}: {type(exc).__name__}: {exc}")
             continue
+        finally:
+            del run, acfg  # release the run before the stealth check
         sv = verify_stealth(
             v.netlist, bad, ht, spec.reference,
             VectorStream(config.stealth_vectors,

@@ -14,6 +14,9 @@ and regardless of any other words present.  A stream that fits in one chunk
 is generated once per input signature and reused read-only
 (:func:`_single_chunk_bits`); longer streams are generated lazily.
 
+A simulated run (:class:`Traces`) is itself a source, read in the same
+chunks, so a run measured several ways is simulated once.
+
 Every error figure of the workbench folds :func:`error_sums` and its one
 MRED term :func:`relative_error`; seed salting (:func:`sub_seed`) and
 stream identity (:func:`stream_key`) are owned here as well.
@@ -159,7 +162,8 @@ def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:
 
 class Traces:
     """Packed per-net values for a simulated run (vector t lives at bit
-    ``t % 64`` of word ``t // 64``)."""
+    ``t % 64`` of word ``t // 64``).  A run is a valid source for its own
+    netlist wherever a stream or a dict of bits is accepted."""
 
     def __init__(self, netlist: Netlist, c: np.ndarray, n_vectors: int):
         self.netlist = netlist
@@ -198,25 +202,35 @@ def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
     return c
 
 
-def simulate(netlist: Netlist, source) -> Traces:
-    """Simulate a :class:`VectorStream` or a dict of prebuilt bit arrays and
-    return full traces.  For very long runs prefer :func:`iter_traces`."""
-    parts = []
-    total = 0
-    for _, n, bits in _bits_chunks(source, netlist.signature()[0]):
-        parts.append(_run_packed(netlist, bits, n))
-        total += n
-    if not parts:
-        raise BadParams("empty stream")
-    c = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return Traces(netlist, c, total)
-
-
 def iter_traces(netlist: Netlist, source):
     """Yield (start, :class:`Traces`) chunk by chunk without retaining the
-    whole run in memory."""
+    whole run in memory.  A run of ``netlist`` is yielded as views of its
+    words, in the same :data:`CHUNK` slices its stream would produce."""
+    if isinstance(source, Traces):
+        if source.netlist is not netlist:
+            raise BadParams("a run is only a source for its own netlist")
+        for start in range(0, source.n_vectors, CHUNK):
+            n = min(CHUNK, source.n_vectors - start)
+            c = source.c[:, start // 64:(start + n + 63) // 64]
+            yield start, Traces(netlist, c, n)
+        return
     for start, n, bits in _bits_chunks(source, netlist.signature()[0]):
         yield start, Traces(netlist, _run_packed(netlist, bits, n), n)
+
+
+def simulate(netlist: Netlist, source) -> Traces:
+    """The whole run of a :class:`VectorStream` or a dict of prebuilt bit
+    arrays (a run of ``netlist`` is returned as is).  The run is held in
+    memory; for very long streams prefer :func:`iter_traces`."""
+    parts = [tr for _, tr in iter_traces(netlist, source)]
+    if not parts:
+        raise BadParams("empty stream")
+    if isinstance(source, Traces):
+        return source  # its netlist was checked by iter_traces
+    if len(parts) == 1:
+        return parts[0]
+    return Traces(netlist, np.concatenate([tr.c for tr in parts], axis=1),
+                  sum(tr.n_vectors for tr in parts))
 
 
 def eval_vector(netlist: Netlist, word_values: dict) -> list[int]:

@@ -18,6 +18,7 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
+from axsec.netlist import structurally_equal
 from axsec.sim import (VectorStream, activity_profile, error_profile,
                        eval_vector, simulate, word_value)
 
@@ -219,6 +220,31 @@ def test_impossible_requests_fail_closed(inserted):
                       dataclasses.replace(cfg, secret_word=None))
 
 
+@pytest.mark.parametrize("clock", [float("nan"), 0.0, -1.0])
+def test_insertion_rejects_a_clock_that_is_not_positive(inserted, clock):
+    # NaN used to skip the timing check, 0 and -1 to fail it as a violation
+    clean, act, cfg, _, _ = inserted
+    with pytest.raises(BadParams, match="clock must be positive"):
+        insert_trojan(clean, act, None, dataclasses.replace(cfg, clock=clock))
+
+
+def test_insertion_reads_a_run_like_its_stream(inserted, kernel_calls):
+    clean, act, cfg, infected, ht = inserted
+    run = simulate(clean, cfg.stream)
+    del kernel_calls[:]
+    bad, got = insert_trojan(clean, act, None,
+                             dataclasses.replace(cfg, stream=run))
+    assert structurally_equal(bad, infected)
+    assert got == ht
+    assert not kernel_calls  # the trigger realizes on the run as given
+
+
+def test_characterize_simulates_the_module_once(kernel_calls):
+    characterize(ArchParams("add", "loa", 8, 3),
+                 VectorStream(2000, 5, "uniform"), theta=0.05)
+    assert len(kernel_calls) == 2  # the module and the exact baseline
+
+
 # -- stealth ----------------------------------------------------------------
 
 def test_stealth_report_on_the_leak(inserted):
@@ -265,3 +291,10 @@ def test_stealth_requires_matching_signatures(inserted):
     rep = verify_stealth(other, other, ht, SPEC.reference,
                          VectorStream(100, 0, "uniform"))
     assert rep.error_delta == 0.0
+
+
+def test_stealth_simulates_each_netlist_once(inserted, kernel_calls):
+    clean, _, _, infected, ht = inserted
+    verify_stealth(clean, infected, ht, SPEC.reference,
+                   VectorStream(3000, 17, "uniform"))
+    assert len(kernel_calls) == 2

@@ -270,6 +270,24 @@ def test_negative_seed_is_a_user_error(tmp_path, capsys, verb):
         "experiment-clock-nan", "attack-clock-0", "attack-clock-nan"])
 def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
                                               message):
+    _assert_rejected(tmp_path, capsys, verb, flags, message)
+
+
+@pytest.mark.parametrize("verb,flags,message", [
+    ("detect", ["--theta", "0.9"], "theta must be in (0, 0.5)"),
+    ("detect", ["--theta", "0"], "theta must be in (0, 0.5)"),
+    ("detect", ["--theta", "nan"], "theta must be in (0, 0.5)"),
+    ("experiment", ["--detect-theta", "nan"], "theta must be in (0, 0.5)"),
+    ("experiment", ["--delta-e", "nan"], "budget slacks must be positive"),
+], ids=["detect-theta-0.9", "detect-theta-0", "detect-theta-nan",
+        "experiment-detect-theta-nan", "experiment-delta-e-nan"])
+def test_out_of_range_config_values_are_user_errors(tmp_path, capsys, verb,
+                                                    flags, message):
+    _assert_rejected(tmp_path, capsys, verb, flags, message)
+
+
+def _assert_rejected(tmp_path, capsys, verb, flags, message):
+    """One ``error:`` line, exit 2 and no output for the flags given."""
     nl = tmp_path / "c" / "v.nl"
     nl.parent.mkdir()
     main(["gen-design", "--design", "fir", "--out", str(nl)])

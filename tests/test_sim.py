@@ -12,7 +12,8 @@ from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, STREAM_MODES, VectorStream, _bits_chunks,
                        _chunk_bits, _single_chunk_bits, activity_profile,
                        error_profile, eval_vector, exhaustive_bits,
-                       power_proxy, rare_nets, simulate, word_value)
+                       iter_traces, power_proxy, rare_nets, simulate,
+                       word_value)
 
 
 def _mix_netlist():
@@ -288,3 +289,45 @@ def test_simulate_on_a_memoized_stream_equals_the_dict_of_its_bits():
     want = simulate(nl, bits).c
     assert np.array_equal(simulate(nl, stream).c, want)
     assert np.array_equal(simulate(nl, stream).c, want)  # memo hit
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+@pytest.mark.parametrize("n", [1, 63, 64, 1000, CHUNK + 70])
+def test_a_run_is_a_source_equal_to_its_stream(kernel_calls, mode, n):
+    params = ArchParams("add", "loa", 8, 2)
+    nl = gen_module(params)
+    stream = VectorStream(n, 4, mode)
+    run = simulate(nl, stream)
+    del kernel_calls[:]
+    act = activity_profile(nl, run)
+    err = error_profile(nl, params, run)
+    again = simulate(nl, run)
+    chunks = list(iter_traces(nl, run))
+    assert not kernel_calls  # every read of the run is a view of it
+    assert all(np.shares_memory(tr.c, run.c) for _, tr in chunks)
+
+    want = activity_profile(nl, stream)
+    assert act.n_vectors == want.n_vectors == n
+    assert np.array_equal(act.p1, want.p1)
+    assert np.array_equal(act.toggles, want.toggles)
+    assert repr(err) == repr(error_profile(nl, params, stream))
+    assert np.array_equal(again.c, simulate(nl, stream).c)
+    streamed = list(iter_traces(nl, stream))
+    assert [(s, tr.n_vectors) for s, tr in chunks] == \
+        [(s, tr.n_vectors) for s, tr in streamed]
+    for (_, a), (_, b) in zip(chunks, streamed):
+        assert np.array_equal(a.c, b.c)
+
+
+def test_a_run_is_no_source_for_another_netlist():
+    params = ArchParams("add", "loa", 8, 2)
+    run = simulate(gen_module(params), VectorStream(100, 1))
+    other = gen_adder(params)  # structurally equal, another object
+    with pytest.raises(BadParams, match="its own netlist"):
+        simulate(other, run)
+    with pytest.raises(BadParams, match="its own netlist"):
+        list(iter_traces(other, run))
+    with pytest.raises(BadParams, match="its own netlist"):
+        activity_profile(other, run)
+    with pytest.raises(BadParams, match="its own netlist"):
+        error_profile(other, params, run)
