@@ -2,16 +2,16 @@
 budget checking, rare-net trigger construction and stealth verification.
 
 The trigger is an AND over q rare-net literals chosen from profiled
-activity, preferring nets inside high-scoring instances and, by default,
-nets whose input-word cones are pairwise disjoint: the witness assignment
-then composes word-wise from trace cycles that realized each rare value,
-and the firing probability under independent uniform inputs is the product
-of the per-literal rarities.  Insertion is fail-closed: a netlist is only
-emitted together with a replayed, verified witness.
+activity, by default from nets whose input-word cones are pairwise
+disjoint: the witness assignment then composes word-wise from trace cycles
+that realized each rare value, and the firing probability under
+independent uniform inputs is the product of the per-literal rarities.
+Insertion is fail-closed: a netlist is only emitted together with a
+replayed, verified witness.
 
-Stealth error folds :func:`axsec.sim.error_sums` and checks
-:meth:`Netlist.signature`; :func:`_fire_mask` alone evaluates a trigger over
-simulated traces.
+Stealth error is the difference of two :func:`axsec.sim.error_profile`
+figures and checks :meth:`Netlist.signature`; :func:`_fire_mask` alone
+evaluates a trigger over simulated traces.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (ActivityReport, VectorStream, activity_profile,
-                  error_profile, error_sums, eval_vector, exhaustive_bits,
-                  iter_traces, power_proxy, rare_nets, simulate, stream_key)
+                  error_profile, eval_vector, exhaustive_bits, power_proxy,
+                  rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -141,7 +141,6 @@ class AttackConfig:
                                      # is a shorter VectorStream
     clock: float | None = None       # reject insertions beyond this period
     model: DelayModel | None = None
-    instance_scores: dict | None = None
     require_disjoint: bool = True
     seed: int = 0
 
@@ -252,14 +251,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     sup = {c: frozenset(nl.input_word_support([c[0]])) for c in cand}
     p_rare = {(n, v): float(activity.p1[n]) if v else 1.0 - float(activity.p1[n])
               for n, v in cand}
-    scores = config.instance_scores or {}
-
-    def preference(c):
-        g = nl.driver(c[0])
-        s = scores.get(g.tag, 0.0) if g is not None else 0.0
-        return (-s, p_rare[c], c[0])
-
-    order = sorted(cand, key=preference)
+    order = sorted(cand, key=lambda c: (p_rare[c], c[0]))
     groups = []  # each: dict(words=frozenset, taps=[...], times=[...])
     for c in order:
         if sum(len(g["taps"]) for g in groups) == config.q:
@@ -403,32 +395,21 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     """Differential stealth measurement of an insertion.
 
     ``reference`` is anything :func:`~axsec.sim.error_sums` accepts;
-    error_delta is the infected-minus-clean difference of MRED against it,
-    averaged over the referenced output words.  trigger_rate counts cycles
-    where every trigger literal holds.  Both runs are held whole in memory.
+    error_delta is the infected-minus-clean difference of MRED against it
+    (:func:`~axsec.sim.error_profile`).  trigger_rate counts cycles where
+    every trigger literal holds.  Both runs are held whole in memory.
     """
     if clean.signature() != infected.signature():
         raise SignatureMismatch("clean and infected netlists disagree on "
                                 "primary I/O words")
-    srel = [0.0, 0.0]
-    fires = 0
-    total = 0
     run_c, run_i = simulate(clean, stream), simulate(infected, stream)
-    chunks = zip(iter_traces(clean, run_c), iter_traces(infected, run_i))
-    for (_, tc), (_, ti) in chunks:
-        for who, tr in enumerate((tc, ti)):
-            sums = error_sums(tr, reference)
-            for _, _, rel, _ in sums:
-                srel[who] += rel
-        fires += int(_fire_mask(ti, ht.trigger_nets).sum())
-        total += ti.n_vectors
-    denom = total * len(sums)
-    error_delta = srel[1] / denom - srel[0] / denom
+    error_delta = (error_profile(infected, reference, run_i).mred
+                   - error_profile(clean, reference, run_c).mred)
+    rate = int(_fire_mask(run_i, ht.trigger_nets).sum()) / run_i.n_vectors
     p_clean = power_proxy(clean, activity_profile(clean, run_c))
     p_inf = power_proxy(infected, activity_profile(infected, run_i), p_clean)
     min_slack = None
     if clock is not None:
         s = slacks(infected, model or DelayModel(), clock)
         min_slack = float(np.min(s[np.isfinite(s)]))
-    return StealthReport(error_delta, p_inf.ratio - 1.0, fires / total,
-                         min_slack)
+    return StealthReport(error_delta, p_inf.ratio - 1.0, rate, min_slack)

@@ -10,7 +10,7 @@ stress vectors, and ownership of rarely switching nets.
 
 Candidates must share one :meth:`Netlist.signature`; the ranking scores
 vectors with :func:`axsec.sim.relative_error` against the majority, reading
-the one profiling simulation per candidate kept in :class:`_Profile`.
+the figures :class:`_Profile` takes off one profiling run per candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (BadParams, BadThreshold, EmptySet, LabelMismatch,
                      SignatureMismatch, UnknownInstance)
 from .netlist import GateKind, Netlist
-from .sim import VectorStream, relative_error, simulate
+from .sim import (VectorStream, rare_nets, relative_error, simulate,
+                  stream_bits)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -66,6 +67,21 @@ class DetectConfig:
             raise BadParams(f"clock must be positive, got {self.clock}")
         if not 0.0 < self.theta < 0.5:  # the range of sim.rare_nets
             raise BadThreshold(f"theta must be in (0, 0.5), got {self.theta}")
+        # each comparison is false for NaN, so NaN is rejected as well
+        for name, ok, want in (
+                ("margin", self.margin > 0, "positive"),
+                ("scales", len(self.scales) > 0
+                 and all(s > 0 for s in self.scales), "non-empty, all > 0"),
+                ("dev_tol", 0.0 <= self.dev_tol <= 1.0, "in [0, 1]"),
+                ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
+                ("window", self.window is None or self.window > 0,
+                 "positive when set"),
+                ("n_paths", self.n_paths >= 0, "non-negative"),
+                ("vectors", self.vectors >= 1, "at least 1"),
+                ("stress_budget", self.stress_budget >= 1, "at least 1")):
+            if not ok:
+                raise BadParams(f"{name} must be {want}, "
+                                f"got {getattr(self, name)!r}")
 
 
 def defender_streams(config: DetectConfig) -> dict:
@@ -116,50 +132,38 @@ def _majority(vals: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 
 class _Profile:
-    """Cached per-candidate simulation of the profiling streams."""
+    """Figures of one run over a candidate's profiling streams, concatenated
+    in sorted mode order; the run itself is not kept."""
 
     def __init__(self, nl: Netlist, streams: dict):
+        words = nl.signature()[0]
+        parts = [stream_bits(streams[m], words) for m in sorted(streams)]
+        run = simulate(nl, {w: np.concatenate([p[w] for p in parts])
+                            for w, _ in words})
         self.nl = nl
-        self.traces = [simulate(nl, streams[m]) for m in sorted(streams)]
-        self.n = sum(t.n_vectors for t in self.traces)
-        ones = sum(t.ones() for t in self.traces)
-        self.p1 = ones / self.n
-        self.in_vals = {w: np.concatenate([t.word_values(b)
-                                           for t in self.traces])
-                        for w, b in nl.input_words()}
-        self.out_vals = {w: np.concatenate([t.word_values(b)
-                                            for t in self.traces])
-                         for w, b in nl.output_words()}
-        self._first = {}
+        self.p1 = run.ones() / run.n_vectors
+        self.in_vals = {w: run.word_values(b) for w, b in nl.input_words()}
+        self.out_vals = {w: run.word_values(b) for w, b in nl.output_words()}
+        self._first = (run.first_hits(0), run.first_hits(1))
         self._rare = {}
 
     def rare(self, theta: float) -> dict:
-        """Non-constant gate outputs stuck near one value, each mapped to
-        the value it takes with probability below ``theta``.  Memoized per
-        ``theta``; callers must not mutate the result."""
-        if theta in self._rare:
-            return self._rare[theta]
-        out = self._rare[theta] = {}
-        for g in self.nl.gates:
-            if g.kind in (GateKind.CONST0, GateKind.CONST1):
-                continue
-            p = self.p1[g.output]
-            if p < theta:
-                out[g.output] = 1
-            elif 1.0 - p < theta:
-                out[g.output] = 0
-        return out
+        """:func:`~axsec.sim.rare_nets` restricted to non-constant gate
+        outputs, as {net: rare value}.  Memoized per ``theta``; callers
+        must not mutate the result."""
+        if theta not in self._rare:
+            drive = self.nl.driver
+            self._rare[theta] = {
+                net: v for net, v in rare_nets(self, theta)
+                if drive(net) is not None
+                and drive(net).kind not in (GateKind.CONST0, GateKind.CONST1)}
+        return self._rare[theta]
 
     def first(self, net: int, val: int) -> int | None:
         """Index of the first profiling vector on which ``net`` carries
-        ``val``, or None.  Only the index is cached, not the net's bits."""
-        key = (net, val)
-        if key not in self._first:
-            hits = np.flatnonzero(np.concatenate([t.bits(net)
-                                                  for t in self.traces])
-                                  == val)
-            self._first[key] = int(hits[0]) if len(hits) else None
-        return self._first[key]
+        ``val``, or None."""
+        t = int(self._first[val][net])
+        return t if t >= 0 else None
 
 
 # ---------------------------------------------------------------------------

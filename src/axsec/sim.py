@@ -138,6 +138,15 @@ def _bits_chunks(source, words):
         yield start, n, {w: source[w][start:start + n] for w, _ in words}
 
 
+def stream_bits(stream, words) -> dict[str, np.ndarray]:
+    """The whole bits of a stream, {word: (n, width) uint8}; a stream of one
+    chunk comes read-only from the memo."""
+    chunks = [bits for _, _, bits in _bits_chunks(stream, words)]
+    if len(chunks) == 1:
+        return chunks[0]
+    return {w: np.concatenate([c[w] for c in chunks]) for w, _ in words}
+
+
 def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:
     """Bit arrays enumerating every input combination once (first input word
     in the low positions of the enumeration index)."""
@@ -183,6 +192,19 @@ class Traces:
     def ones(self) -> np.ndarray:
         """Per-net count of 1 values."""
         return np.bitwise_count(self.c).sum(axis=1, dtype=np.int64)
+
+    def first_hits(self, val: int) -> np.ndarray:
+        """Per net, the index of the first vector on which it carries
+        ``val``, or -1: the first non-zero word, then its lowest set bit."""
+        c = self.c if val else ~self.c
+        r = self.n_vectors % 64
+        if not val and r:
+            c[:, -1] &= np.uint64((1 << r) - 1)  # pad bits are no vectors
+        hit = c != 0
+        w = hit.argmax(axis=1)
+        word = c[np.arange(len(c)), w]
+        low = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
+        return np.where(hit.any(axis=1), 64 * w + low, -1)
 
 
 def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
@@ -285,9 +307,10 @@ def word_value(netlist: Netlist, vals, word: str) -> int:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Deviation of one output word from a reference function."""
+    """Deviation of the referenced output words from a reference,
+    averaged over the words (``wce`` is the worst of any word)."""
 
-    er: float    # fraction of vectors with any error
+    er: float    # fraction of vectors with an error
     med: float   # mean absolute difference
     mred: float  # mean absolute difference relative to max(1, reference)
     wce: int     # worst absolute difference
@@ -311,7 +334,7 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     callers divide by their own vector counts.
 
     ``ref`` is a callable on input word value arrays (checked against the
-    first output word), a dict of such callables per output word (taken in
+    one output word), a dict of such callables per output word (taken in
     sorted word order), or arch params whose exact operator is used.
     """
     nl = tr.netlist
@@ -321,6 +344,9 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
             if ref.op_type not in EXACT_OPS:
                 raise BadParams(f"no reference for op_type {ref.op_type!r}")
             ref = EXACT_OPS[ref.op_type]
+        if len(nl.output_words()) != 1:
+            raise BadParams("a single reference needs exactly one output "
+                            "word; give one per output word")
         ref = {nl.output_words()[0][0]: ref}
     outs = dict(nl.output_words())
     wv = {w: tr.word_values(nets) for w, nets in nl.input_words()}
@@ -335,20 +361,22 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
 
 
 def error_profile(netlist: Netlist, ref, source) -> ErrorReport:
-    """Error statistics of the netlist's single output word against a
-    reference (see :func:`error_sums`)."""
-    if len(netlist.output_words()) != 1:
-        raise BadParams("error_profile needs exactly one output word")
+    """Error statistics against a reference (see :func:`error_sums`),
+    summed chunk by chunk and word by word, over vectors times words."""
     n = errs = sabs = wce = 0
     srel = 0.0
     for _, tr in iter_traces(netlist, source):
-        (e, a, r, w), = error_sums(tr, ref)
-        errs += e
-        sabs += a
-        srel += r
-        wce = max(wce, w)
+        sums = error_sums(tr, ref)
+        for e, a, r, w in sums:
+            errs += e
+            sabs += a
+            srel += r
+            wce = max(wce, w)
         n += tr.n_vectors
-    return ErrorReport(errs / n, sabs / n, srel / n, wce, n)
+    if not n:
+        raise BadParams("empty stream")
+    d = n * len(sums)
+    return ErrorReport(errs / d, sabs / d, srel / d, wce, n)
 
 
 @dataclass(frozen=True)
@@ -391,7 +419,7 @@ def activity_profile(netlist: Netlist, source) -> ActivityReport:
 
 def rare_nets(report: ActivityReport, theta: float = 0.01):
     """Nets stuck near one logic value: (net, v) when value ``v`` shows up
-    with probability below ``theta``."""
+    with probability below ``theta``.  Only ``report.p1`` is read."""
     if not 0.0 < theta < 0.5:
         raise BadThreshold(f"theta must be in (0, 0.5), got {theta}")
     out = []

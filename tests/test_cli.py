@@ -279,11 +279,46 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
     ("detect", ["--theta", "nan"], "theta must be in (0, 0.5)"),
     ("experiment", ["--detect-theta", "nan"], "theta must be in (0, 0.5)"),
     ("experiment", ["--delta-e", "nan"], "budget slacks must be positive"),
+    ("detect", ["--margin", "0"], "margin must be positive"),
+    ("detect", ["--margin", "nan"], "margin must be positive"),
+    ("detect", ["--scales", "0"], "scales must be non-empty, all > 0"),
+    ("detect", ["--scales", "1,-1"], "scales must be non-empty, all > 0"),
+    ("detect", ["--dev-tol", "-1"], "dev_tol must be in [0, 1]"),
+    ("detect", ["--dev-tol", "nan"], "dev_tol must be in [0, 1]"),
+    ("detect", ["--threshold", "2"], "threshold must be in (0, 1]"),
+    ("detect", ["--threshold", "0"], "threshold must be in (0, 1]"),
+    ("detect", ["--window", "-1"], "window must be positive when set"),
+    ("detect", ["--paths", "-3"], "n_paths must be non-negative"),
+    ("detect", ["--stress", "0"], "stress_budget must be at least 1"),
+    ("detect", ["--vectors", "0"], "vectors must be at least 1"),
+    ("experiment", ["--margin", "nan"], "margin must be positive"),
+    ("experiment", ["--detect-scales", "-1"],
+     "scales must be non-empty, all > 0"),
+    ("experiment", ["--dev-tol", "nan"], "dev_tol must be in [0, 1]"),
+    ("experiment", ["--detect-threshold", "2"], "threshold must be in (0, 1]"),
+    ("experiment", ["--detect-paths", "-1"], "n_paths must be non-negative"),
+    ("experiment", ["--detect-stress", "0"],
+     "stress_budget must be at least 1"),
+    ("experiment", ["--detect-vectors", "0"], "vectors must be at least 1"),
+    ("experiment", ["--q", "0"], "q must be at least 1"),
+    ("experiment", ["--scoap-ceiling", "-5"],
+     "scoap_ceiling must be non-negative"),
 ], ids=["detect-theta-0.9", "detect-theta-0", "detect-theta-nan",
-        "experiment-detect-theta-nan", "experiment-delta-e-nan"])
-def test_out_of_range_config_values_are_user_errors(tmp_path, capsys, verb,
+        "experiment-detect-theta-nan", "experiment-delta-e-nan",
+        "detect-margin-0", "detect-margin-nan", "detect-scales-0",
+        "detect-scales-neg", "detect-dev-tol-neg", "detect-dev-tol-nan",
+        "detect-threshold-2", "detect-threshold-0", "detect-window-neg",
+        "detect-paths-neg", "detect-stress-0", "detect-vectors-0",
+        "experiment-margin-nan", "experiment-detect-scales-neg",
+        "experiment-dev-tol-nan", "experiment-detect-threshold-2",
+        "experiment-detect-paths-neg", "experiment-detect-stress-0",
+        "experiment-detect-vectors-0", "experiment-q-0",
+        "experiment-scoap-ceiling-neg"])
+def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
+                                                    kernel_calls, verb,
                                                     flags, message):
     _assert_rejected(tmp_path, capsys, verb, flags, message)
+    assert not kernel_calls  # rejected before any simulation
 
 
 def _assert_rejected(tmp_path, capsys, verb, flags, message):
@@ -301,6 +336,23 @@ def _assert_rejected(tmp_path, capsys, verb, flags, message):
     assert main([verb] + flags + args[verb]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["profile", "attack"])
+def test_a_single_reference_needs_a_single_output_word(tmp_path, capsys,
+                                                       verb):
+    # bfly has two output words; --ref add is a reference for one of them
+    nl = tmp_path / "bfly.nl"
+    main(["gen-design", "--design", "bfly", "--assign", "add0=loa:4",
+          "--out", str(nl)])
+    capsys.readouterr()
+    args = {"profile": ["--out-dir", str(tmp_path / "prof")],
+            "attack": ["--payload", "corrupt", "--q", "1", "--theta", "0.2",
+                       "--out", str(tmp_path / "bad.nl"),
+                       "--report", str(tmp_path / "r.csv")]}[verb]
+    assert main([verb, "--netlist", str(nl), "--ref", "add"] + args) == 2
+    assert "exactly one output word" in _one_error_line(capsys)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):

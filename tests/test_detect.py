@@ -6,14 +6,15 @@ import pytest
 from axsec import detect
 from axsec.arith import ArchParams
 from axsec.attack import AttackConfig, insert_trojan
-from axsec.designs import fir_spec
+from axsec.designs import bfly_spec, fir_spec
 from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
                           Metrics, NetlistReport, classify, defender_streams,
                           rank_by_error, resilience_test, score,
                           suspect_instances, _majority)
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
                           SignatureMismatch, UnknownInstance)
-from axsec.sim import VectorStream, activity_profile
+from axsec.netlist import GateKind
+from axsec.sim import VectorStream, activity_profile, simulate
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -49,6 +50,74 @@ def test_majority_tolerance_bloc():
     col = np.array([[10], [10], [13], [14], [15]])
     assert _majority(col, tol=0.0).tolist() == [10]
     assert _majority(col, tol=2.0).tolist() == [13]
+
+
+# -- profiling --------------------------------------------------------------
+
+class _TwoRunProfile:
+    """Reference profile: one simulation per stream, concatenated per
+    figure, first hits looked up net by net."""
+
+    def __init__(self, nl, streams):
+        self.nl = nl
+        self.traces = [simulate(nl, streams[m]) for m in sorted(streams)]
+        self.n = sum(t.n_vectors for t in self.traces)
+        self.p1 = sum(t.ones() for t in self.traces) / self.n
+        self.in_vals = {w: np.concatenate([t.word_values(b)
+                                           for t in self.traces])
+                        for w, b in nl.input_words()}
+        self.out_vals = {w: np.concatenate([t.word_values(b)
+                                            for t in self.traces])
+                         for w, b in nl.output_words()}
+
+    def rare(self, theta):
+        out = {}
+        for g in self.nl.gates:
+            if g.kind in (GateKind.CONST0, GateKind.CONST1):
+                continue
+            p = self.p1[g.output]
+            if p < theta:
+                out[g.output] = 1
+            elif 1.0 - p < theta:
+                out[g.output] = 0
+        return out
+
+    def first(self, net, val):
+        hits = np.flatnonzero(np.concatenate([t.bits(net)
+                                              for t in self.traces]) == val)
+        return int(hits[0]) if len(hits) else None
+
+
+BFLY = bfly_spec()
+
+
+def _bfly_builds():
+    add = BFLY.slots[1][2]
+    return {"exact": BFLY.build(None),
+            "loa": BFLY.build({"add0": ArchParams("add", "loa", add, 4)}),
+            "trunc": BFLY.build({"mul0": ArchParams("mul", "trunc", 8, 4)})}
+
+
+@pytest.mark.parametrize("vectors", [64, 700, 2000, 40_000])
+@pytest.mark.parametrize("design", ["fir", "bfly"])
+def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
+    # at 40,000 vectors per stream the concatenation spans two chunks
+    cands = trio[0] if design == "fir" else _bfly_builds()
+    streams = defender_streams(DetectConfig(vectors=vectors, seed=vectors))
+    for cid, nl in sorted(cands.items()):
+        new, old = detect._Profile(nl, streams), _TwoRunProfile(nl, streams)
+        assert new.p1.dtype == old.p1.dtype
+        assert np.array_equal(new.p1, old.p1), cid
+        for mine, theirs in ((new.in_vals, old.in_vals),
+                             (new.out_vals, old.out_vals)):
+            assert mine.keys() == theirs.keys()
+            for w in theirs:
+                assert np.array_equal(mine[w], theirs[w]), (cid, w)
+        for theta in (0.05, 0.1, 0.3):
+            assert new.rare(theta) == old.rare(theta), (cid, theta)
+        firsts = [(net, v) for net in range(nl.n_nets) for v in (0, 1)]
+        assert [new.first(*k) for k in firsts] \
+            == [old.first(*k) for k in firsts], cid
 
 
 # -- error ranking ----------------------------------------------------------
@@ -177,8 +246,8 @@ def test_classify_simulates_each_candidate_once_for_stress(trio,
     monkeypatch.setattr(detect, "simulate",
                         lambda nl, source: calls.append(nl) or real(nl, source))
     classify(cands)
-    # two profiling streams plus one batched stress run per candidate
-    assert len(calls) <= 3 * len(cands)
+    # one profiling run and one batched stress run per candidate
+    assert len(calls) <= 2 * len(cands)
 
 
 def test_classify_report_shape(trio):
@@ -228,6 +297,28 @@ def test_score_label_mismatches():
         score(rep, {"n0": (), "n1": ()})      # extra id
     with pytest.raises(LabelMismatch):
         score(rep, {"n0": ("zz",)})           # unknown instance tag
+
+
+# -- configuration ----------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("margin", 0.0), ("margin", NAN), ("scales", ()), ("scales", (1.0, NAN)),
+    ("scales", (1.0, -1.2)), ("dev_tol", -0.1), ("dev_tol", 1.5),
+    ("dev_tol", NAN), ("threshold", 0.0), ("threshold", 1.01),
+    ("threshold", NAN), ("window", 0.0), ("window", NAN), ("n_paths", -1),
+    ("vectors", 0), ("stress_budget", 0)])
+def test_detect_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(BadParams, match=f"^{field} must be"):
+        DetectConfig(**{field: value})
+
+
+def test_detect_config_accepts_the_range_bounds():
+    DetectConfig(dev_tol=0.0, threshold=1.0, n_paths=0, vectors=1,
+                 stress_budget=1)
+    DetectConfig(dev_tol=1.0, window=0.5, scales=(0.5,))
 
 
 # -- streams ----------------------------------------------------------------

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axsec.arith import ArchParams, gen_adder, gen_module
+from axsec.designs import bfly_spec
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, STREAM_MODES, VectorStream, _bits_chunks,
                        _chunk_bits, _single_chunk_bits, activity_profile,
                        error_profile, eval_vector, exhaustive_bits,
                        iter_traces, power_proxy, rare_nets, simulate,
-                       word_value)
+                       stream_bits, word_value)
 
 
 def _mix_netlist():
@@ -331,3 +332,72 @@ def test_a_run_is_no_source_for_another_netlist():
         activity_profile(other, run)
     with pytest.raises(BadParams, match="its own netlist"):
         error_profile(other, params, run)
+
+
+def test_first_hits_hand_case():
+    # a is 1 on 70 vectors but one; x = NOT a; z = const 0
+    b = NetlistBuilder()
+    a = b.pi("a")
+    b.instance("u", "deterministic", "misc", "exact")
+    x = b.gate(GateKind.NOT, (a,), tag="u")
+    z = b.gate(GateKind.CONST0, (), tag="u")
+    b.po(b.gate(GateKind.OR, (x, z), tag="u"))
+    nl = b.build()
+    drive = np.ones((70, 1), np.uint8)
+    drive[66] = 0
+    tr = simulate(nl, {"a": drive})
+    assert tr.first_hits(1)[[a, x, z]].tolist() == [0, 66, -1]
+    assert tr.first_hits(0)[[a, x, z]].tolist() == [66, 0, 0]
+    # 70 is no multiple of 64: the 58 pad bits of the last word never
+    # count as a 0 hit, so a net at 1 throughout has none
+    high = {"a": np.ones((70, 1), np.uint8)}
+    tr = simulate(nl, high)
+    assert tr.first_hits(0)[[a, x, z]].tolist() == [-1, 0, 0]
+    assert tr.first_hits(1)[[a, x, z]].tolist() == [0, -1, -1]
+    assert np.array_equal(tr.c, simulate(nl, high).c)  # the run is unchanged
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, CHUNK + 70])
+def test_first_hits_equal_a_scan_of_the_bits(n):
+    nl = _mix_netlist()
+    tr = simulate(nl, VectorStream(n, 3, "correlated", 0.995))
+    for val in (0, 1):
+        want = []
+        for net in range(nl.n_nets):
+            hits = np.flatnonzero(tr.bits(net) == val)
+            want.append(int(hits[0]) if hits.size else -1)
+        assert tr.first_hits(val).tolist() == want
+
+
+@pytest.mark.parametrize("n", [700, CHUNK + 70])
+def test_stream_bits_are_the_chunks_in_order(n):
+    words = (("b", 3), ("a", 5))
+    stream = VectorStream(n, 6, "correlated")
+    bits = stream_bits(stream, words)
+    chunks = [c for _, _, c in _bits_chunks(stream, words)]
+    assert bits.keys() == {"a", "b"}
+    for w, width in words:
+        assert bits[w].shape == (n, width)
+        assert np.array_equal(bits[w], np.concatenate([c[w] for c in chunks]))
+    if n <= CHUNK:  # read-only, straight from the memo
+        assert bits["a"] is _single_chunk_bits(stream, words)["a"]
+
+
+@pytest.mark.parametrize("n", [3000, CHUNK + 70])
+def test_error_profile_averages_over_the_output_words(n):
+    spec = bfly_spec()
+    nl = spec.build({"mul0": ArchParams("mul", "trunc", 8, 4),
+                     "add0": ArchParams("add", "loa", spec.slots[1][2], 4)})
+    stream = VectorStream(n, 8, "uniform")
+    both = error_profile(nl, spec.reference, stream)
+    each = [error_profile(nl, {w: fn}, stream)
+            for w, fn in sorted(spec.reference.items())]
+    assert each[0].mred > 0.0 and each[1].mred > 0.0
+    assert both.n_vectors == n
+    assert both.wce == max(e.wce for e in each)
+    for f in ("er", "med", "mred"):
+        assert getattr(both, f) == pytest.approx(
+            sum(getattr(e, f) for e in each) / 2, rel=1e-12), f
+    # one reference for two output words names no word to check
+    with pytest.raises(BadParams, match="exactly one output word"):
+        error_profile(nl, spec.reference["y0"], stream)
