@@ -23,12 +23,12 @@ import numpy as np
 
 from .arith import ArchParams, gen_module
 from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
-                     UnitMismatch, WouldViolateTiming)
+                     UnitMismatch, WouldViolateTiming, check_ranges)
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (ActivityReport, VectorStream, activity_profile,
-                  error_profile, eval_vector, exhaustive_bits, power_proxy,
-                  rare_nets, simulate, stream_key)
+                  check_theta, error_profile, eval_vector, exhaustive_bits,
+                  power_proxy, rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -144,6 +144,16 @@ class AttackConfig:
     require_disjoint: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        check_theta(self.theta)
+        check_ranges(self, (
+            ("q", self.q >= 1, "at least 1"),
+            ("scoap_ceiling", self.scoap_ceiling >= 0, "non-negative"),
+            ("witness_budget", self.witness_budget >= 1, "at least 1"),
+            ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
+            ("clock", self.clock is None or self.clock > 0,
+             "positive when set")))
+
 
 @dataclass(frozen=True)
 class HTInstance:
@@ -216,10 +226,6 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     :class:`NoRareNets`, :class:`NoWitness` or :class:`WouldViolateTiming`;
     on any failure nothing is emitted.
     """
-    if config.q < 1:
-        raise BadParams(f"q must be at least 1, got {config.q}")
-    if config.clock is not None and not config.clock > 0:  # also NaN
-        raise BadParams(f"clock must be positive, got {config.clock}")
     if config.stream is None:
         raise BadParams("config.stream must carry the profiling stream")
     if testability is None:

@@ -31,8 +31,8 @@ from .errors import (BadParams, BadThreshold, BudgetInfeasible, EmptySet,
 from .experiment import (ExperimentConfig, run_experiment, write_detection,
                          _fmt, _write_csv)
 from .scoap import scoap
-from .sim import (EXACT_OPS, VectorStream, activity_profile, error_profile,
-                  power_proxy, rare_nets, simulate, sub_seed)
+from .sim import (EXACT_OPS, VectorStream, activity_profile, check_theta,
+                  error_profile, power_proxy, rare_nets, simulate, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths, slacks)
 from .textfmt import read_netlist, write_netlist
@@ -175,31 +175,33 @@ def _cmd_gen_design(args):
 def _cmd_profile(args):
     nl = read_netlist(args.netlist)
     stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
-    act = activity_profile(nl, stream)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "activity.csv", ["net", "name", "p1", "toggles"],
-               [(n, nl.net_names[n], float(act.p1[n]), int(act.toggles[n]))
-                for n in range(nl.n_nets)])
-    power = power_proxy(nl, act)
-    _write_csv(out / "power.csv", ["proxy", "n_vectors"],
-               [(power.value, act.n_vectors)])
-    written = ["activity.csv", "power.csv"]
     if args.theta is not None:
-        rows = [(n, nl.net_names[n], v, float(act.p1[n]))
-                for n, v in rare_nets(act, args.theta)]
-        _write_csv(out / "rare.csv", ["net", "name", "stuck_value", "p1"],
-                   rows)
-        written.append("rare.csv")
+        check_theta(args.theta)
+    # every table is computed, and so checked, before the first is written
+    act = activity_profile(nl, stream)
+    power = power_proxy(nl, act)
+    tables = {
+        "activity.csv": (["net", "name", "p1", "toggles"],
+                         [(n, nl.net_names[n], float(act.p1[n]),
+                           int(act.toggles[n])) for n in range(nl.n_nets)]),
+        "power.csv": (["proxy", "n_vectors"], [(power.value, act.n_vectors)]),
+    }
+    if args.theta is not None:
+        tables["rare.csv"] = (["net", "name", "stuck_value", "p1"],
+                              [(n, nl.net_names[n], v, float(act.p1[n]))
+                               for n, v in rare_nets(act, args.theta)])
     ref = _reference_for(nl, args.ref)
     if ref is not None:
         er = error_profile(nl, ref, stream)
-        _write_csv(out / "error.csv", ["er", "med", "mred", "wce",
-                                       "n_vectors"],
-                   [(er.er, er.med, er.mred, er.wce, er.n_vectors)])
-        written.append("error.csv")
+        tables["error.csv"] = (["er", "med", "mred", "wce", "n_vectors"],
+                               [(er.er, er.med, er.mred, er.wce,
+                                 er.n_vectors)])
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     print(f"{args.vectors} {args.mode} vectors over {nl.n_nets} nets -> "
-          f"{out}/{{{','.join(written)}}}")
+          f"{out}/{{{','.join(tables)}}}")
 
 
 def _cmd_scoap(args):
@@ -228,24 +230,36 @@ def _cmd_sta(args):
 
 def _cmd_attack(args):
     nl = read_netlist(args.netlist)
-    # triggers are profiled and realized on one run
-    run = simulate(nl, VectorStream(args.vectors, args.seed, args.mode,
-                                    args.rho))
+    stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
     model = None
     if args.clock is not None:
         model = calibrated_model(nl, args.clock, args.margin)
     cfg = AttackConfig(
         q=args.q, theta=args.theta, scoap_ceiling=args.scoap_ceiling,
         witness_budget=args.witness_budget, payload=args.payload,
-        secret_word=args.secret, stream=run, clock=args.clock, model=model,
+        secret_word=args.secret, clock=args.clock, model=model,
         seed=args.seed)
-    infected, ht = insert_trojan(nl, activity_profile(nl, run), None, cfg)
-    del run, cfg  # release the run before the stealth check
+    # triggers are profiled and realized on one run
+    run = simulate(nl, stream)
+    infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
+                                 dataclasses.replace(cfg, stream=run))
+    del run  # release the run before the stealth check
+    # the report, and with it the stealth check, comes before any output
+    report = _attack_report(args, nl, infected, ht, model)
     write_netlist(infected, args.out)
+    if report is not None:
+        _write_csv(args.report,
+                   ["host", "payload", "q", "taps", "witness", "error_delta",
+                    "power_delta", "trigger_rate", "min_slack"], [report])
     print(f"{ht.payload_kind} payload hosted at {ht.host_instances[0]}, "
           f"{len(ht.trigger_nets)} trigger taps -> {args.out}")
+    return 0
+
+
+def _attack_report(args, nl, infected, ht, model):
+    """The one ``--report`` row, or None without ``--report``."""
     if not args.report:
-        return 0
+        return None
     taps = ";".join(f"{n}:{v}" for n, v in ht.trigger_nets)
     wit = ";".join(f"{w}={x}" for w, x in ht.witness)
     head = (ht.host_instances[0], ht.payload_kind, ht.q, taps, wit)
@@ -266,10 +280,7 @@ def _cmd_attack(args):
         if args.clock is not None:
             mslack = float(slacks(infected, model, args.clock).min())
         tail = (None, None, rate, mslack)
-    _write_csv(args.report,
-               ["host", "payload", "q", "taps", "witness", "error_delta",
-                "power_delta", "trigger_rate", "min_slack"], [head + tail])
-    return 0
+    return head + tail
 
 
 def _cmd_detect(args):

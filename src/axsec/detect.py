@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, BadThreshold, EmptySet, LabelMismatch,
-                     SignatureMismatch, UnknownInstance)
+from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
+                     UnknownInstance, check_ranges)
 from .netlist import GateKind, Netlist
-from .sim import (VectorStream, rare_nets, relative_error, simulate,
-                  stream_bits)
+from .sim import (VectorStream, check_theta, rare_nets, relative_error,
+                  simulate, stream_bits)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -61,27 +61,20 @@ class DetectConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise BadParams(f"seed must be non-negative, got {self.seed}")
-        if not self.clock > 0:  # also rejects NaN
-            raise BadParams(f"clock must be positive, got {self.clock}")
-        if not 0.0 < self.theta < 0.5:  # the range of sim.rare_nets
-            raise BadThreshold(f"theta must be in (0, 0.5), got {self.theta}")
-        # each comparison is false for NaN, so NaN is rejected as well
-        for name, ok, want in (
-                ("margin", self.margin > 0, "positive"),
-                ("scales", len(self.scales) > 0
-                 and all(s > 0 for s in self.scales), "non-empty, all > 0"),
-                ("dev_tol", 0.0 <= self.dev_tol <= 1.0, "in [0, 1]"),
-                ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
-                ("window", self.window is None or self.window > 0,
-                 "positive when set"),
-                ("n_paths", self.n_paths >= 0, "non-negative"),
-                ("vectors", self.vectors >= 1, "at least 1"),
-                ("stress_budget", self.stress_budget >= 1, "at least 1")):
-            if not ok:
-                raise BadParams(f"{name} must be {want}, "
-                                f"got {getattr(self, name)!r}")
+        check_theta(self.theta)
+        check_ranges(self, (
+            ("seed", self.seed >= 0, "non-negative"),
+            ("clock", self.clock > 0, "positive"),
+            ("margin", self.margin > 0, "positive"),
+            ("scales", len(self.scales) > 0
+             and all(s > 0 for s in self.scales), "non-empty, all > 0"),
+            ("dev_tol", 0.0 <= self.dev_tol <= 1.0, "in [0, 1]"),
+            ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
+            ("window", self.window is None or self.window > 0,
+             "positive when set"),
+            ("n_paths", self.n_paths >= 0, "non-negative"),
+            ("vectors", self.vectors >= 1, "at least 1"),
+            ("stress_budget", self.stress_budget >= 1, "at least 1")))
 
 
 def defender_streams(config: DetectConfig) -> dict:

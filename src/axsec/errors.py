@@ -44,6 +44,16 @@ class BadThreshold(ValueError):
     """Rarity threshold outside (0, 0.5)."""
 
 
+def check_ranges(obj, table):
+    """Raise :class:`BadParams` for the first (field name, in range, wanted)
+    row of ``table`` that is out of range.  Written as comparisons, the
+    checks are false for NaN, so NaN is rejected as well."""
+    for name, ok, want in table:
+        if not ok:
+            raise BadParams(f"{name} must be {want}, "
+                            f"got {getattr(obj, name)!r}")
+
+
 class UnitMismatch(ValueError):
     """Budget terms were measured under different stream settings."""
 

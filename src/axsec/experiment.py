@@ -76,12 +76,9 @@ class ExperimentConfig:
             raise BadParams("infected_fraction must be within [0, 1]")
         if self.n_variants < 1:
             raise BadParams("need at least one variant")
-        if not self.q >= 1:
-            raise BadParams(f"q must be at least 1, got {self.q}")
-        if not self.scoap_ceiling >= 0:
-            raise BadParams(f"scoap_ceiling must be non-negative, got "
-                            f"{self.scoap_ceiling}")
         # forwarded values are checked by their owners, before any output
+        AttackConfig(q=self.q, theta=self.theta,
+                     scoap_ceiling=self.scoap_ceiling)
         self.detect_config()
         self.budget()
 

@@ -292,6 +292,18 @@ class Netlist:
         """The kernel plan of :func:`axsec._kernels.plan`, built once."""
         return _kernels.plan(self._levels)
 
+    def memo(self, build):
+        """``build(self)``, computed on first use and kept with the netlist:
+        for pure analyses that other modules derive from it."""
+        memo = self._memo
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
+
+    @cached_property
+    def _memo(self):
+        return {}
+
     def _find_cycle(self, pending):
         # Walk drivers inside the stuck subgraph until a gate repeats.
         gid = next(iter(pending))

@@ -7,7 +7,8 @@ without bound so unobservable or uncontrollable points stay comparable.
 
 MUX2 gates have no classical SCOAP rule; each is expanded into an equivalent
 and-or-not node group on virtual nets for the computation, and only real
-nets are reported.
+nets are reported.  The recurrences run over plain lists of ints, one gate
+at a time in level order; the arrays are built once at the end.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .netlist import GateKind, Netlist
 
 INF = 2 ** 30
 
-
-def _sat(x):
-    return INF if x >= INF else x
+_AND, _OR, _NAND, _NOR = GateKind.AND, GateKind.OR, GateKind.NAND, GateKind.NOR
+_XOR, _XNOR = GateKind.XOR, GateKind.XNOR
+_NOT, _BUF = GateKind.NOT, GateKind.BUF
+_CONST0, _CONST1 = GateKind.CONST0, GateKind.CONST1
 
 
 @dataclass(frozen=True)
@@ -30,12 +32,6 @@ class ScoapReport:
     cc0: np.ndarray
     cc1: np.ndarray
     co: np.ndarray
-
-
-# virtual node kinds used for the MUX2 expansion
-_VAND = GateKind.AND
-_VOR = GateKind.OR
-_VNOT = GateKind.NOT
 
 
 def _expand(nl: Netlist):
@@ -50,80 +46,72 @@ def _expand(nl: Netlist):
         s, a, b = g.inputs
         ns, t0, t1 = n, n + 1, n + 2
         n += 3
-        entries.append((_VNOT, (s,), ns))          # ~s
-        entries.append((_VAND, (a, ns), t0))       # a & ~s
-        entries.append((_VAND, (b, s), t1))        # b & s
-        entries.append((_VOR, (t0, t1), g.output))
+        entries.append((_NOT, (s,), ns))           # ~s
+        entries.append((_AND, (a, ns), t0))        # a & ~s
+        entries.append((_AND, (b, s), t1))         # b & s
+        entries.append((_OR, (t0, t1), g.output))
     return entries, n
 
 
 def _controllability(nl, entries, n):
-    cc0 = np.full(n, INF, np.int64)
-    cc1 = np.full(n, INF, np.int64)
+    cc0 = [INF] * n
+    cc1 = [INF] * n
     for net in nl.inputs:
         cc0[net] = cc1[net] = 1
     for kind, ins, out in entries:
-        if kind is GateKind.CONST0:
-            cc0[out], cc1[out] = 1, INF
-            continue
-        if kind is GateKind.CONST1:
-            cc0[out], cc1[out] = INF, 1
-            continue
-        if kind in (GateKind.NOT, GateKind.BUF):
-            i = ins[0]
-            if kind is GateKind.NOT:
-                cc0[out], cc1[out] = _sat(cc1[i] + 1), _sat(cc0[i] + 1)
-            else:
-                cc0[out], cc1[out] = _sat(cc0[i] + 1), _sat(cc1[i] + 1)
-            continue
-        if kind in (GateKind.XOR, GateKind.XNOR):
-            # parity DP over the inputs: cheapest way to reach each parity
-            even, odd = 0, INF
+        if kind is _XOR or kind is _XNOR:
+            # parity DP over the inputs, starting from the gate's own cost:
+            # cheapest way to reach each parity
+            even, odd = 1, INF
             for i in ins:
-                even, odd = (_sat(min(even + cc0[i], odd + cc1[i])),
-                             _sat(min(odd + cc0[i], even + cc1[i])))
-            if kind is GateKind.XOR:
-                cc0[out], cc1[out] = _sat(even + 1), _sat(odd + 1)
+                c0, c1 = cc0[i], cc1[i]
+                even, odd = (min(even + c0, odd + c1, INF),
+                             min(odd + c0, even + c1, INF))
+            if kind is _XNOR:
+                even, odd = odd, even
+            cc0[out], cc1[out] = even, odd
+        elif kind is _NOT or kind is _BUF:
+            c0, c1 = min(cc0[ins[0]] + 1, INF), min(cc1[ins[0]] + 1, INF)
+            cc0[out], cc1[out] = (c1, c0) if kind is _NOT else (c0, c1)
+        elif kind is _CONST0 or kind is _CONST1:
+            cc0[out], cc1[out] = (1, INF) if kind is _CONST0 else (INF, 1)
+        else:
+            # and/or family: the controlling value on any one input sets
+            # the output, the other output value needs every input
+            ctl, full = (cc0, cc1) if kind is _AND or kind is _NAND \
+                else (cc1, cc0)
+            any_ = min(min([ctl[i] for i in ins]) + 1, INF)
+            all_ = min(sum([full[i] for i in ins]) + 1, INF)
+            if kind is _AND or kind is _NOR:
+                cc0[out], cc1[out] = any_, all_
             else:
-                cc0[out], cc1[out] = _sat(odd + 1), _sat(even + 1)
-            continue
-        # and/or family: one side sums all inputs, the other takes the best
-        all1 = _sat(sum(int(cc1[i]) for i in ins))
-        all0 = _sat(sum(int(cc0[i]) for i in ins))
-        any0 = min(int(cc0[i]) for i in ins)
-        any1 = min(int(cc1[i]) for i in ins)
-        if kind is GateKind.AND:
-            cc0[out], cc1[out] = _sat(any0 + 1), _sat(all1 + 1)
-        elif kind is GateKind.NAND:
-            cc0[out], cc1[out] = _sat(all1 + 1), _sat(any0 + 1)
-        elif kind is GateKind.OR:
-            cc0[out], cc1[out] = _sat(all0 + 1), _sat(any1 + 1)
-        else:  # NOR
-            cc0[out], cc1[out] = _sat(any1 + 1), _sat(all0 + 1)
+                cc0[out], cc1[out] = all_, any_
     return cc0, cc1
 
 
 def _observability(nl, entries, n, cc0, cc1):
-    co = np.full(n, INF, np.int64)
+    co = [INF] * n
     for net in nl.outputs:
         co[net] = 0
     for kind, ins, out in reversed(entries):
         base = co[out]
-        if base >= INF:
+        if base >= INF or not ins:
             continue
-        for j, i in enumerate(ins):
-            others = [x for t, x in enumerate(ins) if t != j]
-            if kind in (GateKind.NOT, GateKind.BUF):
-                cost = base + 1
-            elif kind in (GateKind.AND, GateKind.NAND):
-                cost = base + sum(int(cc1[x]) for x in others) + 1
-            elif kind in (GateKind.OR, GateKind.NOR):
-                cost = base + sum(int(cc0[x]) for x in others) + 1
-            elif kind in (GateKind.XOR, GateKind.XNOR):
-                cost = base + sum(int(min(cc0[x], cc1[x])) for x in others) + 1
-            else:  # CONST: no inputs
-                continue
-            co[i] = min(int(co[i]), _sat(cost))
+        if kind is _NOT or kind is _BUF:
+            i = ins[0]
+            co[i] = min(co[i], base + 1)
+            continue
+        # seeing one input means holding every other at its
+        # non-controlling value (either value for parity gates)
+        if kind is _AND or kind is _NAND:
+            w = [cc1[i] for i in ins]
+        elif kind is _OR or kind is _NOR:
+            w = [cc0[i] for i in ins]
+        else:
+            w = [min(cc0[i], cc1[i]) for i in ins]
+        base += sum(w) + 1
+        for i, x in zip(ins, w):
+            co[i] = min(co[i], base - x, INF)
     return co
 
 
@@ -133,4 +121,4 @@ def scoap(nl: Netlist) -> ScoapReport:
     cc0, cc1 = _controllability(nl, entries, n)
     co = _observability(nl, entries, n, cc0, cc1)
     m = nl.n_nets
-    return ScoapReport(cc0[:m], cc1[:m], co[:m])
+    return ScoapReport(*(np.array(v[:m], np.int64) for v in (cc0, cc1, co)))

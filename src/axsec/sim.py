@@ -417,11 +417,17 @@ def activity_profile(netlist: Netlist, source) -> ActivityReport:
     return ActivityReport(ones / total, tog, total)
 
 
+def check_theta(theta: float) -> None:
+    """Raise :class:`BadThreshold` unless ``theta`` lies in (0, 0.5), the
+    range of :func:`rare_nets`; NaN does not."""
+    if not 0.0 < theta < 0.5:
+        raise BadThreshold(f"theta must be in (0, 0.5), got {theta}")
+
+
 def rare_nets(report: ActivityReport, theta: float = 0.01):
     """Nets stuck near one logic value: (net, v) when value ``v`` shows up
     with probability below ``theta``.  Only ``report.p1`` is read."""
-    if not 0.0 < theta < 0.5:
-        raise BadThreshold(f"theta must be in (0, 0.5), got {theta}")
+    check_theta(theta)
     out = []
     for net, p in enumerate(report.p1):
         if p < theta:

@@ -19,6 +19,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +31,7 @@ _EPS = 1e-9
 _DEFAULT_DELAYS = {k: 1.0 for k in GateKind}
 _DEFAULT_DELAYS[GateKind.CONST0] = 0.0
 _DEFAULT_DELAYS[GateKind.CONST1] = 0.0
+_CONSTS = frozenset((GateKind.CONST0, GateKind.CONST1))
 
 
 class DelayModel:
@@ -109,23 +111,36 @@ class TimingPath:
         return len(self.nets)
 
 
-def _uniform_delay(nl: Netlist, model: DelayModel):
+def _path_index(nl: Netlist):
+    """What the uniform walk needs of a netlist and no delay model changes:
+    each net's readers sorted by output net, the suffix-length bitmasks
+    (bit k of a net's mask: some path of k gates runs from it to an
+    output), the gate kinds present and the sorted primary inputs."""
+    by_out = attrgetter("output")
+    cons = [rs if len(rs) < 2 else sorted(rs, key=by_out)
+            for rs in map(nl.readers, range(nl.n_nets))]
+    suf = [0] * nl.n_nets
+    for o in nl.outputs:
+        suf[o] = 1
+    for g in reversed(nl.ordered_gates()):
+        s = suf[g.output]
+        if s:
+            for i in g.inputs:
+                suf[i] |= s << 1
+    return cons, suf, frozenset(g.kind for g in nl.gates), sorted(nl.inputs)
+
+
+def _uniform_delay(kinds, model: DelayModel):
     """Common positive delay of every non-constant gate kind present, or
     None when the model mixes delays (constants must cost nothing)."""
-    u = None
-    for g in nl.gates:
-        d = model.of(g.kind)
-        if g.kind in (GateKind.CONST0, GateKind.CONST1):
-            if d != 0.0:
-                return None
-        elif u is None:
-            u = d
-        elif d != u:
-            return None
-    return u if u is not None and u > 0.0 else None
+    delays = {model.of(k) for k in kinds - _CONSTS}
+    if len(delays) != 1 or any(model.of(k) != 0.0 for k in kinds & _CONSTS):
+        return None
+    u = delays.pop()
+    return u if u > 0.0 else None
 
 
-def _uniform_paths(nl: Netlist, u: float, clock: float, n_paths: int,
+def _uniform_paths(index, u: float, clock: float, n_paths: int,
                    lo: float) -> list[TimingPath]:
     """Exact-length path enumeration for uniform gate delays.
 
@@ -135,52 +150,48 @@ def _uniform_paths(nl: Netlist, u: float, clock: float, n_paths: int,
     are never visited, which keeps this immune to the path explosion above
     the clock that the general search would have to wade through.
     """
-    cons = [sorted(nl.readers(n), key=lambda g: g.output)
-            for n in range(nl.n_nets)]
-    suf = [0] * nl.n_nets
-    for o in set(nl.outputs):
-        suf[o] = 1
-    for g in reversed(nl.ordered_gates()):
-        s = suf[g.output]
-        if s:
-            for i in set(g.inputs):
-                suf[i] |= s << 1
+    cons, suf, _, pis = index
     hi_len = math.floor((clock + _EPS) / u)
     lo_len = max(0, math.ceil((lo - _EPS) / u))
-
-    def walk(pi, length):
-        nets, gids = [pi], []
-        iters = [iter(cons[pi])]
-        while iters:
-            if length == len(gids):
-                yield tuple(nets), tuple(gids)
-                step = None
-            else:
-                rem = length - len(gids)
-                step = next((g for g in iters[-1]
-                             if suf[g.output] >> (rem - 1) & 1), None)
-            if step is None:
-                iters.pop()
-                nets.pop()
-                if gids:
-                    gids.pop()
-            else:
-                nets.append(step.output)
-                gids.append(step.id)
-                iters.append(iter(cons[step.output]))
-
     out = []
     for length in range(hi_len, lo_len - 1, -1):
-        for pi in sorted(set(nl.inputs)):
+        d = u * length
+        for pi in pis:
             if not suf[pi] >> length & 1:
                 continue
-            for nets, gids in walk(pi, length):
-                tags = tuple(dict.fromkeys(
-                    nl.gate_by_id(g).tag for g in gids))
-                d = u * length
-                out.append(TimingPath(nets, gids, d, clock - d, tags))
-                if len(out) >= n_paths:
-                    return out
+            # depth-first, pos[k] is the next reader to try at depth k;
+            # tags holds the path's distinct tags in first-use order and
+            # refs how many of its gates carry each
+            nets, gates, pos, tags, refs = [pi], [], [0], [], {}
+            while pos:
+                depth = len(gates)
+                if depth == length:
+                    gids = tuple([g.id for g in gates])
+                    out.append(TimingPath(tuple(nets), gids, d, clock - d,
+                                          tuple(tags)))
+                    if len(out) >= n_paths:
+                        return out
+                else:
+                    cs, k, bit = cons[nets[-1]], pos[-1], length - depth - 1
+                    while k < len(cs) and not suf[cs[k].output] >> bit & 1:
+                        k += 1
+                    if k < len(cs):
+                        g = cs[k]
+                        pos[-1] = k + 1
+                        pos.append(0)
+                        nets.append(g.output)
+                        gates.append(g)
+                        refs[g.tag] = refs.get(g.tag, 0) + 1
+                        if refs[g.tag] == 1:
+                            tags.append(g.tag)
+                        continue
+                pos.pop()
+                nets.pop()
+                if gates:
+                    t = gates.pop().tag
+                    refs[t] -= 1
+                    if not refs[t]:
+                        tags.pop()
     return out
 
 
@@ -200,9 +211,10 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
     lo = clock - window
     if n_paths == 0:
         return []
-    u = _uniform_delay(nl, model)
+    index = nl.memo(_path_index)
+    u = _uniform_delay(index[2], model)
     if u is not None:
-        return _uniform_paths(nl, u, clock, n_paths, lo)
+        return _uniform_paths(index, u, clock, n_paths, lo)
 
     # longest and shortest completion distance from each net to any output
     maxsuf = np.full(nl.n_nets, -np.inf)

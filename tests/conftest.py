@@ -1,8 +1,13 @@
-"""Shared fixtures."""
+"""Shared fixtures and random-netlist strategies."""
+
+import dataclasses
 
 import pytest
+from hypothesis import strategies as st
 
 from axsec import _kernels
+from axsec.netlist import ARITY, GateKind, Netlist, NetlistBuilder
+from axsec.sta import DelayModel
 
 
 @pytest.fixture
@@ -18,3 +23,70 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "eval_gates", counting)
     return calls
+
+
+def random_dag(rng, mixed):
+    """A small random AND/OR/XOR/NAND/NOT netlist from a numpy generator,
+    with unit delays under a scale, or a mixed per-kind table."""
+    b = NetlistBuilder()
+    nets = [b.pi(f"x{i}") for i in range(int(rng.integers(2, 5)))]
+    b.instance("u", "deterministic", "misc", "exact")
+    two_in = [GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NAND]
+    consumed = set()
+    for _ in range(int(rng.integers(4, 16))):
+        if rng.random() < 0.2:
+            kind, arity = GateKind.NOT, 1
+        else:
+            kind, arity = two_in[int(rng.integers(4))], 2
+        ins = tuple(nets[int(rng.integers(len(nets)))] for _ in range(arity))
+        consumed.update(ins)
+        nets.append(b.gate(kind, ins, tag="u"))
+    for n in nets:
+        if n not in consumed:
+            b.po(n)
+    nl = b.build()
+    if mixed:
+        model = DelayModel({k: float(rng.integers(1, 4))
+                            for k in (GateKind.AND, GateKind.OR,
+                                      GateKind.XOR, GateKind.NAND,
+                                      GateKind.NOT)})
+    else:
+        model = DelayModel(scale=float(rng.integers(1, 3)))
+    return nl, model
+
+
+_TAGS = ("u", "v", "w")
+
+
+@st.composite
+def dags(draw, max_gates=24):
+    """Random netlists over every gate kind: n-ary gates of up to 5 inputs
+    with repeats, MUX2, constants and nets that reach no output.  Gates
+    carry one of three tags, so a tag can recur further down a path, and
+    their ids are shuffled, so id order and output-net order differ."""
+    b = NetlistBuilder()
+    nets = [b.pi(f"x{i}") for i in range(draw(st.integers(1, 4)))]
+    for tag in _TAGS:
+        b.instance(tag, "deterministic", "misc", "exact")
+    for _ in range(draw(st.integers(1, max_gates))):
+        kind = draw(st.sampled_from(GateKind))
+        lo, hi = ARITY[kind]
+        ins = draw(st.lists(st.sampled_from(nets), min_size=lo,
+                            max_size=5 if hi is None else hi))
+        nets.append(b.gate(kind, ins, tag=draw(st.sampled_from(_TAGS))))
+    for n in draw(st.lists(st.sampled_from(nets), min_size=1, unique=True)):
+        b.po(n)
+    nl = b.build()
+    ids = draw(st.permutations(range(len(nl.gates))))
+    gates = [dataclasses.replace(g, id=ids[g.id]) for g in nl.gates]
+    return Netlist(nl.net_names, nl.inputs, nl.outputs, nl.words, gates,
+                   nl.instances)
+
+
+@st.composite
+def timed_dags(draw):
+    """A :func:`dags` netlist under a partial per-kind delay table and a
+    scale."""
+    table = draw(st.dictionaries(st.sampled_from(GateKind),
+                                 st.floats(0.0, 4.0)))
+    return draw(dags()), DelayModel(table, draw(st.floats(0.1, 3.0)))

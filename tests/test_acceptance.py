@@ -26,9 +26,10 @@ from axsec.sim import (VectorStream, activity_profile, error_profile,
                        word_value)
 from axsec.sta import critical_delay, near_critical_paths
 
+from tests.conftest import random_dag
 from tests.test_arith import (block22_model, loa_model, trunc_add_model,
                               trunc_mul_model)
-from tests.test_sta import _enumerate_paths, _random_dag
+from tests.test_sta import _enumerate_paths
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -211,7 +212,7 @@ def test_04_timing_against_exhaustive_path_enumeration():
     crit_ok = paths_ok = 0
     most = 0
     for trial in range(50):
-        nl, model = _random_dag(rng, mixed=bool(trial % 2))
+        nl, model = random_dag(rng, mixed=bool(trial % 2))
         every = _enumerate_paths(nl, model)
         most = max(most, len(every))
         assert len(every) <= 10 ** 4

@@ -15,7 +15,7 @@ from axsec.attack import (AttackConfig, BudgetConstraints, CostWeights,
                           check_budget, insert_trojan, rank_candidates,
                           verify_stealth)
 from axsec.designs import bfly_spec, fir_spec
-from axsec.errors import (BadParams, NoRareNets, NoWitness,
+from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
 from axsec.netlist import structurally_equal
@@ -218,6 +218,19 @@ def test_impossible_requests_fail_closed(inserted):
     with pytest.raises(BadParams):
         insert_trojan(clean, act, None,
                       dataclasses.replace(cfg, secret_word=None))
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("theta", 0.0, BadThreshold), ("theta", 0.5, BadThreshold),
+    ("theta", float("nan"), BadThreshold), ("q", 0, BadParams),
+    ("q", float("nan"), BadParams), ("scoap_ceiling", -1, BadParams),
+    ("scoap_ceiling", float("nan"), BadParams),
+    ("witness_budget", 0, BadParams), ("trace_vectors", 0, BadParams),
+    ("clock", -1.0, BadParams)])
+def test_attack_config_rejects_out_of_range_values(field, value, error):
+    # checked on construction, so a bad value never reaches a simulation
+    with pytest.raises(error, match=f"{field} must be"):
+        AttackConfig(**{field: value})
 
 
 @pytest.mark.parametrize("clock", [float("nan"), 0.0, -1.0])

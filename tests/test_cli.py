@@ -303,6 +303,14 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
     ("experiment", ["--q", "0"], "q must be at least 1"),
     ("experiment", ["--scoap-ceiling", "-5"],
      "scoap_ceiling must be non-negative"),
+    ("experiment", ["--theta", "0.9"], "theta must be in (0, 0.5)"),
+    ("attack", ["--theta", "0.9"], "theta must be in (0, 0.5)"),
+    ("attack", ["--theta", "nan"], "theta must be in (0, 0.5)"),
+    ("attack", ["--q", "0"], "q must be at least 1"),
+    ("attack", ["--scoap-ceiling", "-1"], "scoap_ceiling must be non-negative"),
+    ("attack", ["--witness-budget", "0"], "witness_budget must be at least 1"),
+    ("profile", ["--theta", "0.9"], "theta must be in (0, 0.5)"),
+    ("profile", ["--theta", "nan"], "theta must be in (0, 0.5)"),
 ], ids=["detect-theta-0.9", "detect-theta-0", "detect-theta-nan",
         "experiment-detect-theta-nan", "experiment-delta-e-nan",
         "detect-margin-0", "detect-margin-nan", "detect-scales-0",
@@ -313,7 +321,10 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
         "experiment-dev-tol-nan", "experiment-detect-threshold-2",
         "experiment-detect-paths-neg", "experiment-detect-stress-0",
         "experiment-detect-vectors-0", "experiment-q-0",
-        "experiment-scoap-ceiling-neg"])
+        "experiment-scoap-ceiling-neg", "experiment-theta-0.9",
+        "attack-theta-0.9", "attack-theta-nan", "attack-q-0",
+        "attack-scoap-ceiling-neg", "attack-witness-budget-0",
+        "profile-theta-0.9", "profile-theta-nan"])
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
                                                     kernel_calls, verb,
                                                     flags, message):
@@ -321,38 +332,37 @@ def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
     assert not kernel_calls  # rejected before any simulation
 
 
-def _assert_rejected(tmp_path, capsys, verb, flags, message):
-    """One ``error:`` line, exit 2 and no output for the flags given."""
+def _assert_rejected(tmp_path, capsys, verb, flags, message,
+                     design=("--design", "fir")):
+    """One ``error:`` line, exit 2 and no file written for the flags
+    given, on a netlist generated with the ``gen-design`` flags given."""
     nl = tmp_path / "c" / "v.nl"
     nl.parent.mkdir()
-    main(["gen-design", "--design", "fir", "--out", str(nl)])
+    main(["gen-design", *design, "--out", str(nl)])
     capsys.readouterr()
     out = tmp_path / "out"
     args = {"sta": ["--netlist", str(nl), "--out", str(out)],
             "detect": ["--candidates", str(nl.parent), "--out", str(out)],
             "experiment": ["--out", str(out)],
             "attack": ["--netlist", str(nl), "--secret", "coef",
-                       "--out", str(out)]}
+                       "--out", str(out),
+                       "--report", str(tmp_path / "report.csv")],
+            "profile": ["--netlist", str(nl), "--out-dir", str(out)]}
     assert main([verb] + flags + args[verb]) == 2
     assert message in _one_error_line(capsys)
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
 
 @pytest.mark.parametrize("verb", ["profile", "attack"])
 def test_a_single_reference_needs_a_single_output_word(tmp_path, capsys,
                                                        verb):
-    # bfly has two output words; --ref add is a reference for one of them
-    nl = tmp_path / "bfly.nl"
-    main(["gen-design", "--design", "bfly", "--assign", "add0=loa:4",
-          "--out", str(nl)])
-    capsys.readouterr()
-    args = {"profile": ["--out-dir", str(tmp_path / "prof")],
-            "attack": ["--payload", "corrupt", "--q", "1", "--theta", "0.2",
-                       "--out", str(tmp_path / "bad.nl"),
-                       "--report", str(tmp_path / "r.csv")]}[verb]
-    assert main([verb, "--netlist", str(nl), "--ref", "add"] + args) == 2
-    assert "exactly one output word" in _one_error_line(capsys)
-    assert not (tmp_path / "r.csv").exists()
+    # bfly has two output words; --ref add is a reference for one of them.
+    # Both verbs find out only after simulating, and then write nothing.
+    flags = {"profile": ["--ref", "add"],
+             "attack": ["--ref", "add", "--payload", "corrupt", "--q", "1",
+                        "--theta", "0.2"]}[verb]
+    _assert_rejected(tmp_path, capsys, verb, flags, "exactly one output word",
+                     design=("--design", "bfly", "--assign", "add0=loa:4"))
 
 
 def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):

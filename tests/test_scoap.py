@@ -6,11 +6,16 @@ expected number below is derived in a comment, never copied from the
 implementation.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from axsec.arith import ArchParams, gen_adder
+from axsec.arith import ArchParams, gen_adder, gen_multiplier
+from axsec.designs import bfly_spec, fir_spec
 from axsec.netlist import GateKind, NetlistBuilder
-from axsec.scoap import INF, ScoapReport, scoap
+from axsec.scoap import INF, ScoapReport, _expand, scoap
+
+from tests.conftest import dags
 
 
 def _build(kinds):
@@ -195,3 +200,134 @@ def test_saturation_does_not_overflow():
     r = scoap(b.build())
     assert int(r.cc1[y]) >= INF
     assert int(r.cc1[y]) < 1 << 62
+
+
+# -- oracle ---------------------------------------------------------------
+# The numpy-indexed recurrences that the list-based pass replaced, kept
+# verbatim apart from names: the new pass must equal them exactly.
+
+def _sat(x):
+    return INF if x >= INF else x
+
+
+def _oracle_controllability(nl, entries, n):
+    cc0 = np.full(n, INF, np.int64)
+    cc1 = np.full(n, INF, np.int64)
+    for net in nl.inputs:
+        cc0[net] = cc1[net] = 1
+    for kind, ins, out in entries:
+        if kind is GateKind.CONST0:
+            cc0[out], cc1[out] = 1, INF
+            continue
+        if kind is GateKind.CONST1:
+            cc0[out], cc1[out] = INF, 1
+            continue
+        if kind in (GateKind.NOT, GateKind.BUF):
+            i = ins[0]
+            if kind is GateKind.NOT:
+                cc0[out], cc1[out] = _sat(cc1[i] + 1), _sat(cc0[i] + 1)
+            else:
+                cc0[out], cc1[out] = _sat(cc0[i] + 1), _sat(cc1[i] + 1)
+            continue
+        if kind in (GateKind.XOR, GateKind.XNOR):
+            even, odd = 0, INF
+            for i in ins:
+                even, odd = (_sat(min(even + cc0[i], odd + cc1[i])),
+                             _sat(min(odd + cc0[i], even + cc1[i])))
+            if kind is GateKind.XOR:
+                cc0[out], cc1[out] = _sat(even + 1), _sat(odd + 1)
+            else:
+                cc0[out], cc1[out] = _sat(odd + 1), _sat(even + 1)
+            continue
+        all1 = _sat(sum(int(cc1[i]) for i in ins))
+        all0 = _sat(sum(int(cc0[i]) for i in ins))
+        any0 = min(int(cc0[i]) for i in ins)
+        any1 = min(int(cc1[i]) for i in ins)
+        if kind is GateKind.AND:
+            cc0[out], cc1[out] = _sat(any0 + 1), _sat(all1 + 1)
+        elif kind is GateKind.NAND:
+            cc0[out], cc1[out] = _sat(all1 + 1), _sat(any0 + 1)
+        elif kind is GateKind.OR:
+            cc0[out], cc1[out] = _sat(all0 + 1), _sat(any1 + 1)
+        else:  # NOR
+            cc0[out], cc1[out] = _sat(any1 + 1), _sat(all0 + 1)
+    return cc0, cc1
+
+
+def _oracle_observability(nl, entries, n, cc0, cc1):
+    co = np.full(n, INF, np.int64)
+    for net in nl.outputs:
+        co[net] = 0
+    for kind, ins, out in reversed(entries):
+        base = co[out]
+        if base >= INF:
+            continue
+        for j, i in enumerate(ins):
+            others = [x for t, x in enumerate(ins) if t != j]
+            if kind in (GateKind.NOT, GateKind.BUF):
+                cost = base + 1
+            elif kind in (GateKind.AND, GateKind.NAND):
+                cost = base + sum(int(cc1[x]) for x in others) + 1
+            elif kind in (GateKind.OR, GateKind.NOR):
+                cost = base + sum(int(cc0[x]) for x in others) + 1
+            elif kind in (GateKind.XOR, GateKind.XNOR):
+                cost = base + sum(int(min(cc0[x], cc1[x])) for x in others) + 1
+            else:  # CONST: no inputs
+                continue
+            co[i] = min(int(co[i]), _sat(cost))
+    return co
+
+
+def _oracle_scoap(nl):
+    entries, n = _expand(nl)
+    cc0, cc1 = _oracle_controllability(nl, entries, n)
+    co = _oracle_observability(nl, entries, n, cc0, cc1)
+    m = nl.n_nets
+    return ScoapReport(cc0[:m], cc1[:m], co[:m])
+
+
+def _assert_equals_oracle(nl):
+    got, want = scoap(nl), _oracle_scoap(nl)
+    for field in ("cc0", "cc1", "co"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags())
+def test_list_recurrences_equal_the_numpy_oracle(nl):
+    _assert_equals_oracle(nl)
+
+
+@pytest.mark.parametrize("kind", [GateKind.AND, GateKind.OR, GateKind.NAND,
+                                  GateKind.NOR, GateKind.XOR, GateKind.XNOR,
+                                  GateKind.MUX2], ids=lambda k: k.name)
+def test_saturating_chains_equal_the_oracle(kind):
+    # each stage reads the previous net on every pin, so the finite costs
+    # at least double per stage and cross INF well within 40 stages; a
+    # second chain starts from constants, INF on one side from the start
+    b = NetlistBuilder()
+    x = b.pi("x")
+    b.instance("u", "deterministic", "misc", "exact")
+    k0 = b.gate(GateKind.CONST0, (), tag="u")
+    k1 = b.gate(GateKind.CONST0, (), tag="u")
+    arity = 3 if kind is GateKind.MUX2 else 5
+    ends = []
+    for n in (x, b.gate(kind, ((k0, k1) * 3)[:arity], tag="u")):
+        for _ in range(40):
+            n = b.gate(kind, (n,) * arity, tag="u")
+        b.po(n)
+        ends.append(n)
+    nl = b.build()
+    _assert_equals_oracle(nl)
+    r = scoap(nl)
+    assert max(r.cc0[ends[0]], r.cc1[ends[0]]) == INF
+
+
+@pytest.mark.parametrize("nl", [
+    fir_spec().build({"mul0": ArchParams("mul", "trunc", 8, 3)}),
+    bfly_spec().build({"add0": ArchParams("add", "loa", 11, 4)}),
+    gen_multiplier(ArchParams("mul", "block22", 8, 2)),
+], ids=["fir", "bfly", "mul8"])
+def test_designs_equal_the_oracle(nl):
+    _assert_equals_oracle(nl)

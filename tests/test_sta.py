@@ -1,16 +1,22 @@
 """Timing analysis against an exhaustive path-walking oracle."""
 
+import functools
+import hashlib
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from axsec.designs import fir_spec
-from axsec.netlist import ARITY, GateKind, NetlistBuilder
-from axsec.sta import (DelayModel, TimingPath, arrival_times, critical_delay,
-                       near_critical_paths, paths_to_instances, slacks)
+from axsec.arith import ArchParams
+from axsec.designs import bfly_spec, fir_spec
+from axsec.netlist import GateKind, NetlistBuilder
+from axsec.sta import (DelayModel, TimingPath, arrival_times,
+                       calibrated_model, critical_delay, near_critical_paths,
+                       paths_to_instances, slacks)
+
+from tests.conftest import dags, random_dag, timed_dags
 
 
 def _chain(depth):
@@ -41,34 +47,6 @@ def _enumerate_paths(nl, model):
     for pi in nl.inputs:
         walk(pi, 0.0, [pi])
     return found
-
-
-def _random_dag(rng, mixed):
-    b = NetlistBuilder()
-    nets = [b.pi(f"x{i}") for i in range(int(rng.integers(2, 5)))]
-    b.instance("u", "deterministic", "misc", "exact")
-    two_in = [GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NAND]
-    consumed = set()
-    for _ in range(int(rng.integers(4, 16))):
-        if rng.random() < 0.2:
-            kind, arity = GateKind.NOT, 1
-        else:
-            kind, arity = two_in[int(rng.integers(4))], 2
-        ins = tuple(nets[int(rng.integers(len(nets)))] for _ in range(arity))
-        consumed.update(ins)
-        nets.append(b.gate(kind, ins, tag="u"))
-    for n in nets:
-        if n not in consumed:
-            b.po(n)
-    nl = b.build()
-    if mixed:
-        model = DelayModel({k: float(rng.integers(1, 4))
-                            for k in (GateKind.AND, GateKind.OR,
-                                      GateKind.XOR, GateKind.NAND,
-                                      GateKind.NOT)})
-    else:
-        model = DelayModel(scale=float(rng.integers(1, 3)))
-    return nl, model
 
 
 def test_unit_chain_delays():
@@ -121,7 +99,7 @@ def test_window_membership_and_order():
 def test_fifty_random_dags_match_the_oracle(mixed):
     rng = np.random.default_rng(90 + mixed)
     for trial in range(50):
-        nl, model = _random_dag(rng, mixed)
+        nl, model = random_dag(rng, mixed)
         every = _enumerate_paths(nl, model)
         assert len(every) <= 10 ** 4
         want_crit = max(d for _, d in every)
@@ -144,7 +122,7 @@ def test_fifty_random_dags_match_the_oracle(mixed):
 
 def test_truncation_is_a_prefix():
     rng = np.random.default_rng(4)
-    nl, model = _random_dag(rng, False)
+    nl, model = random_dag(rng, False)
     clock = critical_delay(nl, model) * 1.1
     full = near_critical_paths(nl, model, clock, n_paths=10 ** 4,
                                window=clock)
@@ -190,34 +168,8 @@ def _slacks_by_gate(nl, model, clock):
     return req - arr
 
 
-_TIMED_KINDS = [GateKind.AND, GateKind.OR, GateKind.NAND, GateKind.XOR,
-                GateKind.NOT, GateKind.MUX2, GateKind.CONST0,
-                GateKind.CONST1]
-
-
-@st.composite
-def _timed_dags(draw):
-    """Random DAGs mixing n-ary, NOT, MUX2 and constant gates, with
-    repeated inputs and nets that reach no output, under a partial per-kind
-    delay table and a scale."""
-    b = NetlistBuilder()
-    nets = [b.pi(f"x{i}") for i in range(draw(st.integers(1, 4)))]
-    b.instance("u", "deterministic", "misc", "exact")
-    for _ in range(draw(st.integers(1, 24))):
-        kind = draw(st.sampled_from(_TIMED_KINDS))
-        lo, hi = ARITY[kind]
-        ins = draw(st.lists(st.sampled_from(nets), min_size=lo,
-                            max_size=4 if hi is None else hi))
-        nets.append(b.gate(kind, ins, tag="u"))
-    for n in draw(st.lists(st.sampled_from(nets), min_size=1, unique=True)):
-        b.po(n)
-    table = draw(st.dictionaries(st.sampled_from(_TIMED_KINDS),
-                                 st.floats(0.0, 4.0)))
-    return b.build(), DelayModel(table, draw(st.floats(0.1, 3.0)))
-
-
 @settings(max_examples=150, deadline=None)
-@given(_timed_dags(), st.floats(0.5, 40.0))
+@given(timed_dags(), st.floats(0.5, 40.0))
 def test_levelized_timing_equals_the_per_gate_loops(dag, clock):
     nl, model = dag
     want = _arrival_times_by_gate(nl, model)
@@ -228,3 +180,88 @@ def test_levelized_timing_equals_the_per_gate_loops(dag, clock):
         max((want[o] for o in nl.outputs), default=0.0))
     assert np.array_equal(slacks(nl, model, clock),
                           _slacks_by_gate(nl, model, clock))
+
+
+def _path_count(nl):
+    """Complete input-to-output paths, counted in one reverse pass."""
+    count = [0] * nl.n_nets
+    for o in set(nl.outputs):
+        count[o] = 1
+    for g in reversed(nl.ordered_gates()):
+        for i in set(g.inputs):
+            count[i] += count[g.output]
+    return sum(count[i] for i in nl.inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dags(max_gates=16), st.integers(1, 3), st.floats(1.0, 1.5),
+       st.floats(0.05, 1.0), st.integers(1, 60))
+def test_uniform_walk_lists_the_oracle_paths_in_order(nl, scale, stretch,
+                                                      frac, n_paths):
+    # dags() shuffles gate ids and mixes three tags, so neither gate-id
+    # order nor a tag list rebuilt from scratch can pass by accident
+    assume(0 < _path_count(nl) <= 2000)
+    model = DelayModel(scale=scale)
+    every = _enumerate_paths(nl, model)
+    clock = max(d for _, d in every) * stretch or 1.0
+    window = clock * frac
+    want = sorted((-d, nets) for nets, d in every
+                  if clock - window - 1e-9 <= d <= clock + 1e-9)
+    got = near_critical_paths(nl, model, clock, n_paths, window)
+    assert [(-p.delay, p.nets) for p in got] == want[:n_paths]
+    for p in got:
+        gates = [nl.driver(n) for n in p.nets[1:]]
+        assert p.gates == tuple(g.id for g in gates)
+        assert p.tags == tuple(dict.fromkeys(g.tag for g in gates))
+        assert p.slack == clock - p.delay
+
+
+# near_critical_paths as detect calls it (clock 10, unit delays calibrated
+# to margin 0.9, then scaled), recorded before the uniform walk moved onto
+# a per-netlist index: sha256 over the repr of every path's (nets, gates,
+# delay, slack, tags), for each (n_paths, window) setting in turn
+_PATH_DESIGNS = {
+    "fir-exact": (fir_spec(), None),
+    "fir-approx": (fir_spec(), {"mul0": ArchParams("mul", "trunc", 8, 3),
+                                "add1": ArchParams("add", "loa", 16, 4)}),
+    "bfly-exact": (bfly_spec(), None),
+    "bfly-approx": (bfly_spec(), {"mul0": ArchParams("mul", "block22", 8, 2),
+                                  "add0": ArchParams("add", "loa", 11, 4)}),
+}
+_PATH_SETTINGS = [(100, None), (1000, 0.5), (7, 3.0)]
+PATH_PINS = {
+    ("fir-exact", 1.0):
+        "1c01a7ae7c6a447b632a4c2f32ed38b5ea898d894f2429fe1e6890f9f826e4da",
+    ("fir-exact", 1.2):
+        "18fcaff4aadf8c23b27029a39c4b028a041d555d40a871b52a06900575b11f7a",
+    ("fir-approx", 1.0):
+        "882b7acd643bf9e673175afe00f46b578f1d4b4aefaaedac6dd682025a9c9d57",
+    ("fir-approx", 1.2):
+        "338b2efb2f91e58505a5c1d59b06d7863e20467a0832b094236dad8bc58ab29d",
+    ("bfly-exact", 1.0):
+        "a80a388586c1ffd95af0243453b30a7ec07951e72b00b0d2147e81d986f9cc50",
+    ("bfly-exact", 1.2):
+        "c96d7a01fa4f1f791da51baa73fc0b5818b491c3d13ace548bcce175a0ca0252",
+    ("bfly-approx", 1.0):
+        "2264af1b1b9f74b18d92497ded6073bfedcd3caf63f929d95cca1395e102a336",
+    ("bfly-approx", 1.2):
+        "5b124dff9ebd8884121eda22015b71a0094ccb23cef18da4c5e4d411496c24cb",
+}
+
+
+@functools.cache
+def _pinned_design(name):
+    spec, assign = _PATH_DESIGNS[name]
+    return spec.build(assign)
+
+
+@pytest.mark.parametrize("name,scale", sorted(PATH_PINS))
+def test_detect_path_lists_match_the_pins(name, scale):
+    nl = _pinned_design(name)
+    model = calibrated_model(nl, 10.0, 0.9).scaled(scale)
+    h = hashlib.sha256()
+    for n_paths, window in _PATH_SETTINGS:
+        for p in near_critical_paths(nl, model, 10.0, n_paths, window):
+            h.update(repr((p.nets, p.gates, p.delay, p.slack,
+                           p.tags)).encode())
+    assert h.hexdigest() == PATH_PINS[name, scale]
