@@ -3,11 +3,13 @@ budget checking, rare-net trigger construction and stealth verification.
 
 The trigger is an AND over q rare-net literals chosen from profiled
 activity, by default from nets whose input-word cones are pairwise
-disjoint: the witness assignment then composes word-wise from trace cycles
-that realized each rare value, and the firing probability under
-independent uniform inputs is the product of the per-literal rarities.
-Insertion is fail-closed: a netlist is only emitted together with a
-replayed, verified witness.
+disjoint, and the firing probability under independent uniform inputs is
+the product of the per-literal rarities.  The witness is composed word-wise:
+each tap group's input words take their values at the first trace cycle
+that realized all of the group's taps.  The groups' supports are disjoint,
+so that composition sets every tap at once.  Insertion is fail-closed: the
+witness is replayed on the built netlist, and a netlist is only emitted
+together with a witness that fired its trigger.
 
 Stealth error is the difference of two :func:`axsec.sim.error_profile`
 figures and checks :meth:`Netlist.signature`; :func:`_fire_mask` alone
@@ -27,8 +29,8 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (ActivityReport, VectorStream, activity_profile,
-                  check_theta, error_profile, eval_vector, exhaustive_bits,
-                  power_proxy, rare_nets, simulate, stream_key)
+                  check_theta, error_profile, eval_vector, power_proxy,
+                  rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -133,7 +135,6 @@ class AttackConfig:
     q: int = 4
     theta: float = 0.01
     scoap_ceiling: int = 50
-    witness_budget: int = 10 ** 6
     payload: str = "leak"            # or "corrupt"
     secret_word: str | None = None   # required for leak
     stream: object = None            # stream or run behind the activity
@@ -142,14 +143,13 @@ class AttackConfig:
     clock: float | None = None       # reject insertions beyond this period
     model: DelayModel | None = None
     require_disjoint: bool = True
-    seed: int = 0
+    seed: int = 0                    # dead knob: insertion draws nothing
 
     def __post_init__(self):
         check_theta(self.theta)
         check_ranges(self, (
             ("q", self.q >= 1, "at least 1"),
             ("scoap_ceiling", self.scoap_ceiling >= 0, "non-negative"),
-            ("witness_budget", self.witness_budget >= 1, "at least 1"),
             ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
             ("clock", self.clock is None or self.clock > 0,
              "positive when set")))
@@ -192,27 +192,12 @@ def _replace_output(b, old, new):
         b.words[w] = [new if n == old else n for n in bits]
 
 
-def _fires(nl, witness, taps):
-    vals = eval_vector(nl, witness)
-    return all(vals[n] == v for n, v in taps)
-
-
 def _fire_mask(tr, taps):
     """Per-vector truth of the trigger conjunction over simulated traces."""
     fire = np.ones(tr.n_vectors, bool)
     for net, val in taps:
         fire &= tr.bits(net) == val
     return fire
-
-
-def _first_firing(nl, bits, taps):
-    """Input word values of the first vector in ``bits`` that fires every
-    tap, or None."""
-    tr = simulate(nl, bits)
-    idx = np.flatnonzero(_fire_mask(tr, taps))
-    if not idx.size:
-        return None
-    return {w: int(tr.word_values(b)[idx[0]]) for w, b in nl.input_words()}
 
 
 def insert_trojan(nl: Netlist, activity: ActivityReport,
@@ -285,7 +270,11 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
         raise NoWitness(f"only {len(taps)} composable trigger taps of "
                         f"{config.q} requested")
 
-    witness = _find_witness(nl, groups, taps, word_vals, config)
+    # a tap depends only on the words of its support, every tap of a group
+    # held at each of the group's times, and no two groups share a word:
+    # each group's words at its first time set every tap at once
+    witness = {w: int(word_vals[w][g["times"][0]])
+               for g in groups for w in g["words"]}
 
     # build the infected copy
     b = NetlistBuilder(nl)
@@ -328,7 +317,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
                 f"critical delay {critical_delay(infected, model):.3f} "
                 f"exceeds clock {config.clock}")
 
-    # fail-closed: the witness must fire the built trigger
+    # fail-closed: the witness must fire the built trigger; this replay
+    # is the witness's verification
     tvals = eval_vector(infected, witness)
     if tvals[trig] != 1:
         raise NoWitness("witness does not fire the assembled trigger")
@@ -337,50 +327,6 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
                     tuple(sorted(witness.items())), (fresh,),
                     tuple(sorted(set(tap_tags))), trig)
     return infected, ht
-
-
-def _find_witness(nl, groups, taps, word_vals, config):
-    """Input word assignment that sets every tap to its rare value."""
-    def compose(pick):
-        wv = {}
-        for g, t in zip(groups, pick):
-            for w in g["words"]:
-                wv[w] = int(word_vals[w][t])
-        return wv
-
-    # trace-composed assignments: earliest realized cycles first
-    first = compose([g["times"][0] for g in groups])
-    if _fires(nl, first, taps):
-        return first
-    tried = 1
-    for g in groups:
-        for t in g["times"][1:8]:
-            w = compose([t if x is g else x["times"][0] for x in groups])
-            tried += 1
-            if _fires(nl, w, taps):
-                return w
-
-    # randomized packed search
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x717)))
-    in_words = nl.input_words()
-    left = max(config.witness_budget - tried, 0)
-    chunk = 1 << 14
-    while left > 0:
-        n = min(chunk, left)
-        left -= n
-        bits = {w: rng.integers(0, 2, size=(n, len(b)), dtype=np.uint8)
-                for w, b in in_words}
-        found = _first_firing(nl, bits, taps)
-        if found is not None:
-            return found
-
-    # exhaustive for small input spaces
-    if sum(len(b) for _, b in in_words) <= 20:
-        found = _first_firing(nl, exhaustive_bits(nl), taps)
-        if found is not None:
-            return found
-        raise NoWitness("trigger conjunction is unsatisfiable")
-    raise NoWitness(f"no witness within {config.witness_budget} trials")
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,8 @@ def _cmd_attack(args):
         model = calibrated_model(nl, args.clock, args.margin)
     cfg = AttackConfig(
         q=args.q, theta=args.theta, scoap_ceiling=args.scoap_ceiling,
-        witness_budget=args.witness_budget, payload=args.payload,
-        secret_word=args.secret, clock=args.clock, model=model,
-        seed=args.seed)
+        payload=args.payload, secret_word=args.secret, clock=args.clock,
+        model=model)
     # triggers are profiled and realized on one run
     run = simulate(nl, stream)
     infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
@@ -479,7 +478,6 @@ def _build_parser():
     sp.add_argument("--q", type=int, default=4)
     sp.add_argument("--theta", type=float, default=0.08)
     sp.add_argument("--scoap-ceiling", type=int, default=500)
-    sp.add_argument("--witness-budget", type=int, default=10 ** 6)
     sp.add_argument("--vectors", type=int, default=20000)
     sp.add_argument("--mode", choices=("uniform", "correlated"),
                     default="correlated")

@@ -22,7 +22,7 @@ from .attack import (AttackConfig, BudgetConstraints, attack_score,
 from .designs import DesignSpec, bfly_spec, fir_spec
 from .detect import DetectConfig, classify, score
 from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
-                     WouldViolateTiming)
+                     WouldViolateTiming, check_ranges)
 from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
                   simulate, stream_key, sub_seed)
@@ -72,11 +72,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.design not in ("fir", "bfly"):
             raise BadParams(f"unknown design {self.design!r}")
-        if not 0.0 <= self.infected_fraction <= 1.0:
-            raise BadParams("infected_fraction must be within [0, 1]")
-        if self.n_variants < 1:
-            raise BadParams("need at least one variant")
+        check_ranges(self, (
+            ("width", self.width >= 2, "at least 2"),
+            ("n_variants", self.n_variants >= 1, "at least 1"),
+            ("infected_fraction", 0.0 <= self.infected_fraction <= 1.0,
+             "in [0, 1]"),
+            ("characterize_vectors", self.characterize_vectors >= 1,
+             "at least 1"),
+            ("rho", 0.0 <= self.rho <= 1.0, "in [0, 1]"),
+            ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
+            ("stealth_vectors", self.stealth_vectors >= 1, "at least 1")))
         # forwarded values are checked by their owners, before any output
+        self.design_spec()
         AttackConfig(q=self.q, theta=self.theta,
                      scoap_ceiling=self.scoap_ceiling)
         self.detect_config()
@@ -239,14 +246,10 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
         return list(reversed(picks))
 
     out = []
-    seen = set()
     for front, ix in pool:
         if len(out) >= n_variants:
             break
         picks = decode(ix)
-        if tuple(picks) in seen:
-            continue
-        seen.add(tuple(picks))
         specs = [menus[s][j] for s, j in enumerate(picks)]
         assign = {spec.slots[s][0]: m.params for s, m in enumerate(specs)}
         nl = spec.build(assign)
@@ -305,7 +308,7 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
             q=config.q, theta=config.theta,
             scoap_ceiling=config.scoap_ceiling,
             payload=config.payload, secret_word=spec.secret_word,
-            stream=run, clock=config.clock, model=model, seed=aseed)
+            stream=run, clock=config.clock, model=model)
         try:
             bad, ht = insert_trojan(v.netlist,
                                     activity_profile(v.netlist, run), None,

@@ -35,7 +35,8 @@ _CONSTS = frozenset((GateKind.CONST0, GateKind.CONST1))
 
 
 class DelayModel:
-    """Per-gate-kind delay table with a global scale factor."""
+    """Per-gate-kind delay table with a global scale factor, which must be
+    positive."""
 
     def __init__(self, delays=None, scale: float = 1.0):
         table = dict(_DEFAULT_DELAYS)
@@ -43,14 +44,15 @@ class DelayModel:
             table.update(delays)
         self._table = tuple(table[k] for k in GateKind)
         self.scale = float(scale)
+        if not self.scale > 0:  # also rejects NaN
+            raise BadParams(f"scale must be positive, got {scale}")
 
     def of(self, kind: GateKind) -> float:
         return self._table[kind] * self.scale
 
     def scaled(self, factor: float) -> "DelayModel":
-        m = DelayModel()
+        m = DelayModel(scale=self.scale * factor)
         m._table = self._table
-        m.scale = self.scale * factor
         return m
 
 
@@ -77,6 +79,8 @@ def calibrated_model(nl: Netlist, clock: float,
     """Unit delays scaled so the critical path sits at ``margin * clock``."""
     if not clock > 0:  # also rejects NaN
         raise BadParams(f"clock must be positive, got {clock}")
+    if not margin > 0:
+        raise BadParams(f"margin must be positive, got {margin}")
     crit = critical_delay(nl)
     if crit <= 0.0:
         return DelayModel()
@@ -200,14 +204,16 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
                         window: float | None = None) -> list[TimingPath]:
     """Up to ``n_paths`` maximal paths with slack in [0, window], ordered by
     increasing slack (ties by net sequence).  ``window`` defaults to a tenth
-    of the clock.  Raises :class:`BadParams` for a clock that is not
-    positive or a negative ``n_paths``."""
+    of the clock.  Raises :class:`BadParams` for a clock or a set
+    ``window`` that is not positive, or a negative ``n_paths``."""
     if not clock > 0:  # also rejects NaN
         raise BadParams(f"clock must be positive, got {clock}")
     if n_paths < 0:
         raise BadParams(f"n_paths must be non-negative, got {n_paths}")
     if window is None:
         window = 0.1 * clock
+    elif not window > 0:
+        raise BadParams(f"window must be positive when set, got {window}")
     lo = clock - window
     if n_paths == 0:
         return []

@@ -225,7 +225,7 @@ def test_impossible_requests_fail_closed(inserted):
     ("theta", float("nan"), BadThreshold), ("q", 0, BadParams),
     ("q", float("nan"), BadParams), ("scoap_ceiling", -1, BadParams),
     ("scoap_ceiling", float("nan"), BadParams),
-    ("witness_budget", 0, BadParams), ("trace_vectors", 0, BadParams),
+    ("trace_vectors", 0, BadParams),
     ("clock", -1.0, BadParams)])
 def test_attack_config_rejects_out_of_range_values(field, value, error):
     # checked on construction, so a bad value never reaches a simulation
@@ -250,6 +250,53 @@ def test_insertion_reads_a_run_like_its_stream(inserted, kernel_calls):
     assert structurally_equal(bad, infected)
     assert got == ht
     assert not kernel_calls  # the trigger realizes on the run as given
+
+
+_SWEEP = [
+    (SPEC, ASSIGN, 0.08),
+    (SPEC, {"mul1": ArchParams("mul", "trunc", 8, 4)}, 0.08),
+    (bfly_spec(8, 3), {"add0": ArchParams("add", "loa", 11, 4)}, 0.2),
+    (bfly_spec(8, 3), {"mul0": ArchParams("mul", "trunc", 8, 4)}, 0.2),
+]
+
+
+def test_the_composed_witness_sets_every_tap():
+    # the witness is each tap group's words at the group's first realized
+    # cycle; it must cover exactly the taps' supports and set every tap on
+    # the clean netlist, before any payload logic is in the way
+    done = []
+    for spec, assign, theta in _SWEEP:
+        clean = spec.build(assign)
+        stream = VectorStream(5000, 4, "correlated", 0.9)
+        run = simulate(clean, stream)
+        act = activity_profile(clean, run)
+        for q in range(1, 5):
+            for disjoint in (True, False):
+                for payload in ("leak", "corrupt"):
+                    for source in (stream, run):
+                        cfg = AttackConfig(
+                            q=q, theta=theta, scoap_ceiling=500,
+                            payload=payload, secret_word=spec.secret_word,
+                            stream=source, trace_vectors=5000,
+                            require_disjoint=disjoint)
+                        try:
+                            _, ht = insert_trojan(clean, act, None, cfg)
+                        except (NoRareNets, NoWitness) as exc:
+                            # too few taps, never a witness that misfires
+                            assert "does not fire" not in str(exc)
+                            continue
+                        sups = [clean.input_word_support([net])
+                                for net, _ in ht.trigger_nets]
+                        words = set().union(*sups)
+                        assert set(ht.witness_dict()) == words
+                        vals = eval_vector(clean, ht.witness_dict())
+                        for net, want in ht.trigger_nets:
+                            assert vals[net] == want
+                        done.append((disjoint,
+                                     sum(map(len, sups)) > len(words)))
+    assert len(done) >= 10
+    assert {d for d, _ in done} == {True, False}
+    assert any(shared for _, shared in done)  # some group was merged
 
 
 def test_characterize_simulates_the_module_once(kernel_calls):

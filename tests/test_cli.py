@@ -265,9 +265,23 @@ def test_negative_seed_is_a_user_error(tmp_path, capsys, verb):
     ("experiment", ["--clock", "nan"], "clock must be positive"),
     ("attack", ["--clock", "0"], "clock must be positive"),
     ("attack", ["--clock", "nan"], "clock must be positive"),
+    ("sta", ["--clock", "10", "--scale", "0"], "scale must be positive"),
+    ("sta", ["--clock", "10", "--scale", "-1"], "scale must be positive"),
+    ("sta", ["--clock", "10", "--scale", "nan"], "scale must be positive"),
+    ("sta", ["--clock", "10", "--window", "-1"],
+     "window must be positive when set"),
+    ("sta", ["--clock", "10", "--window", "nan"],
+     "window must be positive when set"),
+    ("attack", ["--clock", "55", "--margin", "0"], "margin must be positive"),
+    ("attack", ["--clock", "55", "--margin", "-1"], "margin must be positive"),
+    ("attack", ["--clock", "55", "--margin", "nan"],
+     "margin must be positive"),
 ], ids=["sta-clock-0", "sta-clock-neg", "sta-clock-nan", "sta-paths-neg",
         "detect-clock-neg", "experiment-clock-0", "experiment-clock-neg",
-        "experiment-clock-nan", "attack-clock-0", "attack-clock-nan"])
+        "experiment-clock-nan", "attack-clock-0", "attack-clock-nan",
+        "sta-scale-0", "sta-scale-neg", "sta-scale-nan", "sta-window-neg",
+        "sta-window-nan", "attack-margin-0", "attack-margin-neg",
+        "attack-margin-nan"])
 def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
                                               message):
     _assert_rejected(tmp_path, capsys, verb, flags, message)
@@ -308,9 +322,24 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
     ("attack", ["--theta", "nan"], "theta must be in (0, 0.5)"),
     ("attack", ["--q", "0"], "q must be at least 1"),
     ("attack", ["--scoap-ceiling", "-1"], "scoap_ceiling must be non-negative"),
-    ("attack", ["--witness-budget", "0"], "witness_budget must be at least 1"),
     ("profile", ["--theta", "0.9"], "theta must be in (0, 0.5)"),
     ("profile", ["--theta", "nan"], "theta must be in (0, 0.5)"),
+    ("experiment", ["--trace-vectors", "0"],
+     "trace_vectors must be at least 1"),
+    ("experiment", ["--stealth-vectors", "0"],
+     "stealth_vectors must be at least 1"),
+    ("experiment", ["--characterize-vectors", "0"],
+     "characterize_vectors must be at least 1"),
+    ("experiment", ["--rho", "2"], "rho must be in [0, 1]"),
+    ("experiment", ["--rho", "nan"], "rho must be in [0, 1]"),
+    ("experiment", ["--width", "1"], "width must be at least 2"),
+    ("experiment", ["--infected-fraction", "nan"],
+     "infected_fraction must be in [0, 1]"),
+    ("experiment", ["--n-variants", "0"], "n_variants must be at least 1"),
+    ("experiment", ["--design", "bfly", "--twiddle", "0"],
+     "twiddle must be in [1, 2^width)"),
+    ("experiment", ["--coeffs", "3,5,7"],
+     "taps must be a power of two, at least 2"),
 ], ids=["detect-theta-0.9", "detect-theta-0", "detect-theta-nan",
         "experiment-detect-theta-nan", "experiment-delta-e-nan",
         "detect-margin-0", "detect-margin-nan", "detect-scales-0",
@@ -323,13 +352,34 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
         "experiment-detect-vectors-0", "experiment-q-0",
         "experiment-scoap-ceiling-neg", "experiment-theta-0.9",
         "attack-theta-0.9", "attack-theta-nan", "attack-q-0",
-        "attack-scoap-ceiling-neg", "attack-witness-budget-0",
-        "profile-theta-0.9", "profile-theta-nan"])
+        "attack-scoap-ceiling-neg",
+        "profile-theta-0.9", "profile-theta-nan",
+        "experiment-trace-vectors-0", "experiment-stealth-vectors-0",
+        "experiment-characterize-vectors-0", "experiment-rho-2",
+        "experiment-rho-nan", "experiment-width-1",
+        "experiment-infected-fraction-nan", "experiment-n-variants-0",
+        "experiment-twiddle-0", "experiment-coeffs-3"])
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
                                                     kernel_calls, verb,
                                                     flags, message):
     _assert_rejected(tmp_path, capsys, verb, flags, message)
     assert not kernel_calls  # rejected before any simulation
+
+
+@pytest.mark.parametrize("flags", [["--trace-vectors", "0"],
+                                   ["--characterize-vectors", "0"],
+                                   ["--rho", "2"], ["--width", "1"]],
+                         ids=["trace-vectors", "characterize-vectors",
+                              "rho", "width"])
+def test_experiment_rejects_before_writing_into_its_directory(
+        tmp_path, capsys, flags):
+    # an existing --out directory is kept on failure, so whatever a late
+    # check let through would stay behind in it
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["experiment", *flags, "--out", str(out)]) == 2
+    _one_error_line(capsys)
+    assert not any(out.iterdir())
 
 
 def _assert_rejected(tmp_path, capsys, verb, flags, message,

@@ -93,7 +93,10 @@ def test_pareto_pool_matches_the_loop_on_tied_values(points, cap):
     # peel nothing and spin; only E takes the infinite value here
     E = np.array([e for e, _ in points], float)
     P = np.array([p for _, p in points], float)
-    assert _pareto_pool(E, P, cap) == _pareto_pool_loop(E, P, cap)
+    pool = _pareto_pool(E, P, cap)
+    assert pool == _pareto_pool_loop(E, P, cap)
+    # each index at most once, so generate_variants needs no duplicate guard
+    assert len({ix for _, ix in pool}) == len(pool)
 
 
 def test_pareto_pool_peels_an_infinite_power():

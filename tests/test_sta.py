@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from axsec.arith import ArchParams
 from axsec.designs import bfly_spec, fir_spec
+from axsec.errors import BadParams
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sta import (DelayModel, TimingPath, arrival_times,
                        calibrated_model, critical_delay, near_critical_paths,
@@ -71,6 +72,16 @@ def test_per_kind_delay_table():
     assert critical_delay(nl, model) == 5.0
     sl = slacks(nl, model, 8.0)
     assert float(sl[y]) == 3.0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_a_scale_that_is_not_positive_is_rejected(scale):
+    with pytest.raises(BadParams, match="scale must be positive"):
+        DelayModel(scale=scale)
+    # scaled() goes through the same check
+    with pytest.raises(BadParams, match="scale must be positive"):
+        DelayModel(scale=2.0).scaled(scale)
+    assert DelayModel({GateKind.XOR: 3.0}).scaled(2.0).of(GateKind.XOR) == 6.0
 
 
 def test_constants_cost_nothing():
