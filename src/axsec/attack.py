@@ -18,6 +18,7 @@ evaluates a trigger over simulated traces.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -151,8 +152,8 @@ class AttackConfig:
             ("q", self.q >= 1, "at least 1"),
             ("scoap_ceiling", self.scoap_ceiling >= 0, "non-negative"),
             ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
-            ("clock", self.clock is None or self.clock > 0,
-             "positive when set")))
+            ("clock", self.clock is None or 0 < self.clock < math.inf,
+             "positive when set, and finite")))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,9 @@ from .errors import (BadParams, BadThreshold, BudgetInfeasible, EmptySet,
 from .experiment import (ExperimentConfig, run_experiment, write_detection,
                          _fmt, _write_csv)
 from .scoap import scoap
-from .sim import (EXACT_OPS, VectorStream, activity_profile, check_theta,
-                  error_profile, power_proxy, rare_nets, simulate, sub_seed)
+from .sim import (EXACT_OPS, VectorStream, activity_and_error,
+                  activity_profile, check_theta, power_proxy, rare_nets,
+                  simulate, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths, slacks)
 from .textfmt import read_netlist, write_netlist
@@ -177,8 +178,13 @@ def _cmd_profile(args):
     stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
     if args.theta is not None:
         check_theta(args.theta)
-    # every table is computed, and so checked, before the first is written
-    act = activity_profile(nl, stream)
+    # every table is computed, and so checked, before the first is written;
+    # with a reference, one run feeds both profiles
+    ref = _reference_for(nl, args.ref)
+    if ref is None:
+        act = activity_profile(nl, stream)
+    else:
+        act, er = activity_and_error(nl, ref, stream)
     power = power_proxy(nl, act)
     tables = {
         "activity.csv": (["net", "name", "p1", "toggles"],
@@ -190,9 +196,7 @@ def _cmd_profile(args):
         tables["rare.csv"] = (["net", "name", "stuck_value", "p1"],
                               [(n, nl.net_names[n], v, float(act.p1[n]))
                                for n, v in rare_nets(act, args.theta)])
-    ref = _reference_for(nl, args.ref)
     if ref is not None:
-        er = error_profile(nl, ref, stream)
         tables["error.csv"] = (["er", "med", "mred", "wce", "n_vectors"],
                                [(er.er, er.med, er.mred, er.wce,
                                  er.n_vectors)])

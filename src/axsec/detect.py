@@ -16,6 +16,7 @@ the figures :class:`_Profile` takes off one profiling run per candidate.
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -64,14 +65,15 @@ class DetectConfig:
         check_theta(self.theta)
         check_ranges(self, (
             ("seed", self.seed >= 0, "non-negative"),
-            ("clock", self.clock > 0, "positive"),
-            ("margin", self.margin > 0, "positive"),
+            ("clock", self.clock),
+            ("margin", self.margin),
             ("scales", len(self.scales) > 0
-             and all(s > 0 for s in self.scales), "non-empty, all > 0"),
+             and all(0 < s < math.inf for s in self.scales),
+             "non-empty, all > 0 and finite"),
             ("dev_tol", 0.0 <= self.dev_tol <= 1.0, "in [0, 1]"),
             ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
-            ("window", self.window is None or self.window > 0,
-             "positive when set"),
+            ("window", self.window is None or 0 < self.window < math.inf,
+             "positive when set, and finite"),
             ("n_paths", self.n_paths >= 0, "non-negative"),
             ("vectors", self.vectors >= 1, "at least 1"),
             ("stress_budget", self.stress_budget >= 1, "at least 1")))
@@ -217,7 +219,13 @@ def suspect_instances(nl: Netlist, clock: float, scales=(1.0, 1.2),
                       n_paths: int = 100, window: float | None = None,
                       margin: float = 0.9) -> dict:
     """Near-critical path membership counts per instance tag, summed over
-    delay scales; most hit first."""
+    delay scales; most hit first.  Computed once per netlist and arguments
+    (:meth:`Netlist.memo`); each call gets its own dict."""
+    return dict(nl.memo(_suspects, clock, tuple(scales), n_paths, window,
+                        margin))
+
+
+def _suspects(nl, clock, scales, n_paths, window, margin):
     base = calibrated_model(nl, clock, margin)
     hits = Counter()
     for s in scales:

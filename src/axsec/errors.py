@@ -1,5 +1,7 @@
 """Exception types shared across the workbench."""
 
+import math
+
 
 class NetlistError(Exception):
     """Base class for structural netlist problems."""
@@ -45,13 +47,21 @@ class BadThreshold(ValueError):
 
 
 def check_ranges(obj, table):
-    """Raise :class:`BadParams` for the first (field name, in range, wanted)
-    row of ``table`` that is out of range.  Written as comparisons, the
-    checks are false for NaN, so NaN is rejected as well."""
-    for name, ok, want in table:
+    """Raise :class:`BadParams` for the first row of ``table`` that is out
+    of range.  A row is (field name, in range, wanted), with the value read
+    off ``obj``, or (name, value) for a value that must be positive and
+    finite, such as a clock period or a delay scale.  Written as
+    comparisons, the checks are false for NaN, so NaN is rejected as well.
+    """
+    for row in table:
+        if len(row) == 2:
+            name, got = row
+            ok, want = 0 < got < math.inf, "positive and finite"
+        else:
+            name, ok, want = row
+            got = getattr(obj, name)
         if not ok:
-            raise BadParams(f"{name} must be {want}, "
-                            f"got {getattr(obj, name)!r}")
+            raise BadParams(f"{name} must be {want}, got {got!r}")
 
 
 class UnitMismatch(ValueError):

@@ -289,16 +289,27 @@ class Netlist:
 
     @cached_property
     def plan(self):
-        """The kernel plan of :func:`axsec._kernels.plan`, built once."""
-        return _kernels.plan(self._levels)
+        """The kernel plan of :func:`axsec._kernels.plan`, built once; its
+        arrays are read-only."""
+        outs, ins, groups = _kernels.plan(self._levels)
+        outs.flags.writeable = ins.flags.writeable = False
+        return outs, ins, groups
 
-    def memo(self, build):
-        """``build(self)``, computed on first use and kept with the netlist:
-        for pure analyses that other modules derive from it."""
+    def memo(self, build, *key):
+        """``build(self, *key)``, computed on first use per ``(build, key)``
+        and kept with the netlist: for pure analyses that other modules
+        derive from it, with ``key`` the hashable parameters they take.
+
+        Shared builds (:mod:`axsec.designs`) carry these values from one
+        trial into the next, so ``build`` must depend on nothing but the
+        netlist and ``key``, and hand out nothing a caller could change:
+        read-only arrays, tuples, strings, or values whose owners copy
+        them before handing them out."""
         memo = self._memo
-        if build not in memo:
-            memo[build] = build(self)
-        return memo[build]
+        k = (build, key)
+        if k not in memo:
+            memo[k] = build(self, *key)
+        return memo[k]
 
     @cached_property
     def _memo(self):

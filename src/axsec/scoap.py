@@ -116,9 +116,17 @@ def _observability(nl, entries, n, cc0, cc1):
 
 
 def scoap(nl: Netlist) -> ScoapReport:
-    """Full testability profile for every real net of the netlist."""
+    """Full testability profile for every real net of the netlist, computed
+    once per netlist (:meth:`Netlist.memo`); its arrays are read-only."""
+    return nl.memo(_scoap)
+
+
+def _scoap(nl: Netlist) -> ScoapReport:
     entries, n = _expand(nl)
     cc0, cc1 = _controllability(nl, entries, n)
     co = _observability(nl, entries, n, cc0, cc1)
     m = nl.n_nets
-    return ScoapReport(*(np.array(v[:m], np.int64) for v in (cc0, cc1, co)))
+    arrays = [np.array(v[:m], np.int64) for v in (cc0, cc1, co)]
+    for a in arrays:
+        a.flags.writeable = False
+    return ScoapReport(*arrays)

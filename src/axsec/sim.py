@@ -363,20 +363,36 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
 def error_profile(netlist: Netlist, ref, source) -> ErrorReport:
     """Error statistics against a reference (see :func:`error_sums`),
     summed chunk by chunk and word by word, over vectors times words."""
-    n = errs = sabs = wce = 0
-    srel = 0.0
+    acc = _ErrorSums(ref)
     for _, tr in iter_traces(netlist, source):
-        sums = error_sums(tr, ref)
+        acc.add(tr)
+    return acc.report()
+
+
+class _ErrorSums:
+    """Running :func:`error_sums` of consecutive chunks of one run."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.n = self.errs = self.sabs = self.wce = self.words = 0
+        self.srel = 0.0
+
+    def add(self, tr: Traces):
+        sums = error_sums(tr, self.ref)
         for e, a, r, w in sums:
-            errs += e
-            sabs += a
-            srel += r
-            wce = max(wce, w)
-        n += tr.n_vectors
-    if not n:
-        raise BadParams("empty stream")
-    d = n * len(sums)
-    return ErrorReport(errs / d, sabs / d, srel / d, wce, n)
+            self.errs += e
+            self.sabs += a
+            self.srel += r
+            self.wce = max(self.wce, w)
+        self.n += tr.n_vectors
+        self.words = len(sums)
+
+    def report(self) -> ErrorReport:
+        if not self.n:
+            raise BadParams("empty stream")
+        d = self.n * self.words
+        return ErrorReport(self.errs / d, self.sabs / d, self.srel / d,
+                           self.wce, self.n)
 
 
 @dataclass(frozen=True)
@@ -392,13 +408,35 @@ _M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
 
 
 def activity_profile(netlist: Netlist, source) -> ActivityReport:
-    ones = np.zeros(netlist.n_nets, np.int64)
-    tog = np.zeros(netlist.n_nets, np.int64)
-    prev_last = None
-    total = 0
+    acc = _ActivitySums(netlist.n_nets)
     for _, tr in iter_traces(netlist, source):
-        c, n = tr.c, tr.n_vectors
-        ones += tr.ones()
+        acc.add(tr)
+    return acc.report()
+
+
+def activity_and_error(netlist: Netlist, ref, source):
+    """(:func:`activity_profile`, :func:`error_profile`) of one run,
+    simulated once, chunk by chunk."""
+    act, err = _ActivitySums(netlist.n_nets), _ErrorSums(ref)
+    for _, tr in iter_traces(netlist, source):
+        act.add(tr)
+        err.add(tr)
+    return act.report(), err.report()
+
+
+class _ActivitySums:
+    """Running per-net ones and toggle counts of consecutive chunks of one
+    run; a toggle across a chunk boundary counts in the later chunk."""
+
+    def __init__(self, n_nets: int):
+        self.ones = np.zeros(n_nets, np.int64)
+        self.tog = np.zeros(n_nets, np.int64)
+        self.prev_last = None
+        self.total = 0
+
+    def add(self, tr: Traces):
+        c, n, tog = tr.c, tr.n_vectors, self.tog
+        self.ones += tr.ones()
         y = c ^ (c >> np.uint64(1))
         r = n - 64 * (c.shape[1] - 1)
         if c.shape[1] > 1:
@@ -409,12 +447,14 @@ def activity_profile(netlist: Netlist, source) -> ActivityReport:
             tog += np.bitwise_count(y[:, -1] & np.uint64((1 << (r - 1)) - 1)) \
                 .astype(np.int64)
         first = (c[:, 0] & np.uint64(1)).astype(np.int64)
-        if prev_last is not None:
-            tog += prev_last ^ first
-        prev_last = ((c[:, -1] >> np.uint64((n - 1) % 64)) & np.uint64(1)) \
-            .astype(np.int64)
-        total += n
-    return ActivityReport(ones / total, tog, total)
+        if self.prev_last is not None:
+            tog += self.prev_last ^ first
+        self.prev_last = ((c[:, -1] >> np.uint64((n - 1) % 64))
+                          & np.uint64(1)).astype(np.int64)
+        self.total += n
+
+    def report(self) -> ActivityReport:
+        return ActivityReport(self.ones / self.total, self.tog, self.total)
 
 
 def check_theta(theta: float) -> None:

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, check_ranges
 from .netlist import GateKind, Netlist
 
 _EPS = 1e-9
@@ -36,7 +36,7 @@ _CONSTS = frozenset((GateKind.CONST0, GateKind.CONST1))
 
 class DelayModel:
     """Per-gate-kind delay table with a global scale factor, which must be
-    positive."""
+    positive and finite.  Models with equal tables and scales are equal."""
 
     def __init__(self, delays=None, scale: float = 1.0):
         table = dict(_DEFAULT_DELAYS)
@@ -44,8 +44,14 @@ class DelayModel:
             table.update(delays)
         self._table = tuple(table[k] for k in GateKind)
         self.scale = float(scale)
-        if not self.scale > 0:  # also rejects NaN
-            raise BadParams(f"scale must be positive, got {scale}")
+        check_ranges(self, (("scale", self.scale),))
+
+    def __eq__(self, other):
+        return (isinstance(other, DelayModel) and self._table == other._table
+                and self.scale == other.scale)
+
+    def __hash__(self):
+        return hash((self._table, self.scale))
 
     def of(self, kind: GateKind) -> float:
         return self._table[kind] * self.scale
@@ -70,6 +76,11 @@ def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
 
 
 def critical_delay(nl: Netlist, model: DelayModel | None = None) -> float:
+    """Latest output arrival, computed once per (netlist, model)."""
+    return nl.memo(_critical_delay, model or DelayModel())
+
+
+def _critical_delay(nl: Netlist, model: DelayModel) -> float:
     arr = arrival_times(nl, model)
     return float(max((arr[o] for o in nl.outputs), default=0.0))
 
@@ -77,10 +88,7 @@ def critical_delay(nl: Netlist, model: DelayModel | None = None) -> float:
 def calibrated_model(nl: Netlist, clock: float,
                      margin: float = 0.9) -> DelayModel:
     """Unit delays scaled so the critical path sits at ``margin * clock``."""
-    if not clock > 0:  # also rejects NaN
-        raise BadParams(f"clock must be positive, got {clock}")
-    if not margin > 0:
-        raise BadParams(f"margin must be positive, got {margin}")
+    check_ranges(None, (("clock", clock), ("margin", margin)))
     crit = critical_delay(nl)
     if crit <= 0.0:
         return DelayModel()
@@ -205,15 +213,15 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
     """Up to ``n_paths`` maximal paths with slack in [0, window], ordered by
     increasing slack (ties by net sequence).  ``window`` defaults to a tenth
     of the clock.  Raises :class:`BadParams` for a clock or a set
-    ``window`` that is not positive, or a negative ``n_paths``."""
-    if not clock > 0:  # also rejects NaN
-        raise BadParams(f"clock must be positive, got {clock}")
+    ``window`` that is not positive and finite, or a negative ``n_paths``."""
+    check_ranges(None, (("clock", clock),))
     if n_paths < 0:
         raise BadParams(f"n_paths must be non-negative, got {n_paths}")
     if window is None:
         window = 0.1 * clock
-    elif not window > 0:
-        raise BadParams(f"window must be positive when set, got {window}")
+    elif not 0 < window < math.inf:
+        raise BadParams(f"window must be positive when set, and finite, "
+                        f"got {window!r}")
     lo = clock - window
     if n_paths == 0:
         return []

@@ -92,7 +92,12 @@ def _int(tok, lineno):
 
 
 def serialize_netlist(nl: Netlist) -> str:
-    """Deterministic canonical text for a netlist (round-trip identity)."""
+    """Deterministic canonical text for a netlist (round-trip identity),
+    built once per netlist (:meth:`Netlist.memo`)."""
+    return nl.memo(_serialize)
+
+
+def _serialize(nl: Netlist) -> str:
     name = nl.net_names.__getitem__
     lines = [f"input {name(n)}" for n in nl.inputs]
     lines += [f"output {name(n)}" for n in nl.outputs]

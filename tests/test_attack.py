@@ -226,7 +226,7 @@ def test_impossible_requests_fail_closed(inserted):
     ("q", float("nan"), BadParams), ("scoap_ceiling", -1, BadParams),
     ("scoap_ceiling", float("nan"), BadParams),
     ("trace_vectors", 0, BadParams),
-    ("clock", -1.0, BadParams)])
+    ("clock", -1.0, BadParams), ("clock", float("inf"), BadParams)])
 def test_attack_config_rejects_out_of_range_values(field, value, error):
     # checked on construction, so a bad value never reaches a simulation
     with pytest.raises(error, match=f"{field} must be"):

@@ -1,6 +1,7 @@
 """Command line surface, exercised in process through main(argv)."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -71,6 +72,37 @@ def test_profile_artifacts(tmp_path):
     assert float(err["er"]) > 0.0
     assert float(err["mred"]) > 0.0
     assert err["n_vectors"] == "500"
+
+
+@pytest.mark.parametrize("vectors,runs,digests", [
+    (2000, 1, {
+        "activity.csv": "a0ea6197c6dce76ee6e046d05d98d1ca"
+                        "f4ca4eae4b7ea427e18e9d17c157f387",
+        "power.csv": "f132b1d53e8f0273b6b24ef864200117"
+                     "0ccf571806bb7e1f063ae5273301f489",
+        "error.csv": "bcea75828ab1d5e474cab38645acadd2"
+                     "d17b6e729425bf73aadcd61daef6c79c"}),
+    # two chunks: toggles across the chunk boundary, sums over both
+    (70000, 2, {
+        "activity.csv": "a3707e72450d290170c9df3c19b96e7e"
+                        "6227e5b931fc7877cf3a7e026311aa6f",
+        "power.csv": "ed457dc365135ca1a263bac4288230a4"
+                     "e85dcb150c588ab5f99428132fbe4729",
+        "error.csv": "7789d1e31dd6ae114ebd5d3f6b1f7c0f"
+                     "31d63c78e5413c663c50594976c2477a"}),
+], ids=["one-chunk", "two-chunks"])
+def test_profile_with_a_reference_simulates_once(tmp_path, kernel_calls,
+                                                 vectors, runs, digests):
+    # the digests were recorded when activity and error each ran their
+    # own simulation
+    nl = tmp_path / "loa2.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), nl)
+    out = tmp_path / "prof"
+    assert main(["profile", "--netlist", str(nl), "--vectors", str(vectors),
+                 "--ref", "auto", "--out-dir", str(out)]) == 0
+    assert len(kernel_calls) == runs
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests
 
 
 def test_scoap_gives_unit_costs_at_inputs(tmp_path):
@@ -288,6 +320,33 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
 
 
 @pytest.mark.parametrize("verb,flags,message", [
+    ("sta", ["--clock", "inf"], "clock must be positive and finite"),
+    ("sta", ["--clock", "10", "--scale", "inf"],
+     "scale must be positive and finite"),
+    ("sta", ["--clock", "10", "--window", "inf"],
+     "window must be positive when set, and finite"),
+    ("detect", ["--clock", "inf"], "clock must be positive and finite"),
+    ("detect", ["--margin", "inf"], "margin must be positive and finite"),
+    ("detect", ["--scales", "1,inf"], "scales must be non-empty, all > 0"),
+    ("detect", ["--window", "inf"],
+     "window must be positive when set, and finite"),
+    ("experiment", ["--clock", "inf"], "clock must be positive and finite"),
+    ("experiment", ["--margin=-inf"],
+     "margin must be positive and finite"),
+    ("attack", ["--clock", "inf"], "clock must be positive and finite"),
+    ("attack", ["--clock", "55", "--margin", "inf"],
+     "margin must be positive and finite"),
+], ids=["sta-clock", "sta-scale", "sta-window", "detect-clock",
+        "detect-margin", "detect-scales", "detect-window", "experiment-clock",
+        "experiment-margin-neg", "attack-clock", "attack-margin"])
+def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
+                                                kernel_calls, verb, flags,
+                                                message):
+    _assert_rejected(tmp_path, capsys, verb, flags, message)
+    assert not kernel_calls
+
+
+@pytest.mark.parametrize("verb,flags,message", [
     ("detect", ["--theta", "0.9"], "theta must be in (0, 0.5)"),
     ("detect", ["--theta", "0"], "theta must be in (0, 0.5)"),
     ("detect", ["--theta", "nan"], "theta must be in (0, 0.5)"),
@@ -340,6 +399,7 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
      "twiddle must be in [1, 2^width)"),
     ("experiment", ["--coeffs", "3,5,7"],
      "taps must be a power of two, at least 2"),
+    ("experiment", ["--width", "2"], "constant 5 does not fit in 2 bits"),
 ], ids=["detect-theta-0.9", "detect-theta-0", "detect-theta-nan",
         "experiment-detect-theta-nan", "experiment-delta-e-nan",
         "detect-margin-0", "detect-margin-nan", "detect-scales-0",
@@ -358,7 +418,8 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
         "experiment-characterize-vectors-0", "experiment-rho-2",
         "experiment-rho-nan", "experiment-width-1",
         "experiment-infected-fraction-nan", "experiment-n-variants-0",
-        "experiment-twiddle-0", "experiment-coeffs-3"])
+        "experiment-twiddle-0", "experiment-coeffs-3",
+        "experiment-coeffs-too-wide"])
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
                                                     kernel_calls, verb,
                                                     flags, message):
@@ -368,9 +429,10 @@ def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
 
 @pytest.mark.parametrize("flags", [["--trace-vectors", "0"],
                                    ["--characterize-vectors", "0"],
-                                   ["--rho", "2"], ["--width", "1"]],
+                                   ["--rho", "2"], ["--width", "1"],
+                                   ["--width", "2"]],
                          ids=["trace-vectors", "characterize-vectors",
-                              "rho", "width"])
+                              "rho", "width", "coeffs-too-wide"])
 def test_experiment_rejects_before_writing_into_its_directory(
         tmp_path, capsys, flags):
     # an existing --out directory is kept on failure, so whatever a late

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from axsec import designs
 from axsec.arith import ArchParams, gen_adder, gen_module, gen_multiplier
-from axsec.designs import (bfly_spec, const_module, fir_spec, resize_module,
-                           sub_module)
+from axsec.designs import (bfly_design, bfly_spec, const_module, fir_design,
+                           fir_spec, resize_module, sub_module)
 from axsec.errors import BadParams
-from axsec.netlist import structurally_equal
-from axsec.sim import VectorStream, eval_vector, simulate, word_value
+from axsec.experiment import (ExperimentConfig, characterize_library,
+                              generate_variants)
+from axsec.netlist import flatten, structurally_equal
+from axsec.sim import VectorStream, eval_vector, simulate, sub_seed, word_value
 
 
 def test_fir_slots_and_widths():
@@ -127,3 +130,54 @@ def test_flatten_leaves_the_memoized_modules_unchanged():
     for (make, args), kid in zip(glue, glue_kids):
         assert make(*args) is kid
         assert structurally_equal(kid, make.__wrapped__(*args))
+
+
+def test_fir_coefficients_must_fit_the_width():
+    with pytest.raises(BadParams, match="constant 5 does not fit in 2 bits"):
+        fir_spec(2, (3, 5, 7, 9))
+
+
+def test_build_is_shared_whatever_the_assignment_order():
+    spec = fir_spec()
+    mul = ArchParams("mul", "trunc", 8, 4)
+    add = ArchParams("add", "loa", 16, 4)
+    nl = spec.build({"mul1": mul, "add0": add})
+    assert spec.build({"add0": add, "mul1": mul}) is nl
+    assert fir_spec().build({"mul1": mul, "add0": add}) is nl
+    assert spec.build(None) is spec.build({})
+
+
+def test_specs_that_differ_in_a_constant_share_no_build():
+    mul = {"mul0": ArchParams("mul", "trunc", 8, 4)}
+    firs = [fir_spec(8, c).build(mul) for c in ((3, 5, 7, 9), (3, 5, 7, 11))]
+    bflies = [bfly_spec(8, t).build(mul) for t in (3, 5)]
+    for a, b in (firs, bflies):
+        assert a is not b
+        assert not structurally_equal(a, b)
+
+
+@pytest.mark.parametrize("design", ["fir", "bfly"])
+def test_shared_builds_equal_fresh_flattens(design, monkeypatch):
+    # every variant that seeds 0-3 build, shared or not, is the netlist a
+    # fresh flatten of its design gives
+    built = {}
+    real = designs._build
+
+    def spy(*key):
+        built[key] = real(*key)
+        return built[key]
+
+    monkeypatch.setattr(designs, "_build", spy)
+    for seed in range(4):
+        cfg = ExperimentConfig(seed=seed, design=design)
+        spec = cfg.design_spec()
+        stream = VectorStream(cfg.characterize_vectors, sub_seed(seed, 1),
+                              "correlated", cfg.rho)
+        library = characterize_library(spec, stream, cfg.theta)
+        generate_variants(spec, library, cfg.n_variants, cfg.budget(),
+                          stream)
+    make = {"fir": fir_design, "bfly": bfly_design}[design]
+    assert len(built) > 4
+    for (kind, params, assign), nl in built.items():
+        assert kind is make
+        assert structurally_equal(nl, flatten(make(*params, dict(assign))))

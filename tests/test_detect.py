@@ -302,6 +302,7 @@ def test_score_label_mismatches():
 # -- configuration ----------------------------------------------------------
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -309,7 +310,8 @@ NAN = float("nan")
     ("scales", (1.0, -1.2)), ("dev_tol", -0.1), ("dev_tol", 1.5),
     ("dev_tol", NAN), ("threshold", 0.0), ("threshold", 1.01),
     ("threshold", NAN), ("window", 0.0), ("window", NAN), ("n_paths", -1),
-    ("vectors", 0), ("stress_budget", 0)])
+    ("vectors", 0), ("stress_budget", 0), ("clock", INF), ("margin", INF),
+    ("scales", (1.0, INF)), ("window", INF)])
 def test_detect_config_rejects_out_of_range_values(field, value):
     with pytest.raises(BadParams, match=f"^{field} must be"):
         DetectConfig(**{field: value})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axsec import designs
 from axsec.arith import ArchParams
 from axsec.attack import BudgetConstraints, characterize
 from axsec.designs import fir_spec
@@ -14,6 +15,8 @@ from axsec.errors import BadParams, BudgetInfeasible
 from axsec.experiment import (ExperimentConfig, _pareto_pool, arch_menu,
                               generate_variants, run_experiment)
 from axsec.sim import VectorStream
+
+from tests.test_golden import _dir_digest
 
 SMALL = ExperimentConfig(
     seed=11, n_variants=4, infected_fraction=0.5,
@@ -243,3 +246,28 @@ def test_a_trial_simulates_each_run_once(tmp_path, kernel_calls, design,
     # what is left re-profiles the exact baseline once per menu entry
     run_experiment(ExperimentConfig(seed=1, design=design), tmp_path / "o")
     assert len(kernel_calls) <= most
+
+
+@pytest.mark.parametrize("design", ["bfly", "fir"])
+def test_trials_leak_no_state_into_each_other(design, tmp_path, monkeypatch):
+    # seed 1 after seed 0 reuses seed 0's shared builds and what is kept
+    # on them, and must write what seed 1 writes from an empty build cache
+    flattens = []
+    real = designs.flatten
+
+    def counting(design):
+        flattens.append(None)
+        return real(design)
+
+    monkeypatch.setattr(designs, "flatten", counting)
+    designs._build.cache_clear()
+    counts = []
+    for seed in (0, 1):
+        n = len(flattens)
+        run_experiment(ExperimentConfig(seed=seed, design=design),
+                       tmp_path / f"warm{seed}")
+        counts.append(len(flattens) - n)
+    designs._build.cache_clear()
+    run_experiment(ExperimentConfig(seed=1, design=design), tmp_path / "cold")
+    assert _dir_digest(tmp_path / "warm1") == _dir_digest(tmp_path / "cold")
+    assert counts[1] < counts[0]

@@ -179,6 +179,20 @@ def test_fanout_counts():
     assert f[a] == 3 and f[x] == 1 and f[y] == 1 and f[z] == 0
 
 
+@pytest.mark.parametrize("spec", [fir_spec(), bfly_spec()],
+                         ids=lambda s: s.name)
+def test_what_a_shared_netlist_hands_out_is_read_only(spec):
+    # builds are shared across trials, so no caller may change them
+    nl = spec.build(None)
+    outs, ins, _ = nl.plan
+    with pytest.raises(ValueError):
+        outs[0] = 0
+    with pytest.raises(ValueError):
+        ins[0, 0] = 0
+    with pytest.raises(TypeError):
+        nl.fanout_counts()[0] = 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_layered_builds_are_valid(data):

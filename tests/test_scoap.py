@@ -331,3 +331,12 @@ def test_saturating_chains_equal_the_oracle(kind):
 ], ids=["fir", "bfly", "mul8"])
 def test_designs_equal_the_oracle(nl):
     _assert_equals_oracle(nl)
+
+
+def test_the_report_is_kept_with_the_netlist_and_read_only():
+    nl = fir_spec().build({"mul0": ArchParams("mul", "trunc", 8, 3)})
+    rep = scoap(nl)
+    assert scoap(nl) is rep
+    for field in ("cc0", "cc1", "co"):
+        with pytest.raises(ValueError):
+            getattr(rep, field)[0] = 0

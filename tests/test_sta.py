@@ -74,7 +74,7 @@ def test_per_kind_delay_table():
     assert float(sl[y]) == 3.0
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_a_scale_that_is_not_positive_is_rejected(scale):
     with pytest.raises(BadParams, match="scale must be positive"):
         DelayModel(scale=scale)
