@@ -29,9 +29,9 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
                      UnitMismatch, WouldViolateTiming, check_ranges)
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
-from .sim import (ActivityReport, VectorStream, activity_profile,
-                  check_theta, error_profile, eval_vector, power_proxy,
-                  rare_nets, simulate, stream_key)
+from .sim import (ActivityReport, PowerProxy, VectorStream,
+                  activity_profile, check_theta, error_profile, eval_vector,
+                  power_proxy, rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -63,19 +63,26 @@ class ModuleSpec:
 
 def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     """Measure one architecture's error, relative power and rare-net profile
-    on the given stream, against the exact architecture as baseline."""
+    on the given stream, against the exact architecture as baseline; the
+    baseline power under a :class:`VectorStream` is profiled once per
+    stream and kept with the shared exact netlist."""
     nl = gen_module(params)
     run = simulate(nl, stream)
     err = error_profile(nl, params, run)
     act = activity_profile(nl, run)
     base_nl = gen_module(ArchParams(params.op_type, "exact", params.width))
-    base = power_proxy(base_nl, activity_profile(base_nl, stream))
+    base = (base_nl.memo(_power, stream) if isinstance(stream, VectorStream)
+            else _power(base_nl, stream))
     proxy = power_proxy(nl, act, base)
     rare = rare_nets(act, theta)
     sc = scoap(nl)
     summary = max((int(sc.cc1[n]) for n, _ in rare), default=0)
     return ModuleSpec(params, err.mred, proxy.ratio, len(rare),
                       len(rare) / nl.n_nets, summary, stream_key(stream))
+
+
+def _power(nl: Netlist, stream) -> PowerProxy:
+    return power_proxy(nl, activity_profile(nl, stream))
 
 
 def attack_score(spec: ModuleSpec, weights: CostWeights = CostWeights()) -> float:

@@ -12,7 +12,11 @@ always drawn in fixed :data:`CHUNK`-sized slices with one generator per input
 word, so the same stream is produced no matter how a consumer batches the run
 and regardless of any other words present.  A stream that fits in one chunk
 is generated once per input signature and reused read-only
-(:func:`_single_chunk_bits`); longer streams are generated lazily.
+(:func:`_single_chunk_bits`); longer streams are generated lazily.  A
+correlated word is filled run by run in a transposed, contiguous
+``(width, n)`` array (one run per redraw) and handed out as its ``(n,
+width)`` view; each word is packed into its nets' rows with one
+``packbits`` along the vectors.
 
 A simulated run (:class:`Traces`) is itself a source, read in the same
 chunks, so a run measured several ways is simulated once.
@@ -80,18 +84,21 @@ def sub_seed(seed: int, *salt) -> int:
 
 
 def _chunk_bits(rng, mode, rho, n, width, carry):
+    # The correlated scan is a run-length fill over the transposed,
+    # contiguous (width, n) arrays: every redraw starts a run of its fresh
+    # value, and a run with no redraw before it holds the carry.
     fresh = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
     if mode == "uniform":
         return fresh, fresh[-1].copy()
-    keep = rng.random((n, width)) < rho
-    if carry is None:
-        keep[0] = False
-    idx = np.where(keep, -1, np.arange(n, dtype=np.int64)[:, None])
-    np.maximum.accumulate(idx, axis=0, out=idx)
-    vals = fresh[np.maximum(idx, 0), np.arange(width)[None, :]]
+    reset = ~(rng.random((n, width)) < rho).T
+    src = fresh.T.copy()
     if carry is not None:
-        vals = np.where(idx < 0, carry[None, :], vals)
-    return vals, vals[-1].copy()
+        src[:, 0] = np.where(reset[:, 0], src[:, 0], carry)
+    reset[:, 0] = True
+    pos = np.flatnonzero(reset)
+    vals = np.repeat(src.ravel()[pos], np.diff(pos, append=reset.size))
+    vals = vals.reshape(width, n)
+    return vals.T, vals[:, -1].copy()
 
 
 def _stream_chunks(stream, words):
@@ -147,24 +154,6 @@ def stream_bits(stream, words) -> dict[str, np.ndarray]:
     return {w: np.concatenate([c[w] for c in chunks]) for w, _ in words}
 
 
-def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:
-    """Bit arrays enumerating every input combination once (first input word
-    in the low positions of the enumeration index)."""
-    words = netlist.input_words()
-    total_bits = sum(len(nets) for _, nets in words)
-    if total_bits > 26:
-        raise BadParams(f"{total_bits} input bits is too wide to enumerate")
-    v = np.arange(1 << total_bits, dtype=np.uint64)
-    out = {}
-    off = 0
-    for name, nets in words:
-        w = len(nets)
-        out[name] = ((v[:, None] >> np.arange(off, off + w, dtype=np.uint64))
-                     & np.uint64(1)).astype(np.uint8)
-        off += w
-    return out
-
-
 # ---------------------------------------------------------------------------
 # packed simulation
 
@@ -184,10 +173,11 @@ class Traces:
                              bitorder="little")[:self.n_vectors]
 
     def word_values(self, nets) -> np.ndarray:
-        out = np.zeros(self.n_vectors, np.int64)
-        for i, net in enumerate(nets):
-            out |= self.bits(net).astype(np.int64) << i
-        return out
+        """Per vector, the integer whose bit i is the value of ``nets[i]``."""
+        bits = np.unpackbits(self.c[list(nets)].view(np.uint8), axis=1,
+                             bitorder="little")[:, :self.n_vectors]
+        weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
+        return np.einsum("i,ij->j", weights, bits)
 
     def ones(self) -> np.ndarray:
         """Per-net count of 1 values."""
@@ -209,14 +199,11 @@ class Traces:
 
 def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
     c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
+    rows = c.view(np.uint8)
     for name, nets in nl.input_words():
-        arr = bits[name]
-        for j, net in enumerate(nets):
-            packed = np.packbits(arr[:, j], bitorder="little")
-            if packed.size % 8:
-                packed = np.concatenate(
-                    [packed, np.zeros(8 - packed.size % 8, np.uint8)])
-            c[net] = packed.view(np.uint64)
+        p = np.packbits(np.ascontiguousarray(bits[name].T), axis=1,
+                        bitorder="little")
+        rows[nets, :p.shape[1]] = p
     _kernels.eval_gates(*nl.plan, c)
     r = n % 64
     if r:
@@ -295,10 +282,6 @@ def eval_vector(netlist: Netlist, word_values: dict) -> list[int]:
             r = 1
         vals[g.output] = r
     return vals
-
-
-def word_value(netlist: Netlist, vals, word: str) -> int:
-    return sum(vals[b] << i for i, b in enumerate(netlist.words[word]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +387,6 @@ class ActivityReport:
     n_vectors: int
 
 
-_M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
-
-
 def activity_profile(netlist: Netlist, source) -> ActivityReport:
     acc = _ActivitySums(netlist.n_nets)
     for _, tr in iter_traces(netlist, source):
@@ -426,29 +406,38 @@ def activity_and_error(netlist: Netlist, ref, source):
 
 class _ActivitySums:
     """Running per-net ones and toggle counts of consecutive chunks of one
-    run; a toggle across a chunk boundary counts in the later chunk."""
+    run; a toggle across a chunk boundary counts in the later chunk.
+
+    A toggle at vector t is bit t of ``c ^ (c << 1)`` over the flat words
+    of a net, each word shifted in the top bit of the word before it; bit
+    0 of a net's first word and the pad bits of its last word are no
+    toggles of the chunk."""
 
     def __init__(self, n_nets: int):
         self.ones = np.zeros(n_nets, np.int64)
         self.tog = np.zeros(n_nets, np.int64)
         self.prev_last = None
         self.total = 0
+        self._scratch = None
 
     def add(self, tr: Traces):
-        c, n, tog = tr.c, tr.n_vectors, self.tog
-        self.ones += tr.ones()
-        y = c ^ (c >> np.uint64(1))
-        r = n - 64 * (c.shape[1] - 1)
-        if c.shape[1] > 1:
-            tog += np.bitwise_count(y[:, :-1] & _M63).sum(axis=1, dtype=np.int64)
-            tog += ((c[:, :-1] >> np.uint64(63)) ^ (c[:, 1:] & np.uint64(1))) \
-                .sum(axis=1, dtype=np.int64)
-        if r >= 2:
-            tog += np.bitwise_count(y[:, -1] & np.uint64((1 << (r - 1)) - 1)) \
-                .astype(np.int64)
+        c, n = tr.c, tr.n_vectors
+        if self._scratch is None or self._scratch[0].shape != c.shape:
+            self._scratch = (np.empty(c.shape, np.uint64),
+                             np.empty(c.shape, np.uint8))
+        y, count = self._scratch
+        self.ones += np.bitwise_count(c, out=count).sum(axis=1, dtype=np.int64)
+        flat, yf = c.reshape(-1), y.reshape(-1)
+        np.left_shift(flat, np.uint64(1), out=yf)
+        yf[1:] |= flat[:-1] >> np.uint64(63)
+        yf ^= flat
+        y[:, 0] &= ~np.uint64(1)
+        if n % 64:
+            y[:, -1] &= np.uint64((1 << n % 64) - 1)
+        self.tog += np.bitwise_count(y, out=count).sum(axis=1, dtype=np.int64)
         first = (c[:, 0] & np.uint64(1)).astype(np.int64)
         if self.prev_last is not None:
-            tog += self.prev_last ^ first
+            self.tog += self.prev_last ^ first
         self.prev_last = ((c[:, -1] >> np.uint64((n - 1) % 64))
                           & np.uint64(1)).astype(np.int64)
         self.total += n

@@ -1,0 +1,105 @@
+"""Reference definitions the simulator is checked against.
+
+Each one is the plain, per-bit or per-column form of what :mod:`axsec.sim`
+computes in fewer passes; they are kept here only to test it.
+"""
+
+import numpy as np
+
+from axsec.errors import BadParams
+from axsec.netlist import Netlist
+
+_M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
+
+
+def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:
+    """Bit arrays enumerating every input combination once (first input word
+    in the low positions of the enumeration index)."""
+    words = netlist.input_words()
+    total_bits = sum(len(nets) for _, nets in words)
+    if total_bits > 26:
+        raise BadParams(f"{total_bits} input bits is too wide to enumerate")
+    v = np.arange(1 << total_bits, dtype=np.uint64)
+    out = {}
+    off = 0
+    for name, nets in words:
+        w = len(nets)
+        out[name] = ((v[:, None] >> np.arange(off, off + w, dtype=np.uint64))
+                     & np.uint64(1)).astype(np.uint8)
+        off += w
+    return out
+
+
+def word_value(netlist: Netlist, vals, word: str) -> int:
+    """Value of one word from a scalar evaluation's per-net values."""
+    return sum(vals[b] << i for i, b in enumerate(netlist.words[word]))
+
+
+def word_values(tr, nets) -> np.ndarray:
+    """Per-vector word values of a run, unpacked and shifted bit by bit."""
+    out = np.zeros(tr.n_vectors, np.int64)
+    for i, net in enumerate(nets):
+        out |= tr.bits(net).astype(np.int64) << i
+    return out
+
+
+def chunk_bits(rng, mode, rho, n, width, carry):
+    """One chunk of a word's stream: the correlated scan as an index
+    maximum-accumulate and a 2-D gather."""
+    fresh = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+    if mode == "uniform":
+        return fresh, fresh[-1].copy()
+    keep = rng.random((n, width)) < rho
+    if carry is None:
+        keep[0] = False
+    idx = np.where(keep, -1, np.arange(n, dtype=np.int64)[:, None])
+    np.maximum.accumulate(idx, axis=0, out=idx)
+    vals = fresh[np.maximum(idx, 0), np.arange(width)[None, :]]
+    if carry is not None:
+        vals = np.where(idx < 0, carry[None, :], vals)
+    return vals, vals[-1].copy()
+
+
+def pack_inputs(nl: Netlist, bits, n: int) -> np.ndarray:
+    """The net array of a chunk before the kernel runs: every input bit
+    column packed on its own and padded to whole words."""
+    c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
+    for name, nets in nl.input_words():
+        arr = bits[name]
+        for j, net in enumerate(nets):
+            packed = np.packbits(arr[:, j], bitorder="little")
+            if packed.size % 8:
+                packed = np.concatenate(
+                    [packed, np.zeros(8 - packed.size % 8, np.uint8)])
+            c[net] = packed.view(np.uint64)
+    return c
+
+
+class ActivitySums:
+    """Running ones and toggles over consecutive chunks, with the shifts
+    and XORs on strided in-word and cross-word slices."""
+
+    def __init__(self, n_nets: int):
+        self.ones = np.zeros(n_nets, np.int64)
+        self.tog = np.zeros(n_nets, np.int64)
+        self.prev_last = None
+        self.total = 0
+
+    def add(self, tr):
+        c, n, tog = tr.c, tr.n_vectors, self.tog
+        self.ones += tr.ones()
+        y = c ^ (c >> np.uint64(1))
+        r = n - 64 * (c.shape[1] - 1)
+        if c.shape[1] > 1:
+            tog += np.bitwise_count(y[:, :-1] & _M63).sum(axis=1, dtype=np.int64)
+            tog += ((c[:, :-1] >> np.uint64(63)) ^ (c[:, 1:] & np.uint64(1))) \
+                .sum(axis=1, dtype=np.int64)
+        if r >= 2:
+            tog += np.bitwise_count(y[:, -1] & np.uint64((1 << (r - 1)) - 1)) \
+                .astype(np.int64)
+        first = (c[:, 0] & np.uint64(1)).astype(np.int64)
+        if self.prev_last is not None:
+            tog += self.prev_last ^ first
+        self.prev_last = ((c[:, -1] >> np.uint64((n - 1) % 64))
+                          & np.uint64(1)).astype(np.int64)
+        self.total += n

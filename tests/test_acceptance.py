@@ -22,11 +22,11 @@ from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.scoap import scoap
 from axsec.sim import (VectorStream, activity_profile, error_profile,
-                       eval_vector, exhaustive_bits, iter_traces, simulate,
-                       word_value)
+                       eval_vector, iter_traces, simulate)
 from axsec.sta import critical_delay, near_critical_paths
 
 from tests.conftest import random_dag
+from tests.oracles import exhaustive_bits, word_value
 from tests.test_arith import (block22_model, loa_model, trunc_add_model,
                               trunc_mul_model)
 from tests.test_sta import _enumerate_paths

@@ -12,7 +12,9 @@ from axsec.arith import (ARCHS, ArchParams, _Cells, exact_oracle, gen_adder,
                          gen_module, gen_multiplier, model_value)
 from axsec.errors import BadParams
 from axsec.netlist import NetlistBuilder, structurally_equal
-from axsec.sim import exhaustive_bits, simulate
+from axsec.sim import simulate
+
+from tests.oracles import exhaustive_bits
 
 
 # --- independent scalar models ---------------------------------------------

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from axsec.arith import ArchParams
+from axsec.arith import ArchParams, gen_module
 from axsec.attack import (AttackConfig, BudgetConstraints, CostWeights,
                           HTInstance, ModuleSpec, attack_score, characterize,
                           check_budget, insert_trojan, rank_candidates,
@@ -20,7 +20,9 @@ from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           WouldViolateTiming)
 from axsec.netlist import structurally_equal
 from axsec.sim import (VectorStream, activity_profile, error_profile,
-                       eval_vector, simulate, word_value)
+                       eval_vector, simulate, stream_bits)
+
+from tests.oracles import word_value
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -300,9 +302,23 @@ def test_the_composed_witness_sets_every_tap():
 
 
 def test_characterize_simulates_the_module_once(kernel_calls):
-    characterize(ArchParams("add", "loa", 8, 3),
-                 VectorStream(2000, 5, "uniform"), theta=0.05)
+    # a stream no other test profiles: its baseline is not kept yet
+    stream = VectorStream(2000, 305, "uniform")
+    characterize(ArchParams("add", "loa", 8, 3), stream, theta=0.05)
     assert len(kernel_calls) == 2  # the module and the exact baseline
+    characterize(ArchParams("add", "trunc", 8, 2), stream, theta=0.05)
+    assert len(kernel_calls) == 3  # the baseline is profiled once per stream
+
+
+def test_characterize_keeps_the_baseline_it_would_profile():
+    stream = VectorStream(1500, 306, "correlated")
+    menu = [ArchParams("add", "exact", 8), ArchParams("add", "loa", 8, 3),
+            ArchParams("add", "trunc", 8, 2)]
+    kept = [characterize(p, stream, theta=0.05) for p in menu]
+    bits = stream_bits(stream, gen_module(menu[0]).signature()[0])
+    for params, spec in zip(menu, kept):
+        fresh = characterize(params, bits, theta=0.05)  # profiled anew
+        assert dataclasses.replace(fresh, stream_key=spec.stream_key) == spec
 
 
 # -- stealth ----------------------------------------------------------------

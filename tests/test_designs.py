@@ -11,7 +11,9 @@ from axsec.errors import BadParams
 from axsec.experiment import (ExperimentConfig, characterize_library,
                               generate_variants)
 from axsec.netlist import flatten, structurally_equal
-from axsec.sim import VectorStream, eval_vector, simulate, sub_seed, word_value
+from axsec.sim import VectorStream, eval_vector, simulate, sub_seed
+
+from tests.oracles import word_value
 
 
 def test_fir_slots_and_widths():

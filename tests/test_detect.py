@@ -16,6 +16,8 @@ from axsec.errors import (BadParams, EmptySet, LabelMismatch,
 from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, simulate
 
+from tests.oracles import word_values
+
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
           "add2": ArchParams("add", "loa", 17, 4)}
@@ -118,6 +120,42 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
         firsts = [(net, v) for net in range(nl.n_nets) for v in (0, 1)]
         assert [new.first(*k) for k in firsts] \
             == [old.first(*k) for k in firsts], cid
+
+
+def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
+    """Every replayed assignment of a clean candidate is the input words of
+    its support at the first profiling vector where a cone net carries its
+    rare value, found by scanning the bits; per support, the rarest nets
+    come first, then the earliest hits, and a repeated assignment is
+    dropped."""
+    nl, config = trio[0]["v1"], DetectConfig()
+    streams = defender_streams(config)
+    profile, ref = detect._Profile(nl, streams), _TwoRunProfile(nl, streams)
+    in_vals = {w: np.concatenate([word_values(t, b) for t in ref.traces])
+               for w, b in nl.input_words()}
+    replayed = 0
+    for tag in sorted(nl.instances):
+        if nl.instances[tag].kind_label != "approximate":
+            continue
+        cone = nl.fanin_nets([g.output for g in nl.gates_of_tag(tag)])
+        groups = detect._replay_groups(nl, profile, cone, config.theta)
+        for sup, ranked in groups:
+            hits = []
+            for net, val in ref.rare(config.theta).items():
+                t = ref.first(net, val)  # None: the rare value never showed
+                if (net in cone and t is not None
+                        and nl.input_word_support((net,)) == sup):
+                    p = float(ref.p1[net])
+                    hits.append((p if val else 1.0 - p, t, nl.net_names[net]))
+            hits.sort()
+            want = []
+            for _, t, _ in hits:
+                vals = {w: int(in_vals[w][t]) for w in sup}
+                if vals not in want:
+                    want.append(vals)
+            assert ranked == want[:8], (tag, sup)
+            replayed += len(ranked)
+    assert replayed
 
 
 # -- error ranking ----------------------------------------------------------

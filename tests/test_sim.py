@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axsec import _kernels
 from axsec.arith import ArchParams, gen_adder, gen_module
 from axsec.designs import bfly_spec
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
-from axsec.sim import (CHUNK, STREAM_MODES, VectorStream, _bits_chunks,
-                       _chunk_bits, _single_chunk_bits, activity_profile,
-                       error_profile, eval_vector, exhaustive_bits,
-                       iter_traces, power_proxy, rare_nets, simulate,
-                       stream_bits, word_value)
+from axsec.sim import (CHUNK, STREAM_MODES, Traces, VectorStream,
+                       _ActivitySums, _bits_chunks, _chunk_bits, _run_packed,
+                       _single_chunk_bits, activity_profile, error_profile,
+                       eval_vector, iter_traces, power_proxy, rare_nets,
+                       simulate, stream_bits)
+
+from tests import oracles
+from tests.oracles import exhaustive_bits, word_value
 
 
 def _mix_netlist():
@@ -401,3 +405,147 @@ def test_error_profile_averages_over_the_output_words(n):
     # one reference for two output words names no word to check
     with pytest.raises(BadParams, match="exactly one output word"):
         error_profile(nl, spec.reference["y0"], stream)
+
+
+# -- the streaming passes against their reference definitions ---------------
+
+#: run lengths around the word and chunk edges: n % 64 in {0, 1, 63}, and
+#: runs that cross one or two chunk boundaries
+_EDGE_N = st.sampled_from([1, 63, 64, 65, 127, 128, 129, CHUNK - 1, CHUNK,
+                           CHUNK + 1, CHUNK + 70, 2 * CHUNK + 63,
+                           2 * CHUNK + 70])
+_RUN_N = st.one_of(_EDGE_N, st.integers(1, 2 * CHUNK + 70))
+_RHO = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=_RUN_N, width=st.integers(1, 17), rho=_RHO,
+       mode=st.sampled_from(STREAM_MODES), seed=st.integers(0, 2 ** 32 - 1),
+       with_carry=st.booleans())
+def test_chunk_bits_equal_the_index_scan(n, width, rho, mode, seed,
+                                         with_carry):
+    carry = None
+    if with_carry:
+        carry = np.random.default_rng(~seed & 0xFFFF).integers(
+            0, 2, width, dtype=np.uint8)
+    got, got_last = _chunk_bits(np.random.default_rng(seed), mode, rho, n,
+                                width, carry)
+    want, want_last = oracles.chunk_bits(np.random.default_rng(seed), mode,
+                                         rho, n, width, carry)
+    assert got.shape == (n, width) and got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_last, want_last)
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
+    words = (("a", 5), ("b", 1))
+    stream = VectorStream(2 * CHUNK + 70, 12, mode, 0.97)
+    got = stream_bits(stream, words)
+    for i, (name, width) in enumerate(words):
+        rng = np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
+        parts, carry = [], None
+        for start in range(0, stream.n_vectors, CHUNK):
+            n = min(CHUNK, stream.n_vectors - start)
+            part, carry = oracles.chunk_bits(rng, mode, stream.rho, n, width,
+                                             carry)
+            parts.append(part)
+        assert np.array_equal(got[name], np.concatenate(parts))
+
+
+def _words_netlist(widths):
+    """Input words of the given widths, each bit XORed with the next
+    word's, so every input row reaches an output."""
+    b = NetlistBuilder()
+    words = []
+    for k, w in enumerate(widths):
+        nets = [b.pi(f"w{k}_{i}") for i in range(w)]
+        b.word(f"w{k}", nets)
+        words.append(nets)
+    b.instance("u", "deterministic", "misc", "exact")
+    flat = [n for nets in words for n in nets]
+    for i, net in enumerate(flat):
+        b.po(b.gate(GateKind.XOR, (net, flat[(i + 1) % len(flat)]),
+                    tag="u"))
+    return b.build()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=_RUN_N, widths=st.lists(st.integers(1, 17), min_size=1,
+                                   max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1), transposed=st.booleans())
+def test_word_packing_equals_column_packing(n, widths, seed, transposed):
+    nl = _words_netlist(widths)
+    rng = np.random.default_rng(seed)
+    bits = {}
+    for name, nets in nl.input_words():
+        arr = rng.integers(0, 2, (n, len(nets)), dtype=np.uint8)
+        # a correlated chunk is handed out as the view of a (width, n) array
+        bits[name] = np.ascontiguousarray(arr.T).T if transposed else arr
+    want = oracles.pack_inputs(nl, bits, n)
+    _kernels.eval_gates(*nl.plan, want)
+    if n % 64:
+        want[:, -1] &= np.uint64((1 << n % 64) - 1)
+    assert np.array_equal(_run_packed(nl, bits, n), want)
+
+
+def _sticky_chunk(rng, n_nets, n):
+    """A packed chunk of long runs and flips, pad bits cleared."""
+    bits = np.cumsum(rng.random((n_nets, n)) < 0.02, axis=1) & 1
+    bits[0] = 0
+    if n_nets > 1:
+        bits[1] = 1
+    c = np.zeros((n_nets, (n + 63) // 64), np.uint64)
+    c.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(
+        bits.astype(np.uint8), axis=1, bitorder="little")
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.one_of(_EDGE_N, st.integers(1, 3 * 64 + 5)),
+                        min_size=1, max_size=4),
+       n_nets=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       sticky=st.booleans())
+def test_toggle_count_equals_the_strided_count(lengths, n_nets, seed, sticky):
+    rng = np.random.default_rng(seed)
+    got, want = _ActivitySums(n_nets), oracles.ActivitySums(n_nets)
+    for n in lengths:
+        if sticky:
+            c = _sticky_chunk(rng, n_nets, n)
+        else:
+            c = rng.integers(0, 2 ** 64, (n_nets, (n + 63) // 64),
+                             dtype=np.uint64)
+            if n % 64:
+                c[:, -1] &= np.uint64((1 << n % 64) - 1)
+        tr = Traces(None, c, n)
+        got.add(tr)
+        want.add(tr)
+        assert np.array_equal(got.ones, want.ones)
+        assert np.array_equal(got.tog, want.tog)
+    assert got.total == want.total == sum(lengths)
+
+
+@pytest.mark.parametrize("n", [63, 64, CHUNK + 70, 2 * CHUNK + 1])
+def test_activity_of_a_stream_equals_the_strided_count(n):
+    nl = _mix_netlist()
+    stream = VectorStream(n, 5, "correlated", 0.9)
+    want = oracles.ActivitySums(nl.n_nets)
+    for _, tr in iter_traces(nl, stream):
+        want.add(tr)
+    act = activity_profile(nl, stream)
+    assert np.array_equal(act.toggles, want.tog)
+    assert np.array_equal(act.p1, want.ones / want.total)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, CHUNK + 70])
+def test_word_values_equal_the_per_bit_values(n):
+    spec = bfly_spec()
+    nl = spec.build({"add0": ArchParams("add", "loa", spec.slots[1][2], 4)})
+    run = simulate(nl, VectorStream(n, 2, "uniform"))
+    words = [*nl.input_words(), *nl.output_words(), ("none", ())]
+    # the whole run, and its chunk views (strided, not contiguous)
+    for tr in [run] + [tr for _, tr in iter_traces(nl, run)]:
+        for _, nets in words:
+            got = tr.word_values(nets)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracles.word_values(tr, nets))
