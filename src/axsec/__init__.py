@@ -13,17 +13,16 @@ from .arith import ARCHS, ArchParams, gen_adder, gen_module, gen_multiplier
 from .attack import (AttackConfig, BudgetCheck, BudgetConstraints,
                      CostWeights, HTInstance, ModuleSpec, StealthReport,
                      attack_score, characterize, check_budget,
-                     insert_trojan, rank_candidates, verify_stealth)
+                     insert_trojan, verify_stealth)
 from .designs import DesignSpec, bfly_spec, fir_spec, flatten
 from .detect import (DetectConfig, DetectionReport, InstanceScore, Metrics,
                      NetlistReport, RankEntry, classify, defender_streams,
-                     rank_by_error, resilience_test, score,
-                     suspect_instances)
+                     rank_by_error, score, suspect_instances)
 from .errors import (BadParams, BadThreshold, BudgetInfeasible, CycleError,
                      EmptySet, LabelMismatch, NetlistError, NoRareNets,
                      NoWitness, ParseError, PortMismatch, SemanticError,
-                     SignatureMismatch, UnitMismatch, UnknownInstance,
-                     UnknownModule, WouldViolateTiming)
+                     SignatureMismatch, UnitMismatch, UnknownModule,
+                     WouldViolateTiming)
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 from .netlist import Gate, GateKind, Instance, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap

@@ -92,12 +92,6 @@ def attack_score(spec: ModuleSpec, weights: CostWeights = CostWeights()) -> floa
             + weights.w_r * spec.r_norm)
 
 
-def rank_candidates(specs, weights: CostWeights = CostWeights()):
-    """Specs ordered by descending attack score (ties by label)."""
-    return sorted(specs, key=lambda s: (-attack_score(s, weights),
-                                        s.params.label(), s.params.op_type))
-
-
 @dataclass(frozen=True)
 class BudgetConstraints:
     """Declared composed-netlist budgets and admissible slacks."""

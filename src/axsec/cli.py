@@ -16,6 +16,7 @@ reports are CSV with a header row.
 import argparse
 import csv
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
 from .errors import (BadParams, BadThreshold, BudgetInfeasible, EmptySet,
                      LabelMismatch, NetlistError, NoRareNets, NoWitness,
-                     SignatureMismatch, UnitMismatch, UnknownInstance,
-                     WouldViolateTiming)
+                     SignatureMismatch, UnitMismatch, WouldViolateTiming,
+                     check_ranges)
 from .experiment import (ExperimentConfig, run_experiment, write_detection,
                          _fmt, _write_csv)
 from .scoap import scoap
@@ -41,9 +42,8 @@ from .textfmt import read_netlist, write_netlist
 __all__ = ["main"]
 
 _USER_ERRORS = (NetlistError, BadParams, BadThreshold, UnitMismatch,
-                SignatureMismatch, EmptySet, LabelMismatch, UnknownInstance,
-                NoRareNets, NoWitness, WouldViolateTiming, BudgetInfeasible,
-                OSError)
+                SignatureMismatch, EmptySet, LabelMismatch, NoRareNets,
+                NoWitness, WouldViolateTiming, BudgetInfeasible, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +78,23 @@ def _load_config(path):
     return cfg
 
 
-def _apply_config(sp, cfg):
-    # file values become defaults, so flags given on the line still win
+def _apply_config(sp, cfg, path):
+    # file values become defaults, so flags given on the line still win;
+    # argparse checks neither their type nor their choices
     for action in sp._actions:
         raw = cfg.get(action.dest)
         if raw is None:
             continue
         if action.nargs == 0 and isinstance(action.const, bool):
             val = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            val = action.type(raw)
         else:
-            val = raw
+            try:
+                val = raw if action.type is None else action.type(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise BadParams(f"{path}: {action.dest}: {exc}") from None
+            if action.choices is not None and val not in action.choices:
+                raise BadParams(f"{path}: {action.dest}: {val!r} is not one "
+                                f"of {list(action.choices)}")
         sp.set_defaults(**{action.dest: val})
         action.required = False
 
@@ -134,17 +139,17 @@ def _parse_assign(text, slots):
     by_name = {name: (op, w) for name, op, w in slots}
     assign = {}
     for item in filter(None, (s.strip() for s in text.split(";"))):
-        if "=" not in item:
-            raise BadParams(f"expected slot=arch[:k[:c]], got {item!r}")
-        name, pick = (s.strip() for s in item.split("=", 1))
+        name, _, pick = (s.strip() for s in item.partition("="))
+        m = re.fullmatch(r"([^:]*)(?::(-?\d+)?(:c)?)?", pick)
+        if not (m and "=" in item):
+            raise BadParams(f"expected slot=arch[:k[:c]] with an integer k, "
+                            f"got {item!r}")
         if name not in by_name:
             raise BadParams(
                 f"unknown slot {name!r}; available: {sorted(by_name)}")
         op, w = by_name[name]
-        parts = pick.split(":")
-        k = int(parts[1]) if len(parts) > 1 and parts[1] else 0
-        carry = len(parts) > 2 and parts[2] == "c"
-        assign[name] = ArchParams(op, parts[0], w, k, carry)
+        arch, k, carry = m.groups()
+        assign[name] = ArchParams(op, arch, w, int(k or 0), carry is not None)
     return assign
 
 
@@ -233,6 +238,8 @@ def _cmd_sta(args):
 
 
 def _cmd_attack(args):
+    check_ranges(args, (("stealth_vectors", args.stealth_vectors >= 0,
+                         "non-negative"),))
     nl = read_netlist(args.netlist)
     stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
     model = None
@@ -341,6 +348,7 @@ def _read_truth(path):
 
 
 def _cmd_score(args):
+    DetectConfig(threshold=args.threshold)  # detect's range check
     rep = _read_report(args.report, args.threshold)
     truth = _read_truth(args.truth)
     m = score(rep, truth)
@@ -490,7 +498,8 @@ def _build_parser():
     sp.add_argument("--clock", type=float, default=None,
                     help="reject insertions that would break this period")
     sp.add_argument("--margin", type=float, default=0.9)
-    sp.add_argument("--stealth-vectors", type=int, default=10000)
+    sp.add_argument("--stealth-vectors", type=int, default=10000,
+                    help="vectors for the stealth check; 0 skips it")
     sp.add_argument("--ref", choices=("auto", "add", "mul", "none"),
                     default="auto")
     sp.add_argument("--out", required=True, metavar="FILE",
@@ -546,10 +555,10 @@ def main(argv=None) -> int:
     parser, registry = _build_parser()
     cfg_path = _peek_config(argv)
     verb = next((a for a in argv if a in registry), None)
-    if cfg_path and verb:
-        _apply_config(registry[verb], _load_config(cfg_path))
-    args = parser.parse_args(argv)
     try:
+        if cfg_path and verb:
+            _apply_config(registry[verb], _load_config(cfg_path), cfg_path)
+        args = parser.parse_args(argv)
         return args.func(args) or 0
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

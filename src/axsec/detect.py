@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
-                     UnknownInstance, check_ranges)
+from .errors import EmptySet, LabelMismatch, SignatureMismatch, check_ranges
 from .netlist import GateKind, Netlist
 from .sim import (VectorStream, check_theta, rare_nets, relative_error,
                   simulate, stream_bits)
@@ -33,7 +32,7 @@ from .sta import calibrated_model, near_critical_paths, paths_to_instances
 __all__ = [
     "DetectConfig", "RankEntry", "InstanceScore", "NetlistReport",
     "DetectionReport", "Metrics", "rank_by_error", "suspect_instances",
-    "resilience_test", "classify", "score", "defender_streams",
+    "classify", "score", "defender_streams",
 ]
 
 
@@ -339,72 +338,42 @@ def _output_values(nl, bits):
     return {w: tr.word_values(b) for w, b in nl.output_words()}
 
 
-def _stress_scores(jobs, peers, budget, config):
-    """Resilience of each ``(netlist, tag, profile)`` job against the
-    per-vector majority of the ``peers`` candidates.
+def _stress_scores(cands, jobs, profiles, config):
+    """Resilience of each ``(candidate index, tag)`` job against the
+    per-vector majority of all candidates.
 
     Every job's stress vectors come from its own per-tag rng, so they do
     not depend on which other jobs share the batch.  The jobs' vectors are
-    concatenated and each distinct netlist is simulated once on the union;
-    only its output word values are kept.  The majority is taken per
-    vector, so scoring a job's column slice of the union gives the same
-    float as simulating that job alone.  A job netlist that is not one of
-    the peers is simulated as an extra, non-voting row.
+    concatenated and each candidate is simulated once on the union, in
+    candidate order; only its output word values are kept.  The majority is
+    taken per vector, so scoring a job's column slice of the union gives
+    the same float as simulating that job alone.
     """
     if not jobs:
         return []
-    if budget <= 0:
-        raise BadParams("stress budget must be positive")
-    for nl, tag, _ in jobs:
-        if not nl.gates_of_tag(tag):
-            raise UnknownInstance(tag)
-    voters = [nl for _, nl in _checked(peers)]
+    budget = config.stress_budget
     stress = []
-    for nl, tag, profile in jobs:
-        if profile is None:
-            profile = _Profile(nl, defender_streams(config))
+    for idx, tag in jobs:
         rng = np.random.default_rng(np.random.SeedSequence(
             (config.seed, 0xE51, zlib.crc32(tag.encode()))))
-        stress.append(_stress_values(nl, tag, budget, profile, config.theta,
-                                     rng))
-    widths = dict(jobs[0][0].signature()[0])
+        stress.append(_stress_values(cands[idx][1], tag, budget,
+                                     profiles[idx], config.theta, rng))
+    first = cands[0][1]
+    widths = dict(first.signature()[0])
     bits = _word_bits({w: np.concatenate([v[w] for v in stress])
                        for w in widths}, widths)
-    rows = {}
-    for nl in voters + [nl for nl, _, _ in jobs]:
-        if id(nl) not in rows:
-            rows[id(nl)] = _output_values(nl, bits)
+    rows = [_output_values(nl, bits) for _, nl in cands]
     tols = {w: config.dev_tol * ((1 << len(b)) - 1)
-            for w, b in jobs[0][0].output_words()}
+            for w, b in first.output_words()}
     scores = []
-    for j, (nl, _, _) in enumerate(jobs):
+    for j, (idx, _) in enumerate(jobs):
         cols = slice(j * budget, (j + 1) * budget)
         deviating = np.zeros(budget, bool)
         for w, tol in tols.items():
-            maj = _majority(np.stack([rows[id(v)][w][cols] for v in voters]),
-                            tol)
-            deviating |= np.abs(rows[id(nl)][w][cols] - maj) > tol
+            maj = _majority(np.stack([r[w][cols] for r in rows]), tol)
+            deviating |= np.abs(rows[idx][w][cols] - maj) > tol
         scores.append(float(1.0 - deviating.mean()))
     return scores
-
-
-def resilience_test(netlist: Netlist, instance_tag: str, budget: int,
-                    peers=None, config: DetectConfig | None = None,
-                    profile: _Profile | None = None) -> float:
-    """Fraction of directed stress vectors on which the netlist still agrees
-    with the candidate majority (1.0 is fully resilient).
-
-    Stress aims at the instance's input cone: small operands, large
-    operands, and composed replays of input values that made cone nets take
-    their rare values during profiling.  ``peers`` supplies the candidates
-    that vote on the expected outputs; a netlist that is not among them does
-    not vote.  Without peers the netlist is its own majority and the score
-    is vacuously 1.
-    """
-    config = config or DetectConfig()
-    (res,) = _stress_scores([(netlist, instance_tag, profile)],
-                            peers or [("self", netlist)], budget, config)
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +442,7 @@ def classify(candidates, config: DetectConfig | None = None) \
             for tag in sorted(nl.instances)
             if nl.instances[tag].kind_label == "approximate"
             and hits[idx].get(tag, 0)]
-    stressed = dict(zip(jobs, _stress_scores(
-        [(cands[idx][1], tag, profiles[idx]) for idx, tag in jobs],
-        cands, config.stress_budget, config)))
+    stressed = dict(zip(jobs, _stress_scores(cands, jobs, profiles, config)))
     reports = []
     for idx, (cid, nl) in enumerate(cands):
         rare = {nl.driver(n).tag for n in profiles[idx].rare(config.theta)}

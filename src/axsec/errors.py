@@ -84,10 +84,6 @@ class SignatureMismatch(ValueError):
     """Candidate netlists disagree on primary I/O words."""
 
 
-class UnknownInstance(KeyError):
-    """Named instance tag does not exist in the netlist."""
-
-
 class EmptySet(ValueError):
     """An operation was handed an empty candidate set."""
 

@@ -376,37 +376,6 @@ class Netlist:
                 f"{len(self.inputs)} PI, {len(self.outputs)} PO)")
 
 
-def structurally_equal(a: Netlist, b: Netlist) -> bool:
-    """True when two netlists are identical up to net-id renumbering.
-
-    Comparison is by net name: the same I/O name sequences, words, gates
-    (id, kind, input names, output name, tag) and instance tables.
-    """
-    def names(nl, ids):
-        return tuple(nl.net_names[i] for i in ids)
-
-    if names(a, a.inputs) != names(b, b.inputs):
-        return False
-    if names(a, a.outputs) != names(b, b.outputs):
-        return False
-    if set(a.words) != set(b.words):
-        return False
-    if any(names(a, a.words[w]) != names(b, b.words[w]) for w in a.words):
-        return False
-    if a.instances != b.instances:
-        return False
-    if len(a.gates) != len(b.gates):
-        return False
-    for ga, gb in zip(a.gates, b.gates):
-        if (ga.id, ga.kind, ga.tag) != (gb.id, gb.kind, gb.tag):
-            return False
-        if names(a, ga.inputs) != names(b, gb.inputs):
-            return False
-        if a.net_names[ga.output] != b.net_names[gb.output]:
-            return False
-    return True
-
-
 class NetlistBuilder:
     """Incremental netlist construction with automatic net numbering.
 
@@ -517,7 +486,7 @@ def flatten(design: Design) -> Netlist:
     module whose gates share one tag collapses onto the instance path.
     Raises :class:`PortMismatch` for unmapped or width-incompatible ports
     and for groups that redefine a port word, and :class:`UnknownModule` for
-    instances that are not modules.
+    instances whose module is not a :class:`Netlist`.
     """
     b = NetlistBuilder()
     _emit(design, b)
@@ -532,8 +501,6 @@ def flatten(design: Design) -> Netlist:
 
 
 def _emit(design: Design, b: NetlistBuilder):
-    # Nested designs are expanded by _place via a recursive flatten, so this
-    # only ever runs for the root.
     words: dict[str, list[int]] = {}
     for name, width in design.inputs:
         nets = [b.pi(f"{name}[{i}]") for i in range(width)]
@@ -544,7 +511,7 @@ def _emit(design: Design, b: NetlistBuilder):
         b.word(name, nets)
         words[name] = nets
     for inst in design.insts:
-        _place(inst, b, words, [design.name])
+        _place(inst, b, words, design.name)
     for name, members in design.groups:
         nets = [n for m in members for n in words[m]]
         b.word(name, nets)
@@ -553,24 +520,17 @@ def _emit(design: Design, b: NetlistBuilder):
             b.po(n)
 
 
-def _place(inst: ModuleInst, b: NetlistBuilder, words, path):
-    tag_path = ".".join(path + [inst.name])
-    mod = inst.module
-    if isinstance(mod, Design):
-        child = flatten(mod)
-        # strip the child's own root name from its hierarchical tags
-        strip = mod.name + "."
-        retag = {t: tag_path + "." + t[len(strip):] if t.startswith(strip)
-                 else tag_path + "." + t for t in child.instances}
-    elif isinstance(mod, Netlist):
-        child = mod
-        tags = set(child.instances)
-        if len(tags) == 1:
-            retag = {next(iter(tags)): tag_path}
-        else:
-            retag = {t: f"{tag_path}.{t}" for t in tags}
+def _place(inst: ModuleInst, b: NetlistBuilder, words, root: str):
+    child = inst.module
+    if not isinstance(child, Netlist):
+        raise UnknownModule(
+            f"instance {inst.name!r}: not a module: {child!r}")
+    tag_path = f"{root}.{inst.name}"
+    tags = set(child.instances)
+    if len(tags) == 1:
+        retag = {next(iter(tags)): tag_path}
     else:
-        raise UnknownModule(f"instance {inst.name!r}: not a module: {mod!r}")
+        retag = {t: f"{tag_path}.{t}" for t in tags}
 
     ports = dict(child.input_words()) | dict(child.output_words())
     for port in inst.conn:

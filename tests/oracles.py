@@ -1,7 +1,8 @@
-"""Reference definitions the simulator is checked against.
+"""Reference definitions the workbench is checked against.
 
-Each one is the plain, per-bit or per-column form of what :mod:`axsec.sim`
-computes in fewer passes; they are kept here only to test it.
+Most are the plain, per-bit or per-column form of what :mod:`axsec.sim`
+computes in fewer passes; :func:`structurally_equal` compares two netlists
+by net name.  They are kept here only for the tests.
 """
 
 import numpy as np
@@ -103,3 +104,34 @@ class ActivitySums:
         self.prev_last = ((c[:, -1] >> np.uint64((n - 1) % 64))
                           & np.uint64(1)).astype(np.int64)
         self.total += n
+
+
+def structurally_equal(a: Netlist, b: Netlist) -> bool:
+    """True when two netlists are identical up to net-id renumbering.
+
+    Comparison is by net name: the same I/O name sequences, words, gates
+    (id, kind, input names, output name, tag) and instance tables.
+    """
+    def names(nl, ids):
+        return tuple(nl.net_names[i] for i in ids)
+
+    if names(a, a.inputs) != names(b, b.inputs):
+        return False
+    if names(a, a.outputs) != names(b, b.outputs):
+        return False
+    if set(a.words) != set(b.words):
+        return False
+    if any(names(a, a.words[w]) != names(b, b.words[w]) for w in a.words):
+        return False
+    if a.instances != b.instances:
+        return False
+    if len(a.gates) != len(b.gates):
+        return False
+    for ga, gb in zip(a.gates, b.gates):
+        if (ga.id, ga.kind, ga.tag) != (gb.id, gb.kind, gb.tag):
+            return False
+        if names(a, ga.inputs) != names(b, gb.inputs):
+            return False
+        if a.net_names[ga.output] != b.net_names[gb.output]:
+            return False
+    return True

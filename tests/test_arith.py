@@ -11,10 +11,10 @@ import pytest
 from axsec.arith import (ARCHS, ArchParams, _Cells, exact_oracle, gen_adder,
                          gen_module, gen_multiplier, model_value)
 from axsec.errors import BadParams
-from axsec.netlist import NetlistBuilder, structurally_equal
+from axsec.netlist import NetlistBuilder
 from axsec.sim import simulate
 
-from tests.oracles import exhaustive_bits
+from tests.oracles import exhaustive_bits, structurally_equal
 
 
 # --- independent scalar models ---------------------------------------------

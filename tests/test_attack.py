@@ -12,25 +12,23 @@ import pytest
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import (AttackConfig, BudgetConstraints, CostWeights,
                           HTInstance, ModuleSpec, attack_score, characterize,
-                          check_budget, insert_trojan, rank_candidates,
-                          verify_stealth)
+                          check_budget, insert_trojan, verify_stealth)
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
-from axsec.netlist import structurally_equal
 from axsec.sim import (VectorStream, activity_profile, error_profile,
                        eval_vector, simulate, stream_bits)
 
-from tests.oracles import word_value
+from tests.oracles import structurally_equal, word_value
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
           "add2": ArchParams("add", "loa", 17, 4)}
 
 
-def _spec(e, p, r, label_k=0):
-    return ModuleSpec(ArchParams("add", "loa", 8, label_k), e, p, 4, r, 9)
+def _spec(e, p, r):
+    return ModuleSpec(ArchParams("add", "loa", 8), e, p, 4, r, 9)
 
 
 @pytest.fixture(scope="module")
@@ -57,18 +55,6 @@ def test_attack_score_hand_value():
 def test_weights_must_be_non_negative():
     with pytest.raises(BadParams):
         CostWeights(-0.1, 0.5)
-
-
-def test_rank_candidates_orders_by_descending_score():
-    a = _spec(0.30, 0.9, 0.0, label_k=1)   # score 0.20
-    b = _spec(0.05, 0.5, 0.1, label_k=2)   # score 0.325
-    c = _spec(0.00, 1.0, 0.0, label_k=3)   # score 0.0
-    ranked = rank_candidates([a, c, b])
-    assert ranked == [b, a, c]
-    # ties resolve on the architecture label
-    t1 = _spec(0.1, 0.9, 0.1, label_k=1)
-    t2 = _spec(0.1, 0.9, 0.1, label_k=2)
-    assert rank_candidates([t2, t1]) == [t1, t2]
 
 
 def test_characterize_exact_is_the_baseline():

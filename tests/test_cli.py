@@ -8,8 +8,9 @@ import pytest
 from axsec.arith import ArchParams, gen_module
 from axsec.cli import main
 from axsec.designs import fir_spec
-from axsec.netlist import structurally_equal
 from axsec.textfmt import read_netlist, write_netlist
+
+from tests.oracles import structurally_equal
 
 
 def _rows(path):
@@ -255,6 +256,33 @@ def _one_error_line(capsys):
     return err[0]
 
 
+@pytest.mark.parametrize("verb,text,message", [
+    ("experiment", "width=abc\n", "job.cfg: width: invalid literal for int()"),
+    ("experiment", "coeffs=\n", "job.cfg: coeffs: empty list"),
+    ("experiment", "seed=3\nwidth\n",
+     "job.cfg:2: expected key=value, got 'width'"),
+    ("experiment", None, "No such file or directory"),
+    ("gen-design", "design=xyz\n", "job.cfg: design: 'xyz' is not one of"),
+    ("profile", "ref=xyz\n", "job.cfg: ref: 'xyz' is not one of"),
+], ids=["bad-int", "empty-list", "no-equals", "missing-file",
+        "gen-design-choice", "profile-choice"])
+def test_bad_config_files_are_user_errors(tmp_path, capsys, kernel_calls,
+                                          verb, text, message):
+    nl = tmp_path / "m.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), nl)
+    cfg = tmp_path / "job.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    args = {"experiment": ["--out", str(out)],
+            "gen-design": ["--out", str(out)],
+            "profile": ["--netlist", str(nl), "--out-dir", str(out)]}[verb]
+    assert main([verb, "--config", str(cfg), *args]) == 2
+    line = _one_error_line(capsys)
+    assert message in line and str(cfg) in line, line
+    assert not out.exists() and not kernel_calls
+
+
 @pytest.mark.parametrize("q", ["0", "-2"])
 def test_attack_rejects_a_trigger_without_taps(tmp_path, capsys, q):
     nl = tmp_path / "v.nl"
@@ -400,6 +428,18 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
     ("experiment", ["--coeffs", "3,5,7"],
      "taps must be a power of two, at least 2"),
     ("experiment", ["--width", "2"], "constant 5 does not fit in 2 bits"),
+    ("gen-design", ["--assign", "mul0=trunc:x"], "got 'mul0=trunc:x'"),
+    ("gen-design", ["--assign", "mul0=trunc:3:zz"], "got 'mul0=trunc:3:zz'"),
+    ("gen-design", ["--assign", "mul0=trunc:3:c:9"],
+     "got 'mul0=trunc:3:c:9'"),
+    ("gen-design", ["--assign", "mul0=trunc:3:zz:9"],
+     "got 'mul0=trunc:3:zz:9'"),
+    ("score", ["--threshold", "nan"], "threshold must be in (0, 1]"),
+    ("score", ["--threshold", "-3"], "threshold must be in (0, 1]"),
+    ("score", ["--threshold", "0"], "threshold must be in (0, 1]"),
+    ("score", ["--threshold", "1.5"], "threshold must be in (0, 1]"),
+    ("attack", ["--stealth-vectors", "-5"],
+     "stealth_vectors must be non-negative"),
 ], ids=["detect-theta-0.9", "detect-theta-0", "detect-theta-nan",
         "experiment-detect-theta-nan", "experiment-delta-e-nan",
         "detect-margin-0", "detect-margin-nan", "detect-scales-0",
@@ -419,7 +459,11 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
         "experiment-rho-nan", "experiment-width-1",
         "experiment-infected-fraction-nan", "experiment-n-variants-0",
         "experiment-twiddle-0", "experiment-coeffs-3",
-        "experiment-coeffs-too-wide"])
+        "experiment-coeffs-too-wide", "gen-design-assign-k",
+        "gen-design-assign-carry", "gen-design-assign-fourth",
+        "gen-design-assign-carry-fourth", "score-threshold-nan",
+        "score-threshold-neg", "score-threshold-0", "score-threshold-1.5",
+        "attack-stealth-vectors-neg"])
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
                                                     kernel_calls, verb,
                                                     flags, message):
@@ -459,7 +503,12 @@ def _assert_rejected(tmp_path, capsys, verb, flags, message,
             "attack": ["--netlist", str(nl), "--secret", "coef",
                        "--out", str(out),
                        "--report", str(tmp_path / "report.csv")],
-            "profile": ["--netlist", str(nl), "--out-dir", str(out)]}
+            "profile": ["--netlist", str(nl), "--out-dir", str(out)],
+            "gen-design": ["--design", "fir", "--out", str(out)],
+            # the threshold is checked before either file is read
+            "score": ["--report", str(tmp_path / "report.csv"),
+                      "--truth", str(tmp_path / "truth.csv"),
+                      "--out", str(out)]}
     assert main([verb] + flags + args[verb]) == 2
     assert message in _one_error_line(capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["c"]

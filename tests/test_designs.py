@@ -10,10 +10,10 @@ from axsec.designs import (bfly_design, bfly_spec, const_module, fir_design,
 from axsec.errors import BadParams
 from axsec.experiment import (ExperimentConfig, characterize_library,
                               generate_variants)
-from axsec.netlist import flatten, structurally_equal
+from axsec.netlist import flatten
 from axsec.sim import VectorStream, eval_vector, simulate, sub_seed
 
-from tests.oracles import word_value
+from tests.oracles import structurally_equal, word_value
 
 
 def test_fir_slots_and_widths():

@@ -9,10 +9,10 @@ from axsec.attack import AttackConfig, insert_trojan
 from axsec.designs import bfly_spec, fir_spec
 from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
                           Metrics, NetlistReport, classify, defender_streams,
-                          rank_by_error, resilience_test, score,
-                          suspect_instances, _majority)
+                          rank_by_error, score, suspect_instances, _checked,
+                          _majority, _Profile, _stress_scores)
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
-                          SignatureMismatch, UnknownInstance)
+                          SignatureMismatch)
 from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, simulate
 
@@ -194,47 +194,14 @@ def test_suspect_instances_cover_the_slow_cone(trio):
 
 # -- resilience -------------------------------------------------------------
 
-def test_resilience_is_vacuous_without_peers(trio):
-    cands, _ = trio
-    assert resilience_test(cands["v0"], "top.add2", 50) == 1.0
-
-
-def test_resilience_flags_the_host_against_peers(trio):
-    cands, ht = trio
-    (host,) = ht.host_instances
-    res = resilience_test(cands["v2"], host, 300, peers=cands)
-    assert 0.0 <= res < 1.0
-
-
 def test_resilience_pinned_values(trio):
-    """Figures recorded before stress vectors were batched across
+    """Figure recorded before stress vectors were batched across
     instances."""
     cands, ht = trio
     (host,) = ht.host_instances
-    assert resilience_test(cands["v2"], host, 300, peers=cands) \
-        == 0.9733333333333334
-    # a netlist outside its peers does not vote: with it as a third row the
-    # add2 score would read 0.9466..., not 0.0
-    rough = SPEC.build({"add0": ArchParams("add", "trunc", 16, 12),
-                        "add2": ArchParams("add", "trunc", 17, 12)})
-    peers = {"v0": cands["v0"], "v1": cands["v1"]}
-    cfg = DetectConfig(dev_tol=0.0)
-    assert resilience_test(rough, "top.add2", 300, peers, cfg) == 0.0
-    assert resilience_test(rough, "top.mul0", 300, peers, cfg) \
-        == 0.010000000000000009
-
-
-def test_resilience_input_validation(trio):
-    cands, _ = trio
-    with pytest.raises(BadParams):
-        resilience_test(cands["v0"], "top.add2", 0)
-    with pytest.raises(UnknownInstance):
-        resilience_test(cands["v0"], "top.addX", 10)
-    # the stress arguments are checked before the peers
-    with pytest.raises(BadParams):
-        resilience_test(cands["v0"], "top.add2", 0,
-                        {"a": cands["v0"],
-                         "b": fir_spec(4, (1, 2, 3, 4)).build(None)})
+    by_tag = {e.tag: e for r in classify(cands).netlists
+              if r.netlist_id == "v2" for e in r.instances}
+    assert by_tag[host].resilience == 0.9733333333333334
 
 
 # -- classification ---------------------------------------------------------
@@ -271,9 +238,13 @@ def test_classify_resilience_matches_standalone_test(trio):
     scored = [(r.netlist_id, e.tag, e.resilience) for r in rep.netlists
               for e in r.instances if e.resilience is not None]
     assert len({cid for cid, _, _ in scored}) == len(cands)
+    # each score equals that of a batch holding its job alone
+    checked = _checked(cands)
+    idx = {cid: i for i, (cid, _) in enumerate(checked)}
+    profiles = [_Profile(nl, defender_streams(config)) for _, nl in checked]
     for cid, tag, res in scored:
-        assert res == resilience_test(cands[cid], tag, config.stress_budget,
-                                      cands, config), (cid, tag)
+        assert _stress_scores(checked, [(idx[cid], tag)], profiles,
+                              config) == [res], (cid, tag)
 
 
 def test_classify_simulates_each_candidate_once_for_stress(trio,

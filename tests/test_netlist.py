@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axsec.designs import bfly_spec, fir_spec
-from axsec.errors import CycleError, PortMismatch, SemanticError
+from axsec.errors import (CycleError, PortMismatch, SemanticError,
+                          UnknownModule)
 from axsec.netlist import (Design, Gate, GateKind, ModuleInst, Netlist,
-                           NetlistBuilder, flatten, structurally_equal)
+                           NetlistBuilder, flatten)
+
+from tests.oracles import structurally_equal
 
 
 def _and2():
@@ -159,6 +162,19 @@ def test_flatten_rejects_a_group_that_redefines_a_port():
     d.groups = [("x", ["x", "y"])]
     with pytest.raises(PortMismatch, match="'x' is 8 bits, declared 4"):
         flatten(d)
+
+
+def test_flatten_rejects_an_instance_that_is_not_a_netlist():
+    ports = {"a": "a", "b": "b", "y": "y"}
+    io = {"inputs": [("a", 1), ("b", 1)], "outputs": [("y", 1)]}
+    inner = Design("inner", insts=[ModuleInst("g", _and2(), ports)], **io)
+    assert flatten(inner).n_nets == 3
+    # a nested design is not expanded: only flat netlists are modules
+    for mod in (inner, "and2", None):
+        d = Design("top", insts=[ModuleInst("sub", mod, ports)], **io)
+        with pytest.raises(UnknownModule,
+                           match="instance 'sub': not a module"):
+            flatten(d)
 
 
 def test_ungrouped_nets_become_one_bit_words():

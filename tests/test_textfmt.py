@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec.errors import ParseError, SemanticError
-from axsec.netlist import GateKind, NetlistBuilder, structurally_equal
-from axsec.textfmt import read_netlist, write_netlist
+from axsec.designs import bfly_spec
+from axsec.errors import NetlistError, ParseError, SemanticError
+from axsec.netlist import GateKind, Netlist, NetlistBuilder
+from axsec.textfmt import (parse_netlist, read_netlist, serialize_netlist,
+                           write_netlist)
+
+from tests.oracles import structurally_equal
 
 CANON = """\
 input a0
@@ -112,3 +116,49 @@ def test_roundtrip_is_a_fixpoint(tmp_path_factory, nl):
     assert structurally_equal(nl, again)
     write_netlist(again, d / "b.nl")
     assert (d / "a.nl").read_bytes() == (d / "b.nl").read_bytes()
+
+
+_BFLY = serialize_netlist(bfly_spec().build(None)).splitlines()
+_TOKENS = sorted({t for line in _BFLY for t in line.split()}
+                 | {"-1", "x", "#", "gate", "tag", "inst", "word", "AND"})
+
+
+@st.composite
+def _mutated_bfly(draw):
+    """The default butterfly's text after 1-3 random line mutations: a
+    line deleted, duplicated or swapped, or one of its tokens dropped,
+    inserted or replaced."""
+    lines = list(_BFLY)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "drop",
+                                   "insert", "replace"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split()
+            k = draw(st.integers(0, len(toks)))
+            tok = draw(st.sampled_from(_TOKENS))
+            if op == "insert" or not toks:
+                toks.insert(k, tok)
+            elif op == "drop":
+                del toks[k % len(toks)]
+            else:
+                toks[k % len(toks)] = tok
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_bfly())
+def test_mutated_text_parses_or_raises_a_netlist_error(text):
+    try:
+        nl = parse_netlist(text)
+    except NetlistError:
+        return
+    assert isinstance(nl, Netlist)
