@@ -37,7 +37,7 @@ from .sim import (EXACT_OPS, VectorStream, activity_and_error,
                   simulate, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths, slacks)
-from .textfmt import read_netlist, write_netlist
+from .textfmt import read_netlist, read_text, write_netlist
 
 __all__ = ["main"]
 
@@ -64,10 +64,13 @@ _ints = _tuple_of(int)
 _floats = _tuple_of(float)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _load_config(path):
     cfg = {}
-    for lno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lno, line in enumerate(read_text(path).splitlines(), 1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
@@ -86,7 +89,10 @@ def _apply_config(sp, cfg, path):
         if raw is None:
             continue
         if action.nargs == 0 and isinstance(action.const, bool):
-            val = raw.lower() in ("1", "true", "yes", "on")
+            val = _BOOLS.get(raw.lower())
+            if val is None:
+                raise BadParams(f"{path}: {action.dest}: {raw!r} is not one "
+                                f"of {list(_BOOLS)}")
         else:
             try:
                 val = raw if action.type is None else action.type(raw)

@@ -23,11 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .arith import ArchParams, gen_module
-from .errors import BadParams
+from .errors import BadParams, check_ranges
 from .netlist import (Design, GateKind, ModuleInst, Netlist, NetlistBuilder,
                       flatten)
+
+
+def _check_width(width: int):
+    check_ranges(SimpleNamespace(width=width),
+                 (("width", width >= 2, "at least 2"),))
 
 
 def _check_const(value: int, width: int):
@@ -266,6 +272,7 @@ def _builder(design, params):
 
 
 def fir_spec(width: int = 8, coeffs=(3, 5, 7, 9)) -> DesignSpec:
+    _check_width(width)
     coeffs = tuple(coeffs)
     slots = tuple(fir_slots(width, len(coeffs)))
     for c in coeffs:
@@ -279,6 +286,7 @@ def fir_spec(width: int = 8, coeffs=(3, 5, 7, 9)) -> DesignSpec:
 
 
 def bfly_spec(width: int = 8, twiddle: int = 3) -> DesignSpec:
+    _check_width(width)
     return DesignSpec(
         name=f"bfly{width}t{twiddle}",
         slots=tuple(bfly_slots(width, twiddle)),

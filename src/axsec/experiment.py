@@ -73,7 +73,6 @@ class ExperimentConfig:
         if self.design not in ("fir", "bfly"):
             raise BadParams(f"unknown design {self.design!r}")
         check_ranges(self, (
-            ("width", self.width >= 2, "at least 2"),
             ("n_variants", self.n_variants >= 1, "at least 1"),
             ("infected_fraction", 0.0 <= self.infected_fraction <= 1.0,
              "in [0, 1]"),

@@ -119,9 +119,6 @@ class Netlist:
     def net_id(self, name):
         return self._net_id[name]
 
-    def gate_by_id(self, gid):
-        return self._gate_by_id[gid]
-
     def driver(self, net):
         """Gate driving ``net`` or None for primary inputs."""
         gid = self._driver[net]
@@ -279,13 +276,9 @@ class Netlist:
         return self._levels
 
     def ordered_gates(self):
-        """The gates of :meth:`levels`, level after level."""
+        """The gates of :meth:`levels`, level after level, so every gate
+        follows the drivers of its inputs."""
         return self._ordered
-
-    def topo_order(self):
-        """Gate ids in :meth:`levels` order, so every gate follows the
-        drivers of its inputs."""
-        return tuple(g.id for g in self._ordered)
 
     @cached_property
     def plan(self):

@@ -1,21 +1,18 @@
 """Static timing analysis over the gate graph.
 
-Unit-delay by default: every gate costs 1.0, constants cost 0.0, and a
-:class:`DelayModel` can override per-kind costs or scale everything (used to
-probe the same netlist at several delay scales).  Arrival times are the
-longest path from any primary input; slack is measured against a clock
-period.
+One delay scale times every netlist: each gate costs ``scale`` (1.0 by
+default), constants cost nothing.  Detection probes the same netlist at a
+few scales.  Arrival times are the longest path from any primary input;
+slack is measured against a clock period.
 
 :func:`near_critical_paths` enumerates complete input-to-output paths whose
-slack falls inside a window below the clock, longest first.  Uniform-delay
-models take an exact-length enumeration shortcut that never visits paths
-outside the band; mixed-delay models fall back to best-first search with
-longest/shortest completion bounds per net.
+slack falls inside a window below the clock, longest first, with one walk:
+every path of g gates costs ``scale * g``, so the window maps to a range of
+gate counts and paths outside it are never visited.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -28,38 +25,25 @@ from .netlist import GateKind, Netlist
 
 _EPS = 1e-9
 
-_DEFAULT_DELAYS = {k: 1.0 for k in GateKind}
-_DEFAULT_DELAYS[GateKind.CONST0] = 0.0
-_DEFAULT_DELAYS[GateKind.CONST1] = 0.0
 _CONSTS = frozenset((GateKind.CONST0, GateKind.CONST1))
 
 
+@dataclass(frozen=True, kw_only=True)
 class DelayModel:
-    """Per-gate-kind delay table with a global scale factor, which must be
-    positive and finite.  Models with equal tables and scales are equal."""
+    """Unit gate delays under a global scale, which must be positive and
+    finite: every gate costs ``scale``, constants cost nothing."""
 
-    def __init__(self, delays=None, scale: float = 1.0):
-        table = dict(_DEFAULT_DELAYS)
-        if delays:
-            table.update(delays)
-        self._table = tuple(table[k] for k in GateKind)
-        self.scale = float(scale)
+    scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "scale", float(self.scale))
         check_ranges(self, (("scale", self.scale),))
 
-    def __eq__(self, other):
-        return (isinstance(other, DelayModel) and self._table == other._table
-                and self.scale == other.scale)
-
-    def __hash__(self):
-        return hash((self._table, self.scale))
-
     def of(self, kind: GateKind) -> float:
-        return self._table[kind] * self.scale
+        return 0.0 if kind in _CONSTS else self.scale
 
     def scaled(self, factor: float) -> "DelayModel":
-        m = DelayModel(scale=self.scale * factor)
-        m._table = self._table
-        return m
+        return DelayModel(scale=self.scale * factor)
 
 
 def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
@@ -119,15 +103,12 @@ class TimingPath:
     slack: float
     tags: tuple
 
-    def __len__(self):
-        return len(self.nets)
-
 
 def _path_index(nl: Netlist):
-    """What the uniform walk needs of a netlist and no delay model changes:
+    """What the path walk needs of a netlist and no delay scale changes:
     each net's readers sorted by output net, the suffix-length bitmasks
     (bit k of a net's mask: some path of k gates runs from it to an
-    output), the gate kinds present and the sorted primary inputs."""
+    output) and the sorted primary inputs."""
     by_out = attrgetter("output")
     cons = [rs if len(rs) < 2 else sorted(rs, key=by_out)
             for rs in map(nl.readers, range(nl.n_nets))]
@@ -139,30 +120,20 @@ def _path_index(nl: Netlist):
         if s:
             for i in g.inputs:
                 suf[i] |= s << 1
-    return cons, suf, frozenset(g.kind for g in nl.gates), sorted(nl.inputs)
-
-
-def _uniform_delay(kinds, model: DelayModel):
-    """Common positive delay of every non-constant gate kind present, or
-    None when the model mixes delays (constants must cost nothing)."""
-    delays = {model.of(k) for k in kinds - _CONSTS}
-    if len(delays) != 1 or any(model.of(k) != 0.0 for k in kinds & _CONSTS):
-        return None
-    u = delays.pop()
-    return u if u > 0.0 else None
+    return cons, suf, sorted(nl.inputs)
 
 
 def _uniform_paths(index, u: float, clock: float, n_paths: int,
                    lo: float) -> list[TimingPath]:
-    """Exact-length path enumeration for uniform gate delays.
+    """Exact-length path enumeration for gate delay ``u``.
 
     Every complete path of g gates costs u*g, so the slack band maps to a
     small range of gate counts and paths can be walked longest-first with a
     per-net bitmask of achievable completion lengths.  Out-of-band paths
     are never visited, which keeps this immune to the path explosion above
-    the clock that the general search would have to wade through.
+    the clock.
     """
-    cons, suf, _, pis = index
+    cons, suf, pis = index
     hi_len = math.floor((clock + _EPS) / u)
     lo_len = max(0, math.ceil((lo - _EPS) / u))
     out = []
@@ -225,55 +196,8 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
     lo = clock - window
     if n_paths == 0:
         return []
-    index = nl.memo(_path_index)
-    u = _uniform_delay(index[2], model)
-    if u is not None:
-        return _uniform_paths(index, u, clock, n_paths, lo)
-
-    # longest and shortest completion distance from each net to any output
-    maxsuf = np.full(nl.n_nets, -np.inf)
-    minsuf = np.full(nl.n_nets, np.inf)
-    po_set = frozenset(nl.outputs)
-    for o in po_set:
-        maxsuf[o], minsuf[o] = 0.0, 0.0
-    for g in reversed(nl.ordered_gates()):
-        if maxsuf[g.output] == -np.inf:
-            continue
-        d = model.of(g.kind)
-        for i in g.inputs:
-            maxsuf[i] = max(maxsuf[i], d + maxsuf[g.output])
-            minsuf[i] = min(minsuf[i], d + minsuf[g.output])
-
-    # heap items: (-best_total, nets, 0 if complete else 1, dist, gate_ids)
-    heap = []
-    for pi in nl.inputs:
-        if maxsuf[pi] >= lo - _EPS:
-            heapq.heappush(heap, (-maxsuf[pi], (pi,), 1, 0.0, ()))
-    out = []
-    while heap and len(out) < n_paths:
-        neg, nets, partial, dist, gids = heapq.heappop(heap)
-        if -neg < lo - _EPS:
-            break
-        if not partial:
-            slack = clock - dist
-            if slack < -_EPS:
-                continue
-            tags = tuple(dict.fromkeys(nl.gate_by_id(g).tag for g in gids))
-            out.append(TimingPath(nets, gids, dist, slack, tags))
-            continue
-        net = nets[-1]
-        if net in po_set and dist >= lo - _EPS:
-            heapq.heappush(heap, (-dist, nets, 0, dist, gids))
-        for g in nl.readers(net):
-            d2 = dist + model.of(g.kind)
-            if d2 + maxsuf[g.output] < lo - _EPS:
-                continue
-            if d2 + minsuf[g.output] > clock + _EPS:
-                continue
-            heapq.heappush(
-                heap, (-(d2 + maxsuf[g.output]), nets + (g.output,), 1, d2,
-                       gids + (g.id,)))
-    return out
+    return _uniform_paths(nl.memo(_path_index), model.scale, clock, n_paths,
+                          lo)
 
 
 def paths_to_instances(paths) -> list[tuple[str, int]]:

@@ -114,9 +114,19 @@ def _serialize(nl: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise a
+    :class:`ParseError` that names the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                         f"{exc.reason})") from None
+
+
 def read_netlist(path) -> Netlist:
-    with open(path, encoding="utf-8") as f:
-        return parse_netlist(f.read())
+    return parse_netlist(read_text(path))
 
 
 def write_netlist(nl: Netlist, path):

@@ -25,9 +25,10 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def random_dag(rng, mixed):
+def random_dag(rng):
     """A small random AND/OR/XOR/NAND/NOT netlist from a numpy generator,
-    with unit delays under a scale, or a mixed per-kind table."""
+    timed under a delay scale drawn from a continuous range, so path
+    delays are sums of a non-integer scale."""
     b = NetlistBuilder()
     nets = [b.pi(f"x{i}") for i in range(int(rng.integers(2, 5)))]
     b.instance("u", "deterministic", "misc", "exact")
@@ -44,15 +45,7 @@ def random_dag(rng, mixed):
     for n in nets:
         if n not in consumed:
             b.po(n)
-    nl = b.build()
-    if mixed:
-        model = DelayModel({k: float(rng.integers(1, 4))
-                            for k in (GateKind.AND, GateKind.OR,
-                                      GateKind.XOR, GateKind.NAND,
-                                      GateKind.NOT)})
-    else:
-        model = DelayModel(scale=float(rng.integers(1, 3)))
-    return nl, model
+    return b.build(), DelayModel(scale=float(rng.uniform(0.5, 3.0)))
 
 
 _TAGS = ("u", "v", "w")
@@ -85,8 +78,5 @@ def dags(draw, max_gates=24):
 
 @st.composite
 def timed_dags(draw):
-    """A :func:`dags` netlist under a partial per-kind delay table and a
-    scale."""
-    table = draw(st.dictionaries(st.sampled_from(GateKind),
-                                 st.floats(0.0, 4.0)))
-    return draw(dags()), DelayModel(table, draw(st.floats(0.1, 3.0)))
+    """A :func:`dags` netlist under a delay scale."""
+    return draw(dags()), DelayModel(scale=draw(st.floats(0.1, 3.0)))

@@ -212,7 +212,7 @@ def test_04_timing_against_exhaustive_path_enumeration():
     crit_ok = paths_ok = 0
     most = 0
     for trial in range(50):
-        nl, model = random_dag(rng, mixed=bool(trial % 2))
+        nl, model = random_dag(rng)
         every = _enumerate_paths(nl, model)
         most = max(most, len(every))
         assert len(every) <= 10 ** 4

@@ -264,8 +264,10 @@ def _one_error_line(capsys):
     ("experiment", None, "No such file or directory"),
     ("gen-design", "design=xyz\n", "job.cfg: design: 'xyz' is not one of"),
     ("profile", "ref=xyz\n", "job.cfg: ref: 'xyz' is not one of"),
+    ("gen-design", "design=fir\nlist_slots=maybe\n",
+     "job.cfg: list_slots: 'maybe' is not one of"),
 ], ids=["bad-int", "empty-list", "no-equals", "missing-file",
-        "gen-design-choice", "profile-choice"])
+        "gen-design-choice", "profile-choice", "gen-design-boolean"])
 def test_bad_config_files_are_user_errors(tmp_path, capsys, kernel_calls,
                                           verb, text, message):
     nl = tmp_path / "m.nl"
@@ -534,4 +536,59 @@ def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):
     assert main(["attack", "--netlist", str(nl), "--clock", "10",
                  "--out", str(out)]) == 2
     assert "rare nets" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,row", [
+    ("input a\noutput a\n", "1,0.0,10.0,a,"),
+    ("input a\noutput a\noutput k\ngate 0 CONST1 k\n", "1,0.0,10.0,a,"),
+    ("input a\noutput y\ngate 0 BUF y a\n", "1,1.0,9.0,a>y,u"),
+], ids=["no-gates", "const-only", "one-buf"])
+def test_sta_lists_the_paths_of_tiny_netlists(tmp_path, text, row):
+    # netlists without a non-constant gate go through the same path walk
+    nl = tmp_path / "t.nl"
+    nl.write_text(text)
+    out = tmp_path / "paths.csv"
+    assert main(["sta", "--netlist", str(nl), "--clock", "10",
+                 "--window", "20", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "rank,delay,slack,nets,instances", row]
+
+
+@pytest.mark.parametrize("flag", ["--netlist", "--config"])
+def test_a_file_that_is_not_utf8_is_a_user_error(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    nl = tmp_path / "wire.nl"
+    nl.write_text("input a\noutput a\n")
+    out = tmp_path / "scoap.csv"
+    args = {"--netlist": ["--netlist", str(bad)],
+            "--config": ["--config", str(bad), "--netlist", str(nl)]}[flag]
+    assert main(["scoap", *args, "--out", str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert f"{bad}: not UTF-8 text" in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,listed", [("off", False), ("No", False),
+                                          ("Yes", True), ("ON", True)])
+def test_boolean_config_values_in_any_case(tmp_path, capsys, value, listed):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"list_slots={value}\n")
+    out = tmp_path / "v.nl"
+    assert main(["gen-design", "--config", str(cfg), "--design", "fir",
+                 "--out", str(out)]) in (0, None)
+    assert out.exists() != listed
+    assert ("mul0 mul 8" in capsys.readouterr().out) == listed
+
+
+@pytest.mark.parametrize("design", ["fir", "bfly"])
+@pytest.mark.parametrize("width", ["-1", "0", "1"])
+def test_gen_design_rejects_a_width_below_two(tmp_path, capsys, design,
+                                              width):
+    # a negative width used to end in a "negative shift count" traceback
+    out = tmp_path / "v.nl"
+    assert main(["gen-design", "--design", design, "--width", width,
+                 "--out", str(out)]) == 2
+    assert f"width must be at least 2, got {width}" in _one_error_line(capsys)
     assert not out.exists()

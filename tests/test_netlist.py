@@ -101,13 +101,13 @@ def test_cycle_detection_names_the_loop():
     b.gate(GateKind.BUF, (x,), out=y, tag="u")
     b.po(y)
     with pytest.raises(CycleError) as exc:
-        b.build().topo_order()
+        b.build()
     assert set(exc.value.cycle) <= {x, y}
 
 
 def test_topo_order_respects_dependencies():
     nl = _and2()
-    gates = [nl.gate_by_id(gid) for gid in nl.topo_order()]
+    gates = nl.ordered_gates()
     pos = {g.output: i for i, g in enumerate(gates)}
     for g in gates:
         for i in g.inputs:
@@ -226,8 +226,7 @@ def test_random_layered_builds_are_valid(data):
         nets.append(b.gate(kind, ins, tag="u"))
     b.po(nets[-1])
     nl = b.build()
-    order = nl.topo_order()
-    assert len(order) == n_gates
+    assert len(nl.ordered_gates()) == n_gates
     again = NetlistBuilder(nl).build()
     assert structurally_equal(nl, again)
 
@@ -293,9 +292,10 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
         below = [level[nl.driver(i).id] for i in g.inputs
                  if nl.driver(i) is not None]
         assert level[g.id] == 1 + max(below, default=-1)
-    assert list(nl.topo_order()) == sorted(level,
-                                           key=lambda i: (level[i], i))
-    assert nl.ordered_gates() == tuple(map(nl.gate_by_id, nl.topo_order()))
+    order = sorted(level, key=lambda i: (level[i], i))
+    assert [g.id for g in nl.ordered_gates()] == order
+    by_id = {g.id: g for g in nl.gates}
+    assert nl.ordered_gates() == tuple(by_id[i] for i in order)
     pins = [i for g in nl.gates for i in g.inputs]
     for n in range(nl.n_nets):
         assert nl.readers(n) == tuple(g for g in nl.gates if n in g.inputs)
