@@ -11,9 +11,9 @@ run; the ``axsec`` executable exposes every step on the command line.
 
 from .arith import ARCHS, ArchParams, gen_adder, gen_module, gen_multiplier
 from .attack import (AttackConfig, BudgetCheck, BudgetConstraints,
-                     CostWeights, HTInstance, ModuleSpec, StealthReport,
-                     attack_score, characterize, check_budget,
-                     insert_trojan, verify_stealth)
+                     HTInstance, ModuleSpec, StealthReport, attack_score,
+                     characterize, check_budget, insert_trojan,
+                     verify_stealth)
 from .designs import DesignSpec, bfly_spec, fir_spec, flatten
 from .detect import (DetectConfig, DetectionReport, InstanceScore, Metrics,
                      NetlistReport, RankEntry, classify, defender_streams,

@@ -2,9 +2,9 @@
 
 Each generator emits a flat :class:`~axsec.netlist.Netlist` with input words
 ``a`` and ``b`` and a single output word (``s`` for adders, ``p`` for
-multipliers), all gates carrying one instance tag.  ``model_value`` gives the
-integer behavioral model of every architecture; generated netlists are
-bit-exact to it (the test suite checks this exhaustively for small widths).
+multipliers), all gates carrying one instance tag.  The exact word-level
+operator lives in :data:`axsec.sim.EXACT_OPS`; the test suite checks every
+architecture exhaustively for small widths against its own scalar model.
 
 Architectures
 -------------
@@ -33,7 +33,6 @@ from functools import lru_cache
 from .errors import BadParams
 from .netlist import GateKind, Netlist, NetlistBuilder
 
-OPS = ("add", "mul")
 ARCHS = ("exact", "loa", "trunc", "block22")
 
 
@@ -72,49 +71,6 @@ def _check(params: ArchParams, op: str):
         raise BadParams(f"k must satisfy 0 <= k < width, got k={p.k}")
     if p.arch_id == "block22" and p.width % 2:
         raise BadParams("block22 requires an even width")
-
-
-def exact_oracle(op_type: str, a: int, b: int, width: int) -> int:
-    """Reference integer result of the exact operator."""
-    return model_value(ArchParams(op_type, "exact", width), a, b)
-
-
-def model_value(params: ArchParams, a: int, b: int) -> int:
-    """Integer behavioral model of the architecture selected by ``params``.
-
-    Raises :class:`BadParams` for an operand outside ``[0, 2**width)``.
-    """
-    p = params
-    w, k = p.width, p.k
-    for name, v in (("a", a), ("b", b)):
-        if not 0 <= v < 1 << w:
-            raise BadParams(f"operand {name}={v} does not fit {w} bits")
-    if p.arch_id == "exact" or k == 0:
-        return a + b if p.op_type == "add" else a * b
-    if p.op_type == "add":
-        if p.arch_id == "loa":
-            lo = (a | b) & ((1 << k) - 1)
-            cin = (a >> (k - 1)) & (b >> (k - 1)) & 1 if p.loa_and_carry else 0
-            return (((a >> k) + (b >> k) + cin) << k) | lo
-        if p.arch_id == "trunc":
-            return ((a >> k) + (b >> k)) << k
-    else:
-        if p.arch_id == "trunc":
-            return sum(((a >> i) & (b >> j) & 1) << (i + j)
-                       for i in range(w) for j in range(w) if i + j >= k)
-        if p.arch_id == "block22":
-            return _block22_value(a, b, w, k)
-    raise BadParams(f"no model for {p}")
-
-
-def _block22_value(a, b, w, k):
-    total = 0
-    for i in range(w // 2):
-        for j in range(w // 2):
-            x, y = (a >> (2 * i)) & 3, (b >> (2 * j)) & 3
-            p = 7 if 2 * (i + j) < k and x == 3 and y == 3 else x * y
-            total += p << (2 * (i + j))
-    return total
 
 
 # ---------------------------------------------------------------------------

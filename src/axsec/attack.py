@@ -12,8 +12,8 @@ witness is replayed on the built netlist, and a netlist is only emitted
 together with a witness that fired its trigger.
 
 Stealth error is the difference of two :func:`axsec.sim.error_profile`
-figures and checks :meth:`Netlist.signature`; :func:`_fire_mask` alone
-evaluates a trigger over simulated traces.
+figures and checks :meth:`Netlist.signature`; the trigger rate is read off
+the built trigger net alone (:meth:`HTInstance.trigger_rate`).
 """
 
 from __future__ import annotations
@@ -29,23 +29,10 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
                      UnitMismatch, WouldViolateTiming, check_ranges)
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
-from .sim import (ActivityReport, PowerProxy, VectorStream,
+from .sim import (EXACT_OPS, ActivityReport, PowerProxy, VectorStream,
                   activity_profile, check_theta, error_profile, eval_vector,
                   power_proxy, rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """Priority weights of the selection cost: accuracy+power vs rare
-    nets."""
-
-    w_ap: float = 0.5
-    w_r: float = 0.5
-
-    def __post_init__(self):
-        if self.w_ap < 0 or self.w_r < 0:
-            raise BadParams("weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -68,7 +55,7 @@ def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     stream and kept with the shared exact netlist."""
     nl = gen_module(params)
     run = simulate(nl, stream)
-    err = error_profile(nl, params, run)
+    err = error_profile(nl, EXACT_OPS[params.op_type], run)
     act = activity_profile(nl, run)
     base_nl = gen_module(ArchParams(params.op_type, "exact", params.width))
     base = (base_nl.memo(_power, stream) if isinstance(stream, VectorStream)
@@ -85,11 +72,10 @@ def _power(nl: Netlist, stream) -> PowerProxy:
     return power_proxy(nl, activity_profile(nl, stream))
 
 
-def attack_score(spec: ModuleSpec, weights: CostWeights = CostWeights()) -> float:
-    """Selection cost: error gained plus power saved, plus rare-net supply;
-    higher means a more attractive host."""
-    return (weights.w_ap * (spec.e_norm + (1.0 - spec.p_norm))
-            + weights.w_r * spec.r_norm)
+def attack_score(spec: ModuleSpec) -> float:
+    """Selection cost: error gained plus power saved, plus rare-net supply,
+    weighted equally; higher means a more attractive host."""
+    return 0.5 * (spec.e_norm + (1.0 - spec.p_norm)) + 0.5 * spec.r_norm
 
 
 @dataclass(frozen=True)
@@ -102,8 +88,9 @@ class BudgetConstraints:
     delta_p: float
 
     def __post_init__(self):
-        if not (self.delta_e > 0 and self.delta_p > 0):  # also rejects NaN
-            raise BadParams("budget slacks must be positive")
+        # written as comparisons, so NaN is rejected as well
+        if not (0 < self.delta_e < math.inf and 0 < self.delta_p < math.inf):
+            raise BadParams("budget slacks must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -171,8 +158,10 @@ class HTInstance:
     tap_instances: tuple     # tags whose nets the trigger taps (informative)
     trigger_net: int
 
-    def witness_dict(self):
-        return dict(self.witness)
+    def trigger_rate(self, run) -> float:
+        """Fraction of a simulated run's vectors on which the trigger net
+        fires; the net is the AND tree of the tap literals."""
+        return int(run.bits(self.trigger_net).sum()) / run.n_vectors
 
 
 def _and_tree(b, nets, tag):
@@ -192,14 +181,6 @@ def _replace_output(b, old, new):
     b.outputs = [new if n == old else n for n in b.outputs]
     for w, bits in b.words.items():
         b.words[w] = [new if n == old else n for n in bits]
-
-
-def _fire_mask(tr, taps):
-    """Per-vector truth of the trigger conjunction over simulated traces."""
-    fire = np.ones(tr.n_vectors, bool)
-    for net, val in taps:
-        fire &= tr.bits(net) == val
-    return fire
 
 
 def insert_trojan(nl: Netlist, activity: ActivityReport,
@@ -351,7 +332,7 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     ``reference`` is anything :func:`~axsec.sim.error_sums` accepts;
     error_delta is the infected-minus-clean difference of MRED against it
     (:func:`~axsec.sim.error_profile`).  trigger_rate counts cycles where
-    every trigger literal holds.  Both runs are held whole in memory.
+    the trigger net fires.  Both runs are held whole in memory.
     """
     if clean.signature() != infected.signature():
         raise SignatureMismatch("clean and infected netlists disagree on "
@@ -359,7 +340,7 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     run_c, run_i = simulate(clean, stream), simulate(infected, stream)
     error_delta = (error_profile(infected, reference, run_i).mred
                    - error_profile(clean, reference, run_c).mred)
-    rate = int(_fire_mask(run_i, ht.trigger_nets).sum()) / run_i.n_vectors
+    rate = ht.trigger_rate(run_i)
     p_clean = power_proxy(clean, activity_profile(clean, run_c))
     p_inf = power_proxy(infected, activity_profile(infected, run_i), p_clean)
     min_slack = None

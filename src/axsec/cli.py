@@ -16,6 +16,8 @@ reports are CSV with a header row.
 import argparse
 import csv
 import dataclasses
+import io
+import math
 import re
 import sys
 from pathlib import Path
@@ -43,7 +45,8 @@ __all__ = ["main"]
 
 _USER_ERRORS = (NetlistError, BadParams, BadThreshold, UnitMismatch,
                 SignatureMismatch, EmptySet, LabelMismatch, NoRareNets,
-                NoWitness, WouldViolateTiming, BudgetInfeasible, OSError)
+                NoWitness, WouldViolateTiming, BudgetInfeasible, OSError,
+                csv.Error)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def _cmd_sta(args):
 
 def _cmd_attack(args):
     check_ranges(args, (("stealth_vectors", args.stealth_vectors >= 0,
-                         "non-negative"),))
+                         "non-negative"), ("margin", args.margin)))
     nl = read_netlist(args.netlist)
     stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
     model = None
@@ -292,7 +295,7 @@ def _attack_report(args, nl, infected, ht, model):
         # no reference: deltas stay open, rate and slack are still checkable
         rate = mslack = None
         if sv is not None:
-            rate = float(simulate(infected, sv).bits(ht.trigger_net).mean())
+            rate = ht.trigger_rate(simulate(infected, sv))
         if args.clock is not None:
             mslack = float(slacks(infected, model, args.clock).min())
         tail = (None, None, rate, mslack)
@@ -314,16 +317,30 @@ def _cmd_detect(args):
     print(f"{len(report.netlists)} candidates -> {args.out}")
 
 
+def _csv_rows(path, need):
+    """(line number, row) of a CSV file whose rows fill every column of
+    ``need``."""
+    rd = csv.DictReader(io.StringIO(read_text(path)))
+    if rd.fieldnames is None or not need <= set(rd.fieldnames):
+        raise BadParams(f"{path}: expected columns {sorted(need)}")
+    for row in rd:
+        missing = sorted(c for c in need if row[c] is None)
+        if missing:
+            raise BadParams(f"{path}:{rd.line_num}: no {', '.join(missing)}")
+        yield rd.line_num, row
+
+
 def _read_report(path, threshold):
     by_net = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        rd = csv.DictReader(f)
-        need = {"netlist", "instance", "suspicion"}
-        if rd.fieldnames is None or not need <= set(rd.fieldnames):
-            raise BadParams(f"{path}: expected columns {sorted(need)}")
-        for row in rd:
-            by_net.setdefault(row["netlist"], []).append(
-                (row["instance"], float(row["suspicion"])))
+    for lno, row in _csv_rows(path, {"netlist", "instance", "suspicion"}):
+        try:
+            s = float(row["suspicion"])
+        except ValueError:
+            s = math.nan
+        if not math.isfinite(s):
+            raise BadParams(f"{path}:{lno}: suspicion must be a finite "
+                            f"number, got {row['suspicion']!r}")
+        by_net.setdefault(row["netlist"], []).append((row["instance"], s))
     nets = []
     for nid in sorted(by_net):
         entries = tuple(
@@ -337,19 +354,14 @@ def _read_report(path, threshold):
 
 def _read_truth(path):
     truth = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        rd = csv.DictReader(f)
-        need = {"netlist", "infected", "host"}
-        if rd.fieldnames is None or not need <= set(rd.fieldnames):
-            raise BadParams(f"{path}: expected columns {sorted(need)}")
-        for row in rd:
-            nid = row["netlist"]
-            if nid in truth:
-                raise BadParams(f"{path}: duplicate netlist {nid!r}")
-            bad = ()
-            if row["infected"].strip() in ("1", "true", "yes"):
-                bad = tuple(t for t in row["host"].split(";") if t)
-            truth[nid] = bad
+    for lno, row in _csv_rows(path, {"netlist", "infected", "host"}):
+        nid = row["netlist"]
+        if nid in truth:
+            raise BadParams(f"{path}:{lno}: duplicate netlist {nid!r}")
+        bad = ()
+        if row["infected"].strip() in ("1", "true", "yes"):
+            bad = tuple(t for t in row["host"].split(";") if t)
+        truth[nid] = bad
     return truth
 
 

@@ -410,10 +410,6 @@ class DetectionReport:
     def verdicts(self) -> dict:
         return {r.netlist_id: r.verdict for r in self.netlists}
 
-    def flagged(self) -> dict:
-        return {r.netlist_id: tuple(e.tag for e in r.instances if e.flagged)
-                for r in self.netlists}
-
 
 def classify(candidates, config: DetectConfig | None = None) \
         -> DetectionReport:

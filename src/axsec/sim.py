@@ -317,16 +317,11 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     callers divide by their own vector counts.
 
     ``ref`` is a callable on input word value arrays (checked against the
-    one output word), a dict of such callables per output word (taken in
-    sorted word order), or arch params whose exact operator is used.
+    one output word), such as an :data:`EXACT_OPS` entry, or a dict of such
+    callables per output word (taken in sorted word order).
     """
     nl = tr.netlist
     if not isinstance(ref, dict):
-        if not callable(ref):
-            # an ArchParams-like object selects the exact operator
-            if ref.op_type not in EXACT_OPS:
-                raise BadParams(f"no reference for op_type {ref.op_type!r}")
-            ref = EXACT_OPS[ref.op_type]
         if len(nl.output_words()) != 1:
             raise BadParams("a single reference needs exactly one output "
                             "word; give one per output word")

@@ -2,12 +2,17 @@
 
 import csv
 import hashlib
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from axsec.arith import ArchParams, gen_module
 from axsec.cli import main
-from axsec.designs import fir_spec
+from axsec.designs import bfly_spec, fir_spec
 from axsec.textfmt import read_netlist, write_netlist
 
 from tests.oracles import structurally_equal
@@ -592,3 +597,222 @@ def test_gen_design_rejects_a_width_below_two(tmp_path, capsys, design,
                  "--out", str(out)]) == 2
     assert f"width must be at least 2, got {width}" in _one_error_line(capsys)
     assert not out.exists()
+
+
+_REPORT_HEAD = "netlist,verdict,instance,suspicion\n"
+_TRUTH_HEAD = "netlist,infected,host\n"
+
+
+@pytest.mark.parametrize("which,text,message", [
+    ("report", _REPORT_HEAD + "v00,CLEAN,top.mul0,abc\n",
+     ":2: suspicion must be a finite number, got 'abc'"),
+    ("report", _REPORT_HEAD + "v00,CLEAN,top.mul0,0.1\nv00,CLEAN,top.add0,\n",
+     ":3: suspicion must be a finite number, got ''"),
+    ("report", _REPORT_HEAD + "v00,CLEAN,top.mul0,nan\n",
+     ":2: suspicion must be a finite number, got 'nan'"),
+    ("report", _REPORT_HEAD + "v00,CLEAN,top.mul0,-inf\n",
+     ":2: suspicion must be a finite number, got '-inf'"),
+    ("report", "netlist,instance,suspicion\nv00,top.mul0\n",
+     ":2: no suspicion"),
+    ("report", "netlist,instance,suspicion\nv00\n",
+     ":2: no instance, suspicion"),
+    ("truth", _TRUTH_HEAD + "v00\n", ":2: no host, infected"),
+    ("truth", _TRUTH_HEAD + "v00,1,top.mul0\nv01,0\n", ":3: no host"),
+    ("truth", _TRUTH_HEAD + "v00,0,\nv00,1,top.mul0\n",
+     ":3: duplicate netlist 'v00'"),
+    ("report", b"\xff\n", ": not UTF-8 text"),
+    ("truth", b"\xff\n", ": not UTF-8 text"),
+], ids=["report-abc", "report-empty", "report-nan", "report-inf",
+        "report-short-row", "report-netlist-only", "truth-netlist-only",
+        "truth-no-host", "truth-duplicate", "report-not-utf8",
+        "truth-not-utf8"])
+def test_score_rejects_malformed_csv_files(tmp_path, capsys, which, text,
+                                           message):
+    files = {"report": tmp_path / "report.csv",
+             "truth": tmp_path / "truth.csv"}
+    files["report"].write_text(_REPORT_HEAD + "v00,CLEAN,top.mul0,0.0\n")
+    files["truth"].write_text(_TRUTH_HEAD + "v00,0,\n")
+    if isinstance(text, bytes):
+        files[which].write_bytes(text)
+    else:
+        files[which].write_text(text)
+    out = tmp_path / "metrics.csv"
+    assert main(["score", "--report", str(files["report"]),
+                 "--truth", str(files["truth"]), "--out", str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert f"{files[which]}{message}" in line, line
+    assert not out.exists()
+
+
+def test_score_rejects_an_oversized_csv_field(tmp_path, capsys):
+    rep = tmp_path / "report.csv"
+    rep.write_text(_REPORT_HEAD + "v00,CLEAN," + "x" * (1 << 18) + ",0\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["score", "--report", str(rep), "--truth", str(rep),
+                 "--out", str(out)]) == 2
+    assert "field larger than field limit" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("margin", ["nan", "-1"])
+def test_attack_checks_the_margin_without_a_clock(tmp_path, capsys,
+                                                  kernel_calls, margin):
+    _assert_rejected(tmp_path, capsys, "attack", [f"--margin={margin}"],
+                     "margin must be positive and finite")
+    assert not kernel_calls
+
+
+# -- every numeric flag refuses an out-of-range, NaN or infinite value ----
+
+def _not_positive():
+    """Outside (0, inf): zero, negatives, -inf, inf and NaN."""
+    return st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+
+
+def _outside(lo, hi, open_ends=False):
+    """Outside [lo, hi], or outside (lo, hi) with ``open_ends``; infinities
+    and NaN included."""
+    return (st.floats(max_value=lo, exclude_max=not open_ends)
+            | st.floats(min_value=hi, exclude_min=not open_ends)
+            | st.just(math.nan))
+
+
+def _below(lo):
+    return st.integers(max_value=lo - 1)
+
+
+def _list_with(good, bad, n):
+    """``n`` good values and one bad one at any position, comma separated."""
+    return st.tuples(st.lists(good, min_size=n, max_size=n), bad,
+                     st.integers(0, n)).map(
+        lambda t: ",".join(map(str, t[0][:t[2]] + [t[1]] + t[0][t[2]:])))
+
+
+_THETA = _outside(0.0, 0.5, open_ends=True)
+_UNIT = _outside(0.0, 1.0)
+_THRESHOLD = (st.floats(max_value=0.0)
+              | st.floats(min_value=1.0, exclude_min=True)
+              | st.just(math.nan))
+_SCALES = _list_with(st.floats(0.5, 4.0), _not_positive(), 2)
+
+# (verb, flag, bad values, message, extra flags); --e-target/--p-target
+# have no declared range, and --twiddle/--coeffs are read by one design each
+_POS = "must be positive and finite"
+_FUZZ = [
+    ("profile", "--vectors", _below(1), "n_vectors must be positive", ()),
+    ("profile", "--rho", _UNIT, "rho must be within [0, 1]", ()),
+    ("profile", "--seed", _below(0), "seed must be non-negative", ()),
+    ("profile", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
+    ("sta", "--clock", _not_positive(), "clock " + _POS, ()),
+    ("sta", "--scale", _not_positive(), "scale " + _POS, ()),
+    ("sta", "--paths", _below(0), "n_paths must be non-negative", ()),
+    ("sta", "--window", _not_positive(), "window must be positive when set",
+     ()),
+    ("attack", "--q", _below(1), "q must be at least 1", ()),
+    ("attack", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
+    ("attack", "--scoap-ceiling", _below(0),
+     "scoap_ceiling must be non-negative", ()),
+    ("attack", "--vectors", _below(1), "n_vectors must be positive", ()),
+    ("attack", "--rho", _UNIT, "rho must be within [0, 1]", ()),
+    ("attack", "--seed", _below(0), "seed must be non-negative", ()),
+    ("attack", "--clock", _not_positive(), "clock " + _POS, ()),
+    ("attack", "--margin", _not_positive(), "margin " + _POS, ()),
+    ("attack", "--stealth-vectors", _below(0),
+     "stealth_vectors must be non-negative", ()),
+    ("detect", "--clock", _not_positive(), "clock " + _POS, ()),
+    ("detect", "--margin", _not_positive(), "margin " + _POS, ()),
+    ("detect", "--scales", _SCALES, "scales must be non-empty, all > 0", ()),
+    ("detect", "--paths", _below(0), "n_paths must be non-negative", ()),
+    ("detect", "--window", _not_positive(),
+     "window must be positive when set", ()),
+    ("detect", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
+    ("detect", "--vectors", _below(1), "vectors must be at least 1", ()),
+    ("detect", "--rho", _UNIT, "rho must be within [0, 1]", ()),
+    ("detect", "--stress", _below(1), "stress_budget must be at least 1", ()),
+    ("detect", "--dev-tol", _UNIT, "dev_tol must be in [0, 1]", ()),
+    ("detect", "--threshold", _THRESHOLD, "threshold must be in (0, 1]", ()),
+    ("detect", "--seed", _below(0), "seed must be non-negative", ()),
+    ("experiment", "--seed", _below(0), "seed must be non-negative", ()),
+    ("experiment", "--width", _below(2), "width must be at least 2", ()),
+    ("experiment", "--coeffs",
+     _list_with(st.integers(0, 255),
+                st.integers(max_value=-1) | st.integers(min_value=256), 3),
+     "does not fit in 8 bits", ("--design", "fir")),
+    ("experiment", "--twiddle",
+     st.integers(max_value=0) | st.integers(min_value=256),
+     "twiddle must be in [1, 2^width)", ("--design", "bfly")),
+    ("experiment", "--n-variants", _below(1), "n_variants must be at least 1",
+     ()),
+    ("experiment", "--infected-fraction", _UNIT,
+     "infected_fraction must be in [0, 1]", ()),
+    ("experiment", "--characterize-vectors", _below(1),
+     "characterize_vectors must be at least 1", ()),
+    ("experiment", "--rho", _UNIT, "rho must be in [0, 1]", ()),
+    ("experiment", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
+    ("experiment", "--q", _below(1), "q must be at least 1", ()),
+    ("experiment", "--scoap-ceiling", _below(0),
+     "scoap_ceiling must be non-negative", ()),
+    ("experiment", "--trace-vectors", _below(1),
+     "trace_vectors must be at least 1", ()),
+    ("experiment", "--stealth-vectors", _below(1),
+     "stealth_vectors must be at least 1", ()),
+    ("experiment", "--clock", _not_positive(), "clock " + _POS, ()),
+    ("experiment", "--margin", _not_positive(), "margin " + _POS, ()),
+    ("experiment", "--delta-e", _not_positive(), "budget slacks " + _POS,
+     ()),
+    ("experiment", "--delta-p", _not_positive(), "budget slacks " + _POS,
+     ()),
+    ("experiment", "--detect-theta", _THETA, "theta must be in (0, 0.5)",
+     ()),
+    ("experiment", "--detect-vectors", _below(1),
+     "vectors must be at least 1", ()),
+    ("experiment", "--detect-stress", _below(1),
+     "stress_budget must be at least 1", ()),
+    ("experiment", "--detect-threshold", _THRESHOLD,
+     "threshold must be in (0, 1]", ()),
+    ("experiment", "--detect-scales", _SCALES,
+     "scales must be non-empty, all > 0", ()),
+    ("experiment", "--detect-paths", _below(0),
+     "n_paths must be non-negative", ()),
+    ("experiment", "--dev-tol", _UNIT, "dev_tol must be in [0, 1]", ()),
+]
+
+
+@pytest.fixture(scope="module")
+def bfly_candidate(tmp_path_factory):
+    nl = tmp_path_factory.mktemp("cands") / "v.nl"
+    write_netlist(bfly_spec().build({}), nl)
+    return nl
+
+
+def _fuzz_args(verb, nl, work):
+    return {"profile": ["--netlist", nl, "--out-dir", f"{work}/out"],
+            "sta": ["--netlist", nl, "--clock", "10",
+                    "--out", f"{work}/sta.csv"],
+            "attack": ["--netlist", nl, "--secret", "twid",
+                       "--out", f"{work}/v.nl",
+                       "--report", f"{work}/report.csv"],
+            "detect": ["--candidates", str(Path(nl).parent),
+                       "--out", f"{work}/det.csv",
+                       "--debug", f"{work}/debug.csv"],
+            "experiment": ["--out", f"{work}/exp"]}[verb]
+
+
+@pytest.mark.parametrize("verb,flag,values,message,extra", _FUZZ,
+                         ids=[f"{v}{f}" for v, f, *_ in _FUZZ])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_numeric_flag_rejects_a_bad_value(
+        tmp_path, capsys, kernel_calls, bfly_candidate, verb, flag, values,
+        message, extra, data):
+    value = data.draw(values, label=flag)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    del kernel_calls[:]
+    args = _fuzz_args(verb, str(bfly_candidate), work)
+    # the flag comes last so it overrides a base value, and in --flag=value
+    # form so a value such as -inf is not taken for an option
+    assert main([verb, *args, *extra, f"{flag}={value}"]) == 2
+    assert message in _one_error_line(capsys)
+    assert not kernel_calls
+    assert not any(work.iterdir())

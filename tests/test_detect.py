@@ -210,7 +210,7 @@ def test_classify_clean_exact_set_raises_no_flags():
     cands = {f"c{i}": SPEC.build(None) for i in range(3)}
     rep = classify(cands)
     assert set(rep.verdicts().values()) == {"CLEAN"}
-    assert all(not tags for tags in rep.flagged().values())
+    assert not any(e.flagged for r in rep.netlists for e in r.instances)
     for r in rep.netlists:
         assert all(e.suspicion == 0.0 for e in r.instances)
 
@@ -221,10 +221,9 @@ def test_classify_isolates_the_infected_candidate(trio):
     v = rep.verdicts()
     assert v == {"v0": "CLEAN", "v1": "CLEAN", "v2": "INFECTED"}
     (host,) = ht.host_instances
-    flagged = rep.flagged()["v2"]
-    assert host in flagged
     by_tag = {e.tag: e for r in rep.netlists if r.netlist_id == "v2"
               for e in r.instances}
+    assert by_tag[host].flagged
     assert by_tag[host].suspicion == 1.0
     assert by_tag[host].rare
     assert by_tag[host].resilience is not None

@@ -11,11 +11,12 @@ from axsec.arith import ArchParams, gen_adder, gen_module
 from axsec.designs import bfly_spec
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
-from axsec.sim import (CHUNK, STREAM_MODES, Traces, VectorStream,
-                       _ActivitySums, _bits_chunks, _chunk_bits, _run_packed,
-                       _single_chunk_bits, activity_profile, error_profile,
-                       eval_vector, iter_traces, power_proxy, rare_nets,
-                       simulate, stream_bits)
+from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
+                       VectorStream, _ActivitySums, _bits_chunks,
+                       _chunk_bits, _run_packed, _single_chunk_bits,
+                       activity_profile, error_profile, eval_vector,
+                       iter_traces, power_proxy, rare_nets, simulate,
+                       stream_bits)
 
 from tests import oracles
 from tests.oracles import exhaustive_bits, word_value
@@ -145,7 +146,7 @@ def test_rare_nets_thresholds():
 def test_error_profile_matches_scalar_brute_force():
     params = ArchParams("add", "loa", 5, 2)
     nl = gen_adder(params)
-    rep = error_profile(nl, params, exhaustive_bits(nl))
+    rep = error_profile(nl, EXACT_OPS["add"], exhaustive_bits(nl))
     n = err = wce = 0
     med_sum = 0
     ratios = []
@@ -305,7 +306,7 @@ def test_a_run_is_a_source_equal_to_its_stream(kernel_calls, mode, n):
     run = simulate(nl, stream)
     del kernel_calls[:]
     act = activity_profile(nl, run)
-    err = error_profile(nl, params, run)
+    err = error_profile(nl, EXACT_OPS["add"], run)
     again = simulate(nl, run)
     chunks = list(iter_traces(nl, run))
     assert not kernel_calls  # every read of the run is a view of it
@@ -315,7 +316,7 @@ def test_a_run_is_a_source_equal_to_its_stream(kernel_calls, mode, n):
     assert act.n_vectors == want.n_vectors == n
     assert np.array_equal(act.p1, want.p1)
     assert np.array_equal(act.toggles, want.toggles)
-    assert repr(err) == repr(error_profile(nl, params, stream))
+    assert repr(err) == repr(error_profile(nl, EXACT_OPS["add"], stream))
     assert np.array_equal(again.c, simulate(nl, stream).c)
     streamed = list(iter_traces(nl, stream))
     assert [(s, tr.n_vectors) for s, tr in chunks] == \
@@ -335,7 +336,7 @@ def test_a_run_is_no_source_for_another_netlist():
     with pytest.raises(BadParams, match="its own netlist"):
         activity_profile(other, run)
     with pytest.raises(BadParams, match="its own netlist"):
-        error_profile(other, params, run)
+        error_profile(other, EXACT_OPS["add"], run)
 
 
 def test_first_hits_hand_case():
