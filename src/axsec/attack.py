@@ -50,26 +50,35 @@ class ModuleSpec:
 
 def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     """Measure one architecture's error, relative power and rare-net profile
-    on the given stream, against the exact architecture as baseline; the
-    baseline power under a :class:`VectorStream` is profiled once per
-    stream and kept with the shared exact netlist."""
-    nl = gen_module(params)
+    on the given stream, against the exact architecture as baseline.  The
+    exact architecture's own run is the baseline; under a
+    :class:`VectorStream` it is measured once per stream and theta and kept
+    with the shared exact netlist."""
+    exact = ArchParams(params.op_type, "exact", params.width)
+    base_nl = gen_module(exact)
+    if isinstance(stream, VectorStream):
+        base, spec = base_nl.memo(_measure, exact, stream, theta)
+    else:
+        base, spec = _measure(base_nl, exact, stream, theta)
+    if params == exact:
+        return spec
+    return _measure(gen_module(params), params, stream, theta, base)[1]
+
+
+def _measure(nl: Netlist, params: ArchParams, stream, theta: float,
+             base: PowerProxy | None = None) -> tuple:
+    """(power, spec) of one architecture from one run; without ``base`` the
+    run is its own baseline."""
     run = simulate(nl, stream)
     err = error_profile(nl, EXACT_OPS[params.op_type], run)
     act = activity_profile(nl, run)
-    base_nl = gen_module(ArchParams(params.op_type, "exact", params.width))
-    base = (base_nl.memo(_power, stream) if isinstance(stream, VectorStream)
-            else _power(base_nl, stream))
-    proxy = power_proxy(nl, act, base)
+    power = power_proxy(nl, act)
+    proxy = power_proxy(nl, act, power if base is None else base)
     rare = rare_nets(act, theta)
     sc = scoap(nl)
     summary = max((int(sc.cc1[n]) for n, _ in rare), default=0)
-    return ModuleSpec(params, err.mred, proxy.ratio, len(rare),
-                      len(rare) / nl.n_nets, summary, stream_key(stream))
-
-
-def _power(nl: Netlist, stream) -> PowerProxy:
-    return power_proxy(nl, activity_profile(nl, stream))
+    return power, ModuleSpec(params, err.mred, proxy.ratio, len(rare),
+                             len(rare) / nl.n_nets, summary, stream_key(stream))
 
 
 def attack_score(spec: ModuleSpec) -> float:

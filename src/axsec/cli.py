@@ -358,10 +358,12 @@ def _read_truth(path):
         nid = row["netlist"]
         if nid in truth:
             raise BadParams(f"{path}:{lno}: duplicate netlist {nid!r}")
-        bad = ()
-        if row["infected"].strip() in ("1", "true", "yes"):
-            bad = tuple(t for t in row["host"].split(";") if t)
-        truth[nid] = bad
+        infected = _BOOLS.get(row["infected"].strip().lower())
+        if infected is None:
+            raise BadParams(f"{path}:{lno}: infected: {row['infected']!r} "
+                            f"is not one of {list(_BOOLS)}")
+        truth[nid] = (tuple(t for t in row["host"].split(";") if t)
+                      if infected else ())
     return truth
 
 

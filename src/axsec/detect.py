@@ -140,6 +140,7 @@ class _Profile:
         self.out_vals = {w: run.word_values(b) for w, b in nl.output_words()}
         self._first = (run.first_hits(0), run.first_hits(1))
         self._rare = {}
+        self._replay = {}
 
     def rare(self, theta: float) -> dict:
         """:func:`~axsec.sim.rare_nets` restricted to non-constant gate
@@ -158,6 +159,26 @@ class _Profile:
         ``val``, or None."""
         t = int(self._first[val][net])
         return t if t >= 0 else None
+
+    def replay(self, theta: float) -> tuple:
+        """Per rare net that was realized, in :meth:`rare` order: (net,
+        input word support, (rarity, first hit, net name)).  Memoized per
+        ``theta``."""
+        if theta not in self._replay:
+            entries = []
+            for net, val in self.rare(theta).items():
+                t = self.first(net, val)
+                if t is None:
+                    continue
+                p = float(self.p1[net])
+                rarity = p if val == 1 else 1.0 - p
+                # keyed by first realization and name, not net id: ids are
+                # renumbered on a serialization round trip and must not
+                # steer tie-breaks
+                entries.append((net, self.nl.input_word_support((net,)),
+                                (rarity, t, self.nl.net_names[net])))
+            self._replay[theta] = tuple(entries)
+        return self._replay[theta]
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +278,13 @@ def _rank_combos(lengths, limit):
     return out
 
 
-def _replay_groups(nl, profile, cone_nets, theta):
+def _replay_groups(profile, cone_nets, theta):
     """Rarity-ranked input word assignments that reproduce observed rare
     values, grouped by disjoint word support (most specific support wins)."""
     per_sup = {}
-    for net, val in profile.rare(theta).items():
-        if net not in cone_nets:
-            continue
-        p = float(profile.p1[net])
-        t = profile.first(net, val)
-        if t is None:
-            continue
-        sup = nl.input_word_support((net,))
-        rarity = p if val == 1 else 1.0 - p
-        # key by first realization and name, not net id: ids are renumbered
-        # on a serialization round trip and must not steer tie-breaks
-        per_sup.setdefault(sup, []).append((rarity, t, nl.net_names[net]))
+    for net, sup, entry in profile.replay(theta):
+        if net in cone_nets:
+            per_sup.setdefault(sup, []).append(entry)
     claimed = set()
     groups = []
     order = sorted(per_sup, key=lambda s: (len(s), min(per_sup[s])[0], s))
@@ -311,7 +323,7 @@ def _stress_values(nl, tag, budget, profile, theta, rng):
         vals[w][:b1] = rng.integers(0, 1 << half, b1)
         vals[w][b1:lo] = ((1 << wl) - (1 << half)
                           + rng.integers(0, 1 << half, b2))
-    groups = _replay_groups(nl, profile, cone_nets, theta)
+    groups = _replay_groups(profile, cone_nets, theta)
     if groups and b3:
         combos = _rank_combos([len(r) for _, r in groups], b3)
         for r in range(b3):

@@ -10,13 +10,14 @@ Streams are pseudo-random and fully determined by ``(seed, mode, n_vectors)``
 plus the ordered input word widths of the netlist under test.  Values are
 always drawn in fixed :data:`CHUNK`-sized slices with one generator per input
 word, so the same stream is produced no matter how a consumer batches the run
-and regardless of any other words present.  A stream that fits in one chunk
-is generated once per input signature and reused read-only
-(:func:`_single_chunk_bits`); longer streams are generated lazily.  A
-correlated word is filled run by run in a transposed, contiguous
-``(width, n)`` array (one run per redraw) and handed out as its ``(n,
-width)`` view; each word is packed into its nets' rows with one
-``packbits`` along the vectors.
+and regardless of any other words present.  Streams are generated as packed
+words, the form the kernel reads: each input word's chunk is a ``(width,
+words)`` ``uint64`` array whose row i holds bit i of the word, vector t at
+bit ``t % 64`` of word ``t // 64``.  A correlated word's runs are filled on
+those packed words, and a run copies the rows into its net array as they
+are.  A stream that fits in one chunk is generated once per input signature
+and reused read-only (:func:`_single_chunk_bits`); longer streams are
+generated lazily, and a profile runs all their chunks in one net buffer.
 
 A simulated run (:class:`Traces`) is itself a source, read in the same
 chunks, so a run measured several ways is simulated once.
@@ -83,56 +84,84 @@ def sub_seed(seed: int, *salt) -> int:
     return int(np.random.SeedSequence((seed,) + salt).generate_state(1)[0])
 
 
+_ONE = np.uint64(1)
+
+
+def _pack_rows(bits):
+    """The packed ``(width, words)`` rows of an ``(n, width)`` 0/1 array,
+    pad bits clear."""
+    n, width = bits.shape
+    rows = np.zeros((width, 8 * ((n + 63) // 64)), np.uint8)
+    rows[:, :(n + 7) // 8] = np.packbits(np.ascontiguousarray(bits.T),
+                                         axis=1, bitorder="little")
+    return rows.view(np.uint64)
+
+
 def _chunk_bits(rng, mode, rho, n, width, carry):
-    # The correlated scan is a run-length fill over the transposed,
-    # contiguous (width, n) arrays: every redraw starts a run of its fresh
-    # value, and a run with no redraw before it holds the carry.
+    # Packed rows and the last vector's bits (the carry into the next
+    # chunk).  A correlated word is filled on whole words: with the redraw
+    # mask R and the fresh values F, A = R & F starts a run of ones and
+    # P = ~R continues the run before it.  Adding A << 1 to P carries
+    # through the run after every started one and clears it, so
+    # A | (P & ~(P + (A << 1))) is every run that starts inside its word.
+    # The bits below a word's lowest redraw take the value entering it:
+    # the top bit of the last earlier word with a redraw, else the carry.
     fresh = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+    f = _pack_rows(fresh)
     if mode == "uniform":
-        return fresh, fresh[-1].copy()
-    reset = ~(rng.random((n, width)) < rho).T
-    src = fresh.T.copy()
-    if carry is not None:
-        src[:, 0] = np.where(reset[:, 0], src[:, 0], carry)
-    reset[:, 0] = True
-    pos = np.flatnonzero(reset)
-    vals = np.repeat(src.ravel()[pos], np.diff(pos, append=reset.size))
-    vals = vals.reshape(width, n)
-    return vals.T, vals[:, -1].copy()
+        return f, fresh[-1].copy()
+    r = _pack_rows(rng.random((n, width)) >= rho)
+    if carry is None:
+        r[:, 0] |= _ONE  # the first vector is drawn
+        carry = np.zeros(width, np.uint8)
+    if n % 64:
+        r[:, -1] |= ~np.uint64((1 << n % 64) - 1)  # pad bits: runs of 0
+    a, p = r & f, ~r
+    v = a | (p & ~(p + (a << _ONE)))
+    last = np.where(r != 0, np.arange(r.shape[1]), -1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    top = np.where(last >= 0, np.take_along_axis(v >> np.uint64(63), last,
+                                                 axis=1), carry[:, None])
+    enter = np.concatenate([carry[:, None].astype(np.uint64), top[:, :-1]],
+                           axis=1)
+    v |= ((r & (~r + _ONE)) - _ONE) & (np.uint64(0) - enter)
+    return v, ((v[:, -1] >> np.uint64((n - 1) % 64)) & _ONE).astype(np.uint8)
 
 
 def _stream_chunks(stream, words):
-    """Yield (start, n, bits) chunks of a :class:`VectorStream`, generated
+    """Yield (start, n, rows) chunks of a :class:`VectorStream`, generated
     lazily one :data:`CHUNK` at a time."""
     rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
             for i in range(len(words))]
     carry = [None] * len(words)
     for start in range(0, stream.n_vectors, CHUNK):
         n = min(CHUNK, stream.n_vectors - start)
-        bits = {}
+        rows = {}
         for i, (name, width) in enumerate(words):
-            bits[name], carry[i] = _chunk_bits(
+            rows[name], carry[i] = _chunk_bits(
                 rngs[i], stream.mode, stream.rho, n, width, carry[i])
-        yield start, n, bits
+        yield start, n, rows
 
 
 @lru_cache(maxsize=2)
 def _single_chunk_bits(stream, words):
-    """Read-only bits of a stream that fits in one chunk, generated once
-    per (stream, input words).  Two entries cover the usual alternation
-    (the defender's two profiling streams, a clean and an infected run)."""
-    (_, _, bits), = _stream_chunks(stream, words)
-    for arr in bits.values():
+    """Read-only packed rows of a stream that fits in one chunk, generated
+    once per (stream, input words).  Two entries cover the usual
+    alternation (the defender's two profiling streams, a clean and an
+    infected run)."""
+    (_, _, rows), = _stream_chunks(stream, words)
+    for arr in rows.values():
         arr.flags.writeable = False
-    return bits
+    return rows
 
 
 def _bits_chunks(source, words):
-    """Yield (start, n, {word: (n, width) uint8}) chunks from a stream or a
-    prebuilt dict of bit arrays."""
+    """Yield (start, n, {word: (width, words) uint64 rows}) chunks from a
+    stream or a prebuilt dict of ``(n, width)`` bit arrays, which are packed
+    chunk by chunk."""
     if isinstance(source, VectorStream):
         if source.n_vectors <= CHUNK:
-            yield 0, source.n_vectors, dict(_single_chunk_bits(source, words))
+            yield 0, source.n_vectors, _single_chunk_bits(source, words)
         else:
             yield from _stream_chunks(source, words)
         return
@@ -142,16 +171,18 @@ def _bits_chunks(source, words):
     total = len(next(iter(source.values()))) if source else 0
     for start in range(0, total, CHUNK):
         n = min(CHUNK, total - start)
-        yield start, n, {w: source[w][start:start + n] for w, _ in words}
+        yield start, n, {w: _pack_rows(source[w][start:start + n])
+                         for w, _ in words}
 
 
 def stream_bits(stream, words) -> dict[str, np.ndarray]:
-    """The whole bits of a stream, {word: (n, width) uint8}; a stream of one
-    chunk comes read-only from the memo."""
-    chunks = [bits for _, _, bits in _bits_chunks(stream, words)]
-    if len(chunks) == 1:
-        return chunks[0]
-    return {w: np.concatenate([c[w] for c in chunks]) for w, _ in words}
+    """The whole bits of a stream, {word: (n, width) uint8}, unpacked from
+    its rows."""
+    chunks = [rows for _, _, rows in _bits_chunks(stream, words)]
+    return {w: np.unpackbits(
+                np.concatenate([c[w] for c in chunks], axis=1).view(np.uint8),
+                axis=1, count=stream.n_vectors, bitorder="little").T
+            for w, _ in words}
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +228,32 @@ class Traces:
         return np.where(hit.any(axis=1), 64 * w + low, -1)
 
 
-def _run_packed(nl: Netlist, bits, n: int) -> np.ndarray:
-    c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
-    rows = c.view(np.uint8)
+def _run_packed(nl: Netlist, rows, n: int, buf=None) -> np.ndarray:
+    """The net array of one chunk: the input rows copied in, the kernel
+    run and the pad bits cleared.  Written into the memory of ``buf`` when
+    given, else into a new array."""
+    shape = (nl.n_nets, (n + 63) // 64)
+    c = (np.empty(shape, np.uint64) if buf is None
+         else buf[:shape[0] * shape[1]].reshape(shape))
     for name, nets in nl.input_words():
-        p = np.packbits(np.ascontiguousarray(bits[name].T), axis=1,
-                        bitorder="little")
-        rows[nets, :p.shape[1]] = p
+        c[nets, :] = rows[name]
     _kernels.eval_gates(*nl.plan, c)
-    r = n % 64
-    if r:
-        c[:, -1] &= np.uint64((1 << r) - 1)
+    if n % 64:
+        c[:, -1] &= np.uint64((1 << n % 64) - 1)
     return c
 
 
 def iter_traces(netlist: Netlist, source):
     """Yield (start, :class:`Traces`) chunk by chunk without retaining the
     whole run in memory.  A run of ``netlist`` is yielded as views of its
-    words, in the same :data:`CHUNK` slices its stream would produce."""
+    words, in the same :data:`CHUNK` slices its stream would produce;
+    every other chunk owns its words."""
+    return _runs(netlist, source, shared=False)
+
+
+def _runs(netlist: Netlist, source, shared: bool):
+    # With ``shared``, the chunks of one source run in one net buffer, so
+    # a chunk is valid only until the next is asked for.
     if isinstance(source, Traces):
         if source.netlist is not netlist:
             raise BadParams("a run is only a source for its own netlist")
@@ -223,8 +262,11 @@ def iter_traces(netlist: Netlist, source):
             c = source.c[:, start // 64:(start + n + 63) // 64]
             yield start, Traces(netlist, c, n)
         return
-    for start, n, bits in _bits_chunks(source, netlist.signature()[0]):
-        yield start, Traces(netlist, _run_packed(netlist, bits, n), n)
+    buf = None
+    for start, n, rows in _bits_chunks(source, netlist.signature()[0]):
+        if shared and buf is None:  # the first chunk is the widest
+            buf = np.empty(netlist.n_nets * ((n + 63) // 64), np.uint64)
+        yield start, Traces(netlist, _run_packed(netlist, rows, n, buf), n)
 
 
 def simulate(netlist: Netlist, source) -> Traces:
@@ -342,7 +384,7 @@ def error_profile(netlist: Netlist, ref, source) -> ErrorReport:
     """Error statistics against a reference (see :func:`error_sums`),
     summed chunk by chunk and word by word, over vectors times words."""
     acc = _ErrorSums(ref)
-    for _, tr in iter_traces(netlist, source):
+    for _, tr in _runs(netlist, source, shared=True):
         acc.add(tr)
     return acc.report()
 
@@ -384,7 +426,7 @@ class ActivityReport:
 
 def activity_profile(netlist: Netlist, source) -> ActivityReport:
     acc = _ActivitySums(netlist.n_nets)
-    for _, tr in iter_traces(netlist, source):
+    for _, tr in _runs(netlist, source, shared=True):
         acc.add(tr)
     return acc.report()
 
@@ -393,7 +435,7 @@ def activity_and_error(netlist: Netlist, ref, source):
     """(:func:`activity_profile`, :func:`error_profile`) of one run,
     simulated once, chunk by chunk."""
     act, err = _ActivitySums(netlist.n_nets), _ErrorSums(ref)
-    for _, tr in iter_traces(netlist, source):
+    for _, tr in _runs(netlist, source, shared=True):
         act.add(tr)
         err.add(tr)
     return act.report(), err.report()

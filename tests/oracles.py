@@ -61,18 +61,26 @@ def chunk_bits(rng, mode, rho, n, width, carry):
     return vals, vals[-1].copy()
 
 
+def pack_rows(bits) -> np.ndarray:
+    """An ``(n, width)`` bit array as ``(width, words)`` rows: every column
+    packed on its own and padded to whole words."""
+    n, width = bits.shape
+    rows = np.zeros((width, (n + 63) // 64), np.uint64)
+    for j in range(width):
+        packed = np.packbits(bits[:, j], bitorder="little")
+        if packed.size % 8:
+            packed = np.concatenate(
+                [packed, np.zeros(8 - packed.size % 8, np.uint8)])
+        rows[j] = packed.view(np.uint64)
+    return rows
+
+
 def pack_inputs(nl: Netlist, bits, n: int) -> np.ndarray:
-    """The net array of a chunk before the kernel runs: every input bit
-    column packed on its own and padded to whole words."""
+    """The net array of a chunk before the kernel runs: the input rows of
+    :func:`pack_rows`, every other net zero."""
     c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
     for name, nets in nl.input_words():
-        arr = bits[name]
-        for j, net in enumerate(nets):
-            packed = np.packbits(arr[:, j], bitorder="little")
-            if packed.size % 8:
-                packed = np.concatenate(
-                    [packed, np.zeros(8 - packed.size % 8, np.uint8)])
-            c[net] = packed.view(np.uint64)
+        c[list(nets)] = pack_rows(bits[name])
     return c
 
 

@@ -204,6 +204,19 @@ def test_score_from_csv_files(tmp_path, capsys):
     assert float(m["fnr"]) == 0.0
 
 
+@pytest.mark.parametrize("yes,no", [("TRUE", "off"), ("on", "No"),
+                                    (" yes ", "FALSE")])
+def test_score_reads_infected_like_a_config_flag(tmp_path, capsys, yes, no):
+    rep = tmp_path / "report.csv"
+    rep.write_text("netlist,verdict,instance,suspicion\n"
+                   "n0,INFECTED,a,1.0\nn1,INFECTED,a,1.0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(f"netlist,infected,host\nn0,{yes},a\nn1,{no},\n")
+    main(["score", "--report", str(rep), "--truth", str(truth),
+          "--out", str(tmp_path / "metrics.csv")])
+    assert "(tp=1 fp=1 tn=0 fn=0)" in capsys.readouterr().out
+
+
 def test_config_file_supplies_required_flags(tmp_path):
     cfg = tmp_path / "job.cfg"
     out = tmp_path / "m.nl"
@@ -620,11 +633,16 @@ _TRUTH_HEAD = "netlist,infected,host\n"
     ("truth", _TRUTH_HEAD + "v00,1,top.mul0\nv01,0\n", ":3: no host"),
     ("truth", _TRUTH_HEAD + "v00,0,\nv00,1,top.mul0\n",
      ":3: duplicate netlist 'v00'"),
+    ("truth", _TRUTH_HEAD + "v00,maybe,top.mul0\n",
+     ":2: infected: 'maybe' is not one of ['1', 'true', 'yes', 'on', '0', "
+     "'false', 'no', 'off']"),
+    ("truth", _TRUTH_HEAD + "v00,,\n", ":2: infected: '' is not one of"),
     ("report", b"\xff\n", ": not UTF-8 text"),
     ("truth", b"\xff\n", ": not UTF-8 text"),
 ], ids=["report-abc", "report-empty", "report-nan", "report-inf",
         "report-short-row", "report-netlist-only", "truth-netlist-only",
-        "truth-no-host", "truth-duplicate", "report-not-utf8",
+        "truth-no-host", "truth-duplicate", "truth-maybe",
+        "truth-empty-flag", "report-not-utf8",
         "truth-not-utf8"])
 def test_score_rejects_malformed_csv_files(tmp_path, capsys, which, text,
                                            message):

@@ -138,7 +138,7 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
         if nl.instances[tag].kind_label != "approximate":
             continue
         cone = nl.fanin_nets([g.output for g in nl.gates_of_tag(tag)])
-        groups = detect._replay_groups(nl, profile, cone, config.theta)
+        groups = detect._replay_groups(profile, cone, config.theta)
         for sup, ranked in groups:
             hits = []
             for net, val in ref.rare(config.theta).items():
@@ -156,6 +156,8 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
             assert ranked == want[:8], (tag, sup)
             replayed += len(ranked)
     assert replayed
+    # built once per theta, then filtered by each instance's cone
+    assert profile.replay(config.theta) is profile.replay(config.theta)
 
 
 # -- error ranking ----------------------------------------------------------

@@ -13,7 +13,7 @@ from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
                        VectorStream, _ActivitySums, _bits_chunks,
-                       _chunk_bits, _run_packed, _single_chunk_bits,
+                       _chunk_bits, _single_chunk_bits,
                        activity_profile, error_profile, eval_vector,
                        iter_traces, power_proxy, rare_nets, simulate,
                        stream_bits)
@@ -241,7 +241,7 @@ def test_chunk_boundaries_do_not_change_statistics():
     assert np.array_equal(act_stream.p1, act_dict.p1)
 
 
-def _fresh_bits(stream, words):
+def _fresh_rows(stream, words):
     """A single-chunk stream generated from scratch, bypassing the memo."""
     out = {}
     for i, (name, width) in enumerate(words):
@@ -251,12 +251,32 @@ def _fresh_bits(stream, words):
     return out
 
 
+def _oracle_chunks(stream, words):
+    """Per chunk, the {word: (n, width) bits} of the index scan, each
+    word's generator and carry running across the chunks."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
+            for i in range(len(words))]
+    carry = [None] * len(words)
+    for start in range(0, stream.n_vectors, CHUNK):
+        n = min(CHUNK, stream.n_vectors - start)
+        bits = {}
+        for i, (name, width) in enumerate(words):
+            bits[name], carry[i] = oracles.chunk_bits(
+                rngs[i], stream.mode, stream.rho, n, width, carry[i])
+        yield bits
+
+
+def _oracle_bits(stream, words):
+    chunks = list(_oracle_chunks(stream, words))
+    return {w: np.concatenate([c[w] for c in chunks]) for w, _ in words}
+
+
 @pytest.mark.parametrize("mode", STREAM_MODES)
 def test_single_chunk_stream_memo_equals_a_fresh_generation(mode):
     stream = VectorStream(1000, 5, mode)
     words = (("a", 8), ("b", 3))
     cached = _single_chunk_bits(stream, words)
-    fresh = _fresh_bits(stream, words)
+    fresh = _fresh_rows(stream, words)
     assert cached.keys() == fresh.keys()
     for w in fresh:
         assert np.array_equal(cached[w], fresh[w])
@@ -271,7 +291,8 @@ def test_stream_memo_keys_on_the_input_words():
     narrow = _single_chunk_bits(stream, (("a", 4),))
     wide = _single_chunk_bits(stream, (("a", 8), ("b", 8)))
     assert narrow is not wide
-    assert narrow["a"].shape == (500, 4) and wide["a"].shape == (500, 8)
+    # packed (width, words) rows: 500 vectors fill 8 words
+    assert narrow["a"].shape == (4, 8) and wide["a"].shape == (8, 8)
     assert _single_chunk_bits.cache_info().currsize == 2
     # a stream longer than one chunk is generated lazily, never memoized
     long = VectorStream(CHUNK + 1, 2)
@@ -291,7 +312,7 @@ def test_simulate_on_a_memoized_stream_equals_the_dict_of_its_bits():
     nl = b.build()
     assert [w for w, _ in nl.signature()[0]] == ["z", "a"]
     stream = VectorStream(3000, 9, "correlated")
-    bits = _fresh_bits(stream, nl.signature()[0])
+    bits = _oracle_bits(stream, nl.signature()[0])
     want = simulate(nl, bits).c
     assert np.array_equal(simulate(nl, stream).c, want)
     assert np.array_equal(simulate(nl, stream).c, want)  # memo hit
@@ -379,13 +400,11 @@ def test_stream_bits_are_the_chunks_in_order(n):
     words = (("b", 3), ("a", 5))
     stream = VectorStream(n, 6, "correlated")
     bits = stream_bits(stream, words)
-    chunks = [c for _, _, c in _bits_chunks(stream, words)]
+    want = _oracle_bits(stream, words)
     assert bits.keys() == {"a", "b"}
     for w, width in words:
-        assert bits[w].shape == (n, width)
-        assert np.array_equal(bits[w], np.concatenate([c[w] for c in chunks]))
-    if n <= CHUNK:  # read-only, straight from the memo
-        assert bits["a"] is _single_chunk_bits(stream, words)["a"]
+        assert bits[w].shape == (n, width) and bits[w].dtype == np.uint8
+        assert np.array_equal(bits[w], want[w])
 
 
 @pytest.mark.parametrize("n", [3000, CHUNK + 70])
@@ -433,8 +452,8 @@ def test_chunk_bits_equal_the_index_scan(n, width, rho, mode, seed,
                                 width, carry)
     want, want_last = oracles.chunk_bits(np.random.default_rng(seed), mode,
                                          rho, n, width, carry)
-    assert got.shape == (n, width) and got.dtype == np.uint8
-    assert np.array_equal(got, want)
+    assert got.shape == (width, (n + 63) // 64) and got.dtype == np.uint64
+    assert np.array_equal(got, oracles.pack_rows(want))
     assert np.array_equal(got_last, want_last)
 
 
@@ -442,16 +461,17 @@ def test_chunk_bits_equal_the_index_scan(n, width, rho, mode, seed,
 def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
     words = (("a", 5), ("b", 1))
     stream = VectorStream(2 * CHUNK + 70, 12, mode, 0.97)
-    got = stream_bits(stream, words)
-    for i, (name, width) in enumerate(words):
-        rng = np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
-        parts, carry = [], None
-        for start in range(0, stream.n_vectors, CHUNK):
-            n = min(CHUNK, stream.n_vectors - start)
-            part, carry = oracles.chunk_bits(rng, mode, stream.rho, n, width,
-                                             carry)
-            parts.append(part)
-        assert np.array_equal(got[name], np.concatenate(parts))
+    got = list(_bits_chunks(stream, words))
+    want = list(_oracle_chunks(stream, words))
+    assert [(s, n) for s, n, _ in got] == [(0, CHUNK), (CHUNK, CHUNK),
+                                          (2 * CHUNK, 70)]
+    for (_, _, rows), bits in zip(got, want, strict=True):
+        for name, _ in words:
+            assert np.array_equal(rows[name], oracles.pack_rows(bits[name]))
+    whole = stream_bits(stream, words)
+    for name, _ in words:
+        assert np.array_equal(whole[name],
+                              np.concatenate([b[name] for b in want]))
 
 
 def _words_netlist(widths):
@@ -481,13 +501,45 @@ def test_word_packing_equals_column_packing(n, widths, seed, transposed):
     bits = {}
     for name, nets in nl.input_words():
         arr = rng.integers(0, 2, (n, len(nets)), dtype=np.uint8)
-        # a correlated chunk is handed out as the view of a (width, n) array
+        # stream_bits hands out the (n, width) view of a (width, n) array
         bits[name] = np.ascontiguousarray(arr.T).T if transposed else arr
-    want = oracles.pack_inputs(nl, bits, n)
-    _kernels.eval_gates(*nl.plan, want)
+    assert np.array_equal(simulate(nl, bits).c, _oracle_run(nl, bits, n))
+
+
+def _oracle_run(nl, bits, n):
+    """The run of one array of bits: column-packed inputs, then the
+    kernel over all of them at once."""
+    c = oracles.pack_inputs(nl, bits, n)
+    _kernels.eval_gates(*nl.plan, c)
     if n % 64:
-        want[:, -1] &= np.uint64((1 << n % 64) - 1)
-    assert np.array_equal(_run_packed(nl, bits, n), want)
+        c[:, -1] &= np.uint64((1 << n % 64) - 1)
+    return c
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+def test_stream_chunks_each_own_a_fresh_run(kernel_calls, mode):
+    nl = _mix_netlist()
+    stream = VectorStream(2 * CHUNK + 70, 7, mode, 0.95)
+    words = nl.signature()[0]
+    want = [_oracle_run(nl, bits, len(bits["x"]))
+            for bits in _oracle_chunks(stream, words)]
+    chunks = list(iter_traces(nl, stream))  # every chunk kept alive
+    assert [s for s, _ in chunks] == [0, CHUNK, 2 * CHUNK]
+    for (_, tr), c in zip(chunks, want, strict=True):
+        assert np.array_equal(tr.c, c)
+    assert not np.shares_memory(chunks[0][1].c, chunks[1][1].c)
+    run = simulate(nl, stream)
+    assert run.n_vectors == stream.n_vectors
+    assert np.array_equal(run.c, np.concatenate(want, axis=1))
+    # a profile runs the chunks in one buffer and reads each in turn
+    del kernel_calls[:]
+    act = activity_profile(nl, stream)
+    assert len(kernel_calls) == 3
+    ref = oracles.ActivitySums(nl.n_nets)
+    for c, n in zip(want, (CHUNK, CHUNK, 70)):
+        ref.add(Traces(nl, c, n))
+    assert np.array_equal(act.toggles, ref.tog)
+    assert np.array_equal(act.p1, ref.ones / ref.total)
 
 
 def _sticky_chunk(rng, n_nets, n):
