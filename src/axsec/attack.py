@@ -342,10 +342,19 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     error_delta is the infected-minus-clean difference of MRED against it
     (:func:`~axsec.sim.error_profile`).  trigger_rate counts cycles where
     the trigger net fires.  Both runs are held whole in memory.
+
+    ``ht`` must be the insertion that built ``infected``: its trigger net
+    is read by a gate of one of its host instances (every payload gate
+    is).
     """
     if clean.signature() != infected.signature():
         raise SignatureMismatch("clean and infected netlists disagree on "
                                 "primary I/O words")
+    net = ht.trigger_net
+    if not (0 <= net < infected.n_nets and any(
+            g.tag in ht.host_instances for g in infected.readers(net))):
+        raise BadParams(f"trigger net {net} is not read by a host gate "
+                        f"{ht.host_instances} of the infected netlist")
     run_c, run_i = simulate(clean, stream), simulate(infected, stream)
     error_delta = (error_profile(infected, reference, run_i).mred
                    - error_profile(clean, reference, run_c).mred)

@@ -441,14 +441,19 @@ def activity_and_error(netlist: Netlist, ref, source):
     return act.report(), err.report()
 
 
+#: bytes of net-array rows each counting pass reads; a block stays in L2
+_BLOCK_BYTES = 1 << 18
+
+
 class _ActivitySums:
     """Running per-net ones and toggle counts of consecutive chunks of one
     run; a toggle across a chunk boundary counts in the later chunk.
 
-    A toggle at vector t is bit t of ``c ^ (c << 1)`` over the flat words
-    of a net, each word shifted in the top bit of the word before it; bit
-    0 of a net's first word and the pad bits of its last word are no
-    toggles of the chunk."""
+    A toggle at vector t is bit t of ``c ^ (c << 1)`` over a net's words,
+    each word shifted in the top bit of the word before it; bit 0 of a
+    net's first word and the pad bits of its last word are no toggles of
+    the chunk.  Each block of whole rows, at most :data:`_BLOCK_BYTES`
+    but at least one row, runs every pass in scratch kept across chunks."""
 
     def __init__(self, n_nets: int):
         self.ones = np.zeros(n_nets, np.int64)
@@ -459,19 +464,26 @@ class _ActivitySums:
 
     def add(self, tr: Traces):
         c, n = tr.c, tr.n_vectors
-        if self._scratch is None or self._scratch[0].shape != c.shape:
-            self._scratch = (np.empty(c.shape, np.uint64),
-                             np.empty(c.shape, np.uint8))
-        y, count = self._scratch
-        self.ones += np.bitwise_count(c, out=count).sum(axis=1, dtype=np.int64)
-        flat, yf = c.reshape(-1), y.reshape(-1)
-        np.left_shift(flat, np.uint64(1), out=yf)
-        yf[1:] |= flat[:-1] >> np.uint64(63)
-        yf ^= flat
-        y[:, 0] &= ~np.uint64(1)
-        if n % 64:
-            y[:, -1] &= np.uint64((1 << n % 64) - 1)
-        self.tog += np.bitwise_count(y, out=count).sum(axis=1, dtype=np.int64)
+        rows = max(1, _BLOCK_BYTES // (8 * c.shape[1]))
+        shape = (min(rows, len(c)), c.shape[1])
+        if self._scratch is None or self._scratch[0].shape != shape:
+            self._scratch = [np.empty(shape, t)
+                             for t in (np.uint64, np.uint64, np.uint8)]
+        for lo in range(0, len(c), rows):
+            blk = c[lo:lo + rows]
+            y, top, cnt = (s[:len(blk)] for s in self._scratch)
+            ones, tog = self.ones[lo:lo + rows], self.tog[lo:lo + rows]
+            ones += np.bitwise_count(blk, out=cnt).sum(axis=1, dtype=np.int32)
+            # carried flat through the scratch: a row's first word takes
+            # the previous row's top bit into bit 0, which is cleared
+            np.left_shift(blk, np.uint64(1), out=y)
+            np.right_shift(blk, np.uint64(63), out=top)
+            y.reshape(-1)[1:] |= top.reshape(-1)[:-1]
+            y ^= blk
+            y[:, 0] &= ~np.uint64(1)
+            if n % 64:
+                y[:, -1] &= np.uint64((1 << n % 64) - 1)
+            tog += np.bitwise_count(y, out=cnt).sum(axis=1, dtype=np.int32)
         first = (c[:, 0] & np.uint64(1)).astype(np.int64)
         if self.prev_last is not None:
             self.tog += self.prev_last ^ first

@@ -318,15 +318,15 @@ def test_stealth_report_on_the_leak(inserted):
 
 
 def test_stealth_error_delta_is_the_mred_difference(inserted):
-    clean, _, _, _, ht = inserted
+    _, _, _, infected, ht = inserted
     exact = SPEC.build(None)
     stream = VectorStream(3000, 17, "uniform")
-    # clean plays the infected side, so the trigger must be one of its nets
-    ht = dataclasses.replace(ht, trigger_net=ht.trigger_nets[0][0])
-    rep = verify_stealth(exact, clean, ht, SPEC.reference, stream)
+    # the exact build plays the clean side: its error is 0, the rough
+    # adders of the infected one are not
+    rep = verify_stealth(exact, infected, ht, SPEC.reference, stream)
     assert rep.error_delta > 0.0
     assert rep.error_delta == (
-        error_profile(clean, SPEC.reference, stream).mred
+        error_profile(infected, SPEC.reference, stream).mred
         - error_profile(exact, SPEC.reference, stream).mred)
 
 
@@ -334,7 +334,9 @@ def test_stealth_against_itself_under_word_references():
     spec = bfly_spec()
     nl = spec.build({"add0": ArchParams("add", "loa", spec.slots[1][2], 4)})
     a0 = dict(nl.input_words())["a"][0]
-    ht = HTInstance(((a0, 1),), 1, "corrupt", "y0", (0,), (), (), (), a0)
+    # a one-tap trigger on a 1 value is the tap itself, read by its host
+    host = (nl.readers(a0)[0].tag,)
+    ht = HTInstance(((a0, 1),), 1, "corrupt", "y0", (0,), (), host, (), a0)
     stream = VectorStream(2000, 4, "uniform")
     rep = verify_stealth(nl, nl, ht, spec.reference, stream)
     assert rep.error_delta == 0.0
@@ -343,16 +345,38 @@ def test_stealth_against_itself_under_word_references():
 
 
 def test_stealth_requires_matching_signatures(inserted):
-    clean, _, _, _, ht = inserted
+    clean, _, _, infected, ht = inserted
     other = fir_spec(8, (1, 1, 1, 1)).build(None)
     shrunk = fir_spec(4, (1, 2, 3, 4)).build(None)
+    stream = VectorStream(100, 0, "uniform")
     with pytest.raises(SignatureMismatch):
-        verify_stealth(clean, shrunk, ht, SPEC.reference,
-                       VectorStream(100, 0, "uniform"))
+        verify_stealth(clean, shrunk, ht, SPEC.reference, stream)
     # same I/O words at the same widths is fine even across builds
-    rep = verify_stealth(other, other, ht, SPEC.reference,
-                         VectorStream(100, 0, "uniform"))
-    assert rep.error_delta == 0.0
+    rep = verify_stealth(other, infected, ht, SPEC.reference, stream)
+    assert rep.error_delta == (
+        error_profile(infected, SPEC.reference, stream).mred
+        - error_profile(other, SPEC.reference, stream).mred)
+    assert rep.trigger_rate == ht.trigger_rate(simulate(infected, stream))
+
+
+def test_stealth_rejects_a_trigger_foreign_to_the_infected_netlist(
+        inserted, kernel_calls):
+    clean, _, _, infected, ht = inserted
+    other = fir_spec(8, (1, 1, 1, 1)).build(None)
+    tap = ht.trigger_nets[0][0]
+    foreign = [
+        (other, ht),      # a net id of an unrelated build
+        (clean, ht),      # the host tag is fresh: clean has no host gate
+        (clean, dataclasses.replace(ht, trigger_net=tap)),  # a clean net
+        (infected, dataclasses.replace(ht, trigger_net=infected.n_nets)),
+        (infected, dataclasses.replace(ht, trigger_net=-1)),
+    ]
+    for nl, bad in foreign:
+        with pytest.raises(BadParams,
+                           match=rf"trigger net {bad.trigger_net} "):
+            verify_stealth(clean, nl, bad, SPEC.reference,
+                           VectorStream(100, 0, "uniform"))
+    assert not kernel_calls
 
 
 def test_stealth_simulates_each_netlist_once(inserted, kernel_calls):

@@ -1,14 +1,16 @@
 """Packed simulation against scalar evaluation, stream behavior, and the
 activity, power and error profilers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec import _kernels
+from axsec import _kernels, sim
 from axsec.arith import ArchParams, gen_adder, gen_module
-from axsec.designs import bfly_spec
+from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
@@ -557,25 +559,76 @@ def _sticky_chunk(rng, n_nets, n):
 @settings(max_examples=40, deadline=None)
 @given(lengths=st.lists(st.one_of(_EDGE_N, st.integers(1, 3 * 64 + 5)),
                         min_size=1, max_size=4),
-       n_nets=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
-       sticky=st.booleans())
-def test_toggle_count_equals_the_strided_count(lengths, n_nets, seed, sticky):
+       n_nets=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       sticky=st.booleans(),
+       block=st.one_of(st.integers(1, 7), st.integers(8, 1 << 16)),
+       view=st.booleans())
+def test_toggle_count_equals_the_strided_count(lengths, n_nets, seed, sticky,
+                                               block, view):
+    # ``block`` bytes per row block: under 8 every block is one row, and
+    # most budgets split the nets into ragged blocks; with ``view`` each
+    # chunk is a non-contiguous column view inside words it must not read
     rng = np.random.default_rng(seed)
     got, want = _ActivitySums(n_nets), oracles.ActivitySums(n_nets)
-    for n in lengths:
-        if sticky:
-            c = _sticky_chunk(rng, n_nets, n)
-        else:
-            c = rng.integers(0, 2 ** 64, (n_nets, (n + 63) // 64),
-                             dtype=np.uint64)
-            if n % 64:
-                c[:, -1] &= np.uint64((1 << n % 64) - 1)
-        tr = Traces(None, c, n)
-        got.add(tr)
-        want.add(tr)
-        assert np.array_equal(got.ones, want.ones)
-        assert np.array_equal(got.tog, want.tog)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_BLOCK_BYTES", block)
+        for n in lengths:
+            if sticky:
+                c = _sticky_chunk(rng, n_nets, n)
+            else:
+                c = rng.integers(0, 2 ** 64, (n_nets, (n + 63) // 64),
+                                 dtype=np.uint64)
+                if n % 64:
+                    c[:, -1] &= np.uint64((1 << n % 64) - 1)
+            if view:
+                wide = np.full((n_nets, c.shape[1] + 2), ~np.uint64(0))
+                wide[:, 1:-1] = c
+                c = wide[:, 1:-1]
+            tr = Traces(None, c, n)
+            got.add(tr)
+            want.add(tr)
+            assert np.array_equal(got.ones, want.ones)
+            assert np.array_equal(got.tog, want.tog)
     assert got.total == want.total == sum(lengths)
+
+
+@pytest.mark.parametrize("block", [1, 3 * 8 * (CHUNK // 64) + 5,
+                                   5 * 8 * (CHUNK // 64)])
+def test_activity_of_a_run_counts_its_column_views(monkeypatch, block):
+    # a run of 2 chunks and 70 vectors is read as column views of its
+    # words; blocks of 1, 3 and 5 rows leave a ragged last block
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", block)
+    nl = _mix_netlist()
+    run = simulate(nl, VectorStream(2 * CHUNK + 70, 8, "correlated", 0.9))
+    want = oracles.ActivitySums(nl.n_nets)
+    for _, tr in iter_traces(nl, run):
+        assert not tr.c.flags.c_contiguous
+        want.add(tr)
+    act = activity_profile(nl, run)
+    assert np.array_equal(act.toggles, want.tog)
+    assert np.array_equal(act.p1, want.ones / want.total)
+
+
+def test_activity_sums_of_a_wide_chunk_allocate_little():
+    # the profile-wide fir8 build: 1572 nets x 1024 words, 12.9 MB
+    spec = fir_spec(8)
+    nl = spec.build({"mul0": ArchParams("mul", "trunc", 8, 2),
+                     "mul3": ArchParams("mul", "block22", 8, 2),
+                     "add0": ArchParams("add", "loa", 16, 4),
+                     "add2": ArchParams("add", "loa", 17, 4)})
+    tr = simulate(nl, VectorStream(CHUNK, 3, "correlated", 0.9))
+    acc = _ActivitySums(nl.n_nets)
+    tracemalloc.start()
+    try:
+        acc.add(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tr.c.nbytes / 8
+    want = oracles.ActivitySums(nl.n_nets)
+    want.add(tr)
+    assert np.array_equal(acc.tog, want.tog)
+    assert np.array_equal(acc.ones, want.ones)
 
 
 @pytest.mark.parametrize("n", [63, 64, CHUNK + 70, 2 * CHUNK + 1])
