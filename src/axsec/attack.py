@@ -12,8 +12,9 @@ witness is replayed on the built netlist, and a netlist is only emitted
 together with a witness that fired its trigger.
 
 Stealth error is the difference of two :func:`axsec.sim.error_profile`
-figures and checks :meth:`Netlist.signature`; the trigger rate is read off
-the built trigger net alone (:meth:`HTInstance.trigger_rate`).
+figures and checks :meth:`Netlist.signature`; the trigger rate is the
+signal probability of the built trigger net, read off the same profile as
+the infected netlist's power.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, PowerProxy, VectorStream,
-                  activity_profile, check_theta, error_profile, eval_vector,
-                  power_proxy, rare_nets, simulate, stream_key)
+                  activity_and_error, check_theta, eval_vector, power_proxy,
+                  rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -67,11 +68,9 @@ def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
 
 def _measure(nl: Netlist, params: ArchParams, stream, theta: float,
              base: PowerProxy | None = None) -> tuple:
-    """(power, spec) of one architecture from one run; without ``base`` the
-    run is its own baseline."""
-    run = simulate(nl, stream)
-    err = error_profile(nl, EXACT_OPS[params.op_type], run)
-    act = activity_profile(nl, run)
+    """(power, spec) of one architecture from one pass over the stream;
+    without ``base`` the run is its own baseline."""
+    act, err = activity_and_error(nl, EXACT_OPS[params.op_type], stream)
     power = power_proxy(nl, act)
     proxy = power_proxy(nl, act, power if base is None else base)
     rare = rare_nets(act, theta)
@@ -160,17 +159,9 @@ class HTInstance:
     trigger_nets: tuple      # ((net, required_value), ...)
     q: int
     payload_kind: str
-    payload_word: str
-    payload_bits: tuple      # replaced bit positions of payload_word
     witness: tuple           # sorted ((input word, value), ...)
     host_instances: tuple    # fresh tags carrying trigger/payload gates
-    tap_instances: tuple     # tags whose nets the trigger taps (informative)
-    trigger_net: int
-
-    def trigger_rate(self, run) -> float:
-        """Fraction of a simulated run's vectors on which the trigger net
-        fires; the net is the AND tree of the tap literals."""
-        return int(run.bits(self.trigger_net).sum()) / run.n_vectors
+    trigger_net: int         # the AND tree of the tap literals
 
 
 def _and_tree(b, nets, tag):
@@ -283,21 +274,16 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
             for n, v in taps]
     trig = _and_tree(b, lits, fresh)
 
-    out_word = nl.output_words()[0][0]
-    out_nets = list(nl.words[out_word])
+    out_nets = nl.words[nl.output_words()[0][0]]
     if config.payload == "leak":
         if not config.secret_word or config.secret_word not in nl.words:
             raise BadParams("leak payload needs an existing secret_word")
-        secret = nl.words[config.secret_word]
-        bits = tuple(range(min(len(secret), len(out_nets))))
-        for i in bits:
-            mux = b.gate(GateKind.MUX2, (trig, out_nets[i], secret[i]),
-                         tag=fresh)
-            _replace_output(b, out_nets[i], mux)
+        for out, sec in zip(out_nets, nl.words[config.secret_word]):
+            mux = b.gate(GateKind.MUX2, (trig, out, sec), tag=fresh)
+            _replace_output(b, out, mux)
     elif config.payload == "corrupt":
-        bits = (len(out_nets) - 1,)
-        x = b.gate(GateKind.XOR, (out_nets[bits[0]], trig), tag=fresh)
-        _replace_output(b, out_nets[bits[0]], x)
+        x = b.gate(GateKind.XOR, (out_nets[-1], trig), tag=fresh)
+        _replace_output(b, out_nets[-1], x)
     else:
         raise BadParams(f"unknown payload {config.payload!r}")
     infected = b.build()
@@ -315,9 +301,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     if tvals[trig] != 1:
         raise NoWitness("witness does not fire the assembled trigger")
 
-    ht = HTInstance(tuple(taps), config.q, config.payload, out_word, bits,
-                    tuple(sorted(witness.items())), (fresh,),
-                    tuple(sorted(set(tap_tags))), trig)
+    ht = HTInstance(tuple(taps), config.q, config.payload,
+                    tuple(sorted(witness.items())), (fresh,), trig)
     return infected, ht
 
 
@@ -339,9 +324,10 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     """Differential stealth measurement of an insertion.
 
     ``reference`` is anything :func:`~axsec.sim.error_sums` accepts;
-    error_delta is the infected-minus-clean difference of MRED against it
-    (:func:`~axsec.sim.error_profile`).  trigger_rate counts cycles where
-    the trigger net fires.  Both runs are held whole in memory.
+    error_delta is the infected-minus-clean difference of MRED against it.
+    Each netlist is profiled in one :func:`~axsec.sim.activity_and_error`
+    pass, chunk by chunk; trigger_rate is the trigger net's signal
+    probability in the infected profile.
 
     ``ht`` must be the insertion that built ``infected``: its trigger net
     is read by a gate of one of its host instances (every payload gate
@@ -355,14 +341,13 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
             g.tag in ht.host_instances for g in infected.readers(net))):
         raise BadParams(f"trigger net {net} is not read by a host gate "
                         f"{ht.host_instances} of the infected netlist")
-    run_c, run_i = simulate(clean, stream), simulate(infected, stream)
-    error_delta = (error_profile(infected, reference, run_i).mred
-                   - error_profile(clean, reference, run_c).mred)
-    rate = ht.trigger_rate(run_i)
-    p_clean = power_proxy(clean, activity_profile(clean, run_c))
-    p_inf = power_proxy(infected, activity_profile(infected, run_i), p_clean)
+    act_c, err_c = activity_and_error(clean, reference, stream)
+    act_i, err_i = activity_and_error(infected, reference, stream)
+    p_clean = power_proxy(clean, act_c)
+    p_inf = power_proxy(infected, act_i, p_clean)
     min_slack = None
     if clock is not None:
         s = slacks(infected, model or DelayModel(), clock)
         min_slack = float(np.min(s[np.isfinite(s)]))
-    return StealthReport(error_delta, p_inf.ratio - 1.0, rate, min_slack)
+    return StealthReport(err_i.mred - err_c.mred, p_inf.ratio - 1.0,
+                         float(act_i.p1[ht.trigger_net]), min_slack)

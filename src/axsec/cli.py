@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .arith import ARCHS, ArchParams, gen_module
 from .attack import AttackConfig, insert_trojan, verify_stealth
-from .designs import bfly_spec, fir_spec
+from .designs import design_spec
 from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
 from .errors import (BadParams, BadThreshold, BudgetInfeasible, EmptySet,
@@ -120,12 +120,6 @@ def _peek_config(argv):
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _design_spec(args):
-    if args.design == "fir":
-        return fir_spec(args.width, args.coeffs)
-    return bfly_spec(args.width, args.twiddle)
-
-
 def _reference_for(nl, choice):
     """Exact word-level reference, or None when not derivable.
 
@@ -174,7 +168,7 @@ def _cmd_gen_module(args):
 
 
 def _cmd_gen_design(args):
-    spec = _design_spec(args)
+    spec = design_spec(args.design, args.width, args.coeffs, args.twiddle)
     if args.list_slots:
         for name, op, w in spec.slots:
             print(f"{name} {op} {w}")
@@ -295,7 +289,7 @@ def _attack_report(args, nl, infected, ht, model):
         # no reference: deltas stay open, rate and slack are still checkable
         rate = mslack = None
         if sv is not None:
-            rate = ht.trigger_rate(simulate(infected, sv))
+            rate = float(activity_profile(infected, sv).p1[ht.trigger_net])
         if args.clock is not None:
             mslack = float(slacks(infected, model, args.clock).min())
         tail = (None, None, rate, mslack)

@@ -42,8 +42,8 @@ def _check_const(value: int, width: int):
 
 
 @lru_cache(maxsize=128)
-def const_module(value: int, width: int, word: str = "c") -> Netlist:
-    """Constant word driver (coefficient / twiddle logic)."""
+def const_module(value: int, width: int) -> Netlist:
+    """Constant word ``c`` driver (coefficient / twiddle logic)."""
     _check_const(value, width)
     b = NetlistBuilder()
     b.instance("u", "deterministic", "const", "-")
@@ -51,7 +51,7 @@ def const_module(value: int, width: int, word: str = "c") -> Netlist:
     for i in range(width):
         kind = GateKind.CONST1 if (value >> i) & 1 else GateKind.CONST0
         nets.append(b.gate(kind, (), tag="u", stem=f"k{i}"))
-    b.word(word, nets)
+    b.word("c", nets)
     for n in nets:
         b.po(n)
     return b.build()
@@ -135,12 +135,12 @@ def fir_slots(width: int, taps: int = 4) -> list[tuple[str, str, int]]:
     return slots
 
 
-def fir_design(width: int, coeffs, assign=None, name: str = "top") -> Design:
+def fir_design(width: int, coeffs, assign=None) -> Design:
     """Tapped sum of products y = sum(c_i * x_i) with one input word per
     tap, constant coefficients and a balanced adder tree."""
     taps = len(coeffs)
     slots = fir_slots(width, taps)
-    d = Design(name)
+    d = Design("top")
     d.inputs = [(f"x{i}", width) for i in range(taps)]
     d.wires = [(f"c{i}", width) for i in range(taps)]
     d.wires += [(f"m{i}", 2 * width) for i in range(taps)]
@@ -198,13 +198,12 @@ def bfly_slots(width: int, twiddle: int) -> list[tuple[str, str, int]]:
     return [("mul0", "mul", width), ("add0", "add", n)]
 
 
-def bfly_design(width: int, twiddle: int, assign=None,
-                name: str = "top") -> Design:
+def bfly_design(width: int, twiddle: int, assign=None) -> Design:
     """Butterfly y0 = a + tw*b, y1 = (a - tw*b) mod 2^n with a constant
     twiddle factor; the subtract path is fixed exact logic."""
     n = bfly_width(width, twiddle)
     slots = bfly_slots(width, twiddle)
-    d = Design(name)
+    d = Design("top")
     d.inputs = [("a", width), ("b", width)]
     d.outputs = [("y0", n + 1), ("y1", n)]
     d.wires = [("tw", width), ("t2", 2 * width), ("ae", n), ("te", n)]
@@ -293,3 +292,13 @@ def bfly_spec(width: int = 8, twiddle: int = 3) -> DesignSpec:
         build=_builder(bfly_design, (width, twiddle)),
         reference=bfly_reference(width, twiddle),
         secret_word="twid")
+
+
+def design_spec(design: str, width: int, coeffs, twiddle: int) -> DesignSpec:
+    """The spec of a design family by name, fir or bfly; each family reads
+    and checks only its own parameters."""
+    if design == "fir":
+        return fir_spec(width, coeffs)
+    if design == "bfly":
+        return bfly_spec(width, twiddle)
+    raise BadParams(f"unknown design {design!r}")

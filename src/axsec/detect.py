@@ -9,7 +9,7 @@ signals: presence on near-critical paths, loss of resilience under directed
 stress vectors, and ownership of rarely switching nets.
 
 Candidates must share one :meth:`Netlist.signature`; the ranking scores
-vectors with :func:`axsec.sim.relative_error` against the majority, reading
+each candidate's :func:`axsec.sim.error_terms` against the majority, reading
 the figures :class:`_Profile` takes off one profiling run per candidate.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EmptySet, LabelMismatch, SignatureMismatch, check_ranges
 from .netlist import GateKind, Netlist
-from .sim import (VectorStream, check_theta, rare_nets, relative_error,
+from .sim import (VectorStream, check_theta, error_terms, rare_nets,
                   simulate, stream_bits)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
@@ -207,12 +207,12 @@ def _rank(cands, out_vals, tol_frac):
     wce = np.zeros(len(cands))
     for w in words:
         stack = np.stack([v[w] for v in out_vals])
-        maj = _majority(stack, tol_frac * ((1 << widths[w]) - 1))
-        ad = np.abs(stack - maj).astype(np.float64)
-        er += (ad > 0).mean(axis=1)
-        med += ad.mean(axis=1)
-        mred += relative_error(ad, maj).mean(axis=1)
-        wce = np.maximum(wce, ad.max(axis=1))
+        e, a, r, top = error_terms(
+            stack, _majority(stack, tol_frac * ((1 << widths[w]) - 1)))
+        er += e / n
+        med += a / n
+        mred += r / n
+        wce = np.maximum(wce, top)
     k = len(words)
     entries = [RankEntry(cid, float(er[i] / k), float(med[i] / k),
                          float(mred[i] / k), float(wce[i]), n)

@@ -19,9 +19,9 @@ from .arith import ArchParams
 from .attack import (AttackConfig, BudgetConstraints, attack_score,
                      characterize, check_budget, insert_trojan,
                      verify_stealth)
-from .designs import DesignSpec, bfly_spec, fir_spec
+from .designs import DesignSpec, design_spec
 from .detect import DetectConfig, classify, score
-from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
+from .errors import (BudgetInfeasible, NoRareNets, NoWitness,
                      WouldViolateTiming, check_ranges)
 from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
@@ -70,8 +70,6 @@ class ExperimentConfig:
     dev_tol: float = 0.05
 
     def __post_init__(self):
-        if self.design not in ("fir", "bfly"):
-            raise BadParams(f"unknown design {self.design!r}")
         check_ranges(self, (
             ("n_variants", self.n_variants >= 1, "at least 1"),
             ("infected_fraction", 0.0 <= self.infected_fraction <= 1.0,
@@ -89,9 +87,8 @@ class ExperimentConfig:
         self.budget()
 
     def design_spec(self) -> DesignSpec:
-        if self.design == "fir":
-            return fir_spec(self.width, self.coeffs)
-        return bfly_spec(self.width, self.twiddle)
+        return design_spec(self.design, self.width, self.coeffs,
+                           self.twiddle)
 
     def budget(self) -> BudgetConstraints:
         return BudgetConstraints(self.e_target, self.p_target,
@@ -234,7 +231,8 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
     base_assign = {name: ArchParams(op, "exact", w)
                    for name, op, w in spec.slots}
     base_nl = spec.build(base_assign)
-    base_power = power_proxy(base_nl, activity_profile(base_nl, stream))
+    base_run = simulate(base_nl, stream)
+    base_power = power_proxy(base_nl, activity_profile(base_nl, base_run))
     key = stream_key(stream)
 
     def decode(ix):
@@ -252,7 +250,8 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
         specs = [menus[s][j] for s, j in enumerate(picks)]
         assign = {spec.slots[s][0]: m.params for s, m in enumerate(specs)}
         nl = spec.build(assign)
-        run = simulate(nl, stream)
+        # builds are shared: the all-exact variant is the base netlist
+        run = base_run if nl is base_nl else simulate(nl, stream)
         # MRED averaged over the referenced output words
         ce = float(np.mean([rel / run.n_vectors for _, _, rel, _
                             in error_sums(run, spec.reference)]))

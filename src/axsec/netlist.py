@@ -107,7 +107,6 @@ class Netlist:
         self.words = {w: tuple(nets) for w, nets in words.items()}
         self.gates = tuple(sorted(gates, key=lambda g: g.id))
         self.instances = dict(instances)
-        self._net_id = {n: i for i, n in enumerate(self.net_names)}
         self._validate()
 
     # -- accessors ---------------------------------------------------------
@@ -115,9 +114,6 @@ class Netlist:
     @property
     def n_nets(self):
         return len(self.net_names)
-
-    def net_id(self, name):
-        return self._net_id[name]
 
     def driver(self, net):
         """Gate driving ``net`` or None for primary inputs."""
@@ -393,7 +389,7 @@ class NetlistBuilder:
             self.words = {w: list(n) for w, n in base.words.items()}
             self.gates = list(base.gates)
             self.instances = dict(base.instances)
-            self._by_name = dict(base._net_id)
+            self._by_name = {n: i for i, n in enumerate(base.net_names)}
             self._next_gate = 1 + max((g.id for g in base.gates), default=-1)
 
     def net(self, name: str) -> int:

@@ -22,8 +22,9 @@ generated lazily, and a profile runs all their chunks in one net buffer.
 A simulated run (:class:`Traces`) is itself a source, read in the same
 chunks, so a run measured several ways is simulated once.
 
-Every error figure of the workbench folds :func:`error_sums` and its one
-MRED term :func:`relative_error`; seed salting (:func:`sub_seed`) and
+Every error figure of the workbench is made of :func:`error_terms`: the
+error count, absolute sum, relative sum and worst difference of each row
+of values against its reference.  Seed salting (:func:`sub_seed`) and
 stream identity (:func:`stream_key`) are owned here as well.
 """
 
@@ -347,16 +348,20 @@ EXACT_OPS = {"add": lambda wv: wv["a"] + wv["b"],
              "mul": lambda wv: wv["a"] * wv["b"]}
 
 
-def relative_error(diff, exp):
-    """Per-vector relative error ``|got - exp| / max(exp, 1)`` from
-    ``diff = |got - exp|``."""
-    return diff / np.maximum(exp, 1)
+def error_terms(got, exp):
+    """Per row of ``got`` (vectors along the last axis) against ``exp``:
+    the error count, the sum of ``|got - exp|``, the sum of ``|got - exp| /
+    max(exp, 1)`` and the worst ``|got - exp|``.  Integer values give exact
+    counts and absolute sums."""
+    d = np.abs(got - exp)
+    return (np.count_nonzero(d, axis=-1), d.sum(axis=-1),
+            (d / np.maximum(exp, 1)).sum(axis=-1), d.max(axis=-1, initial=0))
 
 
 def error_sums(tr: Traces, ref) -> list[tuple]:
-    """Per referenced output word, the (error count, absolute sum, relative
-    sum, worst absolute difference) of a simulated run, whole or one chunk;
-    callers divide by their own vector counts.
+    """Per referenced output word, the :func:`error_terms` of a simulated
+    run, whole or one chunk, as Python numbers; callers divide by their own
+    vector counts.
 
     ``ref`` is a callable on input word value arrays (checked against the
     one output word), such as an :data:`EXACT_OPS` entry, or a dict of such
@@ -372,11 +377,9 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     wv = {w: tr.word_values(nets) for w, nets in nl.input_words()}
     sums = []
     for word, fn in sorted(ref.items()):
-        exp = np.asarray(fn(wv), np.int64)
-        d = np.abs(tr.word_values(outs[word]) - exp)
-        sums.append((int(np.count_nonzero(d)), int(d.sum()),
-                     float(relative_error(d, exp).sum()),
-                     int(d.max(initial=0))))
+        e, a, r, w = error_terms(tr.word_values(outs[word]),
+                                 np.asarray(fn(wv), np.int64))
+        sums.append((int(e), int(a), float(r), int(w)))
     return sums
 
 

@@ -1,8 +1,10 @@
 """Reference definitions the workbench is checked against.
 
 Most are the plain, per-bit or per-column form of what :mod:`axsec.sim`
-computes in fewer passes; :func:`structurally_equal` compares two netlists
-by net name.  They are kept here only for the tests.
+computes in fewer passes; :func:`rank_errors` is the error ranking's own
+float-array form of what :func:`axsec.sim.error_terms` now computes, and
+:func:`structurally_equal` compares two netlists by net name.  They are
+kept here only for the tests.
 """
 
 import numpy as np
@@ -112,6 +114,23 @@ class ActivitySums:
         self.prev_last = ((c[:, -1] >> np.uint64((n - 1) % 64))
                           & np.uint64(1)).astype(np.int64)
         self.total += n
+
+
+def rank_errors(stacks, majorities) -> list[tuple]:
+    """Per candidate, the (er, med, mred, wce) of the error ranking from
+    each output word's (candidates, vectors) stack and its per-vector
+    majority, in word order: per-word float means of the absolute
+    difference, summed and divided by the word count (wce is the worst)."""
+    er = med = mred = wce = 0.0
+    for stack, maj in zip(stacks, majorities):
+        ad = np.abs(stack - maj).astype(np.float64)
+        er = er + (ad > 0).mean(axis=1)
+        med = med + ad.mean(axis=1)
+        mred = mred + (ad / np.maximum(maj, 1)).mean(axis=1)
+        wce = np.maximum(wce, ad.max(axis=1))
+    k = len(stacks)
+    return [(float(er[i] / k), float(med[i] / k), float(mred[i] / k),
+             float(wce[i])) for i in range(len(er))]
 
 
 def structurally_equal(a: Netlist, b: Netlist) -> bool:

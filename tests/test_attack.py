@@ -142,7 +142,6 @@ def test_payload_lives_in_a_fresh_instance(inserted):
     (fresh,) = ht.host_instances
     assert fresh not in clean.instances
     assert fresh in infected.instances
-    assert set(ht.tap_instances) <= set(clean.instances)
     added = [g for g in infected.gates if g.tag == fresh]
     assert added and all(g.tag != fresh for g in clean.gates)
 
@@ -180,7 +179,6 @@ def test_corrupt_payload_flips_the_msb(inserted):
     infected, ht = insert_trojan(
         clean, act, None, dataclasses.replace(cfg, payload="corrupt"))
     assert ht.payload_kind == "corrupt"
-    assert ht.payload_bits == (17,)
     w = dict(ht.witness)
     yc = word_value(clean, eval_vector(clean, w), "y")
     yi = word_value(infected, eval_vector(infected, w), "y")
@@ -336,12 +334,28 @@ def test_stealth_against_itself_under_word_references():
     a0 = dict(nl.input_words())["a"][0]
     # a one-tap trigger on a 1 value is the tap itself, read by its host
     host = (nl.readers(a0)[0].tag,)
-    ht = HTInstance(((a0, 1),), 1, "corrupt", "y0", (0,), (), host, (), a0)
+    ht = HTInstance(((a0, 1),), 1, "corrupt", (), host, a0)
     stream = VectorStream(2000, 4, "uniform")
     rep = verify_stealth(nl, nl, ht, spec.reference, stream)
     assert rep.error_delta == 0.0
     assert rep.power_delta_fraction == 0.0
     assert rep.trigger_rate == simulate(nl, stream).bits(a0).mean()
+
+
+def test_stealth_trigger_rate_is_the_trigger_nets_mean_over_chunks():
+    spec = bfly_spec()
+    clean = spec.build({"add0": ArchParams("add", "loa", spec.slots[1][2],
+                                           4)})
+    cfg = AttackConfig(q=3, theta=0.2, scoap_ceiling=500, payload="corrupt",
+                       stream=VectorStream(2000, 5, "correlated", 0.9),
+                       trace_vectors=5000, require_disjoint=False)
+    infected, ht = insert_trojan(clean, activity_profile(clean, cfg.stream),
+                                 None, cfg)
+    stream = VectorStream(70_000, 9, "uniform")  # past one 65,536 chunk
+    rate = verify_stealth(clean, infected, ht, spec.reference,
+                          stream).trigger_rate
+    assert type(rate) is float and rate > 0.0
+    assert rate == simulate(infected, stream).bits(ht.trigger_net).mean()
 
 
 def test_stealth_requires_matching_signatures(inserted):
@@ -356,7 +370,8 @@ def test_stealth_requires_matching_signatures(inserted):
     assert rep.error_delta == (
         error_profile(infected, SPEC.reference, stream).mred
         - error_profile(other, SPEC.reference, stream).mred)
-    assert rep.trigger_rate == ht.trigger_rate(simulate(infected, stream))
+    assert rep.trigger_rate == simulate(infected, stream).bits(
+        ht.trigger_net).mean()
 
 
 def test_stealth_rejects_a_trigger_foreign_to_the_infected_netlist(

@@ -5,8 +5,9 @@ import pytest
 
 from axsec import designs
 from axsec.arith import ArchParams, gen_adder, gen_module, gen_multiplier
-from axsec.designs import (bfly_design, bfly_spec, const_module, fir_design,
-                           fir_spec, resize_module, sub_module)
+from axsec.designs import (bfly_design, bfly_spec, const_module,
+                           design_spec, fir_design, fir_spec, resize_module,
+                           sub_module)
 from axsec.errors import BadParams
 from axsec.experiment import (ExperimentConfig, characterize_library,
                               generate_variants)
@@ -137,6 +138,16 @@ def test_flatten_leaves_the_memoized_modules_unchanged():
 def test_fir_coefficients_must_fit_the_width():
     with pytest.raises(BadParams, match="constant 5 does not fit in 2 bits"):
         fir_spec(2, (3, 5, 7, 9))
+
+
+def test_design_spec_selects_a_family_by_name():
+    # each family reads only its own parameters
+    assert design_spec("fir", 6, (1, 2), 99).name == fir_spec(6, (1, 2)).name
+    assert design_spec("bfly", 6, (99,), 5).name == bfly_spec(6, 5).name
+    with pytest.raises(BadParams, match="unknown design 'iir'"):
+        design_spec("iir", 8, (3, 5, 7, 9), 3)
+    with pytest.raises(BadParams, match="twiddle"):
+        design_spec("bfly", 8, (3,), 0)
 
 
 def test_build_is_shared_whatever_the_assignment_order():

@@ -1,7 +1,11 @@
 """Screening pipeline: consensus, ranking, stress tests, classification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axsec import detect
 from axsec.arith import ArchParams
@@ -16,7 +20,7 @@ from axsec.errors import (BadParams, EmptySet, LabelMismatch,
 from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, simulate
 
-from tests.oracles import word_values
+from tests.oracles import rank_errors, word_values
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -182,6 +186,38 @@ def test_rank_rejects_mismatched_candidates(trio):
     with pytest.raises(SignatureMismatch):
         rank_by_error({"a": cands["v0"],
                        "b": fir_spec(4, (1, 2, 3, 4)).build(None)}, streams)
+
+
+@st.composite
+def _candidate_words(draw):
+    """Output word values of 1-6 candidates over 1-3 words of 1-12 bits;
+    about half the values are 0, so many vectors have a majority of 0."""
+    n_cands, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    widths = {f"y{i}": w for i, w in enumerate(
+        draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))}
+    vals = [{} for _ in range(n_cands)]
+    for w, bits in widths.items():
+        value = st.one_of(st.just(0), st.integers(0, (1 << bits) - 1))
+        for v in vals:
+            v[w] = np.array(draw(st.lists(value, min_size=n, max_size=n)),
+                            np.int64)
+    return widths, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(_candidate_words(), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_rank_terms_equal_the_float_array_oracle(words, tol):
+    widths, vals = words
+    nl = SimpleNamespace(signature=lambda: ((), tuple(widths.items())))
+    cands = [(f"c{i}", nl) for i in range(len(vals))]
+    stacks = [np.stack([v[w] for v in vals]) for w in sorted(widths)]
+    majs = [_majority(s, tol * ((1 << widths[w]) - 1))
+            for s, w in zip(stacks, sorted(widths))]
+    got = {e.netlist_id: e for e in detect._rank(cands, vals, tol)}
+    for (cid, _), want in zip(cands, rank_errors(stacks, majs)):
+        e = got[cid]
+        # repr tells floats apart bit for bit
+        assert repr((e.er, e.med, e.mred, e.wce)) == repr(want)
 
 
 # -- structural suspects ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` resolves, and every other
-module-level name is read somewhere in the package.
+module-level name, method and annotated class field is read somewhere in
+the package.
 
 A plain import never reads ``__all__``, so a stale entry left behind by a
 removal only shows up in a star import or the docs.  A module-level
@@ -37,9 +38,29 @@ def test_a_stale_export_is_caught(monkeypatch):
     assert _unresolved(detect) == ["resilience_test"]
 
 
+#: names nothing reads that stay on purpose: the budget targets are dead
+#: config knobs, kept while config.txt and the golden digests name them
+#: (ROADMAP item 5)
+KEPT = {"attack.BudgetConstraints.e_prime",
+        "attack.BudgetConstraints.p_prime"}
+
+
+def _defined(node):
+    """Names a module- or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign):
+        return [getattr(node.target, "id", None)]
+    return []
+
+
 def _dead_names(sources):
-    """Module-level names of ``sources`` (module stem -> text) that are
-    neither exported nor loaded anywhere outside their own definition."""
+    """Module-level names, methods and annotated class fields of
+    ``sources`` (module stem -> text) that are neither exported nor loaded
+    anywhere outside their own definition.  A load is a name or attribute
+    read anywhere in the sources, whatever object it is read from."""
     trees = {m: ast.parse(text) for m, text in sources.items()}
     exported = set()
     for mod, tree in trees.items():
@@ -52,34 +73,37 @@ def _dead_names(sources):
     loads = []  # (module, load node)
     for mod, tree in trees.items():
         loads += [(mod, n) for n in ast.walk(tree)
-                  if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-                  or isinstance(n, ast.Attribute)]
-    dead = []
+                  if isinstance(n, (ast.Name, ast.Attribute))
+                  and isinstance(n.ctx, ast.Load)]
+    defs = []  # (module, qualified name, name, defining node)
     for mod, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign):
-                names = [getattr(node.target, "id", None)]
-            else:
-                continue
-            inside = {id(n) for n in ast.walk(node)}
-            for name in names:
-                if name.startswith("__") or (mod, name) in exported:
-                    continue
-                if not any(getattr(n, "id", getattr(n, "attr", None)) == name
-                           and not (m == mod and id(n) in inside)
-                           for m, n in loads):
-                    dead.append(f"{mod}.{name}")
+            defs += [(mod, f"{mod}.{name}", name, node)
+                     for name in _defined(node) if (mod, name) not in exported]
+            if isinstance(node, ast.ClassDef):
+                defs += [(mod, f"{mod}.{node.name}.{name}", name, member)
+                         for member in node.body
+                         if isinstance(member, (ast.FunctionDef,
+                                                ast.AnnAssign))
+                         for name in _defined(member)]
+    dead = []
+    for mod, qual, name, node in defs:
+        if name.startswith("__"):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(getattr(n, "id", getattr(n, "attr", None)) == name
+                   and not (m == mod and id(n) in inside)
+                   for m, n in loads):
+            dead.append(qual)
     return dead
 
 
 def test_no_module_level_name_is_dead():
     src = Path(axsec.__file__).parent
-    assert _dead_names({p.stem: p.read_text(encoding="utf-8")
-                        for p in sorted(src.glob("*.py"))}) == []
+    dead = _dead_names({p.stem: p.read_text(encoding="utf-8")
+                        for p in sorted(src.glob("*.py"))})
+    assert sorted(set(dead) - KEPT) == []
+    assert sorted(KEPT - set(dead)) == []  # no stale allowance
 
 
 def test_a_dead_name_is_caught():
@@ -95,3 +119,20 @@ def test_a_dead_name_is_caught():
         "n": "from . import m\nVALUE = m.LIMIT\nprint(VALUE)\n",
     }
     assert _dead_names(sources) == ["m.orphan", "m.Unused"]
+
+
+def test_a_dead_member_is_caught():
+    sources = {
+        "__init__": "from .m import Box\n",
+        "m": ("class Box:\n"
+              "    size: int\n"
+              "    label: str\n"
+              "    def __init__(self): self.size = self.grow(1)\n"
+              "    def grow(self, n): return n\n"
+              "    def spare(self, n): return self.spare(n - 1) if n else 0\n"
+              "    @property\n"
+              "    def area(self): return self.size ** 2\n"),
+        "n": "from .m import Box\nprint(Box().area)\n",
+    }
+    # a store is no read, nor is a method's call of itself
+    assert _dead_names(sources) == ["m.Box.label", "m.Box.spare"]

@@ -33,8 +33,8 @@ def test_builder_roundtrip_basics():
     nl = _and2()
     assert nl.n_nets == 3
     assert [w for w, _ in nl.input_words()] == ["a", "b"]
-    assert nl.net_id("y") == 2
-    g = nl.driver(nl.net_id("y"))
+    assert nl.net_names.index("y") == 2
+    g = nl.driver(nl.net_names.index("y"))
     assert g.kind is GateKind.AND and g.tag == "u"
     assert nl.gates_of_tag("u") == (g,)
 
@@ -119,7 +119,7 @@ def test_derive_keeps_base_untouched():
     base = _and2()
     b = NetlistBuilder(base)
     b.instance("v", "deterministic", "misc", "exact")
-    z = b.gate(GateKind.NOT, (base.net_id("y"),), tag="v")
+    z = b.gate(GateKind.NOT, (base.net_names.index("y"),), tag="v")
     b.po(z)
     derived = b.build()
     assert len(base.gates) == 1 and len(derived.gates) == 2

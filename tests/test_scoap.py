@@ -169,7 +169,7 @@ def test_two_bit_ripple_adder():
         "c_1": (6, 4, 0),
     }
     for name, vals in want.items():
-        net = nl.net_id(name)
+        net = nl.net_names.index(name)
         assert _vals_from(r, net) == vals, name
 
 

@@ -82,7 +82,8 @@ def test_stream_is_deterministic_and_seed_sensitive():
     a = simulate(nl, VectorStream(500, 7, "uniform"))
     b = simulate(nl, VectorStream(500, 7, "uniform"))
     c = simulate(nl, VectorStream(500, 8, "uniform"))
-    net = nl.net_id("y_11") if "y_11" in nl.net_names else nl.n_nets - 1
+    names = nl.net_names
+    net = names.index("y_11") if "y_11" in names else nl.n_nets - 1
     assert np.array_equal(a.bits(net), b.bits(net))
     assert not np.array_equal(a.bits(net), c.bits(net))
 
