@@ -18,6 +18,9 @@ those packed words, and a run copies the rows into its net array as they
 are.  A stream that fits in one chunk is generated once per input signature
 and reused read-only (:func:`_single_chunk_bits`); longer streams are
 generated lazily, and a profile runs all their chunks in one net buffer.
+Every bit is made of the generator's raw 64-bit words; the same draws as
+``Generator.integers`` and ``Generator.random`` calls are kept in
+``tests/oracles.py`` as the reference.
 
 A simulated run (:class:`Traces`) is itself a source, read in the same
 chunks, so a run measured several ways is simulated once.
@@ -30,6 +33,7 @@ stream identity (:func:`stream_key`) are owned here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,11 +111,23 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
     # A | (P & ~(P + (A << 1))) is every run that starts inside its word.
     # The bits below a word's lowest redraw take the value entering it:
     # the top bit of the last earlier word with a redraw, else the carry.
-    fresh = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+    # Both draws are taken from raw 64-bit words.  ``integers(0, 2,
+    # uint8)`` is the top bit of each byte of successive 32-bit draws, low
+    # half of each word first (Lemire's method, which never rejects at
+    # range 2); ``random() >= rho`` is ``raw >= ceil(rho * 2**53) << 11``,
+    # all false at rho = 1.  The generator ends where those calls left it,
+    # but for ``integers``' buffered 32-bit half, which neither form reads
+    # and only a last, partial chunk can leave set (a full chunk is a
+    # whole number of words).
+    raw = rng.bit_generator.random_raw
+    fresh = raw(-(-n * width // 8)).astype("<u8", copy=False).view(
+        np.uint8)[:n * width].reshape(n, width)
+    fresh >>= 7
     f = _pack_rows(fresh)
     if mode == "uniform":
         return f, fresh[-1].copy()
-    r = _pack_rows(rng.random((n, width)) >= rho)
+    r = _pack_rows(raw(n * width).reshape(n, width)
+                   >= math.ceil(rho * 2 ** 53) << 11)
     if carry is None:
         r[:, 0] |= _ONE  # the first vector is drawn
         carry = np.zeros(width, np.uint8)
@@ -213,20 +229,22 @@ class Traces:
 
     def ones(self) -> np.ndarray:
         """Per-net count of 1 values."""
-        return np.bitwise_count(self.c).sum(axis=1, dtype=np.int64)
+        return np.bitwise_count(self.c).sum(axis=1, dtype=np.int32)
 
     def first_hits(self, val: int) -> np.ndarray:
         """Per net, the index of the first vector on which it carries
-        ``val``, or -1: the first non-zero word, then its lowest set bit."""
-        c = self.c if val else ~self.c
+        ``val``, or -1: the first word that is not all ``1 - val``, pad
+        bits read as ``1 - val``, then its lowest bit equal to ``val``."""
+        c, miss = self.c, np.uint64(0) if val else ~np.uint64(0)
+        hit = c != miss
         r = self.n_vectors % 64
-        if not val and r:
-            c[:, -1] &= np.uint64((1 << r) - 1)  # pad bits are no vectors
-        hit = c != 0
+        if not val and r:  # pad bits are no vectors
+            hit[:, -1] = (c[:, -1] | ~np.uint64((1 << r) - 1)) != miss
+        rows = np.arange(len(c))
         w = hit.argmax(axis=1)
-        word = c[np.arange(len(c)), w]
+        word = c[rows, w] ^ miss
         low = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
-        return np.where(hit.any(axis=1), 64 * w + low, -1)
+        return np.where(hit[rows, w], 64 * w + low, -1)
 
 
 def _run_packed(nl: Netlist, rows, n: int, buf=None) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Packed simulation against scalar evaluation, stream behavior, and the
 activity, power and error profilers."""
 
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -476,6 +478,136 @@ def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
         assert np.array_equal(whole[name],
                               np.concatenate([b[name] for b in want]))
 
+
+@settings(max_examples=40, deadline=None)
+@given(n=_RUN_N, width=st.integers(1, 17), mode=st.sampled_from(STREAM_MODES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chunk_bits_advance_the_generator_like_the_oracle(n, width, mode,
+                                                          seed):
+    # the raw words drawn next show that both forms consumed the same words
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    _chunk_bits(got, mode, 0.9, n, width, None)
+    oracles.chunk_bits(want, mode, 0.9, n, width, None)
+    assert np.array_equal(got.bit_generator.random_raw(4),
+                          want.bit_generator.random_raw(4))
+
+
+@pytest.mark.parametrize("rho", [0.0, 2.0 ** -53, 0.5, np.nextafter(0.9, 1.0),
+                                 1.0 - 2.0 ** -53, 1.0])
+@pytest.mark.parametrize("with_carry", [False, True])
+def test_chunk_bits_equal_the_oracle_at_edge_rhos(rho, with_carry):
+    n, width = 4099, 5
+    carry = np.array([1, 0, 1, 1, 0], np.uint8) if with_carry else None
+    got, got_last = _chunk_bits(np.random.default_rng(11), "correlated",
+                                rho, n, width, carry)
+    want, want_last = oracles.chunk_bits(np.random.default_rng(11),
+                                         "correlated", rho, n, width, carry)
+    assert np.array_equal(got, oracles.pack_rows(want))
+    assert np.array_equal(got_last, want_last)
+
+
+class _RawWords:
+    """A stand-in generator whose raw words are given: all ones for the
+    fresh bits, then ``words`` for the redraw draw."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = [None, np.asarray(words, np.uint64)]
+
+    def random_raw(self, size):
+        words = self._words.pop(0)
+        return np.full(size, ~np.uint64(0)) if words is None else words
+
+
+@pytest.mark.parametrize("rho", [1e-20, 2.0 ** -53, 0.1, 0.25, 0.5,
+                                 np.nextafter(0.9, 1.0), 0.97,
+                                 1.0 - 2.0 ** -53, 1.0])
+def test_redraw_threshold_sits_on_the_float_comparison_edge(rho):
+    # one vector, the fresh bits all ones and a zero carry: row j is 1
+    # exactly where word j is a redraw, so the mask is read off directly;
+    # the words sit on both sides of the threshold.  Below 0.5, rho *
+    # 2**53 need not be whole, which is where the ceiling counts
+    t = math.ceil(rho * 2 ** 53)
+    words = [w for k in (t - 1, t, t + 1) if 0 <= k < 2 ** 53
+             for w in (k << 11, (k << 11) | 2047)]
+    words += [0, 2 ** 64 - 1]
+    got, _ = _chunk_bits(_RawWords(words), "correlated", rho, 1, len(words),
+                         np.zeros(len(words), np.uint8))
+    # Generator.random() is (raw >> 11) * 2**-53
+    floats = (np.array(words, np.uint64) >> np.uint64(11)) * 2.0 ** -53
+    assert got[:, 0].tolist() == (floats >= rho).astype(int).tolist()
+    g = np.random.default_rng(3)
+    raw = np.random.default_rng(3).bit_generator.random_raw(64)
+    assert np.array_equal(g.random(64), (raw >> np.uint64(11)) * 2.0 ** -53)
+
+
+def test_a_full_chunk_of_fresh_bits_leaves_no_buffered_half():
+    # integers(0, 2, uint8) buffers the unread half of a 64-bit word; a
+    # full chunk reads whole words at every width, a partial one need not
+    for width in range(1, 65):
+        rng = np.random.default_rng(width)
+        rng.integers(0, 2, (CHUNK, width), np.uint8)
+        assert rng.bit_generator.state["has_uint32"] == 0, width
+    rng = np.random.default_rng(0)
+    rng.integers(0, 2, (4, 1), np.uint8)  # one 32-bit draw
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+_LONG = 2 * CHUNK + 70
+
+#: of each chunk of a seed-19 stream, the first 16 hex digits of the
+#: sha256 of its packed rows, word by word, as the ``Generator.integers``
+#: and ``random`` draws made them; a uniform stream does not read rho
+_STREAM_PINS = {
+    ("uniform", 1000, (5, 1), None):
+        ["91ef30c49da65125"],
+    ("uniform", 1000, (8, 8, 8, 8), None):
+        ["016f5cd0a10c8d3d"],
+    ("uniform", _LONG, (5, 1), None):
+        ["d86c80473f48b90f", "e91531a958d28865", "4320e913cf1b5927"],
+    ("uniform", _LONG, (8, 8, 8, 8), None):
+        ["e3d97d1ebf357828", "2e76583640166428", "9d029517425096ca"],
+    ("correlated", 1000, (5, 1), 0.0):
+        ["91ef30c49da65125"],
+    ("correlated", 1000, (8, 8, 8, 8), 0.0):
+        ["016f5cd0a10c8d3d"],
+    ("correlated", 1000, (5, 1), 0.97):
+        ["a582c8761e23d1e1"],
+    ("correlated", 1000, (8, 8, 8, 8), 0.97):
+        ["90db78c8677a5205"],
+    ("correlated", 1000, (5, 1), 1.0):
+        ["2cfe04dc14ed0b7b"],
+    ("correlated", 1000, (8, 8, 8, 8), 1.0):
+        ["de5702b0c9d5db3c"],
+    ("correlated", _LONG, (5, 1), 0.0):
+        ["d86c80473f48b90f", "32ee7c5a4fa0257d", "1af2c397f3b2a9f7"],
+    ("correlated", _LONG, (8, 8, 8, 8), 0.0):
+        ["e3d97d1ebf357828", "e232836775e7b8d7", "993afa310d899d9a"],
+    ("correlated", _LONG, (5, 1), 0.97):
+        ["f573614cca15db0b", "126f0d3c37930c4b", "f7657482e053ebd0"],
+    ("correlated", _LONG, (8, 8, 8, 8), 0.97):
+        ["f70ccb44cbdd8ac1", "0d948abfdec61dc3", "3cdad1a7c77ecc09"],
+    ("correlated", _LONG, (5, 1), 1.0):
+        ["087935864820c6e8", "087935864820c6e8", "cb74a56bfe51c855"],
+    ("correlated", _LONG, (8, 8, 8, 8), 1.0):
+        ["78c76d8ad78e78d9", "78c76d8ad78e78d9", "bf595034f48162f3"],
+}
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+@pytest.mark.parametrize("n", [1000, _LONG])
+@pytest.mark.parametrize("rho", [0.0, 0.97, 1.0])
+@pytest.mark.parametrize("widths", [(5, 1), (8, 8, 8, 8)])
+def test_stream_rows_match_their_pins(mode, n, rho, widths):
+    words = tuple((f"w{i}", w) for i, w in enumerate(widths))
+    digests = []
+    for _, _, rows in _bits_chunks(VectorStream(n, 19, mode, rho), words):
+        h = hashlib.sha256()
+        for name, _ in words:
+            h.update(rows[name].tobytes())
+        digests.append(h.hexdigest()[:16])
+    key = (mode, n, widths, None if mode == "uniform" else rho)
+    assert digests == _STREAM_PINS[key]
 
 def _words_netlist(widths):
     """Input words of the given widths, each bit XORed with the next
