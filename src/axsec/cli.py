@@ -297,8 +297,10 @@ def _attack_report(args, nl, infected, ht, model):
 
 
 def _cmd_detect(args):
-    cands = {p.stem: read_netlist(p)
-             for p in sorted(Path(args.candidates).glob("*.nl"))}
+    cdir = Path(args.candidates)
+    if not cdir.is_dir():
+        raise BadParams(f"{cdir}: not a directory")
+    cands = {p.stem: read_netlist(p) for p in sorted(cdir.glob("*.nl"))}
     cfg = DetectConfig(
         clock=args.clock, margin=args.margin, scales=args.scales,
         n_paths=args.paths, window=args.window, theta=args.theta,

@@ -8,9 +8,13 @@ disagreeing under the right stimulus.  Per-instance suspicion fuses three
 signals: presence on near-critical paths, loss of resilience under directed
 stress vectors, and ownership of rarely switching nets.
 
-Candidates must share one :meth:`Netlist.signature`; the ranking scores
-each candidate's :func:`axsec.sim.error_terms` against the majority, reading
-the figures :class:`_Profile` takes off one profiling run per candidate.
+Candidates must share one :meth:`Netlist.signature`, so a screen draws the
+profiling streams' bits once (:func:`_profiling_bits`) and replays them on
+every candidate.  Each candidate is simulated once on them; its
+:class:`_Profile` keeps what the screen reads of that run at the screen's
+one ``theta``, with signal probabilities taken from the activity count.
+The ranking scores each candidate's :func:`axsec.sim.error_terms` against
+the majority.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import numpy as np
 
 from .errors import EmptySet, LabelMismatch, SignatureMismatch, check_ranges
 from .netlist import GateKind, Netlist
-from .sim import (VectorStream, check_theta, error_terms, rare_nets,
-                  simulate, stream_bits)
+from .sim import (VectorStream, activity_profile, check_theta, error_terms,
+                  rare_nets, simulate, stream_bits)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -125,60 +129,55 @@ def _majority(vals: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return masked.min(axis=0)
 
 
+@dataclass(frozen=True)
 class _Profile:
-    """Figures of one run over a candidate's profiling streams, concatenated
-    in sorted mode order; the run itself is not kept."""
+    """What a screen reads of one candidate's profiling run: input and
+    output word values per vector, the rare non-constant gate outputs at
+    the screen's ``theta`` as {net: rare value}, and per rare net that was
+    realized, in ``rare`` order, (net, input word support, (rarity, first
+    hit, net name))."""
 
-    def __init__(self, nl: Netlist, streams: dict):
-        words = nl.signature()[0]
-        parts = [stream_bits(streams[m], words) for m in sorted(streams)]
-        run = simulate(nl, {w: np.concatenate([p[w] for p in parts])
-                            for w, _ in words})
-        self.nl = nl
-        self.p1 = run.ones() / run.n_vectors
-        self.in_vals = {w: run.word_values(b) for w, b in nl.input_words()}
-        self.out_vals = {w: run.word_values(b) for w, b in nl.output_words()}
-        self._first = (run.first_hits(0), run.first_hits(1))
-        self._rare = {}
-        self._replay = {}
+    in_vals: dict
+    out_vals: dict
+    rare: dict
+    replay: tuple
 
-    def rare(self, theta: float) -> dict:
-        """:func:`~axsec.sim.rare_nets` restricted to non-constant gate
-        outputs, as {net: rare value}.  Memoized per ``theta``; callers
-        must not mutate the result."""
-        if theta not in self._rare:
-            drive = self.nl.driver
-            self._rare[theta] = {
-                net: v for net, v in rare_nets(self, theta)
-                if drive(net) is not None
-                and drive(net).kind not in (GateKind.CONST0, GateKind.CONST1)}
-        return self._rare[theta]
 
-    def first(self, net: int, val: int) -> int | None:
-        """Index of the first profiling vector on which ``net`` carries
-        ``val``, or None."""
-        t = int(self._first[val][net])
-        return t if t >= 0 else None
+def _profiling_bits(cands, streams) -> dict:
+    """The bits of the profiling streams on the candidates' common input
+    words, concatenated in sorted mode order."""
+    words = cands[0][1].signature()[0]
+    parts = [stream_bits(streams[m], words) for m in sorted(streams)]
+    return {w: np.concatenate([p[w] for p in parts]) for w, _ in words}
 
-    def replay(self, theta: float) -> tuple:
-        """Per rare net that was realized, in :meth:`rare` order: (net,
-        input word support, (rarity, first hit, net name)).  Memoized per
-        ``theta``."""
-        if theta not in self._replay:
-            entries = []
-            for net, val in self.rare(theta).items():
-                t = self.first(net, val)
-                if t is None:
-                    continue
-                p = float(self.p1[net])
-                rarity = p if val == 1 else 1.0 - p
-                # keyed by first realization and name, not net id: ids are
-                # renumbered on a serialization round trip and must not
-                # steer tie-breaks
-                entries.append((net, self.nl.input_word_support((net,)),
-                                (rarity, t, self.nl.net_names[net])))
-            self._replay[theta] = tuple(entries)
-        return self._replay[theta]
+
+def _output_values(run) -> dict:
+    return {w: run.word_values(b) for w, b in run.netlist.output_words()}
+
+
+def _profile(nl: Netlist, bits: dict, theta: float) -> _Profile:
+    """The :class:`_Profile` of one candidate, simulated once on ``bits``;
+    the run itself is not kept."""
+    run = simulate(nl, bits)
+    act = activity_profile(nl, run)
+    drive = nl.driver
+    rare = {net: v for net, v in rare_nets(act, theta)
+            if drive(net) is not None
+            and drive(net).kind not in (GateKind.CONST0, GateKind.CONST1)}
+    first = (run.first_hits(0), run.first_hits(1))
+    replay = []
+    for net, val in rare.items():
+        t = int(first[val][net])
+        if t < 0:
+            continue
+        p = float(act.p1[net])
+        # keyed by first realization and name, not net id: ids are
+        # renumbered on a serialization round trip and must not steer
+        # tie-breaks
+        replay.append((net, nl.input_word_support((net,)),
+                       (p if val == 1 else 1.0 - p, t, nl.net_names[net])))
+    return _Profile({w: run.word_values(b) for w, b in nl.input_words()},
+                    _output_values(run), rare, tuple(replay))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +226,9 @@ def rank_by_error(candidates, streams,
     value, least deviating first (ties by id).  ``streams`` maps mode names
     to :class:`VectorStream` instances; all of them contribute vectors."""
     cands = _checked(candidates)
-    return _rank(cands, [_Profile(nl, streams).out_vals for _, nl in cands],
-                 tol)
+    bits = _profiling_bits(cands, streams)
+    return _rank(cands, [_output_values(simulate(nl, bits))
+                         for _, nl in cands], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +278,11 @@ def _rank_combos(lengths, limit):
     return out
 
 
-def _replay_groups(profile, cone_nets, theta):
+def _replay_groups(profile, cone_nets):
     """Rarity-ranked input word assignments that reproduce observed rare
     values, grouped by disjoint word support (most specific support wins)."""
     per_sup = {}
-    for net, sup, entry in profile.replay(theta):
+    for net, sup, entry in profile.replay:
         if net in cone_nets:
             per_sup.setdefault(sup, []).append(entry)
     claimed = set()
@@ -305,7 +305,7 @@ def _replay_groups(profile, cone_nets, theta):
     return groups
 
 
-def _stress_values(nl, tag, budget, profile, theta, rng):
+def _stress_values(nl, tag, budget, profile, rng):
     """Directed input word values for one instance: a low-operand third, a
     high-operand third, and a third replaying composed rare values."""
     words = dict(nl.input_words())
@@ -323,7 +323,7 @@ def _stress_values(nl, tag, budget, profile, theta, rng):
         vals[w][:b1] = rng.integers(0, 1 << half, b1)
         vals[w][b1:lo] = ((1 << wl) - (1 << half)
                           + rng.integers(0, 1 << half, b2))
-    groups = _replay_groups(profile, cone_nets, theta)
+    groups = _replay_groups(profile, cone_nets)
     if groups and b3:
         combos = _rank_combos([len(r) for _, r in groups], b3)
         for r in range(b3):
@@ -342,12 +342,6 @@ def _word_bits(vals, widths):
     return {w: ((v[:, None] >> np.arange(widths[w], dtype=np.int64))
                 & 1).astype(np.uint8)
             for w, v in vals.items()}
-
-
-def _output_values(nl, bits):
-    """Output word values of one run; the full traces are dropped."""
-    tr = simulate(nl, bits)
-    return {w: tr.word_values(b) for w, b in nl.output_words()}
 
 
 def _stress_scores(cands, jobs, profiles, config):
@@ -369,12 +363,12 @@ def _stress_scores(cands, jobs, profiles, config):
         rng = np.random.default_rng(np.random.SeedSequence(
             (config.seed, 0xE51, zlib.crc32(tag.encode()))))
         stress.append(_stress_values(cands[idx][1], tag, budget,
-                                     profiles[idx], config.theta, rng))
+                                     profiles[idx], rng))
     first = cands[0][1]
     widths = dict(first.signature()[0])
     bits = _word_bits({w: np.concatenate([v[w] for v in stress])
                        for w in widths}, widths)
-    rows = [_output_values(nl, bits) for _, nl in cands]
+    rows = [_output_values(simulate(nl, bits)) for _, nl in cands]
     tols = {w: config.dev_tol * ((1 << len(b)) - 1)
             for w, b in first.output_words()}
     scores = []
@@ -438,8 +432,8 @@ def classify(candidates, config: DetectConfig | None = None) \
     """
     config = config or DetectConfig()
     cands = _checked(candidates)
-    streams = defender_streams(config)
-    profiles = [_Profile(nl, streams) for _, nl in cands]
+    bits = _profiling_bits(cands, defender_streams(config))
+    profiles = [_profile(nl, bits, config.theta) for _, nl in cands]
     rank = _rank(cands, [p.out_vals for p in profiles], config.dev_tol)
     pos = {e.netlist_id: i for i, e in enumerate(rank)}
     mred = {e.netlist_id: e.mred for e in rank}
@@ -453,7 +447,7 @@ def classify(candidates, config: DetectConfig | None = None) \
     stressed = dict(zip(jobs, _stress_scores(cands, jobs, profiles, config)))
     reports = []
     for idx, (cid, nl) in enumerate(cands):
-        rare = {nl.driver(n).tag for n in profiles[idx].rare(config.theta)}
+        rare = {nl.driver(n).tag for n in profiles[idx].rare}
         rows = []
         raws = {}
         for tag in sorted(nl.instances):

@@ -227,10 +227,6 @@ class Traces:
         weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
         return np.einsum("i,ij->j", weights, bits)
 
-    def ones(self) -> np.ndarray:
-        """Per-net count of 1 values."""
-        return np.bitwise_count(self.c).sum(axis=1, dtype=np.int32)
-
     def first_hits(self, val: int) -> np.ndarray:
         """Per net, the index of the first vector on which it carries
         ``val``, or -1: the first word that is not all ``1 - val``, pad

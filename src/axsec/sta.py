@@ -134,8 +134,11 @@ def _uniform_paths(index, u: float, clock: float, n_paths: int,
     the clock.
     """
     cons, suf, pis = index
-    hi_len = math.floor((clock + _EPS) / u)
-    lo_len = max(0, math.ceil((lo - _EPS) / u))
+    # no path is longer than the longest one from a primary input, however
+    # far the clock lies above it
+    top = max((suf[pi].bit_length() - 1 for pi in pis), default=-1)
+    hi_len = math.floor(min((clock + _EPS) / u, top))
+    lo_len = max(0, math.ceil(min((lo - _EPS) / u, top + 1)))
     out = []
     for length in range(hi_len, lo_len - 1, -1):
         d = u * length

@@ -19,7 +19,7 @@ as deterministic glue so that minimal hand-written files stay valid.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import NetlistError, ParseError
 from .netlist import GateKind, Instance, Netlist, NetlistBuilder
 
 
@@ -126,7 +126,13 @@ def read_text(path) -> str:
 
 
 def read_netlist(path) -> Netlist:
-    return parse_netlist(read_text(path))
+    """The netlist in a file; any :class:`NetlistError` names the file."""
+    text = read_text(path)
+    try:
+        return parse_netlist(text)
+    except NetlistError as exc:
+        exc.args = (f"{path}: {exc}",)  # keeps the type and its attributes
+        raise
 
 
 def write_netlist(nl: Netlist, path):

@@ -98,7 +98,7 @@ class ActivitySums:
 
     def add(self, tr):
         c, n, tog = tr.c, tr.n_vectors, self.tog
-        self.ones += tr.ones()
+        self.ones += np.bitwise_count(c).sum(axis=1, dtype=np.int64)
         y = c ^ (c >> np.uint64(1))
         r = n - 64 * (c.shape[1] - 1)
         if c.shape[1] > 1:

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import axsec
 from axsec.arith import ArchParams, gen_module
 from axsec.cli import main
 from axsec.designs import bfly_spec, fir_spec
@@ -140,6 +144,26 @@ def test_sta_path_listing(tmp_path):
         assert r["instances"] == "u"
 
 
+@pytest.mark.parametrize("flags", [["--clock", "1e300"],
+                                   ["--clock", "10", "--scale", "1e-300"]],
+                         ids=["huge-clock", "tiny-scale"])
+def test_sta_far_above_the_longest_path_writes_no_paths(tmp_path, flags):
+    # a walk over every path length up to clock / scale never ends; run in
+    # a child so a regression fails on the timeout instead of hanging
+    nl = tmp_path / "fir.nl"
+    main(["gen-design", "--design", "fir", "--out", str(nl)])
+    out = tmp_path / "paths.csv"
+    src = str(Path(axsec.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "axsec.cli", "sta", "--netlist", str(nl),
+         *flags, "--out", str(out)], env=env, capture_output=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().splitlines() == ["rank,delay,slack,nets,instances"]
+
+
 def test_attack_and_report(tmp_path, capsys):
     nl = tmp_path / "v.nl"
     main(["gen-design", "--design", "fir",
@@ -185,6 +209,44 @@ def test_detect_clean_candidates(tmp_path, capsys):
     assert all(float(r["suspicion"]) == 0.0 for r in rows)
     assert {r["kind"] for r in _rows(dbg)} == {"approximate",
                                                "deterministic"}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("input a\noutput y\ngate 0 FOO y a\n", "line 3: unknown gate kind"),
+    ("input a\noutput y\ngate 1 AND y a\n", "gate 1: AND cannot take 1"),
+], ids=["parse", "arity"])
+def test_detect_names_the_malformed_candidate(tmp_path, capsys, text,
+                                              message):
+    cdir = tmp_path / "cands"
+    cdir.mkdir()
+    main(["gen-design", "--design", "fir", "--out", str(cdir / "a.nl")])
+    (cdir / "b.nl").write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "report.csv"
+    assert main(["detect", "--candidates", str(cdir), "--out",
+                 str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert f"{cdir / 'b.nl'}: {message}" in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda d: None, "not a directory"),
+    (lambda d: d.write_text("input a\noutput a\n"), "not a directory"),
+    (lambda d: d.mkdir(), "no candidate netlists"),
+], ids=["missing", "file", "empty"])
+def test_detect_needs_a_directory_of_candidates(tmp_path, capsys, make,
+                                                message):
+    cdir = tmp_path / "cands"
+    make(cdir)
+    out = tmp_path / "report.csv"
+    assert main(["detect", "--candidates", str(cdir), "--out",
+                 str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert message in line, line
+    if message == "not a directory":
+        assert str(cdir) in line, line
+    assert not out.exists()
 
 
 def test_score_from_csv_files(tmp_path, capsys):

@@ -14,7 +14,8 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
                           Metrics, NetlistReport, classify, defender_streams,
                           rank_by_error, score, suspect_instances, _checked,
-                          _majority, _Profile, _stress_scores)
+                          _majority, _profile, _profiling_bits,
+                          _stress_scores)
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
                           SignatureMismatch)
 from axsec.netlist import GateKind
@@ -62,13 +63,14 @@ def test_majority_tolerance_bloc():
 
 class _TwoRunProfile:
     """Reference profile: one simulation per stream, concatenated per
-    figure, first hits looked up net by net."""
+    figure, ones counted word by word, first hits looked up net by net."""
 
     def __init__(self, nl, streams):
         self.nl = nl
         self.traces = [simulate(nl, streams[m]) for m in sorted(streams)]
         self.n = sum(t.n_vectors for t in self.traces)
-        self.p1 = sum(t.ones() for t in self.traces) / self.n
+        self.p1 = sum(np.bitwise_count(t.c).sum(axis=1)
+                      for t in self.traces) / self.n
         self.in_vals = {w: np.concatenate([t.word_values(b)
                                            for t in self.traces])
                         for w, b in nl.input_words()}
@@ -93,6 +95,17 @@ class _TwoRunProfile:
                                               for t in self.traces]) == val)
         return int(hits[0]) if len(hits) else None
 
+    def replay(self, theta):
+        out = []
+        for net, val in sorted(self.rare(theta).items()):
+            t = self.first(net, val)
+            if t is not None:
+                p = float(self.p1[net])
+                rarity = p if val else 1.0 - p
+                out.append((net, self.nl.input_word_support((net,)),
+                            (rarity, t, self.nl.net_names[net])))
+        return tuple(out)
+
 
 BFLY = bfly_spec()
 
@@ -107,23 +120,30 @@ def _bfly_builds():
 @pytest.mark.parametrize("vectors", [64, 700, 2000, 40_000])
 @pytest.mark.parametrize("design", ["fir", "bfly"])
 def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
-    # at 40,000 vectors per stream the concatenation spans two chunks
-    cands = trio[0] if design == "fir" else _bfly_builds()
+    # at 40,000 vectors per stream the concatenation spans two chunks; the
+    # p1 and first hits a profile reads are checked on every net
+    cands = _checked(trio[0] if design == "fir" else _bfly_builds())
     streams = defender_streams(DetectConfig(vectors=vectors, seed=vectors))
-    for cid, nl in sorted(cands.items()):
-        new, old = detect._Profile(nl, streams), _TwoRunProfile(nl, streams)
-        assert new.p1.dtype == old.p1.dtype
-        assert np.array_equal(new.p1, old.p1), cid
-        for mine, theirs in ((new.in_vals, old.in_vals),
-                             (new.out_vals, old.out_vals)):
-            assert mine.keys() == theirs.keys()
-            for w in theirs:
-                assert np.array_equal(mine[w], theirs[w]), (cid, w)
-        for theta in (0.05, 0.1, 0.3):
-            assert new.rare(theta) == old.rare(theta), (cid, theta)
+    bits = _profiling_bits(cands, streams)
+    for cid, nl in cands:
+        old = _TwoRunProfile(nl, streams)
+        run = simulate(nl, bits)
+        p1 = activity_profile(nl, run).p1
+        assert p1.dtype == old.p1.dtype
+        assert np.array_equal(p1, old.p1), cid
         firsts = [(net, v) for net in range(nl.n_nets) for v in (0, 1)]
-        assert [new.first(*k) for k in firsts] \
-            == [old.first(*k) for k in firsts], cid
+        hits = (run.first_hits(0), run.first_hits(1))
+        assert [int(hits[v][net]) if hits[v][net] >= 0 else None
+                for net, v in firsts] == [old.first(*k) for k in firsts], cid
+        for theta in (0.05, 0.1, 0.3):
+            new = _profile(nl, bits, theta)
+            for mine, theirs in ((new.in_vals, old.in_vals),
+                                 (new.out_vals, old.out_vals)):
+                assert mine.keys() == theirs.keys()
+                for w in theirs:
+                    assert np.array_equal(mine[w], theirs[w]), (cid, w)
+            assert new.rare == old.rare(theta), (cid, theta)
+            assert new.replay == old.replay(theta), (cid, theta)
 
 
 def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
@@ -134,7 +154,9 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     dropped."""
     nl, config = trio[0]["v1"], DetectConfig()
     streams = defender_streams(config)
-    profile, ref = detect._Profile(nl, streams), _TwoRunProfile(nl, streams)
+    profile = _profile(nl, _profiling_bits([("v1", nl)], streams),
+                       config.theta)
+    ref = _TwoRunProfile(nl, streams)
     in_vals = {w: np.concatenate([word_values(t, b) for t in ref.traces])
                for w, b in nl.input_words()}
     replayed = 0
@@ -142,7 +164,7 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
         if nl.instances[tag].kind_label != "approximate":
             continue
         cone = nl.fanin_nets([g.output for g in nl.gates_of_tag(tag)])
-        groups = detect._replay_groups(profile, cone, config.theta)
+        groups = detect._replay_groups(profile, cone)
         for sup, ranked in groups:
             hits = []
             for net, val in ref.rare(config.theta).items():
@@ -160,8 +182,6 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
             assert ranked == want[:8], (tag, sup)
             replayed += len(ranked)
     assert replayed
-    # built once per theta, then filtered by each instance's cone
-    assert profile.replay(config.theta) is profile.replay(config.theta)
 
 
 # -- error ranking ----------------------------------------------------------
@@ -278,7 +298,8 @@ def test_classify_resilience_matches_standalone_test(trio):
     # each score equals that of a batch holding its job alone
     checked = _checked(cands)
     idx = {cid: i for i, (cid, _) in enumerate(checked)}
-    profiles = [_Profile(nl, defender_streams(config)) for _, nl in checked]
+    bits = _profiling_bits(checked, defender_streams(config))
+    profiles = [_profile(nl, bits, config.theta) for _, nl in checked]
     for cid, tag, res in scored:
         assert _stress_scores(checked, [(idx[cid], tag)], profiles,
                               config) == [res], (cid, tag)
@@ -294,6 +315,21 @@ def test_classify_simulates_each_candidate_once_for_stress(trio,
     classify(cands)
     # one profiling run and one batched stress run per candidate
     assert len(calls) <= 2 * len(cands)
+
+
+def test_a_screen_draws_each_profiling_stream_once(trio, kernel_calls,
+                                                   monkeypatch):
+    cands = dict(trio[0], v3=SPEC.build(ASSIGN), v4=SPEC.build(None))
+    drawn = []
+    real = detect.stream_bits
+    monkeypatch.setattr(detect, "stream_bits",
+                        lambda stream, words: drawn.append(stream)
+                        or real(stream, words))
+    classify(cands)
+    streams = defender_streams(DetectConfig())
+    assert drawn == [streams[m] for m in sorted(streams)]
+    # one profiling run and one batched stress run per candidate
+    assert len(kernel_calls) == 2 * len(cands)
 
 
 def test_classify_report_shape(trio):

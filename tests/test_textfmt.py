@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axsec.designs import bfly_spec
-from axsec.errors import NetlistError, ParseError, SemanticError
+from axsec.errors import (CycleError, NetlistError, ParseError,
+                          SemanticError)
 from axsec.netlist import GateKind, Netlist, NetlistBuilder
 from axsec.textfmt import (parse_netlist, read_netlist, serialize_netlist,
                            write_netlist)
@@ -76,6 +77,19 @@ def test_bad_lines_raise_with_line_number(tmp_path, line):
     if isinstance(exc.value, ParseError):
         # whole-file consistency checks surface without a line number
         assert exc.value.line in (3, None)
+
+
+@pytest.mark.parametrize("body,kind,attr,value", [
+    ("gate 0 FOO y a\n", ParseError, "line", 3),
+    ("gate 0 AND y a z\ngate 1 BUF z y\n", CycleError, "cycle", (1, 2)),
+], ids=["parse", "cycle"])
+def test_read_netlist_names_the_file(tmp_path, body, kind, attr, value):
+    p = tmp_path / "bad.nl"
+    p.write_text("input a\noutput y\n" + body, encoding="utf-8")
+    with pytest.raises(kind) as exc:
+        read_netlist(p)
+    assert str(exc.value).startswith(f"{p}: "), exc.value
+    assert getattr(exc.value, attr) == value
 
 
 def test_duplicate_driver_rejected(tmp_path):
