@@ -28,7 +28,7 @@ from .netlist import Gate, GateKind, Instance, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (ActivityReport, ErrorReport, PowerProxy, Traces,
                   VectorStream, activity_profile, error_profile,
-                  eval_vector, power_proxy, rare_nets, simulate)
+                  power_proxy, rare_nets, simulate)
 from .sta import (DelayModel, TimingPath, arrival_times, critical_delay,
                   near_critical_paths, paths_to_instances, slacks)
 from .textfmt import read_netlist, write_netlist

@@ -31,7 +31,7 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, PowerProxy, VectorStream,
-                  activity_and_error, check_theta, eval_vector, power_proxy,
+                  activity_and_error, check_theta, power_proxy,
                   rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
@@ -295,10 +295,10 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
                 f"critical delay {critical_delay(infected, model):.3f} "
                 f"exceeds clock {config.clock}")
 
-    # fail-closed: the witness must fire the built trigger; this replay
-    # is the witness's verification
-    tvals = eval_vector(infected, witness)
-    if tvals[trig] != 1:
+    # fail-closed: the witness, other words at 0, must fire the built trigger
+    run = simulate(infected, {w: [witness.get(w, 0)]
+                              for w, _ in infected.input_words()})
+    if not run.bits(trig)[0]:
         raise NoWitness("witness does not fire the assembled trigger")
 
     ht = HTInstance(tuple(taps), config.q, config.payload,

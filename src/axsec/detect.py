@@ -9,12 +9,12 @@ signals: presence on near-critical paths, loss of resilience under directed
 stress vectors, and ownership of rarely switching nets.
 
 Candidates must share one :meth:`Netlist.signature`, so a screen draws the
-profiling streams' bits once (:func:`_profiling_bits`) and replays them on
-every candidate.  Each candidate is simulated once on them; its
-:class:`_Profile` keeps what the screen reads of that run at the screen's
-one ``theta``, with signal probabilities taken from the activity count.
-The ranking scores each candidate's :func:`axsec.sim.error_terms` against
-the majority.
+profiling streams' input word values once (:func:`_profiling_values`) and
+replays them on every candidate.  Each candidate is simulated once on them;
+its :class:`_Profile` keeps what the screen reads of that run at the
+screen's one ``theta``, with signal probabilities taken from the activity
+count.  The ranking scores each candidate's :func:`axsec.sim.error_terms`
+against the majority.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, LabelMismatch, SignatureMismatch, check_ranges
+from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
+                     check_ranges)
 from .netlist import GateKind, Netlist
 from .sim import (VectorStream, activity_profile, check_theta, error_terms,
-                  rare_nets, simulate, stream_bits)
+                  rare_nets, simulate, stream_values)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -109,6 +110,10 @@ def _checked(candidates):
         if nl.signature() != sig:
             raise SignatureMismatch(
                 f"netlist {cid!r} does not match the common I/O words")
+    for word, width in sig[0] + sig[1]:
+        if width > 63:
+            raise BadParams(f"word {word!r} is {width} bits wide; a screen "
+                            f"reads words of at most 63 bits")
     return cands
 
 
@@ -135,7 +140,7 @@ class _Profile:
     output word values per vector, the rare non-constant gate outputs at
     the screen's ``theta`` as {net: rare value}, and per rare net that was
     realized, in ``rare`` order, (net, input word support, (rarity, first
-    hit, net name))."""
+    hit, net name)).  ``in_vals`` is the screen's one dict of inputs."""
 
     in_vals: dict
     out_vals: dict
@@ -143,11 +148,11 @@ class _Profile:
     replay: tuple
 
 
-def _profiling_bits(cands, streams) -> dict:
-    """The bits of the profiling streams on the candidates' common input
-    words, concatenated in sorted mode order."""
+def _profiling_values(cands, streams) -> dict:
+    """The input word values of the profiling streams on the candidates'
+    common input words, concatenated in sorted mode order."""
     words = cands[0][1].signature()[0]
-    parts = [stream_bits(streams[m], words) for m in sorted(streams)]
+    parts = [stream_values(streams[m], words) for m in sorted(streams)]
     return {w: np.concatenate([p[w] for p in parts]) for w, _ in words}
 
 
@@ -155,10 +160,10 @@ def _output_values(run) -> dict:
     return {w: run.word_values(b) for w, b in run.netlist.output_words()}
 
 
-def _profile(nl: Netlist, bits: dict, theta: float) -> _Profile:
-    """The :class:`_Profile` of one candidate, simulated once on ``bits``;
-    the run itself is not kept."""
-    run = simulate(nl, bits)
+def _profile(nl: Netlist, in_vals: dict, theta: float) -> _Profile:
+    """The :class:`_Profile` of one candidate, simulated once on the word
+    values ``in_vals``; the run itself is not kept."""
+    run = simulate(nl, in_vals)
     act = activity_profile(nl, run)
     drive = nl.driver
     rare = {net: v for net, v in rare_nets(act, theta)
@@ -176,8 +181,7 @@ def _profile(nl: Netlist, bits: dict, theta: float) -> _Profile:
         # tie-breaks
         replay.append((net, nl.input_word_support((net,)),
                        (p if val == 1 else 1.0 - p, t, nl.net_names[net])))
-    return _Profile({w: run.word_values(b) for w, b in nl.input_words()},
-                    _output_values(run), rare, tuple(replay))
+    return _Profile(in_vals, _output_values(run), rare, tuple(replay))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +204,7 @@ def _rank(cands, out_vals, tol_frac):
     widths = dict(cands[0][1].signature()[1])
     words = sorted(out_vals[0])
     n = len(out_vals[0][words[0]])
-    er = np.zeros(len(cands))
-    med = np.zeros(len(cands))
-    mred = np.zeros(len(cands))
-    wce = np.zeros(len(cands))
+    er, med, mred, wce = np.zeros((4, len(cands)))
     for w in words:
         stack = np.stack([v[w] for v in out_vals])
         e, a, r, top = error_terms(
@@ -226,8 +227,8 @@ def rank_by_error(candidates, streams,
     value, least deviating first (ties by id).  ``streams`` maps mode names
     to :class:`VectorStream` instances; all of them contribute vectors."""
     cands = _checked(candidates)
-    bits = _profiling_bits(cands, streams)
-    return _rank(cands, [_output_values(simulate(nl, bits))
+    vals = _profiling_values(cands, streams)
+    return _rank(cands, [_output_values(simulate(nl, vals))
                          for _, nl in cands], tol)
 
 
@@ -313,8 +314,7 @@ def _stress_values(nl, tag, budget, profile, rng):
     cone_nets = nl.fanin_nets(outs)
     cone = set(nl.input_word_support(outs))
     vals = {w: np.zeros(budget, np.int64) for w in words}
-    b1 = budget // 3
-    b2 = budget // 3
+    b1 = b2 = budget // 3
     lo = b1 + b2
     b3 = budget - lo
     for w in sorted(cone):
@@ -333,15 +333,8 @@ def _stress_values(nl, tag, budget, profile, rng):
                     vals[w][lo + r] = v
     elif b3:
         for w in sorted(cone):
-            wl = len(words[w])
-            vals[w][lo:] = rng.integers(0, 1 << wl, b3)
+            vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)
     return vals
-
-
-def _word_bits(vals, widths):
-    return {w: ((v[:, None] >> np.arange(widths[w], dtype=np.int64))
-                & 1).astype(np.uint8)
-            for w, v in vals.items()}
 
 
 def _stress_scores(cands, jobs, profiles, config):
@@ -364,13 +357,10 @@ def _stress_scores(cands, jobs, profiles, config):
             (config.seed, 0xE51, zlib.crc32(tag.encode()))))
         stress.append(_stress_values(cands[idx][1], tag, budget,
                                      profiles[idx], rng))
-    first = cands[0][1]
-    widths = dict(first.signature()[0])
-    bits = _word_bits({w: np.concatenate([v[w] for v in stress])
-                       for w in widths}, widths)
-    rows = [_output_values(simulate(nl, bits)) for _, nl in cands]
+    vals = {w: np.concatenate([v[w] for v in stress]) for w in stress[0]}
+    rows = [_output_values(simulate(nl, vals)) for _, nl in cands]
     tols = {w: config.dev_tol * ((1 << len(b)) - 1)
-            for w, b in first.output_words()}
+            for w, b in cands[0][1].output_words()}
     scores = []
     for j, (idx, _) in enumerate(jobs):
         cols = slice(j * budget, (j + 1) * budget)
@@ -432,8 +422,8 @@ def classify(candidates, config: DetectConfig | None = None) \
     """
     config = config or DetectConfig()
     cands = _checked(candidates)
-    bits = _profiling_bits(cands, defender_streams(config))
-    profiles = [_profile(nl, bits, config.theta) for _, nl in cands]
+    vals = _profiling_values(cands, defender_streams(config))
+    profiles = [_profile(nl, vals, config.theta) for _, nl in cands]
     rank = _rank(cands, [p.out_vals for p in profiles], config.dev_tol)
     pos = {e.netlist_id: i for i, e in enumerate(rank)}
     mred = {e.netlist_id: e.mred for e in rank}

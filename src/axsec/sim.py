@@ -2,9 +2,10 @@
 
 Simulation packs 64 test vectors into each machine word and evaluates the
 gate graph once per 64-vector slice through the levelized kernel in
-:mod:`axsec._kernels`.  A slow scalar evaluator (:func:`eval_vector`) with
-plain-int semantics is kept as an independent reference and for single-vector
-replay.
+:mod:`axsec._kernels`, the one gate evaluator of the package.  A run reads
+one of three sources: a :class:`VectorStream`, a run of the same netlist
+(:class:`Traces`), or word values, a dict holding one ``int64`` per vector
+for each input word of the netlist.
 
 Streams are pseudo-random and fully determined by ``(seed, mode, n_vectors)``
 plus the ordered input word widths of the netlist under test.  Values are
@@ -22,8 +23,8 @@ Every bit is made of the generator's raw 64-bit words; the same draws as
 ``Generator.integers`` and ``Generator.random`` calls are kept in
 ``tests/oracles.py`` as the reference.
 
-A simulated run (:class:`Traces`) is itself a source, read in the same
-chunks, so a run measured several ways is simulated once.
+A run is read in the same chunks as its stream, so a run measured several
+ways is simulated once.  Word values are packed into rows chunk by chunk.
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BadParams, BadThreshold
-from .netlist import GateKind, Netlist
+from .netlist import Netlist
 
 #: fixed generation granularity (in vectors); a multiple of 64 so packed
 #: chunks concatenate without bit shifting
@@ -172,33 +173,56 @@ def _single_chunk_bits(stream, words):
     return rows
 
 
+def _checked_values(source, words) -> list:
+    """The checked value arrays of ``source`` in ``words`` order, as int64."""
+    vals = []
+    for name, width in words:
+        if name not in source:
+            raise BadParams(f"missing values for input word {name!r}")
+        v = np.asarray(source[name])
+        n = len(vals[0]) if vals else v.size
+        if v.dtype.kind not in "iu" or v.shape != (n,):
+            raise BadParams(f"input word {name!r} holds {v.dtype} of shape "
+                            f"{v.shape}, not {n} integers")
+        v = np.ascontiguousarray(v, "<i8")
+        if (v >> min(width, 63)).any():
+            raise BadParams(f"a value of input word {name!r} lies outside "
+                            f"[0, 2**{width})")
+        vals.append(v)
+    return vals
+
+
 def _bits_chunks(source, words):
     """Yield (start, n, {word: (width, words) uint64 rows}) chunks from a
-    stream or a prebuilt dict of ``(n, width)`` bit arrays, which are packed
-    chunk by chunk."""
+    stream or a dict of word values, whose bits are packed chunk by chunk."""
     if isinstance(source, VectorStream):
         if source.n_vectors <= CHUNK:
             yield 0, source.n_vectors, _single_chunk_bits(source, words)
         else:
             yield from _stream_chunks(source, words)
         return
-    for name, width in words:
-        if name not in source:
-            raise BadParams(f"missing bits for input word {name!r}")
-    total = len(next(iter(source.values()))) if source else 0
+    vals = _checked_values(source, words)
+    total = len(vals[0]) if vals else 0
     for start in range(0, total, CHUNK):
         n = min(CHUNK, total - start)
-        yield start, n, {w: _pack_rows(source[w][start:start + n])
-                         for w, _ in words}
+        yield start, n, {w: _pack_rows(np.unpackbits(
+            v[start:start + n, None].view(np.uint8), axis=1, count=width,
+            bitorder="little")) for (w, width), v in zip(words, vals)}
 
 
-def stream_bits(stream, words) -> dict[str, np.ndarray]:
-    """The whole bits of a stream, {word: (n, width) uint8}, unpacked from
-    its rows."""
+def _row_values(rows, n: int) -> np.ndarray:
+    """Per vector of ``n``, the integer whose bit i is packed row i."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1,
+                         bitorder="little")[:, :n]
+    weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
+    return np.einsum("i,ij->j", weights, bits)
+
+
+def stream_values(stream, words) -> dict[str, np.ndarray]:
+    """The whole stream as word values, {word: one int64 per vector}."""
     chunks = [rows for _, _, rows in _bits_chunks(stream, words)]
-    return {w: np.unpackbits(
-                np.concatenate([c[w] for c in chunks], axis=1).view(np.uint8),
-                axis=1, count=stream.n_vectors, bitorder="little").T
+    return {w: _row_values(np.concatenate([c[w] for c in chunks], axis=1),
+                           stream.n_vectors)
             for w, _ in words}
 
 
@@ -209,7 +233,7 @@ def stream_bits(stream, words) -> dict[str, np.ndarray]:
 class Traces:
     """Packed per-net values for a simulated run (vector t lives at bit
     ``t % 64`` of word ``t // 64``).  A run is a valid source for its own
-    netlist wherever a stream or a dict of bits is accepted."""
+    netlist wherever a stream or word values are accepted."""
 
     def __init__(self, netlist: Netlist, c: np.ndarray, n_vectors: int):
         self.netlist = netlist
@@ -222,10 +246,8 @@ class Traces:
 
     def word_values(self, nets) -> np.ndarray:
         """Per vector, the integer whose bit i is the value of ``nets[i]``."""
-        bits = np.unpackbits(self.c[list(nets)].view(np.uint8), axis=1,
-                             bitorder="little")[:, :self.n_vectors]
-        weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
-        return np.einsum("i,ij->j", weights, bits)
+        rows = self.c[list(nets)]
+        return _row_values(rows, self.n_vectors)
 
     def first_hits(self, val: int) -> np.ndarray:
         """Per net, the index of the first vector on which it carries
@@ -285,9 +307,9 @@ def _runs(netlist: Netlist, source, shared: bool):
 
 
 def simulate(netlist: Netlist, source) -> Traces:
-    """The whole run of a :class:`VectorStream` or a dict of prebuilt bit
-    arrays (a run of ``netlist`` is returned as is).  The run is held in
-    memory; for very long streams prefer :func:`iter_traces`."""
+    """The whole run of a :class:`VectorStream` or of word values (a run
+    of ``netlist`` is returned as is).  The run is held in memory; for very
+    long streams prefer :func:`iter_traces`."""
     parts = [tr for _, tr in iter_traces(netlist, source)]
     if not parts:
         raise BadParams("empty stream")
@@ -297,48 +319,6 @@ def simulate(netlist: Netlist, source) -> Traces:
         return parts[0]
     return Traces(netlist, np.concatenate([tr.c for tr in parts], axis=1),
                   sum(tr.n_vectors for tr in parts))
-
-
-def eval_vector(netlist: Netlist, word_values: dict) -> list[int]:
-    """Scalar single-vector evaluation with plain-int semantics.
-
-    ``word_values`` maps input word names to integers (missing words read as
-    0).  Returns the value of every net.  Intentionally independent of the
-    packed kernels; used for witness replay and as the simulation oracle in
-    tests.
-    """
-    vals = [0] * netlist.n_nets
-    for name, nets in netlist.input_words():
-        v = int(word_values.get(name, 0))
-        for i, b in enumerate(nets):
-            vals[b] = (v >> i) & 1
-    for g in netlist.ordered_gates():
-        ins = [vals[i] for i in g.inputs]
-        k = g.kind
-        if k is GateKind.AND:
-            r = int(all(ins))
-        elif k is GateKind.OR:
-            r = int(any(ins))
-        elif k is GateKind.NAND:
-            r = 1 - int(all(ins))
-        elif k is GateKind.NOR:
-            r = 1 - int(any(ins))
-        elif k is GateKind.XOR:
-            r = sum(ins) & 1
-        elif k is GateKind.XNOR:
-            r = 1 - (sum(ins) & 1)
-        elif k is GateKind.NOT:
-            r = 1 - ins[0]
-        elif k is GateKind.BUF:
-            r = ins[0]
-        elif k is GateKind.MUX2:
-            r = ins[2] if ins[0] else ins[1]
-        elif k is GateKind.CONST0:
-            r = 0
-        else:
-            r = 1
-        vals[g.output] = r
-    return vals
 
 
 # ---------------------------------------------------------------------------

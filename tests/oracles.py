@@ -1,7 +1,9 @@
 """Reference definitions the workbench is checked against.
 
 Most are the plain, per-bit or per-column form of what :mod:`axsec.sim`
-computes in fewer passes; :func:`rank_errors` is the error ranking's own
+computes in fewer passes; :func:`eval_vector` is a scalar gate evaluator
+with plain-int semantics, independent of the packed kernel;
+:func:`rank_errors` is the error ranking's own
 float-array form of what :func:`axsec.sim.error_terms` now computes, and
 :func:`structurally_equal` compares two netlists by net name.  They are
 kept here only for the tests.
@@ -10,27 +12,65 @@ kept here only for the tests.
 import numpy as np
 
 from axsec.errors import BadParams
-from axsec.netlist import Netlist
+from axsec.netlist import GateKind, Netlist
 
 _M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
 
 
-def exhaustive_bits(netlist: Netlist) -> dict[str, np.ndarray]:
-    """Bit arrays enumerating every input combination once (first input word
-    in the low positions of the enumeration index)."""
+def exhaustive_values(netlist: Netlist) -> dict[str, np.ndarray]:
+    """Word values enumerating every input combination once (first input
+    word in the low positions of the enumeration index)."""
     words = netlist.input_words()
     total_bits = sum(len(nets) for _, nets in words)
     if total_bits > 26:
         raise BadParams(f"{total_bits} input bits is too wide to enumerate")
-    v = np.arange(1 << total_bits, dtype=np.uint64)
+    v = np.arange(1 << total_bits, dtype=np.int64)
     out = {}
     off = 0
     for name, nets in words:
-        w = len(nets)
-        out[name] = ((v[:, None] >> np.arange(off, off + w, dtype=np.uint64))
-                     & np.uint64(1)).astype(np.uint8)
-        off += w
+        out[name] = (v >> off) & ((1 << len(nets)) - 1)
+        off += len(nets)
     return out
+
+
+def eval_vector(netlist: Netlist, word_values: dict) -> list[int]:
+    """Scalar single-vector evaluation with plain-int semantics.
+
+    ``word_values`` maps input word names to integers (missing words read as
+    0).  Returns the value of every net.
+    """
+    vals = [0] * netlist.n_nets
+    for name, nets in netlist.input_words():
+        v = int(word_values.get(name, 0))
+        for i, b in enumerate(nets):
+            vals[b] = (v >> i) & 1
+    for g in netlist.ordered_gates():
+        ins = [vals[i] for i in g.inputs]
+        k = g.kind
+        if k is GateKind.AND:
+            r = int(all(ins))
+        elif k is GateKind.OR:
+            r = int(any(ins))
+        elif k is GateKind.NAND:
+            r = 1 - int(all(ins))
+        elif k is GateKind.NOR:
+            r = 1 - int(any(ins))
+        elif k is GateKind.XOR:
+            r = sum(ins) & 1
+        elif k is GateKind.XNOR:
+            r = 1 - (sum(ins) & 1)
+        elif k is GateKind.NOT:
+            r = 1 - ins[0]
+        elif k is GateKind.BUF:
+            r = ins[0]
+        elif k is GateKind.MUX2:
+            r = ins[2] if ins[0] else ins[1]
+        elif k is GateKind.CONST0:
+            r = 0
+        else:
+            r = 1
+        vals[g.output] = r
+    return vals
 
 
 def word_value(netlist: Netlist, vals, word: str) -> int:

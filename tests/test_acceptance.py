@@ -22,11 +22,11 @@ from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.scoap import scoap
 from axsec.sim import (EXACT_OPS, VectorStream, activity_profile,
-                       error_profile, eval_vector, iter_traces, simulate)
+                       error_profile, iter_traces, simulate)
 from axsec.sta import critical_delay, near_critical_paths
 
 from tests.conftest import random_dag
-from tests.oracles import exhaustive_bits, word_value
+from tests.oracles import eval_vector, exhaustive_values, word_value
 from tests.test_arith import (block22_model, loa_model, trunc_add_model,
                               trunc_mul_model)
 from tests.test_sta import _enumerate_paths
@@ -65,7 +65,7 @@ def test_01_generators_reduce_to_the_exact_operator():
         t0 = time.perf_counter()
         for w in widths:
             nl = gen_module(ArchParams(op, arch, w, 0))
-            tr = simulate(nl, exhaustive_bits(nl))
+            tr = simulate(nl, exhaustive_values(nl))
             iw = dict(nl.input_words())
             a = tr.word_values(iw["a"])
             b = tr.word_values(iw["b"])
@@ -107,7 +107,7 @@ def test_02_profiler_metrics_equal_scalar_brute_force():
                 ratios.append(d / max(exp, 1))
         nl = gen_module(params)
         rep = error_profile(nl, EXACT_OPS[params.op_type],
-                            exhaustive_bits(nl))
+                            exhaustive_values(nl))
         same = (rep.er == errs / n and rep.med == total / n
                 and rep.mred == float(np.sum(np.array(ratios))) / n
                 and rep.wce == worst and rep.n_vectors == n)
@@ -242,9 +242,9 @@ def test_05_leak_is_invisible_off_the_witness(leak_case):
     keep = np.nonzero(~fire)[0]
     assert keep.size >= 100_000
     keep = keep[:100_000]
-    bits = {w: np.stack([tr.bits(n)[keep] for n in nets], axis=1)
+    vals = {w: tr.word_values(nets)[keep]
             for w, nets in infected.input_words()}
-    rep = verify_stealth(clean, infected, ht, SPEC.reference, bits)
+    rep = verify_stealth(clean, infected, ht, SPEC.reference, vals)
 
     wit = dict(ht.witness)
     vals = eval_vector(infected, wit)

@@ -14,7 +14,7 @@ from axsec.errors import BadParams
 from axsec.netlist import NetlistBuilder
 from axsec.sim import simulate
 
-from tests.oracles import exhaustive_bits, structurally_equal
+from tests.oracles import exhaustive_values, structurally_equal
 
 
 # --- independent scalar models ---------------------------------------------
@@ -57,7 +57,7 @@ def block22_model(a, b, w, k):
 
 
 def _word_arrays(nl):
-    tr = simulate(nl, exhaustive_bits(nl))
+    tr = simulate(nl, exhaustive_values(nl))
     ins = dict(nl.input_words())
     (oname, onets), = nl.output_words()
     return (tr.word_values(ins["a"]).astype(np.int64),

@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from axsec import attack
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import (AttackConfig, BudgetConstraints, HTInstance,
                           ModuleSpec, attack_score, characterize,
@@ -17,10 +18,10 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
-from axsec.sim import (VectorStream, activity_profile, error_profile,
-                       eval_vector, simulate, stream_bits)
+from axsec.sim import (Traces, VectorStream, activity_profile,
+                       error_profile, simulate, stream_values)
 
-from tests.oracles import structurally_equal, word_value
+from tests.oracles import eval_vector, structurally_equal, word_value
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -233,7 +234,43 @@ def test_insertion_reads_a_run_like_its_stream(inserted, kernel_calls):
                              dataclasses.replace(cfg, stream=run))
     assert structurally_equal(bad, infected)
     assert got == ht
-    assert not kernel_calls  # the trigger realizes on the run as given
+    # the trigger realizes on the run as given; the one kernel run is the
+    # witness check
+    assert len(kernel_calls) == 1
+
+
+def test_the_witness_check_is_one_kernel_run(inserted, kernel_calls,
+                                             monkeypatch):
+    clean, act, cfg, _, _ = inserted
+    run = simulate(clean, cfg.stream)
+    real, sources = attack.simulate, []
+    monkeypatch.setattr(attack, "simulate", lambda nl, source:
+                        sources.append((nl, source)) or real(nl, source))
+    del kernel_calls[:]
+    # two taps: a witness of two of the four input words
+    bad, ht = insert_trojan(clean, act, None,
+                            dataclasses.replace(cfg, stream=run, q=2))
+    assert len(kernel_calls) == 1
+    assert [nl for nl, _ in sources] == [clean, bad]
+    # one vector: the witness, the other input words at 0
+    witness = dict(ht.witness)
+    assert {w: list(v) for w, v in sources[1][1].items()} == \
+        {w: [witness.get(w, 0)] for w, _ in bad.input_words()}
+    assert set(witness) < set(dict(bad.input_words()))
+
+
+def test_a_witness_that_does_not_fire_emits_nothing(inserted, monkeypatch):
+    # every input word read off the trace as 0: the witness composed from
+    # it sets no tap's rare value, and the check on the built netlist fails
+    clean, act, cfg, _, _ = inserted
+    run = simulate(clean, cfg.stream)
+    monkeypatch.setattr(Traces, "word_values",
+                        lambda self, nets: np.zeros(self.n_vectors, np.int64))
+    emitted = []
+    with pytest.raises(NoWitness, match="does not fire the assembled"):
+        emitted.append(insert_trojan(clean, act, None,
+                                     dataclasses.replace(cfg, stream=run)))
+    assert emitted == []
 
 
 _SWEEP = [
@@ -297,9 +334,9 @@ def test_characterize_keeps_the_baseline_it_would_profile():
     menu = [ArchParams("add", "exact", 8), ArchParams("add", "loa", 8, 3),
             ArchParams("add", "trunc", 8, 2)]
     kept = [characterize(p, stream, theta=0.05) for p in menu]
-    bits = stream_bits(stream, gen_module(menu[0]).signature()[0])
+    vals = stream_values(stream, gen_module(menu[0]).signature()[0])
     for params, spec in zip(menu, kept):
-        fresh = characterize(params, bits, theta=0.05)  # profiled anew
+        fresh = characterize(params, vals, theta=0.05)  # profiled anew
         assert dataclasses.replace(fresh, stream_key=spec.stream_key) == spec
 
 

@@ -230,6 +230,36 @@ def test_detect_names_the_malformed_candidate(tmp_path, capsys, text,
     assert not out.exists()
 
 
+def _buf_word_netlist(width):
+    """Text of a netlist that buffers one ``width``-bit word a into y."""
+    lines = [f"input a{i}" for i in range(width)]
+    lines += [f"output y{i}" for i in range(width)]
+    lines += [f"gate {i} BUF y{i} a{i}" for i in range(width)]
+    lines.append("word a " + " ".join(f"a{i}" for i in range(width)))
+    lines.append("word y " + " ".join(f"y{i}" for i in range(width)))
+    return "\n".join(lines) + "\n"
+
+
+def test_detect_refuses_words_over_63_bits(tmp_path, capsys, kernel_calls):
+    # a 64-bit word's values do not fit the int64 a screen reads them as
+    cdir = tmp_path / "cands"
+    cdir.mkdir()
+    for i in range(2):
+        (cdir / f"c{i}.nl").write_text(_buf_word_netlist(64))
+    out = tmp_path / "report.csv"
+    assert main(["detect", "--candidates", str(cdir), "--out",
+                 str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert "word 'a' is 64 bits wide" in line, line
+    assert not out.exists()
+    assert not kernel_calls  # refused before any simulation
+    for i in range(2):
+        (cdir / f"c{i}.nl").write_text(_buf_word_netlist(63))
+    assert main(["detect", "--candidates", str(cdir), "--vectors", "100",
+                 "--stress", "10", "--out", str(out)]) in (0, None)
+    assert {r["verdict"] for r in _rows(out)} == {"CLEAN"}
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda d: None, "not a directory"),
     (lambda d: d.write_text("input a\noutput a\n"), "not a directory"),

@@ -12,9 +12,9 @@ from axsec.errors import BadParams
 from axsec.experiment import (ExperimentConfig, characterize_library,
                               generate_variants)
 from axsec.netlist import flatten
-from axsec.sim import VectorStream, eval_vector, simulate, sub_seed
+from axsec.sim import VectorStream, simulate, sub_seed
 
-from tests.oracles import structurally_equal, word_value
+from tests.oracles import eval_vector, structurally_equal, word_value
 
 
 def test_fir_slots_and_widths():

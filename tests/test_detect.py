@@ -14,7 +14,7 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
                           Metrics, NetlistReport, classify, defender_streams,
                           rank_by_error, score, suspect_instances, _checked,
-                          _majority, _profile, _profiling_bits,
+                          _majority, _profile, _profiling_values,
                           _stress_scores)
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
                           SignatureMismatch)
@@ -124,10 +124,10 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
     # p1 and first hits a profile reads are checked on every net
     cands = _checked(trio[0] if design == "fir" else _bfly_builds())
     streams = defender_streams(DetectConfig(vectors=vectors, seed=vectors))
-    bits = _profiling_bits(cands, streams)
+    vals = _profiling_values(cands, streams)
     for cid, nl in cands:
         old = _TwoRunProfile(nl, streams)
-        run = simulate(nl, bits)
+        run = simulate(nl, vals)
         p1 = activity_profile(nl, run).p1
         assert p1.dtype == old.p1.dtype
         assert np.array_equal(p1, old.p1), cid
@@ -136,7 +136,8 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
         assert [int(hits[v][net]) if hits[v][net] >= 0 else None
                 for net, v in firsts] == [old.first(*k) for k in firsts], cid
         for theta in (0.05, 0.1, 0.3):
-            new = _profile(nl, bits, theta)
+            new = _profile(nl, vals, theta)
+            assert new.in_vals is vals  # the screen's one dict
             for mine, theirs in ((new.in_vals, old.in_vals),
                                  (new.out_vals, old.out_vals)):
                 assert mine.keys() == theirs.keys()
@@ -154,7 +155,7 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     dropped."""
     nl, config = trio[0]["v1"], DetectConfig()
     streams = defender_streams(config)
-    profile = _profile(nl, _profiling_bits([("v1", nl)], streams),
+    profile = _profile(nl, _profiling_values([("v1", nl)], streams),
                        config.theta)
     ref = _TwoRunProfile(nl, streams)
     in_vals = {w: np.concatenate([word_values(t, b) for t in ref.traces])
@@ -298,8 +299,8 @@ def test_classify_resilience_matches_standalone_test(trio):
     # each score equals that of a batch holding its job alone
     checked = _checked(cands)
     idx = {cid: i for i, (cid, _) in enumerate(checked)}
-    bits = _profiling_bits(checked, defender_streams(config))
-    profiles = [_profile(nl, bits, config.theta) for _, nl in checked]
+    vals = _profiling_values(checked, defender_streams(config))
+    profiles = [_profile(nl, vals, config.theta) for _, nl in checked]
     for cid, tag, res in scored:
         assert _stress_scores(checked, [(idx[cid], tag)], profiles,
                               config) == [res], (cid, tag)
@@ -321,8 +322,8 @@ def test_a_screen_draws_each_profiling_stream_once(trio, kernel_calls,
                                                    monkeypatch):
     cands = dict(trio[0], v3=SPEC.build(ASSIGN), v4=SPEC.build(None))
     drawn = []
-    real = detect.stream_bits
-    monkeypatch.setattr(detect, "stream_bits",
+    real = detect.stream_values
+    monkeypatch.setattr(detect, "stream_values",
                         lambda stream, words: drawn.append(stream)
                         or real(stream, words))
     classify(cands)

@@ -18,12 +18,11 @@ from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
                        VectorStream, _ActivitySums, _bits_chunks,
                        _chunk_bits, _single_chunk_bits,
-                       activity_profile, error_profile, eval_vector,
-                       iter_traces, power_proxy, rare_nets, simulate,
-                       stream_bits)
+                       activity_profile, error_profile, iter_traces,
+                       power_proxy, rare_nets, simulate, stream_values)
 
 from tests import oracles
-from tests.oracles import exhaustive_bits, word_value
+from tests.oracles import eval_vector, exhaustive_values, word_value
 
 
 def _mix_netlist():
@@ -51,7 +50,7 @@ def _mix_netlist():
 
 def test_packed_equals_scalar_exhaustively():
     nl = _mix_netlist()
-    tr = simulate(nl, exhaustive_bits(nl))
+    tr = simulate(nl, exhaustive_values(nl))
     xs = tr.word_values(dict(nl.input_words())["x"])
     onets = dict(nl.output_words())["y"]
     packed = tr.word_values(onets)
@@ -60,23 +59,24 @@ def test_packed_equals_scalar_exhaustively():
         assert word_value(nl, vals, "y") == int(packed[i])
 
 
-def test_exhaustive_bits_counting_order():
+def test_exhaustive_values_counting_order():
     b = NetlistBuilder()
     x = [b.pi(f"x{i}") for i in range(3)]
     b.word("x", x)
+    z = b.pi("z")
     b.instance("u", "deterministic", "misc", "exact")
-    y = b.gate(GateKind.BUF, (x[0],), tag="u")
+    y = b.gate(GateKind.AND, (x[0], z), tag="u")
     b.po(y)
     nl = b.build()
-    bits = exhaustive_bits(nl)
-    vals = (bits["x"] * (1 << np.arange(3))).sum(axis=1)
-    assert list(vals) == list(range(8))
+    vals = exhaustive_values(nl)
+    assert vals["x"].tolist() == list(range(8)) * 2
+    assert vals["z"].tolist() == [0] * 8 + [1] * 8
 
 
-def test_exhaustive_bits_width_cap():
+def test_exhaustive_values_width_cap():
     nl = gen_module(ArchParams("mul", "exact", 14))  # 28 input bits
     with pytest.raises(BadParams):
-        exhaustive_bits(nl)
+        exhaustive_values(nl)
 
 
 def test_stream_is_deterministic_and_seed_sensitive():
@@ -106,8 +106,48 @@ def test_stream_rejects_unknown_mode():
 
 def test_dict_source_requires_every_input_word():
     nl = _mix_netlist()
-    with pytest.raises((KeyError, BadParams)):
-        simulate(nl, {"notx": np.zeros((4, 4), np.uint8)})
+    with pytest.raises(BadParams, match="missing values for input word 'x'"):
+        simulate(nl, {"notx": np.zeros(4, np.int64)})
+
+
+def _bit_values(bits):
+    """Word values of a dict of ``(n, width)`` 0/1 arrays."""
+    return {w: (b.astype(np.int64) << np.arange(b.shape[1])).sum(axis=1)
+            for w, b in bits.items()}
+
+
+_A10 = np.arange(10) % 16
+
+
+@pytest.mark.parametrize("source,message", [
+    # the length is the netlist's own words', not the first key's
+    ({"zzz": np.zeros(3, np.int64), "a": _A10, "b": _A10[::-1]}, None),
+    ({"a": _A10, "b": _A10[:5]}, r"'b' holds int64 of shape \(5,\), not 10"),
+    ({"a": np.arange(100) % 16, "b": np.arange(70) % 16},
+     r"'b' holds int64 of shape \(70,\), not 100 integers"),
+    ({"a": _A10, "b": _A10 + 7}, r"word 'b' lies outside \[0, 2\*\*4\)"),
+    ({"a": _A10 - 1, "b": _A10}, r"word 'a' lies outside \[0, 2\*\*4\)"),
+    ({"a": _A10.reshape(2, 5), "b": _A10}, r"'a' holds int64 of shape \(2,"),
+    ({"a": 3, "b": _A10}, r"'a' holds int64 of shape \(\)"),
+    ({"a": _A10 + 0.5, "b": _A10}, "'a' holds float64 of shape"),
+    ({"a": _A10, "b": [2 ** 64] * 10}, "'b' holds object of shape"),
+    ({"a": _A10, "b": np.full(10, 2 ** 63, np.uint64)},
+     r"word 'b' lies outside \[0, 2\*\*4\)"),
+    ({"b": _A10}, "missing values for input word 'a'"),
+], ids=["extra-key", "short", "70-of-100", "over", "negative", "2-d",
+        "scalar", "float", "too-wide-int", "uint64-top-bit", "missing"])
+def test_a_values_source_is_checked_against_the_input_words(source,
+                                                            message):
+    nl = gen_adder(ArchParams("add", "exact", 4))
+    assert [w for w, _ in nl.signature()[0]] == ["a", "b"]
+    if message is not None:
+        with pytest.raises(BadParams, match=message):
+            simulate(nl, source)
+        return
+    tr = simulate(nl, source)
+    assert tr.n_vectors == 10
+    out = tr.word_values(nl.output_words()[0][1])
+    assert np.array_equal(out, source["a"] + source["b"])
 
 
 def test_activity_and_power_hand_case():
@@ -119,8 +159,7 @@ def test_activity_and_power_hand_case():
     y = b.gate(GateKind.AND, (a, x), tag="u")
     b.po(y)
     nl = b.build()
-    bits = {"a": np.array([[0], [1], [0], [0], [1]], np.uint8)}
-    act = activity_profile(nl, bits)
+    act = activity_profile(nl, {"a": np.array([0, 1, 0, 0, 1])})
     assert act.n_vectors == 5
     assert float(act.p1[a]) == 0.4 and float(act.p1[x]) == 0.6
     assert float(act.p1[y]) == 0.0
@@ -138,7 +177,7 @@ def test_rare_nets_thresholds():
     y = b.gate(GateKind.OR, (a, z), tag="u")
     b.po(y)
     nl = b.build()
-    drive = np.tile(np.array([[1], [0]], np.uint8), (25, 1))
+    drive = np.tile(np.array([1, 0]), 25)
     act = activity_profile(nl, {"a": drive})
     rare = dict(rare_nets(act, 0.1))
     assert rare[z] == 1          # stuck at 0, rare value is 1
@@ -151,7 +190,7 @@ def test_rare_nets_thresholds():
 def test_error_profile_matches_scalar_brute_force():
     params = ArchParams("add", "loa", 5, 2)
     nl = gen_adder(params)
-    rep = error_profile(nl, EXACT_OPS["add"], exhaustive_bits(nl))
+    rep = error_profile(nl, EXACT_OPS["add"], exhaustive_values(nl))
     n = err = wce = 0
     med_sum = 0
     ratios = []
@@ -177,7 +216,8 @@ def test_error_profile_matches_scalar_brute_force():
 
 def test_error_profile_accepts_callable_reference():
     nl = gen_adder(ArchParams("add", "exact", 4))
-    rep = error_profile(nl, lambda wv: wv["a"] + wv["b"], exhaustive_bits(nl))
+    rep = error_profile(nl, lambda wv: wv["a"] + wv["b"],
+                        exhaustive_values(nl))
     assert rep.er == 0.0 and rep.wce == 0
 
 
@@ -220,28 +260,25 @@ def test_levelized_kernel_matches_scalar_evaluation(nl, seed):
     """200 vectors span four words with a partial last one: every net of
     the packed run must equal the scalar evaluation, pad bits cleared."""
     n = 200
-    bits = np.random.default_rng(seed).integers(
-        0, 2, (n, len(nl.inputs)), dtype=np.uint8)
-    tr = simulate(nl, {"x": bits})
+    xs = np.random.default_rng(seed).integers(0, 1 << len(nl.inputs), n)
+    tr = simulate(nl, {"x": xs})
     got = np.array([tr.bits(net) for net in range(nl.n_nets)])
     for t in range(n):
-        xv = int((bits[t].astype(np.int64) << np.arange(len(nl.inputs))).sum())
-        assert eval_vector(nl, {"x": xv}) == got[:, t].tolist()
+        assert eval_vector(nl, {"x": int(xs[t])}) == got[:, t].tolist()
     assert tr.c.shape[1] == 4
     assert not (tr.c[:, -1] >> np.uint64(n % 64)).any()
 
 
 def test_chunk_boundaries_do_not_change_statistics():
-    """A stream longer than one chunk must agree with a dict source built
-    from its own emitted bits."""
+    """A stream longer than one chunk must agree with a values source
+    built from its own emitted bits."""
     nl = _mix_netlist()
     n = (1 << 16) + 257
     stream = VectorStream(n, 3, "uniform")
     tr = simulate(nl, stream)
     act_stream = activity_profile(nl, VectorStream(n, 3, "uniform"))
     xnets = dict(nl.input_words())["x"]
-    bits = {"x": np.stack([tr.bits(b) for b in xnets], axis=1)}
-    act_dict = activity_profile(nl, bits)
+    act_dict = activity_profile(nl, {"x": tr.word_values(xnets)})
     assert np.array_equal(act_stream.toggles, act_dict.toggles)
     assert np.array_equal(act_stream.p1, act_dict.p1)
 
@@ -317,8 +354,8 @@ def test_simulate_on_a_memoized_stream_equals_the_dict_of_its_bits():
     nl = b.build()
     assert [w for w, _ in nl.signature()[0]] == ["z", "a"]
     stream = VectorStream(3000, 9, "correlated")
-    bits = _oracle_bits(stream, nl.signature()[0])
-    want = simulate(nl, bits).c
+    want = simulate(nl, _bit_values(_oracle_bits(stream,
+                                                 nl.signature()[0]))).c
     assert np.array_equal(simulate(nl, stream).c, want)
     assert np.array_equal(simulate(nl, stream).c, want)  # memo hit
 
@@ -374,14 +411,14 @@ def test_first_hits_hand_case():
     z = b.gate(GateKind.CONST0, (), tag="u")
     b.po(b.gate(GateKind.OR, (x, z), tag="u"))
     nl = b.build()
-    drive = np.ones((70, 1), np.uint8)
+    drive = np.ones(70, np.int64)
     drive[66] = 0
     tr = simulate(nl, {"a": drive})
     assert tr.first_hits(1)[[a, x, z]].tolist() == [0, 66, -1]
     assert tr.first_hits(0)[[a, x, z]].tolist() == [66, 0, 0]
     # 70 is no multiple of 64: the 58 pad bits of the last word never
     # count as a 0 hit, so a net at 1 throughout has none
-    high = {"a": np.ones((70, 1), np.uint8)}
+    high = {"a": np.ones(70, np.int64)}
     tr = simulate(nl, high)
     assert tr.first_hits(0)[[a, x, z]].tolist() == [-1, 0, 0]
     assert tr.first_hits(1)[[a, x, z]].tolist() == [0, -1, -1]
@@ -401,15 +438,15 @@ def test_first_hits_equal_a_scan_of_the_bits(n):
 
 
 @pytest.mark.parametrize("n", [700, CHUNK + 70])
-def test_stream_bits_are_the_chunks_in_order(n):
+def test_stream_values_are_the_chunks_in_order(n):
     words = (("b", 3), ("a", 5))
     stream = VectorStream(n, 6, "correlated")
-    bits = stream_bits(stream, words)
-    want = _oracle_bits(stream, words)
-    assert bits.keys() == {"a", "b"}
+    vals = stream_values(stream, words)
+    want = _bit_values(_oracle_bits(stream, words))
+    assert vals.keys() == {"a", "b"}
     for w, width in words:
-        assert bits[w].shape == (n, width) and bits[w].dtype == np.uint8
-        assert np.array_equal(bits[w], want[w])
+        assert vals[w].shape == (n,) and vals[w].dtype == np.int64
+        assert np.array_equal(vals[w], want[w])
 
 
 @pytest.mark.parametrize("n", [3000, CHUNK + 70])
@@ -473,10 +510,10 @@ def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
     for (_, _, rows), bits in zip(got, want, strict=True):
         for name, _ in words:
             assert np.array_equal(rows[name], oracles.pack_rows(bits[name]))
-    whole = stream_bits(stream, words)
+    whole = stream_values(stream, words)
     for name, _ in words:
-        assert np.array_equal(whole[name],
-                              np.concatenate([b[name] for b in want]))
+        assert np.array_equal(whole[name], _bit_values(
+            {name: np.concatenate([b[name] for b in want])})[name])
 
 
 @settings(max_examples=40, deadline=None)
@@ -629,16 +666,16 @@ def _words_netlist(widths):
 @settings(max_examples=30, deadline=None)
 @given(n=_RUN_N, widths=st.lists(st.integers(1, 17), min_size=1,
                                    max_size=3),
-       seed=st.integers(0, 2 ** 32 - 1), transposed=st.booleans())
-def test_word_packing_equals_column_packing(n, widths, seed, transposed):
+       seed=st.integers(0, 2 ** 32 - 1), strided=st.booleans())
+def test_word_packing_equals_column_packing(n, widths, seed, strided):
     nl = _words_netlist(widths)
     rng = np.random.default_rng(seed)
-    bits = {}
-    for name, nets in nl.input_words():
-        arr = rng.integers(0, 2, (n, len(nets)), dtype=np.uint8)
-        # stream_bits hands out the (n, width) view of a (width, n) array
-        bits[name] = np.ascontiguousarray(arr.T).T if transposed else arr
-    assert np.array_equal(simulate(nl, bits).c, _oracle_run(nl, bits, n))
+    bits = {name: rng.integers(0, 2, (n, len(nets)), dtype=np.uint8)
+            for name, nets in nl.input_words()}
+    vals = _bit_values(bits)
+    if strided:  # a column of a wider array, not contiguous
+        vals = {w: np.stack([v, -v], axis=1)[:, 0] for w, v in vals.items()}
+    assert np.array_equal(simulate(nl, vals).c, _oracle_run(nl, bits, n))
 
 
 def _oracle_run(nl, bits, n):
