@@ -31,8 +31,8 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, PowerProxy, VectorStream,
-                  activity_and_error, check_theta, power_proxy,
-                  rare_nets, simulate, stream_key)
+                  activity_and_error, check_theta, check_value_words,
+                  power_proxy, rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -196,6 +196,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     """
     if config.stream is None:
         raise BadParams("config.stream must carry the profiling stream")
+    check_value_words(nl)  # the witness is read off input word values
     if testability is None:
         testability = scoap(nl)
     rare = rare_nets(activity, config.theta)

@@ -579,6 +579,9 @@ def main(argv=None) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # verbs compute before they write
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ replays them on every candidate.  Each candidate is simulated once on them;
 its :class:`_Profile` keeps what the screen reads of that run at the
 screen's one ``theta``, with signal probabilities taken from the activity
 count.  The ranking scores each candidate's :func:`axsec.sim.error_terms`
-against the majority.
+against the majority.  An instance's fan-in cone is the nets whose tag
+mask (:func:`_cone_masks`, one reverse pass per netlist) holds its bit.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
-                     check_ranges)
+from .errors import EmptySet, LabelMismatch, SignatureMismatch, check_ranges
 from .netlist import GateKind, Netlist
-from .sim import (VectorStream, activity_profile, check_theta, error_terms,
-                  rare_nets, simulate, stream_values)
+from .sim import (VectorStream, activity_profile, check_theta,
+                  check_value_words, error_terms, rare_nets, simulate,
+                  stream_values)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -110,10 +111,7 @@ def _checked(candidates):
         if nl.signature() != sig:
             raise SignatureMismatch(
                 f"netlist {cid!r} does not match the common I/O words")
-    for word, width in sig[0] + sig[1]:
-        if width > 63:
-            raise BadParams(f"word {word!r} is {width} bits wide; a screen "
-                            f"reads words of at most 63 bits")
+    check_value_words(cands[0][1], [w for w, _ in sig[1]])
     return cands
 
 
@@ -279,12 +277,26 @@ def _rank_combos(lengths, limit):
     return out
 
 
-def _replay_groups(profile, cone_nets):
+def _cone_masks(nl):
+    """Per net, the mask of the instance tags (bit i: the i-th in sorted
+    order) whose gate outputs the net is or feeds: one reverse pass in
+    level order, each gate passing its output's mask to its inputs."""
+    bit = {t: 1 << i for i, t in enumerate(sorted(nl.instances))}
+    masks = [0] * nl.n_nets
+    for g in reversed(nl.ordered_gates()):
+        masks[g.output] |= bit[g.tag]
+        for i in g.inputs:
+            masks[i] |= masks[g.output]
+    return tuple(masks)
+
+
+def _replay_groups(profile, masks, bit):
     """Rarity-ranked input word assignments that reproduce observed rare
-    values, grouped by disjoint word support (most specific support wins)."""
+    values of the nets whose ``masks`` entry holds ``bit``, grouped by
+    disjoint word support (most specific support wins)."""
     per_sup = {}
     for net, sup, entry in profile.replay:
-        if net in cone_nets:
+        if masks[net] & bit:
             per_sup.setdefault(sup, []).append(entry)
     claimed = set()
     groups = []
@@ -308,11 +320,10 @@ def _replay_groups(profile, cone_nets):
 
 def _stress_values(nl, tag, budget, profile, rng):
     """Directed input word values for one instance: a low-operand third, a
-    high-operand third, and a third replaying composed rare values."""
+    high-operand third, and a third replaying composed rare values of its
+    fan-in cone, the nets whose :func:`_cone_masks` entry holds its bit."""
     words = dict(nl.input_words())
-    outs = [g.output for g in nl.gates_of_tag(tag)]
-    cone_nets = nl.fanin_nets(outs)
-    cone = set(nl.input_word_support(outs))
+    cone = set(nl.input_word_support(g.output for g in nl.gates_of_tag(tag)))
     vals = {w: np.zeros(budget, np.int64) for w in words}
     b1 = b2 = budget // 3
     lo = b1 + b2
@@ -323,7 +334,8 @@ def _stress_values(nl, tag, budget, profile, rng):
         vals[w][:b1] = rng.integers(0, 1 << half, b1)
         vals[w][b1:lo] = ((1 << wl) - (1 << half)
                           + rng.integers(0, 1 << half, b2))
-    groups = _replay_groups(profile, cone_nets)
+    groups = _replay_groups(profile, nl.memo(_cone_masks),
+                            1 << sorted(nl.instances).index(tag))
     if groups and b3:
         combos = _rank_combos([len(r) for _, r in groups], b3)
         for r in range(b3):
@@ -439,7 +451,6 @@ def classify(candidates, config: DetectConfig | None = None) \
     for idx, (cid, nl) in enumerate(cands):
         rare = {nl.driver(n).tag for n in profiles[idx].rare}
         rows = []
-        raws = {}
         for tag in sorted(nl.instances):
             inst = nl.instances[tag]
             h = hits[idx].get(tag, 0)
@@ -450,19 +461,16 @@ def classify(candidates, config: DetectConfig | None = None) \
                     * (2.0 if r else 1.0)
             else:
                 raw = float(2 * h) if r else 0.0
-            raws[tag] = raw
             rows.append((tag, inst.kind_label, h, res, r, raw))
-        mx = max(raws.values(), default=0.0)
+        mx = max((row[-1] for row in rows), default=0.0)
         entries = []
-        infected = False
         for tag, label, h, res, r, raw in rows:
             s = raw / mx if mx > 0.0 else 0.0
             fl = mx > 0.0 and s >= config.threshold
-            infected = infected or fl
             entries.append(InstanceScore(tag, label, h, res, r, raw, s, fl))
         reports.append(NetlistReport(
-            cid, "INFECTED" if infected else "CLEAN", pos[cid], mred[cid],
-            tuple(entries)))
+            cid, "INFECTED" if any(e.flagged for e in entries) else "CLEAN",
+            pos[cid], mred[cid], tuple(entries)))
     return DetectionReport(tuple(reports))
 
 

@@ -320,20 +320,6 @@ class Netlist:
 
     # -- cone queries ------------------------------------------------------
 
-    def fanin_nets(self, start):
-        """Transitive fan-in net set of the given nets (inclusive)."""
-        seen = set()
-        stack = list(start)
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            g = self.driver(n)
-            if g is not None:
-                stack.extend(g.inputs)
-        return seen
-
     def input_word_support(self, nets):
         """Names of input words that can influence the given nets, in
         :meth:`input_words` order: those with a bit in the nets' fan-in

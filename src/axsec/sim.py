@@ -210,6 +210,16 @@ def _bits_chunks(source, words):
             bitorder="little")) for (w, width), v in zip(words, vals)}
 
 
+def check_value_words(netlist: Netlist, outputs=()) -> None:
+    """Raise :class:`BadParams` for a word over 63 bits, whose values no
+    ``int64`` holds, among the input words and the ``outputs`` named."""
+    ins, outs = netlist.signature()
+    for word, width in ins + tuple(o for o in outs if o[0] in outputs):
+        if width > 63:
+            raise BadParams(f"word {word!r} is {width} bits wide; values "
+                            f"are read only from words of at most 63 bits")
+
+
 def _row_values(rows, n: int) -> np.ndarray:
     """Per vector of ``n``, the integer whose bit i is packed row i."""
     bits = np.unpackbits(rows.view(np.uint8), axis=1,
@@ -362,11 +372,7 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     callables per output word (taken in sorted word order).
     """
     nl = tr.netlist
-    if not isinstance(ref, dict):
-        if len(nl.output_words()) != 1:
-            raise BadParams("a single reference needs exactly one output "
-                            "word; give one per output word")
-        ref = {nl.output_words()[0][0]: ref}
+    ref = _references(nl, ref)
     outs = dict(nl.output_words())
     wv = {w: tr.word_values(nets) for w, nets in nl.input_words()}
     sums = []
@@ -377,37 +383,43 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     return sums
 
 
+def _references(nl: Netlist, ref) -> dict:
+    """``ref`` as {output word: reference}, its words checked."""
+    if not isinstance(ref, dict):
+        if len(nl.output_words()) != 1:
+            raise BadParams("a single reference needs exactly one output "
+                            "word; give one per output word")
+        ref = {nl.output_words()[0][0]: ref}
+    check_value_words(nl, ref)
+    return ref
+
+
 def error_profile(netlist: Netlist, ref, source) -> ErrorReport:
     """Error statistics against a reference (see :func:`error_sums`),
     summed chunk by chunk and word by word, over vectors times words."""
-    acc = _ErrorSums(ref)
-    for _, tr in _runs(netlist, source, shared=True):
-        acc.add(tr)
-    return acc.report()
+    return _profiled(netlist, source, _ErrorSums(netlist, ref))[0]
 
 
 class _ErrorSums:
     """Running :func:`error_sums` of consecutive chunks of one run."""
 
-    def __init__(self, ref):
-        self.ref = ref
-        self.n = self.errs = self.sabs = self.wce = self.words = 0
+    def __init__(self, netlist: Netlist, ref):
+        self.ref = _references(netlist, ref)
+        self.n = self.errs = self.sabs = self.wce = 0
         self.srel = 0.0
 
     def add(self, tr: Traces):
-        sums = error_sums(tr, self.ref)
-        for e, a, r, w in sums:
+        for e, a, r, w in error_sums(tr, self.ref):
             self.errs += e
             self.sabs += a
             self.srel += r
             self.wce = max(self.wce, w)
         self.n += tr.n_vectors
-        self.words = len(sums)
 
     def report(self) -> ErrorReport:
         if not self.n:
             raise BadParams("empty stream")
-        d = self.n * self.words
+        d = self.n * len(self.ref)
         return ErrorReport(self.errs / d, self.sabs / d, self.srel / d,
                            self.wce, self.n)
 
@@ -422,20 +434,22 @@ class ActivityReport:
 
 
 def activity_profile(netlist: Netlist, source) -> ActivityReport:
-    acc = _ActivitySums(netlist.n_nets)
-    for _, tr in _runs(netlist, source, shared=True):
-        acc.add(tr)
-    return acc.report()
+    return _profiled(netlist, source, _ActivitySums(netlist.n_nets))[0]
 
 
 def activity_and_error(netlist: Netlist, ref, source):
     """(:func:`activity_profile`, :func:`error_profile`) of one run,
     simulated once, chunk by chunk."""
-    act, err = _ActivitySums(netlist.n_nets), _ErrorSums(ref)
+    return _profiled(netlist, source, _ActivitySums(netlist.n_nets),
+                     _ErrorSums(netlist, ref))
+
+
+def _profiled(netlist: Netlist, source, *sums) -> tuple:
+    """The reports of running ``sums`` over one run, chunk by chunk."""
     for _, tr in _runs(netlist, source, shared=True):
-        act.add(tr)
-        err.add(tr)
-    return act.report(), err.report()
+        for acc in sums:
+            acc.add(tr)
+    return tuple(acc.report() for acc in sums)
 
 
 #: bytes of net-array rows each counting pass reads; a block stays in L2

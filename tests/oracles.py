@@ -4,8 +4,9 @@ Most are the plain, per-bit or per-column form of what :mod:`axsec.sim`
 computes in fewer passes; :func:`eval_vector` is a scalar gate evaluator
 with plain-int semantics, independent of the packed kernel;
 :func:`rank_errors` is the error ranking's own
-float-array form of what :func:`axsec.sim.error_terms` now computes, and
-:func:`structurally_equal` compares two netlists by net name.  They are
+float-array form of what :func:`axsec.sim.error_terms` now computes;
+:func:`fanin_nets` is the set walk behind the defender's one-pass cone
+masks, and :func:`structurally_equal` compares two netlists by net name.  They are
 kept here only for the tests.
 """
 
@@ -171,6 +172,22 @@ def rank_errors(stacks, majorities) -> list[tuple]:
     k = len(stacks)
     return [(float(er[i] / k), float(med[i] / k), float(mred[i] / k),
              float(wce[i])) for i in range(len(er))]
+
+
+def fanin_nets(nl: Netlist, start) -> set:
+    """Transitive fan-in net set of the given nets (inclusive), by a set
+    walk through each net's driver."""
+    seen = set()
+    stack = list(start)
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        g = nl.driver(n)
+        if g is not None:
+            stack.extend(g.inputs)
+    return seen
 
 
 def structurally_equal(a: Netlist, b: Netlist) -> bool:

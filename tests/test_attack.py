@@ -18,8 +18,9 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
-from axsec.sim import (Traces, VectorStream, activity_profile,
-                       error_profile, simulate, stream_values)
+from axsec.sim import (EXACT_OPS, ActivityReport, Traces, VectorStream,
+                       activity_profile, error_profile, simulate,
+                       stream_values)
 
 from tests.oracles import eval_vector, structurally_equal, word_value
 
@@ -203,6 +204,28 @@ def test_impossible_requests_fail_closed(inserted):
     with pytest.raises(BadParams):
         insert_trojan(clean, act, None,
                       dataclasses.replace(cfg, secret_word=None))
+
+
+def test_insertion_refuses_an_input_word_over_63_bits(kernel_calls):
+    # the witness is read off input word values; a 64-bit word's values
+    # read negative, so the netlist was emitted or refused by the stream
+    nl = gen_module(ArchParams("add", "exact", 64))
+    rare = ActivityReport(np.full(nl.n_nets, 0.001),
+                          np.zeros(nl.n_nets, np.int64), 1000)
+    cfg = AttackConfig(q=2, theta=0.01, scoap_ceiling=10 ** 6,
+                       payload="corrupt", stream=VectorStream(1000, 1))
+    with pytest.raises(BadParams, match="word 'a' is 64 bits wide"):
+        insert_trojan(nl, rare, None, cfg)
+    assert not kernel_calls
+
+
+def test_stealth_refuses_an_output_word_over_63_bits(kernel_calls):
+    nl = gen_module(ArchParams("add", "loa", 63, 8))
+    a0 = nl.words["a"][0]
+    ht = HTInstance((), 1, "corrupt", (), (nl.readers(a0)[0].tag,), a0)
+    with pytest.raises(BadParams, match="word 's' is 64 bits wide"):
+        verify_stealth(nl, nl, ht, EXACT_OPS["add"], VectorStream(100, 1))
+    assert not kernel_calls
 
 
 @pytest.mark.parametrize("field,value,error", [

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import axsec
+from axsec import cli
 from axsec.arith import ArchParams, gen_module
 from axsec.cli import main
 from axsec.designs import bfly_spec, fir_spec
@@ -113,6 +115,47 @@ def test_profile_with_a_reference_simulates_once(tmp_path, kernel_calls,
     assert len(kernel_calls) == runs
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
+
+
+def _loa_module(tmp_path, width):
+    nl = tmp_path / f"loa{width}.nl"
+    assert main(["gen-module", "--op", "add", "--arch", "loa", "--k", "8",
+                 "--width", str(width), "--out", str(nl)]) in (0, None)
+    return nl
+
+
+def test_profile_refuses_a_referenced_word_over_63_bits(tmp_path, capsys,
+                                                        kernel_calls):
+    # the 64-bit sum of a 63-bit adder read negative, and so did a + b:
+    # error.csv said MRED 29.7435
+    nl = _loa_module(tmp_path, 63)
+    capsys.readouterr()
+    out = tmp_path / "prof"
+    assert main(["profile", "--netlist", str(nl), "--ref", "auto",
+                 "--out-dir", str(out)]) == 2
+    assert "word 's' is 64 bits wide" in _one_error_line(capsys)
+    assert not out.exists()
+    assert not kernel_calls  # refused before any simulation
+    # activity reads no values
+    assert main(["profile", "--netlist", str(nl), "--ref", "none",
+                 "--out-dir", str(out)]) in (0, None)
+    assert sorted(p.name for p in out.iterdir()) == ["activity.csv",
+                                                     "power.csv"]
+
+
+def test_a_62_bit_profile_is_unchanged_by_the_width_check(tmp_path):
+    # digests recorded before the width check existed
+    out = tmp_path / "prof"
+    assert main(["profile", "--netlist", str(_loa_module(tmp_path, 62)),
+                 "--ref", "auto", "--out-dir", str(out)]) in (0, None)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == {
+        "activity.csv": "c72d0b486406bd6166ca9407ed99c716"
+                        "e7c242834f89d30b576f95e6164f45f1",
+        "error.csv": "5fb70b57a6b3d1e237e84aaec6f61b1e"
+                     "059c4927fce861ba2ed6c9d758f85af9",
+        "power.csv": "686f86f0ea7056264240000bc7b59594"
+                     "59124ff8f5b9b0f029187b0356915603"}
 
 
 def test_scoap_gives_unit_costs_at_inputs(tmp_path):
@@ -276,6 +319,65 @@ def test_detect_needs_a_directory_of_candidates(tmp_path, capsys, make,
     assert message in line, line
     if message == "not a directory":
         assert str(cdir) in line, line
+    assert not out.exists()
+
+
+def _child_env():
+    src = str(Path(axsec.__file__).parent.parent)
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_VM_PEAK = """import axsec.cli
+for line in open("/proc/self/status"):
+    if line.startswith("VmPeak:"):
+        print(line.split()[1])
+"""
+
+
+@pytest.mark.parametrize("verb", ["detect", "experiment"])
+def test_running_out_of_memory_is_one_error_line(tmp_path, verb):
+    # under ulimit -v both ended in a numpy _ArrayMemoryError traceback
+    # with exit 1.  Each child may map 256 MB beyond what importing the
+    # CLI took; the profiling values alone (detect, 2 x 160 MB) or the
+    # realization run (experiment, about 750 MB) need more.
+    out = tmp_path / "out"
+    if verb == "detect":
+        cdir = tmp_path / "cands"
+        cdir.mkdir()
+        for p in (ArchParams("add", "exact", 8), ArchParams("add", "loa", 8, 2)):
+            write_netlist(gen_module(p), cdir / f"{p.label()}.nl")
+        args = ["detect", "--candidates", str(cdir),
+                "--vectors", "20000000", "--out", str(out)]
+    else:
+        args = ["experiment", "--trace-vectors", "4000000", "--out", str(out)]
+    env = _child_env()
+    base = subprocess.run([sys.executable, "-c", _VM_PEAK], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    limit = (int(base.stdout) + (256 << 10)) << 10
+    done = subprocess.run(
+        [sys.executable, "-m", "axsec.cli", *args], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    err = done.stderr.splitlines()
+    assert done.returncode == 2, done.stderr
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+def test_a_memory_error_without_a_message_still_says_what_failed(
+        tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "gen_module", exhausted)
+    out = tmp_path / "m.nl"
+    assert main(["gen-module", "--op", "add", "--arch", "exact",
+                 "--width", "8", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: out of memory"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Screening pipeline: consensus, ranking, stress tests, classification."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec import detect
-from axsec.arith import ArchParams
+from axsec import detect, experiment
+from axsec.arith import ArchParams, gen_module
 from axsec.attack import AttackConfig, insert_trojan
 from axsec.designs import bfly_spec, fir_spec
 from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
@@ -18,10 +19,12 @@ from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
                           _stress_scores)
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
                           SignatureMismatch)
+from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, simulate
 
-from tests.oracles import rank_errors, word_values
+from tests.conftest import dags
+from tests.oracles import fanin_nets, rank_errors, word_values
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -161,11 +164,12 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     in_vals = {w: np.concatenate([word_values(t, b) for t in ref.traces])
                for w, b in nl.input_words()}
     replayed = 0
-    for tag in sorted(nl.instances):
+    masks = nl.memo(detect._cone_masks)
+    for i, tag in enumerate(sorted(nl.instances)):
         if nl.instances[tag].kind_label != "approximate":
             continue
-        cone = nl.fanin_nets([g.output for g in nl.gates_of_tag(tag)])
-        groups = detect._replay_groups(profile, cone)
+        cone = fanin_nets(nl, [g.output for g in nl.gates_of_tag(tag)])
+        groups = detect._replay_groups(profile, masks, 1 << i)
         for sup, ranked in groups:
             hits = []
             for net, val in ref.rare(config.theta).items():
@@ -183,6 +187,76 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
             assert ranked == want[:8], (tag, sup)
             replayed += len(ranked)
     assert replayed
+
+
+def _assert_cone_masks(nl):
+    """Each tag's bit is set on exactly the fan-in cone of its gate outputs,
+    by the set-walk oracle, and no mask holds a bit past the last tag."""
+    masks = detect._cone_masks(nl)
+    assert type(masks) is tuple and len(masks) == nl.n_nets
+    tags = sorted(nl.instances)
+    for i, tag in enumerate(tags):
+        outs = [g.output for g in nl.gates_of_tag(tag)]
+        assert {n for n, m in enumerate(masks) if m >> i & 1} \
+            == fanin_nets(nl, outs), tag
+    assert not any(m >> len(tags) for m in masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags())
+def test_cone_masks_are_the_fanin_cones_of_random_dags(nl):
+    # three tags over shuffled gate ids: a tag recurs further down a path,
+    # and id order is not level order
+    _assert_cone_masks(nl)
+
+
+class _Screened(Exception):
+    """Raised in place of the screen, once its candidates are seen."""
+
+
+@pytest.mark.parametrize("design", ["fir", "bfly"])
+def test_cone_masks_are_the_fanin_cones_of_every_trial_candidate(
+        design, tmp_path, monkeypatch):
+    seen = []
+
+    def capture(cands, config):
+        seen.append(cands)
+        raise _Screened
+
+    monkeypatch.setattr(experiment, "classify", capture)
+    for seed in range(3):
+        with pytest.raises(_Screened):
+            run_experiment(ExperimentConfig(design=design, seed=seed),
+                           tmp_path / str(seed))
+    infected = 0
+    for cands in seen:
+        for _, nl in cands:
+            _assert_cone_masks(nl)
+            infected += any(re.search(r"\.g\d+$", t) for t in nl.instances)
+    assert len(seen) == 3
+    # every bfly insertion is rejected by its budget or its clock
+    assert infected > 0 if design == "fir" else infected == 0
+
+
+def test_the_cone_pass_runs_once_per_distinct_netlist(trio, monkeypatch):
+    calls = []
+    real = detect._cone_masks
+
+    def counting(nl):
+        calls.append(nl)
+        return real(nl)
+
+    monkeypatch.setattr(detect, "_cone_masks", counting)
+    (cands, _), config = trio, DetectConfig(vectors=500, stress_budget=60)
+    cands = dict(cands, v1b=cands["v1"])  # a shared build, listed twice
+    first = classify(cands, config)
+    assert len(calls) == len({id(nl) for nl in calls})
+    stressed = {r.netlist_id for r in first.netlists
+                if any(e.resilience is not None for e in r.instances)}
+    assert stressed == {"v0", "v1", "v1b", "v2"}
+    assert {id(nl) for nl in calls} == {id(cands[c]) for c in stressed}
+    assert classify(cands, config) == first
+    assert len(calls) == 3  # the second screen reads the kept masks
 
 
 # -- error ranking ----------------------------------------------------------
@@ -207,6 +281,14 @@ def test_rank_rejects_mismatched_candidates(trio):
     with pytest.raises(SignatureMismatch):
         rank_by_error({"a": cands["v0"],
                        "b": fir_spec(4, (1, 2, 3, 4)).build(None)}, streams)
+
+
+def test_a_screen_refuses_an_output_word_over_63_bits(kernel_calls):
+    # 63-bit inputs pass; the 64-bit sum would read negative as an int64
+    nl = gen_module(ArchParams("add", "loa", 63, 8))
+    with pytest.raises(BadParams, match="word 's' is 64 bits wide"):
+        classify({"a": nl, "b": nl}, DetectConfig(vectors=100))
+    assert not kernel_calls
 
 
 @st.composite

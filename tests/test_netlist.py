@@ -10,7 +10,7 @@ from axsec.errors import (CycleError, PortMismatch, SemanticError,
 from axsec.netlist import (Design, Gate, GateKind, ModuleInst, Netlist,
                            NetlistBuilder, flatten)
 
-from tests.oracles import structurally_equal
+from tests.oracles import fanin_nets, structurally_equal
 
 
 def _and2():
@@ -232,7 +232,7 @@ def test_random_layered_builds_are_valid(data):
 
 
 def _support_by_definition(nl, nets):
-    cone = nl.fanin_nets(nets)
+    cone = fanin_nets(nl, nets)
     return tuple(w for w, bits in nl.input_words()
                  if any(b in cone for b in bits))
 

@@ -150,6 +150,27 @@ def test_a_values_source_is_checked_against_the_input_words(source,
     assert np.array_equal(out, source["a"] + source["b"])
 
 
+def test_values_of_words_over_63_bits_are_refused_before_any_run(
+        kernel_calls):
+    # a 63-bit LOA adder's 64-bit sum s read as a negative int64, and so
+    # did its reference a + b: the MRED came out 29.7 instead of 2e-17
+    nl = gen_module(ArchParams("add", "loa", 63, 8))
+    stream = VectorStream(100, 1)
+    with pytest.raises(BadParams, match="word 's' is 64 bits wide"):
+        error_profile(nl, EXACT_OPS["add"], stream)
+    with pytest.raises(BadParams, match="word 's' is 64 bits wide"):
+        sim.activity_and_error(nl, {"s": EXACT_OPS["add"]}, stream)
+    assert not kernel_calls
+    # activity reads no values, so wide words stay open to it
+    wide = gen_module(ArchParams("add", "exact", 64))
+    for net in (nl, wide):
+        assert activity_profile(net, stream).n_vectors == 100
+    with pytest.raises(BadParams, match="word 'a' is 64 bits wide"):
+        sim.error_sums(simulate(wide, stream), EXACT_OPS["add"])
+    narrow = gen_module(ArchParams("add", "loa", 62, 8))
+    assert 0.0 < error_profile(narrow, EXACT_OPS["add"], stream).mred < 1e-15
+
+
 def test_activity_and_power_hand_case():
     # a: 0 1 0 0 1 -> p1 = 0.4, 3 toggles; x = NOT a; y = a AND x = const 0
     b = NetlistBuilder()
