@@ -26,9 +26,9 @@ from .errors import (BadParams, BadThreshold, BudgetInfeasible, CycleError,
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 from .netlist import Gate, GateKind, Instance, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
-from .sim import (ActivityReport, ErrorReport, PowerProxy, Traces,
-                  VectorStream, activity_profile, error_profile,
-                  power_proxy, rare_nets, simulate)
+from .sim import (ActivityReport, ErrorReport, Traces, VectorStream,
+                  activity_profile, error_profile, power_proxy, power_ratio,
+                  rare_nets, simulate)
 from .sta import (DelayModel, TimingPath, arrival_times, critical_delay,
                   near_critical_paths, paths_to_instances, slacks)
 from .textfmt import read_netlist, write_netlist

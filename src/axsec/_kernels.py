@@ -24,8 +24,8 @@ _FOLD = {_AND: np.bitwise_and, _NAND: np.bitwise_and,
 
 
 def plan(levels):
-    """``(outs, ins, groups)`` of a netlist's gates grouped by logic level
-    (:meth:`axsec.netlist.Netlist.levels`).
+    """``(outs, ins, groups)`` of a netlist's gates grouped by logic level:
+    ``levels`` holds the gates of each level, lowest level first.
 
     ``outs[g]`` is the output net of gate ``g`` in group order, ``ins[j, g]``
     its ``j``-th input net (0 past its arity) and ``groups`` holds one

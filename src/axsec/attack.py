@@ -30,9 +30,9 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
                      UnitMismatch, WouldViolateTiming, check_ranges)
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
-from .sim import (EXACT_OPS, ActivityReport, PowerProxy, VectorStream,
+from .sim import (EXACT_OPS, ActivityReport, VectorStream,
                   activity_and_error, check_theta, check_value_words,
-                  power_proxy, rare_nets, simulate, stream_key)
+                  power_proxy, power_ratio, rare_nets, simulate, stream_key)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -67,16 +67,16 @@ def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
 
 
 def _measure(nl: Netlist, params: ArchParams, stream, theta: float,
-             base: PowerProxy | None = None) -> tuple:
+             base: float | None = None) -> tuple:
     """(power, spec) of one architecture from one pass over the stream;
     without ``base`` the run is its own baseline."""
     act, err = activity_and_error(nl, EXACT_OPS[params.op_type], stream)
     power = power_proxy(nl, act)
-    proxy = power_proxy(nl, act, power if base is None else base)
+    ratio = power_ratio(power, power if base is None else base)
     rare = rare_nets(act, theta)
     sc = scoap(nl)
     summary = max((int(sc.cc1[n]) for n, _ in rare), default=0)
-    return power, ModuleSpec(params, err.mred, proxy.ratio, len(rare),
+    return power, ModuleSpec(params, err.mred, ratio, len(rare),
                              len(rare) / nl.n_nets, summary, stream_key(stream))
 
 
@@ -344,11 +344,11 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
                         f"{ht.host_instances} of the infected netlist")
     act_c, err_c = activity_and_error(clean, reference, stream)
     act_i, err_i = activity_and_error(infected, reference, stream)
-    p_clean = power_proxy(clean, act_c)
-    p_inf = power_proxy(infected, act_i, p_clean)
+    ratio = power_ratio(power_proxy(infected, act_i),
+                        power_proxy(clean, act_c))
     min_slack = None
     if clock is not None:
         s = slacks(infected, model or DelayModel(), clock)
         min_slack = float(np.min(s[np.isfinite(s)]))
-    return StealthReport(err_i.mred - err_c.mred, p_inf.ratio - 1.0,
+    return StealthReport(err_i.mred - err_c.mred, ratio - 1.0,
                          float(act_i.p1[ht.trigger_net]), min_slack)

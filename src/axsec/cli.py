@@ -35,8 +35,8 @@ from .experiment import (ExperimentConfig, run_experiment, write_detection,
                          _fmt, _write_csv)
 from .scoap import scoap
 from .sim import (EXACT_OPS, VectorStream, activity_and_error,
-                  activity_profile, check_theta, power_proxy, rare_nets,
-                  simulate, sub_seed)
+                  activity_profile, check_theta, check_value_words,
+                  power_proxy, rare_nets, simulate, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths, slacks)
 from .textfmt import read_netlist, read_text, write_netlist
@@ -193,12 +193,12 @@ def _cmd_profile(args):
         act = activity_profile(nl, stream)
     else:
         act, er = activity_and_error(nl, ref, stream)
-    power = power_proxy(nl, act)
     tables = {
         "activity.csv": (["net", "name", "p1", "toggles"],
                          [(n, nl.net_names[n], float(act.p1[n]),
                            int(act.toggles[n])) for n in range(nl.n_nets)]),
-        "power.csv": (["proxy", "n_vectors"], [(power.value, act.n_vectors)]),
+        "power.csv": (["proxy", "n_vectors"],
+                      [(power_proxy(nl, act), act.n_vectors)]),
     }
     if args.theta is not None:
         tables["rare.csv"] = (["net", "name", "stuck_value", "p1"],
@@ -252,6 +252,7 @@ def _cmd_attack(args):
         q=args.q, theta=args.theta, scoap_ceiling=args.scoap_ceiling,
         payload=args.payload, secret_word=args.secret, clock=args.clock,
         model=model)
+    check_value_words(nl)  # a word over 63 bits is refused before the run
     # triggers are profiled and realized on one run
     run = simulate(nl, stream)
     infected, ht = insert_trojan(nl, activity_profile(nl, run), None,

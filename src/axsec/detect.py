@@ -13,9 +13,10 @@ profiling streams' input word values once (:func:`_profiling_values`) and
 replays them on every candidate.  Each candidate is simulated once on them;
 its :class:`_Profile` keeps what the screen reads of that run at the
 screen's one ``theta``, with signal probabilities taken from the activity
-count.  The ranking scores each candidate's :func:`axsec.sim.error_terms`
-against the majority.  An instance's fan-in cone is the nets whose tag
-mask (:func:`_cone_masks`, one reverse pass per netlist) holds its bit.
+count.  The ranking and the stress step each take one :func:`_consensus`
+of their runs; the ranking scores :func:`axsec.sim.error_terms` against
+its majority.  An instance's fan-in cone is the nets whose tag mask
+(:func:`_cone_masks`, one reverse pass per netlist) holds its bit.
 """
 
 from __future__ import annotations
@@ -198,15 +199,25 @@ class RankEntry:
     n_vectors: int
 
 
-def _rank(cands, out_vals, tol_frac):
+def _consensus(cands, out_vals, tol_frac):
+    """Per output word, in sorted order: the (candidates, vectors) stack of
+    the candidates' ``out_vals``, its per-vector :func:`_majority` and the
+    tolerance it was taken at, ``tol_frac`` of the word's range."""
     widths = dict(cands[0][1].signature()[1])
-    words = sorted(out_vals[0])
-    n = len(out_vals[0][words[0]])
-    er, med, mred, wce = np.zeros((4, len(cands)))
-    for w in words:
+    words = []
+    for w in sorted(out_vals[0]):
         stack = np.stack([v[w] for v in out_vals])
-        e, a, r, top = error_terms(
-            stack, _majority(stack, tol_frac * ((1 << widths[w]) - 1)))
+        tol = tol_frac * ((1 << widths[w]) - 1)
+        words.append((stack, _majority(stack, tol), tol))
+    return words
+
+
+def _rank(cands, out_vals, tol_frac):
+    words = _consensus(cands, out_vals, tol_frac)
+    n = words[0][0].shape[1]
+    er, med, mred, wce = np.zeros((4, len(cands)))
+    for stack, maj, _ in words:
+        e, a, r, top = error_terms(stack, maj)
         er += e / n
         med += a / n
         mred += r / n
@@ -319,23 +330,24 @@ def _replay_groups(profile, masks, bit):
 
 
 def _stress_values(nl, tag, budget, profile, rng):
-    """Directed input word values for one instance: a low-operand third, a
-    high-operand third, and a third replaying composed rare values of its
-    fan-in cone, the nets whose :func:`_cone_masks` entry holds its bit."""
+    """Directed input word values for one instance: a low-operand and a
+    high-operand third on the input words of its fan-in cone, and a third
+    replaying composed rare values of the cone's nets: the nets and input
+    word bits whose :func:`_cone_masks` entry holds the instance's bit."""
     words = dict(nl.input_words())
-    cone = set(nl.input_word_support(g.output for g in nl.gates_of_tag(tag)))
+    masks, bit = nl.memo(_cone_masks), 1 << sorted(nl.instances).index(tag)
+    cone = [w for w in sorted(words) if any(masks[b] & bit for b in words[w])]
     vals = {w: np.zeros(budget, np.int64) for w in words}
     b1 = b2 = budget // 3
     lo = b1 + b2
     b3 = budget - lo
-    for w in sorted(cone):
+    for w in cone:
         wl = len(words[w])
         half = max(1, wl // 2)
         vals[w][:b1] = rng.integers(0, 1 << half, b1)
         vals[w][b1:lo] = ((1 << wl) - (1 << half)
                           + rng.integers(0, 1 << half, b2))
-    groups = _replay_groups(profile, nl.memo(_cone_masks),
-                            1 << sorted(nl.instances).index(tag))
+    groups = _replay_groups(profile, masks, bit)
     if groups and b3:
         combos = _rank_combos([len(r) for _, r in groups], b3)
         for r in range(b3):
@@ -344,7 +356,7 @@ def _stress_values(nl, tag, budget, profile, rng):
                 for w, v in ranked[idx].items():
                     vals[w][lo + r] = v
     elif b3:
-        for w in sorted(cone):
+        for w in cone:
             vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)
     return vals
 
@@ -356,9 +368,10 @@ def _stress_scores(cands, jobs, profiles, config):
     Every job's stress vectors come from its own per-tag rng, so they do
     not depend on which other jobs share the batch.  The jobs' vectors are
     concatenated and each candidate is simulated once on the union, in
-    candidate order; only its output word values are kept.  The majority is
-    taken per vector, so scoring a job's column slice of the union gives
-    the same float as simulating that job alone.
+    candidate order; only its output word values are kept.  The
+    :func:`_consensus` of the union is taken once; its majority is per
+    vector, so a job's column slice of the deviations scores the same
+    float as simulating that job alone.
     """
     if not jobs:
         return []
@@ -371,17 +384,11 @@ def _stress_scores(cands, jobs, profiles, config):
                                      profiles[idx], rng))
     vals = {w: np.concatenate([v[w] for v in stress]) for w in stress[0]}
     rows = [_output_values(simulate(nl, vals)) for _, nl in cands]
-    tols = {w: config.dev_tol * ((1 << len(b)) - 1)
-            for w, b in cands[0][1].output_words()}
-    scores = []
-    for j, (idx, _) in enumerate(jobs):
-        cols = slice(j * budget, (j + 1) * budget)
-        deviating = np.zeros(budget, bool)
-        for w, tol in tols.items():
-            maj = _majority(np.stack([r[w][cols] for r in rows]), tol)
-            deviating |= np.abs(rows[idx][w][cols] - maj) > tol
-        scores.append(float(1.0 - deviating.mean()))
-    return scores
+    deviating = np.zeros((len(cands), len(jobs) * budget), bool)
+    for stack, maj, tol in _consensus(cands, rows, config.dev_tol):
+        deviating |= np.abs(stack - maj) > tol
+    return [float(1.0 - deviating[idx, j * budget:(j + 1) * budget].mean())
+            for j, (idx, _) in enumerate(jobs)]
 
 
 # ---------------------------------------------------------------------------

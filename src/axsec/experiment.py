@@ -25,7 +25,7 @@ from .errors import (BudgetInfeasible, NoRareNets, NoWitness,
                      WouldViolateTiming, check_ranges)
 from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
-                  simulate, stream_key, sub_seed)
+                  power_ratio, simulate, stream_key, sub_seed)
 from .sta import calibrated_model
 from .textfmt import write_netlist
 
@@ -235,19 +235,11 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
     base_power = power_proxy(base_nl, activity_profile(base_nl, base_run))
     key = stream_key(stream)
 
-    def decode(ix):
-        picks = []
-        for L in reversed(lens):
-            ix, j = divmod(ix, L)
-            picks.append(j)
-        return list(reversed(picks))
-
     out = []
     for front, ix in pool:
         if len(out) >= n_variants:
             break
-        picks = decode(ix)
-        specs = [menus[s][j] for s, j in enumerate(picks)]
+        specs = [m[j] for m, j in zip(menus, np.unravel_index(ix, lens))]
         assign = {spec.slots[s][0]: m.params for s, m in enumerate(specs)}
         nl = spec.build(assign)
         # builds are shared: the all-exact variant is the base netlist
@@ -255,7 +247,8 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
         # MRED averaged over the referenced output words
         ce = float(np.mean([rel / run.n_vectors for _, _, rel, _
                             in error_sums(run, spec.reference)]))
-        cp = power_proxy(nl, activity_profile(nl, run), base_power).ratio
+        cp = power_ratio(power_proxy(nl, activity_profile(nl, run)),
+                         base_power)
         chk = check_budget(specs, ce, cp, budget, key)
         label = ";".join(f"{spec.slots[s][0]}={m.params.label()}"
                          for s, m in enumerate(specs))

@@ -174,17 +174,6 @@ class Netlist:
                 out.append((w, self.words[w]))
         return tuple(out)
 
-    def gates_of_tag(self, tag):
-        """Gates carrying ``tag`` in gate id order; () for an unknown tag."""
-        return self._by_tag.get(tag, ())
-
-    @cached_property
-    def _by_tag(self):
-        index = {}
-        for g in self.gates:
-            index.setdefault(g.tag, []).append(g)
-        return {t: tuple(gs) for t, gs in index.items()}
-
     # -- invariants --------------------------------------------------------
 
     def _validate(self):
@@ -266,14 +255,10 @@ class Netlist:
 
     # -- orders ------------------------------------------------------------
 
-    def levels(self):
-        """Gates by logic level, lowest id first: a gate sits one level above
-        its highest driver, so gates of one level never read each other."""
-        return self._levels
-
     def ordered_gates(self):
-        """The gates of :meth:`levels`, level after level, so every gate
-        follows the drivers of its inputs."""
+        """Gates level after level, lowest id first: a gate sits one level
+        above its highest driver, so it follows the drivers of its inputs
+        and gates of one level never read each other."""
         return self._ordered
 
     @cached_property

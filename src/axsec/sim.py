@@ -385,11 +385,15 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
 
 def _references(nl: Netlist, ref) -> dict:
     """``ref`` as {output word: reference}, its words checked."""
+    outs = [w for w, _ in nl.output_words()]
     if not isinstance(ref, dict):
-        if len(nl.output_words()) != 1:
+        if len(outs) != 1:
             raise BadParams("a single reference needs exactly one output "
                             "word; give one per output word")
-        ref = {nl.output_words()[0][0]: ref}
+        ref = {outs[0]: ref}
+    unknown = sorted(set(ref) - set(outs))
+    if unknown:
+        raise BadParams(f"reference word {unknown[0]!r} is no output word")
     check_value_words(nl, ref)
     return ref
 
@@ -526,21 +530,16 @@ def rare_nets(report: ActivityReport, theta: float = 0.01):
     return out
 
 
-@dataclass(frozen=True)
-class PowerProxy:
-    """Switching-activity power stand-in: sum of toggles weighted by
-    1 + fanout.  ``ratio`` is relative to a baseline run when given."""
-
-    value: float
-    ratio: float | None = None
-
-
-def power_proxy(netlist: Netlist, report: ActivityReport,
-                baseline: PowerProxy | None = None) -> PowerProxy:
+def power_proxy(netlist: Netlist, report: ActivityReport) -> float:
+    """Switching-activity power stand-in: the sum of toggles weighted by
+    1 + fanout."""
     f = np.asarray(netlist.fanout_counts(), np.int64)
-    value = float((report.toggles * (1 + f)).sum())
-    if baseline is None:
-        return PowerProxy(value)
-    if baseline.value == 0:
-        return PowerProxy(value, 1.0 if value == 0 else float("inf"))
-    return PowerProxy(value, value / baseline.value)
+    return float((report.toggles * (1 + f)).sum())
+
+
+def power_ratio(value: float, baseline: float) -> float:
+    """``value`` relative to a baseline power: 1.0 when both are 0, inf
+    when only the baseline is."""
+    if baseline == 0:
+        return 1.0 if value == 0 else math.inf
+    return value / baseline

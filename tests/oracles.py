@@ -6,7 +6,8 @@ with plain-int semantics, independent of the packed kernel;
 :func:`rank_errors` is the error ranking's own
 float-array form of what :func:`axsec.sim.error_terms` now computes;
 :func:`fanin_nets` is the set walk behind the defender's one-pass cone
-masks, and :func:`structurally_equal` compares two netlists by net name.  They are
+masks, :func:`gates_of_tag` the linear filter behind their tag bits, and
+:func:`structurally_equal` compares two netlists by net name.  They are
 kept here only for the tests.
 """
 
@@ -188,6 +189,11 @@ def fanin_nets(nl: Netlist, start) -> set:
         if g is not None:
             stack.extend(g.inputs)
     return seen
+
+
+def gates_of_tag(nl: Netlist, tag: str) -> tuple:
+    """Gates carrying ``tag`` in gate id order; () for an unknown tag."""
+    return tuple(g for g in nl.gates if g.tag == tag)
 
 
 def structurally_equal(a: Netlist, b: Netlist) -> bool:

@@ -143,6 +143,19 @@ def test_profile_refuses_a_referenced_word_over_63_bits(tmp_path, capsys,
                                                      "power.csv"]
 
 
+def test_attack_refuses_an_input_word_over_63_bits_before_any_run(
+        tmp_path, capsys, kernel_calls):
+    # the realization run over the whole stream came before the refusal
+    nl = _loa_module(tmp_path, 64)
+    capsys.readouterr()
+    out = tmp_path / "bad.nl"
+    assert main(["attack", "--netlist", str(nl), "--secret", "a",
+                 "--out", str(out)]) == 2
+    assert "word 'a' is 64 bits wide" in _one_error_line(capsys)
+    assert not out.exists()
+    assert kernel_calls == []
+
+
 def test_a_62_bit_profile_is_unchanged_by_the_width_check(tmp_path):
     # digests recorded before the width check existed
     out = tmp_path / "prof"

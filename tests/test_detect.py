@@ -24,7 +24,7 @@ from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, simulate
 
 from tests.conftest import dags
-from tests.oracles import fanin_nets, rank_errors, word_values
+from tests.oracles import fanin_nets, gates_of_tag, rank_errors, word_values
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -168,7 +168,7 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     for i, tag in enumerate(sorted(nl.instances)):
         if nl.instances[tag].kind_label != "approximate":
             continue
-        cone = fanin_nets(nl, [g.output for g in nl.gates_of_tag(tag)])
+        cone = fanin_nets(nl, [g.output for g in gates_of_tag(nl, tag)])
         groups = detect._replay_groups(profile, masks, 1 << i)
         for sup, ranked in groups:
             hits = []
@@ -189,16 +189,25 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     assert replayed
 
 
+_NO_REPLAY = SimpleNamespace(replay=(), in_vals={})
+
+
 def _assert_cone_masks(nl):
     """Each tag's bit is set on exactly the fan-in cone of its gate outputs,
-    by the set-walk oracle, and no mask holds a bit past the last tag."""
+    by the set-walk oracle, and no mask holds a bit past the last tag.  The
+    stress step reads the cone's input words off the masks: without rare
+    values to replay, it draws exactly the words with a bit in the cone."""
     masks = detect._cone_masks(nl)
     assert type(masks) is tuple and len(masks) == nl.n_nets
     tags = sorted(nl.instances)
     for i, tag in enumerate(tags):
-        outs = [g.output for g in nl.gates_of_tag(tag)]
+        outs = [g.output for g in gates_of_tag(nl, tag)]
         assert {n for n, m in enumerate(masks) if m >> i & 1} \
             == fanin_nets(nl, outs), tag
+        vals = detect._stress_values(nl, tag, 300, _NO_REPLAY,
+                                     np.random.default_rng(i))
+        assert tuple(w for w, _ in nl.input_words() if vals[w].any()) \
+            == nl.input_word_support(outs), tag
     assert not any(m >> len(tags) for m in masks)
 
 
@@ -260,6 +269,33 @@ def test_the_cone_pass_runs_once_per_distinct_netlist(trio, monkeypatch):
 
 
 # -- error ranking ----------------------------------------------------------
+
+@pytest.mark.parametrize("design", ["fir", "bfly"])
+def test_a_screen_takes_one_consensus_per_step(trio, design, monkeypatch):
+    # the stress step took a majority per (job, word); now the ranking and
+    # the stress step each take one per output word
+    if design == "fir":
+        cands = trio[0]
+    else:
+        spec = bfly_spec()
+        cands = {"v0": spec.build(None),
+                 "v1": spec.build({"add0": ArchParams("add", "loa", 11, 4)}),
+                 "v2": spec.build({"mul0": ArchParams("mul", "trunc", 8, 4)})}
+    calls = []
+    real = detect._majority
+
+    def counting(vals, tol=0.0):
+        calls.append(vals.shape)
+        return real(vals, tol)
+
+    monkeypatch.setattr(detect, "_majority", counting)
+    rep = classify(cands, DetectConfig(vectors=500, stress_budget=60))
+    jobs = sum(e.resilience is not None for r in rep.netlists
+               for e in r.instances)
+    words = len(next(iter(cands.values())).output_words())
+    assert jobs > 1 and words == (1 if design == "fir" else 2)
+    assert calls == [(3, 1000)] * words + [(3, 60 * jobs)] * words
+
 
 def test_rank_by_error_majority_is_not_the_exact_build(trio):
     cands, _ = trio

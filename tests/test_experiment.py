@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from axsec import arith, designs
 from axsec.arith import ArchParams
 from axsec.attack import BudgetConstraints, characterize
-from axsec.designs import fir_spec
+from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import BadParams, BudgetInfeasible
 from axsec.experiment import (ExperimentConfig, _pareto_pool, arch_menu,
                               generate_variants, run_experiment)
@@ -124,6 +124,25 @@ def test_generate_variants_budget_infeasible():
     with pytest.raises(BudgetInfeasible):
         generate_variants(spec, lib, 3, tight, stream, log)
     assert log and all("rejected by budget" in line for line in log)
+
+
+def test_each_variant_takes_the_menu_entries_of_its_index():
+    # menus of unequal lengths: a slot read off the wrong digit of the
+    # joint index picks another entry, or none
+    spec = bfly_spec()
+    stream = VectorStream(400, 1, "correlated", 0.9)
+    lib = {(op, w): [characterize(p, stream, 0.08)
+                     for p in arch_menu(op, w)[:3 + 2 * i]]
+           for i, (_, op, w) in enumerate(spec.slots)}
+    assert [len(m) for m in lib.values()] == [3, 5]
+    loose = BudgetConstraints(1.0, 1.0, 1e9, 1e9)
+    variants = generate_variants(spec, lib, 15, loose, stream)
+    assert len(variants) == 15
+    for v in variants:
+        picked = [next(s for s in lib[(op, w)] if s.params == v.assign[name])
+                  for name, op, w in spec.slots]
+        assert (v.sum_e, v.sum_p) == (sum(s.e_norm for s in picked),
+                                      sum(s.p_norm for s in picked))
 
 
 def test_config_validation():

@@ -60,7 +60,9 @@ def _dead_names(sources):
     """Module-level names, methods and annotated class fields of
     ``sources`` (module stem -> text) that are neither exported nor loaded
     anywhere outside their own definition.  A load is a name or attribute
-    read anywhere in the sources, whatever object it is read from."""
+    read anywhere in the sources, whatever object it is read from; a
+    method is read only through an attribute, so a local variable of the
+    same name does not keep it alive."""
     trees = {m: ast.parse(text) for m, text in sources.items()}
     exported = set()
     for mod, tree in trees.items():
@@ -75,23 +77,27 @@ def _dead_names(sources):
         loads += [(mod, n) for n in ast.walk(tree)
                   if isinstance(n, (ast.Name, ast.Attribute))
                   and isinstance(n.ctx, ast.Load)]
-    defs = []  # (module, qualified name, name, defining node)
+    defs = []  # (module, qualified name, name, defining node, load types)
     for mod, tree in trees.items():
         for node in tree.body:
-            defs += [(mod, f"{mod}.{name}", name, node)
+            defs += [(mod, f"{mod}.{name}", name, node,
+                      (ast.Name, ast.Attribute))
                      for name in _defined(node) if (mod, name) not in exported]
             if isinstance(node, ast.ClassDef):
-                defs += [(mod, f"{mod}.{node.name}.{name}", name, member)
+                defs += [(mod, f"{mod}.{node.name}.{name}", name, member,
+                          ast.Attribute if isinstance(member, ast.FunctionDef)
+                          else (ast.Name, ast.Attribute))
                          for member in node.body
                          if isinstance(member, (ast.FunctionDef,
                                                 ast.AnnAssign))
                          for name in _defined(member)]
     dead = []
-    for mod, qual, name, node in defs:
+    for mod, qual, name, node, kinds in defs:
         if name.startswith("__"):
             continue
         inside = {id(n) for n in ast.walk(node)}
-        if not any(getattr(n, "id", getattr(n, "attr", None)) == name
+        if not any(isinstance(n, kinds)
+                   and getattr(n, "id", getattr(n, "attr", None)) == name
                    and not (m == mod and id(n) in inside)
                    for m, n in loads):
             dead.append(qual)
@@ -130,9 +136,14 @@ def test_a_dead_member_is_caught():
               "    def __init__(self): self.size = self.grow(1)\n"
               "    def grow(self, n): return n\n"
               "    def spare(self, n): return self.spare(n - 1) if n else 0\n"
+              "    def depth(self): return 0\n"
               "    @property\n"
               "    def area(self): return self.size ** 2\n"),
-        "n": "from .m import Box\nprint(Box().area)\n",
+        "n": ("from .m import Box\nprint(Box().area)\n"
+              "def walk(depth): return depth + 1\n"
+              "print(walk(2))\n"),
     }
-    # a store is no read, nor is a method's call of itself
-    assert _dead_names(sources) == ["m.Box.label", "m.Box.spare"]
+    # a store is no read, nor is a method's call of itself, nor a local
+    # variable named like a method
+    assert _dead_names(sources) == ["m.Box.label", "m.Box.spare",
+                                    "m.Box.depth"]

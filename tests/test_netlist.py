@@ -10,7 +10,7 @@ from axsec.errors import (CycleError, PortMismatch, SemanticError,
 from axsec.netlist import (Design, Gate, GateKind, ModuleInst, Netlist,
                            NetlistBuilder, flatten)
 
-from tests.oracles import fanin_nets, structurally_equal
+from tests.oracles import fanin_nets, gates_of_tag, structurally_equal
 
 
 def _and2():
@@ -36,7 +36,7 @@ def test_builder_roundtrip_basics():
     assert nl.net_names.index("y") == 2
     g = nl.driver(nl.net_names.index("y"))
     assert g.kind is GateKind.AND and g.tag == "u"
-    assert nl.gates_of_tag("u") == (g,)
+    assert gates_of_tag(nl, "u") == (g,)
 
 
 def test_dense_ids_follow_creation_order():
@@ -286,29 +286,36 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
     nl = Netlist(nl.net_names, nl.inputs, nl.outputs, nl.words,
                  [Gate(ids[g.id], g.kind, g.inputs, g.output, g.tag)
                   for g in nl.gates], nl.instances)
-    level = {g.id: lv for lv, gates in enumerate(nl.levels()) for g in gates}
-    assert sorted(level) == [g.id for g in nl.gates]
+    level = {}
+
+    def level_of(g):  # one above the highest driver
+        if g.id not in level:
+            level[g.id] = 1 + max((level_of(nl.driver(i)) for i in g.inputs
+                                   if nl.driver(i) is not None), default=-1)
+        return level[g.id]
+
     for g in nl.gates:
-        below = [level[nl.driver(i).id] for i in g.inputs
-                 if nl.driver(i) is not None]
-        assert level[g.id] == 1 + max(below, default=-1)
+        level_of(g)
     order = sorted(level, key=lambda i: (level[i], i))
     assert [g.id for g in nl.ordered_gates()] == order
     by_id = {g.id: g for g in nl.gates}
     assert nl.ordered_gates() == tuple(by_id[i] for i in order)
+    # the kernel plan groups one (level, kind, arity) each, levels rising
+    outs, ins, groups = nl.plan
+    planned = []
+    for kind, start, stop, arity in groups:
+        gates = [nl.driver(int(o)) for o in outs[start:stop]]
+        assert {(level[g.id], g.kind, len(g.inputs)) for g in gates} \
+            == {(level[gates[0].id], kind, arity)}
+        assert [tuple(int(i) for i in ins[:arity, j])
+                for j in range(start, stop)] == [g.inputs for g in gates]
+        planned += [level[g.id] for g in gates]
+    assert planned == sorted(planned) == sorted(level.values())
+    assert sorted(int(o) for o in outs) == sorted(g.output for g in nl.gates)
     pins = [i for g in nl.gates for i in g.inputs]
     for n in range(nl.n_nets):
         assert nl.readers(n) == tuple(g for g in nl.gates if n in g.inputs)
         assert nl.fanout_counts()[n] == pins.count(n)
-
-
-@settings(max_examples=30, deadline=None)
-@given(_worded_netlists())
-def test_tag_index_matches_the_linear_filter(nl):
-    for tag in list(nl.instances) + ["missing"]:
-        assert nl.gates_of_tag(tag) == tuple(g for g in nl.gates
-                                             if g.tag == tag)
-    assert nl.gates_of_tag("missing") == ()
 
 
 @pytest.mark.parametrize("spec", [fir_spec(), bfly_spec()],
@@ -317,7 +324,3 @@ def test_memoized_derivations_on_the_reference_designs(spec):
     nl = spec.build(None)
     for n in range(nl.n_nets):
         assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
-    for tag in nl.instances:
-        assert nl.gates_of_tag(tag) == tuple(g for g in nl.gates
-                                             if g.tag == tag)
-    assert nl.gates_of_tag("top") == ()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from axsec import _kernels, sim
 from axsec.arith import ArchParams, gen_adder, gen_module
+from axsec.attack import HTInstance, verify_stealth
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
@@ -19,7 +20,8 @@ from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
                        VectorStream, _ActivitySums, _bits_chunks,
                        _chunk_bits, _single_chunk_bits,
                        activity_profile, error_profile, iter_traces,
-                       power_proxy, rare_nets, simulate, stream_values)
+                       power_proxy, power_ratio, rare_nets, simulate,
+                       stream_values)
 
 from tests import oracles
 from tests.oracles import eval_vector, exhaustive_values, word_value
@@ -150,6 +152,24 @@ def test_a_values_source_is_checked_against_the_input_words(source,
     assert np.array_equal(out, source["a"] + source["b"])
 
 
+def test_a_reference_to_a_word_that_is_no_output_is_refused_before_any_run(
+        kernel_calls):
+    # it ended in a bare KeyError: 'y' after the first chunk was simulated
+    nl = gen_module(ArchParams("add", "exact", 8))
+    ref, stream = {"y": EXACT_OPS["add"]}, VectorStream(100, 1)
+    for profile in (error_profile, sim.activity_and_error):
+        with pytest.raises(BadParams, match="reference word 'y' is no "
+                                            "output word"):
+            profile(nl, ref, stream)
+    a0 = nl.words["a"][0]
+    ht = HTInstance((), 1, "corrupt", (), (nl.readers(a0)[0].tag,), a0)
+    with pytest.raises(BadParams, match="reference word 'y'"):
+        verify_stealth(nl, nl, ht, ref, stream)
+    assert not kernel_calls
+    with pytest.raises(BadParams, match="reference word 'y'"):
+        sim.error_sums(simulate(nl, stream), ref)
+
+
 def test_values_of_words_over_63_bits_are_refused_before_any_run(
         kernel_calls):
     # a 63-bit LOA adder's 64-bit sum s read as a negative int64, and so
@@ -186,8 +206,15 @@ def test_activity_and_power_hand_case():
     assert float(act.p1[y]) == 0.0
     assert list(act.toggles) == [3, 3, 0]
     # proxy: a has fanout 2 -> 3*(1+2), x fanout 1 -> 3*2, y none -> 0
-    assert power_proxy(nl, act).value == 15.0
-    assert power_proxy(nl, act, power_proxy(nl, act)).ratio == 1.0
+    assert power_proxy(nl, act) == 15.0
+    assert type(power_proxy(nl, act)) is float
+    assert power_ratio(power_proxy(nl, act), 15.0) == 1.0
+
+
+def test_power_ratio_over_a_zero_baseline():
+    assert power_ratio(3.0, 2.0) == 1.5
+    assert power_ratio(0.0, 0.0) == 1.0  # no switching on either side
+    assert power_ratio(3.0, 0.0) == math.inf
 
 
 def test_rare_nets_thresholds():
