@@ -1,8 +1,8 @@
 """Bottom-up Trojan insertion: architecture characterization, cost ranking,
 budget checking, rare-net trigger construction and stealth verification.
 
-The trigger is an AND over q rare-net literals chosen from profiled
-activity, by default from nets whose input-word cones are pairwise
+The trigger is an AND over q rare gate-output literals chosen from
+profiled activity, by default from nets whose input-word cones are pairwise
 disjoint, and the firing probability under independent uniform inputs is
 the product of the per-literal rarities.  The witness is composed word-wise:
 each tap group's input words take their values at the first trace cycle
@@ -31,8 +31,9 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, VectorStream,
-                  activity_and_error, check_theta, check_value_words,
-                  power_proxy, power_ratio, rare_nets, simulate, stream_key)
+                  activity_and_error, activity_profile, check_theta,
+                  check_value_words, power_proxy, power_ratio, rare_nets,
+                  simulate)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -46,21 +47,19 @@ class ModuleSpec:
     rare_count: int
     r_norm: float        # rare nets / total nets
     scoap_summary: int   # max cc1 among rare nets (0 when none)
-    stream_key: tuple = ()
+    stream_key: VectorStream | None = None  # the stream measured on
 
 
 def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     """Measure one architecture's error, relative power and rare-net profile
-    on the given stream, against the exact architecture as baseline.  The
-    exact architecture's own run is the baseline; under a
-    :class:`VectorStream` it is measured once per stream and theta and kept
-    with the shared exact netlist."""
+    on a :class:`VectorStream`, against the exact architecture as baseline.
+    The exact architecture's own run is the baseline, measured once per
+    stream and theta and kept with the shared exact netlist."""
+    if not isinstance(stream, VectorStream):
+        raise BadParams(f"characterize takes a VectorStream, not "
+                        f"{type(stream).__name__}")
     exact = ArchParams(params.op_type, "exact", params.width)
-    base_nl = gen_module(exact)
-    if isinstance(stream, VectorStream):
-        base, spec = base_nl.memo(_measure, exact, stream, theta)
-    else:
-        base, spec = _measure(base_nl, exact, stream, theta)
+    base, spec = gen_module(exact).memo(_measure, exact, stream, theta)
     if params == exact:
         return spec
     return _measure(gen_module(params), params, stream, theta, base)[1]
@@ -77,7 +76,7 @@ def _measure(nl: Netlist, params: ArchParams, stream, theta: float,
     sc = scoap(nl)
     summary = max((int(sc.cc1[n]) for n, _ in rare), default=0)
     return power, ModuleSpec(params, err.mred, ratio, len(rare),
-                             len(rare) / nl.n_nets, summary, stream_key(stream))
+                             len(rare) / nl.n_nets, summary, stream)
 
 
 def attack_score(spec: ModuleSpec) -> float:
@@ -111,7 +110,8 @@ class BudgetCheck:
 def check_budget(selected, composed_error: float, composed_power: float,
                  budget: BudgetConstraints, stream_key=None) -> BudgetCheck:
     """Composed measurements against the sum of module norms: passes when
-    both excesses stay strictly inside the declared slacks."""
+    both excesses stay strictly inside the declared slacks; with
+    ``stream_key``, every spec must be characterized under that stream."""
     if stream_key is not None:
         for s in selected:
             if s.stream_key != stream_key:
@@ -197,15 +197,18 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     if config.stream is None:
         raise BadParams("config.stream must carry the profiling stream")
     check_value_words(nl)  # the witness is read off input word values
+    if not nl.outputs:
+        raise BadParams("the netlist has no output for a payload to take over")
     if testability is None:
         testability = scoap(nl)
     rare = rare_nets(activity, config.theta)
     if len(rare) < config.q:
         raise NoRareNets(f"{len(rare)} rare nets at theta={config.theta}, "
                          f"need {config.q}")
+    # taps are gate outputs, as the defender's rare nets are
     ceiling = config.scoap_ceiling
-    cand = [(n, v) for n, v in rare
-            if testability.cc0[n] <= ceiling and testability.cc1[n] <= ceiling]
+    cand = [(n, v) for n, v in rare if nl.driver(n) is not None
+            and testability.cc0[n] <= ceiling and testability.cc1[n] <= ceiling]
 
     # realization: the first 64 cycles that show each candidate's rare
     # value, and the input word values of every cycle
@@ -262,9 +265,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
 
     # build the infected copy
     b = NetlistBuilder(nl)
-    tap_tags = [nl.driver(n).tag for n, _ in taps if nl.driver(n) is not None]
-    host = min(Counter(tap_tags).most_common(),
-               key=lambda kv: (-kv[1], kv[0]))[0] if tap_tags else "u"
+    host = min(Counter(nl.driver(n).tag for n, _ in taps).most_common(),
+               key=lambda kv: (-kv[1], kv[0]))[0]
     k = 0
     while f"{host}.g{k}" in b.instances:
         k += 1
@@ -313,9 +315,11 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
 
 @dataclass(frozen=True)
 class StealthReport:
-    error_delta: float
-    power_delta_fraction: float
-    trigger_rate: float
+    """A figure is None when :func:`verify_stealth` lacked its inputs."""
+
+    error_delta: float | None
+    power_delta_fraction: float | None
+    trigger_rate: float | None
     min_slack: float | None = None
 
 
@@ -324,11 +328,14 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
                    model: DelayModel | None = None) -> StealthReport:
     """Differential stealth measurement of an insertion.
 
-    ``reference`` is anything :func:`~axsec.sim.error_sums` accepts;
-    error_delta is the infected-minus-clean difference of MRED against it.
-    Each netlist is profiled in one :func:`~axsec.sim.activity_and_error`
-    pass, chunk by chunk; trigger_rate is the trigger net's signal
-    probability in the infected profile.
+    With a ``stream``, each netlist is profiled in one pass, chunk by
+    chunk: power_delta_fraction is the infected-over-clean power ratio
+    less 1 and trigger_rate the trigger net's signal probability in the
+    infected profile.  A ``reference`` (anything
+    :func:`~axsec.sim.error_sums` accepts) makes that pass an
+    :func:`~axsec.sim.activity_and_error` one, and error_delta the
+    infected-minus-clean difference of MRED against it.  With a ``clock``,
+    min_slack is the least finite slack of the infected netlist.
 
     ``ht`` must be the insertion that built ``infected``: its trigger net
     is read by a gate of one of its host instances (every payload gate
@@ -342,13 +349,20 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
             g.tag in ht.host_instances for g in infected.readers(net))):
         raise BadParams(f"trigger net {net} is not read by a host gate "
                         f"{ht.host_instances} of the infected netlist")
-    act_c, err_c = activity_and_error(clean, reference, stream)
-    act_i, err_i = activity_and_error(infected, reference, stream)
-    ratio = power_ratio(power_proxy(infected, act_i),
-                        power_proxy(clean, act_c))
-    min_slack = None
+    error_delta = power_delta = rate = min_slack = None
+    if stream is not None:
+        if reference is None:
+            act_c, act_i = (activity_profile(nl, stream)
+                            for nl in (clean, infected))
+        else:
+            (act_c, err_c), (act_i, err_i) = (
+                activity_and_error(nl, reference, stream)
+                for nl in (clean, infected))
+            error_delta = err_i.mred - err_c.mred
+        power_delta = power_ratio(power_proxy(infected, act_i),
+                                  power_proxy(clean, act_c)) - 1.0
+        rate = float(act_i.p1[net])
     if clock is not None:
         s = slacks(infected, model or DelayModel(), clock)
         min_slack = float(np.min(s[np.isfinite(s)]))
-    return StealthReport(err_i.mred - err_c.mred, ratio - 1.0,
-                         float(act_i.p1[ht.trigger_net]), min_slack)
+    return StealthReport(error_delta, power_delta, rate, min_slack)

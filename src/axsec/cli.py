@@ -38,7 +38,7 @@ from .sim import (EXACT_OPS, VectorStream, activity_and_error,
                   activity_profile, check_theta, check_value_words,
                   power_proxy, rare_nets, simulate, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
-                  near_critical_paths, slacks)
+                  near_critical_paths)
 from .textfmt import read_netlist, read_text, write_netlist
 
 __all__ = ["main"]
@@ -274,27 +274,14 @@ def _attack_report(args, nl, infected, ht, model):
     """The one ``--report`` row, or None without ``--report``."""
     if not args.report:
         return None
-    taps = ";".join(f"{n}:{v}" for n, v in ht.trigger_nets)
-    wit = ";".join(f"{w}={x}" for w, x in ht.witness)
-    head = (ht.host_instances[0], ht.payload_kind, ht.q, taps, wit)
-    ref = _reference_for(nl, args.ref)
-    sv = None
-    if args.stealth_vectors > 0:
-        sv = VectorStream(args.stealth_vectors, sub_seed(args.seed, 4),
-                          "uniform")
-    if ref is not None and sv is not None:
-        st = verify_stealth(nl, infected, ht, ref, sv, args.clock, model)
-        tail = (st.error_delta, st.power_delta_fraction, st.trigger_rate,
-                st.min_slack)
-    else:
-        # no reference: deltas stay open, rate and slack are still checkable
-        rate = mslack = None
-        if sv is not None:
-            rate = float(activity_profile(infected, sv).p1[ht.trigger_net])
-        if args.clock is not None:
-            mslack = float(slacks(infected, model, args.clock).min())
-        tail = (None, None, rate, mslack)
-    return head + tail
+    sv = (VectorStream(args.stealth_vectors, sub_seed(args.seed, 4), "uniform")
+          if args.stealth_vectors > 0 else None)
+    st = verify_stealth(nl, infected, ht, _reference_for(nl, args.ref), sv,
+                        args.clock, model)
+    return (ht.host_instances[0], ht.payload_kind, ht.q,
+            ";".join(f"{n}:{v}" for n, v in ht.trigger_nets),
+            ";".join(f"{w}={x}" for w, x in ht.witness), st.error_delta,
+            st.power_delta_fraction, st.trigger_rate, st.min_slack)
 
 
 def _cmd_detect(args):

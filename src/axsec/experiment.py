@@ -21,11 +21,11 @@ from .attack import (AttackConfig, BudgetConstraints, attack_score,
                      verify_stealth)
 from .designs import DesignSpec, design_spec
 from .detect import DetectConfig, classify, score
-from .errors import (BudgetInfeasible, NoRareNets, NoWitness,
+from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
                      WouldViolateTiming, check_ranges)
 from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
-                  power_ratio, simulate, stream_key, sub_seed)
+                  power_ratio, simulate, sub_seed)
 from .sta import calibrated_model
 from .textfmt import write_netlist
 
@@ -210,12 +210,15 @@ def _pareto_pool(E, P, cap):
 
 
 def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
-                      budget: BudgetConstraints, stream,
+                      budget: BudgetConstraints, stream: VectorStream,
                       log=None) -> list[Variant]:
     """Distinct slot assignments from the first Pareto fronts of the summed
     (e_norm, p_norm) objectives, kept only when the built netlist passes
-    the composed budget check.  Deterministic; BudgetInfeasible when no
-    candidate passes."""
+    the composed budget check on ``stream``, the :class:`VectorStream` of
+    the library.  Deterministic; BudgetInfeasible when no candidate passes."""
+    if not isinstance(stream, VectorStream):
+        raise BadParams(f"generate_variants takes a VectorStream, not "
+                        f"{type(stream).__name__}")
     log = log if log is not None else []
     menus = [library[(op, w)] for _, op, w in spec.slots]
     lens = [len(m) for m in menus]
@@ -233,7 +236,6 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
     base_nl = spec.build(base_assign)
     base_run = simulate(base_nl, stream)
     base_power = power_proxy(base_nl, activity_profile(base_nl, base_run))
-    key = stream_key(stream)
 
     out = []
     for front, ix in pool:
@@ -249,7 +251,7 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
                             in error_sums(run, spec.reference)]))
         cp = power_ratio(power_proxy(nl, activity_profile(nl, run)),
                          base_power)
-        chk = check_budget(specs, ce, cp, budget, key)
+        chk = check_budget(specs, ce, cp, budget, stream)
         label = ";".join(f"{spec.slots[s][0]}={m.params.label()}"
                          for s, m in enumerate(specs))
         if not chk.ok:

@@ -153,26 +153,26 @@ class Netlist:
 
     @cached_property
     def _io(self):
-        ins, outs = self._grouped(self.inputs), self._grouped(self.outputs)
+        ins = self._grouped(self.inputs, "input")
+        outs = self._grouped(self.outputs, "output")
         return ins, outs, tuple(tuple((w, len(b)) for w, b in words)
                                 for words in (ins, outs))
 
-    def _grouped(self, nets):
+    def _grouped(self, nets, side):
         net_set = set(nets)
         owner = {}
         for name, bits in self.words.items():
             if all(b in net_set for b in bits):
                 for b in bits:
                     owner.setdefault(b, name)
-        out, seen = [], set()
+        out = {}  # a name recurs only as another bit of one word (same tuple)
         for n in nets:
             w = owner.get(n)
-            if w is None:
-                out.append((self.net_names[n], (n,)))
-            elif w not in seen:
-                seen.add(w)
-                out.append((w, self.words[w]))
-        return tuple(out)
+            name = self.net_names[n] if w is None else w
+            bits = (n,) if w is None else self.words[w]
+            if out.setdefault(name, bits) is not bits:
+                raise SemanticError(f"two {side} words are named {name!r}")
+        return tuple(out.items())
 
     # -- invariants --------------------------------------------------------
 
@@ -221,6 +221,7 @@ class Netlist:
         for tag, inst in self.instances.items():
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
+        self.signature()  # derives the I/O words: refuses a name used twice
         self._levels, self._readers = self._levelize(driver)
         self._ordered = tuple(g for level in self._levels for g in level)
 

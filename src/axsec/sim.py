@@ -28,8 +28,8 @@ ways is simulated once.  Word values are packed into rows chunk by chunk.
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
-of values against its reference.  Seed salting (:func:`sub_seed`) and
-stream identity (:func:`stream_key`) are owned here as well.
+of values against its reference.  Seed salting (:func:`sub_seed`) is owned
+here as well; a frozen :class:`VectorStream` is its own identity.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ class VectorStream:
             raise BadParams(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.rho <= 1.0:
             raise BadParams("rho must be within [0, 1]")
-
-
-def stream_key(stream) -> tuple:
-    """Identity of a stream, so measurements taken under different streams
-    are not mixed."""
-    if isinstance(stream, VectorStream):
-        return (stream.n_vectors, stream.seed, stream.mode, stream.rho)
-    return ("bits", id(stream))
 
 
 def sub_seed(seed: int, *salt) -> int:
@@ -391,6 +383,8 @@ def _references(nl: Netlist, ref) -> dict:
             raise BadParams("a single reference needs exactly one output "
                             "word; give one per output word")
         ref = {outs[0]: ref}
+    if not ref:
+        raise BadParams("a reference dict needs at least one output word")
     unknown = sorted(set(ref) - set(outs))
     if unknown:
         raise BadParams(f"reference word {unknown[0]!r} is no output word")

@@ -3,11 +3,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from axsec import _kernels
 from axsec.netlist import ARITY, GateKind, Netlist, NetlistBuilder
 from axsec.sta import DelayModel
+
+# every property draws the same examples on every run, and no failure
+# database is kept, so a run's outcome depends on the code alone
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

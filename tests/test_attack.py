@@ -12,15 +12,17 @@ import pytest
 from axsec import attack
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import (AttackConfig, BudgetConstraints, HTInstance,
-                          ModuleSpec, attack_score, characterize,
-                          check_budget, insert_trojan, verify_stealth)
+                          ModuleSpec, StealthReport, attack_score,
+                          characterize, check_budget, insert_trojan,
+                          verify_stealth)
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
 from axsec.sim import (EXACT_OPS, ActivityReport, Traces, VectorStream,
-                       activity_profile, error_profile, simulate,
-                       stream_values)
+                       activity_profile, error_profile, power_proxy,
+                       rare_nets, simulate, stream_values)
+from axsec.sta import DelayModel, slacks
 
 from tests.oracles import eval_vector, structurally_equal, word_value
 
@@ -58,7 +60,7 @@ def test_characterize_exact_is_the_baseline():
     assert ex.e_norm == 0.0
     assert ex.p_norm == 1.0
     assert attack_score(ex) == 0.0
-    assert ex.stream_key == (2000, 5, "uniform", 0.9)
+    assert ex.stream_key == VectorStream(2000, 5, "uniform", 0.9)
 
 
 def test_characterize_lower_arch_trades_error_for_power():
@@ -105,6 +107,21 @@ def test_check_budget_rejects_mixed_streams():
     ck = check_budget(sel, 0.1, 1.0, budget,
                       stream_key=(1000, 0, "uniform", 0.9))
     assert ck.ok
+
+
+def test_check_budget_compares_the_streams_of_the_specs():
+    stream = VectorStream(2000, 5, "uniform")
+    sel = [characterize(ArchParams("add", "loa", 8, 3), stream, theta=0.05)]
+    budget = BudgetConstraints(0.2, 1.2, 1.0, 1.0)
+    # an equal stream is the same stream
+    assert check_budget(sel, 0.0, 0.0, budget,
+                        VectorStream(2000, 5, "uniform")).ok
+    for other in (VectorStream(2000, 6, "uniform"),
+                  VectorStream(2001, 5, "uniform"),
+                  VectorStream(2000, 5, "correlated"),
+                  VectorStream(2000, 5, "uniform", 0.5)):
+        with pytest.raises(UnitMismatch, match="characterized under"):
+            check_budget(sel, 0.0, 0.0, budget, other)
 
 
 def test_budget_slacks_must_be_positive():
@@ -357,10 +374,48 @@ def test_characterize_keeps_the_baseline_it_would_profile():
     menu = [ArchParams("add", "exact", 8), ArchParams("add", "loa", 8, 3),
             ArchParams("add", "trunc", 8, 2)]
     kept = [characterize(p, stream, theta=0.05) for p in menu]
-    vals = stream_values(stream, gen_module(menu[0]).signature()[0])
+    exact = gen_module(menu[0])
+    vals = stream_values(stream, exact.signature()[0])
+    # profiled anew on the stream's values, the baseline outside the memo
+    base, _ = attack._measure(exact, menu[0], vals, 0.05)
     for params, spec in zip(menu, kept):
-        fresh = characterize(params, vals, theta=0.05)  # profiled anew
+        fresh = attack._measure(gen_module(params), params, vals, 0.05,
+                                None if params == menu[0] else base)[1]
         assert dataclasses.replace(fresh, stream_key=spec.stream_key) == spec
+
+
+def test_characterize_takes_only_a_stream(kernel_calls):
+    # word values and runs used to be profiled unmemoized, under a key
+    # made of the source's id()
+    params = ArchParams("add", "loa", 8, 3)
+    stream = VectorStream(500, 307, "uniform")
+    nl = gen_module(params)
+    sources = (stream_values(stream, nl.signature()[0]), simulate(nl, stream))
+    del kernel_calls[:]
+    for source in sources:
+        with pytest.raises(BadParams, match="characterize takes a "
+                                            "VectorStream"):
+            characterize(params, source, theta=0.05)
+    assert kernel_calls == []
+
+
+def test_taps_are_gate_outputs_when_inputs_are_the_rarest_nets():
+    # x0 = 1 on one vector of 64, every other value 0: the input x0[0] is
+    # as rare as any gate it reaches and had the lowest net id, so it was
+    # the one tap, and the host fell back to tag "u", which no design
+    # build has (KeyError: 'u')
+    clean = SPEC.build(None)
+    vals = {w: np.zeros(64, np.int64) for w, _ in clean.input_words()}
+    vals["x0"][0] = 1
+    run = simulate(clean, vals)
+    act = activity_profile(clean, run)
+    assert (clean.words["x0"][0], 1) in rare_nets(act, 0.1)
+    cfg = AttackConfig(q=1, theta=0.1, scoap_ceiling=10 ** 6,
+                       payload="corrupt", stream=run)
+    _, ht = insert_trojan(clean, act, None, cfg)
+    assert all(clean.driver(n) is not None for n, _ in ht.trigger_nets)
+    assert ht.host_instances[0].startswith("top.")
+    assert ht.witness == (("x0", 1),)
 
 
 # -- stealth ----------------------------------------------------------------
@@ -452,6 +507,35 @@ def test_stealth_rejects_a_trigger_foreign_to_the_infected_netlist(
             verify_stealth(clean, nl, bad, SPEC.reference,
                            VectorStream(100, 0, "uniform"))
     assert not kernel_calls
+
+
+def test_stealth_without_a_reference_leaves_only_the_error_open(inserted):
+    clean, _, _, infected, ht = inserted
+    stream = VectorStream(3000, 17, "uniform")
+    full = verify_stealth(clean, infected, ht, SPEC.reference, stream,
+                          clock=55.0)
+    rep = verify_stealth(clean, infected, ht, None, stream, clock=55.0)
+    assert rep == dataclasses.replace(full, error_delta=None)
+    assert full.error_delta is not None
+    # infected over clean: the payload gates add switching power
+    power = [power_proxy(nl, activity_profile(nl, stream))
+             for nl in (clean, infected)]
+    assert rep.power_delta_fraction == power[1] / power[0] - 1.0 > 0.0
+    assert rep.trigger_rate == simulate(infected, stream).bits(
+        ht.trigger_net).mean()
+
+
+def test_stealth_without_a_stream_gives_only_the_slack(inserted,
+                                                       kernel_calls):
+    clean, _, _, infected, ht = inserted
+    rep = verify_stealth(clean, infected, ht, SPEC.reference, None,
+                         clock=55.0)
+    s = slacks(infected, DelayModel(), 55.0)
+    assert rep == StealthReport(None, None, None,
+                                float(s[np.isfinite(s)].min()))
+    assert verify_stealth(clean, infected, ht, None, None) == \
+        StealthReport(None, None, None)
+    assert kernel_calls == []
 
 
 def test_stealth_simulates_each_netlist_once(inserted, kernel_calls):

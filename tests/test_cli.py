@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 import axsec
 from axsec import cli
 from axsec.arith import ArchParams, gen_module
+from axsec.attack import verify_stealth
 from axsec.cli import main
 from axsec.designs import bfly_spec, fir_spec
+from axsec.sim import VectorStream, sub_seed
+from axsec.sta import calibrated_model
 from axsec.textfmt import read_netlist, write_netlist
 
 from tests.oracles import structurally_equal
@@ -244,6 +247,94 @@ def test_attack_and_report(tmp_path, capsys):
     assert row["error_delta"] == "n/a"          # no reference requested
     assert float(row["trigger_rate"]) <= 1e-3
     assert float(row["min_slack"]) > 0.0
+
+
+#: a near-constant stream whose rarest nets are primary inputs
+_RARE_INPUTS = ["--payload", "corrupt", "--q", "1", "--theta", "0.3",
+                "--rho", "0.9999", "--seed", "0", "--vectors", "2000"]
+
+
+def _attack_rare_inputs(tmp_path, monkeypatch, *flags):
+    """Run ``attack`` with :data:`_RARE_INPUTS` on the default fir design;
+    returns (clean, the insertion's (infected, ht), the report row)."""
+    nl = tmp_path / "f.nl"
+    main(["gen-design", "--design", "fir", "--out", str(nl)])
+    made = []
+    real = cli.insert_trojan
+    monkeypatch.setattr(cli, "insert_trojan", lambda *a: made.append(
+        real(*a)) or made[-1])
+    rep = tmp_path / "attack.csv"
+    assert main(["attack", "--netlist", str(nl), *_RARE_INPUTS, *flags,
+                 "--out", str(tmp_path / "a.nl"), "--report", str(rep)]) == 0
+    return read_netlist(nl), made[0], _rows(rep)[0]
+
+
+def test_attack_taps_only_gate_outputs(tmp_path, capsys, monkeypatch):
+    # the rarest taps were primary inputs: the host fell back to tag "u",
+    # which no design build has, and the run ended in a KeyError
+    clean, (_, ht), row = _attack_rare_inputs(tmp_path, monkeypatch)
+    assert "corrupt payload hosted at top.mul2.g0" in capsys.readouterr().out
+    assert row["host"] == "top.mul2.g0"
+    assert all(clean.driver(n) is not None for n, _ in ht.trigger_nets)
+
+
+def test_attack_report_without_a_reference_is_the_stealth_check(
+        tmp_path, monkeypatch):
+    # the report used to compute the rate and the slack on its own and to
+    # leave the power delta open without a reference
+    clean, (infected, ht), row = _attack_rare_inputs(
+        tmp_path, monkeypatch, "--ref", "none", "--clock", "50",
+        "--stealth-vectors", "3000")
+    st = verify_stealth(clean, infected, ht, None,
+                        VectorStream(3000, sub_seed(0, 4), "uniform"), 50.0,
+                        calibrated_model(clean, 50.0, 0.9))
+    assert row["error_delta"] == "n/a"
+    assert float(row["power_delta"]) == st.power_delta_fraction != 0.0
+    assert float(row["trigger_rate"]) == st.trigger_rate
+    assert float(row["min_slack"]) == st.min_slack
+
+
+def test_attack_report_without_stealth_vectors_gives_only_the_slack(
+        tmp_path, monkeypatch):
+    *_, row = _attack_rare_inputs(tmp_path, monkeypatch, "--clock", "50",
+                                  "--stealth-vectors", "0")
+    assert [row[k] for k in ("error_delta", "power_delta",
+                             "trigger_rate")] == ["n/a"] * 3
+    assert float(row["min_slack"]) > 0.0
+
+
+def test_attack_on_a_netlist_without_outputs_is_a_user_error(tmp_path,
+                                                              capsys):
+    # the one rare net of this stream is realized, so the payload looked
+    # for an output word and the run ended in an IndexError
+    nl = tmp_path / "noout.nl"
+    nl.write_text("input a\ngate 0 NOT y a\ntag 0 u\n"
+                  "inst u deterministic misc exact\n")
+    out = tmp_path / "bad.nl"
+    assert main(["attack", "--netlist", str(nl), "--payload", "corrupt",
+                 "--q", "1", "--theta", "0.3", "--mode", "correlated",
+                 "--rho", "0.999", "--seed", "2", "--vectors", "2000",
+                 "--out", str(out)]) == 2
+    assert "no output for a payload" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_an_interface_naming_one_word_twice_is_a_user_error(tmp_path,
+                                                            capsys):
+    # the declared word b[0] holds b[1..3] and the ungrouped input b[0]
+    # became a second word b[0]: the run ended in a numpy ValueError
+    nl = tmp_path / "m.nl"
+    main(["gen-module", "--op", "add", "--arch", "loa", "--k", "2",
+          "--width", "4", "--out", str(nl)])
+    text = nl.read_text()
+    assert "word b b[0] " in text
+    nl.write_text(text.replace("word b b[0] ", "word b[0] "))
+    capsys.readouterr()
+    out = tmp_path / "prof"
+    assert main(["profile", "--netlist", str(nl), "--out-dir",
+                 str(out)]) == 2
+    assert "two input words are named 'b[0]'" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_detect_clean_candidates(tmp_path, capsys):

@@ -11,10 +11,10 @@ from axsec import arith, designs
 from axsec.arith import ArchParams
 from axsec.attack import BudgetConstraints, characterize
 from axsec.designs import bfly_spec, fir_spec
-from axsec.errors import BadParams, BudgetInfeasible
+from axsec.errors import BadParams, BudgetInfeasible, UnitMismatch
 from axsec.experiment import (ExperimentConfig, _pareto_pool, arch_menu,
                               generate_variants, run_experiment)
-from axsec.sim import VectorStream
+from axsec.sim import VectorStream, simulate, stream_values
 
 from tests.test_golden import _dir_digest
 
@@ -124,6 +124,26 @@ def test_generate_variants_budget_infeasible():
     with pytest.raises(BudgetInfeasible):
         generate_variants(spec, lib, 3, tight, stream, log)
     assert log and all("rejected by budget" in line for line in log)
+
+
+def test_generate_variants_takes_the_stream_of_its_library(kernel_calls):
+    spec = bfly_spec()
+    stream = VectorStream(400, 1, "correlated", 0.9)
+    lib = {(op, w): [characterize(p, stream, 0.08) for p in arch_menu(op, w)]
+           for _, op, w in spec.slots}
+    base = spec.build(None)
+    sources = (stream_values(stream, base.signature()[0]),
+               simulate(base, stream))
+    del kernel_calls[:]
+    loose = BudgetConstraints(1.0, 1.0, 1e9, 1e9)
+    for source in sources:
+        with pytest.raises(BadParams, match="generate_variants takes a "
+                                            "VectorStream"):
+            generate_variants(spec, lib, 3, loose, source)
+    assert kernel_calls == []
+    with pytest.raises(UnitMismatch, match="characterized under"):
+        generate_variants(spec, lib, 3, loose,
+                          VectorStream(400, 2, "correlated", 0.9))
 
 
 def test_each_variant_takes_the_menu_entries_of_its_index():

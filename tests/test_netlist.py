@@ -91,6 +91,38 @@ def test_undriven_net_rejected():
         b.build()
 
 
+def test_an_output_word_named_after_an_ungrouped_output_is_rejected():
+    # the declared word s holds y and z; the ungrouped output net s became
+    # a second 1-bit word s, and the output words named one word twice
+    b = NetlistBuilder()
+    a = b.pi("a")
+    b.instance("u", "deterministic", "misc", "exact")
+    nets = [b.gate(GateKind.NOT, (a,), tag="u", stem=n) for n in "syz"]
+    for n in nets:
+        b.po(n)
+    b.word("s", nets[1:])
+    with pytest.raises(SemanticError, match="two output words are named 's'"):
+        b.build()
+    b.word("s", nets)  # the same names grouped once are fine
+    assert [w for w, _ in b.build().output_words()] == ["s"]
+    b.outputs.append(nets[0])  # a bit of a word listed twice is fine too
+    assert [w for w, _ in b.build().output_words()] == ["s"]
+    del b.words["s"]  # an ungrouped net listed twice is one name twice
+    with pytest.raises(SemanticError, match="two output words are named 's'"):
+        b.build()
+
+
+def test_an_input_word_named_after_an_ungrouped_input_is_rejected():
+    b = NetlistBuilder()
+    ins = [b.pi(f"b[{i}]") for i in range(3)]
+    b.word("b[0]", ins[1:])
+    b.instance("u", "deterministic", "misc", "exact")
+    b.po(b.gate(GateKind.AND, ins, tag="u"))
+    with pytest.raises(SemanticError, match=r"two input words are named "
+                                            r"'b\[0\]'"):
+        b.build()
+
+
 def test_cycle_detection_names_the_loop():
     b = NetlistBuilder()
     a = b.pi("a")

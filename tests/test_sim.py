@@ -170,6 +170,20 @@ def test_a_reference_to_a_word_that_is_no_output_is_refused_before_any_run(
         sim.error_sums(simulate(nl, stream), ref)
 
 
+def test_an_empty_reference_dict_is_refused_before_any_run(kernel_calls):
+    # it ended in a bare ZeroDivisionError after the whole run
+    nl = gen_module(ArchParams("add", "exact", 8))
+    stream = VectorStream(100, 1)
+    for profile in (error_profile, sim.activity_and_error):
+        with pytest.raises(BadParams, match="at least one output word"):
+            profile(nl, {}, stream)
+    a0 = nl.words["a"][0]
+    ht = HTInstance((), 1, "corrupt", (), (nl.readers(a0)[0].tag,), a0)
+    with pytest.raises(BadParams, match="at least one output word"):
+        verify_stealth(nl, nl, ht, {}, stream)
+    assert kernel_calls == []
+
+
 def test_values_of_words_over_63_bits_are_refused_before_any_run(
         kernel_calls):
     # a 63-bit LOA adder's 64-bit sum s read as a negative int64, and so

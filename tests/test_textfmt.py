@@ -1,13 +1,14 @@
 """Serialization round trips and parse diagnostics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axsec.designs import bfly_spec
 from axsec.errors import (CycleError, NetlistError, ParseError,
                           SemanticError)
 from axsec.netlist import GateKind, Netlist, NetlistBuilder
+from axsec.sim import VectorStream, simulate
 from axsec.textfmt import (parse_netlist, read_netlist, serialize_netlist,
                            write_netlist)
 
@@ -171,9 +172,18 @@ def _mutated_bfly(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated_bfly())
+@example("\n".join(_BFLY).replace("word b b[0] ", "word b[0] ") + "\n")
 def test_mutated_text_parses_or_raises_a_netlist_error(text):
+    # the example: the declared word b[0] holds b[1..7] and the ungrouped
+    # input b[0] became a second word b[0], which the run could not fill
     try:
         nl = parse_netlist(text)
     except NetlistError:
         return
     assert isinstance(nl, Netlist)
+    for nets, words in ((nl.inputs, nl.input_words()),
+                        (nl.outputs, nl.output_words())):
+        names = [w for w, _ in words]
+        assert len(set(names)) == len(names)
+        assert {b for _, bits in words for b in bits} == set(nets)
+    assert simulate(nl, VectorStream(64, 0)).n_vectors == 64
