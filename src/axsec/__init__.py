@@ -12,17 +12,17 @@ run; the ``axsec`` executable exposes every step on the command line.
 from .arith import ARCHS, ArchParams, gen_adder, gen_module, gen_multiplier
 from .attack import (AttackConfig, BudgetCheck, BudgetConstraints,
                      HTInstance, ModuleSpec, StealthReport, attack_score,
-                     characterize, check_budget, insert_trojan,
+                     characterize, check_budget, insert_trojan, mount,
                      verify_stealth)
 from .designs import DesignSpec, bfly_spec, fir_spec, flatten
 from .detect import (DetectConfig, DetectionReport, InstanceScore, Metrics,
                      NetlistReport, RankEntry, classify, defender_streams,
                      rank_by_error, score, suspect_instances)
-from .errors import (BadParams, BadThreshold, BudgetInfeasible, CycleError,
-                     EmptySet, LabelMismatch, NetlistError, NoRareNets,
-                     NoWitness, ParseError, PortMismatch, SemanticError,
-                     SignatureMismatch, UnitMismatch, UnknownModule,
-                     WouldViolateTiming)
+from .errors import (AxsecError, BadParams, BadThreshold, BudgetInfeasible,
+                     CycleError, EmptySet, LabelMismatch, NetlistError,
+                     NoRareNets, NoWitness, ParseError, PortMismatch,
+                     SemanticError, SignatureMismatch, UnitMismatch,
+                     UnknownModule, WouldViolateTiming)
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 from .netlist import Gate, GateKind, Instance, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap

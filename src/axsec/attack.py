@@ -15,6 +15,8 @@ Stealth error is the difference of two :func:`axsec.sim.error_profile`
 figures and checks :meth:`Netlist.signature`; the trigger rate is the
 signal probability of the built trigger net, read off the same profile as
 the infected netlist's power.
+
+``axsec attack`` and the experiment share one insertion step, :func:`mount`.
 """
 
 from __future__ import annotations
@@ -315,7 +317,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
 
 @dataclass(frozen=True)
 class StealthReport:
-    """A figure is None when :func:`verify_stealth` lacked its inputs."""
+    """A figure is None when :func:`verify_stealth` lacked its inputs, and
+    min_slack also when no net reaches an output."""
 
     error_delta: float | None
     power_delta_fraction: float | None
@@ -335,7 +338,7 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     :func:`~axsec.sim.error_sums` accepts) makes that pass an
     :func:`~axsec.sim.activity_and_error` one, and error_delta the
     infected-minus-clean difference of MRED against it.  With a ``clock``,
-    min_slack is the least finite slack of the infected netlist.
+    min_slack is the least finite slack of the infected netlist or None.
 
     ``ht`` must be the insertion that built ``infected``: its trigger net
     is read by a gate of one of its host instances (every payload gate
@@ -364,5 +367,22 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
         rate = float(act_i.p1[net])
     if clock is not None:
         s = slacks(infected, model or DelayModel(), clock)
-        min_slack = float(np.min(s[np.isfinite(s)]))
+        s = s[np.isfinite(s)]
+        min_slack = float(s.min()) if s.size else None
     return StealthReport(error_delta, power_delta, rate, min_slack)
+
+
+def mount(nl: Netlist, config: AttackConfig, reference, stealth):
+    """(infected netlist, :class:`HTInstance`, :class:`StealthReport`) of
+    one insertion: profile and realize on one run of ``config.stream``,
+    insert, release the run, then :func:`verify_stealth` on ``stealth`` (a
+    stream or None) under ``config.clock`` and ``config.model``."""
+    if config.stream is None:
+        raise BadParams("config.stream must carry the profiling stream")
+    check_value_words(nl)  # refused before the whole stream runs
+    run = simulate(nl, config.stream)
+    infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
+                                 replace(config, stream=run))
+    del run  # the stealth check holds only its own chunks
+    return infected, ht, verify_stealth(nl, infected, ht, reference, stealth,
+                                        config.clock, config.model)

@@ -10,7 +10,9 @@ Every verb accepts ``--config FILE`` with flat ``key=value`` lines; the
 ``config.txt`` written by ``experiment`` can be fed straight back in.
 File values act as defaults, explicit flags always win.  Keys a verb
 does not know are ignored so one file can serve several verbs.  All
-reports are CSV with a header row.
+reports are CSV with a header row.  A workbench error
+(:class:`~axsec.errors.AxsecError`), an unreadable file or a bad CSV ends
+in one ``error:`` line and exit status 2.
 """
 
 import argparse
@@ -23,30 +25,24 @@ import sys
 from pathlib import Path
 
 from .arith import ARCHS, ArchParams, gen_module
-from .attack import AttackConfig, insert_trojan, verify_stealth
+from .attack import AttackConfig, mount
 from .designs import design_spec
 from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
-from .errors import (BadParams, BadThreshold, BudgetInfeasible, EmptySet,
-                     LabelMismatch, NetlistError, NoRareNets, NoWitness,
-                     SignatureMismatch, UnitMismatch, WouldViolateTiming,
-                     check_ranges)
-from .experiment import (ExperimentConfig, run_experiment, write_detection,
-                         _fmt, _write_csv)
+from .errors import AxsecError, BadParams, check_ranges
+from .experiment import (ExperimentConfig, csv_value, run_experiment,
+                         write_csv, write_detection)
 from .scoap import scoap
 from .sim import (EXACT_OPS, VectorStream, activity_and_error,
-                  activity_profile, check_theta, check_value_words,
-                  power_proxy, rare_nets, simulate, sub_seed)
+                  activity_profile, check_theta, power_proxy, rare_nets,
+                  sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths)
 from .textfmt import read_netlist, read_text, write_netlist
 
 __all__ = ["main"]
 
-_USER_ERRORS = (NetlistError, BadParams, BadThreshold, UnitMismatch,
-                SignatureMismatch, EmptySet, LabelMismatch, NoRareNets,
-                NoWitness, WouldViolateTiming, BudgetInfeasible, OSError,
-                csv.Error)
+_USER_ERRORS = (AxsecError, OSError, csv.Error)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,7 @@ def _cmd_profile(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
+        write_csv(out / name, header, rows)
     print(f"{args.vectors} {args.mode} vectors over {nl.n_nets} nets -> "
           f"{out}/{{{','.join(tables)}}}")
 
@@ -219,9 +215,9 @@ def _cmd_profile(args):
 def _cmd_scoap(args):
     nl = read_netlist(args.netlist)
     rep = scoap(nl)
-    _write_csv(args.out, ["net", "name", "cc0", "cc1", "co"],
-               [(n, nl.net_names[n], int(rep.cc0[n]), int(rep.cc1[n]),
-                 int(rep.co[n])) for n in range(nl.n_nets)])
+    write_csv(args.out, ["net", "name", "cc0", "cc1", "co"],
+              [(n, nl.net_names[n], int(rep.cc0[n]), int(rep.cc1[n]),
+                int(rep.co[n])) for n in range(nl.n_nets)])
     print(f"{nl.n_nets} nets -> {args.out}")
 
 
@@ -234,10 +230,10 @@ def _cmd_sta(args):
     rows = [(r, p.delay, p.slack,
              ">".join(nl.net_names[n] for n in p.nets), ";".join(p.tags))
             for r, p in enumerate(paths, 1)]
-    _write_csv(args.out, ["rank", "delay", "slack", "nets", "instances"],
-               rows)
-    print(f"critical delay {_fmt(crit)}, {len(paths)} near-critical paths "
-          f"-> {args.out}")
+    write_csv(args.out, ["rank", "delay", "slack", "nets", "instances"],
+              rows)
+    print(f"critical delay {csv_value(crit)}, {len(paths)} near-critical "
+          f"paths -> {args.out}")
 
 
 def _cmd_attack(args):
@@ -250,38 +246,26 @@ def _cmd_attack(args):
         model = calibrated_model(nl, args.clock, args.margin)
     cfg = AttackConfig(
         q=args.q, theta=args.theta, scoap_ceiling=args.scoap_ceiling,
-        payload=args.payload, secret_word=args.secret, clock=args.clock,
-        model=model)
-    check_value_words(nl)  # a word over 63 bits is refused before the run
-    # triggers are profiled and realized on one run
-    run = simulate(nl, stream)
-    infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
-                                 dataclasses.replace(cfg, stream=run))
-    del run  # release the run before the stealth check
-    # the report, and with it the stealth check, comes before any output
-    report = _attack_report(args, nl, infected, ht, model)
+        payload=args.payload, secret_word=args.secret, stream=stream,
+        clock=args.clock, model=model)
+    # only the report measures on a stream; the stealth check, and with
+    # it the slack, comes before any output
+    sv = (VectorStream(args.stealth_vectors, sub_seed(args.seed, 4), "uniform")
+          if args.report and args.stealth_vectors > 0 else None)
+    infected, ht, st = mount(nl, cfg, _reference_for(nl, args.ref), sv)
     write_netlist(infected, args.out)
-    if report is not None:
-        _write_csv(args.report,
-                   ["host", "payload", "q", "taps", "witness", "error_delta",
-                    "power_delta", "trigger_rate", "min_slack"], [report])
+    if args.report:
+        write_csv(args.report,
+                  ["host", "payload", "q", "taps", "witness", "error_delta",
+                   "power_delta", "trigger_rate", "min_slack"],
+                  [(ht.host_instances[0], ht.payload_kind, ht.q,
+                    ";".join(f"{n}:{v}" for n, v in ht.trigger_nets),
+                    ";".join(f"{w}={x}" for w, x in ht.witness),
+                    st.error_delta, st.power_delta_fraction, st.trigger_rate,
+                    st.min_slack)])
     print(f"{ht.payload_kind} payload hosted at {ht.host_instances[0]}, "
           f"{len(ht.trigger_nets)} trigger taps -> {args.out}")
     return 0
-
-
-def _attack_report(args, nl, infected, ht, model):
-    """The one ``--report`` row, or None without ``--report``."""
-    if not args.report:
-        return None
-    sv = (VectorStream(args.stealth_vectors, sub_seed(args.seed, 4), "uniform")
-          if args.stealth_vectors > 0 else None)
-    st = verify_stealth(nl, infected, ht, _reference_for(nl, args.ref), sv,
-                        args.clock, model)
-    return (ht.host_instances[0], ht.payload_kind, ht.q,
-            ";".join(f"{n}:{v}" for n, v in ht.trigger_nets),
-            ";".join(f"{w}={x}" for w, x in ht.witness), st.error_delta,
-            st.power_delta_fraction, st.trigger_rate, st.min_slack)
 
 
 def _cmd_detect(args):
@@ -356,8 +340,8 @@ def _cmd_score(args):
     rep = _read_report(args.report, args.threshold)
     truth = _read_truth(args.truth)
     m = score(rep, truth)
-    _write_csv(args.out, ["accuracy", "fpr", "fnr"],
-               [(m.accuracy, m.fpr, m.fnr)])
+    write_csv(args.out, ["accuracy", "fpr", "fnr"],
+              [(m.accuracy, m.fpr, m.fnr)])
     fnr = "n/a" if m.fnr is None else f"{m.fnr:.4f}"
     print(f"accuracy={m.accuracy:.4f} fpr={m.fpr:.4f} fnr={fnr} "
           f"(tp={m.tp} fp={m.fp} tn={m.tn} fn={m.fn}) -> {args.out}")

@@ -1,9 +1,14 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench; each derives from
+:class:`AxsecError` and keeps its builtin base."""
 
 import math
 
 
-class NetlistError(Exception):
+class AxsecError(Exception):
+    """Base class of every workbench error."""
+
+
+class NetlistError(AxsecError):
     """Base class for structural netlist problems."""
 
 
@@ -38,11 +43,11 @@ class UnknownModule(NetlistError):
     """Instance references something that is not a module."""
 
 
-class BadParams(ValueError):
+class BadParams(AxsecError, ValueError):
     """Generator or analysis parameters outside the supported range."""
 
 
-class BadThreshold(ValueError):
+class BadThreshold(AxsecError, ValueError):
     """Rarity threshold outside (0, 0.5)."""
 
 
@@ -64,33 +69,33 @@ def check_ranges(obj, table):
             raise BadParams(f"{name} must be {want}, got {got!r}")
 
 
-class UnitMismatch(ValueError):
+class UnitMismatch(AxsecError, ValueError):
     """Budget terms were measured under different stream settings."""
 
 
-class NoRareNets(RuntimeError):
+class NoRareNets(AxsecError, RuntimeError):
     """Trigger construction found no usable rare net candidates."""
 
 
-class NoWitness(RuntimeError):
+class NoWitness(AxsecError, RuntimeError):
     """No input assignment provably fires the trigger; insertion aborted."""
 
 
-class WouldViolateTiming(RuntimeError):
+class WouldViolateTiming(AxsecError, RuntimeError):
     """Inserted logic would push a path past the clock constraint."""
 
 
-class SignatureMismatch(ValueError):
+class SignatureMismatch(AxsecError, ValueError):
     """Candidate netlists disagree on primary I/O words."""
 
 
-class EmptySet(ValueError):
+class EmptySet(AxsecError, ValueError):
     """An operation was handed an empty candidate set."""
 
 
-class LabelMismatch(ValueError):
+class LabelMismatch(AxsecError, ValueError):
     """Ground-truth labels do not cover the report under scoring."""
 
 
-class BudgetInfeasible(RuntimeError):
+class BudgetInfeasible(AxsecError, RuntimeError):
     """No architecture assignment satisfies the error/power budget."""

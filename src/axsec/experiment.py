@@ -17,8 +17,7 @@ import numpy as np
 
 from .arith import ArchParams
 from .attack import (AttackConfig, BudgetConstraints, attack_score,
-                     characterize, check_budget, insert_trojan,
-                     verify_stealth)
+                     characterize, check_budget, mount)
 from .designs import DesignSpec, design_spec
 from .detect import DetectConfig, classify, score
 from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
@@ -31,8 +30,8 @@ from .textfmt import write_netlist
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "Variant", "arch_menu",
-    "characterize_library", "generate_variants", "run_experiment",
-    "write_detection",
+    "characterize_library", "csv_value", "generate_variants",
+    "run_experiment", "write_csv", "write_detection",
 ]
 
 
@@ -104,7 +103,8 @@ class ExperimentConfig:
             seed=self.seed)
 
 
-def _fmt(x) -> str:
+def csv_value(x) -> str:
+    """One CSV cell: ``n/a`` for None, 0/1 for a bool, a float's repr."""
     if x is None:
         return "n/a"
     if isinstance(x, bool):
@@ -114,12 +114,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def write_csv(path: Path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for r in rows:
-            w.writerow([_fmt(x) for x in r])
+            w.writerow([csv_value(x) for x in r])
 
 
 def write_detection(report, path, debug_path=None):
@@ -131,11 +131,11 @@ def write_detection(report, path, debug_path=None):
             rows.append((r.netlist_id, r.verdict, e.tag, e.suspicion))
             dbg.append((r.netlist_id, e.tag, e.kind_label, e.hits,
                         e.resilience, e.rare, e.raw, e.suspicion, e.flagged))
-    _write_csv(path, ["netlist", "verdict", "instance", "suspicion"], rows)
+    write_csv(path, ["netlist", "verdict", "instance", "suspicion"], rows)
     if debug_path:
-        _write_csv(debug_path,
-                   ["netlist", "instance", "kind", "hits", "resilience",
-                    "rare", "raw", "suspicion", "flagged"], dbg)
+        write_csv(debug_path,
+                  ["netlist", "instance", "kind", "hits", "resilience",
+                   "rare", "raw", "suspicion", "flagged"], dbg)
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +292,23 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
     for v in order:
         if len(infected) >= n_inf:
             break
-        aseed = sub_seed(config.seed, 3, int(v.netlist_id[1:]))
-        # triggers are profiled and realized on one run
-        run = simulate(v.netlist, VectorStream(
-            config.trace_vectors, aseed, "correlated", config.rho))
-        model = calibrated_model(v.netlist, config.clock, config.margin)
+        ix = int(v.netlist_id[1:])
         acfg = AttackConfig(
-            q=config.q, theta=config.theta,
-            scoap_ceiling=config.scoap_ceiling,
+            q=config.q, theta=config.theta, scoap_ceiling=config.scoap_ceiling,
             payload=config.payload, secret_word=spec.secret_word,
-            stream=run, clock=config.clock, model=model)
+            stream=VectorStream(config.trace_vectors,
+                                sub_seed(config.seed, 3, ix), "correlated",
+                                config.rho),
+            clock=config.clock,
+            model=calibrated_model(v.netlist, config.clock, config.margin))
         try:
-            bad, ht = insert_trojan(v.netlist,
-                                    activity_profile(v.netlist, run), None,
-                                    acfg)
+            bad, ht, sv = mount(
+                v.netlist, acfg, spec.reference,
+                VectorStream(config.stealth_vectors,
+                             sub_seed(config.seed, 4, ix), "uniform"))
         except (NoRareNets, NoWitness, WouldViolateTiming) as exc:
             log.append(f"skip {v.netlist_id}: {type(exc).__name__}: {exc}")
             continue
-        finally:
-            del run, acfg  # release the run before the stealth check
-        sv = verify_stealth(
-            v.netlist, bad, ht, spec.reference,
-            VectorStream(config.stealth_vectors,
-                         sub_seed(config.seed, 4, int(v.netlist_id[1:])),
-                         "uniform"),
-            clock=config.clock, model=model)
         infected[v.netlist_id] = (bad, ht)
         truth[v.netlist_id] = ht.host_instances
         stealth_rows.append((v.netlist_id, sv.error_delta,
@@ -352,7 +344,7 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
 
     with open(out / "config.txt", "w", encoding="utf-8") as f:
         for k in sorted(vars(config)):
-            f.write(f"{k}={_fmt(getattr(config, k))}\n")
+            f.write(f"{k}={csv_value(getattr(config, k))}\n")
 
     char_stream = VectorStream(config.characterize_vectors,
                                sub_seed(config.seed, 1), "correlated",
@@ -364,10 +356,10 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
             rows.append((op, w, s.params.arch_id, s.params.k,
                          s.params.label(), s.e_norm, s.p_norm, s.rare_count,
                          s.r_norm, s.scoap_summary, attack_score(s)))
-    _write_csv(out / "library.csv",
-               ["op", "width", "arch", "k", "label", "e_norm", "p_norm",
-                "rare_count", "r_norm", "scoap_summary", "attack_score"],
-               rows)
+    write_csv(out / "library.csv",
+              ["op", "width", "arch", "k", "label", "e_norm", "p_norm",
+               "rare_count", "r_norm", "scoap_summary", "attack_score"],
+              rows)
     log.append(f"library: {sum(len(v) for v in library.values())} specs")
 
     variants = generate_variants(spec, library, config.n_variants,
@@ -381,18 +373,18 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
                      + [v.assign[n].label() for n in slot_names]
                      + [v.sum_e, v.sum_p, v.composed_e, v.composed_p,
                         v.e_margin, v.p_margin])
-    _write_csv(out / "variants.csv",
-               ["netlist", "front"] + slot_names
-               + ["sum_e", "sum_p", "composed_e", "composed_p", "e_margin",
-                  "p_margin"],
-               vrows)
+    write_csv(out / "variants.csv",
+              ["netlist", "front"] + slot_names
+              + ["sum_e", "sum_p", "composed_e", "composed_p", "e_margin",
+                 "p_margin"],
+              vrows)
     log.append(f"variants: {len(variants)}")
 
     infected, truth, stealth_rows = _infect(config, spec, variants, log)
-    _write_csv(out / "stealth.csv",
-               ["netlist", "error_delta", "power_delta_fraction",
-                "trigger_rate", "min_slack"],
-               stealth_rows)
+    write_csv(out / "stealth.csv",
+              ["netlist", "error_delta", "power_delta_fraction",
+               "trigger_rate", "min_slack"],
+              stealth_rows)
     gt_rows = []
     cands = []
     (out / "candidates").mkdir(exist_ok=True)
@@ -409,22 +401,22 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
             gt_rows.append((v.netlist_id, 0, "", "", "", "", ""))
         write_netlist(cands[-1][1],
                       out / "candidates" / f"{v.netlist_id}.nl")
-    _write_csv(out / "ht_ground_truth.csv",
-               ["netlist", "infected", "host", "payload", "trigger_net",
-                "taps", "witness"],
-               gt_rows)
+    write_csv(out / "ht_ground_truth.csv",
+              ["netlist", "infected", "host", "payload", "trigger_net",
+               "taps", "witness"],
+              gt_rows)
 
     report = classify(cands, config.detect_config())
     write_detection(report, out / "detect_report.csv",
                     out / "detect_debug.csv")
-    _write_csv(out / "ranking.csv",
-               ["netlist", "error_rank", "mred", "verdict"],
-               [(r.netlist_id, r.error_rank, r.mred, r.verdict)
-                for r in report.netlists])
+    write_csv(out / "ranking.csv",
+              ["netlist", "error_rank", "mred", "verdict"],
+              [(r.netlist_id, r.error_rank, r.mred, r.verdict)
+               for r in report.netlists])
 
     metrics = score(report, truth)
-    _write_csv(out / "metrics.csv", ["accuracy", "fpr", "fnr"],
-               [(metrics.accuracy, metrics.fpr, metrics.fnr)])
+    write_csv(out / "metrics.csv", ["accuracy", "fpr", "fnr"],
+              [(metrics.accuracy, metrics.fpr, metrics.fnr)])
     log.append(f"metrics: accuracy={metrics.accuracy:.4f} "
                f"fpr={metrics.fpr:.4f} "
                f"fnr={'n/a' if metrics.fnr is None else round(metrics.fnr, 4)}")

@@ -145,16 +145,15 @@ def _uniform_paths(index, u: float, clock: float, n_paths: int,
         for pi in pis:
             if not suf[pi] >> length & 1:
                 continue
-            # depth-first, pos[k] is the next reader to try at depth k;
-            # tags holds the path's distinct tags in first-use order and
-            # refs how many of its gates carry each
-            nets, gates, pos, tags, refs = [pi], [], [0], [], {}
+            # depth-first, pos[k] is the next reader to try at depth k
+            nets, gates, pos = [pi], [], [0]
             while pos:
                 depth = len(gates)
                 if depth == length:
-                    gids = tuple([g.id for g in gates])
-                    out.append(TimingPath(tuple(nets), gids, d, clock - d,
-                                          tuple(tags)))
+                    # the path's distinct tags in first-use order
+                    out.append(TimingPath(
+                        tuple(nets), tuple([g.id for g in gates]), d,
+                        clock - d, tuple(dict.fromkeys(g.tag for g in gates))))
                     if len(out) >= n_paths:
                         return out
                 else:
@@ -167,17 +166,11 @@ def _uniform_paths(index, u: float, clock: float, n_paths: int,
                         pos.append(0)
                         nets.append(g.output)
                         gates.append(g)
-                        refs[g.tag] = refs.get(g.tag, 0) + 1
-                        if refs[g.tag] == 1:
-                            tags.append(g.tag)
                         continue
                 pos.pop()
                 nets.pop()
                 if gates:
-                    t = gates.pop().tag
-                    refs[t] -= 1
-                    if not refs[t]:
-                        tags.pop()
+                    gates.pop()
     return out
 
 

@@ -5,6 +5,7 @@ leak) is built once per module; most tests only inspect it.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (BadParams, BadThreshold, NoRareNets, NoWitness,
                           SignatureMismatch, UnitMismatch,
                           WouldViolateTiming)
+from axsec.experiment import ExperimentConfig
+from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (EXACT_OPS, ActivityReport, Traces, VectorStream,
                        activity_profile, error_profile, power_proxy,
-                       rare_nets, simulate, stream_values)
-from axsec.sta import DelayModel, slacks
+                       rare_nets, simulate, stream_values, sub_seed)
+from axsec.sta import DelayModel, calibrated_model, slacks
+from axsec.textfmt import serialize_netlist
 
 from tests.oracles import eval_vector, structurally_equal, word_value
 
@@ -543,3 +547,95 @@ def test_stealth_simulates_each_netlist_once(inserted, kernel_calls):
     verify_stealth(clean, infected, ht, SPEC.reference,
                    VectorStream(3000, 17, "uniform"))
     assert len(kernel_calls) == 2
+
+
+def test_stealth_slack_is_none_without_a_path_to_an_output():
+    # no slack is finite here, and the least of none raised a bare
+    # ValueError
+    b = NetlistBuilder()
+    a = b.pi("a")
+    b.instance("u", "deterministic", "misc", "exact")
+    y = b.gate(GateKind.NOT, (a,), tag="u")
+    b.gate(GateKind.BUF, (y,), tag="u")
+    nl = b.build()
+    ht = HTInstance((), 1, "corrupt", (), ("u",), y)
+    assert verify_stealth(nl, nl, ht, None, None, clock=10.0) == \
+        StealthReport(None, None, None, None)
+
+
+# -- the insertion step -----------------------------------------------------
+
+def _hand_assembled(nl, config, reference, stealth):
+    """The step as ``axsec attack`` and the experiment each assembled it
+    before they shared :func:`attack.mount`."""
+    run = simulate(nl, config.stream)
+    infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
+                                 dataclasses.replace(config, stream=run))
+    del run
+    return infected, ht, verify_stealth(nl, infected, ht, reference, stealth,
+                                        config.clock, config.model)
+
+
+def _outcome(step, *args):
+    try:
+        infected, ht, rep = step(*args)
+    except (NoRareNets, NoWitness) as exc:
+        return type(exc), str(exc)
+    return serialize_netlist(infected), ht, repr(rep)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec,assign,q,payload", [
+    (SPEC, ASSIGN, 4, "leak"),
+    (bfly_spec(), {}, 4, "leak"),   # rejected: too few composable taps
+    (bfly_spec(), {}, 1, "corrupt"),
+], ids=["fir", "bfly-rejected", "bfly-q1"])
+def test_mount_is_the_hand_assembled_step(kernel_calls, spec, assign, q,
+                                          payload, seed):
+    # on the streams the experiment draws for its first variant
+    nl = spec.build(assign)
+    exp = ExperimentConfig(seed=seed)
+    config = AttackConfig(
+        q=q, theta=exp.theta, scoap_ceiling=exp.scoap_ceiling,
+        payload=payload, secret_word=spec.secret_word,
+        stream=VectorStream(exp.trace_vectors, sub_seed(seed, 3, 0),
+                            "correlated", exp.rho),
+        clock=exp.clock, model=calibrated_model(nl, exp.clock, exp.margin))
+    stealth = VectorStream(exp.stealth_vectors, sub_seed(seed, 4, 0),
+                           "uniform")
+    want = _outcome(_hand_assembled, nl, config, spec.reference, stealth)
+    runs = len(kernel_calls)
+    assert _outcome(attack.mount, nl, config, spec.reference, stealth) == want
+    assert len(kernel_calls) == 2 * runs
+
+
+def test_mount_refuses_a_64_bit_word_before_any_run(kernel_calls):
+    nl = gen_module(ArchParams("add", "loa", 64, 8))
+    with pytest.raises(BadParams, match="word 'a' is 64 bits wide"):
+        attack.mount(nl, AttackConfig(payload="corrupt",
+                                      stream=VectorStream(2000, 0)),
+                     None, None)
+    with pytest.raises(BadParams, match="must carry the profiling stream"):
+        attack.mount(SPEC.build(ASSIGN), AttackConfig(), None, None)
+    assert kernel_calls == []
+
+
+def test_mount_releases_the_run_before_the_stealth_check(monkeypatch):
+    runs, alive = [], []
+    real_simulate, real_check = attack.simulate, attack.verify_stealth
+
+    def recorded(*args):
+        run = real_simulate(*args)
+        runs.append(weakref.ref(run))
+        return run
+
+    def check(*args):
+        alive.append(runs[0]() is not None)
+        return real_check(*args)
+
+    monkeypatch.setattr(attack, "simulate", recorded)
+    monkeypatch.setattr(attack, "verify_stealth", check)
+    config = AttackConfig(theta=0.08, scoap_ceiling=500, secret_word="coef",
+                          stream=VectorStream(20_000, 7, "correlated", 0.9))
+    attack.mount(SPEC.build(ASSIGN), config, None, None)
+    assert alive == [False]

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import axsec
-from axsec import cli
+from axsec import attack, cli, errors
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import verify_stealth
 from axsec.cli import main
@@ -260,8 +260,8 @@ def _attack_rare_inputs(tmp_path, monkeypatch, *flags):
     nl = tmp_path / "f.nl"
     main(["gen-design", "--design", "fir", "--out", str(nl)])
     made = []
-    real = cli.insert_trojan
-    monkeypatch.setattr(cli, "insert_trojan", lambda *a: made.append(
+    real = attack.insert_trojan
+    monkeypatch.setattr(attack, "insert_trojan", lambda *a: made.append(
         real(*a)) or made[-1])
     rep = tmp_path / "attack.csv"
     assert main(["attack", "--netlist", str(nl), *_RARE_INPUTS, *flags,
@@ -301,6 +301,38 @@ def test_attack_report_without_stealth_vectors_gives_only_the_slack(
     assert [row[k] for k in ("error_delta", "power_delta",
                              "trigger_rate")] == ["n/a"] * 3
     assert float(row["min_slack"]) > 0.0
+
+
+#: the report rows ``attack`` wrote while it assembled the insertion
+#: step itself, before the verb and the experiment shared ``mount``
+_FIR_REPORT = ("host,payload,q,taps,witness,error_delta,power_delta,"
+               "trigger_rate,min_slack\n"
+               "top.mul0.g0,leak,4,985:1;656:1;352:1;1209:1,"
+               "x0=115;x1=122;x2=191;x3=31,n/a,0.013308529609717956,0.0,")
+
+
+@pytest.mark.parametrize("clock,slack", [([], "n/a"),
+                                         (["--clock", "55"],
+                                          "4.50999999999997")],
+                         ids=["no-clock", "clock"])
+@pytest.mark.parametrize("report", [False, True],
+                         ids=["no-report", "report"])
+def test_attack_runs_the_kernel_for_the_trigger_and_the_report_only(
+        tmp_path, kernel_calls, clock, slack, report):
+    # the realization run and the witness replay, plus the clean and the
+    # infected stealth profile with --report; the slack runs no kernel
+    nl = tmp_path / "v.nl"
+    main(["gen-design", "--design", "fir", "--assign",
+          "add0=loa:4;add2=loa:4", "--out", str(nl)])
+    rep = tmp_path / "r.csv"
+    del kernel_calls[:]
+    assert main(["attack", "--netlist", str(nl), "--secret", "coef", *clock,
+                 *(["--report", str(rep)] if report else []),
+                 "--out", str(tmp_path / "bad.nl")]) == 0
+    assert len(kernel_calls) == (4 if report else 2)
+    assert rep.exists() == report
+    if report:
+        assert rep.read_text() == _FIR_REPORT + slack + "\n"
 
 
 def test_attack_on_a_netlist_without_outputs_is_a_user_error(tmp_path,
@@ -570,6 +602,30 @@ def _one_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+#: every exception class the workbench defines
+_ERRORS = sorted((c for c in vars(errors).values()
+                  if isinstance(c, type) and issubclass(c, BaseException)
+                  and c.__module__ == errors.__name__),
+                 key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("exc", _ERRORS, ids=lambda c: c.__name__)
+def test_every_workbench_error_is_one_error_line(tmp_path, capsys,
+                                                 monkeypatch, exc):
+    # main caught a hand-kept list of eleven classes, so a class left off
+    # the list would have ended in a traceback
+    def fail(nl):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, "scoap", fail)
+    nl = tmp_path / "m.nl"
+    write_netlist(gen_module(ArchParams("add", "exact", 2)), nl)
+    out = tmp_path / "scoap.csv"
+    assert main(["scoap", "--netlist", str(nl), "--out", str(out)]) == 2
+    _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,text,message", [

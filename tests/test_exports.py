@@ -147,3 +147,45 @@ def test_a_dead_member_is_caught():
     # variable named like a method
     assert _dead_names(sources) == ["m.Box.label", "m.Box.spare",
                                     "m.Box.depth"]
+
+
+def _sources():
+    src = Path(axsec.__file__).parent
+    return {p.stem: p.read_text(encoding="utf-8")
+            for p in sorted(src.glob("*.py"))}
+
+
+def _asserts(sources):
+    """(module, line) of every ``assert`` statement: an invariant that
+    ``python -O`` strips must be a raise instead."""
+    return [(mod, n.lineno) for mod, text in sources.items()
+            for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Assert)]
+
+
+def _private_imports(sources):
+    """(module, name) of every underscore name imported from another
+    module; importing a module itself, such as ``_kernels``, is fine."""
+    return [(mod, a.name) for mod, text in sources.items()
+            for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.ImportFrom) and n.module
+            for a in n.names if a.name.startswith("_")]
+
+
+def test_no_invariant_lives_in_an_assert():
+    assert _asserts(_sources()) == []
+
+
+def test_an_assert_is_caught():
+    assert _asserts({"m": "def f(x):\n    assert x > 0\n    return x\n"}) \
+        == [("m", 2)]
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert _private_imports(_sources()) == []
+
+
+def test_a_private_import_is_caught():
+    sources = {"m": ("from . import _kernels\n"
+                     "from .sim import simulate, _row_values\n"
+                     "from .experiment import write_csv\n")}
+    assert _private_imports(sources) == [("m", "_row_values")]
