@@ -8,9 +8,6 @@ over 64 packed test vectors per machine word with one numpy operation per
 input position.
 """
 
-from itertools import groupby
-from operator import itemgetter
-
 import numpy as np
 
 _AND, _OR, _NAND, _NOR, _XOR, _XNOR = 0, 1, 2, 3, 4, 5
@@ -31,19 +28,42 @@ def plan(levels):
     its ``j``-th input net (0 past its arity) and ``groups`` holds one
     ``(kind, start, stop, arity)`` gate slice per group, in level order.
     """
-    keyed = sorted((((lv, g.kind, len(g.inputs)), g)
-                    for lv, gates in enumerate(levels) for g in gates),
-                   key=itemgetter(0))
-    width = max((len(g.inputs) for _, g in keyed), default=0)
-    outs = np.array([g.output for _, g in keyed], np.intp)
-    ins = np.array([g.inputs + (0,) * (width - len(g.inputs))
-                    for _, g in keyed], np.intp)
-    groups, start = [], 0
-    for (_, kind, arity), run in groupby(keyed, key=itemgetter(0)):
-        stop = start + sum(1 for _ in run)
-        groups.append((int(kind), start, stop, arity))
-        start = stop
-    return outs, ins.reshape(len(keyed), width).T.copy(), tuple(groups)
+    return extend((np.zeros(0, np.intp), np.zeros((0, 0), np.intp), ()),
+                  (), levels)
+
+
+def extend(base, done, levels):
+    """The :func:`plan` of ``levels``, given ``base``, the plan of the
+    levels ``done``, each a prefix of its level in ``levels`` whose ids lie
+    below the rest.  A stable sort of the (level, kind, arity) keys puts
+    each new gate after the base's of its group, as :func:`plan` would."""
+    outs0, ins0, groups0 = base
+    sizes = [len(gates) for gates in done]
+    new = [(lv, g) for lv, gates in enumerate(levels)
+           for g in gates[sizes[lv] if lv < len(sizes) else 0:]]
+    # (level, kind, arity) per gate: the base's off its groups, then the new
+    g0 = np.array(groups0, np.intp).reshape(-1, 4)
+    old = np.repeat(g0[:, [0, 3]], g0[:, 2] - g0[:, 1], 0)
+    keys = np.column_stack([
+        np.concatenate((a, np.array(b, np.intp))) for a, b in (
+            (np.repeat(np.arange(len(sizes)), sizes), [lv for lv, _ in new]),
+            (old[:, 0], [g.kind for _, g in new]),
+            (old[:, 1], [len(g.inputs) for _, g in new]))])
+    width = int(keys[:, 2].max(initial=0))
+    ins = np.zeros((width, len(keys)), np.intp)
+    ins[:len(ins0), :len(outs0)] = ins0
+    ins[:, len(outs0):] = np.array(
+        [g.inputs + (0,) * (width - len(g.inputs)) for _, g in new],
+        np.intp).reshape(len(new), width).T
+    outs = np.concatenate((outs0, np.array([g.output for _, g in new],
+                                           np.intp)))
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[len(keys) > 0,
+                                  (keys[1:] != keys[:-1]).any(1)]).tolist()
+    groups = tuple(zip(keys[starts, 1].tolist(), starts,
+                       [*starts[1:], len(keys)], keys[starts, 2].tolist()))
+    return outs[order], ins.take(order, axis=1), groups
 
 
 def eval_gates(outs, ins, groups, c):

@@ -209,7 +209,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
                          f"need {config.q}")
     # taps are gate outputs, as the defender's rare nets are
     ceiling = config.scoap_ceiling
-    cand = [(n, v) for n, v in rare if nl.driver(n) is not None
+    gated = nl.driver_kinds >= 0
+    cand = [(n, v) for n, v in rare if gated[n]
             and testability.cc0[n] <= ceiling and testability.cc1[n] <= ceiling]
 
     # realization: the first 64 cycles that show each candidate's rare

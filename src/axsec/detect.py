@@ -164,10 +164,8 @@ def _profile(nl: Netlist, in_vals: dict, theta: float) -> _Profile:
     values ``in_vals``; the run itself is not kept."""
     run = simulate(nl, in_vals)
     act = activity_profile(nl, run)
-    drive = nl.driver
-    rare = {net: v for net, v in rare_nets(act, theta)
-            if drive(net) is not None
-            and drive(net).kind not in (GateKind.CONST0, GateKind.CONST1)}
+    live = ~np.isin(nl.driver_kinds, (-1, GateKind.CONST0, GateKind.CONST1))
+    rare = {net: v for net, v in rare_nets(act, theta) if live[net]}
     first = (run.first_hits(0), run.first_hits(1))
     replay = []
     for net, val in rare.items():

@@ -9,6 +9,12 @@ treated as immutable once built; analyses only read them.  To derive a modified
 netlist (for example to splice extra logic into a copy), start a new
 :class:`NetlistBuilder` from the existing object.
 
+A builder that only appended nets, instances and gates with ids above the
+base's, and maybe moved outputs and words, builds on its base (kept as
+:attr:`Netlist.base`): it checks the new parts only and extends the base's
+tables, levels and kernel plan.  Any other change, or a failed check, builds
+in full, so every error comes from the full build.
+
 Hierarchical designs are expressed with :class:`Design` and :class:`ModuleInst`
 and lowered to a flat :class:`Netlist` with :func:`flatten`, which rewrites
 instance tags into hierarchical paths such as ``top.mul0``.
@@ -21,9 +27,12 @@ from enum import IntEnum
 from functools import cached_property
 from operator import attrgetter
 
+import numpy as np
+
 from . import _kernels
 from .errors import (
     CycleError,
+    NetlistError,
     PortMismatch,
     SemanticError,
     UnknownModule,
@@ -98,15 +107,19 @@ class Netlist:
     :param words: word name -> LSB-first tuple of net ids.
     :param gates: gate list (any order; ids unique).
     :param instances: instance_tag -> :class:`Instance`.
+    :param base: a netlist these fields only append to, as checked by
+        :meth:`NetlistBuilder.build`; only what lies past it is validated.
     """
 
-    def __init__(self, net_names, inputs, outputs, words, gates, instances):
+    def __init__(self, net_names, inputs, outputs, words, gates, instances,
+                 base=None):
         self.net_names = tuple(net_names)
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.words = {w: tuple(nets) for w, nets in words.items()}
-        self.gates = tuple(sorted(gates, key=lambda g: g.id))
+        self.gates = tuple(sorted(gates, key=attrgetter("id")))
         self.instances = dict(instances)
+        self.base = base
         self._validate()
 
     # -- accessors ---------------------------------------------------------
@@ -130,8 +143,16 @@ class Netlist:
 
     @cached_property
     def _fanout(self):
-        return tuple(sum(g.inputs.count(n) for g in gates)
-                     for n, gates in enumerate(self._readers))
+        pins = [i for g in self.gates for i in g.inputs]
+        return tuple(np.bincount(pins, minlength=self.n_nets).tolist())
+
+    @cached_property
+    def driver_kinds(self):
+        """Read-only per-net :class:`GateKind` of the driver, -1 if none."""
+        kinds = np.full(self.n_nets, -1, np.int8)
+        kinds[[g.output for g in self.gates]] = [g.kind for g in self.gates]
+        kinds.flags.writeable = False
+        return kinds
 
     def input_words(self):
         """Canonical ordered input interface as (name, net ids) pairs.
@@ -177,16 +198,19 @@ class Netlist:
     # -- invariants --------------------------------------------------------
 
     def _validate(self):
-        seen = set()
-        for n in self.net_names:
+        # only what lies past a base is checked, and its tables extended
+        base = self.base
+        n0, k0 = (base.n_nets, len(base.gates)) if base else (0, 0)
+        seen = set(self.net_names[:n0])
+        for n in self.net_names[n0:]:
             if not n or n.split() != [n] or n.startswith("#"):
                 raise SemanticError(f"bad net name {n!r}")
             if n in seen:
                 raise SemanticError(f"duplicate net name {n!r}")
             seen.add(n)
-        self._gate_by_id = {}
-        driver = [-1] * self.n_nets
-        for g in self.gates:
+        self._gate_by_id = dict(base._gate_by_id) if base else {}
+        driver = list(base._driver if base else ()) + [-1] * (self.n_nets - n0)
+        for g in self.gates[k0:]:
             if g.id in self._gate_by_id:
                 raise SemanticError(f"duplicate gate id {g.id}")
             self._gate_by_id[g.id] = g
@@ -212,7 +236,7 @@ class Netlist:
             if driver[n] >= 0:
                 raise SemanticError(
                     f"primary input {self.net_names[n]!r} is gate-driven")
-        for n in range(self.n_nets):
+        for n in range(n0, self.n_nets):
             if driver[n] < 0 and n not in inputs:
                 raise SemanticError(f"net {self.net_names[n]!r} is undriven")
         for w, bits in self.words.items():
@@ -222,37 +246,49 @@ class Netlist:
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
         self.signature()  # derives the I/O words: refuses a name used twice
-        self._levels, self._readers = self._levelize(driver)
+        self._levels, self._readers = self._levelize(driver, self.gates[k0:])
         self._ordered = tuple(g for level in self._levels for g in level)
 
-    def _levelize(self, driver):
-        # Kahn's sort one level at a time; pending keeps gate id order, so
-        # a loop is reported from the lowest stuck gate
-        readers = [[] for _ in range(self.n_nets)]
-        pending, level = {}, []
-        for g in self.gates:
-            n = 0
+    def _levelize(self, driver, new):
+        # Kahn's sort one level at a time over the ``new`` gates, each at
+        # least one level above its base drivers; pending keeps gate id
+        # order, so a loop is reported from the lowest stuck gate
+        base = self.base
+        levels = list(base._levels) if base else []
+        depth = {g.output: lv for lv, gates in enumerate(levels) for g in gates}
+        readers = list(base._readers) if base else []
+        readers += [()] * (self.n_nets - len(readers))
+        grown, pending, floor, ready = {}, {}, {}, {}  # grown: new readers
+        for g in new:
+            n = f = 0
             for i in set(g.inputs):
-                readers[i].append(g)
-                n += driver[i] >= 0
+                grown.setdefault(i, []).append(g)
+                if i in depth:
+                    f = max(f, depth[i] + 1)
+                else:
+                    n += driver[i] >= 0
             if n:
-                pending[g.id] = n
+                pending[g.id], floor[g.id] = n, f
             else:
-                level.append(g)
-        levels = []
-        while level:
-            levels.append(tuple(level))
-            level = []
-            for g in levels[-1]:
+                ready.setdefault(f, []).append(g)
+        for i, rs in grown.items():
+            readers[i] += tuple(rs)
+        lv = 0
+        while ready:
+            level = tuple(sorted(ready.pop(lv, ()), key=attrgetter("id")))
+            levels[lv:lv + 1] = [levels[lv] + level if lv < len(levels)
+                                 else level]
+            for g in level:
                 for r in readers[g.output]:
                     pending[r.id] -= 1
                     if not pending[r.id]:
                         del pending[r.id]
-                        level.append(r)
-            level.sort(key=attrgetter("id"))
+                        ready.setdefault(max(lv + 1, floor.pop(r.id)),
+                                         []).append(r)
+            lv += 1
         if pending:
             raise CycleError(self._find_cycle(pending))
-        return tuple(levels), tuple(map(tuple, readers))
+        return tuple(levels), tuple(readers)
 
     # -- orders ------------------------------------------------------------
 
@@ -265,8 +301,11 @@ class Netlist:
     @cached_property
     def plan(self):
         """The kernel plan of :func:`axsec._kernels.plan`, built once; its
-        arrays are read-only."""
-        outs, ins, groups = _kernels.plan(self._levels)
+        arrays are read-only; a :attr:`base`'s plan is extended."""
+        base = self.base
+        outs, ins, groups = (_kernels.plan(self._levels) if base is None else
+                             _kernels.extend(base.plan, base._levels,
+                                             self._levels))
         outs.flags.writeable = ins.flags.writeable = False
         return outs, ins, groups
 
@@ -291,18 +330,14 @@ class Netlist:
         return {}
 
     def _find_cycle(self, pending):
-        # Walk drivers inside the stuck subgraph until a gate repeats.
-        gid = next(iter(pending))
-        seen = {}
-        path = []
-        while gid not in seen:
-            seen[gid] = len(path)
-            path.append(gid)
-            g = self._gate_by_id[gid]
-            gid = next(self._driver[i] for i in g.inputs
-                       if self._driver[i] in pending or self._driver[i] in seen)
-        loop = path[seen[gid]:]
-        return [self._gate_by_id[x].output for x in loop]
+        # Walk stuck drivers from the lowest stuck gate until one repeats.
+        gid, path = next(iter(pending)), {}
+        while gid not in path:
+            path[gid] = len(path)
+            gid = next(d for d in map(self._driver.__getitem__,
+                                      self._gate_by_id[gid].inputs)
+                       if d in pending)
+        return [self._gate_by_id[x].output for x in list(path)[path[gid]:]]
 
     # -- cone queries ------------------------------------------------------
 
@@ -354,6 +389,7 @@ class NetlistBuilder:
         self.instances: dict[str, Instance] = {}
         self._by_name: dict[str, int] = {}
         self._next_gate = 0
+        self._base = base
         if base is not None:
             self.net_names = list(base.net_names)
             self.inputs = list(base.inputs)
@@ -361,8 +397,8 @@ class NetlistBuilder:
             self.words = {w: list(n) for w, n in base.words.items()}
             self.gates = list(base.gates)
             self.instances = dict(base.instances)
-            self._by_name = {n: i for i, n in enumerate(base.net_names)}
-            self._next_gate = 1 + max((g.id for g in base.gates), default=-1)
+            self._by_name = dict(zip(base.net_names, range(base.n_nets)))
+            self._next_gate = 1 + (base.gates[-1].id if base.gates else -1)
 
     def net(self, name: str) -> int:
         """Return the id for ``name``, creating the net if needed."""
@@ -406,8 +442,26 @@ class NetlistBuilder:
         return out
 
     def build(self) -> Netlist:
-        return Netlist(self.net_names, self.inputs, self.outputs,
-                       self.words, self.gates, self.instances)
+        """The netlist, built on the base if this builder only appended to
+        it (see the module docstring)."""
+        fields = (self.net_names, self.inputs, self.outputs, self.words,
+                  self.gates, self.instances)
+        base = self._base
+        if base is not None and self._appends(base):
+            try:
+                return Netlist(*fields, base=base)
+            except NetlistError:
+                pass  # the full build raises it
+        return Netlist(*fields)
+
+    def _appends(self, base: Netlist) -> bool:
+        k = len(base.gates)
+        ids = [base.gates[-1].id if k else -1, *(g.id for g in self.gates[k:])]
+        return (tuple(self.inputs) == base.inputs
+                and all(a < b for a, b in zip(ids, ids[1:]))
+                and tuple(self.gates[:k]) == base.gates
+                and tuple(self.net_names[:base.n_nets]) == base.net_names
+                and base.instances.keys() <= self.instances.keys())
 
 
 # ---------------------------------------------------------------------------

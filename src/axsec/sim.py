@@ -35,6 +35,7 @@ here as well; a frozen :class:`VectorStream` is its own identity.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -193,6 +194,9 @@ def _bits_chunks(source, words):
         else:
             yield from _stream_chunks(source, words)
         return
+    if not isinstance(source, Mapping):
+        raise BadParams(f"a source is a VectorStream, a run or a mapping of "
+                        f"word values, not {type(source).__name__}")
     vals = _checked_values(source, words)
     total = len(vals[0]) if vals else 0
     for start in range(0, total, CHUNK):
@@ -515,13 +519,10 @@ def rare_nets(report: ActivityReport, theta: float = 0.01):
     """Nets stuck near one logic value: (net, v) when value ``v`` shows up
     with probability below ``theta``.  Only ``report.p1`` is read."""
     check_theta(theta)
-    out = []
-    for net, p in enumerate(report.p1):
-        if p < theta:
-            out.append((net, 1))
-        elif 1.0 - p < theta:
-            out.append((net, 0))
-    return out
+    p = np.asarray(report.p1, np.float64)
+    low = p < theta
+    nets = np.flatnonzero(low | (1.0 - p < theta))
+    return list(zip(nets.tolist(), low[nets].astype(int).tolist()))
 
 
 def power_proxy(netlist: Netlist, report: ActivityReport) -> float:

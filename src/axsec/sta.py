@@ -47,8 +47,12 @@ class DelayModel:
 
 
 def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
-    """Latest arrival time at every net, one kernel-plan group at a time."""
-    model = model or DelayModel()
+    """Latest arrival time at every net, one kernel-plan group at a time:
+    a read-only array, computed once per (netlist, model)."""
+    return nl.memo(_arrival_times, model or DelayModel())
+
+
+def _arrival_times(nl: Netlist, model: DelayModel) -> np.ndarray:
     outs, ins, groups = nl.plan
     arr = np.zeros(nl.n_nets, np.float64)
     for kind, start, stop, arity in groups:
@@ -56,15 +60,12 @@ def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
         for j in range(1, arity):
             np.maximum(m, arr[ins[j, start:stop]], out=m)
         arr[outs[start:stop]] = model.of(kind) + m
+    arr.flags.writeable = False
     return arr
 
 
 def critical_delay(nl: Netlist, model: DelayModel | None = None) -> float:
-    """Latest output arrival, computed once per (netlist, model)."""
-    return nl.memo(_critical_delay, model or DelayModel())
-
-
-def _critical_delay(nl: Netlist, model: DelayModel) -> float:
+    """Latest output arrival."""
     arr = arrival_times(nl, model)
     return float(max((arr[o] for o in nl.outputs), default=0.0))
 

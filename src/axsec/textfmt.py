@@ -103,11 +103,16 @@ def _serialize(nl: Netlist) -> str:
     lines += [f"output {name(n)}" for n in nl.outputs]
     for w, bits in nl.words.items():
         lines.append(f"word {w} " + " ".join(name(b) for b in bits))
-    for g in nl.gates:
-        parts = [f"gate {g.id} {g.kind.name} {name(g.output)}"]
-        parts += [name(i) for i in g.inputs]
-        lines.append(" ".join(parts))
-    lines += [f"tag {g.id} {g.tag}" for g in nl.gates]
+    base, new = nl.base, nl.gates
+    gates, tags = [], []
+    if base is not None and base.gates:  # the base's own lines, copied
+        text = "\n" + serialize_netlist(base)
+        at = [text.find(f"\n{kw} ") for kw in ("gate", "tag", "inst")]
+        gates, tags = [text[at[0] + 1:at[1]]], [text[at[1] + 1:at[2]]]
+        new = new[len(base.gates):]
+    gates += [" ".join([f"gate {g.id} {g.kind.name}",
+                        *map(name, (g.output, *g.inputs))]) for g in new]
+    lines += gates + tags + [f"tag {g.id} {g.tag}" for g in new]
     for tag in sorted(nl.instances):
         e = nl.instances[tag]
         lines.append(f"inst {tag} {e.kind_label} {e.op_type} {e.arch_id}")

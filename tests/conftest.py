@@ -1,12 +1,13 @@
 """Shared fixtures and random-netlist strategies."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from axsec import _kernels
+from axsec import _kernels, attack, sta
 from axsec.netlist import ARITY, GateKind, Netlist, NetlistBuilder
 from axsec.sta import DelayModel
 
@@ -29,6 +30,47 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "eval_gates", counting)
     return calls
+
+
+@pytest.fixture
+def infected_work(monkeypatch):
+    """A function that lists, per netlist an insertion returned so far, a
+    Counter of the work spent on it: ``levelize`` full levelizations,
+    ``plan`` runs of :func:`axsec._kernels.plan` and ``arrival``
+    arrival-time passes."""
+    work, planned, infected = {}, [], []
+    levelize, plan, arrivals = (Netlist._levelize, _kernels.plan,
+                                sta._arrival_times)
+    insert = attack.insert_trojan
+
+    def counting_levelize(self, *args):
+        if self.base is None:
+            work.setdefault(self, Counter())["levelize"] += 1
+        return levelize(self, *args)
+
+    def counting_plan(levels):
+        planned.append(levels)
+        return plan(levels)
+
+    def counting_arrivals(nl, model):
+        work.setdefault(nl, Counter())["arrival"] += 1
+        return arrivals(nl, model)
+
+    def recording(*args):
+        nl, ht = insert(*args)
+        infected.append(nl)
+        return nl, ht
+
+    monkeypatch.setattr(Netlist, "_levelize", counting_levelize)
+    monkeypatch.setattr(_kernels, "plan", counting_plan)
+    monkeypatch.setattr(sta, "_arrival_times", counting_arrivals)
+    monkeypatch.setattr(attack, "insert_trojan", recording)
+
+    def counts():
+        return [work.get(nl, Counter())
+                + Counter(plan=sum(lv is nl._levels for lv in planned))
+                for nl in infected]
+    return counts
 
 
 def random_dag(rng):

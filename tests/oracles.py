@@ -7,14 +7,17 @@ with plain-int semantics, independent of the packed kernel;
 float-array form of what :func:`axsec.sim.error_terms` now computes;
 :func:`fanin_nets` is the set walk behind the defender's one-pass cone
 masks, :func:`gates_of_tag` the linear filter behind their tag bits, and
-:func:`structurally_equal` compares two netlists by net name.  They are
-kept here only for the tests.
+:func:`structurally_equal` compares two netlists by net name, and
+:func:`same_build` a netlist derived by appending with the full build of
+its fields.  They are kept here only for the tests.
 """
 
 import numpy as np
 
 from axsec.errors import BadParams
 from axsec.netlist import GateKind, Netlist
+from axsec.sta import DelayModel, arrival_times
+from axsec.textfmt import serialize_netlist
 
 _M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
 
@@ -225,3 +228,33 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
         if a.net_names[ga.output] != b.net_names[gb.output]:
             return False
     return True
+
+
+def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
+    """Assert that ``derived`` equals the full build of its own fields:
+    levels, orders, readers, drivers, gate index, plan, signature, fanout
+    and driver kinds, serialized text byte for byte, and arrival times
+    under each of ``models`` bit for bit."""
+    full = Netlist(derived.net_names, derived.inputs, derived.outputs,
+                   derived.words, derived.gates, derived.instances)
+    assert full.base is None
+    assert derived._levels == full._levels
+    assert derived.ordered_gates() == full.ordered_gates()
+    assert derived._readers == full._readers
+    assert derived._driver == full._driver
+    assert derived._gate_by_id == full._gate_by_id
+    assert derived.signature() == full.signature()
+    assert derived.input_words() == full.input_words()
+    assert derived.output_words() == full.output_words()
+    assert derived.fanout_counts() == full.fanout_counts()
+    assert np.array_equal(derived.driver_kinds, full.driver_kinds)
+    (do, di, dg), (fo, fi, fg) = derived.plan, full.plan
+    for a, b in ((do, fo), (di, fi)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b) and not a.flags.writeable
+    assert dg == fg
+    assert all(type(x) is int for group in dg for x in group)
+    assert serialize_netlist(derived) == serialize_netlist(full)
+    for m in models:
+        assert arrival_times(derived, m).tobytes() \
+            == arrival_times(full, m).tobytes()

@@ -14,6 +14,7 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import BadParams, BudgetInfeasible, UnitMismatch
 from axsec.experiment import (ExperimentConfig, _pareto_pool, arch_menu,
                               generate_variants, run_experiment)
+from axsec.netlist import NetlistBuilder
 from axsec.sim import VectorStream, simulate, stream_values
 
 from tests.test_golden import _dir_digest
@@ -297,6 +298,25 @@ def test_a_trial_simulates_each_run_once(tmp_path, kernel_calls, design,
     designs._build.cache_clear()
     run_experiment(ExperimentConfig(seed=1, design=design), tmp_path / "o")
     assert len(kernel_calls) == runs
+
+
+def test_an_infected_netlist_builds_on_its_host(tmp_path, infected_work):
+    # an insertion only appends: no infected netlist is levelized or
+    # planned from scratch, and its clock check and stealth slacks share
+    # one arrival pass, the screen's calibration takes the other
+    run_experiment(ExperimentConfig(seed=1), tmp_path / "o")
+    work = infected_work()
+    assert len(work) == 4
+    assert all(w["levelize"] == w["plan"] == 0 and 1 <= w["arrival"] <= 2
+               for w in work), work
+
+
+def test_the_build_guard_sees_a_full_rebuild(tmp_path, infected_work,
+                                             monkeypatch):
+    monkeypatch.setattr(NetlistBuilder, "_appends", lambda self, base: False)
+    run_experiment(ExperimentConfig(seed=1), tmp_path / "o")
+    assert [(w["levelize"], w["plan"]) for w in infected_work()] \
+        == [(1, 1)] * 4
 
 
 @pytest.mark.parametrize("design", ["bfly", "fir"])

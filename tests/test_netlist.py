@@ -4,13 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axsec import attack, experiment, textfmt
+from axsec.attack import StealthReport
 from axsec.designs import bfly_spec, fir_spec
-from axsec.errors import (CycleError, PortMismatch, SemanticError,
-                          UnknownModule)
-from axsec.netlist import (Design, Gate, GateKind, ModuleInst, Netlist,
-                           NetlistBuilder, flatten)
+from axsec.errors import (CycleError, NetlistError, PortMismatch,
+                          SemanticError, UnknownModule)
+from axsec.experiment import ExperimentConfig, run_experiment
+from axsec.netlist import (ARITY, Design, Gate, GateKind, ModuleInst,
+                           Netlist, NetlistBuilder, flatten)
+from axsec.sta import DelayModel
+from axsec.textfmt import serialize_netlist
 
-from tests.oracles import fanin_nets, gates_of_tag, structurally_equal
+from tests.conftest import dags
+from tests.oracles import (fanin_nets, gates_of_tag, same_build,
+                           structurally_equal)
 
 
 def _and2():
@@ -356,3 +363,184 @@ def test_memoized_derivations_on_the_reference_designs(spec):
     nl = spec.build(None)
     for n in range(nl.n_nets):
         assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
+
+
+# -- derived netlists ---------------------------------------------------
+
+
+def _fields(b):
+    return (b.net_names, b.inputs, b.outputs, b.words, b.gates, b.instances)
+
+
+def _build_or_error(b):
+    """(netlist, None) of a builder's full build, or (None, its error)."""
+    try:
+        return Netlist(*_fields(b)), None
+    except NetlistError as exc:
+        return None, exc
+
+
+@settings(max_examples=120, deadline=None)
+@given(dags(), st.data())
+def test_appending_to_a_netlist_equals_the_full_build(base, data):
+    # gates over old and new nets, maybe none, a new instance, outputs and
+    # words moved onto old or new nets, and a derived netlist derived again
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            serialize_netlist(base)  # its text lends the gate and tag blocks
+        b = NetlistBuilder(base)
+        if data.draw(st.booleans()):
+            b.instance(f"t{len(b.instances)}", "approximate", "add", "loa")
+        nets = list(range(base.n_nets))
+        for _ in range(data.draw(st.integers(0, 6))):
+            kind = data.draw(st.sampled_from(GateKind))
+            lo, hi = ARITY[kind]
+            ins = data.draw(st.lists(st.sampled_from(nets), min_size=lo,
+                                     max_size=4 if hi is None else hi))
+            nets.append(b.gate(kind, ins,
+                               tag=data.draw(st.sampled_from(list(b.instances)))))
+        b.outputs = [data.draw(st.sampled_from(nets)) if data.draw(
+            st.booleans()) else o for o in b.outputs]
+        if data.draw(st.booleans()):
+            b.word("w", data.draw(st.lists(st.sampled_from(nets), min_size=1,
+                                           max_size=3)))
+        full, error = _build_or_error(b)
+        if error is not None:
+            with pytest.raises(type(error)) as got:
+                b.build()
+            assert str(got.value) == str(error)
+            return
+        derived = b.build()
+        assert derived.base is base
+        assert structurally_equal(derived, full)
+        same_build(derived, (DelayModel(), DelayModel(scale=0.7)))
+        base = derived
+
+
+def _worded_base():
+    b = NetlistBuilder()
+    a = [b.pi(f"a[{i}]") for i in range(2)]
+    b.word("a", a)
+    c = b.pi("c")
+    b.instance("u", "deterministic", "misc", "exact")
+    x = b.gate(GateKind.AND, a, tag="u", stem="x")
+    y = b.gate(GateKind.XOR, (x, c), tag="u", stem="y")
+    b.word("y", [x, y])
+    b.po(x)
+    b.po(y)
+    return b.build()
+
+
+def _two_drivers(b, nl):
+    b.gate(GateKind.NOT, (0,), out=nl.net_names.index("y"), tag="u")
+
+
+def _loop(b, nl):
+    x, y = b.net("p"), b.net("q")
+    b.gate(GateKind.AND, (0, y), out=x, tag="u")
+    b.gate(GateKind.BUF, (x,), out=y, tag="u")
+    b.po(y)
+
+
+def _named(name):
+    def append(b, nl):
+        b.net_names.append(name)
+        b.gate(GateKind.NOT, (0,), out=len(b.net_names) - 1, tag="u")
+    return append
+
+
+def _driven_input(b, nl):
+    b.gate(GateKind.NOT, (0,), out=b.pi("d"), tag="u")
+
+
+def _repeated_input(b, nl):
+    b.pi("c")
+
+
+def _two_output_words(b, nl):
+    b.po(b.gate(GateKind.NOT, (0,), tag="u", stem="s"))
+    t = b.gate(GateKind.NOT, (1,), tag="u", stem="t")
+    b.po(t)
+    b.word("s", [t])
+
+
+def _past_the_ids(b, nl):
+    b.gates.append(Gate(0, GateKind.NOT, (0,), b.net("z"), "u"))
+
+
+BAD_APPENDS = {
+    "two drivers": _two_drivers,
+    "unknown net": lambda b, nl: b.gate(GateKind.NOT, (99,), tag="u"),
+    "wrong arity": lambda b, nl: b.gate(GateKind.NOT, (0, 1), tag="u"),
+    "missing tag": lambda b, nl: b.gate(GateKind.NOT, (0,), tag="ghost"),
+    "loop among new gates": _loop,
+    "undriven net": lambda b, nl: b.gate(GateKind.AND, (0, b.net("o")),
+                                         tag="u"),
+    "bad net name": _named("a b"),
+    "comment net name": _named("#n"),
+    "duplicate net name": _named("y"),
+    "gate-driven added input": _driven_input,
+    "repeated added input": _repeated_input,
+    "empty word": lambda b, nl: b.word("e", []),
+    "bad instance kind": lambda b, nl: b.instance("v", "odd", "-", "-"),
+    "dropped base tag": lambda b, nl: b.instances.clear(),
+    "reused gate id": _past_the_ids,
+    "two output words of one name": _two_output_words,
+}
+
+
+@pytest.mark.parametrize("append", BAD_APPENDS.values(), ids=BAD_APPENDS)
+def test_a_bad_append_raises_what_the_full_build_raises(append):
+    base = _worded_base()
+    b = NetlistBuilder(base)
+    append(b, base)
+    full, error = _build_or_error(b)
+    assert full is None
+    with pytest.raises(type(error)) as got:
+        b.build()
+    assert str(got.value) == str(error)
+
+
+def test_an_added_input_builds_in_full():
+    base = _worded_base()
+    b = NetlistBuilder(base)
+    b.po(b.gate(GateKind.OR, (0, b.pi("e")), tag="u"))
+    nl = b.build()
+    assert nl.base is None
+    assert structurally_equal(nl, Netlist(*_fields(b)))
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Stop
+
+
+@pytest.mark.parametrize("payload", ["leak", "corrupt"])
+def test_every_fir_insertion_derives_what_the_full_build_gives(
+        tmp_path, monkeypatch, payload):
+    # seeds 0-19 up to the screen; the stealth check is not what is tested
+    made = []
+    insert = attack.insert_trojan
+
+    def recording(nl, activity, testability, config):
+        infected, ht = insert(nl, activity, testability, config)
+        made.append((infected, nl, config.model))
+        return infected, ht
+
+    monkeypatch.setattr(attack, "insert_trojan", recording)
+    monkeypatch.setattr(attack, "verify_stealth",
+                        lambda *a: StealthReport(0.0, 0.0, 0.0, 0.0))
+    monkeypatch.setattr(experiment, "classify", _stop)
+    for seed in range(20):
+        with pytest.raises(_Stop):
+            run_experiment(ExperimentConfig(seed=seed, payload=payload),
+                           tmp_path / str(seed))
+    assert len(made) == 80
+    for infected, host, model in made:
+        assert infected.base is host
+        # the variants were written first: the infected text copied blocks
+        assert (textfmt._serialize, ()) in host._memo
+        same_build(infected, (model, DelayModel()))

@@ -112,6 +112,21 @@ def test_dict_source_requires_every_input_word():
         simulate(nl, {"notx": np.zeros(4, np.int64)})
 
 
+@pytest.mark.parametrize("source", [None, 5, "ab"], ids=repr)
+def test_a_source_of_another_type_is_refused_before_any_run(source,
+                                                            kernel_calls):
+    nl = gen_module(ArchParams("add", "exact", 4))
+    ref = {"s": lambda v: v["a"] + v["b"]}
+    for run in (lambda: simulate(nl, source),
+                lambda: activity_profile(nl, source),
+                lambda: error_profile(nl, ref, source)):
+        with pytest.raises(BadParams, match="a source is a VectorStream, a "
+                           f"run or a mapping of word values, not "
+                           f"{type(source).__name__}"):
+            run()
+    assert kernel_calls == []
+
+
 def _bit_values(bits):
     """Word values of a dict of ``(n, width)`` 0/1 arrays."""
     return {w: (b.astype(np.int64) << np.arange(b.shape[1])).sum(axis=1)
@@ -247,6 +262,19 @@ def test_rare_nets_thresholds():
     for theta in (0.0, 0.5, -1.0, 1.0):
         with pytest.raises(BadThreshold):
             rare_nets(act, theta)
+
+
+def test_rare_nets_are_int_pairs_in_net_order():
+    p1 = np.array([0.5, 0.05, 0.97, 0.0, 1.0, np.nan, 0.1, 0.85])
+    rare = rare_nets(sim.ActivityReport(p1, np.zeros(8, np.int64), 100), 0.1)
+    assert rare == [(1, 1), (2, 0), (3, 1), (4, 0)]
+    assert {type(x) for pair in rare for x in pair} == {int}
+    # the per-net definition, float rounding included (1.0 - 0.9 < 0.1)
+    p1 = np.random.default_rng(0).random(500) ** 3
+    p1[::7] = 0.9
+    want = [(n, 1) if p < 0.1 else (n, 0) for n, p in enumerate(p1)
+            if p < 0.1 or 1.0 - p < 0.1]
+    assert rare_nets(sim.ActivityReport(p1, None, 1), 0.1) == want
 
 
 def test_error_profile_matches_scalar_brute_force():
