@@ -355,13 +355,10 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
                         f"{ht.host_instances} of the infected netlist")
     error_delta = power_delta = rate = min_slack = None
     if stream is not None:
-        if reference is None:
-            act_c, act_i = (activity_profile(nl, stream)
-                            for nl in (clean, infected))
-        else:
-            (act_c, err_c), (act_i, err_i) = (
-                activity_and_error(nl, reference, stream)
-                for nl in (clean, infected))
+        (act_c, err_c), (act_i, err_i) = (
+            activity_and_error(nl, reference, stream)
+            for nl in (clean, infected))
+        if err_c is not None:
             error_delta = err_i.mred - err_c.mred
         power_delta = power_ratio(power_proxy(infected, act_i),
                                   power_proxy(clean, act_c)) - 1.0

@@ -30,12 +30,11 @@ from .designs import design_spec
 from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
 from .errors import AxsecError, BadParams, check_ranges
-from .experiment import (ExperimentConfig, csv_value, run_experiment,
-                         write_csv, write_detection)
+from .experiment import (ExperimentConfig, csv_value, ht_text,
+                         run_experiment, write_csv, write_detection)
 from .scoap import scoap
-from .sim import (EXACT_OPS, VectorStream, activity_and_error,
-                  activity_profile, check_theta, power_proxy, rare_nets,
-                  sub_seed)
+from .sim import (EXACT_OPS, STREAM_MODES, VectorStream, activity_and_error,
+                  check_theta, power_proxy, rare_nets, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths)
 from .textfmt import read_netlist, read_text, write_netlist
@@ -183,12 +182,8 @@ def _cmd_profile(args):
     if args.theta is not None:
         check_theta(args.theta)
     # every table is computed, and so checked, before the first is written;
-    # with a reference, one run feeds both profiles
-    ref = _reference_for(nl, args.ref)
-    if ref is None:
-        act = activity_profile(nl, stream)
-    else:
-        act, er = activity_and_error(nl, ref, stream)
+    # one run feeds both profiles
+    act, er = activity_and_error(nl, _reference_for(nl, args.ref), stream)
     tables = {
         "activity.csv": (["net", "name", "p1", "toggles"],
                          [(n, nl.net_names[n], float(act.p1[n]),
@@ -200,7 +195,7 @@ def _cmd_profile(args):
         tables["rare.csv"] = (["net", "name", "stuck_value", "p1"],
                               [(n, nl.net_names[n], v, float(act.p1[n]))
                                for n, v in rare_nets(act, args.theta)])
-    if ref is not None:
+    if er is not None:
         tables["error.csv"] = (["er", "med", "mred", "wce", "n_vectors"],
                                [(er.er, er.med, er.mred, er.wce,
                                  er.n_vectors)])
@@ -259,10 +254,8 @@ def _cmd_attack(args):
                   ["host", "payload", "q", "taps", "witness", "error_delta",
                    "power_delta", "trigger_rate", "min_slack"],
                   [(ht.host_instances[0], ht.payload_kind, ht.q,
-                    ";".join(f"{n}:{v}" for n, v in ht.trigger_nets),
-                    ";".join(f"{w}={x}" for w, x in ht.witness),
-                    st.error_delta, st.power_delta_fraction, st.trigger_rate,
-                    st.min_slack)])
+                    *ht_text(ht), st.error_delta, st.power_delta_fraction,
+                    st.trigger_rate, st.min_slack)])
     print(f"{ht.payload_kind} payload hosted at {ht.host_instances[0]}, "
           f"{len(ht.trigger_nets)} trigger taps -> {args.out}")
     return 0
@@ -409,10 +402,11 @@ def _build_parser():
         description="approximate-circuit hardware Trojan workbench")
     subs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
     reg = {}
+    ops, ec, dc = tuple(EXACT_OPS), ExperimentConfig, DetectConfig
 
     sp = _sub(subs, reg, "gen-module",
               "write one arithmetic module as a netlist")
-    sp.add_argument("--op", required=True, choices=("add", "mul"))
+    sp.add_argument("--op", required=True, choices=ops)
     sp.add_argument("--arch", required=True, choices=ARCHS)
     sp.add_argument("--width", required=True, type=int)
     sp.add_argument("--k", type=int, default=0,
@@ -426,9 +420,9 @@ def _build_parser():
     sp = _sub(subs, reg, "gen-design",
               "assemble a full design from slot assignments")
     sp.add_argument("--design", required=True, choices=("fir", "bfly"))
-    sp.add_argument("--width", type=int, default=8)
-    sp.add_argument("--coeffs", type=_ints, default=(3, 5, 7, 9))
-    sp.add_argument("--twiddle", type=int, default=3)
+    sp.add_argument("--width", type=int, default=ec.width)
+    sp.add_argument("--coeffs", type=_ints, default=ec.coeffs)
+    sp.add_argument("--twiddle", type=int, default=ec.twiddle)
     sp.add_argument("--assign", default="",
                     help="semicolon list slot=arch[:k[:c]]; unlisted slots "
                          "stay exact")
@@ -441,14 +435,12 @@ def _build_parser():
               "switching activity, power proxy, rare nets and error")
     sp.add_argument("--netlist", required=True, metavar="FILE")
     sp.add_argument("--vectors", type=int, default=2000)
-    sp.add_argument("--mode", choices=("uniform", "correlated"),
-                    default="uniform")
+    sp.add_argument("--mode", choices=STREAM_MODES, default="uniform")
     sp.add_argument("--rho", type=float, default=0.9)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--theta", type=float, default=None,
                     help="also write rare.csv at this threshold")
-    sp.add_argument("--ref", choices=("auto", "add", "mul", "none"),
-                    default="auto",
+    sp.add_argument("--ref", choices=("auto", *ops, "none"), default="auto",
                     help="reference for error.csv; auto detects lone "
                          "operator modules")
     sp.add_argument("--out-dir", required=True, metavar="DIR")
@@ -472,24 +464,23 @@ def _build_parser():
 
     sp = _sub(subs, reg, "attack", "insert a rare-net-triggered payload")
     sp.add_argument("--netlist", required=True, metavar="FILE")
-    sp.add_argument("--payload", choices=("leak", "corrupt"), default="leak")
+    sp.add_argument("--payload", choices=("leak", "corrupt"),
+                    default=ec.payload)
     sp.add_argument("--secret", default=None,
                     help="input word a leak payload routes to the output")
-    sp.add_argument("--q", type=int, default=4)
-    sp.add_argument("--theta", type=float, default=0.08)
-    sp.add_argument("--scoap-ceiling", type=int, default=500)
-    sp.add_argument("--vectors", type=int, default=20000)
-    sp.add_argument("--mode", choices=("uniform", "correlated"),
-                    default="correlated")
-    sp.add_argument("--rho", type=float, default=0.9)
+    sp.add_argument("--q", type=int, default=ec.q)
+    sp.add_argument("--theta", type=float, default=ec.theta)
+    sp.add_argument("--scoap-ceiling", type=int, default=ec.scoap_ceiling)
+    sp.add_argument("--vectors", type=int, default=ec.trace_vectors)
+    sp.add_argument("--mode", choices=STREAM_MODES, default="correlated")
+    sp.add_argument("--rho", type=float, default=ec.rho)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--clock", type=float, default=None,
                     help="reject insertions that would break this period")
-    sp.add_argument("--margin", type=float, default=0.9)
-    sp.add_argument("--stealth-vectors", type=int, default=10000,
+    sp.add_argument("--margin", type=float, default=ec.margin)
+    sp.add_argument("--stealth-vectors", type=int, default=ec.stealth_vectors,
                     help="vectors for the stealth check; 0 skips it")
-    sp.add_argument("--ref", choices=("auto", "add", "mul", "none"),
-                    default="auto")
+    sp.add_argument("--ref", choices=("auto", *ops, "none"), default="auto")
     sp.add_argument("--out", required=True, metavar="FILE",
                     help="infected netlist")
     sp.add_argument("--report", metavar="FILE",
@@ -500,18 +491,18 @@ def _build_parser():
               "screen a directory of candidate netlists")
     sp.add_argument("--candidates", required=True, metavar="DIR",
                     help="directory of .nl files, one per candidate")
-    sp.add_argument("--clock", type=float, default=10.0)
-    sp.add_argument("--margin", type=float, default=0.9)
-    sp.add_argument("--scales", type=_floats, default=(1.0, 1.2))
-    sp.add_argument("--paths", type=int, default=100)
-    sp.add_argument("--window", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=0.1)
-    sp.add_argument("--vectors", type=int, default=2000)
-    sp.add_argument("--rho", type=float, default=0.9)
-    sp.add_argument("--stress", type=int, default=300)
-    sp.add_argument("--dev-tol", type=float, default=0.05)
-    sp.add_argument("--threshold", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--clock", type=float, default=dc.clock)
+    sp.add_argument("--margin", type=float, default=dc.margin)
+    sp.add_argument("--scales", type=_floats, default=dc.scales)
+    sp.add_argument("--paths", type=int, default=dc.n_paths)
+    sp.add_argument("--window", type=float, default=dc.window)
+    sp.add_argument("--theta", type=float, default=dc.theta)
+    sp.add_argument("--vectors", type=int, default=dc.vectors)
+    sp.add_argument("--rho", type=float, default=dc.rho)
+    sp.add_argument("--stress", type=int, default=dc.stress_budget)
+    sp.add_argument("--dev-tol", type=float, default=dc.dev_tol)
+    sp.add_argument("--threshold", type=float, default=dc.threshold)
+    sp.add_argument("--seed", type=int, default=dc.seed)
     sp.add_argument("--out", required=True, metavar="FILE")
     sp.add_argument("--debug", metavar="FILE",
                     help="also write per-instance evidence")
@@ -520,7 +511,7 @@ def _build_parser():
     sp = _sub(subs, reg, "score", "compare a detection report against truth")
     sp.add_argument("--report", required=True, metavar="FILE")
     sp.add_argument("--truth", required=True, metavar="FILE")
-    sp.add_argument("--threshold", type=float, default=0.5,
+    sp.add_argument("--threshold", type=float, default=dc.threshold,
                     help="suspicion level that counts as flagged")
     sp.add_argument("--out", required=True, metavar="FILE")
     sp.set_defaults(func=_cmd_score)

@@ -30,7 +30,7 @@ from .textfmt import write_netlist
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "Variant", "arch_menu",
-    "characterize_library", "csv_value", "generate_variants",
+    "characterize_library", "csv_value", "generate_variants", "ht_text",
     "run_experiment", "write_csv", "write_detection",
 ]
 
@@ -112,6 +112,13 @@ def csv_value(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def ht_text(ht) -> tuple[str, str]:
+    """The ``taps`` and ``witness`` cells of an insertion's CSV row:
+    ``net:value`` and ``word=value`` pairs joined by ``;``."""
+    return (";".join(f"{n}:{v}" for n, v in ht.trigger_nets),
+            ";".join(f"{w}={x}" for w, x in ht.witness))
 
 
 def write_csv(path: Path, header, rows):
@@ -392,10 +399,8 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
         if v.netlist_id in infected:
             bad, ht = infected[v.netlist_id]
             cands.append((v.netlist_id, bad))
-            wit = ";".join(f"{w}={x}" for w, x in ht.witness)
-            taps = ";".join(f"{n}:{val}" for n, val in ht.trigger_nets)
             gt_rows.append((v.netlist_id, 1, ht.host_instances[0],
-                            ht.payload_kind, ht.trigger_net, taps, wit))
+                            ht.payload_kind, ht.trigger_net, *ht_text(ht)))
         else:
             cands.append((v.netlist_id, v.netlist))
             gt_rows.append((v.netlist_id, 0, "", "", "", "", ""))

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -129,22 +130,23 @@ class Netlist:
         return len(self.net_names)
 
     def driver(self, net):
-        """Gate driving ``net`` or None for primary inputs."""
-        gid = self._driver[net]
-        return None if gid < 0 else self._gate_by_id[gid]
+        """The :class:`Gate` driving ``net``, None for a primary input."""
+        return self._driver[net]
 
     def readers(self, net):
         """Gates reading ``net``, each listed once, in gate id order."""
         return self._readers[net]
 
     def fanout_counts(self):
-        """Number of gate input pins fed by each net."""
+        """Read-only ``int64`` array: the gate input pins fed by each net."""
         return self._fanout
 
     @cached_property
     def _fanout(self):
         pins = [i for g in self.gates for i in g.inputs]
-        return tuple(np.bincount(pins, minlength=self.n_nets).tolist())
+        fanout = np.bincount(pins, minlength=self.n_nets)
+        fanout.flags.writeable = False
+        return fanout
 
     @cached_property
     def driver_kinds(self):
@@ -208,12 +210,13 @@ class Netlist:
             if n in seen:
                 raise SemanticError(f"duplicate net name {n!r}")
             seen.add(n)
-        self._gate_by_id = dict(base._gate_by_id) if base else {}
-        driver = list(base._driver if base else ()) + [-1] * (self.n_nets - n0)
+        driver = list(base._driver) if base else []
+        driver += [None] * (self.n_nets - n0)
+        last = self.gates[k0 - 1].id if k0 else None  # ids are sorted
         for g in self.gates[k0:]:
-            if g.id in self._gate_by_id:
+            if g.id == last:
                 raise SemanticError(f"duplicate gate id {g.id}")
-            self._gate_by_id[g.id] = g
+            last = g.id
             lo, hi = ARITY[g.kind]
             if len(g.inputs) < lo or (hi is not None and len(g.inputs) > hi):
                 raise SemanticError(
@@ -221,23 +224,26 @@ class Netlist:
             for i in (*g.inputs, g.output):
                 if not 0 <= i < self.n_nets:
                     raise SemanticError(f"gate {g.id}: unknown net id {i}")
-            if driver[g.output] >= 0:
+            if driver[g.output] is not None:
                 raise SemanticError(
                     f"net {self.net_names[g.output]!r} has two drivers")
-            driver[g.output] = g.id
+            driver[g.output] = g
             if g.tag not in self.instances:
                 raise SemanticError(
                     f"gate {g.id}: tag {g.tag!r} missing from instance table")
         self._driver = tuple(driver)
+        for n in (*self.inputs, *self.outputs, *chain(*self.words.values())):
+            if not 0 <= n < self.n_nets:
+                raise SemanticError(f"interface: unknown net id {n}")
         inputs = set(self.inputs)
         if len(inputs) != len(self.inputs):
             raise SemanticError("repeated primary input")
         for n in self.inputs:
-            if driver[n] >= 0:
+            if driver[n] is not None:
                 raise SemanticError(
                     f"primary input {self.net_names[n]!r} is gate-driven")
         for n in range(n0, self.n_nets):
-            if driver[n] < 0 and n not in inputs:
+            if driver[n] is None and n not in inputs:
                 raise SemanticError(f"net {self.net_names[n]!r} is undriven")
         for w, bits in self.words.items():
             if not bits:
@@ -251,8 +257,8 @@ class Netlist:
 
     def _levelize(self, driver, new):
         # Kahn's sort one level at a time over the ``new`` gates, each at
-        # least one level above its base drivers; pending keeps gate id
-        # order, so a loop is reported from the lowest stuck gate
+        # least one level above its base drivers; pending keys gate outputs
+        # in gate id order, so a loop is reported from the lowest stuck gate
         base = self.base
         levels = list(base._levels) if base else []
         depth = {g.output: lv for lv, gates in enumerate(levels) for g in gates}
@@ -266,9 +272,9 @@ class Netlist:
                 if i in depth:
                     f = max(f, depth[i] + 1)
                 else:
-                    n += driver[i] >= 0
+                    n += driver[i] is not None
             if n:
-                pending[g.id], floor[g.id] = n, f
+                pending[g.output], floor[g.output] = n, f
             else:
                 ready.setdefault(f, []).append(g)
         for i, rs in grown.items():
@@ -280,10 +286,10 @@ class Netlist:
                                  else level]
             for g in level:
                 for r in readers[g.output]:
-                    pending[r.id] -= 1
-                    if not pending[r.id]:
-                        del pending[r.id]
-                        ready.setdefault(max(lv + 1, floor.pop(r.id)),
+                    pending[r.output] -= 1
+                    if not pending[r.output]:
+                        del pending[r.output]
+                        ready.setdefault(max(lv + 1, floor.pop(r.output)),
                                          []).append(r)
             lv += 1
         if pending:
@@ -330,14 +336,13 @@ class Netlist:
         return {}
 
     def _find_cycle(self, pending):
-        # Walk stuck drivers from the lowest stuck gate until one repeats.
-        gid, path = next(iter(pending)), {}
-        while gid not in path:
-            path[gid] = len(path)
-            gid = next(d for d in map(self._driver.__getitem__,
-                                      self._gate_by_id[gid].inputs)
-                       if d in pending)
-        return [self._gate_by_id[x].output for x in list(path)[path[gid]:]]
+        # Walk back from the lowest stuck gate's output to the first stuck
+        # input net, and on, until a net repeats: the loop starts there.
+        net, path = next(iter(pending)), {}
+        while net not in path:
+            path[net] = len(path)
+            net = next(i for i in self._driver[net].inputs if i in pending)
+        return list(path)[path[net]:]
 
     # -- cone queries ------------------------------------------------------
 

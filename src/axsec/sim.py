@@ -441,7 +441,9 @@ def activity_profile(netlist: Netlist, source) -> ActivityReport:
 
 def activity_and_error(netlist: Netlist, ref, source):
     """(:func:`activity_profile`, :func:`error_profile`) of one run,
-    simulated once, chunk by chunk."""
+    simulated once, chunk by chunk; the error is None without a ``ref``."""
+    if ref is None:
+        return activity_profile(netlist, source), None
     return _profiled(netlist, source, _ActivitySums(netlist.n_nets),
                      _ErrorSums(netlist, ref))
 
@@ -528,8 +530,7 @@ def rare_nets(report: ActivityReport, theta: float = 0.01):
 def power_proxy(netlist: Netlist, report: ActivityReport) -> float:
     """Switching-activity power stand-in: the sum of toggles weighted by
     1 + fanout."""
-    f = np.asarray(netlist.fanout_counts(), np.int64)
-    return float((report.toggles * (1 + f)).sum())
+    return float((report.toggles * (1 + netlist.fanout_counts())).sum())
 
 
 def power_ratio(value: float, baseline: float) -> float:

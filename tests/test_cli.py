@@ -1,6 +1,7 @@
 """Command line surface, exercised in process through main(argv)."""
 
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -20,7 +21,9 @@ from axsec.arith import ArchParams, gen_module
 from axsec.attack import verify_stealth
 from axsec.cli import main
 from axsec.designs import bfly_spec, fir_spec
-from axsec.sim import VectorStream, sub_seed
+from axsec.detect import DetectConfig
+from axsec.experiment import ExperimentConfig
+from axsec.sim import EXACT_OPS, STREAM_MODES, VectorStream, sub_seed
 from axsec.sta import calibrated_model
 from axsec.textfmt import read_netlist, write_netlist
 
@@ -596,6 +599,45 @@ def test_experiment_verb_and_config_round_trip(tmp_path, capsys):
     for name in ("metrics.csv", "detect_report.csv", "variants.csv",
                  "ht_ground_truth.csv"):
         assert (e1 / name).read_bytes() == (e2 / name).read_bytes(), name
+
+
+#: verb -> (config class, {flag dest: config field}) of every flag whose
+#: default a config field states
+_CONFIG_DEFAULTS = {
+    "gen-design": (ExperimentConfig, {f: f for f in ("width", "coeffs",
+                                                     "twiddle")}),
+    "attack": (ExperimentConfig, {
+        **{f: f for f in ("payload", "q", "theta", "scoap_ceiling", "rho",
+                          "margin", "stealth_vectors")},
+        "vectors": "trace_vectors"}),
+    "detect": (DetectConfig, {
+        {"n_paths": "paths", "stress_budget": "stress"}.get(f.name, f.name):
+        f.name for f in dataclasses.fields(DetectConfig)}),
+    "score": (DetectConfig, {"threshold": "threshold"}),
+    "experiment": (ExperimentConfig, {
+        f.name: f.name for f in dataclasses.fields(ExperimentConfig)}),
+}
+
+
+@pytest.mark.parametrize("verb", _CONFIG_DEFAULTS)
+def test_flag_defaults_are_the_config_defaults(verb):
+    config, fields = _CONFIG_DEFAULTS[verb]
+    _, registry = cli._build_parser()
+    defaults = {a.dest: a.default for a in registry[verb]._actions}
+    assert {d: defaults[d] for d in fields} == {
+        d: getattr(config(), f) for d, f in fields.items()}
+
+
+def test_flag_choices_are_the_workbench_names():
+    _, registry = cli._build_parser()
+    choices = {(verb, a.dest): tuple(a.choices)
+               for verb, sp in registry.items() for a in sp._actions
+               if a.choices}
+    refs = ("auto", *EXACT_OPS, "none")
+    assert choices["gen-module", "op"] == tuple(EXACT_OPS)
+    assert choices["profile", "ref"] == choices["attack", "ref"] == refs
+    assert choices["profile", "mode"] == choices["attack", "mode"] \
+        == STREAM_MODES
 
 
 def _one_error_line(capsys):

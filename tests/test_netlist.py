@@ -144,6 +144,60 @@ def test_cycle_detection_names_the_loop():
     assert set(exc.value.cycle) <= {x, y}
 
 
+def test_a_loop_is_reported_from_the_lowest_stuck_gate():
+    # gate 0 only reads the loop; the walk back from its output meets the
+    # loop at p and names it from there, in walk order
+    b = NetlistBuilder()
+    a = b.pi("a")
+    b.instance("u", "deterministic", "misc", "exact")
+    z, p, q, r = (b.net(n) for n in "zpqr")
+    b.gate(GateKind.NOT, (p,), out=z, tag="u")
+    b.gate(GateKind.AND, (a, r, q), out=p, tag="u")
+    b.gate(GateKind.BUF, (p,), out=q, tag="u")
+    b.gate(GateKind.BUF, (q,), out=r, tag="u")
+    b.po(z)
+    with pytest.raises(CycleError) as exc:
+        b.build()
+    assert exc.value.cycle == (p, r, q)
+
+
+def test_the_first_duplicate_gate_id_is_reported():
+    b = NetlistBuilder()
+    a = b.pi("a")
+    b.instance("u", "deterministic", "misc", "exact")
+    for gid, out in ((3, "w"), (1, "x"), (3, "y"), (1, "z")):
+        b.gates.append(Gate(gid, GateKind.NOT, (a,), b.net(out), "u"))
+    with pytest.raises(SemanticError, match="^duplicate gate id 1$"):
+        b.build()
+
+
+def _not_a():
+    b = NetlistBuilder()
+    a = b.pi("a")
+    b.instance("u", "deterministic", "misc", "exact")
+    return b, b.gate(GateKind.NOT, (a,), tag="u", stem="y")
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+@pytest.mark.parametrize("place", ["worded output", "output", "input",
+                                   "other word"])
+def test_interface_net_ids_out_of_range_are_refused(place, bad):
+    # each built, or ended in a bare IndexError; a negative id silently
+    # named the last net
+    b, y = _not_a()
+    if place == "input":
+        b.inputs.append(bad)
+    elif place == "other word":
+        b.word("w", [y, bad])
+    else:
+        b.outputs += [y, bad]
+        if place == "worded output":
+            b.word("w", [y, bad])
+    with pytest.raises(SemanticError,
+                       match=f"^interface: unknown net id {bad}$"):
+        b.build()
+
+
 def test_topo_order_respects_dependencies():
     nl = _and2()
     gates = nl.ordered_gates()
@@ -244,7 +298,7 @@ def test_what_a_shared_netlist_hands_out_is_read_only(spec):
         outs[0] = 0
     with pytest.raises(ValueError):
         ins[0, 0] = 0
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         nl.fanout_counts()[0] = 0
 
 
@@ -486,6 +540,9 @@ BAD_APPENDS = {
     "dropped base tag": lambda b, nl: b.instances.clear(),
     "reused gate id": _past_the_ids,
     "two output words of one name": _two_output_words,
+    "unknown output net": lambda b, nl: b.po(99),
+    "negative output net": lambda b, nl: b.po(-1),
+    "unknown word net": lambda b, nl: b.word("y", [0, 99]),
 }
 
 

@@ -199,6 +199,20 @@ def test_an_empty_reference_dict_is_refused_before_any_run(kernel_calls):
     assert kernel_calls == []
 
 
+@pytest.mark.parametrize("n", [3000, CHUNK + 700], ids=["one", "two-chunks"])
+def test_without_a_reference_the_fused_pass_is_the_activity_profile(
+        kernel_calls, n):
+    nl = gen_module(ArchParams("add", "loa", 8, 2))
+    stream = VectorStream(n, 4, "correlated", 0.8)
+    act, err = sim.activity_and_error(nl, None, stream)
+    assert err is None
+    assert len(kernel_calls) == -(-n // CHUNK)  # one run, chunk by chunk
+    want = activity_profile(nl, stream)
+    assert np.array_equal(act.p1, want.p1)
+    assert np.array_equal(act.toggles, want.toggles)
+    assert act.n_vectors == want.n_vectors == n
+
+
 def test_values_of_words_over_63_bits_are_refused_before_any_run(
         kernel_calls):
     # a 63-bit LOA adder's 64-bit sum s read as a negative int64, and so
