@@ -1,11 +1,11 @@
 """Levelized bit-parallel gate evaluation.
 
-A netlist's logic levels are lowered once to a plan: its gates sorted by
-(logic level, kind, arity), the output net of each gate, and its input
-nets position by position.  Gates of one level never read each other, so
-every run of gates sharing (level, kind, arity) is one group, evaluated
-over 64 packed test vectors per machine word with one numpy operation per
-input position.
+A netlist's gates are lowered once to a plan: the gates sorted by (logic
+level, kind, arity), ids rising within each run, the output net of each
+gate, and its input nets position by position.  Gates of one level never
+read each other, so every run of gates sharing (level, kind, arity) is one
+group, evaluated over 64 packed test vectors per machine word with one
+numpy operation per input position.
 """
 
 import numpy as np
@@ -20,43 +20,36 @@ _FOLD = {_AND: np.bitwise_and, _NAND: np.bitwise_and,
          _XOR: np.bitwise_xor, _XNOR: np.bitwise_xor}
 
 
-def plan(levels):
-    """``(outs, ins, groups)`` of a netlist's gates grouped by logic level:
-    ``levels`` holds the gates of each level, lowest level first.
+#: the plan of no gates, which a full build extends
+EMPTY = (np.zeros(0, np.intp), np.zeros((0, 0), np.intp), ())
+
+
+def extend(base, gates, depth):
+    """The plan ``base`` with ``gates`` added: ``gates`` in id order, each
+    id above the base's, and ``depth`` the logic level of each net's driver.
 
     ``outs[g]`` is the output net of gate ``g`` in group order, ``ins[j, g]``
     its ``j``-th input net (0 past its arity) and ``groups`` holds one
     ``(kind, start, stop, arity)`` gate slice per group, in level order.
+    A stable sort of the (level, kind, arity) keys keeps each group in id
+    order, the base's gates first, so a plan does not depend on how often
+    it was extended.
     """
-    return extend((np.zeros(0, np.intp), np.zeros((0, 0), np.intp), ()),
-                  (), levels)
-
-
-def extend(base, done, levels):
-    """The :func:`plan` of ``levels``, given ``base``, the plan of the
-    levels ``done``, each a prefix of its level in ``levels`` whose ids lie
-    below the rest.  A stable sort of the (level, kind, arity) keys puts
-    each new gate after the base's of its group, as :func:`plan` would."""
     outs0, ins0, groups0 = base
-    sizes = [len(gates) for gates in done]
-    new = [(lv, g) for lv, gates in enumerate(levels)
-           for g in gates[sizes[lv] if lv < len(sizes) else 0:]]
-    # (level, kind, arity) per gate: the base's off its groups, then the new
+    outs = np.r_[outs0, np.array([g.output for g in gates], np.intp)]
+    # (level, kind, arity) per gate: kinds and arities off the base's
+    # groups, then the new gates'
     g0 = np.array(groups0, np.intp).reshape(-1, 4)
-    old = np.repeat(g0[:, [0, 3]], g0[:, 2] - g0[:, 1], 0)
-    keys = np.column_stack([
-        np.concatenate((a, np.array(b, np.intp))) for a, b in (
-            (np.repeat(np.arange(len(sizes)), sizes), [lv for lv, _ in new]),
-            (old[:, 0], [g.kind for _, g in new]),
-            (old[:, 1], [len(g.inputs) for _, g in new]))])
+    keys = np.column_stack((np.array(depth, np.intp)[outs], np.concatenate((
+        np.repeat(g0[:, [0, 3]], g0[:, 2] - g0[:, 1], 0),
+        np.array([(g.kind, len(g.inputs)) for g in gates],
+                 np.intp).reshape(-1, 2)))))
     width = int(keys[:, 2].max(initial=0))
     ins = np.zeros((width, len(keys)), np.intp)
     ins[:len(ins0), :len(outs0)] = ins0
     ins[:, len(outs0):] = np.array(
-        [g.inputs + (0,) * (width - len(g.inputs)) for _, g in new],
-        np.intp).reshape(len(new), width).T
-    outs = np.concatenate((outs0, np.array([g.output for _, g in new],
-                                           np.intp)))
+        [g.inputs + (0,) * (width - len(g.inputs)) for g in gates],
+        np.intp).reshape(len(gates), width).T
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     starts = np.flatnonzero(np.r_[len(keys) > 0,

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, LabelMismatch, SignatureMismatch, check_ranges
+from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
+                     check_ranges)
 from .netlist import GateKind, Netlist
 from .sim import (VectorStream, activity_profile, check_theta,
                   check_value_words, error_terms, rare_nets, simulate,
@@ -112,6 +113,9 @@ def _checked(candidates):
         if nl.signature() != sig:
             raise SignatureMismatch(
                 f"netlist {cid!r} does not match the common I/O words")
+    for side, words in zip(("input", "output"), sig):
+        if not words:
+            raise BadParams(f"the candidates have no {side} word")
     check_value_words(cands[0][1], [w for w, _ in sig[1]])
     return cands
 
@@ -288,8 +292,8 @@ def _rank_combos(lengths, limit):
 
 def _cone_masks(nl):
     """Per net, the mask of the instance tags (bit i: the i-th in sorted
-    order) whose gate outputs the net is or feeds: one reverse pass in
-    level order, each gate passing its output's mask to its inputs."""
+    order) whose gate outputs the net is or feeds: one pass in reverse
+    topological order, each gate passing its output's mask to its inputs."""
     bit = {t: 1 << i for i, t in enumerate(sorted(nl.instances))}
     masks = [0] * nl.n_nets
     for g in reversed(nl.ordered_gates()):

@@ -12,7 +12,7 @@ netlist (for example to splice extra logic into a copy), start a new
 A builder that only appended nets, instances and gates with ids above the
 base's, and maybe moved outputs and words, builds on its base (kept as
 :attr:`Netlist.base`): it checks the new parts only and extends the base's
-tables, levels and kernel plan.  Any other change, or a failed check, builds
+per-net tables and kernel plan.  Any other change, or a failed check, builds
 in full, so every error comes from the full build.
 
 Hierarchical designs are expressed with :class:`Design` and :class:`ModuleInst`
@@ -252,16 +252,15 @@ class Netlist:
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
         self.signature()  # derives the I/O words: refuses a name used twice
-        self._levels, self._readers = self._levelize(driver, self.gates[k0:])
-        self._ordered = tuple(g for level in self._levels for g in level)
+        self._depth, self._readers = self._levelize(driver, self.gates[k0:])
 
     def _levelize(self, driver, new):
-        # Kahn's sort one level at a time over the ``new`` gates, each at
-        # least one level above its base drivers; pending keys gate outputs
+        # per net, its driver's level (-1: an input) and readers: Kahn's sort,
+        # a level at a time, of the ``new`` gates; pending keys gate outputs
         # in gate id order, so a loop is reported from the lowest stuck gate
         base = self.base
-        levels = list(base._levels) if base else []
-        depth = {g.output: lv for lv, gates in enumerate(levels) for g in gates}
+        depth = list(base._depth) if base else []
+        depth += [-1 if d is None else None for d in driver[len(depth):]]
         readers = list(base._readers) if base else []
         readers += [()] * (self.n_nets - len(readers))
         grown, pending, floor, ready = {}, {}, {}, {}  # grown: new readers
@@ -269,10 +268,10 @@ class Netlist:
             n = f = 0
             for i in set(g.inputs):
                 grown.setdefault(i, []).append(g)
-                if i in depth:
-                    f = max(f, depth[i] + 1)
+                if depth[i] is None:  # driven by a new gate
+                    n += 1
                 else:
-                    n += driver[i] is not None
+                    f = max(f, depth[i] + 1)
             if n:
                 pending[g.output], floor[g.output] = n, f
             else:
@@ -281,10 +280,8 @@ class Netlist:
             readers[i] += tuple(rs)
         lv = 0
         while ready:
-            level = tuple(sorted(ready.pop(lv, ()), key=attrgetter("id")))
-            levels[lv:lv + 1] = [levels[lv] + level if lv < len(levels)
-                                 else level]
-            for g in level:
+            for g in ready.pop(lv, ()):
+                depth[g.output] = lv
                 for r in readers[g.output]:
                     pending[r.output] -= 1
                     if not pending[r.output]:
@@ -294,24 +291,28 @@ class Netlist:
             lv += 1
         if pending:
             raise CycleError(self._find_cycle(pending))
-        return tuple(levels), tuple(readers)
+        return tuple(depth), tuple(readers)
 
     # -- orders ------------------------------------------------------------
 
     def ordered_gates(self):
-        """Gates level after level, lowest id first: a gate sits one level
+        """Gates in kernel plan order: level after level, a gate one level
         above its highest driver, so it follows the drivers of its inputs
         and gates of one level never read each other."""
         return self._ordered
 
     @cached_property
+    def _ordered(self):
+        return tuple(map(self._driver.__getitem__, self.plan[0].tolist()))
+
+    @cached_property
     def plan(self):
-        """The kernel plan of :func:`axsec._kernels.plan`, built once; its
-        arrays are read-only; a :attr:`base`'s plan is extended."""
+        """The kernel plan of :func:`axsec._kernels.extend`, built once
+        and extended from a :attr:`base`'s; its arrays are read-only."""
         base = self.base
-        outs, ins, groups = (_kernels.plan(self._levels) if base is None else
-                             _kernels.extend(base.plan, base._levels,
-                                             self._levels))
+        outs, ins, groups = _kernels.extend(
+            base.plan if base else _kernels.EMPTY,
+            self.gates[len(base.gates) if base else 0:], self._depth)
         outs.flags.writeable = ins.flags.writeable = False
         return outs, ins, groups
 
@@ -365,7 +366,7 @@ class Netlist:
         for i, (_, bits) in enumerate(self.input_words()):
             for b in bits:
                 masks[b] |= 1 << i
-        for g in self._ordered:
+        for g in self.ordered_gates():
             m = 0
             for i in g.inputs:
                 m |= masks[i]

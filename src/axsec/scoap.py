@@ -8,7 +8,7 @@ without bound so unobservable or uncontrollable points stay comparable.
 MUX2 gates have no classical SCOAP rule; each is expanded into an equivalent
 and-or-not node group on virtual nets for the computation, and only real
 nets are reported.  The recurrences run over plain lists of ints, one gate
-at a time in level order; the arrays are built once at the end.
+at a time in kernel plan order; the arrays are built once at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class ScoapReport:
 
 
 def _expand(nl: Netlist):
-    """Gate list in level order with MUX2 rewritten, plus the total net
+    """Gate list in plan order with MUX2 rewritten, plus the total net
     count including virtual nets.  Each entry is (kind, inputs, output)."""
     n = nl.n_nets
     entries = []

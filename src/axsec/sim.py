@@ -529,7 +529,10 @@ def rare_nets(report: ActivityReport, theta: float = 0.01):
 
 def power_proxy(netlist: Netlist, report: ActivityReport) -> float:
     """Switching-activity power stand-in: the sum of toggles weighted by
-    1 + fanout."""
+    1 + fanout.  The report must hold one toggle count per net."""
+    if len(report.toggles) != netlist.n_nets:
+        raise BadParams(f"an activity report of {len(report.toggles)} nets "
+                        f"for a netlist of {netlist.n_nets} nets")
     return float((report.toggles * (1 + netlist.fanout_counts())).sum())
 
 

@@ -20,14 +20,14 @@ as deterministic glue so that minimal hand-written files stay valid.
 from __future__ import annotations
 
 from .errors import NetlistError, ParseError
-from .netlist import GateKind, Instance, Netlist, NetlistBuilder
+from .netlist import (KIND_LABELS, Gate, GateKind, Instance, Netlist,
+                      NetlistBuilder)
 
 
 def parse_netlist(text: str) -> Netlist:
     b = NetlistBuilder()
-    gates = {}          # id -> (kind, out, ins, line)
+    gates = {}          # id -> (kind, out, ins), in order of appearance
     tags = {}           # gate id -> tag
-    order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
@@ -53,8 +53,7 @@ def parse_netlist(text: str) -> Netlist:
                 raise ParseError(f"duplicate gate id {gid}", lineno)
             out = b.net(args[2])
             ins = tuple(b.net(a) for a in args[3:])
-            gates[gid] = (kind, out, ins, lineno)
-            order.append(gid)
+            gates[gid] = (kind, out, ins)
         elif kw == "word":
             if len(args) < 2:
                 raise ParseError("word needs a name and at least one bit", lineno)
@@ -66,7 +65,7 @@ def parse_netlist(text: str) -> Netlist:
         elif kw == "inst":
             if len(args) != 4:
                 raise ParseError("inst takes tag, kind, op_type, arch_id", lineno)
-            if args[1] not in ("approximate", "deterministic"):
+            if args[1] not in KIND_LABELS:
                 raise ParseError(f"bad instance kind {args[1]!r}", lineno)
             b.instances[args[0]] = Instance(args[1], args[2], args[3])
         else:
@@ -74,9 +73,7 @@ def parse_netlist(text: str) -> Netlist:
     for gid in tags:
         if gid not in gates:
             raise ParseError(f"tag for unknown gate id {gid}")
-    from .netlist import Gate
-    for gid in order:
-        kind, out, ins, _ = gates[gid]
+    for gid, (kind, out, ins) in gates.items():
         tag = tags.get(gid, "u")
         b.gates.append(Gate(gid, kind, ins, out, tag))
         if tag not in b.instances:

@@ -36,11 +36,11 @@ def kernel_calls(monkeypatch):
 def infected_work(monkeypatch):
     """A function that lists, per netlist an insertion returned so far, a
     Counter of the work spent on it: ``levelize`` full levelizations,
-    ``plan`` runs of :func:`axsec._kernels.plan` and ``arrival``
-    arrival-time passes."""
+    ``plan`` full plans (:func:`axsec._kernels.extend` runs from
+    :data:`axsec._kernels.EMPTY`) and ``arrival`` arrival-time passes."""
     work, planned, infected = {}, [], []
-    levelize, plan, arrivals = (Netlist._levelize, _kernels.plan,
-                                sta._arrival_times)
+    levelize, extend, arrivals = (Netlist._levelize, _kernels.extend,
+                                  sta._arrival_times)
     insert = attack.insert_trojan
 
     def counting_levelize(self, *args):
@@ -48,9 +48,10 @@ def infected_work(monkeypatch):
             work.setdefault(self, Counter())["levelize"] += 1
         return levelize(self, *args)
 
-    def counting_plan(levels):
-        planned.append(levels)
-        return plan(levels)
+    def counting_extend(base, gates, depth):
+        if base is _kernels.EMPTY:
+            planned.append(depth)
+        return extend(base, gates, depth)
 
     def counting_arrivals(nl, model):
         work.setdefault(nl, Counter())["arrival"] += 1
@@ -62,13 +63,13 @@ def infected_work(monkeypatch):
         return nl, ht
 
     monkeypatch.setattr(Netlist, "_levelize", counting_levelize)
-    monkeypatch.setattr(_kernels, "plan", counting_plan)
+    monkeypatch.setattr(_kernels, "extend", counting_extend)
     monkeypatch.setattr(sta, "_arrival_times", counting_arrivals)
     monkeypatch.setattr(attack, "insert_trojan", recording)
 
     def counts():
         return [work.get(nl, Counter())
-                + Counter(plan=sum(lv is nl._levels for lv in planned))
+                + Counter(plan=sum(d is nl._depth for d in planned))
                 for nl in infected]
     return counts
 

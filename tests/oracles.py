@@ -232,13 +232,13 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
 
 def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     """Assert that ``derived`` equals the full build of its own fields:
-    levels, orders, readers, drivers, plan, signature, fanout and driver
+    net levels, gate order, readers, drivers, plan, signature, fanout and driver
     kinds, serialized text byte for byte, and arrival times
     under each of ``models`` bit for bit."""
     full = Netlist(derived.net_names, derived.inputs, derived.outputs,
                    derived.words, derived.gates, derived.instances)
     assert full.base is None
-    assert derived._levels == full._levels
+    assert derived._depth == full._depth
     assert derived.ordered_gates() == full.ordered_gates()
     assert derived._readers == full._readers
     assert derived._driver == full._driver

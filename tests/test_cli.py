@@ -461,6 +461,25 @@ def test_detect_needs_a_directory_of_candidates(tmp_path, capsys, make,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,side", [
+    ("input a\n", "output"),
+    ("output y\ngate 0 CONST1 y\n", "input"),
+], ids=["no-output", "no-input"])
+def test_detect_refuses_candidates_without_a_word(tmp_path, capsys,
+                                                  kernel_calls, text, side):
+    cdir = tmp_path / "cands"
+    cdir.mkdir()
+    for name in ("a", "b"):
+        (cdir / f"{name}.nl").write_text(text)
+    out = tmp_path / "report.csv"
+    assert main(["detect", "--candidates", str(cdir), "--out",
+                 str(out)]) == 2
+    line = _one_error_line(capsys)
+    assert f"the candidates have no {side} word" in line, line
+    assert not out.exists()
+    assert not kernel_calls  # refused before any simulation
+
+
 def _child_env():
     src = str(Path(axsec.__file__).parent.parent)
     return dict(os.environ, OPENBLAS_NUM_THREADS="1",

@@ -22,6 +22,7 @@ from axsec.errors import (BadParams, EmptySet, LabelMismatch,
 from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, simulate
+from axsec.textfmt import parse_netlist
 
 from tests.conftest import dags
 from tests.oracles import fanin_nets, gates_of_tag, rank_errors, word_values
@@ -324,6 +325,22 @@ def test_a_screen_refuses_an_output_word_over_63_bits(kernel_calls):
     nl = gen_module(ArchParams("add", "loa", 63, 8))
     with pytest.raises(BadParams, match="word 's' is 64 bits wide"):
         classify({"a": nl, "b": nl}, DetectConfig(vectors=100))
+    assert not kernel_calls
+
+
+@pytest.mark.parametrize("text,side", [
+    ("input a\n", "output"),
+    ("output y\ngate 0 CONST1 y\n", "input"),
+], ids=["no-output", "no-input"])
+def test_a_screen_refuses_candidates_without_a_word(kernel_calls, text,
+                                                    side):
+    nl = parse_netlist(text)
+    streams = defender_streams(DetectConfig())
+    for screen in (lambda c: classify(c, DetectConfig(vectors=100)),
+                   lambda c: rank_by_error(c, streams)):
+        with pytest.raises(BadParams,
+                           match=f"^the candidates have no {side} word$"):
+            screen({"a": nl, "b": nl})
     assert not kernel_calls
 
 

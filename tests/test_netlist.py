@@ -388,18 +388,18 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
         return level[g.id]
 
     for g in nl.gates:
-        level_of(g)
-    order = sorted(level, key=lambda i: (level[i], i))
-    assert [g.id for g in nl.ordered_gates()] == order
-    by_id = {g.id: g for g in nl.gates}
-    assert nl.ordered_gates() == tuple(by_id[i] for i in order)
+        assert nl._depth[g.output] == level_of(g)
+    assert all(nl._depth[n] == -1 for n in nl.inputs)
     # the kernel plan groups one (level, kind, arity) each, levels rising
+    # and ids rising within a group; its drivers are the gate order
     outs, ins, groups = nl.plan
+    assert nl.ordered_gates() == tuple(nl.driver(int(o)) for o in outs)
     planned = []
     for kind, start, stop, arity in groups:
         gates = [nl.driver(int(o)) for o in outs[start:stop]]
         assert {(level[g.id], g.kind, len(g.inputs)) for g in gates} \
             == {(level[gates[0].id], kind, arity)}
+        assert [g.id for g in gates] == sorted(g.id for g in gates)
         assert [tuple(int(i) for i in ins[:arity, j])
                 for j in range(start, stop)] == [g.inputs for g in gates]
         planned += [level[g.id] for g in gates]

@@ -254,6 +254,21 @@ def test_activity_and_power_hand_case():
     assert power_ratio(power_proxy(nl, act), 15.0) == 1.0
 
 
+def test_power_proxy_refuses_another_netlists_activity():
+    # a host's activity weighed against a netlist derived from it
+    host = fir_spec().build(None)
+    b = NetlistBuilder(host)
+    b.instance("ht", "deterministic", "misc", "-")
+    b.gate(GateKind.NOT, (b.gate(GateKind.NOT, (host.inputs[0],), tag="ht"),),
+           tag="ht")
+    derived = b.build()
+    act = activity_profile(host, VectorStream(64, 0))
+    with pytest.raises(BadParams, match=f"^an activity report of "
+                       f"{host.n_nets} nets for a netlist of "
+                       f"{host.n_nets + 2} nets$"):
+        power_proxy(derived, act)
+
+
 def test_power_ratio_over_a_zero_baseline():
     assert power_ratio(3.0, 2.0) == 1.5
     assert power_ratio(0.0, 0.0) == 1.0  # no switching on either side

@@ -80,6 +80,13 @@ def test_bad_lines_raise_with_line_number(tmp_path, line):
         assert exc.value.line in (3, None)
 
 
+def test_a_bad_instance_kind_is_refused_on_its_line():
+    with pytest.raises(ParseError,
+                       match=r"^line 3: bad instance kind 'odd'$") as exc:
+        parse_netlist("input a\noutput a\ninst u odd misc exact\n")
+    assert exc.value.line == 3
+
+
 @pytest.mark.parametrize("body,kind,attr,value", [
     ("gate 0 FOO y a\n", ParseError, "line", 3),
     ("gate 0 AND y a z\ngate 1 BUF z y\n", CycleError, "cycle", (1, 2)),
