@@ -296,9 +296,9 @@ class Netlist:
     # -- orders ------------------------------------------------------------
 
     def ordered_gates(self):
-        """Gates in kernel plan order: level after level, a gate one level
-        above its highest driver, so it follows the drivers of its inputs
-        and gates of one level never read each other."""
+        """Gates in kernel plan order: scheduled level after scheduled
+        level, a gate above its drivers, so it follows the drivers of its
+        inputs and gates of one level never read each other."""
         return self._ordered
 
     @cached_property
@@ -307,14 +307,15 @@ class Netlist:
 
     @cached_property
     def plan(self):
-        """The kernel plan of :func:`axsec._kernels.extend`, built once
-        and extended from a :attr:`base`'s; its arrays are read-only."""
+        """The kernel plan ``(outs, ins, groups)`` of
+        :func:`axsec._kernels.extend`, built once and extended from a
+        :attr:`base`'s plan and ``_levels``; its arrays are read-only."""
         base = self.base
-        outs, ins, groups = _kernels.extend(
-            base.plan if base else _kernels.EMPTY,
+        *plan, self._levels = _kernels.extend(
+            (*base.plan, base._levels) if base else _kernels.EMPTY,
             self.gates[len(base.gates) if base else 0:], self._depth)
-        outs.flags.writeable = ins.flags.writeable = False
-        return outs, ins, groups
+        plan[0].flags.writeable = plan[1].flags.writeable = False
+        return tuple(plan)
 
     def memo(self, build, *key):
         """``build(self, *key)``, computed on first use per ``(build, key)``

@@ -61,12 +61,17 @@ def parse_netlist(text: str) -> Netlist:
         elif kw == "tag":
             if len(args) != 2:
                 raise ParseError("tag takes gate id and instance tag", lineno)
-            tags[_int(args[0], lineno)] = args[1]
+            gid = _int(args[0], lineno)
+            if gid in tags:
+                raise ParseError(f"duplicate tag for gate id {gid}", lineno)
+            tags[gid] = args[1]
         elif kw == "inst":
             if len(args) != 4:
                 raise ParseError("inst takes tag, kind, op_type, arch_id", lineno)
             if args[1] not in KIND_LABELS:
                 raise ParseError(f"bad instance kind {args[1]!r}", lineno)
+            if args[0] in b.instances:
+                raise ParseError(f"duplicate inst for tag {args[0]!r}", lineno)
             b.instances[args[0]] = Instance(args[1], args[2], args[3])
         else:
             raise ParseError(f"unknown statement {kw!r}", lineno)

@@ -396,7 +396,11 @@ def test_detect_clean_candidates(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     ("input a\noutput y\ngate 0 FOO y a\n", "line 3: unknown gate kind"),
     ("input a\noutput y\ngate 1 AND y a\n", "gate 1: AND cannot take 1"),
-], ids=["parse", "arity"])
+    ("input a\noutput y\ngate 0 NOT y a\ntag 0 u\ntag 0 v\n",
+     "line 5: duplicate tag for gate id 0"),
+    ("input a\noutput y\ngate 0 NOT y a\ninst u approximate add loa\n"
+     "inst u deterministic misc exact\n", "line 5: duplicate inst for tag 'u'"),
+], ids=["parse", "arity", "tag", "inst"])
 def test_detect_names_the_malformed_candidate(tmp_path, capsys, text,
                                               message):
     cdir = tmp_path / "cands"
@@ -578,6 +582,25 @@ def test_config_file_supplies_required_flags(tmp_path):
     ref = tmp_path / "ref.nl"
     write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), ref)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_config_comments_blank_lines_and_the_equals_form(tmp_path):
+    out = tmp_path / "m.nl"
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(f"op=add\narch=loa\nwidth=8\nk=2\nout={out}\n")
+    noisy = tmp_path / "noisy.cfg"
+    noisy.write_text(f"# a job\n\nop=add\n  # the LOA\narch=loa\n\t\n"
+                     f"width=8\nk=2\nout={out}\n\n")
+    assert cli._load_config(noisy) == cli._load_config(plain)
+    texts = []
+    for argv in (["--config", str(plain)], ["--config", str(noisy)],
+                 [f"--config={plain}"]):
+        assert main(["gen-module", *argv]) in (0, None)
+        texts.append(out.read_bytes())
+        out.unlink()
+    ref = tmp_path / "ref.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), ref)
+    assert texts == [ref.read_bytes()] * 3
 
 
 def test_command_line_beats_the_config_file(tmp_path):

@@ -1,23 +1,25 @@
 """Structural invariants of the gate-level representation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec import attack, experiment, textfmt
-from axsec.attack import StealthReport
+from axsec import _kernels, attack, experiment, textfmt
+from axsec.attack import AttackConfig, StealthReport
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (CycleError, NetlistError, PortMismatch,
                           SemanticError, UnknownModule)
 from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import (ARITY, Design, Gate, GateKind, ModuleInst,
                            Netlist, NetlistBuilder, flatten)
+from axsec.sim import VectorStream, sub_seed
 from axsec.sta import DelayModel
 from axsec.textfmt import serialize_netlist
 
 from tests.conftest import dags
-from tests.oracles import (fanin_nets, gates_of_tag, same_build,
-                           structurally_equal)
+from tests.oracles import (eval_vector, fanin_nets, gates_of_tag,
+                           same_build, structurally_equal)
 
 
 def _and2():
@@ -390,20 +392,37 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
     for g in nl.gates:
         assert nl._depth[g.output] == level_of(g)
     assert all(nl._depth[n] == -1 for n in nl.inputs)
-    # the kernel plan groups one (level, kind, arity) each, levels rising
-    # and ids rising within a group; its drivers are the gate order
+    # the kernel plan: every gate sits above its drivers and at or below
+    # its ALAP level, the top level minus its longest path to a sink; each
+    # group is one (scheduled level, kind, arity) run, ids rising, the runs
+    # rising; its drivers are the gate order
+    below = {}
+
+    def height(g):  # gates on the longest path from g's output to a sink
+        if g.id not in below:
+            below[g.id] = max((1 + height(r) for r in nl.readers(g.output)),
+                              default=0)
+        return below[g.id]
+
     outs, ins, groups = nl.plan
     assert nl.ordered_gates() == tuple(nl.driver(int(o)) for o in outs)
-    planned = []
+    sched = {nl.driver(int(o)).id: int(lv)
+             for o, lv in zip(outs, nl._levels)}
+    top = max(level.values())
+    for g in nl.gates:
+        assert all(sched[nl.driver(i).id] < sched[g.id] for i in g.inputs
+                   if nl.driver(i) is not None)
+        assert sched[g.id] <= top - height(g)
+    runs = []
     for kind, start, stop, arity in groups:
         gates = [nl.driver(int(o)) for o in outs[start:stop]]
-        assert {(level[g.id], g.kind, len(g.inputs)) for g in gates} \
-            == {(level[gates[0].id], kind, arity)}
+        assert {(sched[g.id], g.kind, len(g.inputs)) for g in gates} \
+            == {(sched[gates[0].id], kind, arity)}
         assert [g.id for g in gates] == sorted(g.id for g in gates)
         assert [tuple(int(i) for i in ins[:arity, j])
                 for j in range(start, stop)] == [g.inputs for g in gates]
-        planned += [level[g.id] for g in gates]
-    assert planned == sorted(planned) == sorted(level.values())
+        runs.append((sched[gates[0].id], kind, arity))
+    assert runs == sorted(set(runs))
     assert sorted(int(o) for o in outs) == sorted(g.output for g in nl.gates)
     pins = [i for g in nl.gates for i in g.inputs]
     for n in range(nl.n_nets):
@@ -417,6 +436,44 @@ def test_memoized_derivations_on_the_reference_designs(spec):
     nl = spec.build(None)
     for n in range(nl.n_nets):
         assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
+
+
+def _mounted_fir():
+    """The exact fir build with a Trojan spliced in by :func:`attack.mount`
+    on the trace stream the experiment draws for seed 0: a derived build."""
+    spec, exp = fir_spec(), ExperimentConfig(seed=0)
+    host = spec.build(None)
+    infected, _, _ = attack.mount(host, AttackConfig(
+        theta=exp.theta, scoap_ceiling=exp.scoap_ceiling,
+        secret_word=spec.secret_word,
+        stream=VectorStream(exp.trace_vectors, sub_seed(0, 3, 0),
+                            "correlated", exp.rho)), None, None)
+    assert infected.base is host
+    return infected
+
+
+# the group counts the schedule reaches, as bounds a change may only
+# lower; one group per logic level, kind and arity made 132, 133 and 144
+@pytest.mark.parametrize("build,groups", [
+    (lambda: fir_spec().build(None), 87),
+    (lambda: bfly_spec().build(None), 80),
+    (_mounted_fir, 88),
+], ids=["fir", "bfly", "fir-infected"])
+def test_the_scheduled_plan_computes_what_the_scalar_oracle_does(build,
+                                                                 groups):
+    nl = build()
+    assert len(nl.plan[2]) <= groups
+    rng = np.random.default_rng(len(nl.gates))
+    for n in (1, 64, 1000):
+        c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
+        c[list(nl.inputs)] = rng.integers(0, 2 ** 64, (len(nl.inputs),
+                                                       c.shape[1]), np.uint64)
+        _kernels.eval_gates(*nl.plan, c)
+        for v in {0, n - 1, *rng.integers(0, n, 6).tolist()}:
+            bits = (c[:, v // 64] >> np.uint64(v % 64) & np.uint64(1)).tolist()
+            words = {name: sum(bits[b] << i for i, b in enumerate(nets))
+                     for name, nets in nl.input_words()}
+            assert bits == eval_vector(nl, words)
 
 
 # -- derived netlists ---------------------------------------------------

@@ -87,6 +87,26 @@ def test_a_bad_instance_kind_is_refused_on_its_line():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["tag 0 u", "tag 0 v"], "duplicate tag for gate id 0"),
+    (["tag 0 u", "tag 0 u"], "duplicate tag for gate id 0"),
+    (["inst v approximate add loa", "inst v deterministic misc exact"],
+     "duplicate inst for tag 'v'"),
+], ids=["tag", "same-tag", "inst"])
+def test_a_second_tag_or_inst_line_is_refused_on_its_line(lines, message):
+    text = "input a\noutput y\ngate 0 NOT y a\n" + "\n".join(lines)
+    parse_netlist(text.rsplit("\n", 1)[0])  # the first line alone is fine
+    with pytest.raises(ParseError, match=f"^line 5: {message}$") as exc:
+        parse_netlist(text)
+    assert exc.value.line == 5
+
+
+def test_blank_and_comment_lines_parse_as_the_plain_text():
+    noisy = "\n".join(f"\n  # note {i}\n{line}  # trailing\n\t"
+                      for i, line in enumerate(CANON.splitlines()))
+    assert serialize_netlist(parse_netlist(noisy)) == CANON
+
+
 @pytest.mark.parametrize("body,kind,attr,value", [
     ("gate 0 FOO y a\n", ParseError, "line", 3),
     ("gate 0 AND y a z\ngate 1 BUF z y\n", CycleError, "cycle", (1, 2)),
