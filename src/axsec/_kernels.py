@@ -1,11 +1,12 @@
 """Levelized bit-parallel gate evaluation.
 
-A netlist's gates are lowered once to a plan: the gates sorted by (scheduled
-level, kind, arity), ids rising within each run, the output net of each
-gate, and its input nets position by position.  A gate is scheduled above
-its drivers, so every run of gates sharing (level, kind, arity) is one
-group, evaluated over 64 packed test vectors per machine word with one
-numpy operation per input position.
+A netlist's gates are lowered once to a plan over the rows of its net
+array: the primary inputs first, in ``input_words()`` order, then the gate
+outputs sorted by (scheduled level, kind, arity), ids rising in each run.
+A gate is scheduled above its drivers, so each run sharing (level, kind,
+arity) is one group, one block of rows, evaluated over 64 packed test
+vectors per machine word with one gather of its input rows into a scratch
+buffer and one ufunc written into its block.
 """
 
 from bisect import bisect_left
@@ -21,48 +22,67 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _FOLD = {_AND: np.bitwise_and, _NAND: np.bitwise_and,
          _OR: np.bitwise_or, _NOR: np.bitwise_or,
          _XOR: np.bitwise_xor, _XNOR: np.bitwise_xor}
+_INVERTED = frozenset((_NAND, _NOR, _XNOR, _NOT))
 
 
-#: the plan of no gates, which a full build extends
-EMPTY = (np.zeros(0, np.intp), np.zeros((0, 0), np.intp), (),
-         np.zeros(0, np.intp))
+#: the plan of no gates, its row map and levels, which a full build extends
+EMPTY = ((np.zeros(0, np.intp), np.zeros(0, np.intp), ()),
+         np.zeros(0, np.intp), ())
 
 
-def extend(base, gates, depth):
-    """The plan ``base`` with ``gates`` added: ``gates`` in id order, each
-    id above the base's and read by no gate of the base, and ``depth`` the
-    logic level of each net's driver.
+def _slots(groups):
+    """Per entry of the pins of ``groups``: its input position and gate."""
+    g = np.array(groups, np.intp).reshape(-1, 4)
+    q = np.repeat(np.arange(len(g)), g[:, 3])  # per (group, position)
+    at = np.arange(len(q)) - np.repeat(np.cumsum(g[:, 3]) - g[:, 3], g[:, 3])
+    size = (g[:, 2] - g[:, 1])[q]
+    gate = np.repeat(g[q, 1] - np.cumsum(size) + size, size)
+    return np.repeat(at, size), gate + np.arange(len(gate))
 
-    ``outs[g]`` is the output net of gate ``g`` in group order, ``ins[j, g]``
-    its ``j``-th input net (0 past its arity), ``groups`` holds one
-    ``(kind, start, stop, arity)`` gate slice per group, in level order,
-    and ``levels[g]`` the scheduled level of gate ``g``: the lowest above
-    its drivers' that holds a group of its (kind, arity) and is at most its
-    ALAP level (the top logic level less its longest path to a sink), else
-    that ALAP level, or past a base, whose schedule the new gates continue,
-    the level just above its highest driver if that is higher.
+
+def extend(base, gates, depth, inputs):
+    """The plan, row map and group levels ``base`` with ``gates`` added:
+    ``gates`` in id order, each id above the base's and read by no gate of
+    the base, ``depth`` the logic level of each net's driver and
+    ``inputs`` the primary inputs in row order, an ``intp`` array.
+
+    The plan is ``(nets, pins, groups)``: ``nets[g]`` is the output net of
+    gate ``g`` in plan order, in row ``len(inputs) + g``; each group
+    ``(kind, start, stop, arity)``, in level order, reads the next
+    ``arity * (stop - start)`` rows of ``pins``, position by position.  A
+    gate's level is the lowest above its drivers' that holds a group of
+    its (kind, arity) and is at most its ALAP level (the top logic level
+    less its longest path to a sink), else that ALAP level, or past a
+    base, whose schedule the new gates continue, the level just above its
+    highest driver if that is higher.
     """
-    outs0, ins0, groups0, levels0 = base
-    pins, n0 = [g.inputs for g in gates], len(outs0)
-    outs = np.r_[outs0, np.fromiter([g.output for g in gates], np.intp)]
-    # kind (a byte) and arity per gate: off the base's groups, then the new
-    g0 = np.array(groups0, np.intp).reshape(-1, 4)
-    kind, arity = np.c_[np.repeat(g0[:, [0, 3]], g0[:, 2] - g0[:, 1], 0).T, [
-        np.frombuffer(bytes([g.kind for g in gates]), np.uint8),
-        np.fromiter(map(len, pins), np.intp)]]
+    (nets0, pins0, groups0), rows0, levels0 = base
+    pins, n0 = [g.inputs for g in gates], len(nets0)
+    nets = np.concatenate([nets0, np.fromiter([g.output for g in gates],
+                                              np.intp)])
+    # kind (a byte), arity, level and input nets per gate: the base's off
+    # its groups and pin rows (through its row -> net order), then the new
+    g0 = np.array(groups0, np.intp).reshape(-1, 4).T
+    kind, arity, level0 = np.repeat(np.array([g0[0], g0[3], levels0],
+                                             np.intp), g0[2] - g0[1], 1)
+    kind = np.concatenate([kind, np.frombuffer(bytes([g.kind for g in gates]),
+                                               np.uint8)])
+    arity = np.concatenate([arity, np.fromiter(map(len, pins), np.intp)])
     ar, width = arity[n0:], int(arity.max(initial=0))
-    ins = np.zeros((width, len(outs)), np.intp)
-    ins[:len(ins0), :n0] = ins0
+    ins = np.zeros((width, len(nets)), np.intp)
+    net0 = np.empty_like(rows0)
+    net0[rows0] = np.arange(len(rows0))
+    ins[_slots(groups0)] = net0[pins0]
     ins[np.arange(ar.sum()) - np.repeat(np.cumsum(ar) - ar, ar),
-        np.repeat(np.arange(n0, len(outs)), ar)] = np.fromiter(
+        np.repeat(np.arange(n0, len(nets)), ar)] = np.fromiter(
             chain.from_iterable(pins), np.intp)
     # per net its level (-1: unplaced), per (kind, arity) code its levels
     code = kind * (width + 1) + arity
     lv = np.full(len(depth), -1, np.intp)
-    lv[outs0] = levels0
+    lv[nets0] = level0
     lv, held = lv.tolist(), {}
-    new, codes = outs[n0:].tolist(), code[n0:].tolist()
-    for c, level in zip(code[g0[:, 1]].tolist(), levels0[g0[:, 1]].tolist()):
+    new, codes = nets[n0:].tolist(), code[n0:].tolist()
+    for c, level in zip(code[g0[1]].tolist(), levels0):
         held.setdefault(c, []).append(level)
     # ALAP levels off a reverse pass in logic-level order; gates are placed
     # in ALAP order, also topological, which leaves fewer groups
@@ -84,40 +104,53 @@ def extend(base, gates, depth):
             # past a base, the ALAP level may lie below the drivers
             at.insert(p, max(lo, alap[o]))
         lv[o] = at[p]
-    level = np.r_[levels0, np.array([lv[o] for o in new], np.intp)]
+    level = np.concatenate([level0, np.array([lv[o] for o in new], np.intp)])
     key = level * (int(code.max(initial=0)) + 1) + code
     order = np.argsort(key, kind="stable")
     starts = np.unique(key[order], return_index=True)[1].tolist()
-    groups = tuple(zip(kind[order[starts]].tolist(), starts, [*starts[1:],
-                       len(key)], arity[order[starts]].tolist()))
-    return outs[order], ins.take(order, axis=1), groups, level[order]
+    first = order[starts]
+    groups = tuple(zip(kind[first].tolist(), starts, [*starts[1:], len(key)],
+                       arity[first].tolist()))
+    nets = nets[order]
+    rows = np.empty(len(depth), np.intp)  # the inverse of the row order
+    rows[np.concatenate([inputs, nets])] = np.arange(len(depth))
+    at, gate = _slots(groups)
+    pins = rows[ins[at, order[gate]]]
+    for a in (nets, pins, rows):
+        a.flags.writeable = False
+    return (nets, pins, groups), rows, tuple(level[first].tolist())
 
 
-def eval_gates(outs, ins, groups, c):
+def eval_gates(nets, pins, groups, c):
     """Evaluate a plan over packed vector words.
 
-    c: uint64 array (nets, words); input rows are pre-filled, every gate
-    output row is written exactly once.  Trailing pad bits of the last word
-    carry garbage and must be masked by the caller.
+    c: uint64 array (rows, words) in the plan's row order; the input rows
+    are pre-filled, and each of the ``len(nets)`` gate rows after them is
+    written exactly once.  Trailing pad bits of the last word carry
+    garbage and must be masked by the caller.
     """
+    n0 = len(c) - len(nets)
+    t = np.empty((max([a * (e - s) for _, s, e, a in groups], default=0),
+                  c.shape[1]), np.uint64)
     take = c.take
+    off = 0
     for kind, start, stop, arity in groups:
-        o = outs[start:stop]
-        if kind == _CONST0:
-            c[o] = 0
-        elif kind == _CONST1:
-            c[o] = _FULL
+        out, k = c[n0 + start:n0 + stop], stop - start
+        if not arity:
+            out[...] = _FULL if kind == _CONST1 else 0
+            continue
+        # mode "clip" gathers straight into the buffer, unbuffered
+        v = take(pins[off:off + arity * k], 0, t[:arity * k], "clip")
+        off += len(v)
+        if arity == 2:
+            _FOLD[kind](v[:k], v[k:], out)
         elif kind == _MUX2:  # (sel, a, b) -> a ^ ((a ^ b) & sel)
-            a = take(ins[1, start:stop], axis=0)
-            v = take(ins[2, start:stop], axis=0)
-            v ^= a
-            v &= take(ins[0, start:stop], axis=0)
-            v ^= a
-            c[o] = v
+            np.bitwise_xor(v[k:2 * k], v[2 * k:], out)
+            out &= v[:k]
+            out ^= v[k:2 * k]
+        elif arity == 1:  # NOT, BUF
+            out[...] = v
         else:
-            v = take(ins[0, start:stop], axis=0)
-            for j in range(1, arity):
-                _FOLD[kind](v, take(ins[j, start:stop], axis=0), out=v)
-            if kind in (_NOT, _NAND, _NOR, _XNOR):
-                np.invert(v, out=v)
-            c[o] = v
+            _FOLD[kind].reduce(v.reshape(arity, k, c.shape[1]), 0, None, out)
+        if kind in _INVERTED:
+            np.invert(out, out)

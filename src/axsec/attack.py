@@ -214,15 +214,12 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
             and testability.cc0[n] <= ceiling and testability.cc1[n] <= ceiling]
 
     # realization: the first 64 cycles that show each candidate's rare
-    # value, and the input word values of every cycle
+    # value
     trace = config.stream
     if isinstance(trace, VectorStream) and config.trace_vectors > trace.n_vectors:
         trace = replace(trace, n_vectors=config.trace_vectors)
     tr = simulate(nl, trace)
-    times = {c: np.flatnonzero(tr.bits(c[0]) == c[1])[:64].tolist()
-             for c in cand}
-    word_vals = {w: tr.word_values(bits) for w, bits in nl.input_words()}
-    del tr
+    times = dict(zip(cand, tr.hits(cand, 64)))
     cand = [c for c in cand if times[c]]
     if len(cand) < config.q:
         raise NoRareNets(
@@ -263,8 +260,10 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     # a tap depends only on the words of its support, every tap of a group
     # held at each of the group's times, and no two groups share a word:
     # each group's words at its first time set every tap at once
-    witness = {w: int(word_vals[w][g["times"][0]])
+    words = dict(nl.input_words())
+    witness = {w: tr.word_value(words[w], g["times"][0])
                for g in groups for w in g["words"]}
+    del tr
 
     # build the infected copy
     b = NetlistBuilder(nl)

@@ -170,13 +170,11 @@ def _profile(nl: Netlist, in_vals: dict, theta: float) -> _Profile:
     act = activity_profile(nl, run)
     live = ~np.isin(nl.driver_kinds, (-1, GateKind.CONST0, GateKind.CONST1))
     rare = {net: v for net, v in rare_nets(act, theta) if live[net]}
-    first = (run.first_hits(0), run.first_hits(1))
     replay = []
-    for net, val in rare.items():
-        t = int(first[val][net])
-        if t < 0:
+    for (net, val), hit in zip(rare.items(), run.hits(rare.items(), 1)):
+        if not hit:
             continue
-        p = float(act.p1[net])
+        t, p = hit[0], float(act.p1[net])
         # keyed by first realization and name, not net id: ids are
         # renumbered on a serialization round trip and must not steer
         # tie-breaks

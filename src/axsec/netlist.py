@@ -152,7 +152,9 @@ class Netlist:
     def driver_kinds(self):
         """Read-only per-net :class:`GateKind` of the driver, -1 if none."""
         kinds = np.full(self.n_nets, -1, np.int8)
-        kinds[[g.output for g in self.gates]] = [g.kind for g in self.gates]
+        nets, _, groups = self.plan
+        for kind, start, stop, _ in groups:
+            kinds[nets[start:stop]] = kind
         kinds.flags.writeable = False
         return kinds
 
@@ -305,17 +307,28 @@ class Netlist:
     def _ordered(self):
         return tuple(map(self._driver.__getitem__, self.plan[0].tolist()))
 
-    @cached_property
+    @property
     def plan(self):
-        """The kernel plan ``(outs, ins, groups)`` of
+        """The kernel plan ``(nets, pins, groups)`` of
         :func:`axsec._kernels.extend`, built once and extended from a
-        :attr:`base`'s plan and ``_levels``; its arrays are read-only."""
+        :attr:`base`'s; its arrays are read-only."""
+        return self._lowered[0]
+
+    @property
+    def rows(self):
+        """Read-only: each net's row in a run's net array, the primary
+        inputs first, in :meth:`input_words` order, then the gate outputs
+        in plan order (a derived build's rows differ from its base's)."""
+        return self._lowered[1]
+
+    @cached_property
+    def _lowered(self):  # the plan, the row map and the group levels
         base = self.base
-        *plan, self._levels = _kernels.extend(
-            (*base.plan, base._levels) if base else _kernels.EMPTY,
-            self.gates[len(base.gates) if base else 0:], self._depth)
-        plan[0].flags.writeable = plan[1].flags.writeable = False
-        return tuple(plan)
+        return _kernels.extend(
+            base._lowered if base else _kernels.EMPTY,
+            self.gates[len(base.gates) if base else 0:], self._depth,
+            np.fromiter(dict.fromkeys(chain(*(
+                b for _, b in self.input_words()))), np.intp))
 
     def memo(self, build, *key):
         """``build(self, *key)``, computed on first use per ``(build, key)``

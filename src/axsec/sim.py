@@ -199,6 +199,8 @@ def _bits_chunks(source, words):
                         f"word values, not {type(source).__name__}")
     vals = _checked_values(source, words)
     total = len(vals[0]) if vals else 0
+    if not total:  # a stream holds at least one vector
+        raise BadParams("empty stream")
     for start in range(0, total, CHUNK):
         n = min(CHUNK, total - start)
         yield start, n, {w: _pack_rows(np.unpackbits(
@@ -237,9 +239,11 @@ def stream_values(stream, words) -> dict[str, np.ndarray]:
 
 
 class Traces:
-    """Packed per-net values for a simulated run (vector t lives at bit
-    ``t % 64`` of word ``t // 64``).  A run is a valid source for its own
-    netlist wherever a stream or word values are accepted."""
+    """Packed values of a simulated run, one row per net in the row order
+    of its netlist's plan (:attr:`~axsec.netlist.Netlist.rows`), vector t
+    at bit ``t % 64`` of word ``t // 64``; every method answers per net.
+    A run is a valid source for its own netlist wherever a stream or word
+    values are accepted."""
 
     def __init__(self, netlist: Netlist, c: np.ndarray, n_vectors: int):
         self.netlist = netlist
@@ -247,28 +251,35 @@ class Traces:
         self.n_vectors = n_vectors
 
     def bits(self, net: int) -> np.ndarray:
-        return np.unpackbits(self.c[net].view(np.uint8),
+        return np.unpackbits(self.c[self.netlist.rows[net]].view(np.uint8),
                              bitorder="little")[:self.n_vectors]
 
     def word_values(self, nets) -> np.ndarray:
         """Per vector, the integer whose bit i is the value of ``nets[i]``."""
-        rows = self.c[list(nets)]
-        return _row_values(rows, self.n_vectors)
+        return _row_values(self.c[self.netlist.rows.take(nets)],
+                           self.n_vectors)
 
-    def first_hits(self, val: int) -> np.ndarray:
-        """Per net, the index of the first vector on which it carries
-        ``val``, or -1: the first word that is not all ``1 - val``, pad
-        bits read as ``1 - val``, then its lowest bit equal to ``val``."""
-        c, miss = self.c, np.uint64(0) if val else ~np.uint64(0)
-        hit = c != miss
-        r = self.n_vectors % 64
-        if not val and r:  # pad bits are no vectors
-            hit[:, -1] = (c[:, -1] | ~np.uint64((1 << r) - 1)) != miss
-        rows = np.arange(len(c))
-        w = hit.argmax(axis=1)
-        word = c[rows, w] ^ miss
-        low = np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
-        return np.where(hit[rows, w], 64 * w + low, -1)
+    def word_value(self, nets, t: int) -> int:
+        """:meth:`word_values` at vector ``t`` alone."""
+        w = self.c[self.netlist.rows.take(nets), t // 64:t // 64 + 1]
+        return int(_row_values(w >> np.uint64(t % 64), 1)[0])
+
+    def hits(self, taps, limit: int) -> list[list[int]]:
+        """Per (net, value) tap, the first ``limit`` vectors on which the
+        net carries the value: the bits that do of its first ``limit``
+        words holding one, pad bits no vectors."""
+        w = self.c[self.netlist.rows.take([n for n, _ in taps])]
+        w ^= (np.array([v for _, v in taps], np.uint64) - _ONE)[:, None]
+        w[:, -1] &= ~np.uint64(0) >> np.uint64(-self.n_vectors % 64)
+        tap, word = np.nonzero(w)  # by tap, then word
+        n = np.bincount(tap, minlength=len(w))
+        first = np.arange(len(tap)) - np.repeat(np.cumsum(n) - n, n) < limit
+        tap, word = tap[first], word[first]
+        hit, bit = np.nonzero(np.unpackbits(w[tap, word, None].view(
+            np.uint8), axis=1, bitorder="little"))
+        times = (64 * word[hit] + bit).tolist()
+        ends = np.cumsum(np.bincount(tap[hit], minlength=len(w))).tolist()
+        return [times[a:b][:limit] for a, b in zip([0, *ends], ends)]
 
 
 def _run_packed(nl: Netlist, rows, n: int, buf=None) -> np.ndarray:
@@ -279,7 +290,7 @@ def _run_packed(nl: Netlist, rows, n: int, buf=None) -> np.ndarray:
     c = (np.empty(shape, np.uint64) if buf is None
          else buf[:shape[0] * shape[1]].reshape(shape))
     for name, nets in nl.input_words():
-        c[nets, :] = rows[name]
+        c[nl.rows.take(nets)] = rows[name]
     _kernels.eval_gates(*nl.plan, c)
     if n % 64:
         c[:, -1] &= np.uint64((1 << n % 64) - 1)
@@ -317,8 +328,6 @@ def simulate(netlist: Netlist, source) -> Traces:
     of ``netlist`` is returned as is).  The run is held in memory; for very
     long streams prefer :func:`iter_traces`."""
     parts = [tr for _, tr in iter_traces(netlist, source)]
-    if not parts:
-        raise BadParams("empty stream")
     if isinstance(source, Traces):
         return source  # its netlist was checked by iter_traces
     if len(parts) == 1:
@@ -419,8 +428,6 @@ class _ErrorSums:
         self.n += tr.n_vectors
 
     def report(self) -> ErrorReport:
-        if not self.n:
-            raise BadParams("empty stream")
         d = self.n * len(self.ref)
         return ErrorReport(self.errs / d, self.sabs / d, self.srel / d,
                            self.wce, self.n)
@@ -436,7 +443,7 @@ class ActivityReport:
 
 
 def activity_profile(netlist: Netlist, source) -> ActivityReport:
-    return _profiled(netlist, source, _ActivitySums(netlist.n_nets))[0]
+    return _profiled(netlist, source, _ActivitySums(netlist.rows))[0]
 
 
 def activity_and_error(netlist: Netlist, ref, source):
@@ -444,7 +451,7 @@ def activity_and_error(netlist: Netlist, ref, source):
     simulated once, chunk by chunk; the error is None without a ``ref``."""
     if ref is None:
         return activity_profile(netlist, source), None
-    return _profiled(netlist, source, _ActivitySums(netlist.n_nets),
+    return _profiled(netlist, source, _ActivitySums(netlist.rows),
                      _ErrorSums(netlist, ref))
 
 
@@ -461,8 +468,9 @@ _BLOCK_BYTES = 1 << 18
 
 
 class _ActivitySums:
-    """Running per-net ones and toggle counts of consecutive chunks of one
-    run; a toggle across a chunk boundary counts in the later chunk.
+    """Running ones and toggle counts per row of consecutive chunks of one
+    run, reported per net through ``rows``, the row of each net; a toggle
+    across a chunk boundary counts in the later chunk.
 
     A toggle at vector t is bit t of ``c ^ (c << 1)`` over a net's words,
     each word shifted in the top bit of the word before it; bit 0 of a
@@ -470,9 +478,10 @@ class _ActivitySums:
     the chunk.  Each block of whole rows, at most :data:`_BLOCK_BYTES`
     but at least one row, runs every pass in scratch kept across chunks."""
 
-    def __init__(self, n_nets: int):
-        self.ones = np.zeros(n_nets, np.int64)
-        self.tog = np.zeros(n_nets, np.int64)
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.ones = np.zeros(len(rows), np.int64)
+        self.tog = np.zeros(len(rows), np.int64)
         self.prev_last = None
         self.total = 0
         self._scratch = None
@@ -507,7 +516,8 @@ class _ActivitySums:
         self.total += n
 
     def report(self) -> ActivityReport:
-        return ActivityReport(self.ones / self.total, self.tog, self.total)
+        return ActivityReport(self.ones[self.rows] / self.total,
+                              self.tog[self.rows], self.total)
 
 
 def check_theta(theta: float) -> None:

@@ -53,13 +53,16 @@ def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
 
 
 def _arrival_times(nl: Netlist, model: DelayModel) -> np.ndarray:
-    outs, ins, groups = nl.plan
-    arr = np.zeros(nl.n_nets, np.float64)
-    for kind, start, stop, arity in groups:
-        m = arr[ins[0, start:stop]] if arity else np.zeros(stop - start)
-        for j in range(1, arity):
-            np.maximum(m, arr[ins[j, start:stop]], out=m)
-        arr[outs[start:stop]] = model.of(kind) + m
+    nets, pins, groups = nl.plan
+    n0, arr, off = nl.n_nets - len(nets), np.zeros(nl.n_nets, np.float64), 0
+    for kind, start, stop, arity in groups:  # arr: per row
+        k = stop - start
+        m = arr[pins[off:off + k]] if arity else np.zeros(k)
+        for j in range(k, arity * k, k):
+            np.maximum(m, arr[pins[off + j:off + j + k]], out=m)
+        arr[n0 + start:n0 + stop] = model.of(kind) + m
+        off += arity * k
+    arr = arr[nl.rows]
     arr.flags.writeable = False
     return arr
 
@@ -84,14 +87,17 @@ def slacks(nl: Netlist, model: DelayModel, clock: float) -> np.ndarray:
     """Per-net slack against the clock period (inf where no output is
     reachable)."""
     arr = arrival_times(nl, model)
-    outs, ins, groups = nl.plan
-    req = np.full(nl.n_nets, np.inf)
-    req[list(nl.outputs)] = clock
+    nets, pins, groups = nl.plan
+    n0, rows = nl.n_nets - len(nets), nl.rows
+    req = np.full(nl.n_nets, np.inf)  # per row
+    req[rows.take(nl.outputs)] = clock
+    off = len(pins)
     for kind, start, stop, arity in reversed(groups):
-        r = req[outs[start:stop]] - model.of(kind)
-        for j in range(arity):
-            np.minimum.at(req, ins[j, start:stop], r)
-    return req - arr
+        r, k = req[n0 + start:n0 + stop] - model.of(kind), stop - start
+        off -= arity * k
+        for j in range(off, off + arity * k, k):
+            np.minimum.at(req, pins[j:j + k], r)
+    return req[rows] - arr
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,10 @@ def infected_work(monkeypatch):
             work.setdefault(self, Counter())["levelize"] += 1
         return levelize(self, *args)
 
-    def counting_extend(base, gates, depth):
+    def counting_extend(base, gates, depth, inputs):
         if base is _kernels.EMPTY:
             planned.append(depth)
-        return extend(base, gates, depth)
+        return extend(base, gates, depth, inputs)
 
     def counting_arrivals(nl, model):
         work.setdefault(nl, Counter())["arrival"] += 1

@@ -9,7 +9,8 @@ float-array form of what :func:`axsec.sim.error_terms` now computes;
 masks, :func:`gates_of_tag` the linear filter behind their tag bits, and
 :func:`structurally_equal` compares two netlists by net name, and
 :func:`same_build` a netlist derived by appending with the full build of
-its fields.  They are kept here only for the tests.
+its fields; :func:`by_net` puts a run's rows in net id order.  They are
+kept here only for the tests.
 """
 
 from operator import attrgetter
@@ -129,11 +130,16 @@ def pack_rows(bits) -> np.ndarray:
 
 def pack_inputs(nl: Netlist, bits, n: int) -> np.ndarray:
     """The net array of a chunk before the kernel runs: the input rows of
-    :func:`pack_rows`, every other net zero."""
+    :func:`pack_rows`, every other row zero."""
     c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
     for name, nets in nl.input_words():
-        c[list(nets)] = pack_rows(bits[name])
+        c[nl.rows.take(nets)] = pack_rows(bits[name])
     return c
+
+
+def by_net(nl: Netlist, a) -> np.ndarray:
+    """A net array, or per-row counts, of ``nl`` in net id order."""
+    return np.asarray(a)[nl.rows]
 
 
 class ActivitySums:
@@ -253,22 +259,22 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     assert np.array_equal(derived.fanout_counts(), full.fanout_counts())
     assert np.array_equal(derived.driver_kinds, full.driver_kinds)
     # a derived build continues its base's schedule, so its plan may
-    # group the gates otherwise than the full build's, but computes the
-    # same value on every net
-    (do, di, dg), (fo, fi, fg) = derived.plan, full.plan
-    for a, b in ((do, fo), (di, fi)):
+    # group the gates, and order the rows, otherwise than the full
+    # build's, but computes the same value on every net
+    (dn, dp, dg), (fn, fp, fg) = derived.plan, full.plan
+    for a, b in ((dn, fn), (dp, fp), (derived.rows, full.rows)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert not a.flags.writeable
-    assert sorted(do.tolist()) == sorted(fo.tolist())
+    assert sorted(dn.tolist()) == sorted(fn.tolist())
     assert all(type(x) is int for group in dg for x in group)
     words = np.random.default_rng(len(derived.gates)).integers(
         0, 2 ** 64, (derived.n_nets, 2), np.uint64)
     runs = []
     for nl in (derived, full):
         c = np.zeros_like(words)
-        c[list(nl.inputs)] = words[list(nl.inputs)]
+        c[nl.rows.take(nl.inputs)] = words[list(nl.inputs)]
         _kernels.eval_gates(*nl.plan, c)
-        runs.append(c)
+        runs.append(by_net(nl, c))
     assert np.array_equal(*runs)
     assert serialize_netlist(derived) == serialize_netlist(full)
     for m in models:

@@ -308,8 +308,7 @@ def test_a_witness_that_does_not_fire_emits_nothing(inserted, monkeypatch):
     # it sets no tap's rare value, and the check on the built netlist fails
     clean, act, cfg, _, _ = inserted
     run = simulate(clean, cfg.stream)
-    monkeypatch.setattr(Traces, "word_values",
-                        lambda self, nets: np.zeros(self.n_vectors, np.int64))
+    monkeypatch.setattr(Traces, "word_value", lambda self, nets, t: 0)
     emitted = []
     with pytest.raises(NoWitness, match="does not fire the assembled"):
         emitted.append(insert_trojan(clean, act, None,

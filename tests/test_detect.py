@@ -25,7 +25,8 @@ from axsec.sim import VectorStream, activity_profile, simulate
 from axsec.textfmt import parse_netlist
 
 from tests.conftest import dags
-from tests.oracles import fanin_nets, gates_of_tag, rank_errors, word_values
+from tests.oracles import (by_net, fanin_nets, gates_of_tag, rank_errors,
+                           word_values)
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
 ASSIGN = {"add0": ArchParams("add", "loa", 16, 4),
@@ -73,8 +74,8 @@ class _TwoRunProfile:
         self.nl = nl
         self.traces = [simulate(nl, streams[m]) for m in sorted(streams)]
         self.n = sum(t.n_vectors for t in self.traces)
-        self.p1 = sum(np.bitwise_count(t.c).sum(axis=1)
-                      for t in self.traces) / self.n
+        self.p1 = by_net(nl, sum(np.bitwise_count(t.c).sum(axis=1)
+                                 for t in self.traces)) / self.n
         self.in_vals = {w: np.concatenate([t.word_values(b)
                                            for t in self.traces])
                         for w, b in nl.input_words()}
@@ -136,9 +137,8 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
         assert p1.dtype == old.p1.dtype
         assert np.array_equal(p1, old.p1), cid
         firsts = [(net, v) for net in range(nl.n_nets) for v in (0, 1)]
-        hits = (run.first_hits(0), run.first_hits(1))
-        assert [int(hits[v][net]) if hits[v][net] >= 0 else None
-                for net, v in firsts] == [old.first(*k) for k in firsts], cid
+        assert [hit[0] if hit else None for hit in run.hits(firsts, 1)] \
+            == [old.first(*k) for k in firsts], cid
         for theta in (0.05, 0.1, 0.3):
             new = _profile(nl, vals, theta)
             assert new.in_vals is vals  # the screen's one dict

@@ -17,6 +17,7 @@ from axsec.sim import VectorStream, sub_seed
 from axsec.sta import DelayModel
 from axsec.textfmt import serialize_netlist
 
+from tests import oracles
 from tests.conftest import dags
 from tests.oracles import (eval_vector, fanin_nets, gates_of_tag,
                            same_build, structurally_equal)
@@ -295,11 +296,10 @@ def test_fanout_counts():
 def test_what_a_shared_netlist_hands_out_is_read_only(spec):
     # builds are shared across trials, so no caller may change them
     nl = spec.build(None)
-    outs, ins, _ = nl.plan
-    with pytest.raises(ValueError):
-        outs[0] = 0
-    with pytest.raises(ValueError):
-        ins[0, 0] = 0
+    nets, pins, _ = nl.plan
+    for a in (nets, pins, nl.rows):
+        with pytest.raises(ValueError):
+            a[0] = 0
     with pytest.raises(ValueError):
         nl.fanout_counts()[0] = 0
 
@@ -404,26 +404,34 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
                               default=0)
         return below[g.id]
 
-    outs, ins, groups = nl.plan
-    assert nl.ordered_gates() == tuple(nl.driver(int(o)) for o in outs)
-    sched = {nl.driver(int(o)).id: int(lv)
-             for o, lv in zip(outs, nl._levels)}
+    # the rows: the input words' bits, then the gate outputs in plan order;
+    # the pins of each group, position by position, the rows of its inputs
+    nets, pins, groups = nl.plan
+    assert nl.ordered_gates() == tuple(nl.driver(int(o)) for o in nets)
+    order = [*dict.fromkeys(b for _, bits in nl.input_words() for b in bits),
+             *nets.tolist()]
+    assert nl.rows.tolist() == [order.index(n) for n in range(nl.n_nets)]
+    levels = nl._lowered[2]
+    sched = {nl.driver(int(o)).id: lv for (_, start, stop, _), lv
+             in zip(groups, levels) for o in nets[start:stop]}
     top = max(level.values())
     for g in nl.gates:
         assert all(sched[nl.driver(i).id] < sched[g.id] for i in g.inputs
                    if nl.driver(i) is not None)
         assert sched[g.id] <= top - height(g)
-    runs = []
-    for kind, start, stop, arity in groups:
-        gates = [nl.driver(int(o)) for o in outs[start:stop]]
+    runs, off = [], 0
+    for (kind, start, stop, arity), lv in zip(groups, levels):
+        gates = [nl.driver(int(o)) for o in nets[start:stop]]
         assert {(sched[g.id], g.kind, len(g.inputs)) for g in gates} \
-            == {(sched[gates[0].id], kind, arity)}
+            == {(lv, kind, arity)}
         assert [g.id for g in gates] == sorted(g.id for g in gates)
-        assert [tuple(int(i) for i in ins[:arity, j])
-                for j in range(start, stop)] == [g.inputs for g in gates]
-        runs.append((sched[gates[0].id], kind, arity))
+        at, off = off, off + arity * len(gates)
+        assert [order[r] for r in pins[at:off]] \
+            == [g.inputs[j] for j in range(arity) for g in gates]
+        runs.append((lv, kind, arity))
+    assert off == len(pins)
     assert runs == sorted(set(runs))
-    assert sorted(int(o) for o in outs) == sorted(g.output for g in nl.gates)
+    assert sorted(int(o) for o in nets) == sorted(g.output for g in nl.gates)
     pins = [i for g in nl.gates for i in g.inputs]
     for n in range(nl.n_nets):
         assert nl.readers(n) == tuple(g for g in nl.gates if n in g.inputs)
@@ -466,9 +474,10 @@ def test_the_scheduled_plan_computes_what_the_scalar_oracle_does(build,
     rng = np.random.default_rng(len(nl.gates))
     for n in (1, 64, 1000):
         c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
-        c[list(nl.inputs)] = rng.integers(0, 2 ** 64, (len(nl.inputs),
-                                                       c.shape[1]), np.uint64)
+        c[nl.rows.take(nl.inputs)] = rng.integers(
+            0, 2 ** 64, (len(nl.inputs), c.shape[1]), np.uint64)
         _kernels.eval_gates(*nl.plan, c)
+        c = oracles.by_net(nl, c)
         for v in {0, n - 1, *rng.integers(0, n, 6).tolist()}:
             bits = (c[:, v // 64] >> np.uint64(v % 64) & np.uint64(1)).tolist()
             words = {name: sum(bits[b] << i for i, b in enumerate(nets))

@@ -4,6 +4,7 @@ activity, power and error profilers."""
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
                        VectorStream, _ActivitySums, _bits_chunks,
-                       _chunk_bits, _single_chunk_bits,
+                       _chunk_bits, _single_chunk_bits, activity_and_error,
                        activity_profile, error_profile, iter_traces,
                        power_proxy, power_ratio, rare_nets, simulate,
                        stream_values)
@@ -373,6 +374,86 @@ def _layered_netlists(draw):
     return b.build()
 
 
+#: the (kind, arity) of every group :func:`_stacked_layer` draws
+_STACKED = [(k, a) for k in GateKind for a in _ARITIES.get(k, range(2, 6))]
+
+
+def _stacked_layer(b, prev, pool, rng, per):
+    """``per`` gates of each :data:`_STACKED` (kind, arity), each input
+    drawn from ``pool`` but the first, which runs through ``prev`` so every
+    net of ``prev`` is read and each layer keeps its logic level."""
+    made = []
+    for kind, arity in _STACKED:
+        for _ in range(per):
+            ins = [prev[len(made) % len(prev)],
+                   *rng.choice(pool, max(arity - 1, 0)).tolist()][:arity]
+            made.append(b.gate(kind, ins, tag="u"))
+    return made
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), layers=st.integers(1, 2),
+       per=st.integers(3, 4))
+def test_the_kernel_computes_every_net_of_stacked_groups(seed, layers, per):
+    """Groups of 3 or 4 gates of every kind and of folds of 2 to 5 inputs,
+    in a full build and in a build derived from it by appending a layer:
+    every net at 1, 63, 64, 65 and 130 vectors equals the scalar
+    evaluation, so no group reads another group's slice of the gather."""
+    rng = np.random.default_rng(seed)
+    b = NetlistBuilder()
+    x = [b.pi(f"x{i}") for i in range(5)]
+    b.word("x", x)
+    b.instance("u", "deterministic", "misc", "exact")
+    prev = pool = x
+    for _ in range(layers):
+        prev = _stacked_layer(b, prev, pool, rng, per)
+        pool = pool + prev
+    for net in prev:
+        b.po(net)
+    full = b.build()
+    d = NetlistBuilder(full)
+    for net in _stacked_layer(d, prev, pool, rng, per):
+        d.po(net)
+    derived = d.build()
+    assert derived.base is full
+    want = {}
+    for nl in (full, derived):
+        sizes = {}
+        for kind, start, stop, arity in nl.plan[2]:
+            sizes[kind, arity] = max(sizes.get((kind, arity), 0), stop - start)
+        assert sizes == {(int(k), a): sizes[int(k), a] for k, a in _STACKED}
+        assert min(sizes.values()) >= per
+        for n in (1, 63, 64, 65, 130):
+            xs = rng.integers(0, 32, n)
+            c = oracles.by_net(nl, simulate(nl, {"x": xs}).c)
+            got = np.unpackbits(c.view(np.uint8), axis=1,
+                                bitorder="little")[:, :n]
+            for t, v in enumerate(xs.tolist()):
+                if (nl, v) not in want:
+                    want[nl, v] = eval_vector(nl, {"x": v})
+                assert got[:, t].tolist() == want[nl, v]
+
+
+def test_one_kernel_call_allocates_one_gather_buffer():
+    # the exact fir build at 20000 vectors: the largest group's input rows
+    # are the one scratch allocation of a call; 16 KB is room for Python
+    # objects, and one temporary of the largest group's 256 rows would
+    # take 640 KB
+    nl = fir_spec().build(None)
+    c = np.zeros((nl.n_nets, (20000 + 63) // 64), np.uint64)
+    c[nl.rows.take(nl.inputs)] = np.random.default_rng(7).integers(
+        0, 2 ** 64, (len(nl.inputs), c.shape[1]), np.uint64)
+    nets, pins, groups = nl.plan
+    buffer = max(a * (e - s) for _, s, e, a in groups) * c.shape[1] * 8
+    tracemalloc.start()
+    try:
+        _kernels.eval_gates(nets, pins, groups, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buffer <= peak <= buffer + 16384
+
+
 @settings(max_examples=30, deadline=None)
 @given(_layered_netlists(), st.integers(0, 2 ** 32 - 1))
 def test_levelized_kernel_matches_scalar_evaluation(nl, seed):
@@ -507,6 +588,22 @@ def test_a_run_is_a_source_equal_to_its_stream(kernel_calls, mode, n):
         assert np.array_equal(a.c, b.c)
 
 
+@pytest.mark.parametrize("run", [
+    simulate, activity_profile,
+    lambda nl, source: error_profile(nl, EXACT_OPS["add"], source),
+    lambda nl, source: activity_and_error(nl, EXACT_OPS["add"], source),
+], ids=["simulate", "activity_profile", "error_profile",
+        "activity_and_error"])
+def test_an_empty_source_is_refused_by_every_entry_point(run):
+    # no figure is made of zero vectors: no NaN signal probability
+    nl = gen_module(ArchParams("add", "exact", 4))
+    empty = {"a": np.zeros(0, np.int64), "b": np.zeros(0, np.int64)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="empty stream"):
+            run(nl, empty)
+
+
 def test_a_run_is_no_source_for_another_netlist():
     params = ArchParams("add", "loa", 8, 2)
     run = simulate(gen_module(params), VectorStream(100, 1))
@@ -533,27 +630,30 @@ def test_first_hits_hand_case():
     drive = np.ones(70, np.int64)
     drive[66] = 0
     tr = simulate(nl, {"a": drive})
-    assert tr.first_hits(1)[[a, x, z]].tolist() == [0, 66, -1]
-    assert tr.first_hits(0)[[a, x, z]].tolist() == [66, 0, 0]
+    assert tr.hits([(a, 1), (x, 1), (z, 1)], 1) == [[0], [66], []]
+    assert tr.hits([(a, 0), (x, 0), (z, 0)], 1) == [[66], [0], [0]]
+    assert tr.hits([(x, 1), (a, 0)], 3) == [[66], [66]]
+    assert tr.hits([(x, 0)], 3) == [[0, 1, 2]]
+    assert tr.hits([], 1) == []
     # 70 is no multiple of 64: the 58 pad bits of the last word never
     # count as a 0 hit, so a net at 1 throughout has none
     high = {"a": np.ones(70, np.int64)}
     tr = simulate(nl, high)
-    assert tr.first_hits(0)[[a, x, z]].tolist() == [-1, 0, 0]
-    assert tr.first_hits(1)[[a, x, z]].tolist() == [0, -1, -1]
+    assert tr.hits([(a, 0), (x, 0), (z, 0)], 1) == [[], [0], [0]]
+    assert tr.hits([(a, 1), (x, 1), (z, 1)], 1) == [[0], [], []]
     assert np.array_equal(tr.c, simulate(nl, high).c)  # the run is unchanged
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000, CHUNK + 70])
 def test_first_hits_equal_a_scan_of_the_bits(n):
     nl = _mix_netlist()
+    # the first 1, 2 and 64 hits of every net and value, a tap twice
     tr = simulate(nl, VectorStream(n, 3, "correlated", 0.995))
-    for val in (0, 1):
-        want = []
-        for net in range(nl.n_nets):
-            hits = np.flatnonzero(tr.bits(net) == val)
-            want.append(int(hits[0]) if hits.size else -1)
-        assert tr.first_hits(val).tolist() == want
+    taps = [(net, v) for net in range(nl.n_nets) for v in (0, 1)]
+    for limit in (1, 2, 64):
+        want = [np.flatnonzero(tr.bits(net) == v)[:limit].tolist()
+                for net, v in taps]
+        assert tr.hits(taps + taps[:1], limit) == want + want[:1]
 
 
 @pytest.mark.parametrize("n", [700, CHUNK + 70])
@@ -829,8 +929,8 @@ def test_stream_chunks_each_own_a_fresh_run(kernel_calls, mode):
     ref = oracles.ActivitySums(nl.n_nets)
     for c, n in zip(want, (CHUNK, CHUNK, 70)):
         ref.add(Traces(nl, c, n))
-    assert np.array_equal(act.toggles, ref.tog)
-    assert np.array_equal(act.p1, ref.ones / ref.total)
+    assert np.array_equal(act.toggles, oracles.by_net(nl, ref.tog))
+    assert np.array_equal(act.p1, oracles.by_net(nl, ref.ones) / ref.total)
 
 
 def _sticky_chunk(rng, n_nets, n):
@@ -858,7 +958,8 @@ def test_toggle_count_equals_the_strided_count(lengths, n_nets, seed, sticky,
     # most budgets split the nets into ragged blocks; with ``view`` each
     # chunk is a non-contiguous column view inside words it must not read
     rng = np.random.default_rng(seed)
-    got, want = _ActivitySums(n_nets), oracles.ActivitySums(n_nets)
+    got = _ActivitySums(np.arange(n_nets))
+    want = oracles.ActivitySums(n_nets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_BLOCK_BYTES", block)
         for n in lengths:
@@ -894,8 +995,8 @@ def test_activity_of_a_run_counts_its_column_views(monkeypatch, block):
         assert not tr.c.flags.c_contiguous
         want.add(tr)
     act = activity_profile(nl, run)
-    assert np.array_equal(act.toggles, want.tog)
-    assert np.array_equal(act.p1, want.ones / want.total)
+    assert np.array_equal(act.toggles, oracles.by_net(nl, want.tog))
+    assert np.array_equal(act.p1, oracles.by_net(nl, want.ones) / want.total)
 
 
 def test_activity_sums_of_a_wide_chunk_allocate_little():
@@ -906,7 +1007,7 @@ def test_activity_sums_of_a_wide_chunk_allocate_little():
                      "add0": ArchParams("add", "loa", 16, 4),
                      "add2": ArchParams("add", "loa", 17, 4)})
     tr = simulate(nl, VectorStream(CHUNK, 3, "correlated", 0.9))
-    acc = _ActivitySums(nl.n_nets)
+    acc = _ActivitySums(nl.rows)
     tracemalloc.start()
     try:
         acc.add(tr)
@@ -928,8 +1029,8 @@ def test_activity_of_a_stream_equals_the_strided_count(n):
     for _, tr in iter_traces(nl, stream):
         want.add(tr)
     act = activity_profile(nl, stream)
-    assert np.array_equal(act.toggles, want.tog)
-    assert np.array_equal(act.p1, want.ones / want.total)
+    assert np.array_equal(act.toggles, oracles.by_net(nl, want.tog))
+    assert np.array_equal(act.p1, oracles.by_net(nl, want.ones) / want.total)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, CHUNK + 70])
