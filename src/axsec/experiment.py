@@ -199,11 +199,10 @@ def _pareto_pool(E, P, cap):
     """Indices grouped into successive non-dominated fronts (minimising
     both), each front ordered by (E, P, index), until ``cap`` collected:
     the least-P entries of each equal-E run whose P beats all earlier runs."""
-    remaining = np.arange(len(E))
+    order = np.lexsort((P, E))  # stable: by (E, P, index)
     pool = []
     front = 0
-    while remaining.size and len(pool) < cap:
-        order = remaining[np.lexsort((remaining, P[remaining], E[remaining]))]
+    while order.size and len(pool) < cap:  # what a front leaves stays sorted
         e, p = E[order], P[order]
         starts = np.r_[True, e[1:] != e[:-1]]
         gmin = p[starts]
@@ -211,7 +210,7 @@ def _pareto_pool(E, P, cap):
         run = np.cumsum(starts) - 1
         keep = on_front[run] & (p == gmin[run])
         pool.extend((front, int(ix)) for ix in order[keep])
-        remaining = order[~keep]
+        order = order[~keep]
         front += 1
     return pool
 

@@ -98,6 +98,10 @@ class Instance:
 KIND_LABELS = ("approximate", "deterministic")
 
 
+def _bad_name(name):  # not one token of netlist text, where # comments
+    return not name or name.split() != [name] or "#" in name
+
+
 class Netlist:
     """Flat combinational gate graph.  Build via :class:`NetlistBuilder`;
     raises :class:`CycleError`, carrying the net ids of one loop, on cycles.
@@ -151,10 +155,10 @@ class Netlist:
     @cached_property
     def driver_kinds(self):
         """Read-only per-net :class:`GateKind` of the driver, -1 if none."""
-        kinds = np.full(self.n_nets, -1, np.int8)
-        nets, _, groups = self.plan
-        for kind, start, stop, _ in groups:
-            kinds[nets[start:stop]] = kind
+        kinds = np.full(self.n_nets, -1, np.int8)  # per row
+        for kind, lo, hi, _, _ in self.plan[1]:
+            kinds[lo:hi] = kind
+        kinds = kinds[self.rows]
         kinds.flags.writeable = False
         return kinds
 
@@ -180,6 +184,14 @@ class Netlist:
     def _io(self):
         ins = self._grouped(self.inputs, "input")
         outs = self._grouped(self.outputs, "output")
+        word = {}  # a run fills each input net from one bit of one word
+        for name, bits in ins:
+            for b in bits:
+                if b in word:
+                    raise SemanticError(
+                        f"net {self.net_names[b]!r} is in input word "
+                        f"{word[b]!r} and again in {name!r}")
+                word[b] = name
         return ins, outs, tuple(tuple((w, len(b)) for w, b in words)
                                 for words in (ins, outs))
 
@@ -207,7 +219,7 @@ class Netlist:
         n0, k0 = (base.n_nets, len(base.gates)) if base else (0, 0)
         seen = set(self.net_names[:n0])
         for n in self.net_names[n0:]:
-            if not n or n.split() != [n] or n.startswith("#"):
+            if _bad_name(n):
                 raise SemanticError(f"bad net name {n!r}")
             if n in seen:
                 raise SemanticError(f"duplicate net name {n!r}")
@@ -248,9 +260,13 @@ class Netlist:
             if driver[n] is None and n not in inputs:
                 raise SemanticError(f"net {self.net_names[n]!r} is undriven")
         for w, bits in self.words.items():
+            if _bad_name(w):
+                raise SemanticError(f"bad word name {w!r}")
             if not bits:
                 raise SemanticError(f"empty word {w!r}")
         for tag, inst in self.instances.items():
+            if _bad_name(tag):
+                raise SemanticError(f"bad instance tag {tag!r}")
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
         self.signature()  # derives the I/O words: refuses a name used twice
@@ -309,9 +325,11 @@ class Netlist:
 
     @property
     def plan(self):
-        """The kernel plan ``(nets, pins, groups)`` of
+        """The kernel plan ``(nets, groups)`` of
         :func:`axsec._kernels.extend`, built once and extended from a
-        :attr:`base`'s; its arrays are read-only."""
+        :attr:`base`'s: the output net of each gate row, and per group its
+        kind, row bounds ``lo:hi``, arity and block of input rows; its
+        arrays are read-only."""
         return self._lowered[0]
 
     @property
@@ -327,8 +345,7 @@ class Netlist:
         return _kernels.extend(
             base._lowered if base else _kernels.EMPTY,
             self.gates[len(base.gates) if base else 0:], self._depth,
-            np.fromiter(dict.fromkeys(chain(*(
-                b for _, b in self.input_words()))), np.intp))
+            np.fromiter(chain(*(b for _, b in self.input_words())), np.intp))
 
     def memo(self, build, *key):
         """``build(self, *key)``, computed on first use per ``(build, key)``

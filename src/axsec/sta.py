@@ -53,15 +53,10 @@ def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
 
 
 def _arrival_times(nl: Netlist, model: DelayModel) -> np.ndarray:
-    nets, pins, groups = nl.plan
-    n0, arr, off = nl.n_nets - len(nets), np.zeros(nl.n_nets, np.float64), 0
-    for kind, start, stop, arity in groups:  # arr: per row
-        k = stop - start
-        m = arr[pins[off:off + k]] if arity else np.zeros(k)
-        for j in range(k, arity * k, k):
-            np.maximum(m, arr[pins[off + j:off + j + k]], out=m)
-        arr[n0 + start:n0 + stop] = model.of(kind) + m
-        off += arity * k
+    arr = np.zeros(nl.n_nets, np.float64)  # per row; no arrival is negative
+    for kind, lo, hi, arity, ins in nl.plan[1]:
+        arr[lo:hi] = model.of(kind) + arr[ins].reshape(arity, hi - lo).max(
+            0, initial=0.0)
     arr = arr[nl.rows]
     arr.flags.writeable = False
     return arr
@@ -86,17 +81,11 @@ def calibrated_model(nl: Netlist, clock: float,
 def slacks(nl: Netlist, model: DelayModel, clock: float) -> np.ndarray:
     """Per-net slack against the clock period (inf where no output is
     reachable)."""
-    arr = arrival_times(nl, model)
-    nets, pins, groups = nl.plan
-    n0, rows = nl.n_nets - len(nets), nl.rows
+    arr, rows = arrival_times(nl, model), nl.rows
     req = np.full(nl.n_nets, np.inf)  # per row
     req[rows.take(nl.outputs)] = clock
-    off = len(pins)
-    for kind, start, stop, arity in reversed(groups):
-        r, k = req[n0 + start:n0 + stop] - model.of(kind), stop - start
-        off -= arity * k
-        for j in range(off, off + arity * k, k):
-            np.minimum.at(req, pins[j:j + k], r)
+    for kind, lo, hi, arity, ins in reversed(nl.plan[1]):
+        np.minimum.at(req, ins, np.tile(req[lo:hi] - model.of(kind), arity))
     return req[rows] - arr
 
 
@@ -105,7 +94,6 @@ class TimingPath:
     """One complete input-to-output path."""
 
     nets: tuple
-    gates: tuple
     delay: float
     slack: float
     tags: tuple
@@ -159,8 +147,8 @@ def _uniform_paths(index, u: float, clock: float, n_paths: int,
                 if depth == length:
                     # the path's distinct tags in first-use order
                     out.append(TimingPath(
-                        tuple(nets), tuple([g.id for g in gates]), d,
-                        clock - d, tuple(dict.fromkeys(g.tag for g in gates))))
+                        tuple(nets), d, clock - d,
+                        tuple(dict.fromkeys(g.tag for g in gates))))
                     if len(out) >= n_paths:
                         return out
                 else:

@@ -245,7 +245,9 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     """Assert that ``derived`` equals the full build of its own fields:
     net levels, readers, drivers, signature, fanout and driver kinds,
     serialized text byte for byte, arrival times under each of ``models``
-    bit for bit, and every net's value under its plan."""
+    bit for bit, and every net's value under its plan ``(nets, groups)``,
+    each group ``(kind, lo, hi, arity, ins)`` with int bounds and arity
+    and ``ins`` a read-only ``intp`` block of its input rows."""
     full = Netlist(derived.net_names, derived.inputs, derived.outputs,
                    derived.words, derived.gates, derived.instances)
     assert full.base is None
@@ -261,12 +263,17 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     # a derived build continues its base's schedule, so its plan may
     # group the gates, and order the rows, otherwise than the full
     # build's, but computes the same value on every net
-    (dn, dp, dg), (fn, fp, fg) = derived.plan, full.plan
-    for a, b in ((dn, fn), (dp, fp), (derived.rows, full.rows)):
+    (dn, dg), (fn, fg) = derived.plan, full.plan
+    for a, b in ((dn, fn), (derived.rows, full.rows)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert not a.flags.writeable
     assert sorted(dn.tolist()) == sorted(fn.tolist())
-    assert all(type(x) is int for group in dg for x in group)
+    assert sum(len(g[4]) for g in dg) == sum(len(g[4]) for g in fg)
+    # bounds and arity are ints; ins is a read-only intp block
+    for kind, lo, hi, arity, ins in dg + fg:
+        assert all(type(x) is int for x in (kind, lo, hi, arity))
+        assert ins.dtype == np.intp and not ins.flags.writeable
+        assert len(ins) == arity * (hi - lo)
     words = np.random.default_rng(len(derived.gates)).integers(
         0, 2 ** 64, (derived.n_nets, 2), np.uint64)
     runs = []

@@ -560,6 +560,58 @@ def test_score_from_csv_files(tmp_path, capsys):
     assert float(m["fnr"]) == 0.0
 
 
+def test_score_counts_a_missed_instance(tmp_path, capsys):
+    rep = tmp_path / "report.csv"
+    rep.write_text(_REPORT_HEAD + "n0,CLEAN,a,0.1\nn0,CLEAN,b,0.0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(_TRUTH_HEAD + "n0,1,a\n")
+    out = tmp_path / "metrics.csv"
+    main(["score", "--report", str(rep), "--truth", str(truth),
+          "--out", str(out)])
+    assert "(tp=0 fp=0 tn=1 fn=1)" in capsys.readouterr().out
+    assert float(_rows(out)[0]["fnr"]) == 1.0
+
+
+def test_score_refuses_an_empty_report(tmp_path, capsys):
+    rep, truth = tmp_path / "report.csv", tmp_path / "truth.csv"
+    rep.write_text(_REPORT_HEAD)
+    truth.write_text(_TRUTH_HEAD)
+    out = tmp_path / "metrics.csv"
+    assert main(["score", "--report", str(rep), "--truth", str(truth),
+                 "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: empty report"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag", ["a b", "#x", ""])
+def test_gen_module_refuses_a_tag_the_text_cannot_hold(tmp_path, capsys,
+                                                       tag):
+    out = tmp_path / "m.nl"
+    assert main(["gen-module", "--op", "add", "--arch", "exact",
+                 "--width", "4", "--tag", tag, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: bad instance tag {tag!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words,message", [
+    ("word a x0 x1\nword b x1 x2\n",
+     "net 'x1' is in input word 'a' and again in 'b'"),
+    ("word a x0 x1 x0\nword b x2\n",
+     "net 'x0' is in input word 'a' and again in 'a'"),
+], ids=["two-words", "one-word-twice"])
+def test_profile_refuses_an_input_net_in_two_word_bits(tmp_path, capsys,
+                                                        words, message):
+    # a run fills each input net from one word bit: a later bit used to
+    # overwrite an earlier one, so word a read 3 back as 1
+    nl = tmp_path / "t.nl"
+    nl.write_text("input x0\ninput x1\ninput x2\noutput y\n" + words
+                  + "gate 0 AND y x0 x1 x2\n")
+    out = tmp_path / "out"
+    assert main(["profile", "--netlist", str(nl), "--out-dir", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: {nl}: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("yes,no", [("TRUE", "off"), ("on", "No"),
                                     (" yes ", "FALSE")])
 def test_score_reads_infected_like_a_config_flag(tmp_path, capsys, yes, no):
@@ -892,6 +944,7 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
      "got 'mul0=trunc:3:c:9'"),
     ("gen-design", ["--assign", "mul0=trunc:3:zz:9"],
      "got 'mul0=trunc:3:zz:9'"),
+    ("gen-design", ["--assign", "nope=exact"], "unknown slot 'nope'"),
     ("score", ["--threshold", "nan"], "threshold must be in (0, 1]"),
     ("score", ["--threshold", "-3"], "threshold must be in (0, 1]"),
     ("score", ["--threshold", "0"], "threshold must be in (0, 1]"),
@@ -919,7 +972,8 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
         "experiment-twiddle-0", "experiment-coeffs-3",
         "experiment-coeffs-too-wide", "gen-design-assign-k",
         "gen-design-assign-carry", "gen-design-assign-fourth",
-        "gen-design-assign-carry-fourth", "score-threshold-nan",
+        "gen-design-assign-carry-fourth", "gen-design-assign-unknown-slot",
+        "score-threshold-nan",
         "score-threshold-neg", "score-threshold-0", "score-threshold-1.5",
         "attack-stealth-vectors-neg"])
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
@@ -1067,6 +1121,8 @@ _TRUTH_HEAD = "netlist,infected,host\n"
      ":2: no suspicion"),
     ("report", "netlist,instance,suspicion\nv00\n",
      ":2: no instance, suspicion"),
+    ("report", "netlist,instance\nv00,top.mul0\n",
+     ": expected columns ['instance', 'netlist', 'suspicion']"),
     ("truth", _TRUTH_HEAD + "v00\n", ":2: no host, infected"),
     ("truth", _TRUTH_HEAD + "v00,1,top.mul0\nv01,0\n", ":3: no host"),
     ("truth", _TRUTH_HEAD + "v00,0,\nv00,1,top.mul0\n",
@@ -1078,7 +1134,8 @@ _TRUTH_HEAD = "netlist,infected,host\n"
     ("report", b"\xff\n", ": not UTF-8 text"),
     ("truth", b"\xff\n", ": not UTF-8 text"),
 ], ids=["report-abc", "report-empty", "report-nan", "report-inf",
-        "report-short-row", "report-netlist-only", "truth-netlist-only",
+        "report-short-row", "report-netlist-only", "report-no-suspicion",
+        "truth-netlist-only",
         "truth-no-host", "truth-duplicate", "truth-maybe",
         "truth-empty-flag", "report-not-utf8",
         "truth-not-utf8"])

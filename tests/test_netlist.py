@@ -273,6 +273,22 @@ def test_flatten_rejects_an_instance_that_is_not_a_netlist():
             flatten(d)
 
 
+@pytest.mark.parametrize("conn,message", [
+    ({"a": "a", "b": "b", "y": "y", "q": "a"}, "instance 'g': no port 'q'"),
+    ({"a": "a", "y": "y"}, "instance 'g': port 'b' unmapped"),
+    ({"a": "a", "b": "zz", "y": "y"},
+     "instance 'g': unknown word 'zz' for port 'b'"),
+    ({"a": "a", "b": "w", "y": "y"},
+     "instance 'g': port 'b' is 1 bits, word 'w' is 2"),
+], ids=["unknown-port", "unmapped-port", "unknown-word", "width"])
+def test_flatten_rejects_a_port_that_does_not_fit(conn, message):
+    d = Design("top", inputs=[("a", 1), ("b", 1), ("w", 2)],
+               outputs=[("y", 1)], insts=[ModuleInst("g", _and2(), conn)])
+    with pytest.raises(PortMismatch) as got:
+        flatten(d)
+    assert str(got.value) == message
+
+
 def test_ungrouped_nets_become_one_bit_words():
     nl = _and2()
     assert dict(nl.output_words()) == {"y": (2,)}
@@ -296,8 +312,8 @@ def test_fanout_counts():
 def test_what_a_shared_netlist_hands_out_is_read_only(spec):
     # builds are shared across trials, so no caller may change them
     nl = spec.build(None)
-    nets, pins, _ = nl.plan
-    for a in (nets, pins, nl.rows):
+    nets, groups = nl.plan
+    for a in (nets, *(ins for *_, ins in groups if len(ins)), nl.rows):
         with pytest.raises(ValueError):
             a[0] = 0
     with pytest.raises(ValueError):
@@ -335,8 +351,10 @@ def _support_by_definition(nl, nets):
 @st.composite
 def _worded_netlists(draw):
     """Layered random netlists with several input words (some ungrouped
-    inputs, some overlapping words, one word mixing in a gate output) and
-    gates spread over a few tags."""
+    inputs, some words overlapping or inside others, one word mixing in a
+    gate output) and gates spread over a few tags.  No two input words
+    share a net: a word of inputs only that reaches past the inputs of
+    earlier such words drops those it shares."""
     b = NetlistBuilder()
     xs = [b.pi(f"x{i}") for i in range(draw(st.integers(1, 8)))]
     for t in ("p", "q", "r"):
@@ -354,9 +372,13 @@ def _worded_netlists(draw):
                                 max_size=arity))
             made.append(b.gate(kind, ins, tag=draw(st.sampled_from("pqr"))))
         pool += made
+    taken = set()
     for k in range(draw(st.integers(0, 4))):
         bits = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
                              unique=True))
+        if set(bits) <= set(xs) and not set(bits) <= taken:
+            bits = [x for x in bits if x not in taken]
+            taken.update(bits)
         b.word(f"w{k}", bits)
     for net in pool[len(xs):]:
         b.po(net)
@@ -405,31 +427,36 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
         return below[g.id]
 
     # the rows: the input words' bits, then the gate outputs in plan order;
-    # the pins of each group, position by position, the rows of its inputs
-    nets, pins, groups = nl.plan
+    # the block of each group, position by position, the rows of its
+    # inputs, the blocks consecutive slices of one array
+    nets, groups = nl.plan
     assert nl.ordered_gates() == tuple(nl.driver(int(o)) for o in nets)
-    order = [*dict.fromkeys(b for _, bits in nl.input_words() for b in bits),
-             *nets.tolist()]
+    order = [b for _, bits in nl.input_words() for b in bits] + nets.tolist()
     assert nl.rows.tolist() == [order.index(n) for n in range(nl.n_nets)]
     levels = nl._lowered[2]
-    sched = {nl.driver(int(o)).id: lv for (_, start, stop, _), lv
-             in zip(groups, levels) for o in nets[start:stop]}
+    sched = {nl.driver(o).id: lv for (_, lo, hi, _, _), lv
+             in zip(groups, levels) for o in order[lo:hi]}
     top = max(level.values())
     for g in nl.gates:
         assert all(sched[nl.driver(i).id] < sched[g.id] for i in g.inputs
                    if nl.driver(i) is not None)
         assert sched[g.id] <= top - height(g)
-    runs, off = [], 0
-    for (kind, start, stop, arity), lv in zip(groups, levels):
-        gates = [nl.driver(int(o)) for o in nets[start:stop]]
+    runs, row, at = [], len(nl.inputs), 0
+    flat = groups[0][4].base if groups else np.zeros(0, np.intp)
+    for (kind, lo, hi, arity, ins), lv in zip(groups, levels):
+        gates = [nl.driver(o) for o in order[lo:hi]]
         assert {(sched[g.id], g.kind, len(g.inputs)) for g in gates} \
             == {(lv, kind, arity)}
         assert [g.id for g in gates] == sorted(g.id for g in gates)
-        at, off = off, off + arity * len(gates)
-        assert [order[r] for r in pins[at:off]] \
+        assert [order[r] for r in ins] \
             == [g.inputs[j] for j in range(arity) for g in gates]
+        assert lo == row
+        if len(ins):  # numpy points an empty slice at its array's start
+            assert ins.base is flat
+            assert ins.ctypes.data == flat.ctypes.data + at
+        row, at = hi, at + ins.nbytes
         runs.append((lv, kind, arity))
-    assert off == len(pins)
+    assert (row, at) == (nl.n_nets, flat.nbytes)
     assert runs == sorted(set(runs))
     assert sorted(int(o) for o in nets) == sorted(g.output for g in nl.gates)
     pins = [i for g in nl.gates for i in g.inputs]
@@ -470,7 +497,7 @@ def _mounted_fir():
 def test_the_scheduled_plan_computes_what_the_scalar_oracle_does(build,
                                                                  groups):
     nl = build()
-    assert len(nl.plan[2]) <= groups
+    assert len(nl.plan[1]) <= groups
     rng = np.random.default_rng(len(nl.gates))
     for n in (1, 64, 1000):
         c = np.zeros((nl.n_nets, (n + 63) // 64), np.uint64)
@@ -602,6 +629,10 @@ BAD_APPENDS = {
     "gate-driven added input": _driven_input,
     "repeated added input": _repeated_input,
     "empty word": lambda b, nl: b.word("e", []),
+    "bad word name": lambda b, nl: b.word("e f", [0]),
+    "input words sharing a net": lambda b, nl: b.word("d", [1, 2]),
+    "bad instance tag": lambda b, nl: b.instance("#v", "deterministic",
+                                                 "-", "-"),
     "bad instance kind": lambda b, nl: b.instance("v", "odd", "-", "-"),
     "dropped base tag": lambda b, nl: b.instances.clear(),
     "reused gate id": _past_the_ids,

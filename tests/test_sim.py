@@ -419,8 +419,8 @@ def test_the_kernel_computes_every_net_of_stacked_groups(seed, layers, per):
     want = {}
     for nl in (full, derived):
         sizes = {}
-        for kind, start, stop, arity in nl.plan[2]:
-            sizes[kind, arity] = max(sizes.get((kind, arity), 0), stop - start)
+        for kind, lo, hi, arity, _ in nl.plan[1]:
+            sizes[kind, arity] = max(sizes.get((kind, arity), 0), hi - lo)
         assert sizes == {(int(k), a): sizes[int(k), a] for k, a in _STACKED}
         assert min(sizes.values()) >= per
         for n in (1, 63, 64, 65, 130):
@@ -443,11 +443,10 @@ def test_one_kernel_call_allocates_one_gather_buffer():
     c = np.zeros((nl.n_nets, (20000 + 63) // 64), np.uint64)
     c[nl.rows.take(nl.inputs)] = np.random.default_rng(7).integers(
         0, 2 ** 64, (len(nl.inputs), c.shape[1]), np.uint64)
-    nets, pins, groups = nl.plan
-    buffer = max(a * (e - s) for _, s, e, a in groups) * c.shape[1] * 8
+    buffer = max(len(g[4]) for g in nl.plan[1]) * c.shape[1] * 8
     tracemalloc.start()
     try:
-        _kernels.eval_gates(nets, pins, groups, c)
+        _kernels.eval_gates(*nl.plan, c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

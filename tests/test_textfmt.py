@@ -161,6 +161,39 @@ def test_roundtrip_is_a_fixpoint(tmp_path_factory, nl):
     assert (d / "a.nl").read_bytes() == (d / "b.nl").read_bytes()
 
 
+# names the text cannot hold: empty, or with a space, a tab or a "#",
+# which starts a comment there
+_ODD = st.sampled_from(["", " ", "a b", "a\tb", "#", "#a", "a#", "a#b"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_netlist_the_builder_accepts_round_trips(data):
+    draw = data.draw
+
+    def name(plain):  # one time in six an odd one
+        return plain if draw(st.sampled_from(range(6))) else draw(_ODD)
+
+    b = NetlistBuilder()
+    nets = [b.pi(name(f"x{i}")) for i in range(draw(st.integers(1, 3)))]
+    tags = [name("u"), name("v")]
+    for tag in tags:
+        b.instance(tag, "deterministic", "misc", "exact")
+    for _ in range(draw(st.integers(1, 4))):
+        ins = draw(st.lists(st.sampled_from(nets), min_size=2, max_size=3))
+        nets.append(b.gate(GateKind.XOR, ins, tag=draw(st.sampled_from(tags)),
+                           stem=name("n")))
+    for w in "wz"[:draw(st.integers(0, 2))]:
+        b.word(name(w), draw(st.lists(st.sampled_from(nets), min_size=1,
+                                      max_size=3, unique=True)))
+    b.po(nets[-1])
+    try:
+        nl = b.build()
+    except NetlistError:
+        return
+    assert structurally_equal(nl, parse_netlist(serialize_netlist(nl)))
+
+
 _BFLY = serialize_netlist(bfly_spec().build(None)).splitlines()
 _TOKENS = sorted({t for line in _BFLY for t in line.split()}
                  | {"-1", "x", "#", "gate", "tag", "inst", "word", "AND"})
