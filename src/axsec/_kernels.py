@@ -10,19 +10,40 @@ those into a scratch buffer and one ufunc written into its block.
 """
 
 from bisect import bisect_left
+from enum import IntEnum
 from itertools import accumulate, chain
 
 import numpy as np
 
-_AND, _OR, _NAND, _NOR, _XOR, _XNOR = 0, 1, 2, 3, 4, 5
-_NOT, _MUX2, _CONST0, _CONST1 = 6, 8, 9, 10
+
+class GateKind(IntEnum):
+    """Supported combinational primitives.
+
+    ``MUX2`` takes inputs in the order (select, a, b) and passes ``a`` when
+    select is 0.  ``CONST0``/``CONST1`` take no inputs.  All other kinds accept
+    two or more inputs except the unary ``NOT``/``BUF``.
+    """
+
+    AND = 0
+    OR = 1
+    NAND = 2
+    NOR = 3
+    XOR = 4
+    XNOR = 5
+    NOT = 6
+    BUF = 7
+    MUX2 = 8
+    CONST0 = 9
+    CONST1 = 10
+
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_FOLD = {_AND: np.bitwise_and, _NAND: np.bitwise_and,
-         _OR: np.bitwise_or, _NOR: np.bitwise_or,
-         _XOR: np.bitwise_xor, _XNOR: np.bitwise_xor}
-_INVERTED = frozenset((_NAND, _NOR, _XNOR, _NOT))
+_FOLD = {GateKind.AND: np.bitwise_and, GateKind.NAND: np.bitwise_and,
+         GateKind.OR: np.bitwise_or, GateKind.NOR: np.bitwise_or,
+         GateKind.XOR: np.bitwise_xor, GateKind.XNOR: np.bitwise_xor}
+_INVERTED = frozenset((GateKind.NAND, GateKind.NOR, GateKind.XNOR,
+                       GateKind.NOT))
 
 
 #: the plan of no gates, its row map and levels, which a full build extends
@@ -133,13 +154,13 @@ def eval_gates(nets, groups, c):
     for kind, lo, hi, arity, ins in groups:
         out, k = c[lo:hi], hi - lo
         if not arity:
-            out[...] = _FULL if kind == _CONST1 else 0
+            out[...] = _FULL if kind == GateKind.CONST1 else 0
             continue
         # mode "clip" gathers straight into the buffer, unbuffered
         v = take(ins, 0, t[:len(ins)], "clip")
         if arity == 2:
             _FOLD[kind](v[:k], v[k:], out)
-        elif kind == _MUX2:  # (sel, a, b) -> a ^ ((a ^ b) & sel)
+        elif kind == GateKind.MUX2:  # (sel, a, b) -> a ^ ((a ^ b) & sel)
             np.bitwise_xor(v[k:2 * k], v[2 * k:], out)
             out &= v[:k]
             out ^= v[k:2 * k]

@@ -348,8 +348,8 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
         raise SignatureMismatch("clean and infected netlists disagree on "
                                 "primary I/O words")
     net = ht.trigger_net
-    if not (0 <= net < infected.n_nets and any(
-            g.tag in ht.host_instances for g in infected.readers(net))):
+    if not any(net in g.inputs and g.tag in ht.host_instances
+               for g in infected.gates):
         raise BadParams(f"trigger net {net} is not read by a host gate "
                         f"{ht.host_instances} of the infected netlist")
     error_delta = power_delta = rate = min_slack = None

@@ -23,7 +23,6 @@ instance tags into hierarchical paths such as ``top.mul0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
@@ -31,6 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import _kernels
+from ._kernels import GateKind
 from .errors import (
     CycleError,
     NetlistError,
@@ -38,27 +38,6 @@ from .errors import (
     SemanticError,
     UnknownModule,
 )
-
-
-class GateKind(IntEnum):
-    """Supported combinational primitives.
-
-    ``MUX2`` takes inputs in the order (select, a, b) and passes ``a`` when
-    select is 0.  ``CONST0``/``CONST1`` take no inputs.  All other kinds accept
-    two or more inputs except the unary ``NOT``/``BUF``.
-    """
-
-    AND = 0
-    OR = 1
-    NAND = 2
-    NOR = 3
-    XOR = 4
-    XNOR = 5
-    NOT = 6
-    BUF = 7
-    MUX2 = 8
-    CONST0 = 9
-    CONST1 = 10
 
 
 #: kind -> (min arity, max arity); None means unbounded.
@@ -136,10 +115,6 @@ class Netlist:
     def driver(self, net):
         """The :class:`Gate` driving ``net``, None for a primary input."""
         return self._driver[net]
-
-    def readers(self, net):
-        """Gates reading ``net``, each listed once, in gate id order."""
-        return self._readers[net]
 
     def fanout_counts(self):
         """Read-only ``int64`` array: the gate input pins fed by each net."""
@@ -270,46 +245,43 @@ class Netlist:
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
         self.signature()  # derives the I/O words: refuses a name used twice
-        self._depth, self._readers = self._levelize(driver, self.gates[k0:])
+        self._depth = self._levelize(driver, self.gates[k0:])
 
     def _levelize(self, driver, new):
-        # per net, its driver's level (-1: an input) and readers: Kahn's sort,
-        # a level at a time, of the ``new`` gates; pending keys gate outputs
-        # in gate id order, so a loop is reported from the lowest stuck gate
+        # per net, its driver's level (-1: an input): Kahn's sort of the
+        # ``new`` gates, each one above its highest driver once its last
+        # new driver is levelled (a pin at a time: a gate reading a net
+        # twice waits for it twice); pending keys gate outputs in gate id
+        # order, so a loop is reported from the lowest stuck gate
         base = self.base
         depth = list(base._depth) if base else []
         depth += [-1 if d is None else None for d in driver[len(depth):]]
-        readers = list(base._readers) if base else []
-        readers += [()] * (self.n_nets - len(readers))
-        grown, pending, floor, ready = {}, {}, {}, {}  # grown: new readers
+        readers = {g.output: [] for g in new}  # of the new gates' outputs
+        pending, ready = {}, []
         for g in new:
-            n = f = 0
-            for i in set(g.inputs):
-                grown.setdefault(i, []).append(g)
+            n = 0
+            for i in g.inputs:
                 if depth[i] is None:  # driven by a new gate
+                    readers[i].append(g)
                     n += 1
-                else:
-                    f = max(f, depth[i] + 1)
             if n:
-                pending[g.output], floor[g.output] = n, f
+                pending[g.output] = n
             else:
-                ready.setdefault(f, []).append(g)
-        for i, rs in grown.items():
-            readers[i] += tuple(rs)
-        lv = 0
-        while ready:
-            for g in ready.pop(lv, ()):
-                depth[g.output] = lv
-                for r in readers[g.output]:
-                    pending[r.output] -= 1
-                    if not pending[r.output]:
-                        del pending[r.output]
-                        ready.setdefault(max(lv + 1, floor.pop(r.output)),
-                                         []).append(r)
-            lv += 1
+                ready.append(g)
+        for g in ready:  # grows as gates are levelled
+            lv = 0
+            for i in g.inputs:
+                if depth[i] >= lv:
+                    lv = depth[i] + 1
+            depth[g.output] = lv
+            for r in readers[g.output]:
+                pending[r.output] -= 1
+                if not pending[r.output]:
+                    del pending[r.output]
+                    ready.append(r)
         if pending:
             raise CycleError(self._find_cycle(pending))
-        return tuple(depth), tuple(readers)
+        return tuple(depth)
 
     # -- orders ------------------------------------------------------------
 

@@ -101,12 +101,15 @@ class TimingPath:
 
 def _path_index(nl: Netlist):
     """What the path walk needs of a netlist and no delay scale changes:
-    each net's readers sorted by output net, the suffix-length bitmasks
-    (bit k of a net's mask: some path of k gates runs from it to an
-    output) and the sorted primary inputs."""
-    by_out = attrgetter("output")
-    cons = [rs if len(rs) < 2 else sorted(rs, key=by_out)
-            for rs in map(nl.readers, range(nl.n_nets))]
+    each net's readers, each once, in output net order, the suffix-length
+    bitmasks (bit k of a net's mask: some path of k gates runs from it to
+    an output) and the sorted primary inputs."""
+    cons = [[] for _ in range(nl.n_nets)]
+    for g in sorted(nl.gates, key=attrgetter("output")):
+        for i in g.inputs:
+            rs = cons[i]
+            if not rs or rs[-1] is not g:  # a repeated input reads once
+                rs.append(g)
     suf = [0] * nl.n_nets
     for o in nl.outputs:
         suf[o] = 1

@@ -243,7 +243,7 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
 
 def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     """Assert that ``derived`` equals the full build of its own fields:
-    net levels, readers, drivers, signature, fanout and driver kinds,
+    net levels, drivers, signature, fanout and driver kinds,
     serialized text byte for byte, arrival times under each of ``models``
     bit for bit, and every net's value under its plan ``(nets, groups)``,
     each group ``(kind, lo, hi, arity, ins)`` with int bounds and arity
@@ -253,7 +253,6 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     assert full.base is None
     assert derived._depth == full._depth
     assert sorted(derived.ordered_gates(), key=_gate_id) == list(full.gates)
-    assert derived._readers == full._readers
     assert derived._driver == full._driver
     assert derived.signature() == full.signature()
     assert derived.input_words() == full.input_words()

@@ -175,10 +175,16 @@ def test_modules_are_labeled_approximate():
     ArchParams("add", "trunc", 1, 0),     # width floor
     ArchParams("add", "exotic", 4, 0),
     ArchParams("mul", "loa", 4, 1),       # loa is an adder family
+    ArchParams("div", "exact", 4),        # no generator for the operator
 ])
 def test_bad_params_rejected(params):
     with pytest.raises(BadParams):
         gen_module(params)
+
+
+def test_a_generator_refuses_another_operator():
+    with pytest.raises(BadParams, match="expected op_type 'add', got 'mul'"):
+        gen_adder(ArchParams("mul", "exact", 4))
 
 
 def test_arch_registry():

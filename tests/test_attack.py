@@ -240,10 +240,54 @@ def test_insertion_refuses_an_input_word_over_63_bits(kernel_calls):
     assert not kernel_calls
 
 
+def test_insertion_needs_the_profiling_stream(inserted, kernel_calls):
+    clean, act, _, _, _ = inserted
+    with pytest.raises(BadParams, match="config.stream must carry the "
+                                        "profiling stream"):
+        insert_trojan(clean, act, None, AttackConfig())
+    assert not kernel_calls
+
+
+def test_insertion_skips_a_tap_no_input_word_reaches():
+    # a report marking a constant rare at the value it holds: the tap is
+    # realized in every cycle, but no witness can set it
+    b = NetlistBuilder()
+    a = [b.pi(f"a{i}") for i in range(2)]
+    b.word("a", a)
+    b.instance("u", "approximate", "misc", "exact")
+    c = b.gate(GateKind.CONST0, (), tag="u")
+    b.po(b.gate(GateKind.OR, (a[0], a[1], c), tag="u"))
+    nl = b.build()
+    p1 = np.full(nl.n_nets, 0.5)
+    p1[c] = 1.0  # rare at 0
+    act = ActivityReport(p1, np.zeros(nl.n_nets, np.int64), 1000)
+    cfg = AttackConfig(q=1, theta=0.08, scoap_ceiling=2 ** 30,
+                       payload="corrupt", stream=VectorStream(1000, 1))
+    assert rare_nets(act, cfg.theta) == [(c, 0)]
+    with pytest.raises(NoWitness, match="only 0 composable trigger taps "
+                                        "of 1 requested"):
+        insert_trojan(nl, act, None, cfg)
+
+
+def test_a_second_insertion_takes_the_next_free_tag(inserted):
+    clean, _, cfg, _, _ = inserted
+    cfg = dataclasses.replace(cfg, q=1, payload="corrupt")
+    once, ht = insert_trojan(clean, activity_profile(clean, cfg.stream),
+                             None, cfg)
+    twice, again = insert_trojan(once, activity_profile(once, cfg.stream),
+                                 None, cfg)
+    assert (ht.host_instances, again.host_instances) \
+        == (("top.mul2.g0",), ("top.mul2.g1",))
+    assert twice.instances["top.mul2.g1"] == clean.instances["top.mul2"]
+    tags = {g.id: g.tag for g in once.gates}
+    assert all(tags.get(g.id, "top.mul2.g1") == g.tag for g in twice.gates)
+
+
 def test_stealth_refuses_an_output_word_over_63_bits(kernel_calls):
     nl = gen_module(ArchParams("add", "loa", 63, 8))
     a0 = nl.words["a"][0]
-    ht = HTInstance((), 1, "corrupt", (), (nl.readers(a0)[0].tag,), a0)
+    host = next(g.tag for g in nl.gates if a0 in g.inputs)
+    ht = HTInstance((), 1, "corrupt", (), (host,), a0)
     with pytest.raises(BadParams, match="word 's' is 64 bits wide"):
         verify_stealth(nl, nl, ht, EXACT_OPS["add"], VectorStream(100, 1))
     assert not kernel_calls
@@ -451,7 +495,7 @@ def test_stealth_against_itself_under_word_references():
     nl = spec.build({"add0": ArchParams("add", "loa", spec.slots[1][2], 4)})
     a0 = dict(nl.input_words())["a"][0]
     # a one-tap trigger on a 1 value is the tap itself, read by its host
-    host = (nl.readers(a0)[0].tag,)
+    host = (next(g.tag for g in nl.gates if a0 in g.inputs),)
     ht = HTInstance(((a0, 1),), 1, "corrupt", (), host, a0)
     stream = VectorStream(2000, 4, "uniform")
     rep = verify_stealth(nl, nl, ht, spec.reference, stream)

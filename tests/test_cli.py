@@ -593,6 +593,31 @@ def test_gen_module_refuses_a_tag_the_text_cannot_hold(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_gen_module_refuses_a_multiplier_architecture_for_add(tmp_path,
+                                                             capsys):
+    out = tmp_path / "m.nl"
+    assert main(["gen-module", "--op", "add", "--arch", "block22",
+                 "--width", "4", "--k", "1", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) \
+        == "error: block22 is a multiplier architecture"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("gate 0 AND", "gate needs id, kind and output"),
+    ("inst u approximate add", "inst takes tag, kind, op_type, arch_id"),
+], ids=["gate", "inst"])
+def test_sta_refuses_a_statement_short_of_fields(tmp_path, capsys, line,
+                                                  message):
+    nl = tmp_path / "t.nl"
+    nl.write_text(f"input a\noutput a\n{line}\n")
+    out = tmp_path / "paths.csv"
+    assert main(["sta", "--netlist", str(nl), "--clock", "10",
+                 "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"error: {nl}: line 3: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("words,message", [
     ("word a x0 x1\nword b x1 x2\n",
      "net 'x1' is in input word 'a' and again in 'b'"),

@@ -11,7 +11,7 @@ from axsec.designs import (bfly_design, bfly_spec, const_module,
 from axsec.errors import BadParams
 from axsec.experiment import (ExperimentConfig, characterize_library,
                               generate_variants)
-from axsec.netlist import flatten
+from axsec.netlist import Design, ModuleInst, flatten
 from axsec.sim import VectorStream, simulate, sub_seed
 
 from tests.oracles import eval_vector, structurally_equal, word_value
@@ -90,6 +90,15 @@ def test_flatten_prefixes_instance_tags():
     assert nl.instances["top.mul0"].kind_label == "approximate"
     assert nl.instances["top.c0"].kind_label == "deterministic"
     assert all(t.startswith("top.") for t in tags)
+    # a placed module of several tags keeps each under the instance path
+    inner = fir_spec(4, (1, 2, 3, 1)).build()
+    ins, outs = inner.signature()
+    nl = flatten(Design("outer", list(ins), list(outs), insts=[ModuleInst(
+        "f", inner, {w: w for w, _ in ins + outs})]))
+    assert nl.instances == {f"outer.f.{t}": e
+                            for t, e in inner.instances.items()}
+    assert [g.tag for g in nl.gates] \
+        == [f"outer.f.{g.tag}" for g in inner.gates]
 
 
 def test_bfly_hand_values():

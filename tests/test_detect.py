@@ -190,6 +190,16 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     assert replayed
 
 
+def test_replay_groups_keep_eight_distinct_assignments_per_support():
+    # ten rare nets of one support hit at ten vectors, word a repeating
+    # its first value: the eight rarest distinct values are replayed
+    replay = tuple((n, ("a",), (0.01 * n, n, f"n{n}")) for n in range(10))
+    profile = SimpleNamespace(
+        replay=replay, in_vals={"a": np.array([5, 5, 1, 2, 3, 4, 6, 7, 8, 9])})
+    assert detect._replay_groups(profile, [1] * 10, 1) == [
+        (("a",), [{"a": v} for v in (5, 1, 2, 3, 4, 6, 7, 8)])]
+
+
 _NO_REPLAY = SimpleNamespace(replay=(), in_vals={})
 
 

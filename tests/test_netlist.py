@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec import _kernels, attack, experiment, textfmt
+from axsec import _kernels, attack, experiment, sta, textfmt
 from axsec.attack import AttackConfig, StealthReport
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import (CycleError, NetlistError, PortMismatch,
@@ -418,11 +418,15 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
     # its ALAP level, the top level minus its longest path to a sink; each
     # group is one (scheduled level, kind, arity) run, ids rising, the runs
     # rising; its drivers are the gate order
-    below = {}
+    below, readers = {}, {}
+    for g in nl.gates:
+        for i in g.inputs:
+            readers.setdefault(i, []).append(g)
 
     def height(g):  # gates on the longest path from g's output to a sink
         if g.id not in below:
-            below[g.id] = max((1 + height(r) for r in nl.readers(g.output)),
+            below[g.id] = max((1 + height(r)
+                               for r in readers.get(g.output, ())),
                               default=0)
         return below[g.id]
 
@@ -460,8 +464,10 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
     assert runs == sorted(set(runs))
     assert sorted(int(o) for o in nets) == sorted(g.output for g in nl.gates)
     pins = [i for g in nl.gates for i in g.inputs]
+    cons = sta._path_index(nl)[0]  # the path walk's readers
     for n in range(nl.n_nets):
-        assert nl.readers(n) == tuple(g for g in nl.gates if n in g.inputs)
+        assert cons[n] == sorted((g for g in nl.gates if n in g.inputs),
+                                 key=lambda g: g.output)
         assert nl.fanout_counts()[n] == pins.count(n)
 
 

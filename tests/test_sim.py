@@ -178,7 +178,8 @@ def test_a_reference_to_a_word_that_is_no_output_is_refused_before_any_run(
                                             "output word"):
             profile(nl, ref, stream)
     a0 = nl.words["a"][0]
-    ht = HTInstance((), 1, "corrupt", (), (nl.readers(a0)[0].tag,), a0)
+    host = next(g.tag for g in nl.gates if a0 in g.inputs)
+    ht = HTInstance((), 1, "corrupt", (), (host,), a0)
     with pytest.raises(BadParams, match="reference word 'y'"):
         verify_stealth(nl, nl, ht, ref, stream)
     assert not kernel_calls
@@ -194,7 +195,8 @@ def test_an_empty_reference_dict_is_refused_before_any_run(kernel_calls):
         with pytest.raises(BadParams, match="at least one output word"):
             profile(nl, {}, stream)
     a0 = nl.words["a"][0]
-    ht = HTInstance((), 1, "corrupt", (), (nl.readers(a0)[0].tag,), a0)
+    host = next(g.tag for g in nl.gates if a0 in g.inputs)
+    ht = HTInstance((), 1, "corrupt", (), (host,), a0)
     with pytest.raises(BadParams, match="at least one output word"):
         verify_stealth(nl, nl, ht, {}, stream)
     assert kernel_calls == []
