@@ -39,11 +39,11 @@ class GateKind(IntEnum):
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_FOLD = {GateKind.AND: np.bitwise_and, GateKind.NAND: np.bitwise_and,
-         GateKind.OR: np.bitwise_or, GateKind.NOR: np.bitwise_or,
-         GateKind.XOR: np.bitwise_xor, GateKind.XNOR: np.bitwise_xor}
-_INVERTED = frozenset((GateKind.NAND, GateKind.NOR, GateKind.XNOR,
-                       GateKind.NOT))
+# by the plan's plain-int kinds: the folds of AND ... XNOR (0-5) by index
+_FOLD = (np.bitwise_and, np.bitwise_or) * 2 + (np.bitwise_xor,) * 2
+_INVERTED = {int(k) for k in (GateKind.NAND, GateKind.NOR, GateKind.XNOR,
+                              GateKind.NOT)}
+_MUX2, _CONST1 = int(GateKind.MUX2), int(GateKind.CONST1)
 
 
 #: the plan of no gates, its row map and levels, which a full build extends
@@ -154,13 +154,13 @@ def eval_gates(nets, groups, c):
     for kind, lo, hi, arity, ins in groups:
         out, k = c[lo:hi], hi - lo
         if not arity:
-            out[...] = _FULL if kind == GateKind.CONST1 else 0
+            out[...] = _FULL if kind == _CONST1 else 0
             continue
         # mode "clip" gathers straight into the buffer, unbuffered
         v = take(ins, 0, t[:len(ins)], "clip")
         if arity == 2:
             _FOLD[kind](v[:k], v[k:], out)
-        elif kind == GateKind.MUX2:  # (sel, a, b) -> a ^ ((a ^ b) & sel)
+        elif kind == _MUX2:  # (sel, a, b) -> a ^ ((a ^ b) & sel)
             np.bitwise_xor(v[k:2 * k], v[2 * k:], out)
             out &= v[:k]
             out ^= v[k:2 * k]

@@ -8,9 +8,10 @@ disagreeing under the right stimulus.  Per-instance suspicion fuses three
 signals: presence on near-critical paths, loss of resilience under directed
 stress vectors, and ownership of rarely switching nets.
 
-Candidates must share one :meth:`Netlist.signature`, so a screen draws the
-profiling streams' input word values once (:func:`_profiling_values`) and
-replays them on every candidate.  Each candidate is simulated once on them;
+Candidates must share one :meth:`Netlist.signature`, so a screen packs the
+profiling streams once, as one :class:`axsec.sim.Stimulus`, and replays it
+on every candidate; so does the stress step with its union of stress
+vectors.  Each candidate is simulated once on the profiling stimulus;
 its :class:`_Profile` keeps what the screen reads of that run at the
 screen's one ``theta``, with signal probabilities taken from the activity
 count.  The ranking and the stress step each take one :func:`_consensus`
@@ -32,9 +33,8 @@ import numpy as np
 from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
                      check_ranges)
 from .netlist import GateKind, Netlist
-from .sim import (VectorStream, activity_profile, check_theta,
-                  check_value_words, error_terms, rare_nets, simulate,
-                  stream_values)
+from .sim import (Stimulus, VectorStream, activity_profile, check_theta,
+                  check_value_words, error_terms, pack, rare_nets, simulate)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -139,34 +139,26 @@ def _majority(vals: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Profile:
-    """What a screen reads of one candidate's profiling run: input and
-    output word values per vector, the rare non-constant gate outputs at
-    the screen's ``theta`` as {net: rare value}, and per rare net that was
-    realized, in ``rare`` order, (net, input word support, (rarity, first
-    hit, net name)).  ``in_vals`` is the screen's one dict of inputs."""
+    """What a screen reads of one candidate's profiling run: the screen's
+    one packed ``stimulus``, output word values per vector, the rare
+    non-constant gate outputs at the screen's ``theta`` as {net: rare
+    value}, and per rare net that was realized, in ``rare`` order, (net,
+    input word support, (rarity, first hit, net name))."""
 
-    in_vals: dict
+    stimulus: Stimulus
     out_vals: dict
     rare: dict
     replay: tuple
-
-
-def _profiling_values(cands, streams) -> dict:
-    """The input word values of the profiling streams on the candidates'
-    common input words, concatenated in sorted mode order."""
-    words = cands[0][1].signature()[0]
-    parts = [stream_values(streams[m], words) for m in sorted(streams)]
-    return {w: np.concatenate([p[w] for p in parts]) for w, _ in words}
 
 
 def _output_values(run) -> dict:
     return {w: run.word_values(b) for w, b in run.netlist.output_words()}
 
 
-def _profile(nl: Netlist, in_vals: dict, theta: float) -> _Profile:
-    """The :class:`_Profile` of one candidate, simulated once on the word
-    values ``in_vals``; the run itself is not kept."""
-    run = simulate(nl, in_vals)
+def _profile(nl: Netlist, stim: Stimulus, theta: float) -> _Profile:
+    """The :class:`_Profile` of one candidate, simulated once on the
+    screen's stimulus ``stim``; the run itself is not kept."""
+    run = simulate(nl, stim)
     act = activity_profile(nl, run)
     live = ~np.isin(nl.driver_kinds, (-1, GateKind.CONST0, GateKind.CONST1))
     rare = {net: v for net, v in rare_nets(act, theta) if live[net]}
@@ -180,7 +172,7 @@ def _profile(nl: Netlist, in_vals: dict, theta: float) -> _Profile:
         # tie-breaks
         replay.append((net, nl.input_word_support((net,)),
                        (p if val == 1 else 1.0 - p, t, nl.net_names[net])))
-    return _Profile(in_vals, _output_values(run), rare, tuple(replay))
+    return _Profile(stim, _output_values(run), rare, tuple(replay))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +228,8 @@ def rank_by_error(candidates, streams,
     value, least deviating first (ties by id).  ``streams`` maps mode names
     to :class:`VectorStream` instances; all of them contribute vectors."""
     cands = _checked(candidates)
-    vals = _profiling_values(cands, streams)
-    return _rank(cands, [_output_values(simulate(nl, vals))
+    stim = pack(cands[0][1].signature()[0], *map(streams.get, sorted(streams)))
+    return _rank(cands, [_output_values(simulate(nl, stim))
                          for _, nl in cands], tol)
 
 
@@ -318,7 +310,7 @@ def _replay_groups(profile, masks, bit):
         claimed |= set(sup)
         ranked, seen_vals = [], set()
         for rarity, t, _name in sorted(per_sup[sup]):
-            key = tuple(int(profile.in_vals[w][t]) for w in sup)
+            key = tuple(int(profile.stimulus.values[w][t]) for w in sup)
             if key in seen_vals:
                 continue
             seen_vals.add(key)
@@ -329,15 +321,16 @@ def _replay_groups(profile, masks, bit):
     return groups
 
 
-def _stress_values(nl, tag, budget, profile, rng):
-    """Directed input word values for one instance: a low-operand and a
-    high-operand third on the input words of its fan-in cone, and a third
-    replaying composed rare values of the cone's nets: the nets and input
-    word bits whose :func:`_cone_masks` entry holds the instance's bit."""
+def _stress_values(nl, tag, vals, profile, rng):
+    """Fill ``vals``, a zeroed int64 array per input word, with directed
+    values for one instance: a low-operand and a high-operand third on the
+    input words of its fan-in cone, and a third replaying composed rare
+    values of the cone's nets: the nets and input word bits whose
+    :func:`_cone_masks` entry holds the instance's bit."""
     words = dict(nl.input_words())
     masks, bit = nl.memo(_cone_masks), 1 << sorted(nl.instances).index(tag)
     cone = [w for w in sorted(words) if any(masks[b] & bit for b in words[w])]
-    vals = {w: np.zeros(budget, np.int64) for w in words}
+    budget = len(next(iter(vals.values())))
     b1 = b2 = budget // 3
     lo = b1 + b2
     b3 = budget - lo
@@ -358,7 +351,6 @@ def _stress_values(nl, tag, budget, profile, rng):
     elif b3:
         for w in cone:
             vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)
-    return vals
 
 
 def _stress_scores(cands, jobs, profiles, config):
@@ -366,24 +358,26 @@ def _stress_scores(cands, jobs, profiles, config):
     per-vector majority of all candidates.
 
     Every job's stress vectors come from its own per-tag rng, so they do
-    not depend on which other jobs share the batch.  The jobs' vectors are
-    concatenated and each candidate is simulated once on the union, in
-    candidate order; only its output word values are kept.  The
+    not depend on which other jobs share the batch.  Each job fills its
+    slice of one dict of word values, which is packed once, and each
+    candidate is simulated once on the union, in candidate order; only its
+    output word values are kept.  The
     :func:`_consensus` of the union is taken once; its majority is per
     vector, so a job's column slice of the deviations scores the same
     float as simulating that job alone.
     """
     if not jobs:
         return []
-    budget = config.stress_budget
-    stress = []
-    for idx, tag in jobs:
+    budget, words = config.stress_budget, cands[0][1].signature()[0]
+    vals = {w: np.zeros(len(jobs) * budget, np.int64) for w, _ in words}
+    for j, (idx, tag) in enumerate(jobs):
         rng = np.random.default_rng(np.random.SeedSequence(
             (config.seed, 0xE51, zlib.crc32(tag.encode()))))
-        stress.append(_stress_values(cands[idx][1], tag, budget,
-                                     profiles[idx], rng))
-    vals = {w: np.concatenate([v[w] for v in stress]) for w in stress[0]}
-    rows = [_output_values(simulate(nl, vals)) for _, nl in cands]
+        _stress_values(cands[idx][1], tag, {w: v[j * budget:(j + 1) * budget]
+                                            for w, v in vals.items()},
+                       profiles[idx], rng)
+    stim = pack(words, vals)
+    rows = [_output_values(simulate(nl, stim)) for _, nl in cands]
     deviating = np.zeros((len(cands), len(jobs) * budget), bool)
     for stack, maj, tol in _consensus(cands, rows, config.dev_tol):
         deviating |= np.abs(stack - maj) > tol
@@ -441,8 +435,9 @@ def classify(candidates, config: DetectConfig | None = None) \
     """
     config = config or DetectConfig()
     cands = _checked(candidates)
-    vals = _profiling_values(cands, defender_streams(config))
-    profiles = [_profile(nl, vals, config.theta) for _, nl in cands]
+    streams = defender_streams(config)
+    stim = pack(cands[0][1].signature()[0], *map(streams.get, sorted(streams)))
+    profiles = [_profile(nl, stim, config.theta) for _, nl in cands]
     rank = _rank(cands, [p.out_vals for p in profiles], config.dev_tol)
     pos = {e.netlist_id: i for i, e in enumerate(rank)}
     mred = {e.netlist_id: e.mred for e in rank}

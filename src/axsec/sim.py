@@ -12,19 +12,22 @@ plus the ordered input word widths of the netlist under test.  Values are
 always drawn in fixed :data:`CHUNK`-sized slices with one generator per input
 word, so the same stream is produced no matter how a consumer batches the run
 and regardless of any other words present.  Streams are generated as packed
-words, the form the kernel reads: each input word's chunk is a ``(width,
-words)`` ``uint64`` array whose row i holds bit i of the word, vector t at
-bit ``t % 64`` of word ``t // 64``.  A correlated word's runs are filled on
-those packed words, and a run copies the rows into its net array as they
-are.  A stream that fits in one chunk is generated once per input signature
-and reused read-only (:func:`_single_chunk_bits`); longer streams are
-generated lazily, and a profile runs all their chunks in one net buffer.
+words, the form the kernel reads: a chunk is one ``(m, words)`` ``uint64``
+block whose row i holds input bit i in input word order, vector t at bit
+``t % 64`` of word ``t // 64``.  A correlated word's runs are filled on
+those packed words, and a run copies the block into its net array's first
+rows, the primary inputs'.  A stream that fits in one chunk is generated
+once per input signature and reused read-only (:func:`_single_chunk_bits`);
+longer streams are generated lazily, and a profile runs all their chunks
+in one net buffer.
 Every bit is made of the generator's raw 64-bit words; the same draws as
 ``Generator.integers`` and ``Generator.random`` calls are kept in
 ``tests/oracles.py`` as the reference.
 
 A run is read in the same chunks as its stream, so a run measured several
-ways is simulated once.  Word values are packed into rows chunk by chunk.
+ways is simulated once.  Word values are packed chunk by chunk.  A
+screen packs its stimulus once (:func:`pack`) and replays it on every
+candidate as an internal fourth source.
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -140,30 +143,30 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
 
 
 def _stream_chunks(stream, words):
-    """Yield (start, n, rows) chunks of a :class:`VectorStream`, generated
+    """Yield (start, n, block) chunks of a :class:`VectorStream`, generated
     lazily one :data:`CHUNK` at a time."""
     rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
             for i in range(len(words))]
     carry = [None] * len(words)
+    at = np.cumsum([0] + [w for _, w in words]).tolist()  # rows per word
     for start in range(0, stream.n_vectors, CHUNK):
         n = min(CHUNK, stream.n_vectors - start)
-        rows = {}
-        for i, (name, width) in enumerate(words):
-            rows[name], carry[i] = _chunk_bits(
+        block = np.empty((at[-1], (n + 63) // 64), np.uint64)
+        for i, (_, width) in enumerate(words):
+            block[at[i]:at[i + 1]], carry[i] = _chunk_bits(
                 rngs[i], stream.mode, stream.rho, n, width, carry[i])
-        yield start, n, rows
+        yield start, n, block
 
 
 @lru_cache(maxsize=2)
 def _single_chunk_bits(stream, words):
-    """Read-only packed rows of a stream that fits in one chunk, generated
+    """The read-only block of a stream that fits in one chunk, generated
     once per (stream, input words).  Two entries cover the usual
     alternation (the defender's two profiling streams, a clean and an
     infected run)."""
-    (_, _, rows), = _stream_chunks(stream, words)
-    for arr in rows.values():
-        arr.flags.writeable = False
-    return rows
+    (_, _, block), = _stream_chunks(stream, words)
+    block.flags.writeable = False
+    return block
 
 
 def _checked_values(source, words) -> list:
@@ -185,14 +188,54 @@ def _checked_values(source, words) -> list:
     return vals
 
 
+@dataclass(frozen=True, eq=False)
+class Stimulus:
+    """The input ``words`` of :func:`pack`, one read-only block of all
+    its vectors (a chunk's form) and their count."""
+
+    words: tuple
+    block: np.ndarray
+    n_vectors: int
+
+    @cached_property
+    def values(self) -> dict:
+        """{input word: one int64 per vector}, unpacked on first read."""
+        at = np.cumsum([0] + [w for _, w in self.words]).tolist()
+        return {w: _row_values(self.block[a:b], self.n_vectors)
+                for (w, _), a, b in zip(self.words, at, at[1:])}
+
+
+def pack(words, *sources) -> Stimulus:
+    """The :class:`Stimulus` on ``words`` of the vectors of ``sources``,
+    streams or word values, in order: each chunk's block is shifted in
+    after the vectors before it, and no vector is unpacked."""
+    chunks = [(n, b) for s in sources for _, n, b in _bits_chunks(s, words)]
+    at = np.cumsum([0] + [n for n, _ in chunks]).tolist()
+    block = np.zeros((sum(w for _, w in words), at[-1] // 64 + 2), np.uint64)
+    for a, (_, b) in zip(at, chunks):  # pad bits are clear: they OR as 0s
+        lo, s = divmod(a, 64)  # numpy shifts a uint64 by 64 to 0
+        block[:, lo:lo + b.shape[1]] |= b << np.uint64(s)
+        block[:, lo + 1:lo + 1 + b.shape[1]] |= b >> np.uint64(64 - s)
+    block = block[:, :(at[-1] + 63) // 64]
+    block.flags.writeable = False
+    return Stimulus(words, block, at[-1])
+
+
 def _bits_chunks(source, words):
-    """Yield (start, n, {word: (width, words) uint64 rows}) chunks from a
-    stream or a dict of word values, whose bits are packed chunk by chunk."""
+    """Yield (start, n, block) chunks, pad bits clear, of a stream, a
+    :class:`Stimulus` or a dict of word values."""
     if isinstance(source, VectorStream):
         if source.n_vectors <= CHUNK:
             yield 0, source.n_vectors, _single_chunk_bits(source, words)
         else:
             yield from _stream_chunks(source, words)
+        return
+    if isinstance(source, Stimulus):
+        if source.words != words:
+            raise BadParams("a packed stimulus runs only on its input words")
+        for start in range(0, source.n_vectors, CHUNK):
+            yield (start, min(CHUNK, source.n_vectors - start),
+                   source.block[:, start // 64:(start + CHUNK) // 64])
         return
     if not isinstance(source, Mapping):
         raise BadParams(f"a source is a VectorStream, a run or a mapping of "
@@ -203,9 +246,9 @@ def _bits_chunks(source, words):
         raise BadParams("empty stream")
     for start in range(0, total, CHUNK):
         n = min(CHUNK, total - start)
-        yield start, n, {w: _pack_rows(np.unpackbits(
+        yield start, n, _pack_rows(np.concatenate([np.unpackbits(
             v[start:start + n, None].view(np.uint8), axis=1, count=width,
-            bitorder="little")) for (w, width), v in zip(words, vals)}
+            bitorder="little") for (_, width), v in zip(words, vals)], 1))
 
 
 def check_value_words(netlist: Netlist, outputs=()) -> None:
@@ -224,14 +267,6 @@ def _row_values(rows, n: int) -> np.ndarray:
                          bitorder="little")[:, :n]
     weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
     return np.einsum("i,ij->j", weights, bits)
-
-
-def stream_values(stream, words) -> dict[str, np.ndarray]:
-    """The whole stream as word values, {word: one int64 per vector}."""
-    chunks = [rows for _, _, rows in _bits_chunks(stream, words)]
-    return {w: _row_values(np.concatenate([c[w] for c in chunks], axis=1),
-                           stream.n_vectors)
-            for w, _ in words}
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +317,14 @@ class Traces:
         return [times[a:b][:limit] for a, b in zip([0, *ends], ends)]
 
 
-def _run_packed(nl: Netlist, rows, n: int, buf=None) -> np.ndarray:
-    """The net array of one chunk: the input rows copied in, the kernel
-    run and the pad bits cleared.  Written into the memory of ``buf`` when
-    given, else into a new array."""
+def _run_packed(nl: Netlist, block, n: int, buf=None) -> np.ndarray:
+    """The net array of one chunk: the input block copied into the first
+    rows, the kernel run and the pad bits cleared.  Written into the
+    memory of ``buf`` when given, else into a new array."""
     shape = (nl.n_nets, (n + 63) // 64)
     c = (np.empty(shape, np.uint64) if buf is None
          else buf[:shape[0] * shape[1]].reshape(shape))
-    for name, nets in nl.input_words():
-        c[nl.rows.take(nets)] = rows[name]
+    c[:len(block)] = block
     _kernels.eval_gates(*nl.plan, c)
     if n % 64:
         c[:, -1] &= np.uint64((1 << n % 64) - 1)
@@ -317,10 +351,10 @@ def _runs(netlist: Netlist, source, shared: bool):
             yield start, Traces(netlist, c, n)
         return
     buf = None
-    for start, n, rows in _bits_chunks(source, netlist.signature()[0]):
+    for start, n, block in _bits_chunks(source, netlist.signature()[0]):
         if shared and buf is None:  # the first chunk is the widest
             buf = np.empty(netlist.n_nets * ((n + 63) // 64), np.uint64)
-        yield start, Traces(netlist, _run_packed(netlist, rows, n, buf), n)
+        yield start, Traces(netlist, _run_packed(netlist, block, n, buf), n)
 
 
 def simulate(netlist: Netlist, source) -> Traces:

@@ -24,7 +24,7 @@ from axsec.experiment import ExperimentConfig
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (EXACT_OPS, ActivityReport, Traces, VectorStream,
                        activity_profile, error_profile, power_proxy,
-                       rare_nets, simulate, stream_values, sub_seed)
+                       rare_nets, simulate, sub_seed)
 from axsec.sta import DelayModel, calibrated_model, slacks
 from axsec.textfmt import serialize_netlist
 
@@ -422,7 +422,8 @@ def test_characterize_keeps_the_baseline_it_would_profile():
             ArchParams("add", "trunc", 8, 2)]
     kept = [characterize(p, stream, theta=0.05) for p in menu]
     exact = gen_module(menu[0])
-    vals = stream_values(stream, exact.signature()[0])
+    run = simulate(exact, stream)
+    vals = {w: run.word_values(b) for w, b in exact.input_words()}
     # profiled anew on the stream's values, the baseline outside the memo
     base, _ = attack._measure(exact, menu[0], vals, 0.05)
     for params, spec in zip(menu, kept):
@@ -437,7 +438,8 @@ def test_characterize_takes_only_a_stream(kernel_calls):
     params = ArchParams("add", "loa", 8, 3)
     stream = VectorStream(500, 307, "uniform")
     nl = gen_module(params)
-    sources = (stream_values(stream, nl.signature()[0]), simulate(nl, stream))
+    run = simulate(nl, stream)
+    sources = ({w: run.word_values(b) for w, b in nl.input_words()}, run)
     del kernel_calls[:]
     for source in sources:
         with pytest.raises(BadParams, match="characterize takes a "

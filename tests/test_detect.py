@@ -15,13 +15,12 @@ from axsec.designs import bfly_spec, fir_spec
 from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
                           Metrics, NetlistReport, classify, defender_streams,
                           rank_by_error, score, suspect_instances, _checked,
-                          _majority, _profile, _profiling_values,
-                          _stress_scores)
+                          _majority, _profile, _stress_scores)
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
                           SignatureMismatch)
 from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import GateKind
-from axsec.sim import VectorStream, activity_profile, simulate
+from axsec.sim import VectorStream, activity_profile, pack, simulate
 from axsec.textfmt import parse_netlist
 
 from tests.conftest import dags
@@ -65,6 +64,12 @@ def test_majority_tolerance_bloc():
 
 
 # -- profiling --------------------------------------------------------------
+
+def _stimulus(cands, streams):
+    """A screen's profiling stimulus: its streams packed in mode order."""
+    return pack(cands[0][1].signature()[0],
+                *(streams[m] for m in sorted(streams)))
+
 
 class _TwoRunProfile:
     """Reference profile: one simulation per stream, concatenated per
@@ -129,10 +134,12 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
     # p1 and first hits a profile reads are checked on every net
     cands = _checked(trio[0] if design == "fir" else _bfly_builds())
     streams = defender_streams(DetectConfig(vectors=vectors, seed=vectors))
-    vals = _profiling_values(cands, streams)
+    stim = _stimulus(cands, streams)
     for cid, nl in cands:
         old = _TwoRunProfile(nl, streams)
-        run = simulate(nl, vals)
+        run = simulate(nl, stim)
+        for w, b in nl.input_words():  # the two streams, concatenated
+            assert np.array_equal(run.word_values(b), old.in_vals[w])
         p1 = activity_profile(nl, run).p1
         assert p1.dtype == old.p1.dtype
         assert np.array_equal(p1, old.p1), cid
@@ -140,13 +147,12 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
         assert [hit[0] if hit else None for hit in run.hits(firsts, 1)] \
             == [old.first(*k) for k in firsts], cid
         for theta in (0.05, 0.1, 0.3):
-            new = _profile(nl, vals, theta)
-            assert new.in_vals is vals  # the screen's one dict
-            for mine, theirs in ((new.in_vals, old.in_vals),
-                                 (new.out_vals, old.out_vals)):
-                assert mine.keys() == theirs.keys()
-                for w in theirs:
-                    assert np.array_equal(mine[w], theirs[w]), (cid, w)
+            new = _profile(nl, stim, theta)
+            assert new.stimulus is stim  # the screen's one stimulus
+            assert new.out_vals.keys() == old.out_vals.keys()
+            for w in old.out_vals:
+                assert np.array_equal(new.out_vals[w], old.out_vals[w]), \
+                    (cid, w)
             assert new.rare == old.rare(theta), (cid, theta)
             assert new.replay == old.replay(theta), (cid, theta)
 
@@ -159,8 +165,7 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     dropped."""
     nl, config = trio[0]["v1"], DetectConfig()
     streams = defender_streams(config)
-    profile = _profile(nl, _profiling_values([("v1", nl)], streams),
-                       config.theta)
+    profile = _profile(nl, _stimulus([("v1", nl)], streams), config.theta)
     ref = _TwoRunProfile(nl, streams)
     in_vals = {w: np.concatenate([word_values(t, b) for t in ref.traces])
                for w, b in nl.input_words()}
@@ -194,13 +199,13 @@ def test_replay_groups_keep_eight_distinct_assignments_per_support():
     # ten rare nets of one support hit at ten vectors, word a repeating
     # its first value: the eight rarest distinct values are replayed
     replay = tuple((n, ("a",), (0.01 * n, n, f"n{n}")) for n in range(10))
-    profile = SimpleNamespace(
-        replay=replay, in_vals={"a": np.array([5, 5, 1, 2, 3, 4, 6, 7, 8, 9])})
+    profile = SimpleNamespace(replay=replay, stimulus=pack(
+        (("a", 4),), {"a": np.array([5, 5, 1, 2, 3, 4, 6, 7, 8, 9])}))
     assert detect._replay_groups(profile, [1] * 10, 1) == [
         (("a",), [{"a": v} for v in (5, 1, 2, 3, 4, 6, 7, 8)])]
 
 
-_NO_REPLAY = SimpleNamespace(replay=(), in_vals={})
+_NO_REPLAY = SimpleNamespace(replay=(), stimulus=None)
 
 
 def _assert_cone_masks(nl):
@@ -215,8 +220,9 @@ def _assert_cone_masks(nl):
         outs = [g.output for g in gates_of_tag(nl, tag)]
         assert {n for n, m in enumerate(masks) if m >> i & 1} \
             == fanin_nets(nl, outs), tag
-        vals = detect._stress_values(nl, tag, 300, _NO_REPLAY,
-                                     np.random.default_rng(i))
+        vals = {w: np.zeros(300, np.int64) for w, _ in nl.input_words()}
+        detect._stress_values(nl, tag, vals, _NO_REPLAY,
+                              np.random.default_rng(i))
         assert tuple(w for w, _ in nl.input_words() if vals[w].any()) \
             == nl.input_word_support(outs), tag
     assert not any(m >> len(tags) for m in masks)
@@ -444,8 +450,8 @@ def test_classify_resilience_matches_standalone_test(trio):
     # each score equals that of a batch holding its job alone
     checked = _checked(cands)
     idx = {cid: i for i, (cid, _) in enumerate(checked)}
-    vals = _profiling_values(checked, defender_streams(config))
-    profiles = [_profile(nl, vals, config.theta) for _, nl in checked]
+    stim = _stimulus(checked, defender_streams(config))
+    profiles = [_profile(nl, stim, config.theta) for _, nl in checked]
     for cid, tag, res in scored:
         assert _stress_scores(checked, [(idx[cid], tag)], profiles,
                               config) == [res], (cid, tag)
@@ -466,14 +472,17 @@ def test_classify_simulates_each_candidate_once_for_stress(trio,
 def test_a_screen_draws_each_profiling_stream_once(trio, kernel_calls,
                                                    monkeypatch):
     cands = dict(trio[0], v3=SPEC.build(ASSIGN), v4=SPEC.build(None))
-    drawn = []
-    real = detect.stream_values
-    monkeypatch.setattr(detect, "stream_values",
-                        lambda stream, words: drawn.append(stream)
-                        or real(stream, words))
+    packed = []
+    real = detect.pack
+    monkeypatch.setattr(detect, "pack", lambda words, *sources:
+                        packed.append(sources) or real(words, *sources))
     classify(cands)
     streams = defender_streams(DetectConfig())
-    assert drawn == [streams[m] for m in sorted(streams)]
+    # the screen packs twice, not twice per candidate: the profiling
+    # streams in mode order, then one dict of every job's stress values
+    assert len(packed) == 2
+    assert packed[0] == tuple(streams[m] for m in sorted(streams))
+    assert len(packed[1]) == 1 and isinstance(packed[1][0], dict)
     # one profiling run and one batched stress run per candidate
     assert len(kernel_calls) == 2 * len(cands)
 

@@ -15,7 +15,7 @@ from axsec.errors import BadParams, BudgetInfeasible, UnitMismatch
 from axsec.experiment import (ExperimentConfig, _pareto_pool, arch_menu,
                               generate_variants, run_experiment)
 from axsec.netlist import NetlistBuilder
-from axsec.sim import VectorStream, simulate, stream_values
+from axsec.sim import VectorStream, simulate
 
 from tests.test_golden import _dir_digest
 
@@ -133,8 +133,8 @@ def test_generate_variants_takes_the_stream_of_its_library(kernel_calls):
     lib = {(op, w): [characterize(p, stream, 0.08) for p in arch_menu(op, w)]
            for _, op, w in spec.slots}
     base = spec.build(None)
-    sources = (stream_values(stream, base.signature()[0]),
-               simulate(base, stream))
+    run = simulate(base, stream)
+    sources = ({w: run.word_values(b) for w, b in base.input_words()}, run)
     del kernel_calls[:]
     loose = BudgetConstraints(1.0, 1.0, 1e9, 1e9)
     for source in sources:

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axsec import _kernels, sim
@@ -20,9 +20,8 @@ from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
                        VectorStream, _ActivitySums, _bits_chunks,
                        _chunk_bits, _single_chunk_bits, activity_and_error,
-                       activity_profile, error_profile, iter_traces,
-                       power_proxy, power_ratio, rare_nets, simulate,
-                       stream_values)
+                       activity_profile, error_profile, iter_traces, pack,
+                       power_proxy, power_ratio, rare_nets, simulate)
 
 from tests import oracles
 from tests.oracles import eval_vector, exhaustive_values, word_value
@@ -485,13 +484,14 @@ def test_chunk_boundaries_do_not_change_statistics():
 
 
 def _fresh_rows(stream, words):
-    """A single-chunk stream generated from scratch, bypassing the memo."""
-    out = {}
+    """A single-chunk stream generated from scratch, bypassing the memo:
+    each word's rows, in order."""
+    out = []
     for i, (name, width) in enumerate(words):
         rng = np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
-        out[name], _ = _chunk_bits(rng, stream.mode, stream.rho,
-                                   stream.n_vectors, width, None)
-    return out
+        out.append(_chunk_bits(rng, stream.mode, stream.rho,
+                               stream.n_vectors, width, None)[0])
+    return np.concatenate(out)
 
 
 def _oracle_chunks(stream, words):
@@ -519,12 +519,10 @@ def test_single_chunk_stream_memo_equals_a_fresh_generation(mode):
     stream = VectorStream(1000, 5, mode)
     words = (("a", 8), ("b", 3))
     cached = _single_chunk_bits(stream, words)
-    fresh = _fresh_rows(stream, words)
-    assert cached.keys() == fresh.keys()
-    for w in fresh:
-        assert np.array_equal(cached[w], fresh[w])
-        with pytest.raises(ValueError):
-            cached[w][0, 0] ^= 1
+    # one block: word a's 8 rows, then word b's 3
+    assert np.array_equal(cached, _fresh_rows(stream, words))
+    with pytest.raises(ValueError):
+        cached[0, 0] ^= 1
     assert _single_chunk_bits(stream, words) is cached
 
 
@@ -534,8 +532,8 @@ def test_stream_memo_keys_on_the_input_words():
     narrow = _single_chunk_bits(stream, (("a", 4),))
     wide = _single_chunk_bits(stream, (("a", 8), ("b", 8)))
     assert narrow is not wide
-    # packed (width, words) rows: 500 vectors fill 8 words
-    assert narrow["a"].shape == (4, 8) and wide["a"].shape == (8, 8)
+    # one packed (input bits, words) block: 500 vectors fill 8 words
+    assert narrow.shape == (4, 8) and wide.shape == (16, 8)
     assert _single_chunk_bits.cache_info().currsize == 2
     # a stream longer than one chunk is generated lazily, never memoized
     long = VectorStream(CHUNK + 1, 2)
@@ -659,14 +657,19 @@ def test_first_hits_equal_a_scan_of_the_bits(n):
 
 @pytest.mark.parametrize("n", [700, CHUNK + 70])
 def test_stream_values_are_the_chunks_in_order(n):
-    words = (("b", 3), ("a", 5))
+    nl = _words_netlist((3, 5))
+    words = nl.signature()[0]
     stream = VectorStream(n, 6, "correlated")
-    vals = stream_values(stream, words)
-    want = _bit_values(_oracle_bits(stream, words))
-    assert vals.keys() == {"a", "b"}
-    for w, width in words:
-        assert vals[w].shape == (n,) and vals[w].dtype == np.int64
-        assert np.array_equal(vals[w], want[w])
+    bits = _oracle_bits(stream, words)
+    # the chunk blocks, in order, are the words' packed rows in word order
+    blocks = [b for _, _, b in _bits_chunks(stream, words)]
+    assert np.array_equal(np.concatenate(blocks, axis=1), np.concatenate(
+        [oracles.pack_rows(bits[w]) for w, _ in words]))
+    run, want = simulate(nl, stream), _bit_values(bits)
+    for w, nets in nl.input_words():
+        vals = run.word_values(nets)
+        assert vals.shape == (n,) and vals.dtype == np.int64
+        assert np.array_equal(vals, want[w])
 
 
 @pytest.mark.parametrize("n", [3000, CHUNK + 70])
@@ -727,13 +730,14 @@ def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
     want = list(_oracle_chunks(stream, words))
     assert [(s, n) for s, n, _ in got] == [(0, CHUNK), (CHUNK, CHUNK),
                                           (2 * CHUNK, 70)]
-    for (_, _, rows), bits in zip(got, want, strict=True):
-        for name, _ in words:
-            assert np.array_equal(rows[name], oracles.pack_rows(bits[name]))
-    whole = stream_values(stream, words)
-    for name, _ in words:
-        assert np.array_equal(whole[name], _bit_values(
-            {name: np.concatenate([b[name] for b in want])})[name])
+    for (_, _, block), bits in zip(got, want, strict=True):
+        # word a's 5 rows, then word b's 1
+        assert np.array_equal(block[:5], oracles.pack_rows(bits["a"]))
+        assert np.array_equal(block[5:], oracles.pack_rows(bits["b"]))
+    # the blocks in order are the whole index scan, packed
+    whole = np.concatenate([b for _, _, b in got], axis=1)
+    assert np.array_equal(whole, np.concatenate([oracles.pack_rows(
+        np.concatenate([b[name] for b in want])) for name, _ in words]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -858,11 +862,9 @@ _STREAM_PINS = {
 def test_stream_rows_match_their_pins(mode, n, rho, widths):
     words = tuple((f"w{i}", w) for i, w in enumerate(widths))
     digests = []
-    for _, _, rows in _bits_chunks(VectorStream(n, 19, mode, rho), words):
-        h = hashlib.sha256()
-        for name, _ in words:
-            h.update(rows[name].tobytes())
-        digests.append(h.hexdigest()[:16])
+    for _, _, block in _bits_chunks(VectorStream(n, 19, mode, rho), words):
+        # the words' rows in order, as each word's rows were hashed
+        digests.append(hashlib.sha256(block.tobytes()).hexdigest()[:16])
     key = (mode, n, widths, None if mode == "uniform" else rho)
     assert digests == _STREAM_PINS[key]
 
@@ -906,6 +908,58 @@ def _oracle_run(nl, bits, n):
     if n % 64:
         c[:, -1] &= np.uint64((1 << n % 64) - 1)
     return c
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=_EDGE_N, rest=st.lists(st.one_of(_EDGE_N, st.integers(1, 200)),
+                                    min_size=1, max_size=2),
+       widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1), stream_first=st.booleans())
+@example(first=64, rest=[CHUNK + 1], widths=[3, 5], seed=1, stream_first=True)
+@example(first=65, rest=[130, 63], widths=[1], seed=2, stream_first=True)
+@example(first=CHUNK - 1, rest=[70], widths=[9, 2], seed=3,
+         stream_first=True)
+@example(first=63, rest=[CHUNK + 70], widths=[4], seed=4, stream_first=False)
+def test_a_packed_concatenation_runs_like_the_concatenated_values(
+        first, rest, widths, seed, stream_first):
+    # the first source's n % 64 is 0, 1 or 63 among others, and the sum
+    # crosses one or two chunk boundaries
+    nl = _words_netlist(widths)
+    words = nl.signature()[0]
+    rng = np.random.default_rng(seed)
+    sources = [{w: rng.integers(0, 1 << width, n) for w, width in words}
+               for n in rest]
+    stream = VectorStream(first, seed, "correlated", 0.9)
+    sources.insert(0 if stream_first else len(sources), stream)
+    run = simulate(nl, stream)
+    streamed = {w: run.word_values(nets) for w, nets in nl.input_words()}
+    vals = {w: np.concatenate([streamed[w] if s is stream else s[w]
+                               for s in sources]) for w, _ in words}
+    stim = pack(words, *sources)
+    n = stim.n_vectors
+    assert n == first + sum(rest) == len(vals[words[0][0]])
+    assert stim.block.shape == (sum(widths), (n + 63) // 64)
+    assert not stim.block.flags.writeable
+    if n % 64:  # pad bits clear
+        assert not (stim.block[:, -1] >> np.uint64(n % 64)).any()
+    assert np.array_equal(simulate(nl, stim).c, simulate(nl, vals).c)
+    assert stim.values.keys() == vals.keys()
+    for w, v in vals.items():  # unpacked once, on first read
+        assert np.array_equal(stim.values[w], v)
+    assert stim.values is stim.values
+
+
+def test_a_stimulus_runs_only_on_the_input_words_it_was_packed_for():
+    nl = _words_netlist((3, 5))
+    stim = pack(nl.signature()[0], VectorStream(100, 1))
+    assert simulate(nl, stim).n_vectors == 100
+    for other in (_words_netlist((3, 4)), _words_netlist((5, 3)),
+                  _words_netlist((3,))):
+        with pytest.raises(BadParams, match="packed stimulus"):
+            simulate(other, stim)
+    renamed = pack((("a", 3), ("b", 5)), VectorStream(100, 1))
+    with pytest.raises(BadParams, match="packed stimulus"):
+        activity_profile(nl, renamed)
 
 
 @pytest.mark.parametrize("mode", STREAM_MODES)
