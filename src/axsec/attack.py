@@ -261,7 +261,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     # held at each of the group's times, and no two groups share a word:
     # each group's words at its first time set every tap at once
     words = dict(nl.input_words())
-    witness = {w: tr.word_value(words[w], g["times"][0])
+    witness = {w: int(tr.word_values(words[w], [g["times"][0]])[0])
                for g in groups for w in g["words"]}
     del tr
 
@@ -303,7 +303,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     # fail-closed: the witness, other words at 0, must fire the built trigger
     run = simulate(infected, {w: [witness.get(w, 0)]
                               for w, _ in infected.input_words()})
-    if not run.bits(trig)[0]:
+    if not run.word_values([trig])[0]:
         raise NoWitness("witness does not fire the assembled trigger")
 
     ht = HTInstance(tuple(taps), config.q, config.payload,

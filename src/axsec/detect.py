@@ -12,12 +12,13 @@ Candidates must share one :meth:`Netlist.signature`, so a screen packs the
 profiling streams once, as one :class:`axsec.sim.Stimulus`, and replays it
 on every candidate; so does the stress step with its union of stress
 vectors.  Each candidate is simulated once on the profiling stimulus;
-its :class:`_Profile` keeps what the screen reads of that run at the
-screen's one ``theta``, with signal probabilities taken from the activity
-count.  The ranking and the stress step each take one :func:`_consensus`
-of their runs; the ranking scores :func:`axsec.sim.error_terms` against
-its majority.  An instance's fan-in cone is the nets whose tag mask
-(:func:`_cone_masks`, one reverse pass per netlist) holds its bit.
+its :class:`_Profile` keeps what the screen reads of that run at its one
+``theta``: output word values, rare net tags, and the first hit and its
+input values of each rare value the activity count shows.  The ranking
+and the stress step each take one :func:`_consensus` of their runs; the
+ranking scores :func:`axsec.sim.error_terms` against its majority.  An
+instance's fan-in cone is the nets whose tag mask (:func:`_cone_masks`,
+one reverse pass per netlist) holds its bit.
 """
 
 from __future__ import annotations
@@ -139,15 +140,14 @@ def _majority(vals: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Profile:
-    """What a screen reads of one candidate's profiling run: the screen's
-    one packed ``stimulus``, output word values per vector, the rare
-    non-constant gate outputs at the screen's ``theta`` as {net: rare
-    value}, and per rare net that was realized, in ``rare`` order, (net,
-    input word support, (rarity, first hit, net name))."""
+    """What a screen reads of one candidate's profiling run: output word
+    values per vector, the instance tags of the rare non-constant gate
+    outputs at the screen's ``theta``, and per rare net that was
+    realized, in net order, (net, input word support, (rarity, first
+    hit, net name, the support's values at that hit))."""
 
-    stimulus: Stimulus
     out_vals: dict
-    rare: dict
+    rare_tags: frozenset
     replay: tuple
 
 
@@ -161,18 +161,26 @@ def _profile(nl: Netlist, stim: Stimulus, theta: float) -> _Profile:
     run = simulate(nl, stim)
     act = activity_profile(nl, run)
     live = ~np.isin(nl.driver_kinds, (-1, GateKind.CONST0, GateKind.CONST1))
-    rare = {net: v for net, v in rare_nets(act, theta) if live[net]}
+    rare = [(net, v) for net, v in rare_nets(act, theta) if live[net]]
+    # the activity is of this run, so a rare value shows in it exactly
+    # when its net's p1 lies strictly between 0 and 1
+    shows = ((0.0 < act.p1) & (act.p1 < 1.0)).tolist()
+    shown = [(net, v) for net, v in rare if shows[net]]
+    first = [hit[0] for hit in run.hits(shown, 1)]
+    vals = {w: run.word_values(b, first).tolist()
+            for w, b in nl.input_words()}
     replay = []
-    for (net, val), hit in zip(rare.items(), run.hits(rare.items(), 1)):
-        if not hit:
-            continue
-        t, p = hit[0], float(act.p1[net])
+    for i, (net, val) in enumerate(shown):
+        sup, p = nl.input_word_support((net,)), float(act.p1[net])
         # keyed by first realization and name, not net id: ids are
         # renumbered on a serialization round trip and must not steer
         # tie-breaks
-        replay.append((net, nl.input_word_support((net,)),
-                       (p if val == 1 else 1.0 - p, t, nl.net_names[net])))
-    return _Profile(stim, _output_values(run), rare, tuple(replay))
+        replay.append((net, sup, (p if val == 1 else 1.0 - p, first[i],
+                                  nl.net_names[net],
+                                  tuple(vals[w][i] for w in sup))))
+    return _Profile(_output_values(run),
+                    frozenset(nl.driver(n).tag for n, _ in rare),
+                    tuple(replay))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +317,7 @@ def _replay_groups(profile, masks, bit):
             continue
         claimed |= set(sup)
         ranked, seen_vals = [], set()
-        for rarity, t, _name in sorted(per_sup[sup]):
-            key = tuple(int(profile.stimulus.values[w][t]) for w in sup)
+        for *_, key in sorted(per_sup[sup]):
             if key in seen_vals:
                 continue
             seen_vals.add(key)
@@ -451,7 +458,7 @@ def classify(candidates, config: DetectConfig | None = None) \
     stressed = dict(zip(jobs, _stress_scores(cands, jobs, profiles, config)))
     reports = []
     for idx, (cid, nl) in enumerate(cands):
-        rare = {nl.driver(n).tag for n in profiles[idx].rare}
+        rare = profiles[idx].rare_tags
         rows = []
         for tag in sorted(nl.instances):
             inst = nl.instances[tag]

@@ -27,7 +27,9 @@ Every bit is made of the generator's raw 64-bit words; the same draws as
 A run is read in the same chunks as its stream, so a run measured several
 ways is simulated once.  Word values are packed chunk by chunk.  A
 screen packs its stimulus once (:func:`pack`) and replays it on every
-candidate as an internal fourth source.
+candidate as an internal fourth source.  A run is read only through
+:meth:`Traces.word_values` and :meth:`Traces.hits`; outside this module,
+only the kernel touches packed words.
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,13 +199,6 @@ class Stimulus:
     block: np.ndarray
     n_vectors: int
 
-    @cached_property
-    def values(self) -> dict:
-        """{input word: one int64 per vector}, unpacked on first read."""
-        at = np.cumsum([0] + [w for _, w in self.words]).tolist()
-        return {w: _row_values(self.block[a:b], self.n_vectors)
-                for (w, _), a, b in zip(self.words, at, at[1:])}
-
 
 def pack(words, *sources) -> Stimulus:
     """The :class:`Stimulus` on ``words`` of the vectors of ``sources``,
@@ -211,6 +206,8 @@ def pack(words, *sources) -> Stimulus:
     after the vectors before it, and no vector is unpacked."""
     chunks = [(n, b) for s in sources for _, n, b in _bits_chunks(s, words)]
     at = np.cumsum([0] + [n for n, _ in chunks]).tolist()
+    if not at[-1]:  # no source: a stimulus holds at least one vector
+        raise BadParams("empty stream")
     block = np.zeros((sum(w for _, w in words), at[-1] // 64 + 2), np.uint64)
     for a, (_, b) in zip(at, chunks):  # pad bits are clear: they OR as 0s
         lo, s = divmod(a, 64)  # numpy shifts a uint64 by 64 to 0
@@ -261,14 +258,6 @@ def check_value_words(netlist: Netlist, outputs=()) -> None:
                             f"are read only from words of at most 63 bits")
 
 
-def _row_values(rows, n: int) -> np.ndarray:
-    """Per vector of ``n``, the integer whose bit i is packed row i."""
-    bits = np.unpackbits(rows.view(np.uint8), axis=1,
-                         bitorder="little")[:, :n]
-    weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
-    return np.einsum("i,ij->j", weights, bits)
-
-
 # ---------------------------------------------------------------------------
 # packed simulation
 
@@ -285,19 +274,22 @@ class Traces:
         self.c = c
         self.n_vectors = n_vectors
 
-    def bits(self, net: int) -> np.ndarray:
-        return np.unpackbits(self.c[self.netlist.rows[net]].view(np.uint8),
-                             bitorder="little")[:self.n_vectors]
-
-    def word_values(self, nets) -> np.ndarray:
-        """Per vector, the integer whose bit i is the value of ``nets[i]``."""
-        return _row_values(self.c[self.netlist.rows.take(nets)],
-                           self.n_vectors)
-
-    def word_value(self, nets, t: int) -> int:
-        """:meth:`word_values` at vector ``t`` alone."""
-        w = self.c[self.netlist.rows.take(nets), t // 64:t // 64 + 1]
-        return int(_row_values(w >> np.uint64(t % 64), 1)[0])
+    def word_values(self, nets, at=None) -> np.ndarray:
+        """Per vector of the run, or per vector listed in ``at``, the
+        ``int64`` whose bit i is the value of ``nets[i]``."""
+        w = self.c[self.netlist.rows.take(nets)]
+        if at is None:
+            bits = np.unpackbits(w.view(np.uint8), axis=1,
+                                 bitorder="little")[:, :self.n_vectors]
+        else:
+            at = np.asarray(at, np.int64)
+            if at.size and not 0 <= at.min() <= at.max() < self.n_vectors:
+                raise BadParams(f"vectors {at.min()}..{at.max()} reach outside "
+                                f"a run of {self.n_vectors}")
+            bits = (w[:, at // 64] >> (at % 64).astype(np.uint64)
+                    & _ONE).view(np.int64)
+        weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
+        return np.einsum("i,ij->j", weights, bits)
 
     def hits(self, taps, limit: int) -> list[list[int]]:
         """Per (net, value) tap, the first ``limit`` vectors on which the

@@ -90,10 +90,13 @@ def word_value(netlist: Netlist, vals, word: str) -> int:
 
 
 def word_values(tr, nets) -> np.ndarray:
-    """Per-vector word values of a run, unpacked and shifted bit by bit."""
+    """Per-vector word values of a run: each net's row of packed words
+    unpacked on its own and shifted in bit by bit."""
     out = np.zeros(tr.n_vectors, np.int64)
     for i, net in enumerate(nets):
-        out |= tr.bits(net).astype(np.int64) << i
+        bits = np.unpackbits(tr.c[tr.netlist.rows[net]].view(np.uint8),
+                             bitorder="little")[:tr.n_vectors]
+        out |= bits.astype(np.int64) << i
     return out
 
 

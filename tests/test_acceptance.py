@@ -238,7 +238,7 @@ def test_05_leak_is_invisible_off_the_witness(leak_case):
     tr = simulate(infected, VectorStream(101_000, 901, "uniform"))
     fire = np.ones(tr.n_vectors, bool)
     for net, val in ht.trigger_nets:
-        fire &= tr.bits(net) == val
+        fire &= tr.word_values([net]) == val
     keep = np.nonzero(~fire)[0]
     assert keep.size >= 100_000
     keep = keep[:100_000]
@@ -268,7 +268,7 @@ def test_06_trigger_rarity_and_fail_closed(leak_case):
     for _, tr in iter_traces(infected, VectorStream(10 ** 6, 17, "uniform")):
         m = np.ones(tr.n_vectors, bool)
         for net, val in ht.trigger_nets:
-            m &= tr.bits(net) == val
+            m &= tr.word_values([net]) == val
         fires += int(m.sum())
         total += tr.n_vectors
     rate = fires / total

@@ -189,7 +189,7 @@ def test_outputs_match_clean_off_the_trigger(inserted):
     ti = simulate(infected, stream)
     fire = np.ones(4000, bool)
     for net, val in ht.trigger_nets:
-        fire &= ti.bits(net) == val
+        fire &= ti.word_values([net]) == val
     y = dict(clean.output_words())["y"]
     yc = tc.word_values(y)
     yi = ti.word_values(y)
@@ -352,7 +352,10 @@ def test_a_witness_that_does_not_fire_emits_nothing(inserted, monkeypatch):
     # it sets no tap's rare value, and the check on the built netlist fails
     clean, act, cfg, _, _ = inserted
     run = simulate(clean, cfg.stream)
-    monkeypatch.setattr(Traces, "word_value", lambda self, nets, t: 0)
+    read = Traces.word_values
+    monkeypatch.setattr(Traces, "word_values", lambda self, nets, at=None:
+                        read(self, nets) if at is None
+                        else np.zeros(len(at), np.int64))
     emitted = []
     with pytest.raises(NoWitness, match="does not fire the assembled"):
         emitted.append(insert_trojan(clean, act, None,
@@ -503,7 +506,7 @@ def test_stealth_against_itself_under_word_references():
     rep = verify_stealth(nl, nl, ht, spec.reference, stream)
     assert rep.error_delta == 0.0
     assert rep.power_delta_fraction == 0.0
-    assert rep.trigger_rate == simulate(nl, stream).bits(a0).mean()
+    assert rep.trigger_rate == simulate(nl, stream).word_values([a0]).mean()
 
 
 def test_stealth_trigger_rate_is_the_trigger_nets_mean_over_chunks():
@@ -519,7 +522,8 @@ def test_stealth_trigger_rate_is_the_trigger_nets_mean_over_chunks():
     rate = verify_stealth(clean, infected, ht, spec.reference,
                           stream).trigger_rate
     assert type(rate) is float and rate > 0.0
-    assert rate == simulate(infected, stream).bits(ht.trigger_net).mean()
+    assert rate == simulate(infected, stream).word_values(
+        [ht.trigger_net]).mean()
 
 
 def test_stealth_requires_matching_signatures(inserted):
@@ -534,8 +538,8 @@ def test_stealth_requires_matching_signatures(inserted):
     assert rep.error_delta == (
         error_profile(infected, SPEC.reference, stream).mred
         - error_profile(other, SPEC.reference, stream).mred)
-    assert rep.trigger_rate == simulate(infected, stream).bits(
-        ht.trigger_net).mean()
+    assert rep.trigger_rate == simulate(infected, stream).word_values(
+        [ht.trigger_net]).mean()
 
 
 def test_stealth_rejects_a_trigger_foreign_to_the_infected_netlist(
@@ -570,8 +574,8 @@ def test_stealth_without_a_reference_leaves_only_the_error_open(inserted):
     power = [power_proxy(nl, activity_profile(nl, stream))
              for nl in (clean, infected)]
     assert rep.power_delta_fraction == power[1] / power[0] - 1.0 > 0.0
-    assert rep.trigger_rate == simulate(infected, stream).bits(
-        ht.trigger_net).mean()
+    assert rep.trigger_rate == simulate(infected, stream).word_values(
+        [ht.trigger_net]).mean()
 
 
 def test_stealth_without_a_stream_gives_only_the_slack(inserted,

@@ -1,6 +1,7 @@
 """Screening pipeline: consensus, ranking, stress tests, classification."""
 
 import re
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,7 +74,8 @@ def _stimulus(cands, streams):
 
 class _TwoRunProfile:
     """Reference profile: one simulation per stream, concatenated per
-    figure, ones counted word by word, first hits looked up net by net."""
+    figure, ones counted word by word, first hits and input values looked
+    up net by net in the unpacked bits."""
 
     def __init__(self, nl, streams):
         self.nl = nl
@@ -81,7 +83,7 @@ class _TwoRunProfile:
         self.n = sum(t.n_vectors for t in self.traces)
         self.p1 = by_net(nl, sum(np.bitwise_count(t.c).sum(axis=1)
                                  for t in self.traces)) / self.n
-        self.in_vals = {w: np.concatenate([t.word_values(b)
+        self.in_vals = {w: np.concatenate([word_values(t, b)
                                            for t in self.traces])
                         for w, b in nl.input_words()}
         self.out_vals = {w: np.concatenate([t.word_values(b)
@@ -101,7 +103,7 @@ class _TwoRunProfile:
         return out
 
     def first(self, net, val):
-        hits = np.flatnonzero(np.concatenate([t.bits(net)
+        hits = np.flatnonzero(np.concatenate([word_values(t, [net])
                                               for t in self.traces]) == val)
         return int(hits[0]) if len(hits) else None
 
@@ -112,8 +114,10 @@ class _TwoRunProfile:
             if t is not None:
                 p = float(self.p1[net])
                 rarity = p if val else 1.0 - p
-                out.append((net, self.nl.input_word_support((net,)),
-                            (rarity, t, self.nl.net_names[net])))
+                sup = self.nl.input_word_support((net,))
+                out.append((net, sup, (rarity, t, self.nl.net_names[net],
+                                       tuple(int(self.in_vals[w][t])
+                                             for w in sup))))
         return tuple(out)
 
 
@@ -148,12 +152,15 @@ def test_one_run_profile_equals_the_two_run_profile(trio, design, vectors):
             == [old.first(*k) for k in firsts], cid
         for theta in (0.05, 0.1, 0.3):
             new = _profile(nl, stim, theta)
-            assert new.stimulus is stim  # the screen's one stimulus
+            # a profile keeps only what the screen reads
+            assert [f.name for f in fields(new)] == ["out_vals", "rare_tags",
+                                                     "replay"]
             assert new.out_vals.keys() == old.out_vals.keys()
             for w in old.out_vals:
                 assert np.array_equal(new.out_vals[w], old.out_vals[w]), \
                     (cid, w)
-            assert new.rare == old.rare(theta), (cid, theta)
+            assert new.rare_tags == {nl.driver(n).tag
+                                     for n in old.rare(theta)}, (cid, theta)
             assert new.replay == old.replay(theta), (cid, theta)
 
 
@@ -167,8 +174,6 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
     streams = defender_streams(config)
     profile = _profile(nl, _stimulus([("v1", nl)], streams), config.theta)
     ref = _TwoRunProfile(nl, streams)
-    in_vals = {w: np.concatenate([word_values(t, b) for t in ref.traces])
-               for w, b in nl.input_words()}
     replayed = 0
     masks = nl.memo(detect._cone_masks)
     for i, tag in enumerate(sorted(nl.instances)):
@@ -187,7 +192,7 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
             hits.sort()
             want = []
             for _, t, _ in hits:
-                vals = {w: int(in_vals[w][t]) for w in sup}
+                vals = {w: int(ref.in_vals[w][t]) for w in sup}
                 if vals not in want:
                     want.append(vals)
             assert ranked == want[:8], (tag, sup)
@@ -198,14 +203,14 @@ def test_replay_groups_replay_the_first_rare_hits_of_a_clean_candidate(trio):
 def test_replay_groups_keep_eight_distinct_assignments_per_support():
     # ten rare nets of one support hit at ten vectors, word a repeating
     # its first value: the eight rarest distinct values are replayed
-    replay = tuple((n, ("a",), (0.01 * n, n, f"n{n}")) for n in range(10))
-    profile = SimpleNamespace(replay=replay, stimulus=pack(
-        (("a", 4),), {"a": np.array([5, 5, 1, 2, 3, 4, 6, 7, 8, 9])}))
+    a = [5, 5, 1, 2, 3, 4, 6, 7, 8, 9]
+    profile = SimpleNamespace(replay=tuple(
+        (n, ("a",), (0.01 * n, n, f"n{n}", (a[n],))) for n in range(10)))
     assert detect._replay_groups(profile, [1] * 10, 1) == [
         (("a",), [{"a": v} for v in (5, 1, 2, 3, 4, 6, 7, 8)])]
 
 
-_NO_REPLAY = SimpleNamespace(replay=(), stimulus=None)
+_NO_REPLAY = SimpleNamespace(replay=())
 
 
 def _assert_cone_masks(nl):
@@ -334,6 +339,12 @@ def test_rank_rejects_mismatched_candidates(trio):
     with pytest.raises(SignatureMismatch):
         rank_by_error({"a": cands["v0"],
                        "b": fir_spec(4, (1, 2, 3, 4)).build(None)}, streams)
+
+
+def test_a_ranking_without_streams_is_refused(trio, kernel_calls):
+    with pytest.raises(BadParams, match="^empty stream$"):
+        rank_by_error(trio[0], {})
+    assert not kernel_calls
 
 
 def test_a_screen_refuses_an_output_word_over_63_bits(kernel_calls):

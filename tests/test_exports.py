@@ -186,6 +186,40 @@ def test_no_module_imports_another_modules_private_name():
 
 def test_a_private_import_is_caught():
     sources = {"m": ("from . import _kernels\n"
-                     "from .sim import simulate, _row_values\n"
+                     "from .sim import simulate, _pack_rows\n"
                      "from .experiment import write_csv\n")}
-    assert _private_imports(sources) == [("m", "_row_values")]
+    assert _private_imports(sources) == [("m", "_pack_rows")]
+
+
+#: attributes that reach a run's packed words: its net array, a
+#: stimulus's block and numpy's bit packers, which are also caught as bare
+#: names
+PACKED = {"c", "block", "packbits", "unpackbits"}
+
+
+def _packed_readers(sources):
+    """(module, line) of every :data:`PACKED` attribute and bare packer
+    name outside ``sim``: a run is read through ``Traces.word_values`` and
+    ``Traces.hits``, so the packed layout stays behind ``sim``.
+    ``_kernels`` is exempt: it is handed the net array as an argument."""
+    return sorted((mod, n.lineno) for mod, text in sources.items()
+                  if mod not in ("sim", "_kernels")
+                  for n in ast.walk(ast.parse(text))
+                  if getattr(n, "attr", None) in PACKED
+                  or getattr(n, "id", None) in ("packbits", "unpackbits"))
+
+
+def test_no_module_but_sim_reads_the_packed_layout():
+    assert _packed_readers(_sources()) == []
+
+
+def test_a_packed_layout_reader_is_caught():
+    # a local variable named c is no read of a run
+    sources = {"sim": "def bits(run):\n    return np.unpackbits(run.c)\n",
+               "_kernels": "def first(run):\n    return run.c[0]\n",
+               "m": ("from numpy import packbits\n"
+                     "def f(run, stim, c):\n"
+                     "    rows = run.c[0] + c\n"
+                     "    return packbits(np.unpackbits(stim.block))\n")}
+    assert _packed_readers(sources) == [("m", 3), ("m", 4), ("m", 4),
+                                        ("m", 4)]

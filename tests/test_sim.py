@@ -88,8 +88,8 @@ def test_stream_is_deterministic_and_seed_sensitive():
     c = simulate(nl, VectorStream(500, 8, "uniform"))
     names = nl.net_names
     net = names.index("y_11") if "y_11" in names else nl.n_nets - 1
-    assert np.array_equal(a.bits(net), b.bits(net))
-    assert not np.array_equal(a.bits(net), c.bits(net))
+    assert np.array_equal(a.word_values([net]), b.word_values([net]))
+    assert not np.array_equal(a.word_values([net]), c.word_values([net]))
 
 
 def test_correlated_stream_reduces_toggling():
@@ -462,7 +462,8 @@ def test_levelized_kernel_matches_scalar_evaluation(nl, seed):
     n = 200
     xs = np.random.default_rng(seed).integers(0, 1 << len(nl.inputs), n)
     tr = simulate(nl, {"x": xs})
-    got = np.array([tr.bits(net) for net in range(nl.n_nets)])
+    got = np.array([oracles.word_values(tr, [net])
+                    for net in range(nl.n_nets)])
     for t in range(n):
         assert eval_vector(nl, {"x": int(xs[t])}) == got[:, t].tolist()
     assert tr.c.shape[1] == 4
@@ -649,9 +650,10 @@ def test_first_hits_equal_a_scan_of_the_bits(n):
     # the first 1, 2 and 64 hits of every net and value, a tap twice
     tr = simulate(nl, VectorStream(n, 3, "correlated", 0.995))
     taps = [(net, v) for net in range(nl.n_nets) for v in (0, 1)]
+    scans = [np.flatnonzero(oracles.word_values(tr, [net]) == v)
+             for net, v in taps]
     for limit in (1, 2, 64):
-        want = [np.flatnonzero(tr.bits(net) == v)[:limit].tolist()
-                for net, v in taps]
+        want = [s[:limit].tolist() for s in scans]
         assert tr.hits(taps + taps[:1], limit) == want + want[:1]
 
 
@@ -943,10 +945,10 @@ def test_a_packed_concatenation_runs_like_the_concatenated_values(
     if n % 64:  # pad bits clear
         assert not (stim.block[:, -1] >> np.uint64(n % 64)).any()
     assert np.array_equal(simulate(nl, stim).c, simulate(nl, vals).c)
-    assert stim.values.keys() == vals.keys()
-    for w, v in vals.items():  # unpacked once, on first read
-        assert np.array_equal(stim.values[w], v)
-    assert stim.values is stim.values
+    # the block holds every value, bit i of word w in w's row i
+    assert np.array_equal(stim.block, np.concatenate([oracles.pack_rows(
+        (vals[w][:, None] >> np.arange(width) & 1).astype(np.uint8))
+        for w, width in words]))
 
 
 def test_a_stimulus_runs_only_on_the_input_words_it_was_packed_for():
@@ -960,6 +962,11 @@ def test_a_stimulus_runs_only_on_the_input_words_it_was_packed_for():
     renamed = pack((("a", 3), ("b", 5)), VectorStream(100, 1))
     with pytest.raises(BadParams, match="packed stimulus"):
         activity_profile(nl, renamed)
+
+
+def test_a_stimulus_of_no_vectors_is_refused():
+    with pytest.raises(BadParams, match="empty stream"):
+        pack(_words_netlist((3, 5)).signature()[0])
 
 
 @pytest.mark.parametrize("mode", STREAM_MODES)
@@ -1100,3 +1107,21 @@ def test_word_values_equal_the_per_bit_values(n):
             got = tr.word_values(nets)
             assert got.dtype == np.int64
             assert np.array_equal(got, oracles.word_values(tr, nets))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=_EDGE_N)
+def test_word_values_at_listed_vectors_are_the_whole_run_read_there(n):
+    spec = bfly_spec()
+    nl = spec.build({"add0": ArchParams("add", "loa", spec.slots[1][2], 4)})
+    run = simulate(nl, VectorStream(n, 5, "uniform"))
+    at = [t for t in (0, 63, 64, n - 1, CHUNK - 1, CHUNK) if t < n]
+    for _, nets in [*nl.input_words(), *nl.output_words(), ("none", ())]:
+        got = run.word_values(nets, at)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, run.word_values(nets)[at])
+        none = run.word_values(nets, [])
+        assert none.dtype == np.int64 and none.shape == (0,)
+        for t in (-1, n):
+            with pytest.raises(BadParams, match="outside a run"):
+                run.word_values(nets, [0, t])
