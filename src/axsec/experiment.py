@@ -250,7 +250,7 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
         specs = [m[j] for m, j in zip(menus, np.unravel_index(ix, lens))]
         assign = {spec.slots[s][0]: m.params for s, m in enumerate(specs)}
         nl = spec.build(assign)
-        # builds are shared: the all-exact variant is the base netlist
+        # builds are shared, so the all-exact variant is the base netlist
         run = base_run if nl is base_nl else simulate(nl, stream)
         # MRED averaged over the referenced output words
         ce = float(np.mean([rel / run.n_vectors for _, _, rel, _

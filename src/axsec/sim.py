@@ -24,10 +24,10 @@ Every bit is made of the generator's raw 64-bit words; the same draws as
 ``Generator.integers`` and ``Generator.random`` calls are kept in
 ``tests/oracles.py`` as the reference.
 
-A run is read in the same chunks as its stream, so a run measured several
-ways is simulated once.  Word values are packed chunk by chunk.  A
-screen packs its stimulus once (:func:`pack`) and replays it on every
-candidate as an internal fourth source.  A run is read only through
+A whole run (:func:`simulate`) is one kernel run over one packed block;
+a screen packs its stimulus once (:func:`pack`) and replays it on every
+candidate.  A profile reads a run in the same chunks as its stream, so a
+run measured several ways is simulated once.  A run is read only through
 :meth:`Traces.word_values` and :meth:`Traces.hits`; outside this module,
 only the kernel touches packed words.
 
@@ -163,9 +163,7 @@ def _stream_chunks(stream, words):
 @lru_cache(maxsize=2)
 def _single_chunk_bits(stream, words):
     """The read-only block of a stream that fits in one chunk, generated
-    once per (stream, input words).  Two entries cover the usual
-    alternation (the defender's two profiling streams, a clean and an
-    infected run)."""
+    once per (stream, input words)."""
     (_, _, block), = _stream_chunks(stream, words)
     block.flags.writeable = False
     return block
@@ -193,50 +191,56 @@ def _checked_values(source, words) -> list:
 @dataclass(frozen=True, eq=False)
 class Stimulus:
     """The input ``words`` of :func:`pack`, one read-only block of all
-    its vectors (a chunk's form) and their count."""
+    its vectors (a run's input rows) and their count."""
 
     words: tuple
     block: np.ndarray
     n_vectors: int
 
 
+#: the sources of a run, as the refusal of any other names them
+_RUN = "a VectorStream, a run or a mapping of word values"
+
+
 def pack(words, *sources) -> Stimulus:
     """The :class:`Stimulus` on ``words`` of the vectors of ``sources``,
     streams or word values, in order: each chunk's block is shifted in
-    after the vectors before it, and no vector is unpacked."""
-    chunks = [(n, b) for s in sources for _, n, b in _bits_chunks(s, words)]
+    after the vectors before it, and no vector is unpacked.  The block of
+    a single chunk is passed on as it is."""
+    return _pack(words, sources, "a VectorStream or a mapping of word values")
+
+
+def _pack(words, sources, takes):
+    chunks = [(n, b) for s in sources
+              for _, n, b in _bits_chunks(s, words, takes)]
     at = np.cumsum([0] + [n for n, _ in chunks]).tolist()
     if not at[-1]:  # no source: a stimulus holds at least one vector
         raise BadParams("empty stream")
-    block = np.zeros((sum(w for _, w in words), at[-1] // 64 + 2), np.uint64)
-    for a, (_, b) in zip(at, chunks):  # pad bits are clear: they OR as 0s
-        lo, s = divmod(a, 64)  # numpy shifts a uint64 by 64 to 0
-        block[:, lo:lo + b.shape[1]] |= b << np.uint64(s)
-        block[:, lo + 1:lo + 1 + b.shape[1]] |= b >> np.uint64(64 - s)
-    block = block[:, :(at[-1] + 63) // 64]
+    if len(chunks) == 1:
+        block = chunks[0][1]
+    else:
+        block = np.zeros((sum(w for _, w in words), at[-1] // 64 + 2),
+                         np.uint64)
+        for a, (_, b) in zip(at, chunks):  # pad bits are 0s: OR as 0s
+            lo, s = divmod(a, 64)  # numpy shifts a uint64 by 64 to 0
+            block[:, lo:lo + b.shape[1]] |= b << np.uint64(s)
+            block[:, lo + 1:lo + 1 + b.shape[1]] |= b >> np.uint64(64 - s)
+        block = block[:, :(at[-1] + 63) // 64]
     block.flags.writeable = False
     return Stimulus(words, block, at[-1])
 
 
-def _bits_chunks(source, words):
-    """Yield (start, n, block) chunks, pad bits clear, of a stream, a
-    :class:`Stimulus` or a dict of word values."""
+def _bits_chunks(source, words, takes=_RUN):
+    """Yield (start, n, block) chunks, pad bits clear, of a stream or a
+    dict of word values; any other source is refused as not ``takes``."""
     if isinstance(source, VectorStream):
         if source.n_vectors <= CHUNK:
             yield 0, source.n_vectors, _single_chunk_bits(source, words)
         else:
             yield from _stream_chunks(source, words)
         return
-    if isinstance(source, Stimulus):
-        if source.words != words:
-            raise BadParams("a packed stimulus runs only on its input words")
-        for start in range(0, source.n_vectors, CHUNK):
-            yield (start, min(CHUNK, source.n_vectors - start),
-                   source.block[:, start // 64:(start + CHUNK) // 64])
-        return
     if not isinstance(source, Mapping):
-        raise BadParams(f"a source is a VectorStream, a run or a mapping of "
-                        f"word values, not {type(source).__name__}")
+        raise BadParams(f"a source is {takes}, not {type(source).__name__}")
     vals = _checked_values(source, words)
     total = len(vals[0]) if vals else 0
     if not total:  # a stream holds at least one vector
@@ -309,10 +313,10 @@ class Traces:
         return [times[a:b][:limit] for a, b in zip([0, *ends], ends)]
 
 
-def _run_packed(nl: Netlist, block, n: int, buf=None) -> np.ndarray:
-    """The net array of one chunk: the input block copied into the first
-    rows, the kernel run and the pad bits cleared.  Written into the
-    memory of ``buf`` when given, else into a new array."""
+def _run_packed(nl: Netlist, block, n: int, buf=None) -> Traces:
+    """The run of an input block of ``n`` vectors: the block copied into
+    the first rows, the kernel run and the pad bits cleared, in the memory
+    of ``buf`` when given, else in a new array."""
     shape = (nl.n_nets, (n + 63) // 64)
     c = (np.empty(shape, np.uint64) if buf is None
          else buf[:shape[0] * shape[1]].reshape(shape))
@@ -320,46 +324,41 @@ def _run_packed(nl: Netlist, block, n: int, buf=None) -> np.ndarray:
     _kernels.eval_gates(*nl.plan, c)
     if n % 64:
         c[:, -1] &= np.uint64((1 << n % 64) - 1)
-    return c
-
-
-def iter_traces(netlist: Netlist, source):
-    """Yield (start, :class:`Traces`) chunk by chunk without retaining the
-    whole run in memory.  A run of ``netlist`` is yielded as views of its
-    words, in the same :data:`CHUNK` slices its stream would produce;
-    every other chunk owns its words."""
-    return _runs(netlist, source, shared=False)
-
-
-def _runs(netlist: Netlist, source, shared: bool):
-    # With ``shared``, the chunks of one source run in one net buffer, so
-    # a chunk is valid only until the next is asked for.
-    if isinstance(source, Traces):
-        if source.netlist is not netlist:
-            raise BadParams("a run is only a source for its own netlist")
-        for start in range(0, source.n_vectors, CHUNK):
-            n = min(CHUNK, source.n_vectors - start)
-            c = source.c[:, start // 64:(start + n + 63) // 64]
-            yield start, Traces(netlist, c, n)
-        return
-    buf = None
-    for start, n, block in _bits_chunks(source, netlist.signature()[0]):
-        if shared and buf is None:  # the first chunk is the widest
-            buf = np.empty(netlist.n_nets * ((n + 63) // 64), np.uint64)
-        yield start, Traces(netlist, _run_packed(netlist, block, n, buf), n)
+    return Traces(nl, c, n)
 
 
 def simulate(netlist: Netlist, source) -> Traces:
-    """The whole run of a :class:`VectorStream` or of word values (a run
-    of ``netlist`` is returned as is).  The run is held in memory; for very
-    long streams prefer :func:`iter_traces`."""
-    parts = [tr for _, tr in iter_traces(netlist, source)]
+    """The whole run of a :class:`VectorStream`, of word values or of a
+    :class:`Stimulus` on the input words of ``netlist``, one kernel run
+    over one packed block; a run of ``netlist`` is returned as is."""
     if isinstance(source, Traces):
-        return source  # its netlist was checked by iter_traces
-    if len(parts) == 1:
-        return parts[0]
-    return Traces(netlist, np.concatenate([tr.c for tr in parts], axis=1),
-                  sum(tr.n_vectors for tr in parts))
+        if source.netlist is not netlist:
+            raise BadParams("a run is only a source for its own netlist")
+        return source
+    words = netlist.signature()[0]
+    if not isinstance(source, Stimulus):
+        source = _pack(words, (source,), _RUN)
+    elif source.words != words:
+        raise BadParams("a packed stimulus runs only on its input words")
+    return _run_packed(netlist, source.block, source.n_vectors)
+
+
+def _runs(netlist: Netlist, source):
+    """Yield the :class:`Traces` of ``source`` chunk by chunk, run in one
+    net buffer, so a chunk is valid only until the next is asked for.  A
+    run of ``netlist`` is yielded as views of its words, in the same
+    :data:`CHUNK` slices its stream would produce."""
+    if isinstance(source, Traces):
+        c, n = simulate(netlist, source).c, source.n_vectors  # netlist checked
+        for at in range(0, n, CHUNK):
+            yield Traces(netlist, c[:, at // 64:(at + CHUNK) // 64],
+                         min(CHUNK, n - at))
+        return
+    buf = None
+    for _, n, block in _bits_chunks(source, netlist.signature()[0]):
+        if buf is None:  # the first chunk is the widest
+            buf = np.empty(netlist.n_nets * ((n + 63) // 64), np.uint64)
+        yield _run_packed(netlist, block, n, buf)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +482,7 @@ def activity_and_error(netlist: Netlist, ref, source):
 
 def _profiled(netlist: Netlist, source, *sums) -> tuple:
     """The reports of running ``sums`` over one run, chunk by chunk."""
-    for _, tr in _runs(netlist, source, shared=True):
+    for tr in _runs(netlist, source):
         for acc in sums:
             acc.add(tr)
     return tuple(acc.report() for acc in sums)

@@ -21,8 +21,8 @@ from axsec.errors import NoRareNets, NoWitness, WouldViolateTiming
 from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.scoap import scoap
-from axsec.sim import (EXACT_OPS, VectorStream, activity_profile,
-                       error_profile, iter_traces, simulate)
+from axsec.sim import (EXACT_OPS, VectorStream, _runs, activity_profile,
+                       error_profile, simulate)
 from axsec.sta import critical_delay, near_critical_paths
 
 from tests.conftest import random_dag
@@ -265,7 +265,8 @@ def test_06_trigger_rarity_and_fail_closed(leak_case):
     clean, act, cfg, infected, ht = leak_case
     fires = 0
     total = 0
-    for _, tr in iter_traces(infected, VectorStream(10 ** 6, 17, "uniform")):
+    # one chunk's run at a time, each overwriting the last
+    for tr in _runs(infected, VectorStream(10 ** 6, 17, "uniform")):
         m = np.ones(tr.n_vectors, bool)
         for net, val in ht.trigger_nets:
             m &= tr.word_values([net]) == val

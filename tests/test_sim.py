@@ -19,9 +19,9 @@ from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
 from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
                        VectorStream, _ActivitySums, _bits_chunks,
-                       _chunk_bits, _single_chunk_bits, activity_and_error,
-                       activity_profile, error_profile, iter_traces, pack,
-                       power_proxy, power_ratio, rare_nets, simulate)
+                       _chunk_bits, _runs, _single_chunk_bits,
+                       activity_and_error, activity_profile, error_profile,
+                       pack, power_proxy, power_ratio, rare_nets, simulate)
 
 from tests import oracles
 from tests.oracles import eval_vector, exhaustive_values, word_value
@@ -571,9 +571,9 @@ def test_a_run_is_a_source_equal_to_its_stream(kernel_calls, mode, n):
     act = activity_profile(nl, run)
     err = error_profile(nl, EXACT_OPS["add"], run)
     again = simulate(nl, run)
-    chunks = list(iter_traces(nl, run))
+    chunks = list(_runs(nl, run))
     assert not kernel_calls  # every read of the run is a view of it
-    assert all(np.shares_memory(tr.c, run.c) for _, tr in chunks)
+    assert all(np.shares_memory(tr.c, run.c) for tr in chunks)
 
     want = activity_profile(nl, stream)
     assert act.n_vectors == want.n_vectors == n
@@ -581,10 +581,9 @@ def test_a_run_is_a_source_equal_to_its_stream(kernel_calls, mode, n):
     assert np.array_equal(act.toggles, want.toggles)
     assert repr(err) == repr(error_profile(nl, EXACT_OPS["add"], stream))
     assert np.array_equal(again.c, simulate(nl, stream).c)
-    streamed = list(iter_traces(nl, stream))
-    assert [(s, tr.n_vectors) for s, tr in chunks] == \
-        [(s, tr.n_vectors) for s, tr in streamed]
-    for (_, a), (_, b) in zip(chunks, streamed):
+    # the stream's chunks share one buffer: each is read before the next
+    for a, b in zip(chunks, _runs(nl, stream), strict=True):
+        assert a.n_vectors == b.n_vectors
         assert np.array_equal(a.c, b.c)
 
 
@@ -611,7 +610,7 @@ def test_a_run_is_no_source_for_another_netlist():
     with pytest.raises(BadParams, match="its own netlist"):
         simulate(other, run)
     with pytest.raises(BadParams, match="its own netlist"):
-        list(iter_traces(other, run))
+        list(_runs(other, run))
     with pytest.raises(BadParams, match="its own netlist"):
         activity_profile(other, run)
     with pytest.raises(BadParams, match="its own netlist"):
@@ -961,7 +960,51 @@ def test_a_stimulus_runs_only_on_the_input_words_it_was_packed_for():
             simulate(other, stim)
     renamed = pack((("a", 3), ("b", 5)), VectorStream(100, 1))
     with pytest.raises(BadParams, match="packed stimulus"):
-        activity_profile(nl, renamed)
+        simulate(nl, renamed)
+
+
+def test_each_refusal_names_only_the_sources_its_entry_point_takes(
+        kernel_calls):
+    # a profile takes a run but no stimulus; pack takes neither
+    nl = gen_module(ArchParams("add", "exact", 4))
+    words = nl.signature()[0]
+    stim = pack(words, VectorStream(100, 1))
+    run = simulate(nl, stim)
+    del kernel_calls[:]
+    ref = EXACT_OPS["add"]
+    for profile in (activity_profile,
+                    lambda nl, source: error_profile(nl, ref, source),
+                    lambda nl, source: activity_and_error(nl, ref, source)):
+        with pytest.raises(BadParams, match="a source is a VectorStream, a "
+                           "run or a mapping of word values, not Stimulus"):
+            profile(nl, stim)
+    with pytest.raises(BadParams, match="a source is a VectorStream or a "
+                       "mapping of word values, not Traces"):
+        pack(words, VectorStream(50, 2), run)
+    assert not kernel_calls
+
+
+@pytest.mark.parametrize("source", [
+    VectorStream(CHUNK, 3, "correlated"),
+    {"w0": np.arange(70) % 8, "w1": np.arange(70) % 32}])
+def test_a_single_chunk_is_packed_without_a_copy(source, monkeypatch):
+    # its block is passed on read-only: no shift, no join
+    nl = _words_netlist((3, 5))
+    words = nl.signature()[0]
+    packed, pack_rows = [], sim._pack_rows
+
+    def recording(bits):
+        packed.append(pack_rows(bits))
+        return packed[-1]
+
+    monkeypatch.setattr(sim, "_pack_rows", recording)
+    stim = pack(words, source)
+    if isinstance(source, VectorStream):
+        assert stim.block is _single_chunk_bits(source, words)
+    else:
+        assert stim.block is packed[-1]
+    assert not stim.block.flags.writeable
+    assert np.array_equal(simulate(nl, stim).c, simulate(nl, source).c)
 
 
 def test_a_stimulus_of_no_vectors_is_refused():
@@ -970,17 +1013,17 @@ def test_a_stimulus_of_no_vectors_is_refused():
 
 
 @pytest.mark.parametrize("mode", STREAM_MODES)
-def test_stream_chunks_each_own_a_fresh_run(kernel_calls, mode):
+def test_stream_chunks_run_like_their_oracle_runs(kernel_calls, mode):
     nl = _mix_netlist()
     stream = VectorStream(2 * CHUNK + 70, 7, mode, 0.95)
     words = nl.signature()[0]
     want = [_oracle_run(nl, bits, len(bits["x"]))
             for bits in _oracle_chunks(stream, words)]
-    chunks = list(iter_traces(nl, stream))  # every chunk kept alive
-    assert [s for s, _ in chunks] == [0, CHUNK, 2 * CHUNK]
-    for (_, tr), c in zip(chunks, want, strict=True):
+    # one buffer: each chunk is read before the next is asked for
+    for tr, c, n in zip(_runs(nl, stream), want, (CHUNK, CHUNK, 70),
+                        strict=True):
+        assert tr.n_vectors == n
         assert np.array_equal(tr.c, c)
-    assert not np.shares_memory(chunks[0][1].c, chunks[1][1].c)
     run = simulate(nl, stream)
     assert run.n_vectors == stream.n_vectors
     assert np.array_equal(run.c, np.concatenate(want, axis=1))
@@ -1053,12 +1096,31 @@ def test_activity_of_a_run_counts_its_column_views(monkeypatch, block):
     nl = _mix_netlist()
     run = simulate(nl, VectorStream(2 * CHUNK + 70, 8, "correlated", 0.9))
     want = oracles.ActivitySums(nl.n_nets)
-    for _, tr in iter_traces(nl, run):
+    for tr in _runs(nl, run):
         assert not tr.c.flags.c_contiguous
         want.add(tr)
     act = activity_profile(nl, run)
     assert np.array_equal(act.toggles, oracles.by_net(nl, want.tog))
     assert np.array_equal(act.p1, oracles.by_net(nl, want.ones) / want.total)
+
+
+@pytest.mark.parametrize("mode", STREAM_MODES)
+def test_a_whole_run_is_one_kernel_run_over_one_block(kernel_calls, mode):
+    # 336 nets: the net array of 2 chunks and 70 vectors is 5.7 MB; chunk
+    # runs joined afterwards peak at twice it, one run over one packed
+    # input block at 1.43 times it
+    nl = gen_module(ArchParams("mul", "exact", 8))
+    simulate(nl, VectorStream(1, 0))  # the plan is built once, outside
+    del kernel_calls[:]
+    tracemalloc.start()
+    try:
+        run = simulate(nl, VectorStream(2 * CHUNK + 70, 3, mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kernel_calls) == 1
+    assert run.n_vectors == 2 * CHUNK + 70
+    assert peak < 1.6 * run.c.nbytes
 
 
 def test_activity_sums_of_a_wide_chunk_allocate_little():
@@ -1088,7 +1150,7 @@ def test_activity_of_a_stream_equals_the_strided_count(n):
     nl = _mix_netlist()
     stream = VectorStream(n, 5, "correlated", 0.9)
     want = oracles.ActivitySums(nl.n_nets)
-    for _, tr in iter_traces(nl, stream):
+    for tr in _runs(nl, stream):
         want.add(tr)
     act = activity_profile(nl, stream)
     assert np.array_equal(act.toggles, oracles.by_net(nl, want.tog))
@@ -1102,7 +1164,7 @@ def test_word_values_equal_the_per_bit_values(n):
     run = simulate(nl, VectorStream(n, 2, "uniform"))
     words = [*nl.input_words(), *nl.output_words(), ("none", ())]
     # the whole run, and its chunk views (strided, not contiguous)
-    for tr in [run] + [tr for _, tr in iter_traces(nl, run)]:
+    for tr in [run, *_runs(nl, run)]:
         for _, nets in words:
             got = tr.word_values(nets)
             assert got.dtype == np.int64
