@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,16 +56,21 @@ class ModuleSpec:
 def characterize(params: ArchParams, stream, theta: float = 0.01) -> ModuleSpec:
     """Measure one architecture's error, relative power and rare-net profile
     on a :class:`VectorStream`, against the exact architecture as baseline.
-    The exact architecture's own run is the baseline, measured once per
-    stream and theta and kept with the shared exact netlist."""
+    The exact architecture's own run is the baseline, held one at a time
+    (:func:`_baseline`), so a menu walked in turn measures it once."""
     if not isinstance(stream, VectorStream):
         raise BadParams(f"characterize takes a VectorStream, not "
                         f"{type(stream).__name__}")
     exact = ArchParams(params.op_type, "exact", params.width)
-    base, spec = gen_module(exact).memo(_measure, exact, stream, theta)
+    base, spec = _baseline(exact, stream, theta)
     if params == exact:
         return spec
     return _measure(gen_module(params), params, stream, theta, base)[1]
+
+
+@lru_cache(maxsize=1)  # the last one only: a trial's streams are its own
+def _baseline(exact: ArchParams, stream: VectorStream, theta: float) -> tuple:
+    return _measure(gen_module(exact), exact, stream, theta)
 
 
 def _measure(nl: Netlist, params: ArchParams, stream, theta: float,
@@ -207,10 +213,9 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     if len(rare) < config.q:
         raise NoRareNets(f"{len(rare)} rare nets at theta={config.theta}, "
                          f"need {config.q}")
-    # taps are gate outputs, as the defender's rare nets are
+    # taps are live nets (Netlist.live), as the defender's rare nets are
     ceiling = config.scoap_ceiling
-    gated = nl.driver_kinds >= 0
-    cand = [(n, v) for n, v in rare if gated[n]
+    cand = [(n, v) for n, v in rare if nl.live[n]
             and testability.cc0[n] <= ceiling and testability.cc1[n] <= ceiling]
 
     # realization: the first 64 cycles that show each candidate's rare

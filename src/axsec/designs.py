@@ -21,6 +21,7 @@ validation and analyses.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -137,36 +138,28 @@ def fir_slots(width: int, taps: int = 4) -> list[tuple[str, str, int]]:
 
 def fir_design(width: int, coeffs, assign=None) -> Design:
     """Tapped sum of products y = sum(c_i * x_i) with one input word per
-    tap, constant coefficients and a balanced adder tree."""
+    tap, constant coefficients and the balanced adder tree of
+    :func:`fir_slots`: each adder sums the two oldest feeds."""
     taps = len(coeffs)
-    slots = fir_slots(width, taps)
     d = Design("top")
     d.inputs = [(f"x{i}", width) for i in range(taps)]
     d.wires = [(f"c{i}", width) for i in range(taps)]
-    d.wires += [(f"m{i}", 2 * width) for i in range(taps)]
     for i, c in enumerate(coeffs):
         d.insts.append(
             ModuleInst(f"c{i}", const_module(c, width), {"c": f"c{i}"}))
-    for i in range(taps):
-        d.insts.append(ModuleInst(f"mul{i}", _module_for(slots[i], assign),
+    mods = [_module_for(slot, assign) for slot in fir_slots(width, taps)]
+    for i, mod in enumerate(mods[:taps]):
+        d.wires.append((f"m{i}", len(mod.words["p"])))
+        d.insts.append(ModuleInst(f"mul{i}", mod,
                                   {"a": f"x{i}", "b": f"c{i}", "p": f"m{i}"}))
-    feeds = [f"m{i}" for i in range(taps)]
-    w, idx = 2 * width, 0
-    while len(feeds) > 1:
-        nxt = []
-        for j in range(0, len(feeds), 2):
-            out = "y" if len(feeds) == 2 else f"t{idx}"
-            d.insts.append(
-                ModuleInst(f"add{idx}", _module_for(slots[taps + idx], assign),
-                           {"a": feeds[j], "b": feeds[j + 1], "s": out}))
-            if out == "y":
-                d.outputs = [("y", w + 1)]
-            else:
-                d.wires.append((out, w + 1))
-            nxt.append(out)
-            idx += 1
-        feeds = nxt
-        w += 1
+    feeds = deque(f"m{i}" for i in range(taps))
+    for idx, mod in enumerate(mods[taps:]):
+        out = "y" if len(feeds) == 2 else f"t{idx}"
+        (d.outputs if out == "y" else d.wires).append(
+            (out, len(mod.words["s"])))
+        d.insts.append(ModuleInst(f"add{idx}", mod, {
+            "a": feeds.popleft(), "b": feeds.popleft(), "s": out}))
+        feeds.append(out)
     d.groups = [("coef", [f"c{i}" for i in range(taps)])]
     return d
 

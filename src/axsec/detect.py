@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
                      check_ranges)
-from .netlist import GateKind, Netlist
+from .netlist import Netlist
 from .sim import (Stimulus, VectorStream, activity_profile, check_theta,
                   check_value_words, error_terms, pack, rare_nets, simulate)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
@@ -141,10 +141,10 @@ def _majority(vals: np.ndarray, tol: float = 0.0) -> np.ndarray:
 @dataclass(frozen=True)
 class _Profile:
     """What a screen reads of one candidate's profiling run: output word
-    values per vector, the instance tags of the rare non-constant gate
-    outputs at the screen's ``theta``, and per rare net that was
-    realized, in net order, (net, input word support, (rarity, first
-    hit, net name, the support's values at that hit))."""
+    values per vector, the instance tags of the rare live nets at the
+    screen's ``theta``, and per rare net that was realized, in net order,
+    (net, input word support, (rarity, first hit, net name, the support's
+    values at that hit))."""
 
     out_vals: dict
     rare_tags: frozenset
@@ -160,8 +160,7 @@ def _profile(nl: Netlist, stim: Stimulus, theta: float) -> _Profile:
     screen's stimulus ``stim``; the run itself is not kept."""
     run = simulate(nl, stim)
     act = activity_profile(nl, run)
-    live = ~np.isin(nl.driver_kinds, (-1, GateKind.CONST0, GateKind.CONST1))
-    rare = [(net, v) for net, v in rare_nets(act, theta) if live[net]]
+    rare = [(net, v) for net, v in rare_nets(act, theta) if nl.live[net]]
     # the activity is of this run, so a rare value shows in it exactly
     # when its net's p1 lies strictly between 0 and 1
     shows = ((0.0 < act.p1) & (act.p1 < 1.0)).tolist()

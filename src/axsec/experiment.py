@@ -166,7 +166,7 @@ def arch_menu(op: str, width: int) -> list[ArchParams]:
 
 def characterize_library(spec: DesignSpec, stream,
                          theta: float) -> dict:
-    """Per (op, width) slot shape, the measured menu of architectures."""
+    """Per (op, width) slot shape, the measured menu, one shape at a time."""
     lib = {}
     for _, op, w in spec.slots:
         if (op, w) not in lib:

@@ -128,14 +128,15 @@ class Netlist:
         return fanout
 
     @cached_property
-    def driver_kinds(self):
-        """Read-only per-net :class:`GateKind` of the driver, -1 if none."""
-        kinds = np.full(self.n_nets, -1, np.int8)  # per row
+    def live(self):
+        """Read-only per-net mask: the driver is a gate other than CONST0
+        and CONST1, so a trigger may tap the net and a screen flag it."""
+        live = np.zeros(self.n_nets, bool)  # per row
         for kind, lo, hi, _, _ in self.plan[1]:
-            kinds[lo:hi] = kind
-        kinds = kinds[self.rows]
-        kinds.flags.writeable = False
-        return kinds
+            live[lo:hi] = kind not in (GateKind.CONST0, GateKind.CONST1)
+        live = live[self.rows]
+        live.flags.writeable = False
+        return live
 
     def input_words(self):
         """Canonical ordered input interface as (name, net ids) pairs.
@@ -324,11 +325,11 @@ class Netlist:
         and kept with the netlist: for pure analyses that other modules
         derive from it, with ``key`` the hashable parameters they take.
 
-        Shared builds (:mod:`axsec.designs`) carry these values from one
-        trial into the next, so ``build`` must depend on nothing but the
-        netlist and ``key``, and hand out nothing a caller could change:
-        read-only arrays, tuples, strings, or values whose owners copy
-        them before handing them out."""
+        An entry lives as long as the build, which is shared from one trial
+        into the next (:mod:`axsec.designs`): it holds no per-trial
+        measurement, and ``build`` depends on nothing but the netlist and
+        ``key`` and hands out nothing a caller could change: read-only
+        arrays, tuples, strings, or values whose owners copy them first."""
         memo = self._memo
         k = (build, key)
         if k not in memo:

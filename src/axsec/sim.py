@@ -145,7 +145,7 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
 
 
 def _stream_chunks(stream, words):
-    """Yield (start, n, block) chunks of a :class:`VectorStream`, generated
+    """Yield (n, block) chunks of a :class:`VectorStream`, generated
     lazily one :data:`CHUNK` at a time."""
     rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
             for i in range(len(words))]
@@ -157,14 +157,14 @@ def _stream_chunks(stream, words):
         for i, (_, width) in enumerate(words):
             block[at[i]:at[i + 1]], carry[i] = _chunk_bits(
                 rngs[i], stream.mode, stream.rho, n, width, carry[i])
-        yield start, n, block
+        yield n, block
 
 
 @lru_cache(maxsize=2)
 def _single_chunk_bits(stream, words):
     """The read-only block of a stream that fits in one chunk, generated
     once per (stream, input words)."""
-    (_, _, block), = _stream_chunks(stream, words)
+    (_, block), = _stream_chunks(stream, words)
     block.flags.writeable = False
     return block
 
@@ -211,8 +211,7 @@ def pack(words, *sources) -> Stimulus:
 
 
 def _pack(words, sources, takes):
-    chunks = [(n, b) for s in sources
-              for _, n, b in _bits_chunks(s, words, takes)]
+    chunks = [c for s in sources for c in _bits_chunks(s, words, takes)]
     at = np.cumsum([0] + [n for n, _ in chunks]).tolist()
     if not at[-1]:  # no source: a stimulus holds at least one vector
         raise BadParams("empty stream")
@@ -231,11 +230,11 @@ def _pack(words, sources, takes):
 
 
 def _bits_chunks(source, words, takes=_RUN):
-    """Yield (start, n, block) chunks, pad bits clear, of a stream or a
+    """Yield (n, block) chunks, pad bits clear, of a stream or a
     dict of word values; any other source is refused as not ``takes``."""
     if isinstance(source, VectorStream):
         if source.n_vectors <= CHUNK:
-            yield 0, source.n_vectors, _single_chunk_bits(source, words)
+            yield source.n_vectors, _single_chunk_bits(source, words)
         else:
             yield from _stream_chunks(source, words)
         return
@@ -247,7 +246,7 @@ def _bits_chunks(source, words, takes=_RUN):
         raise BadParams("empty stream")
     for start in range(0, total, CHUNK):
         n = min(CHUNK, total - start)
-        yield start, n, _pack_rows(np.concatenate([np.unpackbits(
+        yield n, _pack_rows(np.concatenate([np.unpackbits(
             v[start:start + n, None].view(np.uint8), axis=1, count=width,
             bitorder="little") for (_, width), v in zip(words, vals)], 1))
 
@@ -355,7 +354,7 @@ def _runs(netlist: Netlist, source):
                          min(CHUNK, n - at))
         return
     buf = None
-    for _, n, block in _bits_chunks(source, netlist.signature()[0]):
+    for n, block in _bits_chunks(source, netlist.signature()[0]):
         if buf is None:  # the first chunk is the widest
             buf = np.empty(netlist.n_nets * ((n + 63) // 64), np.uint64)
         yield _run_packed(netlist, block, n, buf)

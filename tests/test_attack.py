@@ -248,24 +248,46 @@ def test_insertion_needs_the_profiling_stream(inserted, kernel_calls):
     assert not kernel_calls
 
 
-def test_insertion_skips_a_tap_no_input_word_reaches():
-    # a report marking a constant rare at the value it holds: the tap is
-    # realized in every cycle, but no witness can set it
+def _const_tap_netlist(buffered):
+    # two input bits and a constant, buffered or not, ORed into the output
     b = NetlistBuilder()
     a = [b.pi(f"a{i}") for i in range(2)]
     b.word("a", a)
     b.instance("u", "approximate", "misc", "exact")
     c = b.gate(GateKind.CONST0, (), tag="u")
-    b.po(b.gate(GateKind.OR, (a[0], a[1], c), tag="u"))
-    nl = b.build()
+    tap = b.gate(GateKind.BUF, (c,), tag="u") if buffered else c
+    b.po(b.gate(GateKind.OR, (a[0], a[1], tap), tag="u"))
+    return b.build(), tap
+
+
+def _rare_at_its_value(nl, tap):
+    # a report, not measured on the trace, marking the tap rare at the
+    # value it holds: the tap is realized in every cycle
     p1 = np.full(nl.n_nets, 0.5)
-    p1[c] = 1.0  # rare at 0
+    p1[tap] = 1.0  # rare at 0
     act = ActivityReport(p1, np.zeros(nl.n_nets, np.int64), 1000)
     cfg = AttackConfig(q=1, theta=0.08, scoap_ceiling=2 ** 30,
                        payload="corrupt", stream=VectorStream(1000, 1))
-    assert rare_nets(act, cfg.theta) == [(c, 0)]
+    assert rare_nets(act, cfg.theta) == [(tap, 0)]
+    return act, cfg
+
+
+def test_insertion_skips_a_tap_no_input_word_reaches():
+    # a live gate fed only by a constant: no witness can set it
+    nl, tap = _const_tap_netlist(buffered=True)
+    assert nl.live[tap]
+    act, cfg = _rare_at_its_value(nl, tap)
     with pytest.raises(NoWitness, match="only 0 composable trigger taps "
                                         "of 1 requested"):
+        insert_trojan(nl, act, None, cfg)
+
+
+def test_a_constant_is_no_trigger_candidate():
+    # the constant itself is no live net, so it never reaches the trace
+    nl, tap = _const_tap_netlist(buffered=False)
+    assert not nl.live[tap]
+    act, cfg = _rare_at_its_value(nl, tap)
+    with pytest.raises(NoRareNets, match="0 usable trigger candidates"):
         insert_trojan(nl, act, None, cfg)
 
 

@@ -1,5 +1,7 @@
 """Composed designs: slot plumbing, flattening, references."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from axsec.experiment import (ExperimentConfig, characterize_library,
                               generate_variants)
 from axsec.netlist import Design, ModuleInst, flatten
 from axsec.sim import VectorStream, simulate, sub_seed
+from axsec.textfmt import serialize_netlist
 
 from tests.oracles import eval_vector, structurally_equal, word_value
 
@@ -81,6 +84,47 @@ def test_fir_taps_must_be_a_power_of_two():
         fir_spec(8, (1, 2, 3))
     with pytest.raises(BadParams):
         fir_spec(8, (1,))
+
+
+# sha256 of serialize_netlist for fir builds of more than the golden 4
+# taps, recorded before the adder tree was read off fir_slots: per (taps,
+# width), all-exact and with the last adder LOA
+_FIR_PINS = {
+    (2, 4): ("b80c5ab4e5e96b44cc40af1881dd1afb"
+             "91b783d3dce89bb82064f58b18a63a74",
+             "ce0523fec356aca195491292e0c34bdd"
+             "09bd8544b0d1fa63b27779b8df3915f8"),
+    (2, 8): ("330ac528d19b6d45aceb411488844f59"
+             "573774136b22f0850ac77d2ba7bdfe4c",
+             "54337ba9667d17921a092868dc34ce69"
+             "655b397d7c32672309507f552178a43b"),
+    (8, 4): ("67117a1ce482f542b05dfffb375dd52f"
+             "93bd80d82f575f0827b0204827fa6f21",
+             "a12494e0d3f3325ef80f284e735697c0"
+             "3f62082946d40fe2bb99a18b663b7a78"),
+    (8, 8): ("4e3f8ff1948dcefe8a6788d0e3eadf74"
+             "4f3f2447f09ffb54f52f8d10aaf49ac7",
+             "91ace29478972dffe3ecf9fb63925252"
+             "0fbadca557ac56064c54f3a01c05ce2e"),
+    (16, 4): ("4d1db23b2fb2749ddd783abee81a96eb"
+              "61fbe333fcd1015e71da4e2291b14fb3",
+              "c89fbee47709ca7bc14bc353359d6d16"
+              "b4b8a743810efbb0c4aa5a176dabaef0"),
+    (16, 8): ("15ef7d3f7e1ed03af86603818d6c2e5c"
+              "1a3ec525f6f5e55b0ad24cf42a1b2249",
+              "5f0524eff8e5d032043a2b06b0f1de99"
+              "ebeb6af7f6b703980fe17c97624fb10f"),
+}
+
+
+@pytest.mark.parametrize("taps,width", sorted(_FIR_PINS))
+def test_fir_builds_of_any_tap_count_match_their_pins(taps, width):
+    spec = fir_spec(width, [(3 + 2 * i) % (1 << width) for i in range(taps)])
+    name, op, w = spec.slots[-1]
+    got = [hashlib.sha256(serialize_netlist(spec.build(assign)).encode())
+           .hexdigest()
+           for assign in (None, {name: ArchParams(op, "loa", w, 2)})]
+    assert tuple(got) == _FIR_PINS[taps, width]
 
 
 def test_flatten_prefixes_instance_tags():

@@ -289,8 +289,8 @@ def test_a_trial_simulates_each_run_once(tmp_path, kernel_calls, design,
     # shapes, bfly 2) but variant generation ran the all-exact build twice;
     # its base run became also the all-exact variant's run: one kernel run
     # per (netlist, stream) pair, 57 of them on fir and 52 on bfly (51
-    # after a fir trial in the same process, which saves it one run by
-    # what that trial kept).  The witness check of an insertion is one
+    # after a fir trial of the same seed while the exact modules kept that
+    # trial's baselines).  The witness check of an insertion is one
     # more one-vector run since it left the scalar evaluator: fir seed 1
     # reaches it 4 times, bfly never.  The trial is a cold one: no build,
     # or run kept on one, of an earlier trial in this process is reused
@@ -342,3 +342,15 @@ def test_trials_leak_no_state_into_each_other(design, tmp_path, monkeypatch):
     run_experiment(ExperimentConfig(seed=1, design=design), tmp_path / "cold")
     assert _dir_digest(tmp_path / "warm1") == _dir_digest(tmp_path / "cold")
     assert counts[1] < counts[0]
+
+
+def test_a_sweep_keeps_no_trial_state_on_shared_modules(tmp_path):
+    # each trial characterizes on a stream of its own; its exact baselines
+    # were kept in the memo of the process-wide exact modules, which grew
+    # by one entry per trial (2 up to 7 over 6 trials)
+    sizes = []
+    for seed in range(6):
+        run_experiment(ExperimentConfig(seed=seed), tmp_path / str(seed))
+        sizes.append([len(arith.gen_module(ArchParams(op, "exact", w))._memo)
+                      for op, w in (("mul", 8), ("add", 16), ("add", 17))])
+    assert sizes == sizes[:1] * 6, sizes

@@ -318,6 +318,19 @@ def test_what_a_shared_netlist_hands_out_is_read_only(spec):
             a[0] = 0
     with pytest.raises(ValueError):
         nl.fanout_counts()[0] = 0
+    with pytest.raises(ValueError):
+        nl.live[0] = False
+
+
+@pytest.mark.parametrize("spec", [fir_spec(), bfly_spec()],
+                         ids=lambda s: s.name)
+def test_live_nets_are_the_outputs_of_gates_that_are_no_constant(spec):
+    nl = spec.build(None)
+    consts = (GateKind.CONST0, GateKind.CONST1)
+    want = [nl.driver(n) is not None and nl.driver(n).kind not in consts
+            for n in range(nl.n_nets)]
+    assert nl.live.tolist() == want
+    assert 0 < sum(want) < nl.n_nets - len(nl.inputs)  # constants occur
 
 
 @settings(max_examples=40, deadline=None)

@@ -538,7 +538,7 @@ def test_stream_memo_keys_on_the_input_words():
     assert _single_chunk_bits.cache_info().currsize == 2
     # a stream longer than one chunk is generated lazily, never memoized
     long = VectorStream(CHUNK + 1, 2)
-    assert [n for _, n, _ in _bits_chunks(long, (("a", 1),))] == [CHUNK, 1]
+    assert [n for n, _ in _bits_chunks(long, (("a", 1),))] == [CHUNK, 1]
     assert _single_chunk_bits.cache_info().misses == 2
 
 
@@ -663,7 +663,7 @@ def test_stream_values_are_the_chunks_in_order(n):
     stream = VectorStream(n, 6, "correlated")
     bits = _oracle_bits(stream, words)
     # the chunk blocks, in order, are the words' packed rows in word order
-    blocks = [b for _, _, b in _bits_chunks(stream, words)]
+    blocks = [b for _, b in _bits_chunks(stream, words)]
     assert np.array_equal(np.concatenate(blocks, axis=1), np.concatenate(
         [oracles.pack_rows(bits[w]) for w, _ in words]))
     run, want = simulate(nl, stream), _bit_values(bits)
@@ -729,14 +729,13 @@ def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
     stream = VectorStream(2 * CHUNK + 70, 12, mode, 0.97)
     got = list(_bits_chunks(stream, words))
     want = list(_oracle_chunks(stream, words))
-    assert [(s, n) for s, n, _ in got] == [(0, CHUNK), (CHUNK, CHUNK),
-                                          (2 * CHUNK, 70)]
-    for (_, _, block), bits in zip(got, want, strict=True):
+    assert [n for n, _ in got] == [CHUNK, CHUNK, 70]
+    for (_, block), bits in zip(got, want, strict=True):
         # word a's 5 rows, then word b's 1
         assert np.array_equal(block[:5], oracles.pack_rows(bits["a"]))
         assert np.array_equal(block[5:], oracles.pack_rows(bits["b"]))
     # the blocks in order are the whole index scan, packed
-    whole = np.concatenate([b for _, _, b in got], axis=1)
+    whole = np.concatenate([b for _, b in got], axis=1)
     assert np.array_equal(whole, np.concatenate([oracles.pack_rows(
         np.concatenate([b[name] for b in want])) for name, _ in words]))
 
@@ -863,7 +862,7 @@ _STREAM_PINS = {
 def test_stream_rows_match_their_pins(mode, n, rho, widths):
     words = tuple((f"w{i}", w) for i, w in enumerate(widths))
     digests = []
-    for _, _, block in _bits_chunks(VectorStream(n, 19, mode, rho), words):
+    for _, block in _bits_chunks(VectorStream(n, 19, mode, rho), words):
         # the words' rows in order, as each word's rows were hashed
         digests.append(hashlib.sha256(block.tobytes()).hexdigest()[:16])
     key = (mode, n, widths, None if mode == "uniform" else rho)
