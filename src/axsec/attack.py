@@ -135,12 +135,15 @@ def check_budget(selected, composed_error: float, composed_power: float,
 # insertion
 
 
+PAYLOADS = ("leak", "corrupt")
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     q: int = 4
     theta: float = 0.01
     scoap_ceiling: int = 50
-    payload: str = "leak"            # or "corrupt"
+    payload: str = "leak"            # one of PAYLOADS
     secret_word: str | None = None   # required for leak
     stream: object = None            # stream or run behind the activity
     trace_vectors: int = 20_000      # realization length when ``stream``
@@ -154,6 +157,7 @@ class AttackConfig:
         check_theta(self.theta)
         check_ranges(self, (
             ("q", self.q >= 1, "at least 1"),
+            ("payload", self.payload in PAYLOADS, f"one of {PAYLOADS}"),
             ("scoap_ceiling", self.scoap_ceiling >= 0, "non-negative"),
             ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
             ("clock", self.clock is None or 0 < self.clock < math.inf,
@@ -191,6 +195,17 @@ def _replace_output(b, old, new):
         b.words[w] = [new if n == old else n for n in bits]
 
 
+def _check_insertable(nl: Netlist, config: AttackConfig):
+    """Refuse, before any run, an insertion that could not be built."""
+    if config.stream is None:
+        raise BadParams("config.stream must carry the profiling stream")
+    check_value_words(nl)  # the witness is read off input word values
+    if not nl.outputs:
+        raise BadParams("the netlist has no output for a payload to take over")
+    if config.payload == "leak" and config.secret_word not in nl.words:
+        raise BadParams("leak payload needs an existing secret_word")
+
+
 def insert_trojan(nl: Netlist, activity: ActivityReport,
                   testability: ScoapReport | None, config: AttackConfig):
     """Insert a rare-net-triggered combinational payload.
@@ -199,14 +214,12 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     :class:`VectorStream` is extended), held whole in memory.
 
     Returns (infected netlist, :class:`HTInstance`).  Raises
-    :class:`NoRareNets`, :class:`NoWitness` or :class:`WouldViolateTiming`;
-    on any failure nothing is emitted.
+    :class:`BadParams` before any run for a missing stream, an input word
+    over 63 bits, no output or a leak without an existing ``secret_word``;
+    then :class:`NoRareNets`, :class:`NoWitness` or
+    :class:`WouldViolateTiming`.  On any failure nothing is emitted.
     """
-    if config.stream is None:
-        raise BadParams("config.stream must carry the profiling stream")
-    check_value_words(nl)  # the witness is read off input word values
-    if not nl.outputs:
-        raise BadParams("the netlist has no output for a payload to take over")
+    _check_insertable(nl, config)
     if testability is None:
         testability = scoap(nl)
     rare = rare_nets(activity, config.theta)
@@ -286,16 +299,12 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
 
     out_nets = nl.words[nl.output_words()[0][0]]
     if config.payload == "leak":
-        if not config.secret_word or config.secret_word not in nl.words:
-            raise BadParams("leak payload needs an existing secret_word")
         for out, sec in zip(out_nets, nl.words[config.secret_word]):
             mux = b.gate(GateKind.MUX2, (trig, out, sec), tag=fresh)
             _replace_output(b, out, mux)
-    elif config.payload == "corrupt":
+    else:
         x = b.gate(GateKind.XOR, (out_nets[-1], trig), tag=fresh)
         _replace_output(b, out_nets[-1], x)
-    else:
-        raise BadParams(f"unknown payload {config.payload!r}")
     infected = b.build()
 
     if config.clock is not None:
@@ -378,10 +387,9 @@ def mount(nl: Netlist, config: AttackConfig, reference, stealth):
     """(infected netlist, :class:`HTInstance`, :class:`StealthReport`) of
     one insertion: profile and realize on one run of ``config.stream``,
     insert, release the run, then :func:`verify_stealth` on ``stealth`` (a
-    stream or None) under ``config.clock`` and ``config.model``."""
-    if config.stream is None:
-        raise BadParams("config.stream must carry the profiling stream")
-    check_value_words(nl)  # refused before the whole stream runs
+    stream or None) under ``config.clock`` and ``config.model``.  The
+    preconditions :func:`insert_trojan` checks first are checked before."""
+    _check_insertable(nl, config)
     run = simulate(nl, config.stream)
     infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
                                  replace(config, stream=run))

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .arith import ARCHS, ArchParams, gen_module
-from .attack import AttackConfig, mount
+from .attack import PAYLOADS, AttackConfig, mount
 from .designs import design_spec
 from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
@@ -124,7 +124,7 @@ def _reference_for(nl, choice):
         return None
     if choice == "auto":
         ops = [i.op_type for i in nl.instances.values()
-               if i.op_type in ("add", "mul")]
+               if i.op_type in EXACT_OPS]
         inames = {w for w, _ in nl.input_words()}
         if len(ops) != 1 or len(nl.output_words()) != 1 \
                 or not {"a", "b"} <= inames:
@@ -464,7 +464,7 @@ def _build_parser():
 
     sp = _sub(subs, reg, "attack", "insert a rare-net-triggered payload")
     sp.add_argument("--netlist", required=True, metavar="FILE")
-    sp.add_argument("--payload", choices=("leak", "corrupt"),
+    sp.add_argument("--payload", choices=PAYLOADS,
                     default=ec.payload)
     sp.add_argument("--secret", default=None,
                     help="input word a leak payload routes to the output")

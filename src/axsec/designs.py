@@ -195,19 +195,18 @@ def bfly_design(width: int, twiddle: int, assign=None) -> Design:
     """Butterfly y0 = a + tw*b, y1 = (a - tw*b) mod 2^n with a constant
     twiddle factor; the subtract path is fixed exact logic."""
     n = bfly_width(width, twiddle)
-    slots = bfly_slots(width, twiddle)
+    mul, add = (_module_for(s, assign) for s in bfly_slots(width, twiddle))
+    t2 = len(mul.words["p"])
     d = Design("top")
     d.inputs = [("a", width), ("b", width)]
-    d.outputs = [("y0", n + 1), ("y1", n)]
-    d.wires = [("tw", width), ("t2", 2 * width), ("ae", n), ("te", n)]
+    d.outputs = [("y0", len(add.words["s"])), ("y1", n)]
+    d.wires = [("tw", width), ("t2", t2), ("ae", n), ("te", n)]
     d.insts = [
         ModuleInst("tw", const_module(twiddle, width), {"c": "tw"}),
-        ModuleInst("mul0", _module_for(slots[0], assign),
-                   {"a": "b", "b": "tw", "p": "t2"}),
+        ModuleInst("mul0", mul, {"a": "b", "b": "tw", "p": "t2"}),
         ModuleInst("ext_a", resize_module(width, n), {"a": "a", "y": "ae"}),
-        ModuleInst("ext_t", resize_module(2 * width, n), {"a": "t2", "y": "te"}),
-        ModuleInst("add0", _module_for(slots[1], assign),
-                   {"a": "ae", "b": "te", "s": "y0"}),
+        ModuleInst("ext_t", resize_module(t2, n), {"a": "t2", "y": "te"}),
+        ModuleInst("add0", add, {"a": "ae", "b": "te", "s": "y0"}),
         ModuleInst("sub0", sub_module(n), {"a": "ae", "b": "te", "d": "y1"}),
     ]
     d.groups = [("twid", ["tw"])]

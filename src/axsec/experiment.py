@@ -81,7 +81,7 @@ class ExperimentConfig:
         # forwarded values are checked by their owners, before any output
         self.design_spec()
         AttackConfig(q=self.q, theta=self.theta,
-                     scoap_ceiling=self.scoap_ceiling)
+                     scoap_ceiling=self.scoap_ceiling, payload=self.payload)
         self.detect_config()
         self.budget()
 
@@ -330,8 +330,8 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
 
 def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
     """Full pipeline into one artifact directory; see module docstring.
-    The directory is removed again if it did not pre-exist and the run
-    fails partway."""
+    Every artifact is computed before the first is written; a directory
+    the run created is removed again if it fails."""
     out = Path(out_dir)
     created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
@@ -347,15 +347,26 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
     log = []
     spec = config.design_spec()
     log.append(f"design {spec.name} seed {config.seed}")
-
-    with open(out / "config.txt", "w", encoding="utf-8") as f:
-        for k in sorted(vars(config)):
-            f.write(f"{k}={csv_value(getattr(config, k))}\n")
-
     char_stream = VectorStream(config.characterize_vectors,
                                sub_seed(config.seed, 1), "correlated",
                                config.rho)
     library = characterize_library(spec, char_stream, config.theta)
+    log.append(f"library: {sum(len(v) for v in library.values())} specs")
+    variants = generate_variants(spec, library, config.n_variants,
+                                 config.budget(), char_stream, log)
+    log.append(f"variants: {len(variants)}")
+    infected, truth, stealth_rows = _infect(config, spec, variants, log)
+    cands = [(v.netlist_id, infected[v.netlist_id][0]
+              if v.netlist_id in infected else v.netlist) for v in variants]
+    report = classify(cands, config.detect_config())
+    metrics = score(report, truth)
+    log.append(f"metrics: accuracy={metrics.accuracy:.4f} "
+               f"fpr={metrics.fpr:.4f} "
+               f"fnr={'n/a' if metrics.fnr is None else round(metrics.fnr, 4)}")
+
+    with open(out / "config.txt", "w", encoding="utf-8") as f:
+        for k in sorted(vars(config)):
+            f.write(f"{k}={csv_value(getattr(config, k))}\n")
     rows = []
     for (op, w), specs in sorted(library.items()):
         for s in specs:
@@ -366,10 +377,6 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
               ["op", "width", "arch", "k", "label", "e_norm", "p_norm",
                "rare_count", "r_norm", "scoap_summary", "attack_score"],
               rows)
-    log.append(f"library: {sum(len(v) for v in library.values())} specs")
-
-    variants = generate_variants(spec, library, config.n_variants,
-                                 config.budget(), char_stream, log)
     (out / "variants").mkdir(exist_ok=True)
     slot_names = [s[0] for s in spec.slots]
     vrows = []
@@ -384,47 +391,32 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
               + ["sum_e", "sum_p", "composed_e", "composed_p", "e_margin",
                  "p_margin"],
               vrows)
-    log.append(f"variants: {len(variants)}")
-
-    infected, truth, stealth_rows = _infect(config, spec, variants, log)
     write_csv(out / "stealth.csv",
               ["netlist", "error_delta", "power_delta_fraction",
                "trigger_rate", "min_slack"],
               stealth_rows)
     gt_rows = []
-    cands = []
     (out / "candidates").mkdir(exist_ok=True)
-    for v in variants:
-        if v.netlist_id in infected:
-            bad, ht = infected[v.netlist_id]
-            cands.append((v.netlist_id, bad))
-            gt_rows.append((v.netlist_id, 1, ht.host_instances[0],
-                            ht.payload_kind, ht.trigger_net, *ht_text(ht)))
+    for nid, nl in cands:
+        if nid in infected:
+            ht = infected[nid][1]
+            gt_rows.append((nid, 1, ht.host_instances[0], ht.payload_kind,
+                            ht.trigger_net, *ht_text(ht)))
         else:
-            cands.append((v.netlist_id, v.netlist))
-            gt_rows.append((v.netlist_id, 0, "", "", "", "", ""))
-        write_netlist(cands[-1][1],
-                      out / "candidates" / f"{v.netlist_id}.nl")
+            gt_rows.append((nid, 0, "", "", "", "", ""))
+        write_netlist(nl, out / "candidates" / f"{nid}.nl")
     write_csv(out / "ht_ground_truth.csv",
               ["netlist", "infected", "host", "payload", "trigger_net",
                "taps", "witness"],
               gt_rows)
-
-    report = classify(cands, config.detect_config())
     write_detection(report, out / "detect_report.csv",
                     out / "detect_debug.csv")
     write_csv(out / "ranking.csv",
               ["netlist", "error_rank", "mred", "verdict"],
               [(r.netlist_id, r.error_rank, r.mred, r.verdict)
                for r in report.netlists])
-
-    metrics = score(report, truth)
     write_csv(out / "metrics.csv", ["accuracy", "fpr", "fnr"],
               [(metrics.accuracy, metrics.fpr, metrics.fnr)])
-    log.append(f"metrics: accuracy={metrics.accuracy:.4f} "
-               f"fpr={metrics.fpr:.4f} "
-               f"fnr={'n/a' if metrics.fnr is None else round(metrics.fnr, 4)}")
-
     with open(out / "experiment.log", "w", encoding="utf-8") as f:
         f.write("\n".join(log) + "\n")
     return ExperimentResult(str(out), metrics, len(variants),

@@ -688,6 +688,12 @@ def test_mount_refuses_a_64_bit_word_before_any_run(kernel_calls):
                      None, None)
     with pytest.raises(BadParams, match="must carry the profiling stream"):
         attack.mount(SPEC.build(ASSIGN), AttackConfig(), None, None)
+    for secret in (None, "", "nope"):
+        with pytest.raises(BadParams, match="needs an existing secret_word"):
+            attack.mount(SPEC.build(ASSIGN),
+                         AttackConfig(secret_word=secret,
+                                      stream=VectorStream(2000, 0)),
+                         None, None)
     assert kernel_calls == []
 
 

@@ -1011,13 +1011,16 @@ def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
 @pytest.mark.parametrize("flags", [["--trace-vectors", "0"],
                                    ["--characterize-vectors", "0"],
                                    ["--rho", "2"], ["--width", "1"],
-                                   ["--width", "2"]],
+                                   ["--width", "2"], ["--payload", "bogus"],
+                                   ["--width", "33"]],
                          ids=["trace-vectors", "characterize-vectors",
-                              "rho", "width", "coeffs-too-wide"])
+                              "rho", "width", "coeffs-too-wide", "payload",
+                              "word-too-wide"])
 def test_experiment_rejects_before_writing_into_its_directory(
         tmp_path, capsys, flags):
     # an existing --out directory is kept on failure, so whatever a late
-    # check let through would stay behind in it
+    # check let through would stay behind in it.  A bad payload kind and
+    # 66-bit products were found only after the first files were written.
     out = tmp_path / "out"
     out.mkdir()
     assert main(["experiment", *flags, "--out", str(out)]) == 2
@@ -1034,6 +1037,9 @@ def _assert_rejected(tmp_path, capsys, verb, flags, message,
     main(["gen-design", *design, "--out", str(nl)])
     capsys.readouterr()
     out = tmp_path / "out"
+    existing = verb in ("experiment", "profile")  # must stay empty
+    if existing:
+        out.mkdir()
     args = {"sta": ["--netlist", str(nl), "--out", str(out)],
             "detect": ["--candidates", str(nl.parent), "--out", str(out)],
             "experiment": ["--out", str(out)],
@@ -1048,7 +1054,9 @@ def _assert_rejected(tmp_path, capsys, verb, flags, message,
                       "--out", str(out)]}
     assert main([verb] + flags + args[verb]) == 2
     assert message in _one_error_line(capsys)
-    assert [p.name for p in tmp_path.iterdir()] == ["c"]
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["c"] + ["out"] * existing
+    assert not existing or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("verb", ["profile", "attack"])
@@ -1069,9 +1077,22 @@ def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):
     nl.write_text("input a\noutput a\n")
     out = tmp_path / "bad.nl"
     assert main(["attack", "--netlist", str(nl), "--clock", "10",
-                 "--out", str(out)]) == 2
+                 "--payload", "corrupt", "--out", str(out)]) == 2
     assert "rare nets" in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_attack_refuses_a_leak_without_a_secret_before_any_run(
+        tmp_path, capsys, kernel_calls):
+    # the secret word was looked up only after the trace, the tap grouping
+    # and the trigger build, so a rare-net shortage was reported instead
+    nl = tmp_path / "loa.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), nl)
+    out = tmp_path / "bad.nl"
+    assert main(["attack", "--netlist", str(nl), "--out", str(out)]) == 2
+    assert "secret_word" in _one_error_line(capsys)
+    assert not out.exists()
+    assert kernel_calls == []
 
 
 @pytest.mark.parametrize("text,row", [

@@ -127,6 +127,60 @@ def test_fir_builds_of_any_tap_count_match_their_pins(taps, width):
     assert tuple(got) == _FIR_PINS[taps, width]
 
 
+# sha256 of serialize_netlist for bfly builds, recorded before the wire
+# widths were read off the slot modules' ports: per (width, twiddle),
+# all-exact, with a trunc k=1 multiplier and with a loa k=2 adder
+_BFLY_PINS = {
+    (2, 1): ("7aaf1327bef29dfa4afca63ec9f71838"
+             "b1beec0e540ec73487d31cb328a2264b",
+             "da28920454c5b590c8b99e831ebbd091"
+             "c51986999079f5ec2910628ff9e769b1",
+             "fe5e01f29a6c450aeb987d5a2a80eaf1"
+             "ed3cf998172337bc493356edd83b21a0"),
+    (4, 15): ("95b4b6cec3d6157421d5c0c223cf67ac"
+              "9a221b5df9b806acbf4df6b6e4ca50c8",
+              "bc2ee2d25e34540abe512db5505eeaf5"
+              "16f137b8377bab7dd1aaee280f183e55",
+              "68f07c502dfa02f318e9ff29a16a49d8"
+              "676eefdd85570d4437ffba4a5108e8c4"),
+    (6, 1): ("cbb67dd6bc40619f941e6d3675d26b52"
+             "47a4cf75bcaf1cf25042c63851ace31b",
+             "f300938e290ae50dc0785bfe767399fe"
+             "c2baf3b0ffc6aaed76d396e8056f53e2",
+             "a72484679063f4ae9600515ba6e5092c"
+             "0a7f01d6484bdae422701cbf945453ca"),
+    (7, 100): ("698627ae2a1567f790f3ad1942f48e2f"
+               "3263f97aef86f3435fa6b53d00fbd9ea",
+               "542710188a5f4b75ea54531653338a82"
+               "a8140232c604c3db02f026012c2f2e3c",
+               "b5f7190332e912ea8adf93e726e3eba1"
+               "a075dd46cd24cac9c25a5b724cd83d44"),
+    (8, 3): ("e03c3c8ef1eef163a307497b911e9042"
+             "cbfb83bef48c4e22128b7a8afc47644b",
+             "ed8795fe10c06bd48b12aba0063f71c3"
+             "e42ad71d53b0b56b528df65d77228598",
+             "f5952d2a200367bf2ed9f62126a503e8"
+             "00a07e9adbfbfedf533b63ab16d63038"),
+    (8, 255): ("4989be8e4f228dd5c279120c9371bb61"
+               "d7ac11508eb1a1d53c4c5c1bb9083128",
+               "1ad2f0df41b2409e6efd0ae8891a5fe6"
+               "981e8fdf5e7549c262db095c3b14479b",
+               "3e91f258b76ae55200ca1f774b2708c3"
+               "d2aa8fa7d3915c01af21548118159b7b"),
+}
+
+
+@pytest.mark.parametrize("width,twiddle", sorted(_BFLY_PINS))
+def test_bfly_builds_match_their_pins(width, twiddle):
+    spec = bfly_spec(width, twiddle)
+    (_, mop, mw), (_, aop, aw) = spec.slots
+    got = [hashlib.sha256(serialize_netlist(spec.build(assign)).encode())
+           .hexdigest()
+           for assign in (None, {"mul0": ArchParams(mop, "trunc", mw, 1)},
+                          {"add0": ArchParams(aop, "loa", aw, 2)})]
+    assert tuple(got) == _BFLY_PINS[width, twiddle]
+
+
 def test_flatten_prefixes_instance_tags():
     nl = fir_spec(8, (3, 5, 7, 9)).build(None)
     tags = set(nl.instances)

@@ -1,5 +1,7 @@
 """Structural invariants of the gate-level representation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -694,7 +696,8 @@ def _stop(*args):
 @pytest.mark.parametrize("payload", ["leak", "corrupt"])
 def test_every_fir_insertion_derives_what_the_full_build_gives(
         tmp_path, monkeypatch, payload):
-    # seeds 0-19 up to the screen; the stealth check is not what is tested
+    # seeds 0-19 up to the written screen, the first file written after
+    # the candidates; neither the stealth check nor the screen is tested
     made = []
     insert = attack.insert_trojan
 
@@ -706,7 +709,11 @@ def test_every_fir_insertion_derives_what_the_full_build_gives(
     monkeypatch.setattr(attack, "insert_trojan", recording)
     monkeypatch.setattr(attack, "verify_stealth",
                         lambda *a: StealthReport(0.0, 0.0, 0.0, 0.0))
-    monkeypatch.setattr(experiment, "classify", _stop)
+    monkeypatch.setattr(experiment, "classify", lambda *a: None)
+    monkeypatch.setattr(experiment, "score",
+                        lambda *a: SimpleNamespace(accuracy=0.0, fpr=0.0,
+                                                   fnr=None))
+    monkeypatch.setattr(experiment, "write_detection", _stop)
     for seed in range(20):
         with pytest.raises(_Stop):
             run_experiment(ExperimentConfig(seed=seed, payload=payload),
