@@ -34,9 +34,9 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, VectorStream,
-                  activity_and_error, activity_profile, check_theta,
-                  check_value_words, power_proxy, power_ratio, rare_nets,
-                  simulate)
+                  activity_and_error, activity_profile, check_reference,
+                  check_theta, check_value_words, power_proxy, power_ratio,
+                  rare_nets, simulate)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -388,8 +388,11 @@ def mount(nl: Netlist, config: AttackConfig, reference, stealth):
     one insertion: profile and realize on one run of ``config.stream``,
     insert, release the run, then :func:`verify_stealth` on ``stealth`` (a
     stream or None) under ``config.clock`` and ``config.model``.  The
-    preconditions :func:`insert_trojan` checks first are checked before."""
+    preconditions :func:`insert_trojan` checks first are checked before,
+    and a ``reference`` when there is a ``stealth`` stream."""
     _check_insertable(nl, config)
+    if stealth is not None and reference is not None:
+        check_reference(nl, reference)
     run = simulate(nl, config.stream)
     infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
                                  replace(config, stream=run))

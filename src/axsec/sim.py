@@ -19,8 +19,10 @@ those packed words, and a run copies the block into its net array's first
 rows, the primary inputs'.  A stream that fits in one chunk is generated
 once per input signature and reused read-only (:func:`_single_chunk_bits`);
 longer streams are generated lazily, and a profile runs all their chunks
-in one net buffer.
-Every bit is made of the generator's raw 64-bit words; the same draws as
+in one net buffer.  Only for a stream longer than one chunk, the next
+chunk is made on a second thread while the caller reads the current one.
+Every bit is made of the generator's raw 64-bit words, a redraw mask's
+drawn in blocks sized from :data:`_BLOCK_BYTES`; the same draws as
 ``Generator.integers`` and ``Generator.random`` calls are kept in
 ``tests/oracles.py`` as the reference.
 
@@ -40,6 +42,7 @@ here as well; a frozen :class:`VectorStream` is its own identity.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,6 +58,10 @@ from .netlist import Netlist
 CHUNK = 1 << 16
 
 STREAM_MODES = ("uniform", "correlated")
+
+#: bytes a blocked pass takes at once, each counting pass's net-array rows
+#: and each draw of a redraw mask; a block stays in L2
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,11 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
     # uint8)`` is the top bit of each byte of successive 32-bit draws, low
     # half of each word first (Lemire's method, which never rejects at
     # range 2); ``random() >= rho`` is ``raw >= ceil(rho * 2**53) << 11``,
-    # all false at rho = 1.  The generator ends where those calls left it,
-    # but for ``integers``' buffered 32-bit half, which neither form reads
-    # and only a last, partial chunk can leave set (a full chunk is a
-    # whole number of words).
+    # all false at rho = 1, drawn in blocks of whole words of vectors of
+    # at most :data:`_BLOCK_BYTES` of draws.  The generator ends where
+    # those calls left it, but for ``integers``' buffered 32-bit half,
+    # which neither form reads and only a last, partial chunk can leave
+    # set (a full chunk is a whole number of words).
     raw = rng.bit_generator.random_raw
     fresh = raw(-(-n * width // 8)).astype("<u8", copy=False).view(
         np.uint8)[:n * width].reshape(n, width)
@@ -125,8 +133,10 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
     f = _pack_rows(fresh)
     if mode == "uniform":
         return f, fresh[-1].copy()
-    r = _pack_rows(raw(n * width).reshape(n, width)
-                   >= math.ceil(rho * 2 ** 53) << 11)
+    step = max(64, _BLOCK_BYTES // (512 * width) * 64)
+    r = np.concatenate([_pack_rows(raw(min(step, n - lo) * width).reshape(
+        -1, width) >= math.ceil(rho * 2 ** 53) << 11)
+        for lo in range(0, n, step)], axis=1)
     if carry is None:
         r[:, 0] |= _ONE  # the first vector is drawn
         carry = np.zeros(width, np.uint8)
@@ -146,18 +156,41 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
 
 def _stream_chunks(stream, words):
     """Yield (n, block) chunks of a :class:`VectorStream`, generated
-    lazily one :data:`CHUNK` at a time."""
+    lazily one :data:`CHUNK` at a time.  Past the first, each chunk is
+    made on a second thread while the caller reads the one before, and
+    is yielded once that thread is joined; closing waits for it."""
     rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
             for i in range(len(words))]
     carry = [None] * len(words)
     at = np.cumsum([0] + [w for _, w in words]).tolist()  # rows per word
-    for start in range(0, stream.n_vectors, CHUNK):
-        n = min(CHUNK, stream.n_vectors - start)
-        block = np.empty((at[-1], (n + 63) // 64), np.uint64)
-        for i, (_, width) in enumerate(words):
-            block[at[i]:at[i + 1]], carry[i] = _chunk_bits(
-                rngs[i], stream.mode, stream.rho, n, width, carry[i])
-        yield n, block
+
+    def make(n, out):  # the block, or what it raised, appended to out
+        try:
+            block = np.empty((at[-1], (n + 63) // 64), np.uint64)
+            for i, (_, width) in enumerate(words):
+                block[at[i]:at[i + 1]], carry[i] = _chunk_bits(
+                    rngs[i], stream.mode, stream.rho, n, width, carry[i])
+            out.append(block)
+        except BaseException as e:
+            out.append(e)
+
+    sizes = [min(CHUNK, stream.n_vectors - start)
+             for start in range(0, stream.n_vectors, CHUNK)]
+    made = []
+    make(sizes[0], made)
+    for k, n in enumerate(sizes):
+        (block,), made = made, []
+        if isinstance(block, BaseException):
+            raise block
+        if k + 1 == len(sizes):
+            yield n, block
+            return
+        worker = threading.Thread(target=make, args=(sizes[k + 1], made))
+        worker.start()
+        try:
+            yield n, block
+        finally:
+            worker.join()
 
 
 @lru_cache(maxsize=2)
@@ -401,7 +434,7 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     callables per output word (taken in sorted word order).
     """
     nl = tr.netlist
-    ref = _references(nl, ref)
+    ref = check_reference(nl, ref)
     outs = dict(nl.output_words())
     wv = {w: tr.word_values(nets) for w, nets in nl.input_words()}
     sums = []
@@ -412,8 +445,9 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     return sums
 
 
-def _references(nl: Netlist, ref) -> dict:
-    """``ref`` as {output word: reference}, its words checked."""
+def check_reference(nl: Netlist, ref) -> dict:
+    """``ref`` as {output word: reference}, its words checked before any
+    run."""
     outs = [w for w, _ in nl.output_words()]
     if not isinstance(ref, dict):
         if len(outs) != 1:
@@ -439,7 +473,7 @@ class _ErrorSums:
     """Running :func:`error_sums` of consecutive chunks of one run."""
 
     def __init__(self, netlist: Netlist, ref):
-        self.ref = _references(netlist, ref)
+        self.ref = check_reference(netlist, ref)
         self.n = self.errs = self.sabs = self.wce = 0
         self.srel = 0.0
 
@@ -485,10 +519,6 @@ def _profiled(netlist: Netlist, source, *sums) -> tuple:
         for acc in sums:
             acc.add(tr)
     return tuple(acc.report() for acc in sums)
-
-
-#: bytes of net-array rows each counting pass reads; a block stays in L2
-_BLOCK_BYTES = 1 << 18
 
 
 class _ActivitySums:

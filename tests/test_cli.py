@@ -1061,14 +1061,14 @@ def _assert_rejected(tmp_path, capsys, verb, flags, message,
 
 @pytest.mark.parametrize("verb", ["profile", "attack"])
 def test_a_single_reference_needs_a_single_output_word(tmp_path, capsys,
-                                                       verb):
-    # bfly has two output words; --ref add is a reference for one of them.
-    # Both verbs find out only after simulating, and then write nothing.
+                                                       verb, kernel_calls):
+    # bfly has two output words; --ref add is a reference for one of them
     flags = {"profile": ["--ref", "add"],
              "attack": ["--ref", "add", "--payload", "corrupt", "--q", "1",
                         "--theta", "0.2"]}[verb]
     _assert_rejected(tmp_path, capsys, verb, flags, "exactly one output word",
                      design=("--design", "bfly", "--assign", "add0=loa:4"))
+    assert kernel_calls == []
 
 
 def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):

@@ -3,6 +3,9 @@ activity, power and error profilers."""
 
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -14,14 +17,16 @@ from hypothesis import strategies as st
 from axsec import _kernels, sim
 from axsec.arith import ArchParams, gen_adder, gen_module
 from axsec.attack import HTInstance, verify_stealth
+from axsec.cli import main
 from axsec.designs import bfly_spec, fir_spec
 from axsec.errors import BadParams, BadThreshold
 from axsec.netlist import GateKind, NetlistBuilder
-from axsec.sim import (CHUNK, EXACT_OPS, STREAM_MODES, Traces,
-                       VectorStream, _ActivitySums, _bits_chunks,
+from axsec.sim import (_BLOCK_BYTES, CHUNK, EXACT_OPS, STREAM_MODES,
+                       Traces, VectorStream, _ActivitySums, _bits_chunks,
                        _chunk_bits, _runs, _single_chunk_bits,
                        activity_and_error, activity_profile, error_profile,
                        pack, power_proxy, power_ratio, rare_nets, simulate)
+from axsec.textfmt import write_netlist
 
 from tests import oracles
 from tests.oracles import eval_vector, exhaustive_values, word_value
@@ -738,6 +743,114 @@ def test_a_stream_across_chunks_carries_like_the_index_scan(mode):
     whole = np.concatenate([b for _, b in got], axis=1)
     assert np.array_equal(whole, np.concatenate([oracles.pack_rows(
         np.concatenate([b[name] for b in want])) for name, _ in words]))
+
+
+def test_chunks_made_ahead_while_the_caller_works_equal_the_index_scan():
+    # three streams read in turn, so three chunks are made ahead at once on
+    # two cores, with threads switched often; the oracle's chunks are the
+    # caller's work while the next chunks are made
+    words = (("a", 5), ("b", 1), ("c", 17))
+    streams = [VectorStream(2 * CHUNK + 70, seed, "correlated", 0.97)
+               for seed in (9, 10, 11)]
+    got = [_bits_chunks(s, words) for s in streams]
+    want = [_oracle_chunks(s, words) for s in streams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            for g, w in zip(got, want):
+                (n, block), bits = next(g), next(w)
+                assert n == len(bits["a"])
+                assert np.array_equal(block, np.concatenate(
+                    [oracles.pack_rows(bits[name]) for name, _ in words]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [next(g, None) for g in got] == [None] * 3
+
+
+def _chunk_calls(monkeypatch, fail_at=None):
+    """The thread of each ``_chunk_bits`` call, the call numbered
+    ``fail_at`` raising MemoryError."""
+    calls, make = [], sim._chunk_bits
+
+    def counted(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == fail_at:
+            raise MemoryError("no room for a chunk")
+        return make(*args)
+
+    monkeypatch.setattr(sim, "_chunk_bits", counted)
+    return calls
+
+
+def test_a_failure_making_the_next_chunk_surfaces_in_the_caller(monkeypatch):
+    # one input word: the second call makes the second chunk, on the worker
+    before = set(threading.enumerate())
+    calls = _chunk_calls(monkeypatch, fail_at=2)
+    with pytest.raises(MemoryError, match="no room"):
+        activity_profile(_mix_netlist(), VectorStream(3 * CHUNK, 4))
+    assert calls[0] is threading.main_thread() is not calls[1]
+    assert len(calls) == 2 and set(threading.enumerate()) == before
+
+
+def test_a_failure_making_the_next_chunk_ends_a_profile_in_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    nl, out = tmp_path / "mix.nl", tmp_path / "out"
+    write_netlist(_mix_netlist(), nl)
+    out.mkdir()
+    _chunk_calls(monkeypatch, fail_at=2)
+    assert main(["profile", "--netlist", str(nl), "--vectors", "70000",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: no room for a chunk"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("end", ["break", "finish", "fail"])
+def test_no_thread_outlives_its_stream(monkeypatch, end):
+    before = set(threading.enumerate())
+    calls = _chunk_calls(monkeypatch)
+    stream, nl = VectorStream(3 * CHUNK, 6, "correlated"), _mix_netlist()
+    if end == "break":
+        for _ in _bits_chunks(stream, nl.signature()[0]):
+            for _ in range(10000):  # the next chunk is made meanwhile
+                if len(calls) == 2:
+                    break
+                time.sleep(0.001)
+            ahead = len(calls)
+            break
+        assert ahead == len(calls) == 2  # closing waits for it, no more
+    elif end == "finish":
+        activity_profile(nl, stream)
+        assert len(calls) == 3
+    else:  # the caller fails while the next chunk is made
+        monkeypatch.setattr(_ActivitySums, "add", _raise_memory_error)
+        with pytest.raises(MemoryError):
+            activity_profile(nl, stream)
+    assert set(threading.enumerate()) == before
+
+
+def _raise_memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("width", [1, 8, 17])
+@pytest.mark.parametrize("blocks, off", [(1, -1), (1, 0), (1, 1), (2, 0)])
+@pytest.mark.parametrize("with_carry", [False, True])
+def test_redraw_mask_blocks_draw_like_the_oracle(width, blocks, off,
+                                                 with_carry):
+    # the mask is drawn in whole words of vectors, at most _BLOCK_BYTES
+    # of draws; at width 17 that is rounded down to 30 words
+    n = blocks * (_BLOCK_BYTES // (8 * width) // 64 * 64) + off
+    carry = np.ones(width, np.uint8) if with_carry else None
+    got, want = np.random.default_rng(n), np.random.default_rng(n)
+    bits, last = _chunk_bits(got, "correlated", 0.8, n, width, carry)
+    want_bits, want_last = oracles.chunk_bits(want, "correlated", 0.8, n,
+                                              width, carry)
+    assert np.array_equal(bits, oracles.pack_rows(want_bits))
+    assert np.array_equal(last, want_last)
+    assert np.array_equal(got.bit_generator.random_raw(4),
+                          want.bit_generator.random_raw(4))
 
 
 @settings(max_examples=40, deadline=None)
