@@ -10,7 +10,7 @@ Every verb accepts ``--config FILE`` with flat ``key=value`` lines; the
 ``config.txt`` written by ``experiment`` can be fed straight back in.
 File values act as defaults, explicit flags always win.  Keys a verb
 does not know are ignored so one file can serve several verbs.  All
-reports are CSV with a header row.  A workbench error
+reports are CSV with a header row.  A usage or workbench error
 (:class:`~axsec.errors.AxsecError`), an unreadable file or a bad CSV ends
 in one ``error:`` line and exit status 2.
 """
@@ -30,18 +30,24 @@ from .designs import design_spec
 from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
 from .errors import AxsecError, BadParams, check_ranges
-from .experiment import (ExperimentConfig, csv_value, ht_text,
+from .experiment import (ExperimentConfig, csv_text, csv_value, ht_text,
                          run_experiment, write_csv, write_detection)
 from .scoap import scoap
 from .sim import (EXACT_OPS, STREAM_MODES, VectorStream, activity_and_error,
                   check_theta, power_proxy, rare_nets, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths)
-from .textfmt import read_netlist, read_text, write_netlist
+from .textfmt import (check_free, read_netlist, read_text, write_netlist,
+                      write_tree)
 
 __all__ = ["main"]
 
 _USER_ERRORS = (AxsecError, OSError, csv.Error)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one error: line too
+        raise BadParams(message)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +183,7 @@ def _cmd_gen_design(args):
 
 
 def _cmd_profile(args):
+    check_free(args.out_dir)
     nl = read_netlist(args.netlist)
     stream = VectorStream(args.vectors, args.seed, args.mode, args.rho)
     if args.theta is not None:
@@ -200,9 +207,7 @@ def _cmd_profile(args):
                                [(er.er, er.med, er.mred, er.wce,
                                  er.n_vectors)])
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
+    write_tree(out, {name: csv_text(*t) for name, t in tables.items()})
     print(f"{args.vectors} {args.mode} vectors over {nl.n_nets} nets -> "
           f"{out}/{{{','.join(tables)}}}")
 
@@ -397,7 +402,7 @@ def _sub(subs, registry, name, help_text):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="axsec",
         description="approximate-circuit hardware Trojan workbench")
     subs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")

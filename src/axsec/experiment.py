@@ -9,7 +9,7 @@ are byte-identical) and all randomness descends from the one config seed.
 from __future__ import annotations
 
 import csv
-import shutil
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,12 +26,12 @@ from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
                   power_ratio, simulate, sub_seed)
 from .sta import calibrated_model
-from .textfmt import write_netlist
+from .textfmt import check_free, serialize_netlist, write_text, write_tree
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "Variant", "arch_menu",
-    "characterize_library", "csv_value", "generate_variants", "ht_text",
-    "run_experiment", "write_csv", "write_detection",
+    "characterize_library", "csv_text", "csv_value", "generate_variants",
+    "ht_text", "run_experiment", "write_csv", "write_detection",
 ]
 
 
@@ -121,28 +121,37 @@ def ht_text(ht) -> tuple[str, str]:
             ";".join(f"{w}={x}" for w, x in ht.witness))
 
 
-def write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for r in rows:
-            w.writerow([csv_value(x) for x in r])
+def csv_text(header, rows) -> str:
+    """A CSV table with a header row, one :func:`csv_value` per cell."""
+    f = io.StringIO()
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([csv_value(x) for x in r] for r in rows)
+    return f.getvalue()
 
 
-def write_detection(report, path, debug_path=None):
-    """Write a detection report as per-instance suspicion rows and, when
-    ``debug_path`` is given, the full per-instance evidence."""
+def write_csv(path, header, rows):
+    write_text(path, csv_text(header, rows))
+
+
+def _detection_csvs(report) -> tuple[str, str]:
+    """A detection report's per-instance suspicions and evidence, as CSV."""
     rows, dbg = [], []
     for r in report.netlists:
         for e in r.instances:
             rows.append((r.netlist_id, r.verdict, e.tag, e.suspicion))
             dbg.append((r.netlist_id, e.tag, e.kind_label, e.hits,
                         e.resilience, e.rare, e.raw, e.suspicion, e.flagged))
-    write_csv(path, ["netlist", "verdict", "instance", "suspicion"], rows)
-    if debug_path:
-        write_csv(debug_path,
-                  ["netlist", "instance", "kind", "hits", "resilience",
-                   "rare", "raw", "suspicion", "flagged"], dbg)
+    return (csv_text(["netlist", "verdict", "instance", "suspicion"], rows),
+            csv_text(["netlist", "instance", "kind", "hits", "resilience",
+                      "rare", "raw", "suspicion", "flagged"], dbg))
+
+
+def write_detection(report, path, debug_path=None):
+    """Write :func:`_detection_csvs` to ``path`` and ``debug_path``, if set."""
+    for p, text in zip((path, debug_path), _detection_csvs(report)):
+        if p:
+            write_text(p, text)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +338,9 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
-    """Full pipeline into one artifact directory; see module docstring.
-    Every artifact is computed before the first is written; a directory
-    the run created is removed again if it fails."""
-    out = Path(out_dir)
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        return _run(config, out)
-    except BaseException:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        raise
-
-
-def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
+    """Full pipeline into one new or empty artifact directory, refused
+    before any run otherwise, and written whole once all is computed."""
+    check_free(out_dir)
     log = []
     spec = config.design_spec()
     log.append(f"design {spec.name} seed {config.seed}")
@@ -364,39 +361,27 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
                f"fpr={metrics.fpr:.4f} "
                f"fnr={'n/a' if metrics.fnr is None else round(metrics.fnr, 4)}")
 
-    with open(out / "config.txt", "w", encoding="utf-8") as f:
-        for k in sorted(vars(config)):
-            f.write(f"{k}={csv_value(getattr(config, k))}\n")
-    rows = []
-    for (op, w), specs in sorted(library.items()):
-        for s in specs:
-            rows.append((op, w, s.params.arch_id, s.params.k,
-                         s.params.label(), s.e_norm, s.p_norm, s.rare_count,
-                         s.r_norm, s.scoap_summary, attack_score(s)))
-    write_csv(out / "library.csv",
-              ["op", "width", "arch", "k", "label", "e_norm", "p_norm",
-               "rare_count", "r_norm", "scoap_summary", "attack_score"],
-              rows)
-    (out / "variants").mkdir(exist_ok=True)
+    files = {"config.txt": "".join(f"{k}={csv_value(getattr(config, k))}\n"
+                                   for k in sorted(vars(config)))}
+    files["library.csv"] = csv_text(
+        ["op", "width", "arch", "k", "label", "e_norm", "p_norm",
+         "rare_count", "r_norm", "scoap_summary", "attack_score"],
+        [(op, w, s.params.arch_id, s.params.k, s.params.label(), s.e_norm,
+          s.p_norm, s.rare_count, s.r_norm, s.scoap_summary, attack_score(s))
+         for (op, w), specs in sorted(library.items()) for s in specs])
     slot_names = [s[0] for s in spec.slots]
-    vrows = []
-    for v in variants:
-        write_netlist(v.netlist, out / "variants" / f"{v.netlist_id}.nl")
-        vrows.append([v.netlist_id, v.front]
-                     + [v.assign[n].label() for n in slot_names]
-                     + [v.sum_e, v.sum_p, v.composed_e, v.composed_p,
-                        v.e_margin, v.p_margin])
-    write_csv(out / "variants.csv",
-              ["netlist", "front"] + slot_names
-              + ["sum_e", "sum_p", "composed_e", "composed_p", "e_margin",
-                 "p_margin"],
-              vrows)
-    write_csv(out / "stealth.csv",
-              ["netlist", "error_delta", "power_delta_fraction",
-               "trigger_rate", "min_slack"],
-              stealth_rows)
+    files.update((f"variants/{v.netlist_id}.nl", serialize_netlist(v.netlist))
+                 for v in variants)
+    files["variants.csv"] = csv_text(
+        ["netlist", "front", *slot_names, "sum_e", "sum_p", "composed_e",
+         "composed_p", "e_margin", "p_margin"],
+        [(v.netlist_id, v.front, *(v.assign[n].label() for n in slot_names),
+          v.sum_e, v.sum_p, v.composed_e, v.composed_p, v.e_margin,
+          v.p_margin) for v in variants])
+    files["stealth.csv"] = csv_text(
+        ["netlist", "error_delta", "power_delta_fraction", "trigger_rate",
+         "min_slack"], stealth_rows)
     gt_rows = []
-    (out / "candidates").mkdir(exist_ok=True)
     for nid, nl in cands:
         if nid in infected:
             ht = infected[nid][1]
@@ -404,20 +389,20 @@ def _run(config: ExperimentConfig, out: Path) -> ExperimentResult:
                             ht.trigger_net, *ht_text(ht)))
         else:
             gt_rows.append((nid, 0, "", "", "", "", ""))
-        write_netlist(nl, out / "candidates" / f"{nid}.nl")
-    write_csv(out / "ht_ground_truth.csv",
-              ["netlist", "infected", "host", "payload", "trigger_net",
-               "taps", "witness"],
-              gt_rows)
-    write_detection(report, out / "detect_report.csv",
-                    out / "detect_debug.csv")
-    write_csv(out / "ranking.csv",
-              ["netlist", "error_rank", "mred", "verdict"],
-              [(r.netlist_id, r.error_rank, r.mred, r.verdict)
-               for r in report.netlists])
-    write_csv(out / "metrics.csv", ["accuracy", "fpr", "fnr"],
-              [(metrics.accuracy, metrics.fpr, metrics.fnr)])
-    with open(out / "experiment.log", "w", encoding="utf-8") as f:
-        f.write("\n".join(log) + "\n")
-    return ExperimentResult(str(out), metrics, len(variants),
+        files[f"candidates/{nid}.nl"] = serialize_netlist(nl)
+    files["ht_ground_truth.csv"] = csv_text(
+        ["netlist", "infected", "host", "payload", "trigger_net", "taps",
+         "witness"], gt_rows)
+    files["detect_report.csv"], files["detect_debug.csv"] = \
+        _detection_csvs(report)
+    files["ranking.csv"] = csv_text(
+        ["netlist", "error_rank", "mred", "verdict"],
+        [(r.netlist_id, r.error_rank, r.mred, r.verdict)
+         for r in report.netlists])
+    files["metrics.csv"] = csv_text(
+        ["accuracy", "fpr", "fnr"],
+        [(metrics.accuracy, metrics.fpr, metrics.fnr)])
+    files["experiment.log"] = "\n".join(log) + "\n"
+    write_tree(out_dir, files)
+    return ExperimentResult(str(Path(out_dir)), metrics, len(variants),
                             len(infected), report.verdicts())

@@ -19,7 +19,11 @@ as deterministic glue so that minimal hand-written files stay valid.
 
 from __future__ import annotations
 
-from .errors import NetlistError, ParseError
+import os
+import shutil
+from pathlib import Path
+
+from .errors import BadParams, NetlistError, ParseError
 from .netlist import (KIND_LABELS, Gate, GateKind, Instance, Netlist,
                       NetlistBuilder)
 
@@ -143,5 +147,49 @@ def read_netlist(path) -> Netlist:
 
 
 def write_netlist(nl: Netlist, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_netlist(nl))
+    write_text(path, serialize_netlist(nl))
+
+
+def write_text(path, text: str):
+    """Put ``text`` in place as the file ``path`` whole: every output is
+    written under a temporary sibling name, then renamed onto its path, so
+    a reader or a kill sees the old output or the new one, never a part."""
+    _put(path, {"": text})
+
+
+def check_free(out):
+    """Refuse an output directory that exists and is not empty."""
+    if os.path.lexists(out) and (not os.path.isdir(out) or os.listdir(out)):
+        raise BadParams(f"{out}: exists and is not an empty directory")
+
+
+def write_tree(out, files: dict):
+    """Put ``files`` ({relative path: text}) in place as the new or empty
+    directory ``out`` whole, as :func:`write_text` puts a file."""
+    check_free(out)
+    _put(out, files)
+
+
+def _put(path, files):
+    """``files`` maps paths under ``path`` to text; ``""`` is ``path``."""
+    tmp = Path(path).parent / f".{Path(path).name}.{os.getpid()}.tmp"
+    try:
+        for rel, text in files.items():
+            if rel:
+                (tmp / rel).parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp / rel, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        # an existing directory is filled in place: a rename onto it would
+        # leave a process working in it in a deleted directory
+        if tmp.is_dir() and os.path.isdir(path):
+            for entry in tmp.iterdir():
+                os.replace(entry, Path(path, entry.name))
+            tmp.rmdir()
+        else:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        shutil.rmtree(tmp, ignore_errors=True)  # a tree
+        tmp.unlink(missing_ok=True)             # or a file
+        if isinstance(exc, OSError) and exc.errno:  # name the user's path
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+        raise

@@ -28,6 +28,7 @@ from axsec.sta import calibrated_model
 from axsec.textfmt import read_netlist, write_netlist
 
 from tests.oracles import structurally_equal
+from tests.test_textfmt import _fail_on_write, _tree
 
 
 def _rows(path):
@@ -877,9 +878,9 @@ def test_negative_seed_is_a_user_error(tmp_path, capsys, verb):
         "sta-scale-0", "sta-scale-neg", "sta-scale-nan", "sta-window-neg",
         "sta-window-nan", "attack-margin-0", "attack-margin-neg",
         "attack-margin-nan"])
-def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
-                                              message):
-    _assert_rejected(tmp_path, capsys, verb, flags, message)
+def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, kernel_calls,
+                                              verb, flags, message):
+    _assert_rejected(tmp_path, capsys, kernel_calls, verb, flags, message)
 
 
 @pytest.mark.parametrize("verb,flags,message", [
@@ -905,8 +906,7 @@ def test_bad_timing_arguments_are_user_errors(tmp_path, capsys, verb, flags,
 def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
                                                 kernel_calls, verb, flags,
                                                 message):
-    _assert_rejected(tmp_path, capsys, verb, flags, message)
-    assert not kernel_calls
+    _assert_rejected(tmp_path, capsys, kernel_calls, verb, flags, message)
 
 
 @pytest.mark.parametrize("verb,flags,message", [
@@ -1004,8 +1004,7 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
 def test_out_of_range_config_values_are_user_errors(tmp_path, capsys,
                                                     kernel_calls, verb,
                                                     flags, message):
-    _assert_rejected(tmp_path, capsys, verb, flags, message)
-    assert not kernel_calls  # rejected before any simulation
+    _assert_rejected(tmp_path, capsys, kernel_calls, verb, flags, message)
 
 
 @pytest.mark.parametrize("flags", [["--trace-vectors", "0"],
@@ -1028,18 +1027,173 @@ def test_experiment_rejects_before_writing_into_its_directory(
     assert not any(out.iterdir())
 
 
-def _assert_rejected(tmp_path, capsys, verb, flags, message,
-                     design=("--design", "fir")):
-    """One ``error:`` line, exit 2 and no file written for the flags
-    given, on a netlist generated with the ``gen-design`` flags given."""
+@pytest.mark.parametrize("verb", ["experiment", "profile"])
+def test_an_out_that_holds_anything_is_refused_before_any_run(
+        tmp_path, capsys, kernel_calls, verb):
+    _assert_rejected(tmp_path, capsys, kernel_calls, verb, [],
+                     "out: exists and is not an empty directory", held=True)
+
+
+#: a small, quick experiment
+_SMALL_TRIAL = ["--seed", "11", "--infected-fraction", "0.5",
+                "--characterize-vectors", "400", "--trace-vectors", "4000",
+                "--stealth-vectors", "2000", "--detect-vectors", "500",
+                "--detect-stress", "100"]
+
+
+def _run_into(verb, nl, out, *flags):
+    """argv of a small ``experiment`` or ``profile`` run into ``out``."""
+    if verb == "experiment":
+        return ["experiment", *_SMALL_TRIAL, *flags, "--out", str(out)]
+    return ["profile", "--netlist", str(nl), "--vectors", "500", *flags,
+            "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("verb,first,second", [
+    ("experiment", ["--n-variants", "4"], ["--n-variants", "2"]),
+    ("profile", ["--theta", "0.05"], ["--ref", "none"])])
+def test_a_second_run_into_the_same_out_is_refused(tmp_path, capsys,
+                                                   kernel_calls, verb, first,
+                                                   second):
+    # the second run used to write beside the first: a 2-variant run left
+    # v02 and v03 of a 4-variant one in candidates/, which detect screens
+    nl = tmp_path / "m.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), nl)
+    out = tmp_path / "out"
+    assert main(_run_into(verb, nl, out, *first)) == 0
+    before = _tree(out)
+    capsys.readouterr()
+    del kernel_calls[:]
+    assert main(_run_into(verb, nl, out, *second)) == 2
+    assert _one_error_line(capsys) == \
+        f"error: {out}: exists and is not an empty directory"
+    assert not kernel_calls
+    assert _tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.nl", "out"]
+
+
+@pytest.mark.parametrize("verb", ["experiment", "profile"])
+def test_an_empty_new_or_working_directory_out_is_filled(tmp_path, capsys,
+                                                         monkeypatch, verb):
+    nl = tmp_path / "m.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), nl)
+    assert main(_run_into(verb, nl, tmp_path / "ref")) == 0
+    ref = _tree(tmp_path / "ref")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "wd").mkdir()
+    assert main(_run_into(verb, nl, tmp_path / "empty")) == 0
+    assert main(_run_into(verb, nl, tmp_path / "a" / "b" / "new")) == 0
+    monkeypatch.chdir(tmp_path / "wd")
+    assert main(_run_into(verb, nl, ".")) == 0
+    for out in ("empty", "a/b/new", "wd"):
+        assert _tree(tmp_path / out) == ref, out
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["a", "empty", "m.nl", "ref", "wd"]
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert printed.endswith({"experiment": "-> .", "profile":
+                             "-> ./{activity.csv,power.csv,error.csv}"}[verb])
+
+
+_FULL = OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("verb", ["experiment", "profile"])
+def test_a_run_whose_third_write_fails_leaves_no_out(tmp_path, capsys,
+                                                     monkeypatch, verb):
+    nl = tmp_path / "m.nl"
+    write_netlist(gen_module(ArchParams("add", "loa", 8, 2)), nl)
+    _fail_on_write(monkeypatch, 3, _FULL)
+    out = tmp_path / "out"
+    assert main(_run_into(verb, nl, out)) == 2
+    assert _one_error_line(capsys) == \
+        f"error: [Errno 28] No space left on device: {str(out)!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.nl"]
+
+
+@pytest.mark.parametrize("verb", ["attack", "detect"])
+@pytest.mark.parametrize("old", [False, True], ids=["new", "old"])
+def test_a_verb_whose_write_fails_leaves_the_old_files_or_none(
+        tmp_path, capsys, monkeypatch, verb, old):
+    # attack and detect write two files each: the second fails here
+    cands = tmp_path / "c"
+    cands.mkdir()
+    nl = cands / "v.nl"
+    main(["gen-design", "--design", "fir", "--assign", "add0=loa:4;add2=loa:4",
+          "--out", str(nl)])
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    if old:
+        for o in outs:
+            o.write_text("old\n")
+    argv = {"attack": ["attack", "--netlist", str(nl), "--secret", "coef",
+                       "--stealth-vectors", "500",
+                       "--out", str(outs[0]), "--report", str(outs[1])],
+            "detect": ["detect", "--candidates", str(cands),
+                       "--vectors", "300", "--stress", "50",
+                       "--out", str(outs[0]), "--debug", str(outs[1])]}[verb]
+    capsys.readouterr()
+    _fail_on_write(monkeypatch, 2, _FULL)
+    assert main(argv) == 2
+    assert f"No space left on device: {str(outs[1])!r}" \
+        in capsys.readouterr().err
+    assert outs[1].exists() == old
+    assert not old or outs[1].read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["c", "o1"] + ["o2"] * old
+
+
+def test_a_failed_write_names_the_users_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main(["gen-design", "--design", "fir", "--out", "fir.nl"])
+    capsys.readouterr()
+    assert main(["sta", "--netlist", "fir.nl", "--clock", "55",
+                 "--out", "nodir/x.csv"]) == 2
+    assert _one_error_line(capsys) == \
+        "error: [Errno 2] No such file or directory: 'nodir/x.csv'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fir.nl"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen-module", "--op", "add", "--arch", "exact", "--width", "x"],
+     "error: argument --width: invalid int value: 'x'"),
+    (["gen-module", "--op", "div"],
+     "error: argument --op: invalid choice: 'div' (choose from 'add', "
+     "'mul')"),
+    (["gen-module"], "error: the following arguments are required: --op, "
+     "--arch, --width, --out"),
+    (["sta", "--netlist", "n.nl", "--clock", "5", "--out", "o", "--bogus"],
+     "error: unrecognized arguments: --bogus"),
+    ([], "error: the following arguments are required: VERB"),
+    (["experiment", "--coeffs", "", "--out", "o"],
+     "error: argument --coeffs: empty list")],
+    ids=["bad-type", "bad-choice", "missing-flag", "unknown-flag", "no-verb",
+         "empty-list"])
+def test_a_usage_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                                         message):
+    # argparse printed its usage text before the error and raised
+    # SystemExit(2) out of main
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == message
+    assert not any(tmp_path.iterdir())
+
+
+def _assert_rejected(tmp_path, capsys, kernel_calls, verb, flags, message,
+                     design=("--design", "fir"), held=False):
+    """One ``error:`` line, exit 2, no kernel run and no file written for
+    the flags given, on a netlist generated with the ``gen-design`` flags
+    given.  ``experiment`` and ``profile`` write into an existing
+    directory, empty or, with ``held``, holding one file; it stays so."""
     nl = tmp_path / "c" / "v.nl"
     nl.parent.mkdir()
     main(["gen-design", *design, "--out", str(nl)])
     capsys.readouterr()
+    del kernel_calls[:]
     out = tmp_path / "out"
-    existing = verb in ("experiment", "profile")  # must stay empty
+    existing = verb in ("experiment", "profile")
     if existing:
         out.mkdir()
+        if held:
+            (out / "old.csv").write_text("old\n")
     args = {"sta": ["--netlist", str(nl), "--out", str(out)],
             "detect": ["--candidates", str(nl.parent), "--out", str(out)],
             "experiment": ["--out", str(out)],
@@ -1054,9 +1208,12 @@ def _assert_rejected(tmp_path, capsys, verb, flags, message,
                       "--out", str(out)]}
     assert main([verb] + flags + args[verb]) == 2
     assert message in _one_error_line(capsys)
+    assert not kernel_calls
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["c"] + ["out"] * existing
-    assert not existing or not any(out.iterdir())
+    assert not existing or [p.name for p in out.iterdir()] \
+        == ["old.csv"] * held
+    assert not held or (out / "old.csv").read_text() == "old\n"
 
 
 @pytest.mark.parametrize("verb", ["profile", "attack"])
@@ -1066,9 +1223,9 @@ def test_a_single_reference_needs_a_single_output_word(tmp_path, capsys,
     flags = {"profile": ["--ref", "add"],
              "attack": ["--ref", "add", "--payload", "corrupt", "--q", "1",
                         "--theta", "0.2"]}[verb]
-    _assert_rejected(tmp_path, capsys, verb, flags, "exactly one output word",
+    _assert_rejected(tmp_path, capsys, kernel_calls, verb, flags,
+                     "exactly one output word",
                      design=("--design", "bfly", "--assign", "add0=loa:4"))
-    assert kernel_calls == []
 
 
 def test_attack_calibrates_a_netlist_without_gates(tmp_path, capsys):
@@ -1216,9 +1373,9 @@ def test_score_rejects_an_oversized_csv_field(tmp_path, capsys):
 @pytest.mark.parametrize("margin", ["nan", "-1"])
 def test_attack_checks_the_margin_without_a_clock(tmp_path, capsys,
                                                   kernel_calls, margin):
-    _assert_rejected(tmp_path, capsys, "attack", [f"--margin={margin}"],
+    _assert_rejected(tmp_path, capsys, kernel_calls, "attack",
+                     [f"--margin={margin}"],
                      "margin must be positive and finite")
-    assert not kernel_calls
 
 
 # -- every numeric flag refuses an out-of-range, NaN or infinite value ----

@@ -277,6 +277,20 @@ def test_failed_run_removes_a_directory_it_created(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_an_out_that_holds_anything_is_refused_before_any_run(
+        tmp_path, kernel_calls):
+    # an earlier run's v02.nl stayed beside a 2-variant run's files
+    out = tmp_path / "out"
+    (out / "candidates").mkdir(parents=True)
+    (out / "candidates" / "v02.nl").write_text("old\n")
+    with pytest.raises(BadParams,
+                       match=f"{out}: exists and is not an empty directory"):
+        run_experiment(SMALL, out)
+    assert not kernel_calls
+    assert [p.name for p in out.rglob("*")] == ["candidates", "v02.nl"]
+    assert (out / "candidates" / "v02.nl").read_text() == "old\n"
+
+
 @pytest.mark.parametrize("design,runs", [("fir", 61), ("bfly", 52)],
                          ids=["fir", "bfly"])
 def test_a_trial_simulates_each_run_once(tmp_path, kernel_calls, design,

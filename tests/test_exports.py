@@ -40,9 +40,9 @@ def test_a_stale_export_is_caught(monkeypatch):
 
 #: names nothing reads that stay on purpose: the budget targets are dead
 #: config knobs, kept while config.txt and the golden digests name them
-#: (ROADMAP item 5)
+#: (the ROADMAP's "Parked" list); argparse calls the parser's ``error``
 KEPT = {"attack.BudgetConstraints.e_prime",
-        "attack.BudgetConstraints.p_prime"}
+        "attack.BudgetConstraints.p_prime", "cli._Parser.error"}
 
 
 def _defined(node):
@@ -223,3 +223,64 @@ def test_a_packed_layout_reader_is_caught():
                      "    return packbits(np.unpackbits(stim.block))\n")}
     assert _packed_readers(sources) == [("m", 3), ("m", 4), ("m", 4),
                                         ("m", 4)]
+
+
+#: calls that put something on disk: attributes of any object, and
+#: functions of ``os`` and ``shutil``
+WRITES = {"write_text", "write_bytes", "mkdir", "makedirs", "rmtree",
+          "replace", "rename", "remove", "unlink"}
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is an ``open`` with a mode that writes."""
+    func = call.func
+    if getattr(func, "id", getattr(func, "attr", None)) != "open":
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:2]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and set(m.value) <= set("rwxabt+")
+               and bool(set(m.value) & set("wxa+")) for m in modes)
+
+
+def _writers(sources):
+    """(module, line) of every call outside ``textfmt`` that writes,
+    makes or removes a file or directory: ``textfmt.write_text`` and
+    ``write_tree`` are the one way an output reaches disk."""
+    found = []
+    for mod, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if mod == "textfmt" or not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            on = getattr(getattr(f, "value", None), "id", None)
+            # str.replace and list.remove share their names with os; a
+            # bare write_text is the textfmt one
+            if _opens_for_writing(n) or getattr(f, "id", None) == "rmtree" \
+                    or getattr(f, "attr", None) in WRITES and (
+                        on in ("os", "shutil")
+                        or f.attr not in ("replace", "remove")):
+                found.append((mod, n.lineno))
+    return found
+
+
+def test_only_textfmt_writes_to_disk():
+    assert _writers(_sources()) == []
+
+
+def test_a_write_outside_textfmt_is_caught():
+    # str.replace and list.remove are no writes; a read-only open is none
+    sources = {"textfmt": "def put(p, t):\n    open(p, 'w').write(t)\n",
+               "m": ("import os, shutil\n"
+                     "from shutil import rmtree\n"
+                     "def f(out, p, names):\n"
+                     "    open(p, encoding='utf-8').read()\n"
+                     "    open(p, 'w')\n"
+                     "    out.open(mode='a')\n"
+                     "    out.mkdir(parents=True)\n"
+                     "    (out / 'x').write_text('y')\n"
+                     "    shutil.rmtree(out)\n"
+                     "    rmtree(out)\n"
+                     "    os.replace(p, out)\n"
+                     "    names.remove(p.replace('a', 'b'))\n")}
+    assert _writers(sources) == [("m", n) for n in range(5, 12)]

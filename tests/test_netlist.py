@@ -696,8 +696,8 @@ def _stop(*args):
 @pytest.mark.parametrize("payload", ["leak", "corrupt"])
 def test_every_fir_insertion_derives_what_the_full_build_gives(
         tmp_path, monkeypatch, payload):
-    # seeds 0-19 up to the written screen, the first file written after
-    # the candidates; neither the stealth check nor the screen is tested
+    # seeds 0-19 up to the screen's CSV text, made after the candidates'
+    # text; neither the stealth check nor the screen is tested
     made = []
     insert = attack.insert_trojan
 
@@ -713,7 +713,7 @@ def test_every_fir_insertion_derives_what_the_full_build_gives(
     monkeypatch.setattr(experiment, "score",
                         lambda *a: SimpleNamespace(accuracy=0.0, fpr=0.0,
                                                    fnr=None))
-    monkeypatch.setattr(experiment, "write_detection", _stop)
+    monkeypatch.setattr(experiment, "_detection_csvs", _stop)
     for seed in range(20):
         with pytest.raises(_Stop):
             run_experiment(ExperimentConfig(seed=seed, payload=payload),

@@ -1,16 +1,19 @@
-"""Serialization round trips and parse diagnostics."""
+"""Serialization round trips, parse diagnostics and whole-output writes."""
+
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from axsec import textfmt
 from axsec.designs import bfly_spec
-from axsec.errors import (CycleError, NetlistError, ParseError,
+from axsec.errors import (BadParams, CycleError, NetlistError, ParseError,
                           SemanticError)
 from axsec.netlist import GateKind, Netlist, NetlistBuilder
 from axsec.sim import VectorStream, simulate
 from axsec.textfmt import (parse_netlist, read_netlist, serialize_netlist,
-                           write_netlist)
+                           write_netlist, write_text, write_tree)
 
 from tests.oracles import structurally_equal
 
@@ -247,3 +250,147 @@ def test_mutated_text_parses_or_raises_a_netlist_error(text):
         assert len(set(names)) == len(names)
         assert {b for _, bits in words for b in bits} == set(nets)
     assert simulate(nl, VectorStream(64, 0)).n_vectors == 64
+
+
+# -- every output is put in place whole ------------------------------------
+
+TREE = {"a.csv": "x,y\n1,2\n", "sub/b.nl": CANON, "sub/deep/c.txt": "c\n"}
+
+
+def _tree(d):
+    """{relative path: bytes} of every file under ``d``."""
+    return {p.relative_to(d).as_posix(): p.read_bytes()
+            for p in sorted(d.rglob("*")) if p.is_file()}
+
+
+def _fail_on_write(monkeypatch, nth, exc):
+    """Make the ``nth`` file textfmt opens for writing raise ``exc`` once
+    half its text is on disk."""
+    opened = []
+
+    def opening(path, mode="r", **kw):
+        f = open(path, mode, **kw)
+        if "w" in mode:
+            opened.append(path)
+            if len(opened) == nth:
+                write = f.write
+
+                def half(text):
+                    write(text[:len(text) // 2])
+                    f.flush()
+                    raise exc
+                f.write = half
+        return f
+
+    monkeypatch.setattr(textfmt, "open", opening, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("where", ["new", "empty", "missing-parent"])
+def test_a_tree_is_put_in_place_whole(tmp_path, where):
+    out = tmp_path / ("a/b/out" if where == "missing-parent" else "out")
+    if where == "empty":
+        out.mkdir()
+    write_tree(out, TREE)
+    assert _tree(out) == {k: v.encode() for k, v in TREE.items()}
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ["a" if where == "missing-parent" else "out"]
+
+
+def test_a_tree_fills_the_working_directory(tmp_path, monkeypatch):
+    # a rename onto the working directory would leave the process in a
+    # deleted directory
+    wd = tmp_path / "wd"
+    wd.mkdir()
+    monkeypatch.chdir(wd)
+    write_tree(".", TREE)
+    assert _tree(wd) == {k: v.encode() for k, v in TREE.items()}
+    assert os.getcwd() == str(wd)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wd"]
+
+
+@pytest.mark.parametrize("held", ["file", "directory", "out-is-a-file"])
+def test_a_tree_refuses_an_out_that_holds_anything(tmp_path, held):
+    out = tmp_path / "out"
+    if held == "out-is-a-file":
+        out.write_text("old\n")
+    else:
+        out.mkdir()
+        if held == "directory":
+            (out / "old").mkdir()
+        else:
+            (out / "old.csv").write_text("old\n")
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(BadParams,
+                       match=f"{out}: exists and is not an empty directory"):
+        write_tree(out, TREE)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"),
+                                 KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+@pytest.mark.parametrize("empty", [False, True], ids=["new", "empty"])
+def test_a_tree_write_that_fails_leaves_nothing(tmp_path, monkeypatch, exc,
+                                                empty):
+    out = tmp_path / "out"
+    if empty:
+        out.mkdir()
+    opened = _fail_on_write(monkeypatch, 3, exc)
+    with pytest.raises(type(exc)) as info:
+        write_tree(out, TREE)
+    assert len(opened) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"] * empty
+    assert not empty or not any(out.iterdir())
+    if isinstance(exc, OSError):  # named by the user's path, not ours
+        assert str(info.value) == f"[Errno 28] No space left on device: " \
+                                  f"{str(out)!r}"
+
+
+@pytest.mark.parametrize("old", [None, "old text\n"], ids=["new", "old"])
+def test_a_file_write_that_fails_leaves_the_old_file_or_none(
+        tmp_path, monkeypatch, old):
+    path = tmp_path / "f.nl"
+    if old is not None:
+        path.write_text(old)
+    _fail_on_write(monkeypatch, 1, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        write_text(path, CANON)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["f.nl"] * (old is not None)
+    assert old is None or path.read_text() == old
+
+
+def test_a_file_write_replaces_the_old_file(tmp_path):
+    path = tmp_path / "f.nl"
+    path.write_text("a longer old text than the new one\n")
+    write_text(path, "new\n")
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.nl"]
+
+
+@pytest.mark.parametrize("target,message", [
+    ("nodir/x.csv", "[Errno 2] No such file or directory: 'nodir/x.csv'"),
+    ("adir", "[Errno 21] Is a directory: 'adir'")])
+def test_a_failed_file_write_names_the_users_path(tmp_path, monkeypatch,
+                                                  target, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    with pytest.raises(OSError) as info:
+        write_text(target, "x\n")
+    assert str(info.value) == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
+def test_outputs_get_the_modes_of_a_plain_open_and_mkdir(tmp_path):
+    # no mkstemp or mkdtemp, whose 0600 and 0700 would stick to the output
+    umask = os.umask(0)
+    os.umask(umask)
+    write_text(tmp_path / "f.csv", "x\n")
+    write_tree(tmp_path / "out", TREE)
+    for p in (tmp_path / "f.csv", tmp_path / "out/a.csv",
+              tmp_path / "out/sub/b.nl"):
+        assert p.stat().st_mode & 0o777 == 0o666 & ~umask, p
+    for p in (tmp_path / "out", tmp_path / "out/sub"):
+        assert p.stat().st_mode & 0o777 == 0o777 & ~umask, p
