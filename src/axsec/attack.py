@@ -34,8 +34,8 @@ from .errors import (BadParams, NoRareNets, NoWitness, SignatureMismatch,
 from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, VectorStream,
-                  activity_and_error, activity_profile, check_reference,
-                  check_theta, check_value_words, power_proxy, power_ratio,
+                  activity_and_error, check_reference, check_theta,
+                  check_value_words, ones_profile, power_proxy, power_ratio,
                   rare_nets, simulate)
 from .sta import DelayModel, critical_delay, slacks
 
@@ -394,7 +394,7 @@ def mount(nl: Netlist, config: AttackConfig, reference, stealth):
     if stealth is not None and reference is not None:
         check_reference(nl, reference)
     run = simulate(nl, config.stream)
-    infected, ht = insert_trojan(nl, activity_profile(nl, run), None,
+    infected, ht = insert_trojan(nl, ones_profile(run), None,
                                  replace(config, stream=run))
     del run  # the stealth check holds only its own chunks
     return infected, ht, verify_stealth(nl, infected, ht, reference, stealth,

@@ -37,8 +37,8 @@ from .sim import (EXACT_OPS, STREAM_MODES, VectorStream, activity_and_error,
                   check_theta, power_proxy, rare_nets, sub_seed)
 from .sta import (DelayModel, calibrated_model, critical_delay,
                   near_critical_paths)
-from .textfmt import (check_free, read_netlist, read_text, write_netlist,
-                      write_tree)
+from .textfmt import (check_free, read_netlist, read_text, serialize_netlist,
+                      write_files, write_netlist, write_tree)
 
 __all__ = ["main"]
 
@@ -253,14 +253,15 @@ def _cmd_attack(args):
     sv = (VectorStream(args.stealth_vectors, sub_seed(args.seed, 4), "uniform")
           if args.report and args.stealth_vectors > 0 else None)
     infected, ht, st = mount(nl, cfg, _reference_for(nl, args.ref), sv)
-    write_netlist(infected, args.out)
+    texts = {args.out: serialize_netlist(infected)}
     if args.report:
-        write_csv(args.report,
-                  ["host", "payload", "q", "taps", "witness", "error_delta",
-                   "power_delta", "trigger_rate", "min_slack"],
-                  [(ht.host_instances[0], ht.payload_kind, ht.q,
-                    *ht_text(ht), st.error_delta, st.power_delta_fraction,
-                    st.trigger_rate, st.min_slack)])
+        texts[args.report] = csv_text(
+            ["host", "payload", "q", "taps", "witness", "error_delta",
+             "power_delta", "trigger_rate", "min_slack"],
+            [(ht.host_instances[0], ht.payload_kind, ht.q, *ht_text(ht),
+              st.error_delta, st.power_delta_fraction, st.trigger_rate,
+              st.min_slack)])
+    write_files(texts)
     print(f"{ht.payload_kind} payload hosted at {ht.host_instances[0]}, "
           f"{len(ht.trigger_nets)} trigger taps -> {args.out}")
     return 0

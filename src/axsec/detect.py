@@ -34,8 +34,8 @@ import numpy as np
 from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
                      check_ranges)
 from .netlist import Netlist
-from .sim import (Stimulus, VectorStream, activity_profile, check_theta,
-                  check_value_words, error_terms, pack, rare_nets, simulate)
+from .sim import (Stimulus, VectorStream, check_theta, check_value_words,
+                  error_terms, ones_profile, pack, rare_nets, simulate)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -159,7 +159,7 @@ def _profile(nl: Netlist, stim: Stimulus, theta: float) -> _Profile:
     """The :class:`_Profile` of one candidate, simulated once on the
     screen's stimulus ``stim``; the run itself is not kept."""
     run = simulate(nl, stim)
-    act = activity_profile(nl, run)
+    act = ones_profile(run)
     rare = [(net, v) for net, v in rare_nets(act, theta) if nl.live[net]]
     # the activity is of this run, so a rare value shows in it exactly
     # when its net's p1 lies strictly between 0 and 1

@@ -26,7 +26,7 @@ from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
                   power_ratio, simulate, sub_seed)
 from .sta import calibrated_model
-from .textfmt import check_free, serialize_netlist, write_text, write_tree
+from .textfmt import check_free, serialize_netlist, write_files, write_tree
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "Variant", "arch_menu",
@@ -131,7 +131,7 @@ def csv_text(header, rows) -> str:
 
 
 def write_csv(path, header, rows):
-    write_text(path, csv_text(header, rows))
+    write_files({path: csv_text(header, rows)})
 
 
 def _detection_csvs(report) -> tuple[str, str]:
@@ -149,9 +149,8 @@ def _detection_csvs(report) -> tuple[str, str]:
 
 def write_detection(report, path, debug_path=None):
     """Write :func:`_detection_csvs` to ``path`` and ``debug_path``, if set."""
-    for p, text in zip((path, debug_path), _detection_csvs(report)):
-        if p:
-            write_text(p, text)
+    write_files({p: text for p, text in zip((path, debug_path),
+                                            _detection_csvs(report)) if p})
 
 
 # ---------------------------------------------------------------------------

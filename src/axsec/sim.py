@@ -11,27 +11,28 @@ Streams are pseudo-random and fully determined by ``(seed, mode, n_vectors)``
 plus the ordered input word widths of the netlist under test.  Values are
 always drawn in fixed :data:`CHUNK`-sized slices with one generator per input
 word, so the same stream is produced no matter how a consumer batches the run
-and regardless of any other words present.  Streams are generated as packed
-words, the form the kernel reads: a chunk is one ``(m, words)`` ``uint64``
-block whose row i holds input bit i in input word order, vector t at bit
-``t % 64`` of word ``t // 64``.  A correlated word's runs are filled on
-those packed words, and a run copies the block into its net array's first
-rows, the primary inputs'.  A stream that fits in one chunk is generated
-once per input signature and reused read-only (:func:`_single_chunk_bits`);
-longer streams are generated lazily, and a profile runs all their chunks
-in one net buffer.  Only for a stream longer than one chunk, the next
-chunk is made on a second thread while the caller reads the current one.
-Every bit is made of the generator's raw 64-bit words, a redraw mask's
-drawn in blocks sized from :data:`_BLOCK_BYTES`; the same draws as
+and regardless of any other words present.  A chunk is one ``(m, words)``
+``uint64`` block whose row i holds input bit i in input word order, vector t
+at bit ``t % 64`` of word ``t // 64``; a correlated word's runs are filled
+on those packed words.  Per-vector bytes (a draw's bits, or bits 8p..8p+7
+of a value in byte p) and packed rows are each other's bit transpose, made
+of 8x8 blocks of three delta swaps each (:func:`_transpose8`).  A stream
+that fits in one chunk is generated once per input signature and reused
+read-only (:func:`_single_chunk_bits`); longer streams are generated
+lazily, the next chunk on a second thread while the caller reads the
+current one, and a profile runs all their chunks in one net buffer.  Every
+bit is made of the generator's raw 64-bit words, a redraw mask's drawn in
+blocks sized from :data:`_BLOCK_BYTES`; the same draws as
 ``Generator.integers`` and ``Generator.random`` calls are kept in
 ``tests/oracles.py`` as the reference.
 
 A whole run (:func:`simulate`) is one kernel run over one packed block;
 a screen packs its stimulus once (:func:`pack`) and replays it on every
 candidate.  A profile reads a run in the same chunks as its stream, so a
-run measured several ways is simulated once.  A run is read only through
-:meth:`Traces.word_values` and :meth:`Traces.hits`; outside this module,
-only the kernel touches packed words.
+run measured several ways is simulated once; a reader of signal
+probabilities alone counts ones only (:func:`ones_profile`).  A run is
+read only through :meth:`Traces.word_values` and :meth:`Traces.hits`;
+outside this module, only the kernel touches packed words.
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
@@ -46,6 +47,7 @@ import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,14 +100,48 @@ def sub_seed(seed: int, *salt) -> int:
 _ONE = np.uint64(1)
 
 
-def _pack_rows(bits):
-    """The packed ``(width, words)`` rows of an ``(n, width)`` 0/1 array,
-    pad bits clear."""
-    n, width = bits.shape
-    rows = np.zeros((width, 8 * ((n + 63) // 64)), np.uint8)
-    rows[:, :(n + 7) // 8] = np.packbits(np.ascontiguousarray(bits.T),
-                                         axis=1, bitorder="little")
-    return rows.view(np.uint64)
+def _transpose8(x):
+    """Transpose each ``uint64`` of ``x`` in place by three delta swaps as an
+    8x8 bit matrix, bit j of byte i to bit i of byte j (its own inverse)."""
+    t = np.empty_like(x)
+    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                 (28, 0x00000000F0F0F0F0)):
+        np.right_shift(x, s, out=t)
+        t ^= x
+        t &= m
+        t *= 1 + (1 << s)  # t | t << s: the two never overlap
+        x ^= t
+
+
+def _transpose_bits(m, cols):
+    """The bit transpose (a view) of a uint8 matrix of b-byte rows, bit j of
+    byte k its column 8k + j, padded to ``8 * cols`` rows: ``(8b, cols)``."""
+    pad = np.zeros((8 * cols, m.shape[1]), np.uint8)
+    pad[:len(m)] = m
+    x = np.ascontiguousarray(pad.reshape(cols, 8, -1).transpose(0, 2, 1))
+    _transpose8(x.view(np.uint64))
+    return x.transpose(1, 2, 0).reshape(-1, cols)
+
+
+def _planes(a, bit):
+    """Per vector, bit ``bit`` of each byte of an ``(n, w)`` uint8 or bool
+    array, 8 to a byte by one multiply (bits past w: any); overwrites a."""
+    n, w = a.shape
+    if w % 8:  # whole uint64 reads: a vector's last runs into the next
+        a = np.ndarray((n, -(-w // 8)), np.uint64, np.append(
+            a, np.zeros(8, a.dtype)), strides=(w, 8)).copy()
+    x = a.view(np.uint64)
+    x &= np.uint64(0x0101010101010101 << bit)
+    x *= np.uint64(0x0102040810204080 >> bit)
+    return x.view(np.uint8)[:, 7::8]
+
+
+def _rows(planes, widths):
+    """The packed rows of ``planes``, per vector the bytes of each word."""
+    at = accumulate((-(-w // 8) for w in widths), initial=0)
+    keep = [8 * a + j for a, w in zip(at, widths) for j in range(w)]
+    return _transpose_bits(planes, 8 * -(-len(planes) // 64)).take(
+        keep, axis=0).view(np.uint64)
 
 
 def _chunk_bits(rng, mode, rho, n, width, carry):
@@ -117,26 +153,23 @@ def _chunk_bits(rng, mode, rho, n, width, carry):
     # A | (P & ~(P + (A << 1))) is every run that starts inside its word.
     # The bits below a word's lowest redraw take the value entering it:
     # the top bit of the last earlier word with a redraw, else the carry.
-    # Both draws are taken from raw 64-bit words.  ``integers(0, 2,
-    # uint8)`` is the top bit of each byte of successive 32-bit draws, low
-    # half of each word first (Lemire's method, which never rejects at
-    # range 2); ``random() >= rho`` is ``raw >= ceil(rho * 2**53) << 11``,
-    # all false at rho = 1, drawn in blocks of whole words of vectors of
-    # at most :data:`_BLOCK_BYTES` of draws.  The generator ends where
-    # those calls left it, but for ``integers``' buffered 32-bit half,
-    # which neither form reads and only a last, partial chunk can leave
-    # set (a full chunk is a whole number of words).
+    # Both draws are raw 64-bit words: ``integers(0, 2, uint8)`` is the top
+    # bit of each byte of successive 32-bit draws, low half first (Lemire's
+    # method never rejects at range 2), and ``random() >= rho`` is ``raw >=
+    # ceil(rho * 2**53) << 11``, all false at rho = 1, drawn in blocks of
+    # whole words of vectors of at most :data:`_BLOCK_BYTES` of draws.  The
+    # generator ends where those calls left it, but for ``integers``'
+    # buffered 32-bit half, which only a last, partial chunk can leave set.
     raw = rng.bit_generator.random_raw
     fresh = raw(-(-n * width // 8)).astype("<u8", copy=False).view(
         np.uint8)[:n * width].reshape(n, width)
-    fresh >>= 7
-    f = _pack_rows(fresh)
+    tail, f = fresh[-1] >> 7, _rows(_planes(fresh, 7), (width,))
     if mode == "uniform":
-        return f, fresh[-1].copy()
+        return f, tail
     step = max(64, _BLOCK_BYTES // (512 * width) * 64)
-    r = np.concatenate([_pack_rows(raw(min(step, n - lo) * width).reshape(
-        -1, width) >= math.ceil(rho * 2 ** 53) << 11)
-        for lo in range(0, n, step)], axis=1)
+    r = _rows(np.concatenate([_planes(raw(min(step, n - lo) * width).reshape(
+        -1, width) >= math.ceil(rho * 2 ** 53) << 11, 0)
+        for lo in range(0, n, step)]), (width,))
     if carry is None:
         r[:, 0] |= _ONE  # the first vector is drawn
         carry = np.zeros(width, np.uint8)
@@ -279,9 +312,9 @@ def _bits_chunks(source, words, takes=_RUN):
         raise BadParams("empty stream")
     for start in range(0, total, CHUNK):
         n = min(CHUNK, total - start)
-        yield n, _pack_rows(np.concatenate([np.unpackbits(
-            v[start:start + n, None].view(np.uint8), axis=1, count=width,
-            bitorder="little") for (_, width), v in zip(words, vals)], 1))
+        yield n, _rows(np.concatenate([  # the low bytes of each value
+            v[start:start + n, None].view(np.uint8)[:, :-(-width // 8)]
+            for (_, width), v in zip(words, vals)], 1), [w for _, w in words])
 
 
 def check_value_words(netlist: Netlist, outputs=()) -> None:
@@ -312,18 +345,21 @@ class Traces:
 
     def word_values(self, nets, at=None) -> np.ndarray:
         """Per vector of the run, or per vector listed in ``at``, the
-        ``int64`` whose bit i is the value of ``nets[i]``."""
+        ``int64`` whose bit i is the value of ``nets[i]`` (63 nets at most)."""
+        if len(nets) > 63:
+            raise BadParams(f"{len(nets)} nets make no value of 63 bits")
         w = self.c[self.netlist.rows.take(nets)]
-        if at is None:
-            bits = np.unpackbits(w.view(np.uint8), axis=1,
-                                 bitorder="little")[:, :self.n_vectors]
-        else:
-            at = np.asarray(at, np.int64)
-            if at.size and not 0 <= at.min() <= at.max() < self.n_vectors:
-                raise BadParams(f"vectors {at.min()}..{at.max()} reach outside "
-                                f"a run of {self.n_vectors}")
-            bits = (w[:, at // 64] >> (at % 64).astype(np.uint64)
-                    & _ONE).view(np.int64)
+        if at is None:  # bits 8p..8p+7 of each value are byte p
+            p = max(1, -(-len(nets) // 8))
+            out = np.zeros((self.n_vectors, 8), np.uint8)
+            out[:, :p] = _transpose_bits(w.view(np.uint8), p)[:self.n_vectors]
+            return out.view(np.int64).reshape(-1)
+        at = np.asarray(at, np.int64)
+        if at.size and not 0 <= at.min() <= at.max() < self.n_vectors:
+            raise BadParams(f"vectors {at.min()}..{at.max()} reach outside "
+                            f"a run of {self.n_vectors}")
+        bits = (w[:, at // 64] >> (at % 64).astype(np.uint64)
+                & _ONE).view(np.int64)
         weights = np.int64(1) << np.arange(len(bits), dtype=np.int64)
         return np.einsum("i,ij->j", weights, bits)
 
@@ -493,15 +529,22 @@ class _ErrorSums:
 
 @dataclass(frozen=True)
 class ActivityReport:
-    """Per-net signal probability and toggle counts for one run."""
+    """Per-net signal probability and toggle counts (or None) of a run."""
 
     p1: np.ndarray
-    toggles: np.ndarray
+    toggles: np.ndarray | None
     n_vectors: int
 
 
 def activity_profile(netlist: Netlist, source) -> ActivityReport:
     return _profiled(netlist, source, _ActivitySums(netlist.rows))[0]
+
+
+def ones_profile(run: Traces) -> ActivityReport:
+    """:func:`activity_profile` of a run for a reader of ``p1`` alone."""
+    n = run.n_vectors  # int32 counts are exact and twice as fast to sum
+    ones = np.bitwise_count(run.c).sum(1, np.int32 if n < 2 ** 31 else int)
+    return ActivityReport(ones[run.netlist.rows] / n, None, n)
 
 
 def activity_and_error(netlist: Netlist, ref, source):
@@ -594,6 +637,8 @@ def rare_nets(report: ActivityReport, theta: float = 0.01):
 def power_proxy(netlist: Netlist, report: ActivityReport) -> float:
     """Switching-activity power stand-in: the sum of toggles weighted by
     1 + fanout.  The report must hold one toggle count per net."""
+    if report.toggles is None:
+        raise BadParams("an activity report of ones only holds no toggles")
     if len(report.toggles) != netlist.n_nets:
         raise BadParams(f"an activity report of {len(report.toggles)} nets "
                         f"for a netlist of {netlist.n_nets} nets")

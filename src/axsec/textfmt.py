@@ -147,14 +147,15 @@ def read_netlist(path) -> Netlist:
 
 
 def write_netlist(nl: Netlist, path):
-    write_text(path, serialize_netlist(nl))
+    write_files({path: serialize_netlist(nl)})
 
 
-def write_text(path, text: str):
-    """Put ``text`` in place as the file ``path`` whole: every output is
-    written under a temporary sibling name, then renamed onto its path, so
-    a reader or a kill sees the old output or the new one, never a part."""
-    _put(path, {"": text})
+def write_files(texts: dict):
+    """Put each ``{path: text}`` in place as a whole file: all are written
+    under temporary sibling names before the first is renamed onto its
+    path, so a failed write keeps every old file, and a reader or a kill
+    sees each file old or new, never a part."""
+    _put({path: {"": text} for path, text in texts.items()})
 
 
 def check_free(out):
@@ -165,31 +166,35 @@ def check_free(out):
 
 def write_tree(out, files: dict):
     """Put ``files`` ({relative path: text}) in place as the new or empty
-    directory ``out`` whole, as :func:`write_text` puts a file."""
+    directory ``out`` whole, as :func:`write_files` puts a file."""
     check_free(out)
-    _put(out, files)
+    _put({out: files})
 
 
-def _put(path, files):
-    """``files`` maps paths under ``path`` to text; ``""`` is ``path``."""
-    tmp = Path(path).parent / f".{Path(path).name}.{os.getpid()}.tmp"
+def _put(outputs):
+    """Write ``{path: {path under it, "" itself: text}}``, then rename."""
+    tmps = [Path(p).parent / f".{Path(p).name}.{os.getpid()}.{i}.tmp"
+            for i, p in enumerate(outputs)]
     try:
-        for rel, text in files.items():
-            if rel:
-                (tmp / rel).parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp / rel, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
-        # an existing directory is filled in place: a rename onto it would
-        # leave a process working in it in a deleted directory
-        if tmp.is_dir() and os.path.isdir(path):
-            for entry in tmp.iterdir():
-                os.replace(entry, Path(path, entry.name))
-            tmp.rmdir()
-        else:
-            os.replace(tmp, path)
+        for tmp, (path, files) in zip(tmps, outputs.items()):
+            for rel, text in files.items():
+                if rel:
+                    (tmp / rel).parent.mkdir(parents=True, exist_ok=True)
+                with open(tmp / rel, "w", encoding="utf-8", newline="") as f:
+                    f.write(text)
+        for tmp, path in zip(tmps, outputs):
+            # an existing directory is filled in place: a rename onto it
+            # would leave a process working in it in a deleted directory
+            if tmp.is_dir() and os.path.isdir(path):
+                for entry in tmp.iterdir():
+                    os.replace(entry, Path(path, entry.name))
+                tmp.rmdir()
+            else:
+                os.replace(tmp, path)
     except BaseException as exc:
-        shutil.rmtree(tmp, ignore_errors=True)  # a tree
-        tmp.unlink(missing_ok=True)             # or a file
+        for tmp in tmps:
+            shutil.rmtree(tmp, ignore_errors=True)  # a tree
+            tmp.unlink(missing_ok=True)             # or a file
         if isinstance(exc, OSError) and exc.errno:  # name the user's path
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise

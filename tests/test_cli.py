@@ -1135,10 +1135,12 @@ def test_a_verb_whose_write_fails_leaves_the_old_files_or_none(
     assert main(argv) == 2
     assert f"No space left on device: {str(outs[1])!r}" \
         in capsys.readouterr().err
-    assert outs[1].exists() == old
-    assert not old or outs[1].read_text() == "old\n"
+    # every file is written before the first is renamed: both old, or none
+    for o in outs:
+        assert o.exists() == old
+        assert not old or o.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["c", "o1"] + ["o2"] * old
+        ["c"] + ["o1", "o2"] * old
 
 
 def test_a_failed_write_names_the_users_path(tmp_path, capsys, monkeypatch):

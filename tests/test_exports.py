@@ -245,7 +245,7 @@ def _opens_for_writing(call):
 
 def _writers(sources):
     """(module, line) of every call outside ``textfmt`` that writes,
-    makes or removes a file or directory: ``textfmt.write_text`` and
+    makes or removes a file or directory: ``textfmt.write_files`` and
     ``write_tree`` are the one way an output reaches disk."""
     found = []
     for mod, text in sources.items():
@@ -254,8 +254,8 @@ def _writers(sources):
                 continue
             f = n.func
             on = getattr(getattr(f, "value", None), "id", None)
-            # str.replace and list.remove share their names with os; a
-            # bare write_text is the textfmt one
+            # str.replace and list.remove share their names with os, and
+            # write_text with pathlib; a bare call is no attribute
             if _opens_for_writing(n) or getattr(f, "id", None) == "rmtree" \
                     or getattr(f, "attr", None) in WRITES and (
                         on in ("os", "shutil")

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from axsec.sim import (_BLOCK_BYTES, CHUNK, EXACT_OPS, STREAM_MODES,
                        Traces, VectorStream, _ActivitySums, _bits_chunks,
                        _chunk_bits, _runs, _single_chunk_bits,
                        activity_and_error, activity_profile, error_profile,
-                       pack, power_proxy, power_ratio, rare_nets, simulate)
+                       ones_profile, pack, power_proxy, power_ratio,
+                       rare_nets, simulate)
 from axsec.textfmt import write_netlist
 
 from tests import oracles
@@ -274,6 +276,25 @@ def test_power_proxy_refuses_another_netlists_activity():
                        f"{host.n_nets} nets for a netlist of "
                        f"{host.n_nets + 2} nets$"):
         power_proxy(derived, act)
+
+
+@pytest.mark.parametrize("stream", [VectorStream(4000, 3, "correlated", 0.9),
+                                    VectorStream(2 * CHUNK + 70, 4)])
+def test_a_ones_only_pass_reads_the_p1_of_a_full_pass(stream):
+    # one chunk, and a run the full pass reads as column views of its words
+    nl = _mix_netlist()
+    run = simulate(nl, stream)
+    ones, full = ones_profile(run), activity_profile(nl, run)
+    assert np.array_equal(ones.p1, full.p1)
+    assert ones.n_vectors == full.n_vectors == stream.n_vectors
+    assert ones.toggles is None
+    assert rare_nets(ones, 0.3) == rare_nets(full, 0.3)
+
+
+def test_power_proxy_refuses_a_ones_only_report():
+    nl = _mix_netlist()
+    with pytest.raises(BadParams, match="ones only holds no toggles"):
+        power_proxy(nl, ones_profile(simulate(nl, VectorStream(100, 0))))
 
 
 def test_power_ratio_over_a_zero_baseline():
@@ -927,6 +948,93 @@ def test_a_full_chunk_of_fresh_bits_leaves_no_buffered_half():
     assert rng.bit_generator.state["has_uint32"] == 1
 
 
+#: run lengths and widths of the chunk pins: word, block and chunk edges
+_PIN_NS = [1, 63, 64, 100, 8191, 8192, 8193, 20000, 65536, 70000, 131142]
+_PIN_WIDTHS = [1, 3, 8, 11, 17]
+
+#: per (mode, rho, width, with a carry), the first 16 hex digits of the
+#: sha256 over _PIN_NS of each call's packed bits, returned carry and the
+#: generator's next four raw words, as the Generator.integers and random
+#: draws through a bool transpose and ``np.packbits`` made them
+_CHUNK_PINS = {
+    ('uniform', None, 1, False): '0b8b2474eb9337aa',
+    ('correlated', 0.0, 1, False): 'ba5af5a2ecc1d311',
+    ('correlated', 0.0, 1, True): 'ba5af5a2ecc1d311',
+    ('correlated', 0.5, 1, False): 'f02a53c33f859123',
+    ('correlated', 0.5, 1, True): 'dbc620e174cd626f',
+    ('correlated', 0.9, 1, False): 'bce1cb5402c82417',
+    ('correlated', 0.9, 1, True): 'c8ad999dc616a159',
+    ('correlated', 1.0, 1, False): '42bf8d0fcee5dad1',
+    ('correlated', 1.0, 1, True): 'dcc06e6edbc28714',
+    ('uniform', None, 3, False): '06c95d0a2d042d46',
+    ('correlated', 0.0, 3, False): '46420156f354b038',
+    ('correlated', 0.0, 3, True): '46420156f354b038',
+    ('correlated', 0.5, 3, False): 'f6e7eb7698cfc08d',
+    ('correlated', 0.5, 3, True): '59f5dc35c0505e9f',
+    ('correlated', 0.9, 3, False): 'b5fb8f263c951d83',
+    ('correlated', 0.9, 3, True): '91a1bef330016c27',
+    ('correlated', 1.0, 3, False): 'd457649a0886fb39',
+    ('correlated', 1.0, 3, True): '9add74ad5e37805c',
+    ('uniform', None, 8, False): '1c5e1656c16d14e1',
+    ('correlated', 0.0, 8, False): '826cfc8d1869fdef',
+    ('correlated', 0.0, 8, True): '826cfc8d1869fdef',
+    ('correlated', 0.5, 8, False): '9510c6af3bf4f369',
+    ('correlated', 0.5, 8, True): '1d56d62276162510',
+    ('correlated', 0.9, 8, False): '16672a12ffca421b',
+    ('correlated', 0.9, 8, True): '8a55f8d6f7c6e17f',
+    ('correlated', 1.0, 8, False): 'b75c889f77fafe75',
+    ('correlated', 1.0, 8, True): 'd4da0a6704e1c52b',
+    ('uniform', None, 11, False): '2ca3f7d35424e9a3',
+    ('correlated', 0.0, 11, False): 'c4c2bf2ed1e70079',
+    ('correlated', 0.0, 11, True): 'c4c2bf2ed1e70079',
+    ('correlated', 0.5, 11, False): 'cbb7ea308392ea66',
+    ('correlated', 0.5, 11, True): '3b073b93c3f348ed',
+    ('correlated', 0.9, 11, False): '1ec5d35af7cdebac',
+    ('correlated', 0.9, 11, True): '54c9a570bb392217',
+    ('correlated', 1.0, 11, False): '29997ee6aeb0fce3',
+    ('correlated', 1.0, 11, True): 'ac6e938a0b084379',
+    ('uniform', None, 17, False): '92521a701fd48f1b',
+    ('correlated', 0.0, 17, False): 'ae1dad383fd2ee25',
+    ('correlated', 0.0, 17, True): 'ae1dad383fd2ee25',
+    ('correlated', 0.5, 17, False): '36a7a58efad9bbfb',
+    ('correlated', 0.5, 17, True): '5c786fc8672e04a8',
+    ('correlated', 0.9, 17, False): '03bf80c24ab2805c',
+    ('correlated', 0.9, 17, True): 'b3dd02319ab9d16a',
+    ('correlated', 1.0, 17, False): '5f491a49f3409405',
+    ('correlated', 1.0, 17, True): 'b2c36e077c6063c1',
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CHUNK_PINS, key=repr), ids=repr)
+def test_chunk_bits_match_their_pins(key):
+    mode, rho, width, with_carry = key
+    h = hashlib.sha256()
+    for n in _PIN_NS:
+        rng = np.random.default_rng([n, width])
+        carry = np.arange(width, dtype=np.uint8) % 2 if with_carry else None
+        bits, last = _chunk_bits(rng, mode, rho, n, width, carry)
+        assert bits.shape == (width, (n + 63) // 64)
+        assert bits.dtype == np.uint64 and last.dtype == np.uint8
+        h.update(bits.tobytes())
+        h.update(last.tobytes())
+        h.update(rng.bit_generator.random_raw(4).tobytes())
+    assert h.hexdigest()[:16] == _CHUNK_PINS[key]
+
+
+def test_an_8x8_bit_transpose_is_its_own_inverse():
+    x = np.random.default_rng(8).integers(0, 2 ** 64, (3, 100), np.uint64)
+    once = x.copy()
+    sim._transpose8(once)
+    twice = once.copy()
+    sim._transpose8(twice)
+    assert np.array_equal(twice, x) and not np.array_equal(once, x)
+    # bit j of byte i goes to bit i of byte j: byte 0 full is bit 0 of all
+    diag = np.array([0xFF, 0x8040201008040201, 1 << 63], np.uint64)
+    sim._transpose8(diag)
+    assert diag.tolist() == [0x0101010101010101, 0x8040201008040201,
+                             1 << 63]
+
+
 _LONG = 2 * CHUNK + 70
 
 #: of each chunk of a seed-19 stream, the first 16 hex digits of the
@@ -1103,13 +1211,13 @@ def test_a_single_chunk_is_packed_without_a_copy(source, monkeypatch):
     # its block is passed on read-only: no shift, no join
     nl = _words_netlist((3, 5))
     words = nl.signature()[0]
-    packed, pack_rows = [], sim._pack_rows
+    packed, rows = [], sim._rows
 
-    def recording(bits):
-        packed.append(pack_rows(bits))
+    def recording(planes, widths):
+        packed.append(rows(planes, widths))
         return packed[-1]
 
-    monkeypatch.setattr(sim, "_pack_rows", recording)
+    monkeypatch.setattr(sim, "_rows", recording)
     stim = pack(words, source)
     if isinstance(source, VectorStream):
         assert stim.block is _single_chunk_bits(source, words)
@@ -1299,3 +1407,45 @@ def test_word_values_at_listed_vectors_are_the_whole_run_read_there(n):
         for t in (-1, n):
             with pytest.raises(BadParams, match="outside a run"):
                 run.word_values(nets, [0, t])
+
+
+def _value_runs(n, width, seed):
+    """Values of ``width`` bits for ``n`` vectors, their rows as planes to
+    rows give them, and those rows as a contiguous run of ``width`` nets
+    and as a column view inside wider words."""
+    v = np.random.default_rng(seed).integers(0, 2 ** width, n, np.int64)
+    planes = v[:, None].view(np.uint8)[:, :-(-width // 8)]
+    rows = sim._rows(planes, (width,))
+    wide = np.full((width, rows.shape[1] + 2), ~np.uint64(0))
+    wide[:, 1:-1] = rows
+    nl = types.SimpleNamespace(rows=np.arange(width))
+    return v, rows, [Traces(nl, rows, n), Traces(nl, wide[:, 1:-1], n)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 1000, CHUNK])
+def test_planes_to_rows_and_rows_to_values_equal_the_per_bit_forms(n):
+    for width in range(1, 64):
+        v, rows, runs = _value_runs(n, width, n * 64 + width)
+        bits = (v[:, None] >> np.arange(width) & 1).astype(np.uint8)
+        assert rows.dtype == np.uint64
+        assert np.array_equal(rows, oracles.pack_rows(bits)), width
+        nets = list(range(width))
+        for tr in runs:
+            got = tr.word_values(nets)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert np.array_equal(got, oracles.word_values(tr, nets)), width
+            assert np.array_equal(got, v), width
+
+
+def test_word_values_of_more_than_63_nets_are_refused():
+    # at 64 nets the top bit would be the sign; beyond, bits would drop
+    nl = _words_netlist((32, 32, 1))
+    run = simulate(nl, {"w0": np.arange(100), "w1": np.arange(100) * 7,
+                        "w2": np.arange(100) % 2})
+    nets = [n for _, word in nl.input_words() for n in word]
+    assert run.word_values(nets[:63]).min() >= 0
+    for k in (64, 65):
+        for at in (None, [0, 99]):
+            with pytest.raises(BadParams,
+                               match=f"^{k} nets make no value of 63 bits$"):
+                run.word_values(nets[:k], at)

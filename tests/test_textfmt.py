@@ -13,7 +13,7 @@ from axsec.errors import (BadParams, CycleError, NetlistError, ParseError,
 from axsec.netlist import GateKind, Netlist, NetlistBuilder
 from axsec.sim import VectorStream, simulate
 from axsec.textfmt import (parse_netlist, read_netlist, serialize_netlist,
-                           write_netlist, write_text, write_tree)
+                           write_files, write_netlist, write_tree)
 
 from tests.oracles import structurally_equal
 
@@ -355,16 +355,36 @@ def test_a_file_write_that_fails_leaves_the_old_file_or_none(
         path.write_text(old)
     _fail_on_write(monkeypatch, 1, KeyboardInterrupt())
     with pytest.raises(KeyboardInterrupt):
-        write_text(path, CANON)
+        write_files({path: CANON})
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["f.nl"] * (old is not None)
     assert old is None or path.read_text() == old
 
 
+@pytest.mark.parametrize("old", [False, True], ids=["new", "old"])
+def test_files_written_together_are_renamed_only_once_all_are_written(
+        tmp_path, monkeypatch, old):
+    paths = [tmp_path / "a.nl", tmp_path / "b.csv"]
+    if old:
+        for p in paths:
+            p.write_text("old\n")
+    _fail_on_write(monkeypatch, 2, OSError(28, "No space left on device"))
+    with pytest.raises(OSError, match=f"{str(paths[1])!r}$"):
+        write_files({p: CANON for p in paths})
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["a.nl", "b.csv"] * old
+    assert all(p.read_text() == "old\n" for p in tmp_path.iterdir())
+    monkeypatch.undo()
+    # one file under two spellings: the last text wins, no temporary stays
+    monkeypatch.chdir(tmp_path)
+    write_files({paths[0]: "x\n", "b.csv": "y\n", "./b.csv": "z\n"})
+    assert _tree(tmp_path) == {"a.nl": b"x\n", "b.csv": b"z\n"}
+
+
 def test_a_file_write_replaces_the_old_file(tmp_path):
     path = tmp_path / "f.nl"
     path.write_text("a longer old text than the new one\n")
-    write_text(path, "new\n")
+    write_files({path: "new\n"})
     assert path.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.nl"]
 
@@ -377,7 +397,7 @@ def test_a_failed_file_write_names_the_users_path(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
     with pytest.raises(OSError) as info:
-        write_text(target, "x\n")
+        write_files({target: "x\n"})
     assert str(info.value) == message
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
     assert not any((tmp_path / "adir").iterdir())
@@ -387,7 +407,7 @@ def test_outputs_get_the_modes_of_a_plain_open_and_mkdir(tmp_path):
     # no mkstemp or mkdtemp, whose 0600 and 0700 would stick to the output
     umask = os.umask(0)
     os.umask(umask)
-    write_text(tmp_path / "f.csv", "x\n")
+    write_files({tmp_path / "f.csv": "x\n"})
     write_tree(tmp_path / "out", TREE)
     for p in (tmp_path / "f.csv", tmp_path / "out/a.csv",
               tmp_path / "out/sub/b.nl"):
