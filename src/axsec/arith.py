@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadParams
+from .errors import BadParams, check_ranges
 from .netlist import GateKind, Netlist, NetlistBuilder
 
 ARCHS = ("exact", "loa", "trunc", "block22")
@@ -55,8 +55,7 @@ class ArchParams:
         return s
 
 
-def _check(params: ArchParams, op: str):
-    p = params
+def _check(p: ArchParams, op: str):
     if p.op_type != op:
         raise BadParams(f"expected op_type {op!r}, got {p.op_type!r}")
     if p.arch_id not in ARCHS:
@@ -65,10 +64,8 @@ def _check(params: ArchParams, op: str):
         raise BadParams("block22 is a multiplier architecture")
     if op == "mul" and p.arch_id == "loa":
         raise BadParams("loa is an adder architecture")
-    if p.width < 2:
-        raise BadParams(f"width must be at least 2, got {p.width}")
-    if not 0 <= p.k < p.width:
-        raise BadParams(f"k must satisfy 0 <= k < width, got k={p.k}")
+    check_ranges(p, (("width", p.width >= 2, "at least 2"),
+                     ("k", 0 <= p.k < p.width, "in [0, width)")))
     if p.arch_id == "block22" and p.width % 2:
         raise BadParams("block22 requires an even width")
 

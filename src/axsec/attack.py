@@ -103,9 +103,8 @@ class BudgetConstraints:
     delta_p: float
 
     def __post_init__(self):
-        # written as comparisons, so NaN is rejected as well
-        if not (0 < self.delta_e < math.inf and 0 < self.delta_p < math.inf):
-            raise BadParams("budget slacks must be positive and finite")
+        check_ranges(self, (("delta_e", self.delta_e),
+                            ("delta_p", self.delta_p)))
 
 
 @dataclass(frozen=True)

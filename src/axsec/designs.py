@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 from .arith import ArchParams, gen_module
 from .errors import BadParams, check_ranges
@@ -33,13 +32,12 @@ from .netlist import (Design, GateKind, ModuleInst, Netlist, NetlistBuilder,
 
 
 def _check_width(width: int):
-    check_ranges(SimpleNamespace(width=width),
-                 (("width", width >= 2, "at least 2"),))
+    check_ranges({"width": width}, (("width", width >= 2, "at least 2"),))
 
 
 def _check_const(value: int, width: int):
-    if not 0 <= value < 1 << width:
-        raise BadParams(f"constant {value} does not fit in {width} bits")
+    check_ranges({"constant": value}, (
+        ("constant", 0 <= value < 1 << width, "in [0, 2^width)"),))
 
 
 @lru_cache(maxsize=128)
@@ -181,8 +179,8 @@ def fir_reference(coeffs):
 def bfly_width(width: int, twiddle: int) -> int:
     """Internal extended width n: y0 = a + tw*b needs n+1 bits, y1 is
     computed mod 2^n."""
-    if not 1 <= twiddle < 1 << width:
-        raise BadParams(f"twiddle must be in [1, 2^width), got {twiddle}")
+    check_ranges({"twiddle": twiddle}, (
+        ("twiddle", 1 <= twiddle < 1 << width, "in [1, 2^width)"),))
     return (((1 << width) - 1) * twiddle).bit_length() + 1
 
 

@@ -35,7 +35,8 @@ from .errors import (BadParams, EmptySet, LabelMismatch, SignatureMismatch,
                      check_ranges)
 from .netlist import Netlist
 from .sim import (Stimulus, VectorStream, check_theta, check_value_words,
-                  error_terms, ones_profile, pack, rare_nets, simulate)
+                  error_terms, ones_profile, pack, rare_nets, simulate,
+                  sub_rng, sub_seed)
 from .sta import calibrated_model, near_critical_paths, paths_to_instances
 
 __all__ = [
@@ -89,13 +90,10 @@ class DetectConfig:
 
 def defender_streams(config: DetectConfig) -> dict:
     """The two profiling streams every candidate is replayed under."""
-    su, sc = (int(x) for x in np.random.SeedSequence(
-        (config.seed, 0xD57)).generate_state(2))
-    return {
-        "uniform": VectorStream(config.vectors, su, "uniform"),
-        "correlated": VectorStream(config.vectors, sc, "correlated",
-                                   config.rho),
-    }
+    su, sc = (sub_seed(config.seed, 0xD57, word=i) for i in (0, 1))
+    return {"uniform": VectorStream(config.vectors, su, "uniform"),
+            "correlated": VectorStream(config.vectors, sc, "correlated",
+                                       config.rho)}
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +101,13 @@ def defender_streams(config: DetectConfig) -> dict:
 
 
 def _checked(candidates):
-    if isinstance(candidates, dict):
-        cands = sorted(candidates.items())
-    else:
-        cands = sorted((str(i), nl) for i, nl in candidates)
+    named = {}
+    for cid, nl in (candidates.items() if isinstance(candidates, dict)
+                    else candidates):
+        if str(cid) in named:
+            raise BadParams(f"candidate id {str(cid)!r} is given twice")
+        named[str(cid)] = nl
+    cands = sorted(named.items())
     if not cands:
         raise EmptySet("no candidate netlists")
     sig = cands[0][1].signature()
@@ -377,8 +378,7 @@ def _stress_scores(cands, jobs, profiles, config):
     budget, words = config.stress_budget, cands[0][1].signature()[0]
     vals = {w: np.zeros(len(jobs) * budget, np.int64) for w, _ in words}
     for j, (idx, tag) in enumerate(jobs):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            (config.seed, 0xE51, zlib.crc32(tag.encode()))))
+        rng = sub_rng(config.seed, 0xE51, zlib.crc32(tag.encode()))
         _stress_values(cands[idx][1], tag, {w: v[j * budget:(j + 1) * budget]
                                             for w, v in vals.items()},
                        profiles[idx], rng)

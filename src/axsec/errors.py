@@ -51,22 +51,21 @@ class BadThreshold(AxsecError, ValueError):
     """Rarity threshold outside (0, 0.5)."""
 
 
-def check_ranges(obj, table):
-    """Raise :class:`BadParams` for the first row of ``table`` that is out
-    of range.  A row is (field name, in range, wanted), with the value read
-    off ``obj``, or (name, value) for a value that must be positive and
-    finite, such as a clock period or a delay scale.  Written as
-    comparisons, the checks are false for NaN, so NaN is rejected as well.
-    """
+def check_ranges(obj, table, error=BadParams):
+    """Raise ``error`` for the first row of ``table`` out of range.  A row
+    is (name, in range, wanted), the value read off ``obj`` or a dict of
+    argument values, or (name, value) for a value that must be positive and
+    finite, such as a clock period.  Written as comparisons, the checks are
+    false for NaN, so NaN is rejected as well."""
     for row in table:
         if len(row) == 2:
             name, got = row
             ok, want = 0 < got < math.inf, "positive and finite"
         else:
             name, ok, want = row
-            got = getattr(obj, name)
+            got = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         if not ok:
-            raise BadParams(f"{name} must be {want}, got {got!r}")
+            raise error(f"{name} must be {want}, got {got!r}")
 
 
 class UnitMismatch(AxsecError, ValueError):

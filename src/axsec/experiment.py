@@ -24,7 +24,7 @@ from .errors import (BadParams, BudgetInfeasible, NoRareNets, NoWitness,
                      WouldViolateTiming, check_ranges)
 from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
-                  power_ratio, simulate, sub_seed)
+                  power_ratio, simulate, sub_rng, sub_seed)
 from .sta import calibrated_model
 from .textfmt import check_free, serialize_netlist, write_files, write_tree
 
@@ -75,19 +75,23 @@ class ExperimentConfig:
              "in [0, 1]"),
             ("characterize_vectors", self.characterize_vectors >= 1,
              "at least 1"),
-            ("rho", 0.0 <= self.rho <= 1.0, "in [0, 1]"),
             ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
             ("stealth_vectors", self.stealth_vectors >= 1, "at least 1")))
         # forwarded values are checked by their owners, before any output
         self.design_spec()
-        AttackConfig(q=self.q, theta=self.theta,
-                     scoap_ceiling=self.scoap_ceiling, payload=self.payload)
+        VectorStream(1, rho=self.rho)  # the rho of every stream of the run
+        self.attack_config()
         self.detect_config()
         self.budget()
 
     def design_spec(self) -> DesignSpec:
         return design_spec(self.design, self.width, self.coeffs,
                            self.twiddle)
+
+    def attack_config(self, **given) -> AttackConfig:
+        return AttackConfig(q=self.q, theta=self.theta,
+                            scoap_ceiling=self.scoap_ceiling,
+                            payload=self.payload, **given)
 
     def budget(self) -> BudgetConstraints:
         return BudgetConstraints(self.e_target, self.p_target,
@@ -298,8 +302,8 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
     that offers no viable trigger is skipped and the next one in the
     shuffled order is tried instead."""
     n_inf = int(round(config.n_variants * config.infected_fraction))
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
-    order = [variants[i] for i in rng.permutation(len(variants))]
+    order = [variants[i]
+             for i in sub_rng(config.seed, 2).permutation(len(variants))]
     infected = {}
     truth = {v.netlist_id: () for v in variants}
     stealth_rows = []
@@ -307,9 +311,8 @@ def _infect(config: ExperimentConfig, spec: DesignSpec, variants,
         if len(infected) >= n_inf:
             break
         ix = int(v.netlist_id[1:])
-        acfg = AttackConfig(
-            q=config.q, theta=config.theta, scoap_ceiling=config.scoap_ceiling,
-            payload=config.payload, secret_word=spec.secret_word,
+        acfg = config.attack_config(
+            secret_word=spec.secret_word,
             stream=VectorStream(config.trace_vectors,
                                 sub_seed(config.seed, 3, ix), "correlated",
                                 config.rho),

@@ -36,8 +36,13 @@ outside this module, only the kernel touches packed words.
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
-of values against its reference.  Seed salting (:func:`sub_seed`) is owned
-here as well; a frozen :class:`VectorStream` is its own identity.
+of values against its reference.  Every seed and generator is made here, of
+a seed and a salt (:func:`sub_seed`, :func:`sub_rng`): (stream seed, i) for
+stream word i; under an experiment's seed, 1 the library stream, 2 the
+infection order, (3, ix) and (4, ix) variant ix's trace and stealth streams
+(``axsec attack``: (4,)); under a defender's, 0xD57 its two streams (words
+0 and 1) and (0xE51, crc32(tag)) the stress vectors.  A frozen
+:class:`VectorStream` is its own identity.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import _kernels
-from .errors import BadParams, BadThreshold
+from .errors import BadParams, BadThreshold, check_ranges
 from .netlist import Netlist
 
 #: fixed generation granularity (in vectors); a multiple of 64 so packed
@@ -84,17 +89,22 @@ class VectorStream:
     def __post_init__(self):
         if self.mode not in STREAM_MODES:
             raise BadParams(f"unknown stream mode {self.mode!r}")
-        if self.n_vectors <= 0:
-            raise BadParams("n_vectors must be positive")
-        if self.seed < 0:
-            raise BadParams(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise BadParams("rho must be within [0, 1]")
+        check_ranges(self, (
+            ("n_vectors", 1 <= self.n_vectors < math.inf,
+             "at least 1 and finite"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("rho", 0.0 <= self.rho <= 1.0, "in [0, 1]")))
 
 
-def sub_seed(seed: int, *salt) -> int:
-    """Independent child seed of ``seed`` for the given salt values."""
-    return int(np.random.SeedSequence((seed,) + salt).generate_state(1)[0])
+def sub_seed(seed: int, *salt, word: int = 0) -> int:
+    """Word ``word`` of the child seeds of ``seed`` for the given salt."""
+    return int(np.random.SeedSequence((seed,) + salt).generate_state(
+        word + 1)[word])
+
+
+def sub_rng(seed: int, *salt) -> np.random.Generator:
+    """The generator of ``seed`` for the given salt values."""
+    return np.random.default_rng(np.random.SeedSequence((seed,) + salt))
 
 
 _ONE = np.uint64(1)
@@ -192,8 +202,7 @@ def _stream_chunks(stream, words):
     lazily one :data:`CHUNK` at a time.  Past the first, each chunk is
     made on a second thread while the caller reads the one before, and
     is yielded once that thread is joined; closing waits for it."""
-    rngs = [np.random.default_rng(np.random.SeedSequence((stream.seed, i)))
-            for i in range(len(words))]
+    rngs = [sub_rng(stream.seed, i) for i in range(len(words))]
     carry = [None] * len(words)
     at = np.cumsum([0] + [w for _, w in words]).tolist()  # rows per word
 
@@ -620,8 +629,8 @@ class _ActivitySums:
 def check_theta(theta: float) -> None:
     """Raise :class:`BadThreshold` unless ``theta`` lies in (0, 0.5), the
     range of :func:`rare_nets`; NaN does not."""
-    if not 0.0 < theta < 0.5:
-        raise BadThreshold(f"theta must be in (0, 0.5), got {theta}")
+    check_ranges({"theta": theta}, (("theta", 0.0 < theta < 0.5,
+                                     "in (0, 0.5)"),), BadThreshold)
 
 
 def rare_nets(report: ActivityReport, theta: float = 0.01):

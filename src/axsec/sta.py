@@ -20,7 +20,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import BadParams, check_ranges
+from .errors import check_ranges
 from .netlist import GateKind, Netlist
 
 _EPS = 1e-9
@@ -177,21 +177,16 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
                         window: float | None = None) -> list[TimingPath]:
     """Up to ``n_paths`` maximal paths with slack in [0, window], ordered by
     increasing slack (ties by net sequence).  ``window`` defaults to a tenth
-    of the clock.  Raises :class:`BadParams` for a clock or a set
-    ``window`` that is not positive and finite, or a negative ``n_paths``."""
-    check_ranges(None, (("clock", clock),))
-    if n_paths < 0:
-        raise BadParams(f"n_paths must be non-negative, got {n_paths}")
-    if window is None:
-        window = 0.1 * clock
-    elif not 0 < window < math.inf:
-        raise BadParams(f"window must be positive when set, and finite, "
-                        f"got {window!r}")
-    lo = clock - window
+    of the clock; every argument is range-checked first."""
+    check_ranges({"n_paths": n_paths, "window": window}, (
+        ("clock", clock),
+        ("n_paths", n_paths >= 0, "non-negative"),
+        ("window", window is None or 0 < window < math.inf,
+         "positive when set, and finite")))
     if n_paths == 0:
         return []
     return _uniform_paths(nl.memo(_path_index), model.scale, clock, n_paths,
-                          lo)
+                          clock - (0.1 * clock if window is None else window))
 
 
 def paths_to_instances(paths) -> list[tuple[str, int]]:

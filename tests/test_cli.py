@@ -914,7 +914,7 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
     ("detect", ["--theta", "0"], "theta must be in (0, 0.5)"),
     ("detect", ["--theta", "nan"], "theta must be in (0, 0.5)"),
     ("experiment", ["--detect-theta", "nan"], "theta must be in (0, 0.5)"),
-    ("experiment", ["--delta-e", "nan"], "budget slacks must be positive"),
+    ("experiment", ["--delta-e", "nan"], "delta_e must be positive"),
     ("detect", ["--margin", "0"], "margin must be positive"),
     ("detect", ["--margin", "nan"], "margin must be positive"),
     ("detect", ["--scales", "0"], "scales must be non-empty, all > 0"),
@@ -962,7 +962,8 @@ def test_infinite_timing_values_are_user_errors(tmp_path, capsys,
      "twiddle must be in [1, 2^width)"),
     ("experiment", ["--coeffs", "3,5,7"],
      "taps must be a power of two, at least 2"),
-    ("experiment", ["--width", "2"], "constant 5 does not fit in 2 bits"),
+    ("experiment", ["--width", "2"],
+     "constant must be in [0, 2^width), got 5"),
     ("gen-design", ["--assign", "mul0=trunc:x"], "got 'mul0=trunc:x'"),
     ("gen-design", ["--assign", "mul0=trunc:3:zz"], "got 'mul0=trunc:3:zz'"),
     ("gen-design", ["--assign", "mul0=trunc:3:c:9"],
@@ -1417,8 +1418,8 @@ _SCALES = _list_with(st.floats(0.5, 4.0), _not_positive(), 2)
 # have no declared range, and --twiddle/--coeffs are read by one design each
 _POS = "must be positive and finite"
 _FUZZ = [
-    ("profile", "--vectors", _below(1), "n_vectors must be positive", ()),
-    ("profile", "--rho", _UNIT, "rho must be within [0, 1]", ()),
+    ("profile", "--vectors", _below(1), "n_vectors must be at least 1", ()),
+    ("profile", "--rho", _UNIT, "rho must be in [0, 1]", ()),
     ("profile", "--seed", _below(0), "seed must be non-negative", ()),
     ("profile", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
     ("sta", "--clock", _not_positive(), "clock " + _POS, ()),
@@ -1430,8 +1431,8 @@ _FUZZ = [
     ("attack", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
     ("attack", "--scoap-ceiling", _below(0),
      "scoap_ceiling must be non-negative", ()),
-    ("attack", "--vectors", _below(1), "n_vectors must be positive", ()),
-    ("attack", "--rho", _UNIT, "rho must be within [0, 1]", ()),
+    ("attack", "--vectors", _below(1), "n_vectors must be at least 1", ()),
+    ("attack", "--rho", _UNIT, "rho must be in [0, 1]", ()),
     ("attack", "--seed", _below(0), "seed must be non-negative", ()),
     ("attack", "--clock", _not_positive(), "clock " + _POS, ()),
     ("attack", "--margin", _not_positive(), "margin " + _POS, ()),
@@ -1445,7 +1446,7 @@ _FUZZ = [
      "window must be positive when set", ()),
     ("detect", "--theta", _THETA, "theta must be in (0, 0.5)", ()),
     ("detect", "--vectors", _below(1), "vectors must be at least 1", ()),
-    ("detect", "--rho", _UNIT, "rho must be within [0, 1]", ()),
+    ("detect", "--rho", _UNIT, "rho must be in [0, 1]", ()),
     ("detect", "--stress", _below(1), "stress_budget must be at least 1", ()),
     ("detect", "--dev-tol", _UNIT, "dev_tol must be in [0, 1]", ()),
     ("detect", "--threshold", _THRESHOLD, "threshold must be in (0, 1]", ()),
@@ -1455,7 +1456,7 @@ _FUZZ = [
     ("experiment", "--coeffs",
      _list_with(st.integers(0, 255),
                 st.integers(max_value=-1) | st.integers(min_value=256), 3),
-     "does not fit in 8 bits", ("--design", "fir")),
+     "constant must be in [0, 2^width)", ("--design", "fir")),
     ("experiment", "--twiddle",
      st.integers(max_value=0) | st.integers(min_value=256),
      "twiddle must be in [1, 2^width)", ("--design", "bfly")),
@@ -1476,9 +1477,9 @@ _FUZZ = [
      "stealth_vectors must be at least 1", ()),
     ("experiment", "--clock", _not_positive(), "clock " + _POS, ()),
     ("experiment", "--margin", _not_positive(), "margin " + _POS, ()),
-    ("experiment", "--delta-e", _not_positive(), "budget slacks " + _POS,
+    ("experiment", "--delta-e", _not_positive(), "delta_e " + _POS,
      ()),
-    ("experiment", "--delta-p", _not_positive(), "budget slacks " + _POS,
+    ("experiment", "--delta-p", _not_positive(), "delta_p " + _POS,
      ()),
     ("experiment", "--detect-theta", _THETA, "theta must be in (0, 0.5)",
      ()),
@@ -1534,3 +1535,19 @@ def test_every_numeric_flag_rejects_a_bad_value(
     assert message in _one_error_line(capsys)
     assert not kernel_calls
     assert not any(work.iterdir())
+
+
+def test_every_verb_refuses_a_bad_rho_in_one_text(tmp_path, capsys,
+                                                  kernel_calls,
+                                                  bfly_candidate):
+    # detect gets as far as its stream check only on valid candidates
+    lines = []
+    for verb in ("profile", "attack", "detect", "experiment"):
+        work = tmp_path / verb
+        work.mkdir()
+        args = _fuzz_args(verb, str(bfly_candidate), work)
+        assert main([verb, *args, "--rho", "2"]) == 2
+        lines.append(_one_error_line(capsys))
+        assert not any(work.iterdir())
+    assert lines == ["error: rho must be in [0, 1], got 2.0"] * 4
+    assert not kernel_calls

@@ -243,7 +243,8 @@ def test_flatten_leaves_the_memoized_modules_unchanged():
 
 
 def test_fir_coefficients_must_fit_the_width():
-    with pytest.raises(BadParams, match="constant 5 does not fit in 2 bits"):
+    with pytest.raises(BadParams,
+                       match=r"^constant must be in \[0, 2\^width\), got 5$"):
         fir_spec(2, (3, 5, 7, 9))
 
 

@@ -341,6 +341,28 @@ def test_rank_rejects_mismatched_candidates(trio):
                        "b": fir_spec(4, (1, 2, 3, 4)).build(None)}, streams)
 
 
+@pytest.mark.parametrize("screen", ["classify", "rank_by_error"])
+@pytest.mark.parametrize("given,twice", [
+    ("list-two-netlists", "a"), ("list-one-netlist", "a"),
+    ("list-int-and-str", "1"), ("dict-int-and-str", "1"),
+])
+def test_a_candidate_id_given_twice_is_refused(trio, kernel_calls, screen,
+                                               given, twice):
+    # ids are compared as strings, before any run, whatever the netlists
+    a, b = trio[0]["v0"], trio[0]["v1"]
+    cands = {"list-two-netlists": [("a", a), ("b", b), ("a", b)],
+             "list-one-netlist": [("a", a), ("a", a)],
+             "list-int-and-str": [(1, a), ("1", a)],
+             "dict-int-and-str": {1: a, "1": b, "c": a}}[given]
+    run = {"classify": lambda c: classify(c, DetectConfig(vectors=100)),
+           "rank_by_error": lambda c: rank_by_error(
+               c, defender_streams(DetectConfig(vectors=100)))}[screen]
+    with pytest.raises(BadParams,
+                       match=f"^candidate id '{twice}' is given twice$"):
+        run(cands)
+    assert not kernel_calls
+
+
 def test_a_ranking_without_streams_is_refused(trio, kernel_calls):
     with pytest.raises(BadParams, match="^empty stream$"):
         rank_by_error(trio[0], {})

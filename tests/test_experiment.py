@@ -184,6 +184,20 @@ def test_config_helpers_carry_the_fields():
     assert c.design_spec().name == "fir4x8"
 
 
+def test_attack_config_forwards_the_insertion_settings_once():
+    c = dataclasses.replace(SMALL, q=3, theta=0.2, scoap_ceiling=7,
+                            payload="corrupt")
+    a = c.attack_config(secret_word="coef", clock=9.0)
+    assert (a.q, a.theta, a.scoap_ceiling, a.payload) == (3, 0.2, 7,
+                                                        "corrupt")
+    assert (a.secret_word, a.clock, a.stream) == ("coef", 9.0, None)
+    # the config refuses what its attack settings refuse, in their words
+    for field, value, message in [("q", 0, "q must be at least 1"),
+                                  ("payload", "x", "payload must be one of")]:
+        with pytest.raises(BadParams, match=f"^{message}"):
+            dataclasses.replace(SMALL, **{field: value})
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp") / "run"

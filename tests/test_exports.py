@@ -284,3 +284,44 @@ def test_a_write_outside_textfmt_is_caught():
                      "    os.replace(p, out)\n"
                      "    names.remove(p.replace('a', 'b'))\n")}
     assert _writers(sources) == [("m", n) for n in range(5, 12)]
+
+
+def _reads_random(n):
+    """Whether ``n`` is ``np.random`` or ``numpy.random``, or imports it."""
+    if isinstance(n, ast.Attribute):
+        return n.attr == "random" and getattr(n.value, "id", None) in (
+            "np", "numpy")
+    if isinstance(n, ast.ImportFrom):
+        return n.module == "numpy.random" or n.module == "numpy" and any(
+            a.name == "random" for a in n.names)
+    return isinstance(n, ast.Import) and any(
+        a.name.startswith("numpy.random") for a in n.names)
+
+
+def _random_readers(sources):
+    """(module, line) of every read of ``numpy.random`` outside ``sim``:
+    every seed and generator of the package is made there, of a seed and a
+    salt (``sim.sub_seed``, ``sim.sub_rng``)."""
+    return sorted((mod, n.lineno) for mod, text in sources.items()
+                  if mod != "sim" for n in ast.walk(ast.parse(text))
+                  if _reads_random(n))
+
+
+def test_no_module_but_sim_reads_numpy_random():
+    assert _random_readers(_sources()) == []
+
+
+def test_a_numpy_random_read_outside_sim_is_caught():
+    # a generator handed in is no read, nor is a random attribute of another
+    # object; sim itself may read numpy.random
+    sources = {"sim": "import numpy as np\nrng = np.random.default_rng(1)\n",
+               "m": ("import numpy as np\n"
+                     "import numpy.random\n"
+                     "from numpy.random import default_rng\n"
+                     "from numpy import random\n"
+                     "def f(rng, cfg, seed):\n"
+                     "    rng.integers(0, 2)\n"
+                     "    cfg.random\n"
+                     "    np.random.SeedSequence(seed)\n"
+                     "    return numpy.random.default_rng(seed)\n")}
+    assert _random_readers(sources) == [("m", n) for n in (2, 3, 4, 8, 9)]

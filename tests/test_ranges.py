@@ -1,0 +1,82 @@
+"""Every parameter range is a :func:`axsec.errors.check_ranges` row: a value
+just past an end of the range, NaN, and infinity where it lies outside,
+each end in one error of the form ``<name> must be <wanted>, got <value>``.
+"""
+
+import math
+
+import pytest
+
+from axsec.arith import ArchParams, gen_module
+from axsec.attack import BudgetConstraints
+from axsec.designs import bfly_spec, const_module, fir_spec
+from axsec.errors import BadParams, BadThreshold
+from axsec.experiment import ExperimentConfig
+from axsec.sim import VectorStream, check_theta
+from axsec.sta import DelayModel, near_critical_paths
+
+NAN, INF = math.nan, math.inf
+ABOVE_1, BELOW_0 = math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0)
+_NL = gen_module(ArchParams("add", "exact", 4))
+
+# (owner, name, wanted, call on the value, bad values, error type)
+RULES = [
+    ("stream", "n_vectors", "at least 1 and finite", lambda v: VectorStream(v),
+     (0, 0.5, NAN, INF), BadParams),
+    ("stream", "seed", "non-negative", lambda v: VectorStream(10, v),
+     (-1, NAN), BadParams),
+    ("stream", "rho", "in [0, 1]",
+     lambda v: VectorStream(10, 0, "correlated", v),
+     (BELOW_0, ABOVE_1, NAN, INF), BadParams),
+    ("experiment", "rho", "in [0, 1]", lambda v: ExperimentConfig(rho=v),
+     (BELOW_0, ABOVE_1, NAN, INF), BadParams),
+    ("budget", "delta_e", "positive and finite",
+     lambda v: BudgetConstraints(0.1, 1.0, v, 0.05), (0.0, NAN, INF),
+     BadParams),
+    ("budget", "delta_p", "positive and finite",
+     lambda v: BudgetConstraints(0.1, 1.0, 0.05, v), (0.0, NAN, INF),
+     BadParams),
+    ("arith", "width", "at least 2",
+     lambda v: gen_module(ArchParams("add", "exact", v)), (1, NAN), BadParams),
+    ("arith", "k", "in [0, width)",
+     lambda v: gen_module(ArchParams("mul", "trunc", 8, v)),
+     (-1, 8, NAN, INF), BadParams),
+    ("sta", "n_paths", "non-negative",
+     lambda v: near_critical_paths(_NL, DelayModel(), 10.0, v), (-1, NAN),
+     BadParams),
+    ("sta", "window", "positive when set, and finite",
+     lambda v: near_critical_paths(_NL, DelayModel(), 10.0, 5, v),
+     (0.0, NAN, INF), BadParams),
+    ("fir", "width", "at least 2", lambda v: fir_spec(v, (3, 5, 7, 9)),
+     (1, NAN), BadParams),
+    ("bfly", "width", "at least 2", lambda v: bfly_spec(v, 1), (1, NAN),
+     BadParams),
+    ("bfly", "twiddle", "in [1, 2^width)", lambda v: bfly_spec(8, v),
+     (0, 256, NAN), BadParams),
+    ("const", "constant", "in [0, 2^width)", lambda v: const_module(v, 8),
+     (-1, 256, NAN), BadParams),
+    ("sim", "theta", "in (0, 0.5)", check_theta, (0.0, 0.5, NAN),
+     BadThreshold),
+]
+
+
+@pytest.mark.parametrize(
+    "name,want,call,value,error",
+    [r[1:4] + (v, r[5]) for r in RULES for v in r[4]],
+    ids=[f"{r[0]}-{r[1]}-{v!r}" for r in RULES for v in r[4]])
+def test_a_value_out_of_range_is_refused_in_the_one_form(name, want, call,
+                                                         value, error):
+    with pytest.raises(error) as info:
+        call(value)
+    assert info.type is error
+    assert str(info.value) == f"{name} must be {want}, got {value!r}"
+
+
+def test_the_ends_of_each_range_are_accepted():
+    VectorStream(1, 0, "correlated", 0.0)
+    VectorStream(1, 0, "correlated", 1.0)
+    assert near_critical_paths(_NL, DelayModel(), 10.0, 0) == []
+    gen_module(ArchParams("mul", "trunc", 8, 7))
+    bfly_spec(8, 255)
+    const_module(255, 8)
+    assert fir_spec(2, (0, 1, 2, 3)).name == "fir4x2"
