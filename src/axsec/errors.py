@@ -3,6 +3,8 @@
 
 import math
 
+import numpy as np
+
 
 class AxsecError(Exception):
     """Base class of every workbench error."""
@@ -65,6 +67,7 @@ def check_ranges(obj, table, error=BadParams):
             name, ok, want = row
             got = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         if not ok:
+            got = got.item() if isinstance(got, np.generic) else got
             raise error(f"{name} must be {want}, got {got!r}")
 
 

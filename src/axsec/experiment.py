@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -207,24 +208,63 @@ class Variant:
     p_margin: float
 
 
-def _pareto_pool(E, P, cap):
-    """Indices grouped into successive non-dominated fronts (minimising
-    both), each front ordered by (E, P, index), until ``cap`` collected:
-    the least-P entries of each equal-E run whose P beats all earlier runs."""
-    order = np.lexsort((P, E))  # stable: by (E, P, index)
-    pool = []
-    front = 0
-    while order.size and len(pool) < cap:  # what a front leaves stays sorted
+def _fronts(E, P, margin=(0.0, 0.0)):
+    """Successive non-dominated fronts of the points (minimising both), each
+    as positions ordered by (E, P, position).  q dominates x when q <= x in
+    both and q + margin < x in one; an infinite margin rules that one out."""
+    order = np.lexsort((P, E))  # stable: by (E, P, position)
+    while order.size:  # what a front leaves stays sorted
         e, p = E[order], P[order]
-        starts = np.r_[True, e[1:] != e[:-1]]
-        gmin = p[starts]
-        on_front = np.r_[True, gmin[1:] < np.minimum.accumulate(gmin)[:-1]]
-        run = np.cumsum(starts) - 1
-        keep = on_front[run] & (p == gmin[run])
-        pool.extend((front, int(ix)) for ix in order[keep])
-        order = order[~keep]
-        front += 1
-    return pool
+        low = np.minimum.accumulate(p)  # least P so far, at each E
+        fewer = np.searchsorted(e + margin[0], e)  # E lower past the margin
+        dom = low[np.searchsorted(e, e, "right") - 1] + margin[1] < p
+        dom |= (fewer > 0) & (low[fewer - 1] <= p)
+        yield order[~dom]
+        order = order[dom]
+
+
+def _pareto_pool(menus, cap):
+    """The fronts of the slot sums until ``cap`` collected, as (front, menu
+    position per slot, sum_e, sum_p), each front ordered by (E, P, position).
+    ``menus`` holds a (k, 2) array of (e, p) per slot.  The sums grow slot
+    by slot, in the full product's order of addition; after a slot only the
+    first ``depth`` fronts under robust dominance stay (beaten by more than
+    the rounding of the remaining additions, in an objective they cannot
+    make infinite).  A point's front only deepens after that, so the first
+    ``depth`` fronts of what stays are exact; ``depth`` doubles until they
+    hold the pool."""
+    big = sum(np.abs(np.where(np.isfinite(m), m, 0)).max(axis=0)
+              for m in menus)
+    tol = 4 * len(menus) * np.spacing(big)
+    finite = [np.isfinite(m).all(axis=0) for m in menus]
+    depth = 1
+    while True:
+        pts, trail, pruned = np.zeros((2, 1)), [], False
+        for i, m in enumerate(menus):
+            pts = (pts[:, :, None] + m.T[:, None, :]).reshape(2, -1)
+            keep = None  # all of them
+            if i + 1 < len(menus) and pts.shape[1] * len(menus[i + 1]) > cap:
+                margin = np.where(np.all(finite[i + 1:], axis=0), tol, np.inf)
+                keep = np.sort(np.concatenate(
+                    list(islice(_fronts(*pts, margin), depth))))
+                pruned |= keep.size < pts.shape[1]
+                pts = pts[:, keep]
+            trail.append((keep, len(m)))
+        fronts, n = [], 0
+        for on in _fronts(*pts):
+            if n >= cap:
+                break
+            fronts.append(on)
+            n += on.size
+        if not pruned or (n >= cap and len(fronts) <= depth):
+            at = j = np.concatenate(fronts)
+            picks = []  # each slot's menu position, read back from the last
+            for keep, k in reversed(trail):
+                j, d = np.divmod(j if keep is None else keep[j], k)
+                picks.insert(0, d.tolist())
+            return list(zip([f for f, on in enumerate(fronts) for _ in on],
+                            zip(*picks), *pts[:, at].tolist()))
+        depth *= 2
 
 
 def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
@@ -233,21 +273,17 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
     """Distinct slot assignments from the first Pareto fronts of the summed
     (e_norm, p_norm) objectives, kept only when the built netlist passes
     the composed budget check on ``stream``, the :class:`VectorStream` of
-    the library.  Deterministic; BudgetInfeasible when no candidate passes."""
+    the library.  The fronts are built slot by slot (:func:`_pareto_pool`),
+    not over every assignment, so 8- and 16-tap firs run too.
+    Deterministic; BudgetInfeasible when no candidate passes."""
     if not isinstance(stream, VectorStream):
         raise BadParams(f"generate_variants takes a VectorStream, not "
                         f"{type(stream).__name__}")
     log = log if log is not None else []
     menus = [library[(op, w)] for _, op, w in spec.slots]
-    lens = [len(m) for m in menus]
-    E = np.zeros(1)
-    P = np.zeros(1)
-    for menu in menus:
-        e = np.array([s.e_norm for s in menu])
-        p = np.array([s.p_norm for s in menu])
-        E = (E[:, None] + e[None, :]).ravel()
-        P = (P[:, None] + p[None, :]).ravel()
-    pool = _pareto_pool(E, P, cap=max(4 * n_variants, n_variants + 12))
+    pool = _pareto_pool([np.array([(s.e_norm, s.p_norm) for s in m])
+                         for m in menus],
+                        cap=max(4 * n_variants, n_variants + 12))
 
     base_assign = {name: ArchParams(op, "exact", w)
                    for name, op, w in spec.slots}
@@ -256,10 +292,10 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
     base_power = power_proxy(base_nl, activity_profile(base_nl, base_run))
 
     out = []
-    for front, ix in pool:
+    for front, choice, sum_e, sum_p in pool:
         if len(out) >= n_variants:
             break
-        specs = [m[j] for m, j in zip(menus, np.unravel_index(ix, lens))]
+        specs = [m[j] for m, j in zip(menus, choice)]
         assign = {spec.slots[s][0]: m.params for s, m in enumerate(specs)}
         nl = spec.build(assign)
         # builds are shared, so the all-exact variant is the base netlist
@@ -276,8 +312,8 @@ def generate_variants(spec: DesignSpec, library: dict, n_variants: int,
             log.append(f"variant rejected by budget: {label}")
             continue
         vid = f"v{len(out):02d}"
-        out.append(Variant(vid, assign, nl, front, float(E[ix]),
-                           float(P[ix]), ce, cp, chk.e_margin, chk.p_margin))
+        out.append(Variant(vid, assign, nl, front, sum_e, sum_p, ce, cp,
+                           chk.e_margin, chk.p_margin))
     if not out:
         raise BudgetInfeasible("no assignment passes the composed budget")
     return out

@@ -9,8 +9,10 @@ float-array form of what :func:`axsec.sim.error_terms` now computes;
 masks, :func:`gates_of_tag` the linear filter behind their tag bits, and
 :func:`structurally_equal` compares two netlists by net name, and
 :func:`same_build` a netlist derived by appending with the full build of
-its fields; :func:`by_net` puts a run's rows in net id order.  They are
-kept here only for the tests.
+its fields; :func:`by_net` puts a run's rows in net id order;
+:func:`pareto_pool` peels fronts over every assignment's sums, the full
+product the variant pool now builds slot by slot.  They are kept here only
+for the tests.
 """
 
 from operator import attrgetter
@@ -289,3 +291,33 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     for m in models:
         assert arrival_times(derived, m).tobytes() \
             == arrival_times(full, m).tobytes()
+
+
+def pareto_pool(E, P, cap):
+    """Indices grouped into successive non-dominated fronts (minimising
+    both), each front ordered by (E, P, index), until ``cap`` collected:
+    the least-P entries of each equal-E run whose P beats all earlier runs."""
+    order = np.lexsort((P, E))  # stable: by (E, P, index)
+    pool = []
+    front = 0
+    while order.size and len(pool) < cap:  # what a front leaves stays sorted
+        e, p = E[order], P[order]
+        starts = np.r_[True, e[1:] != e[:-1]]
+        gmin = p[starts]
+        on_front = np.r_[True, gmin[1:] < np.minimum.accumulate(gmin)[:-1]]
+        run = np.cumsum(starts) - 1
+        keep = on_front[run] & (p == gmin[run])
+        pool.extend((front, int(ix)) for ix in order[keep])
+        order = order[~keep]
+        front += 1
+    return pool
+
+
+def product_sums(menus):
+    """Every assignment's (E, P) sums from (k, 2) slot menus of (e, p),
+    added slot by slot in C order."""
+    E = P = np.zeros(1)
+    for e, p in (np.asarray(m).T for m in menus):
+        E = (E[:, None] + e[None, :]).ravel()
+        P = (P[:, None] + p[None, :]).ravel()
+    return E, P

@@ -531,6 +531,22 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, verb):
     assert not out.exists()
 
 
+def test_an_eight_tap_fir_experiment_runs_in_one_gigabyte(tmp_path):
+    # its 15 slots have 5^15 assignments; summing every one of them, the
+    # variant pool asked for 1.82 GiB and ended in one error line
+    out = tmp_path / "out"
+    limit = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "axsec.cli", "experiment", "--coeffs",
+         "3,5,7,9,11,13,15,17", "--out", str(out)], env=_child_env(),
+        capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert done.returncode == 0, done.stderr
+    assert "error:" not in done.stdout + done.stderr
+    assert len(_rows(out / "variants.csv")) == 10
+
+
 def test_a_memory_error_without_a_message_still_says_what_failed(
         tmp_path, capsys, monkeypatch):
     def exhausted(*args):

@@ -17,6 +17,7 @@ from axsec.experiment import (ExperimentConfig, _pareto_pool, arch_menu,
 from axsec.netlist import NetlistBuilder
 from axsec.sim import VectorStream, simulate
 
+from tests.oracles import pareto_pool, product_sums
 from tests.test_golden import _dir_digest
 
 SMALL = ExperimentConfig(
@@ -47,11 +48,11 @@ def test_pareto_pool_fronts():
     E = np.array([1.0, 2.0, 1.0, 3.0])
     P = np.array([2.0, 1.0, 3.0, 1.0])
     # front 0: (1,2) and (2,1); (1,3) is dominated by (1,2), (3,1) by (2,1)
-    assert _pareto_pool(E, P, cap=10) == [(0, 0), (0, 1), (1, 2), (1, 3)]
+    assert pareto_pool(E, P, cap=10) == [(0, 0), (0, 1), (1, 2), (1, 3)]
     # exact duplicates share a front slot
-    assert _pareto_pool(np.array([1.0, 1.0]), np.array([2.0, 2.0]),
-                        cap=4) == [(0, 0), (0, 1)]
-    assert _pareto_pool(E, P, cap=1) == [(0, 0), (0, 1)]
+    assert pareto_pool(np.array([1.0, 1.0]), np.array([2.0, 2.0]),
+                       cap=4) == [(0, 0), (0, 1)]
+    assert pareto_pool(E, P, cap=1) == [(0, 0), (0, 1)]
 
 
 def _pareto_pool_loop(E, P, cap):
@@ -97,7 +98,7 @@ def test_pareto_pool_matches_the_loop_on_tied_values(points, cap):
     # peel nothing and spin; only E takes the infinite value here
     E = np.array([e for e, _ in points], float)
     P = np.array([p for _, p in points], float)
-    pool = _pareto_pool(E, P, cap)
+    pool = pareto_pool(E, P, cap)
     assert pool == _pareto_pool_loop(E, P, cap)
     # each index at most once, so generate_variants needs no duplicate guard
     assert len({ix for _, ix in pool}) == len(pool)
@@ -105,8 +106,56 @@ def test_pareto_pool_matches_the_loop_on_tied_values(points, cap):
 
 def test_pareto_pool_peels_an_infinite_power():
     # (0, inf) and (1, 0) do not dominate each other
-    assert _pareto_pool(np.array([0.0, 1.0]), np.array([np.inf, 0.0]),
-                        cap=10) == [(0, 0), (0, 1)]
+    assert pareto_pool(np.array([0.0, 1.0]), np.array([np.inf, 0.0]),
+                       cap=10) == [(0, 0), (0, 1)]
+
+
+# sums of these in another order can differ by an ulp: (0.1 + 0.2) + 0.3
+# is not (0.1 + 0.3) + 0.2
+_ULPS = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7]
+
+
+@st.composite
+def _slot_menus(draw, points=4096):
+    """1-8 slot menus of 1-6 (e, p) entries and at most ``points``
+    assignments, where a slot may repeat an earlier slot's menu."""
+    menus, size = [], 1
+    for _ in range(draw(st.integers(1, 8))):
+        fits = [m for m in menus if size * len(m) <= points]
+        if fits and draw(st.booleans()):
+            m = draw(st.sampled_from(fits))
+        else:
+            k = draw(st.integers(1, max(1, min(6, points // size))))
+            m = np.array(draw(st.lists(
+                st.tuples(st.sampled_from(_ULPS),
+                          st.sampled_from(_ULPS + [np.inf])),
+                min_size=k, max_size=k)))
+        menus.append(m)
+        size *= len(m)
+    return menus
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_menus(), st.integers(1, 300))
+def test_pareto_pool_slot_by_slot_equals_the_full_product(menus, cap):
+    E, P = product_sums(menus)
+    lens = [len(m) for m in menus]
+    pool = [(f, int(np.ravel_multi_index(choice, lens)), e, p)
+            for f, choice, e, p in _pareto_pool(menus, cap)]
+    assert pool == [(f, ix, float(E[ix]), float(P[ix]))
+                    for f, ix in pareto_pool(E, P, cap)]
+
+
+def test_pareto_pool_keeps_ulp_ties_of_permuted_slots():
+    # three slots share a menu, so permuted partial sums differ by an ulp in
+    # E, and the last slot's addition rounds the difference away; pruning
+    # on plain dominance keeps 16 of these 20 entries
+    menu = np.array([(0.3, 0.2), (0.2, 0.3), (0.1, 0.3)])
+    menus = [menu] * 3 + [np.array([(0.2, 0.1), (0.7, 0.2)])]
+    E, P = product_sums(menus)
+    pool = [(f, np.ravel_multi_index(c, [3, 3, 3, 2]))
+            for f, c, _, _ in _pareto_pool(menus, cap=10)]
+    assert pool == pareto_pool(E, P, 10) and len(pool) == 20
 
 
 def test_generate_variants_budget_infeasible():

@@ -5,6 +5,7 @@ each end in one error of the form ``<name> must be <wanted>, got <value>``.
 
 import math
 
+import numpy as np
 import pytest
 
 from axsec.arith import ArchParams, gen_module
@@ -70,6 +71,13 @@ def test_a_value_out_of_range_is_refused_in_the_one_form(name, want, call,
         call(value)
     assert info.type is error
     assert str(info.value) == f"{name} must be {want}, got {value!r}"
+
+
+def test_a_numpy_scalar_is_named_by_its_plain_value():
+    with pytest.raises(BadThreshold, match=r"got 0\.9$"):
+        check_theta(np.float64(0.9))
+    with pytest.raises(BadParams, match=r"got 8$"):
+        gen_module(ArchParams("mul", "trunc", 8, np.int64(8)))
 
 
 def test_the_ends_of_each_range_are_accepted():
