@@ -64,8 +64,8 @@ def _check(p: ArchParams, op: str):
         raise BadParams("block22 is a multiplier architecture")
     if op == "mul" and p.arch_id == "loa":
         raise BadParams("loa is an adder architecture")
-    check_ranges(p, (("width", p.width >= 2, "at least 2"),
-                     ("k", 0 <= p.k < p.width, "in [0, width)")))
+    check_ranges(p, (("width", p.width >= 2, "at least 2"), ("width",),
+                     ("k", 0 <= p.k < p.width, "in [0, width)"), ("k",)))
     if p.arch_id == "block22" and p.width % 2:
         raise BadParams("block22 requires an even width")
 

@@ -30,8 +30,8 @@ from .designs import design_spec
 from .detect import (DetectConfig, DetectionReport, InstanceScore,
                      NetlistReport, classify, score)
 from .errors import AxsecError, BadParams, check_ranges
-from .experiment import (ExperimentConfig, csv_text, csv_value, ht_text,
-                         run_experiment, write_csv, write_detection)
+from .experiment import (ExperimentConfig, csv_text, csv_value,
+                         detection_csvs, ht_text, run_experiment)
 from .scoap import scoap
 from .sim import (EXACT_OPS, STREAM_MODES, VectorStream, activity_and_error,
                   check_theta, power_proxy, rare_nets, sub_seed)
@@ -215,9 +215,10 @@ def _cmd_profile(args):
 def _cmd_scoap(args):
     nl = read_netlist(args.netlist)
     rep = scoap(nl)
-    write_csv(args.out, ["net", "name", "cc0", "cc1", "co"],
-              [(n, nl.net_names[n], int(rep.cc0[n]), int(rep.cc1[n]),
-                int(rep.co[n])) for n in range(nl.n_nets)])
+    write_files({args.out: csv_text(
+        ["net", "name", "cc0", "cc1", "co"],
+        [(n, nl.net_names[n], int(rep.cc0[n]), int(rep.cc1[n]),
+          int(rep.co[n])) for n in range(nl.n_nets)])})
     print(f"{nl.n_nets} nets -> {args.out}")
 
 
@@ -230,8 +231,8 @@ def _cmd_sta(args):
     rows = [(r, p.delay, p.slack,
              ">".join(nl.net_names[n] for n in p.nets), ";".join(p.tags))
             for r, p in enumerate(paths, 1)]
-    write_csv(args.out, ["rank", "delay", "slack", "nets", "instances"],
-              rows)
+    write_files({args.out: csv_text(
+        ["rank", "delay", "slack", "nets", "instances"], rows)})
     print(f"critical delay {csv_value(crit)}, {len(paths)} near-critical "
           f"paths -> {args.out}")
 
@@ -278,7 +279,8 @@ def _cmd_detect(args):
         vectors=args.vectors, rho=args.rho, stress_budget=args.stress,
         dev_tol=args.dev_tol, threshold=args.threshold, seed=args.seed)
     report = classify(cands, cfg)
-    write_detection(report, args.out, args.debug)
+    write_files({p: text for p, text in zip((args.out, args.debug),
+                                            detection_csvs(report)) if p})
     for r in report.netlists:
         print(f"{r.netlist_id}: {r.verdict}")
     print(f"{len(report.netlists)} candidates -> {args.out}")
@@ -339,8 +341,8 @@ def _cmd_score(args):
     rep = _read_report(args.report, args.threshold)
     truth = _read_truth(args.truth)
     m = score(rep, truth)
-    write_csv(args.out, ["accuracy", "fpr", "fnr"],
-              [(m.accuracy, m.fpr, m.fnr)])
+    write_files({args.out: csv_text(["accuracy", "fpr", "fnr"],
+                                    [(m.accuracy, m.fpr, m.fnr)])})
     fnr = "n/a" if m.fnr is None else f"{m.fnr:.4f}"
     print(f"accuracy={m.accuracy:.4f} fpr={m.fpr:.4f} fnr={fnr} "
           f"(tp={m.tp} fp={m.fp} tn={m.tn} fn={m.fn}) -> {args.out}")

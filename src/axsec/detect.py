@@ -85,7 +85,8 @@ class DetectConfig:
              "positive when set, and finite"),
             ("n_paths", self.n_paths >= 0, "non-negative"),
             ("vectors", self.vectors >= 1, "at least 1"),
-            ("stress_budget", self.stress_budget >= 1, "at least 1")))
+            ("stress_budget", self.stress_budget >= 1, "at least 1"),
+            ("stress_budget",)))
 
 
 def defender_streams(config: DetectConfig) -> dict:

@@ -56,16 +56,19 @@ class BadThreshold(AxsecError, ValueError):
 def check_ranges(obj, table, error=BadParams):
     """Raise ``error`` for the first row of ``table`` out of range.  A row
     is (name, in range, wanted), the value read off ``obj`` or a dict of
-    argument values, or (name, value) for a value that must be positive and
-    finite, such as a clock period.  Written as comparisons, the checks are
-    false for NaN, so NaN is rejected as well."""
-    for row in table:
-        if len(row) == 2:
-            name, got = row
+    argument values, (name,) for a value read the same way that must be a
+    whole number (a Python or numpy integer, bools included), or (name,
+    value) for a value that must be positive and finite, such as a clock
+    period.  Written as comparisons, the checks are false for NaN, so NaN
+    is rejected as well."""
+    for name, *rule in table:
+        if len(rule) == 1:
+            got, = rule
             ok, want = 0 < got < math.inf, "positive and finite"
         else:
-            name, ok, want = row
             got = obj[name] if isinstance(obj, dict) else getattr(obj, name)
+            ok, want = rule or (isinstance(got, (int, np.integer)),
+                                "a whole number")
         if not ok:
             got = got.item() if isinstance(got, np.generic) else got
             raise error(f"{name} must be {want}, got {got!r}")

@@ -27,12 +27,12 @@ from .netlist import Netlist
 from .sim import (VectorStream, activity_profile, error_sums, power_proxy,
                   power_ratio, simulate, sub_rng, sub_seed)
 from .sta import calibrated_model
-from .textfmt import check_free, serialize_netlist, write_files, write_tree
+from .textfmt import check_free, serialize_netlist, write_tree
 
 __all__ = [
     "ExperimentConfig", "ExperimentResult", "Variant", "arch_menu",
-    "characterize_library", "csv_text", "csv_value", "generate_variants",
-    "ht_text", "run_experiment", "write_csv", "write_detection",
+    "characterize_library", "csv_text", "csv_value", "detection_csvs",
+    "generate_variants", "ht_text", "run_experiment",
 ]
 
 
@@ -135,11 +135,7 @@ def csv_text(header, rows) -> str:
     return f.getvalue()
 
 
-def write_csv(path, header, rows):
-    write_files({path: csv_text(header, rows)})
-
-
-def _detection_csvs(report) -> tuple[str, str]:
+def detection_csvs(report) -> tuple[str, str]:
     """A detection report's per-instance suspicions and evidence, as CSV."""
     rows, dbg = [], []
     for r in report.netlists:
@@ -150,12 +146,6 @@ def _detection_csvs(report) -> tuple[str, str]:
     return (csv_text(["netlist", "verdict", "instance", "suspicion"], rows),
             csv_text(["netlist", "instance", "kind", "hits", "resilience",
                       "rare", "raw", "suspicion", "flagged"], dbg))
-
-
-def write_detection(report, path, debug_path=None):
-    """Write :func:`_detection_csvs` to ``path`` and ``debug_path``, if set."""
-    write_files({p: text for p, text in zip((path, debug_path),
-                                            _detection_csvs(report)) if p})
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +422,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentResult:
         ["netlist", "infected", "host", "payload", "trigger_net", "taps",
          "witness"], gt_rows)
     files["detect_report.csv"], files["detect_debug.csv"] = \
-        _detection_csvs(report)
+        detection_csvs(report)
     files["ranking.csv"] = csv_text(
         ["netlist", "error_rank", "mred", "verdict"],
         [(r.netlist_id, r.error_rank, r.mred, r.verdict)

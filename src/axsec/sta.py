@@ -180,7 +180,7 @@ def near_critical_paths(nl: Netlist, model: DelayModel, clock: float,
     of the clock; every argument is range-checked first."""
     check_ranges({"n_paths": n_paths, "window": window}, (
         ("clock", clock),
-        ("n_paths", n_paths >= 0, "non-negative"),
+        ("n_paths", n_paths >= 0, "non-negative"), ("n_paths",),
         ("window", window is None or 0 < window < math.inf,
          "positive when set, and finite")))
     if n_paths == 0:

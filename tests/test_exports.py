@@ -325,3 +325,47 @@ def test_a_numpy_random_read_outside_sim_is_caught():
                      "    np.random.SeedSequence(seed)\n"
                      "    return numpy.random.default_rng(seed)\n")}
     assert _random_readers(sources) == [("m", n) for n in (2, 3, 4, 8, 9)]
+
+
+#: top-level packages that start or pool threads
+THREADS = {"threading", "concurrent"}
+
+
+def _imported(n):
+    """The top-level package of each module an import statement reads."""
+    if isinstance(n, ast.Import):
+        return {a.name.split(".")[0] for a in n.names}
+    if isinstance(n, ast.ImportFrom) and not n.level:
+        return {n.module.split(".")[0]}
+    return set()
+
+
+def _thread_importers(sources):
+    """(module, line) of every import of ``threading`` or
+    ``concurrent.futures`` outside ``sim``: the one worker that makes a
+    long stream's next chunk (``sim._stream_chunks``) is the package's
+    only concurrency."""
+    return sorted((mod, n.lineno) for mod, text in sources.items()
+                  if mod != "sim" for n in ast.walk(ast.parse(text))
+                  if _imported(n) & THREADS)
+
+
+def test_no_module_but_sim_imports_threading():
+    assert _thread_importers(_sources()) == []
+
+
+def test_a_thread_import_outside_sim_is_caught():
+    # sim may; a longer name or a package's own module is no such import
+    sources = {"sim": "from concurrent import futures\n",
+               "m": ("import threading\n"
+                     "import concurrent.futures as cf\n"
+                     "from concurrent.futures import ThreadPoolExecutor\n"
+                     "from concurrent import futures\n"
+                     "from threading import Thread\n"
+                     "import threadingx\n"
+                     "from . import threading\n"
+                     "def f():\n"
+                     "    import threading\n"
+                     "    return threading.Lock()\n")}
+    assert _thread_importers(sources) == [("m", n) for n in (1, 2, 3, 4, 5,
+                                                             9)]

@@ -713,7 +713,7 @@ def test_every_fir_insertion_derives_what_the_full_build_gives(
     monkeypatch.setattr(experiment, "score",
                         lambda *a: SimpleNamespace(accuracy=0.0, fpr=0.0,
                                                    fnr=None))
-    monkeypatch.setattr(experiment, "_detection_csvs", _stop)
+    monkeypatch.setattr(experiment, "detection_csvs", _stop)
     for seed in range(20):
         with pytest.raises(_Stop):
             run_experiment(ExperimentConfig(seed=seed, payload=payload),

@@ -1,6 +1,8 @@
 """Every parameter range is a :func:`axsec.errors.check_ranges` row: a value
 just past an end of the range, NaN, and infinity where it lies outside,
 each end in one error of the form ``<name> must be <wanted>, got <value>``.
+A count or a seed in range that is not a Python or numpy integer ends in
+the one whole-number text, checked after its range.
 """
 
 import math
@@ -11,6 +13,7 @@ import pytest
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import BudgetConstraints
 from axsec.designs import bfly_spec, const_module, fir_spec
+from axsec.detect import DetectConfig
 from axsec.errors import BadParams, BadThreshold
 from axsec.experiment import ExperimentConfig
 from axsec.sim import VectorStream, check_theta
@@ -19,6 +22,7 @@ from axsec.sta import DelayModel, near_critical_paths
 NAN, INF = math.nan, math.inf
 ABOVE_1, BELOW_0 = math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0)
 _NL = gen_module(ArchParams("add", "exact", 4))
+WHOLE = "a whole number"
 
 # (owner, name, wanted, call on the value, bad values, error type)
 RULES = [
@@ -58,6 +62,24 @@ RULES = [
      (-1, 256, NAN), BadParams),
     ("sim", "theta", "in (0, 0.5)", check_theta, (0.0, 0.5, NAN),
      BadThreshold),
+    ("detect", "stress_budget", "at least 1",
+     lambda v: DetectConfig(stress_budget=v), (0, 0.5, NAN), BadParams),
+    # in range, but no whole number: a float, integral or not
+    ("stream", "n_vectors", WHOLE, lambda v: VectorStream(v), (2.5, 2.0),
+     BadParams),
+    ("stream", "seed", WHOLE, lambda v: VectorStream(10, v),
+     (1.5, INF, np.float64(3.0)), BadParams),
+    ("arith", "width", WHOLE,
+     lambda v: gen_module(ArchParams("add", "exact", v)), (INF, 4.5),
+     BadParams),
+    ("arith", "k", WHOLE,
+     lambda v: gen_module(ArchParams("mul", "trunc", 8, v)), (0.5, 2.5),
+     BadParams),
+    ("detect", "stress_budget", WHOLE,
+     lambda v: DetectConfig(stress_budget=v), (INF, 1.5), BadParams),
+    ("sta", "n_paths", WHOLE,
+     lambda v: near_critical_paths(_NL, DelayModel(), 10.0, v), (INF, 2.5),
+     BadParams),
 ]
 
 
@@ -70,7 +92,8 @@ def test_a_value_out_of_range_is_refused_in_the_one_form(name, want, call,
     with pytest.raises(error) as info:
         call(value)
     assert info.type is error
-    assert str(info.value) == f"{name} must be {want}, got {value!r}"
+    got = value.item() if isinstance(value, np.generic) else value
+    assert str(info.value) == f"{name} must be {want}, got {got!r}"
 
 
 def test_a_numpy_scalar_is_named_by_its_plain_value():
@@ -88,3 +111,20 @@ def test_the_ends_of_each_range_are_accepted():
     bfly_spec(8, 255)
     const_module(255, 8)
     assert fir_spec(2, (0, 1, 2, 3)).name == "fir4x2"
+
+
+def test_python_and_numpy_integers_and_bools_are_whole_numbers():
+    VectorStream(np.int64(3), np.uint32(7))
+    VectorStream(True, False)
+    gen_module(ArchParams("mul", "trunc", np.int16(8), True))
+    DetectConfig(stress_budget=np.int64(1))
+    assert len(near_critical_paths(_NL, DelayModel(), 7.0, np.int8(2))) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="gen_module's memo finds 4's build for 4.0, as "
+                          "ArchParams(..., 4.0) == ArchParams(..., 4)")
+def test_an_integral_float_is_refused_past_a_warm_memo():
+    gen_module(ArchParams("add", "exact", 4))
+    with pytest.raises(BadParams, match="width must be a whole number"):
+        gen_module(ArchParams("add", "exact", 4.0))

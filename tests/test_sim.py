@@ -814,6 +814,15 @@ def test_a_failure_making_the_next_chunk_surfaces_in_the_caller(monkeypatch):
     assert len(calls) == 2 and set(threading.enumerate()) == before
 
 
+def test_one_worker_makes_every_chunk_after_the_first(monkeypatch):
+    # one input word: one call per chunk, the first on the caller's thread
+    calls = _chunk_calls(monkeypatch)
+    activity_profile(_mix_netlist(), VectorStream(3 * CHUNK, 5))
+    first, *rest = calls
+    assert first is threading.main_thread()
+    assert len(rest) == 2 and rest[0] is rest[1] is not first
+
+
 def test_a_failure_making_the_next_chunk_ends_a_profile_in_one_error_line(
         tmp_path, capsys, monkeypatch):
     nl, out = tmp_path / "mix.nl", tmp_path / "out"
