@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BadParams, check_ranges
 from .netlist import GateKind, Netlist, NetlistBuilder
 
@@ -226,14 +228,30 @@ def _block22_grid(cells, a, bb, k):
                             (off + 3, top))
 
 
-@lru_cache(maxsize=128)
+def has_whole_numbers(params: ArchParams) -> bool:
+    """Whether the width and k of ``params`` are whole numbers.  A memo
+    keyed by params must not be asked for any other: ``ArchParams(..., 4.0)``
+    equals, and hashes as, ``ArchParams(..., 4)``, so it would find that
+    build instead of refusing the float."""
+    return all(isinstance(v, (int, np.integer))
+               for v in (params.width, params.k))
+
+
 def gen_module(params: ArchParams, tag: str = "u") -> Netlist:
     """Dispatch to :func:`gen_adder` or :func:`gen_multiplier`.
 
     Memoized per ``(params, tag)``: netlists are immutable, and
     :func:`~axsec.netlist.flatten` and ``NetlistBuilder(base)`` only copy
-    from them, so every caller may share one build.
+    from them, so every caller may share one build.  Params that are not
+    :func:`has_whole_numbers` go past the memo, to be refused.
     """
+    if not has_whole_numbers(params):
+        return _gen_module.__wrapped__(params, tag)
+    return _gen_module(params, tag)
+
+
+@lru_cache(maxsize=128)
+def _gen_module(params: ArchParams, tag: str) -> Netlist:
     if params.op_type == "add":
         return gen_adder(params, tag)
     if params.op_type == "mul":

@@ -35,8 +35,8 @@ from .netlist import GateKind, Netlist, NetlistBuilder
 from .scoap import ScoapReport, scoap
 from .sim import (EXACT_OPS, ActivityReport, VectorStream,
                   activity_and_error, check_reference, check_theta,
-                  check_value_words, ones_profile, power_proxy, power_ratio,
-                  rare_nets, simulate)
+                  check_value_words, ones_profile, paired_activity_and_error,
+                  power_proxy, power_ratio, rare_nets, simulate)
 from .sta import DelayModel, critical_delay, slacks
 
 
@@ -81,7 +81,7 @@ def _measure(nl: Netlist, params: ArchParams, stream, theta: float,
     power = power_proxy(nl, act)
     ratio = power_ratio(power, power if base is None else base)
     rare = rare_nets(act, theta)
-    sc = scoap(nl)
+    sc = scoap(nl, observability=False)
     summary = max((int(sc.cc1[n]) for n, _ in rare), default=0)
     return power, ModuleSpec(params, err.mred, ratio, len(rare),
                              len(rare) / nl.n_nets, summary, stream)
@@ -220,7 +220,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
     """
     _check_insertable(nl, config)
     if testability is None:
-        testability = scoap(nl)
+        testability = scoap(nl, observability=False)
     rare = rare_nets(activity, config.theta)
     if len(rare) < config.q:
         raise NoRareNets(f"{len(rare)} rare nets at theta={config.theta}, "
@@ -344,13 +344,15 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
                    model: DelayModel | None = None) -> StealthReport:
     """Differential stealth measurement of an insertion.
 
-    With a ``stream``, each netlist is profiled in one pass, chunk by
-    chunk: power_delta_fraction is the infected-over-clean power ratio
-    less 1 and trigger_rate the trigger net's signal probability in the
-    infected profile.  A ``reference`` (anything
-    :func:`~axsec.sim.error_sums` accepts) makes that pass an
-    :func:`~axsec.sim.activity_and_error` one, and error_delta the
-    infected-minus-clean difference of MRED against it.  With a ``clock``,
+    With a ``stream``, both netlists are profiled chunk by chunk, in one
+    run where ``infected`` is derived from ``clean``
+    (:func:`~axsec.sim.paired_activity_and_error`):
+    power_delta_fraction is the infected-over-clean power ratio less 1
+    and trigger_rate the trigger net's signal probability in the infected
+    profile.  A ``reference`` (anything :func:`~axsec.sim.error_sums`
+    accepts) makes that pass an :func:`~axsec.sim.activity_and_error`
+    one, and error_delta the infected-minus-clean difference of MRED
+    against it.  With a ``clock``,
     min_slack is the least finite slack of the infected netlist or None.
 
     ``ht`` must be the insertion that built ``infected``: its trigger net
@@ -367,9 +369,8 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
                         f"{ht.host_instances} of the infected netlist")
     error_delta = power_delta = rate = min_slack = None
     if stream is not None:
-        (act_c, err_c), (act_i, err_i) = (
-            activity_and_error(nl, reference, stream)
-            for nl in (clean, infected))
+        (act_c, err_c), (act_i, err_i) = paired_activity_and_error(
+            clean, infected, reference, stream)
         if err_c is not None:
             error_delta = err_i.mred - err_c.mred
         power_delta = power_ratio(power_proxy(infected, act_i),

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ArchParams, gen_module
+from .arith import ArchParams, gen_module, has_whole_numbers
 from .errors import BadParams, check_ranges
 from .netlist import (Design, GateKind, ModuleInst, Netlist, NetlistBuilder,
                       flatten)
@@ -256,7 +256,10 @@ def _build(design, params: tuple, assign: tuple) -> Netlist:
 
 def _builder(design, params):
     def build(assign=None):
-        return _build(design, params, tuple(sorted((assign or {}).items())))
+        key = tuple(sorted((assign or {}).items()))
+        if all(p is None or has_whole_numbers(p) for _, p in key):
+            return _build(design, params, key)
+        return _build.__wrapped__(design, params, key)  # to be refused
     return build
 
 

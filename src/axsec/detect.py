@@ -350,12 +350,13 @@ def _stress_values(nl, tag, vals, profile, rng):
                           + rng.integers(0, 1 << half, b2))
     groups = _replay_groups(profile, masks, bit)
     if groups and b3:
-        combos = _rank_combos([len(r) for _, r in groups], b3)
-        for r in range(b3):
-            combo = combos[r % len(combos)]
-            for (sup, ranked), idx in zip(groups, combo):
-                for w, v in ranked[idx].items():
-                    vals[w][lo + r] = v
+        # vector r takes combo r % len(combos), its g-th entry the rank of
+        # group g's values; the groups' words are disjoint
+        combos = np.array(_rank_combos([len(r) for _, r in groups], b3))
+        combos = combos[np.arange(b3) % len(combos)]
+        for (sup, ranked), idx in zip(groups, combos.T):
+            for w in sup:
+                vals[w][lo:] = np.array([v[w] for v in ranked])[idx]
     elif b3:
         for w in cone:
             vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)

@@ -12,8 +12,11 @@ netlist (for example to splice extra logic into a copy), start a new
 A builder that only appended nets, instances and gates with ids above the
 base's, and maybe moved outputs and words, builds on its base (kept as
 :attr:`Netlist.base`): it checks the new parts only and extends the base's
-per-net tables and kernel plan.  Any other change, or a failed check, builds
-in full, so every error comes from the full build.
+per-net tables and kernel plan.  Its appended gates also have a plan of
+their own over the base's rows (:attr:`Netlist.suffix`), which runs them
+on a run of the base and over which its fanout, live mask, support masks
+and arrival times extend the base's.  Any other change, or a failed
+check, builds in full, so every error comes from the full build.
 
 Hierarchical designs are expressed with :class:`Design` and :class:`ModuleInst`
 and lowered to a flat :class:`Netlist` with :func:`flatten`, which rewrites
@@ -122,8 +125,12 @@ class Netlist:
 
     @cached_property
     def _fanout(self):
-        pins = [i for g in self.gates for i in g.inputs]
+        base = self.base
+        pins = [i for g in self.gates[len(base.gates) if base else 0:]
+                for i in g.inputs]
         fanout = np.bincount(pins, minlength=self.n_nets)
+        if base:
+            fanout[:base.n_nets] += base._fanout
         fanout.flags.writeable = False
         return fanout
 
@@ -131,10 +138,14 @@ class Netlist:
     def live(self):
         """Read-only per-net mask: the driver is a gate other than CONST0
         and CONST1, so a trigger may tap the net and a screen flag it."""
+        base = self.base
+        (_, groups), rows = self.suffix if base else (self.plan, self.rows)
         live = np.zeros(self.n_nets, bool)  # per row
-        for kind, lo, hi, _, _ in self.plan[1]:
+        if base:
+            live[base.rows] = base.live
+        for kind, lo, hi, _, _ in groups:
             live[lo:hi] = kind not in (GateKind.CONST0, GateKind.CONST1)
-        live = live[self.rows]
+        live = live[rows]
         live.flags.writeable = False
         return live
 
@@ -320,6 +331,22 @@ class Netlist:
             self.gates[len(base.gates) if base else 0:], self._depth,
             np.fromiter(chain(*(b for _, b in self.input_words())), np.intp))
 
+    @cached_property
+    def suffix(self):
+        """The plan and row map ``(plan, rows)`` of a derived netlist's
+        appended gates alone: the plan of :func:`axsec._kernels.extend`
+        from ``EMPTY`` over the gates past :attr:`base`, whose inputs are
+        the base's nets in the base's row order.  A net array whose first
+        rows hold a run of the base thus takes the rest from this plan:
+        base nets keep the base's rows (``rows[:base.n_nets] ==
+        base.rows``) and new nets follow.  The per-net tables of a derived
+        netlist extend its base's over it."""
+        base = self.base
+        plan, rows, _ = _kernels.extend(
+            _kernels.EMPTY, self.gates[len(base.gates):], self._depth,
+            np.argsort(base.rows))  # the inverse of the row map
+        return plan, rows
+
     def memo(self, build, *key):
         """``build(self, *key)``, computed on first use per ``(build, key)``
         and kept with the netlist: for pure analyses that other modules
@@ -365,12 +392,19 @@ class Netlist:
     @cached_property
     def _support_masks(self):
         # bit i of a net's mask: the i-th input word reaches the net;
-        # one topological pass ORs each gate's input masks
-        masks = [0] * self.n_nets
-        for i, (_, bits) in enumerate(self.input_words()):
-            for b in bits:
-                masks[b] |= 1 << i
-        for g in self.ordered_gates():
+        # one topological pass ORs each gate's input masks, past a base
+        # on the same input words over the appended gates alone
+        base = self.base
+        if base and self.input_words() == base.input_words():
+            masks = [*base._support_masks, *[0] * (self.n_nets - base.n_nets)]
+            gates = map(self._driver.__getitem__, self.suffix[0][0].tolist())
+        else:
+            masks = [0] * self.n_nets
+            for i, (_, bits) in enumerate(self.input_words()):
+                for b in bits:
+                    masks[b] |= 1 << i
+            gates = self.ordered_gates()
+        for g in gates:
             m = 0
             for i in g.inputs:
                 m |= masks[i]

@@ -31,7 +31,7 @@ _CONST0, _CONST1 = GateKind.CONST0, GateKind.CONST1
 class ScoapReport:
     cc0: np.ndarray
     cc1: np.ndarray
-    co: np.ndarray
+    co: np.ndarray | None  # None: controllability alone was asked for
 
 
 def _expand(nl: Netlist):
@@ -115,18 +115,24 @@ def _observability(nl, entries, n, cc0, cc1):
     return co
 
 
-def scoap(nl: Netlist) -> ScoapReport:
-    """Full testability profile for every real net of the netlist, computed
-    once per netlist (:meth:`Netlist.memo`); its arrays are read-only."""
-    return nl.memo(_scoap)
+def scoap(nl: Netlist, observability: bool = True) -> ScoapReport:
+    """Testability profile for every real net of the netlist, computed once
+    per netlist and ``observability`` (:meth:`Netlist.memo`); its arrays
+    are read-only.  Without ``observability``, for a reader of ``cc0`` and
+    ``cc1`` alone, ``co`` is None and its backward pass is not run."""
+    return nl.memo(_scoap, observability)
 
 
-def _scoap(nl: Netlist) -> ScoapReport:
+def _scoap(nl: Netlist, observability: bool) -> ScoapReport:
     entries, n = _expand(nl)
     cc0, cc1 = _controllability(nl, entries, n)
-    co = _observability(nl, entries, n, cc0, cc1)
-    m = nl.n_nets
-    arrays = [np.array(v[:m], np.int64) for v in (cc0, cc1, co)]
-    for a in arrays:
-        a.flags.writeable = False
-    return ScoapReport(*arrays)
+    co = _observability(nl, entries, n, cc0, cc1) if observability else None
+    return ScoapReport(_real(nl, cc0), _real(nl, cc1),
+                       None if co is None else _real(nl, co))
+
+
+def _real(nl: Netlist, values: list) -> np.ndarray:
+    """The read-only array of ``values`` on the real nets."""
+    a = np.array(values[:nl.n_nets], np.int64)
+    a.flags.writeable = False
+    return a

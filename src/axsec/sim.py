@@ -32,8 +32,10 @@ a screen packs its stimulus once (:func:`pack`) and replays it on every
 candidate.  A profile reads a run in the same chunks as its stream, so a
 run measured several ways is simulated once; a reader of signal
 probabilities alone counts ones only (:func:`ones_profile`).  A run is
-read only through :meth:`Traces.word_values` and :meth:`Traces.hits`;
-outside this module, only the kernel touches packed words.
+read only through :meth:`Traces.word_values` and :meth:`Traces.hits`,
+by its row map; outside this module, only the kernel touches packed
+words.  A derived netlist runs on its host's run
+(:func:`paired_activity_and_error`).
 
 Every error figure of the workbench is made of :func:`error_terms`: the
 error count, absolute sum, relative sum and worst difference of each row
@@ -331,23 +333,29 @@ def check_value_words(netlist: Netlist, outputs=()) -> None:
 
 
 class Traces:
-    """Packed values of a simulated run, one row per net in the row order
-    of its netlist's plan (:attr:`~axsec.netlist.Netlist.rows`), vector t
+    """Packed values of a simulated run, one row per net (``rows``: by
+    default its netlist's :attr:`~axsec.netlist.Netlist.rows`), vector t
     at bit ``t % 64`` of word ``t // 64``; every method answers per net.
     A run is a valid source for its own netlist wherever a stream or word
     values are accepted."""
 
-    def __init__(self, netlist: Netlist, c: np.ndarray, n_vectors: int):
+    def __init__(self, netlist: Netlist, c: np.ndarray, n_vectors: int,
+                 rows: np.ndarray | None = None):
         self.netlist = netlist
         self.c = c
         self.n_vectors = n_vectors
+        self._rows = rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.netlist.rows if self._rows is None else self._rows
 
     def word_values(self, nets, at=None) -> np.ndarray:
         """Per vector of the run, or per vector listed in ``at``, the
         ``int64`` whose bit i is the value of ``nets[i]`` (63 nets at most)."""
         if len(nets) > 63:
             raise BadParams(f"{len(nets)} nets make no value of 63 bits")
-        w = self.c[self.netlist.rows.take(nets)]
+        w = self.c[self.rows.take(nets)]
         if at is None:  # bits 8p..8p+7 of each value are byte p
             p = max(1, -(-len(nets) // 8))
             out = np.zeros((self.n_vectors, 8), np.uint8)
@@ -366,7 +374,7 @@ class Traces:
         """Per (net, value) tap, the first ``limit`` vectors on which the
         net carries the value: the bits that do of its first ``limit``
         words holding one, pad bits no vectors."""
-        w = self.c[self.netlist.rows.take([n for n, _ in taps])]
+        w = self.c[self.rows.take([n for n, _ in taps])]
         w ^= (np.array([v for _, v in taps], np.uint64) - _ONE)[:, None]
         w[:, -1] &= ~np.uint64(0) >> np.uint64(-self.n_vectors % 64)
         tap, word = np.nonzero(w)  # by tap, then word
@@ -419,7 +427,7 @@ def _runs(netlist: Netlist, source):
         c, n = simulate(netlist, source).c, source.n_vectors  # netlist checked
         for at in range(0, n, CHUNK):
             yield Traces(netlist, c[:, at // 64:(at + CHUNK) // 64],
-                         min(CHUNK, n - at))
+                         min(CHUNK, n - at), source.rows)
         return
     buf = None
     for n, block in _bits_chunks(source, netlist.signature()[0]):
@@ -468,14 +476,20 @@ def error_sums(tr: Traces, ref) -> list[tuple]:
     one output word), such as an :data:`EXACT_OPS` entry, or a dict of such
     callables per output word (taken in sorted word order).
     """
-    nl = tr.netlist
-    ref = check_reference(nl, ref)
-    outs = dict(nl.output_words())
-    wv = {w: tr.word_values(nets) for w, nets in nl.input_words()}
+    ref = check_reference(tr.netlist, ref)
+    return _error_sums(tr, _expected(tr, ref))
+
+
+def _expected(tr: Traces, ref: dict) -> dict:  # ref checked
+    wv = {w: tr.word_values(nets) for w, nets in tr.netlist.input_words()}
+    return {word: np.asarray(fn(wv), np.int64) for word, fn in ref.items()}
+
+
+def _error_sums(tr: Traces, expected: dict) -> list[tuple]:
+    outs = dict(tr.netlist.output_words())
     sums = []
-    for word, fn in sorted(ref.items()):
-        e, a, r, w = error_terms(tr.word_values(outs[word]),
-                                 np.asarray(fn(wv), np.int64))
+    for word, exp in sorted(expected.items()):
+        e, a, r, w = error_terms(tr.word_values(outs[word]), exp)
         sums.append((int(e), int(a), float(r), int(w)))
     return sums
 
@@ -512,8 +526,10 @@ class _ErrorSums:
         self.n = self.errs = self.sabs = self.wce = 0
         self.srel = 0.0
 
-    def add(self, tr: Traces):
-        for e, a, r, w in error_sums(tr, self.ref):
+    def add(self, tr: Traces, expected: dict | None = None):
+        if expected is None:  # else taken on a run of the same inputs
+            expected = _expected(tr, self.ref)
+        for e, a, r, w in _error_sums(tr, expected):
             self.errs += e
             self.sabs += a
             self.srel += r
@@ -543,7 +559,7 @@ def ones_profile(run: Traces) -> ActivityReport:
     """:func:`activity_profile` of a run for a reader of ``p1`` alone."""
     n = run.n_vectors  # int32 counts are exact and twice as fast to sum
     ones = np.bitwise_count(run.c).sum(1, np.int32 if n < 2 ** 31 else int)
-    return ActivityReport(ones[run.netlist.rows] / n, None, n)
+    return ActivityReport(ones[run.rows] / n, None, n)
 
 
 def activity_and_error(netlist: Netlist, ref, source):
@@ -553,6 +569,42 @@ def activity_and_error(netlist: Netlist, ref, source):
         return activity_profile(netlist, source), None
     return _profiled(netlist, source, _ActivitySums(netlist.rows),
                      _ErrorSums(netlist, ref))
+
+
+def paired_activity_and_error(host: Netlist, derived: Netlist, ref,
+                              source) -> tuple:
+    """(:func:`activity_and_error` of ``host``, of ``derived``).  Where
+    ``derived`` is built on ``host`` with its I/O words and the source is
+    no run, the two share one run: per chunk the host's run fills the
+    first rows of one buffer and ``derived.suffix`` the rest, and one
+    count and one reference serve both; else each takes its own."""
+    if (derived.base is not host or isinstance(source, Traces)
+            or derived.input_words() != host.input_words()
+            or derived.signature() != host.signature()):
+        return (activity_and_error(host, ref, source),
+                activity_and_error(derived, ref, source))
+    plan, rows = derived.suffix
+    acts = _ActivitySums(rows)
+    errs = () if ref is None else (_ErrorSums(host, ref),
+                                   _ErrorSums(derived, ref))
+    buf, m = None, host.n_nets
+    for n, block in _bits_chunks(source, host.signature()[0]):
+        shape = (derived.n_nets, (n + 63) // 64)
+        if buf is None:  # the first chunk is the widest
+            buf = np.empty(shape[0] * shape[1], np.uint64)
+        c = buf[:shape[0] * shape[1]].reshape(shape)
+        run = _run_packed(host, block, n, buf)  # in c[:m]
+        _kernels.eval_gates(*plan, c)
+        if n % 64:
+            c[m:, -1] &= np.uint64((1 << n % 64) - 1)
+        tr = Traces(derived, c, n, rows)
+        acts.add(tr)
+        if errs:  # the two runs share their inputs and so the reference
+            expected = _expected(run, errs[0].ref)
+            for acc, t in zip(errs, (run, tr)):
+                acc.add(t, expected)
+    err_h, err_d = (acc.report() for acc in errs) if errs else (None, None)
+    return (acts.report(host.rows), err_h), (acts.report(), err_d)
 
 
 def _profiled(netlist: Netlist, source, *sums) -> tuple:
@@ -611,9 +663,10 @@ class _ActivitySums:
                           & np.uint64(1)).astype(np.int64)
         self.total += n
 
-    def report(self) -> ActivityReport:
-        return ActivityReport(self.ones[self.rows] / self.total,
-                              self.tog[self.rows], self.total)
+    def report(self, rows=None) -> ActivityReport:  # rows: each net's
+        rows = self.rows if rows is None else rows
+        return ActivityReport(self.ones[rows] / self.total, self.tog[rows],
+                              self.total)
 
 
 def check_theta(theta: float) -> None:

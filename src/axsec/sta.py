@@ -48,16 +48,22 @@ class DelayModel:
 
 def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
     """Latest arrival time at every net, one kernel-plan group at a time:
-    a read-only array, computed once per (netlist, model)."""
+    a read-only array, computed once per (netlist, model), and for a
+    derived netlist its base's extended over the appended gates
+    (:attr:`Netlist.suffix`)."""
     return nl.memo(_arrival_times, model or DelayModel())
 
 
 def _arrival_times(nl: Netlist, model: DelayModel) -> np.ndarray:
+    base = nl.base
+    (_, groups), rows = nl.suffix if base else (nl.plan, nl.rows)
     arr = np.zeros(nl.n_nets, np.float64)  # per row; no arrival is negative
-    for kind, lo, hi, arity, ins in nl.plan[1]:
+    if base:
+        arr[base.rows] = arrival_times(base, model)
+    for kind, lo, hi, arity, ins in groups:
         arr[lo:hi] = model.of(kind) + arr[ins].reshape(arity, hi - lo).max(
             0, initial=0.0)
-    arr = arr[nl.rows]
+    arr = arr[rows]
     arr.flags.writeable = False
     return arr
 

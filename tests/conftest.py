@@ -37,7 +37,8 @@ def infected_work(monkeypatch):
     """A function that lists, per netlist an insertion returned so far, a
     Counter of the work spent on it: ``levelize`` full levelizations,
     ``plan`` full plans (:func:`axsec._kernels.extend` runs from
-    :data:`axsec._kernels.EMPTY`) and ``arrival`` arrival-time passes."""
+    :data:`axsec._kernels.EMPTY` over all its gates, not the suffix plan
+    of its appended ones) and ``arrival`` arrival-time passes."""
     work, planned, infected = {}, [], []
     levelize, extend, arrivals = (Netlist._levelize, _kernels.extend,
                                   sta._arrival_times)
@@ -50,7 +51,7 @@ def infected_work(monkeypatch):
 
     def counting_extend(base, gates, depth, inputs):
         if base is _kernels.EMPTY:
-            planned.append(depth)
+            planned.append((depth, len(gates)))
         return extend(base, gates, depth, inputs)
 
     def counting_arrivals(nl, model):
@@ -69,7 +70,8 @@ def infected_work(monkeypatch):
 
     def counts():
         return [work.get(nl, Counter())
-                + Counter(plan=sum(d is nl._depth for d in planned))
+                + Counter(plan=sum(d is nl._depth and k == len(nl.gates)
+                                   for d, k in planned))
                 for nl in infected]
     return counts
 

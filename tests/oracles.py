@@ -11,8 +11,12 @@ masks, :func:`gates_of_tag` the linear filter behind their tag bits, and
 :func:`same_build` a netlist derived by appending with the full build of
 its fields; :func:`by_net` puts a run's rows in net id order;
 :func:`pareto_pool` peels fronts over every assignment's sums, the full
-product the variant pool now builds slot by slot.  They are kept here only
-for the tests.
+product the variant pool now builds slot by slot; :func:`verify_stealth`
+profiles the clean and the infected netlist in two full runs, where the
+package runs an infected netlist's appended gates on its host's run;
+:func:`stress_values` fills the stress step's replay third one value at a
+time, where the package indexes each word's ranked values.
+They are kept here only for the tests.
 """
 
 from operator import attrgetter
@@ -20,9 +24,12 @@ from operator import attrgetter
 import numpy as np
 
 from axsec import _kernels
-from axsec.errors import BadParams
+from axsec.attack import StealthReport
+from axsec.detect import _cone_masks, _rank_combos, _replay_groups
+from axsec.errors import BadParams, SignatureMismatch
 from axsec.netlist import GateKind, Netlist
-from axsec.sta import DelayModel, arrival_times
+from axsec.sim import activity_and_error, power_proxy, power_ratio
+from axsec.sta import DelayModel, arrival_times, slacks
 from axsec.textfmt import serialize_netlist
 
 _M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
@@ -248,7 +255,8 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
 
 def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     """Assert that ``derived`` equals the full build of its own fields:
-    net levels, drivers, signature, fanout and driver kinds,
+    net levels, drivers, signature, fanout, driver kinds, input word
+    support masks,
     serialized text byte for byte, arrival times under each of ``models``
     bit for bit, and every net's value under its plan ``(nets, groups)``,
     each group ``(kind, lo, hi, arity, ins)`` with int bounds and arity
@@ -264,6 +272,7 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     assert derived.output_words() == full.output_words()
     assert np.array_equal(derived.fanout_counts(), full.fanout_counts())
     assert np.array_equal(derived.live, full.live)
+    assert derived._support_masks == full._support_masks
     # a derived build continues its base's schedule, so its plan may
     # group the gates, and order the rows, otherwise than the full
     # build's, but computes the same value on every net
@@ -321,3 +330,61 @@ def product_sums(menus):
         E = (E[:, None] + e[None, :]).ravel()
         P = (P[:, None] + p[None, :]).ravel()
     return E, P
+
+
+def verify_stealth(clean, infected, ht, reference, stream, clock=None,
+                   model=None):
+    """:func:`axsec.attack.verify_stealth` with each netlist profiled in
+    its own full run, one :func:`~axsec.sim.activity_and_error` pass each."""
+    if clean.signature() != infected.signature():
+        raise SignatureMismatch("clean and infected netlists disagree on "
+                                "primary I/O words")
+    net = ht.trigger_net
+    if not any(net in g.inputs and g.tag in ht.host_instances
+               for g in infected.gates):
+        raise BadParams(f"trigger net {net} is not read by a host gate "
+                        f"{ht.host_instances} of the infected netlist")
+    error_delta = power_delta = rate = min_slack = None
+    if stream is not None:
+        (act_c, err_c), (act_i, err_i) = (
+            activity_and_error(nl, reference, stream)
+            for nl in (clean, infected))
+        if err_c is not None:
+            error_delta = err_i.mred - err_c.mred
+        power_delta = power_ratio(power_proxy(infected, act_i),
+                                  power_proxy(clean, act_c)) - 1.0
+        rate = float(act_i.p1[net])
+    if clock is not None:
+        s = slacks(infected, model or DelayModel(), clock)
+        s = s[np.isfinite(s)]
+        min_slack = float(s.min()) if s.size else None
+    return StealthReport(error_delta, power_delta, rate, min_slack)
+
+
+def stress_values(nl, tag, vals, profile, rng):
+    """:func:`axsec.detect._stress_values` with the replay third written
+    one vector and one word at a time."""
+    words = dict(nl.input_words())
+    masks, bit = nl.memo(_cone_masks), 1 << sorted(nl.instances).index(tag)
+    cone = [w for w in sorted(words) if any(masks[b] & bit for b in words[w])]
+    budget = len(next(iter(vals.values())))
+    b1 = b2 = budget // 3
+    lo = b1 + b2
+    b3 = budget - lo
+    for w in cone:
+        wl = len(words[w])
+        half = max(1, wl // 2)
+        vals[w][:b1] = rng.integers(0, 1 << half, b1)
+        vals[w][b1:lo] = ((1 << wl) - (1 << half)
+                          + rng.integers(0, 1 << half, b2))
+    groups = _replay_groups(profile, masks, bit)
+    if groups and b3:
+        combos = _rank_combos([len(r) for _, r in groups], b3)
+        for r in range(b3):
+            combo = combos[r % len(combos)]
+            for (sup, ranked), idx in zip(groups, combo):
+                for w, v in ranked[idx].items():
+                    vals[w][lo + r] = v
+    elif b3:
+        for w in cone:
+            vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from axsec import attack
+from axsec import _kernels, attack, experiment
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import (AttackConfig, BudgetConstraints, HTInstance,
                           ModuleSpec, StealthReport, attack_score,
@@ -28,6 +28,7 @@ from axsec.sim import (EXACT_OPS, ActivityReport, Traces, VectorStream,
 from axsec.sta import DelayModel, calibrated_model, slacks
 from axsec.textfmt import serialize_netlist
 
+from tests import oracles
 from tests.oracles import eval_vector, structurally_equal, word_value
 
 SPEC = fir_spec(8, (3, 5, 7, 9))
@@ -546,6 +547,80 @@ def test_stealth_trigger_rate_is_the_trigger_nets_mean_over_chunks():
     assert type(rate) is float and rate > 0.0
     assert rate == simulate(infected, stream).word_values(
         [ht.trigger_net]).mean()
+
+
+class _Screened(Exception):
+    """Ends a trial once its infection stage is done."""
+
+
+def _trial_stealth_calls(config, out, monkeypatch):
+    """The argument tuples of every :func:`attack.verify_stealth` call of
+    a trial, which stops before its screen."""
+    calls, real = [], attack.verify_stealth
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    def screened(*args):
+        raise _Screened
+
+    monkeypatch.setattr(attack, "verify_stealth", recording)
+    monkeypatch.setattr(experiment, "classify", screened)
+    with pytest.raises(_Screened):
+        experiment.run_experiment(config, out)
+    return calls
+
+
+@pytest.mark.parametrize("payload", attack.PAYLOADS)
+def test_stealth_on_the_hosts_run_equals_two_full_runs(tmp_path, monkeypatch,
+                                                       payload):
+    # every insertion of fir seeds 0-5 and of bfly seeds 0-2 at q=1,
+    # with its reference and without
+    configs = [ExperimentConfig(seed=s, payload=payload) for s in range(6)]
+    configs += [ExperimentConfig(seed=s, design="bfly", q=1, payload=payload)
+                for s in range(3)]
+    calls = [c for i, cfg in enumerate(configs)
+             for c in _trial_stealth_calls(cfg, tmp_path / f"o{i}",
+                                           monkeypatch)]
+    assert len(calls) == 4 * len(configs)
+    for clean, infected, ht, reference, stream, clock, model in calls:
+        assert infected.base is clean
+        for ref in (reference, None):
+            args = (clean, infected, ht, ref, stream, clock, model)
+            assert repr(verify_stealth(*args)) \
+                == repr(oracles.verify_stealth(*args))
+
+
+def test_stealth_past_one_chunk_equals_two_full_runs(inserted):
+    clean, _, _, infected, ht = inserted
+    stream = VectorStream(70_000, 9, "uniform")  # past one 65,536 chunk
+    for ref in (SPEC.reference, None):
+        args = (clean, infected, ht, ref, stream, 55.0)
+        assert repr(verify_stealth(*args)) \
+            == repr(oracles.verify_stealth(*args))
+
+
+def test_stealth_runs_only_the_appended_gates_on_the_hosts_run(
+        inserted, monkeypatch):
+    # a derived netlist's second kernel run per chunk is its suffix plan;
+    # a netlist not derived from the clean one takes its own full run
+    clean, _, _, infected, ht = inserted
+    other = fir_spec(8, (1, 1, 1, 1)).build(None)
+    gates, run = [], _kernels.eval_gates
+
+    def counting(nets, groups, c):
+        gates.append(len(nets))
+        return run(nets, groups, c)
+
+    monkeypatch.setattr(_kernels, "eval_gates", counting)
+    stream = VectorStream(3000, 17, "uniform")
+    new = len(infected.gates) - len(clean.gates)
+    verify_stealth(clean, infected, ht, SPEC.reference, stream)
+    assert gates == [len(clean.gates), new]
+    del gates[:]
+    verify_stealth(other, infected, ht, SPEC.reference, stream)
+    assert gates == [len(other.gates), len(infected.gates)]
 
 
 def test_stealth_requires_matching_signatures(inserted):

@@ -1,5 +1,6 @@
 """Screening pipeline: consensus, ranking, stress tests, classification."""
 
+import copy
 import re
 from dataclasses import fields
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from axsec.netlist import GateKind
 from axsec.sim import VectorStream, activity_profile, pack, simulate
 from axsec.textfmt import parse_netlist
 
+from tests import oracles
 from tests.conftest import dags
 from tests.oracles import (by_net, fanin_nets, gates_of_tag, rank_errors,
                            word_values)
@@ -239,6 +241,24 @@ def test_cone_masks_are_the_fanin_cones_of_random_dags(nl):
     # three tags over shuffled gate ids: a tag recurs further down a path,
     # and id order is not level order
     _assert_cone_masks(nl)
+
+
+def test_stress_values_equal_the_one_at_a_time_fill(tmp_path, monkeypatch):
+    # every stress job of fir seeds 1-4; each replays rare values
+    jobs, real = [], detect._stress_values
+
+    def compared(nl, tag, vals, profile, rng):
+        want = {w: v.copy() for w, v in vals.items()}
+        oracles.stress_values(nl, tag, want, profile,
+                              np.random.Generator(copy.deepcopy(
+                                  rng.bit_generator)))
+        real(nl, tag, vals, profile, rng)
+        jobs.append(all(np.array_equal(vals[w], want[w]) for w in vals))
+
+    monkeypatch.setattr(detect, "_stress_values", compared)
+    for seed in range(1, 5):
+        run_experiment(ExperimentConfig(seed=seed), tmp_path / f"o{seed}")
+    assert len(jobs) == 136 and all(jobs)
 
 
 class _Screened(Exception):

@@ -1,6 +1,8 @@
 """End-to-end harness: menus, Pareto selection, artifact determinism."""
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from axsec.netlist import NetlistBuilder
 from axsec.sim import VectorStream, simulate
 
 from tests.oracles import pareto_pool, product_sums
+from tests.test_cli import _child_env
 from tests.test_golden import _dir_digest
 
 SMALL = ExperimentConfig(
@@ -371,10 +374,41 @@ def test_a_trial_simulates_each_run_once(tmp_path, kernel_calls, design,
     # more one-vector run since it left the scalar evaluator: fir seed 1
     # reaches it 4 times, bfly never.  The trial is a cold one: no build,
     # or run kept on one, of an earlier trial in this process is reused
-    arith.gen_module.cache_clear()
+    arith._gen_module.cache_clear()
     designs._build.cache_clear()
     run_experiment(ExperimentConfig(seed=1, design=design), tmp_path / "o")
     assert len(kernel_calls) == runs
+
+
+#: a trial in this process, counting its kernel runs on stdout
+_COUNTED_TRIAL = """import sys
+from axsec import _kernels
+from axsec.experiment import ExperimentConfig, run_experiment
+runs, run = [], _kernels.eval_gates
+def counting(*args):
+    runs.append(None)
+    return run(*args)
+_kernels.eval_gates = counting
+seed, design, out = sys.argv[1:]
+run_experiment(ExperimentConfig(seed=int(seed), design=design), out)
+print(len(runs))
+"""
+
+
+@pytest.mark.parametrize("design,seed,runs", [("fir", 1, 61), ("bfly", 0, 52)],
+                         ids=["fir", "bfly"])
+def test_a_cold_trial_in_a_fresh_process_takes_its_pinned_kernel_runs(
+        tmp_path, design, seed, runs):
+    # no memo of any module is warm in a fresh process, so these are the
+    # kernel runs one `axsec experiment` pays; an insertion's stealth
+    # check is two per chunk, the host's run and its infected netlist's
+    # appended gates, as two full runs were
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNTED_TRIAL, str(seed), design,
+         str(tmp_path / "o")], env=_child_env(), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == runs
 
 
 def test_an_infected_netlist_builds_on_its_host(tmp_path, infected_work):

@@ -15,7 +15,8 @@ from axsec.errors import (CycleError, NetlistError, PortMismatch,
 from axsec.experiment import ExperimentConfig, run_experiment
 from axsec.netlist import (ARITY, Design, Gate, GateKind, ModuleInst,
                            Netlist, NetlistBuilder, flatten)
-from axsec.sim import VectorStream, sub_seed
+from axsec.sim import (CHUNK, VectorStream, activity_profile,
+                       paired_activity_and_error, sub_seed)
 from axsec.sta import DelayModel
 from axsec.textfmt import serialize_netlist
 
@@ -548,30 +549,37 @@ def _build_or_error(b):
         return None, exc
 
 
+def _appended(base, data):
+    """A builder on ``base`` with drawn appends: gates over old and new
+    nets, maybe none, a new instance, and outputs and words moved onto old
+    or new nets."""
+    b = NetlistBuilder(base)
+    if data.draw(st.booleans()):
+        b.instance(f"t{len(b.instances)}", "approximate", "add", "loa")
+    nets = list(range(base.n_nets))
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(GateKind))
+        lo, hi = ARITY[kind]
+        ins = data.draw(st.lists(st.sampled_from(nets), min_size=lo,
+                                 max_size=4 if hi is None else hi))
+        nets.append(b.gate(kind, ins,
+                           tag=data.draw(st.sampled_from(list(b.instances)))))
+    b.outputs = [data.draw(st.sampled_from(nets)) if data.draw(
+        st.booleans()) else o for o in b.outputs]
+    if data.draw(st.booleans()):
+        b.word("w", data.draw(st.lists(st.sampled_from(nets), min_size=1,
+                                       max_size=3)))
+    return b
+
+
 @settings(max_examples=120, deadline=None)
 @given(dags(), st.data())
 def test_appending_to_a_netlist_equals_the_full_build(base, data):
-    # gates over old and new nets, maybe none, a new instance, outputs and
-    # words moved onto old or new nets, and a derived netlist derived again
+    # the drawn appends, and a derived netlist derived again
     for _ in range(data.draw(st.integers(1, 3))):
         if data.draw(st.booleans()):
             serialize_netlist(base)  # its text lends the gate and tag blocks
-        b = NetlistBuilder(base)
-        if data.draw(st.booleans()):
-            b.instance(f"t{len(b.instances)}", "approximate", "add", "loa")
-        nets = list(range(base.n_nets))
-        for _ in range(data.draw(st.integers(0, 6))):
-            kind = data.draw(st.sampled_from(GateKind))
-            lo, hi = ARITY[kind]
-            ins = data.draw(st.lists(st.sampled_from(nets), min_size=lo,
-                                     max_size=4 if hi is None else hi))
-            nets.append(b.gate(kind, ins,
-                               tag=data.draw(st.sampled_from(list(b.instances)))))
-        b.outputs = [data.draw(st.sampled_from(nets)) if data.draw(
-            st.booleans()) else o for o in b.outputs]
-        if data.draw(st.booleans()):
-            b.word("w", data.draw(st.lists(st.sampled_from(nets), min_size=1,
-                                           max_size=3)))
+        b = _appended(base, data)
         full, error = _build_or_error(b)
         if error is not None:
             with pytest.raises(type(error)) as got:
@@ -583,6 +591,47 @@ def test_appending_to_a_netlist_equals_the_full_build(base, data):
         assert structurally_equal(derived, full)
         same_build(derived, (DelayModel(), DelayModel(scale=0.7)))
         base = derived
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dags(), st.data())
+def test_a_derived_netlist_runs_on_its_bases_run(base, data):
+    # the suffix plan over a run of the base gives every net the value of
+    # the derived netlist's own run, and the profiles of one shared run
+    # equal those of two, at one vector, one word, a ragged run and past
+    # one chunk; the derived tables equal the full build's
+    if data.draw(st.booleans()):  # a derived base
+        b = _appended(base, data)
+        if _build_or_error(b)[1] is not None:
+            return
+        base = b.build()
+    b = _appended(base, data)
+    if _build_or_error(b)[1] is not None:
+        return
+    derived = b.build()
+    assert derived.base is base
+    same_build(derived, (DelayModel(), DelayModel(scale=0.7)))
+    plan, rows = derived.suffix
+    assert np.array_equal(rows[:base.n_nets], base.rows)
+    rng = np.random.default_rng(len(derived.gates))
+    for n in (1, 64, 1000, CHUNK + 1):
+        bits = rng.integers(0, 2 ** 64, (len(base.inputs), (n + 63) // 64),
+                            np.uint64)
+        c = np.zeros((derived.n_nets, bits.shape[1]), np.uint64)
+        own = np.zeros_like(c)
+        c[base.rows.take(base.inputs)] = bits
+        own[derived.rows.take(derived.inputs)] = bits  # the same inputs
+        _kernels.eval_gates(*base.plan, c[:base.n_nets])
+        _kernels.eval_gates(*plan, c)
+        _kernels.eval_gates(*derived.plan, own)
+        assert np.array_equal(c[rows], own[derived.rows])
+        stream = VectorStream(n, n)
+        pair = paired_activity_and_error(base, derived, None, stream)
+        for (got, _), nl in zip(pair, (base, derived)):
+            want = activity_profile(nl, stream)
+            assert got.n_vectors == want.n_vectors == n
+            assert np.array_equal(got.p1, want.p1)
+            assert np.array_equal(got.toggles, want.toggles)
 
 
 def _worded_base():

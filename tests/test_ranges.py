@@ -121,10 +121,13 @@ def test_python_and_numpy_integers_and_bools_are_whole_numbers():
     assert len(near_critical_paths(_NL, DelayModel(), 7.0, np.int8(2))) == 2
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="gen_module's memo finds 4's build for 4.0, as "
-                          "ArchParams(..., 4.0) == ArchParams(..., 4)")
 def test_an_integral_float_is_refused_past_a_warm_memo():
+    # ArchParams(..., 4.0) == ArchParams(..., 4), so a memo once found the
+    # build of 4 for 4.0
     gen_module(ArchParams("add", "exact", 4))
     with pytest.raises(BadParams, match="width must be a whole number"):
         gen_module(ArchParams("add", "exact", 4.0))
+    spec = fir_spec(8)
+    assert len(spec.build({"mul0": ArchParams("mul", "trunc", 8, 2)}).gates)
+    with pytest.raises(BadParams, match="k must be a whole number, got 2.0"):
+        spec.build({"mul0": ArchParams("mul", "trunc", 8, 2.0)})

@@ -6,6 +6,8 @@ expected number below is derived in a comment, never copied from the
 implementation.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,9 @@ from axsec.netlist import GateKind, NetlistBuilder
 from axsec.scoap import INF, ScoapReport, _expand, scoap
 
 from tests.conftest import dags
+
+# the module, which the package's ``scoap`` function shadows as an attribute
+scoap_module = importlib.import_module("axsec.scoap")
 
 
 def _build(kinds):
@@ -338,5 +343,25 @@ def test_the_report_is_kept_with_the_netlist_and_read_only():
     rep = scoap(nl)
     assert scoap(nl) is rep
     for field in ("cc0", "cc1", "co"):
+        with pytest.raises(ValueError):
+            getattr(rep, field)[0] = 0
+
+
+def test_controllability_alone_runs_no_observability_pass(monkeypatch):
+    nl = fir_spec().build({"mul1": ArchParams("mul", "trunc", 8, 2)})
+    full = scoap(nl)
+    passes = []
+    real = scoap_module._observability
+
+    def counting(*args):
+        passes.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(scoap_module, "_observability", counting)
+    rep = scoap(nl, observability=False)
+    assert scoap(nl, observability=False) is rep
+    assert rep.co is None and not passes
+    for field in ("cc0", "cc1"):
+        assert np.array_equal(getattr(rep, field), getattr(full, field))
         with pytest.raises(ValueError):
             getattr(rep, field)[0] = 0
