@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import BadParams, check_ranges
 from .netlist import GateKind, Netlist, NetlistBuilder
 
@@ -40,13 +38,29 @@ ARCHS = ("exact", "loa", "trunc", "block22")
 
 @dataclass(frozen=True)
 class ArchParams:
-    """Parameter block selecting one concrete arithmetic architecture."""
+    """Parameter block selecting one concrete arithmetic architecture;
+    it refuses a bad value when it is made."""
 
     op_type: str
     arch_id: str
     width: int
     k: int = 0
     loa_and_carry: bool = False
+
+    def __post_init__(self):
+        if self.op_type not in ("add", "mul"):
+            raise BadParams(f"unknown op_type {self.op_type!r}")
+        if self.arch_id not in ARCHS:
+            raise BadParams(f"unknown arch_id {self.arch_id!r}")
+        if self.op_type == "add" and self.arch_id == "block22":
+            raise BadParams("block22 is a multiplier architecture")
+        if self.op_type == "mul" and self.arch_id == "loa":
+            raise BadParams("loa is an adder architecture")
+        check_ranges(self, (
+            ("width", self.width >= 2, "at least 2"), ("width",),
+            ("k", 0 <= self.k < self.width, "in [0, width)"), ("k",)))
+        if self.arch_id == "block22" and self.width % 2:
+            raise BadParams("block22 requires an even width")
 
     def label(self):
         if self.arch_id == "exact":
@@ -60,16 +74,6 @@ class ArchParams:
 def _check(p: ArchParams, op: str):
     if p.op_type != op:
         raise BadParams(f"expected op_type {op!r}, got {p.op_type!r}")
-    if p.arch_id not in ARCHS:
-        raise BadParams(f"unknown arch_id {p.arch_id!r}")
-    if op == "add" and p.arch_id == "block22":
-        raise BadParams("block22 is a multiplier architecture")
-    if op == "mul" and p.arch_id == "loa":
-        raise BadParams("loa is an adder architecture")
-    check_ranges(p, (("width", p.width >= 2, "at least 2"), ("width",),
-                     ("k", 0 <= p.k < p.width, "in [0, width)"), ("k",)))
-    if p.arch_id == "block22" and p.width % 2:
-        raise BadParams("block22 requires an even width")
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +232,14 @@ def _block22_grid(cells, a, bb, k):
                             (off + 3, top))
 
 
-def has_whole_numbers(params: ArchParams) -> bool:
-    """Whether the width and k of ``params`` are whole numbers.  A memo
-    keyed by params must not be asked for any other: ``ArchParams(..., 4.0)``
-    equals, and hashes as, ``ArchParams(..., 4)``, so it would find that
-    build instead of refusing the float."""
-    return all(isinstance(v, (int, np.integer))
-               for v in (params.width, params.k))
-
-
+@lru_cache(maxsize=128)
 def gen_module(params: ArchParams, tag: str = "u") -> Netlist:
     """Dispatch to :func:`gen_adder` or :func:`gen_multiplier`.
 
     Memoized per ``(params, tag)``: netlists are immutable, and
     :func:`~axsec.netlist.flatten` and ``NetlistBuilder(base)`` only copy
-    from them, so every caller may share one build.  Params that are not
-    :func:`has_whole_numbers` go past the memo, to be refused.
+    from them, so every caller may share one build.  ``ArchParams`` refuses
+    a width of 4.0 when it is made, so the memo never finds the build of 4.
     """
-    if not has_whole_numbers(params):
-        return _gen_module.__wrapped__(params, tag)
-    return _gen_module(params, tag)
-
-
-@lru_cache(maxsize=128)
-def _gen_module(params: ArchParams, tag: str) -> Netlist:
-    if params.op_type == "add":
-        return gen_adder(params, tag)
-    if params.op_type == "mul":
-        return gen_multiplier(params, tag)
-    raise BadParams(f"unknown op_type {params.op_type!r}")
+    return (gen_adder if params.op_type == "add" else gen_multiplier)(
+        params, tag)

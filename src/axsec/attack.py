@@ -155,12 +155,15 @@ class AttackConfig:
     def __post_init__(self):
         check_theta(self.theta)
         check_ranges(self, (
-            ("q", self.q >= 1, "at least 1"),
+            ("q", self.q >= 1, "at least 1"), ("q",),
             ("payload", self.payload in PAYLOADS, f"one of {PAYLOADS}"),
             ("scoap_ceiling", self.scoap_ceiling >= 0, "non-negative"),
+            ("scoap_ceiling",),
             ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
+            ("trace_vectors",),
             ("clock", self.clock is None or 0 < self.clock < math.inf,
-             "positive when set, and finite")))
+             "positive when set, and finite"),
+            ("seed",)))
 
 
 @dataclass(frozen=True)

@@ -25,24 +25,29 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ArchParams, gen_module, has_whole_numbers
+from .arith import ArchParams, gen_module
 from .errors import BadParams, check_ranges
 from .netlist import (Design, GateKind, ModuleInst, Netlist, NetlistBuilder,
                       flatten)
 
 
 def _check_width(width: int):
-    check_ranges({"width": width}, (("width", width >= 2, "at least 2"),))
+    check_ranges({"width": width}, (("width", width >= 2, "at least 2"),
+                                    ("width",)))
 
 
 def _check_const(value: int, width: int):
+    # the width is a whole number before 1 << width is taken
+    check_ranges({"width": width}, (("width",),))
     check_ranges({"constant": value}, (
-        ("constant", 0 <= value < 1 << width, "in [0, 2^width)"),))
+        ("constant", 0 <= value < 1 << width, "in [0, 2^width)"),
+        ("constant",)))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def const_module(value: int, width: int) -> Netlist:
-    """Constant word ``c`` driver (coefficient / twiddle logic)."""
+    """Constant word ``c`` driver (coefficient / twiddle logic).  The glue
+    modules are memoized by type too, so 3.0 misses the build of 3."""
     _check_const(value, width)
     b = NetlistBuilder()
     b.instance("u", "deterministic", "const", "-")
@@ -56,10 +61,11 @@ def const_module(value: int, width: int) -> Netlist:
     return b.build()
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def resize_module(w_in: int, w_out: int) -> Netlist:
     """Buffer the low bits of word ``a`` into ``y`` of a different width,
     zero-filling on top; upper input bits beyond ``w_out`` are ignored."""
+    check_ranges({"w_in": w_in, "w_out": w_out}, (("w_in",), ("w_out",)))
     b = NetlistBuilder()
     b.instance("u", "deterministic", "resize", "-")
     ins = [b.pi(f"a[{i}]") for i in range(w_in)]
@@ -76,9 +82,10 @@ def resize_module(w_in: int, w_out: int) -> Netlist:
     return b.build()
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def sub_module(width: int) -> Netlist:
     """Exact two's-complement subtractor: d = (a - b) mod 2^width."""
+    check_ranges({"width": width}, (("width",),))
     b = NetlistBuilder()
     b.instance("u", "deterministic", "sub", "exact")
     xs = [b.pi(f"a[{i}]") for i in range(width)]
@@ -180,7 +187,8 @@ def bfly_width(width: int, twiddle: int) -> int:
     """Internal extended width n: y0 = a + tw*b needs n+1 bits, y1 is
     computed mod 2^n."""
     check_ranges({"twiddle": twiddle}, (
-        ("twiddle", 1 <= twiddle < 1 << width, "in [1, 2^width)"),))
+        ("twiddle", 1 <= twiddle < 1 << width, "in [1, 2^width)"),
+        ("twiddle",)))
     return (((1 << width) - 1) * twiddle).bit_length() + 1
 
 
@@ -256,10 +264,7 @@ def _build(design, params: tuple, assign: tuple) -> Netlist:
 
 def _builder(design, params):
     def build(assign=None):
-        key = tuple(sorted((assign or {}).items()))
-        if all(p is None or has_whole_numbers(p) for _, p in key):
-            return _build(design, params, key)
-        return _build.__wrapped__(design, params, key)  # to be refused
+        return _build(design, params, tuple(sorted((assign or {}).items())))
     return build
 
 

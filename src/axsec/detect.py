@@ -73,7 +73,7 @@ class DetectConfig:
     def __post_init__(self):
         check_theta(self.theta)
         check_ranges(self, (
-            ("seed", self.seed >= 0, "non-negative"),
+            ("seed", self.seed >= 0, "non-negative"), ("seed",),
             ("clock", self.clock),
             ("margin", self.margin),
             ("scales", len(self.scales) > 0
@@ -83,8 +83,8 @@ class DetectConfig:
             ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
             ("window", self.window is None or 0 < self.window < math.inf,
              "positive when set, and finite"),
-            ("n_paths", self.n_paths >= 0, "non-negative"),
-            ("vectors", self.vectors >= 1, "at least 1"),
+            ("n_paths", self.n_paths >= 0, "non-negative"), ("n_paths",),
+            ("vectors", self.vectors >= 1, "at least 1"), ("vectors",),
             ("stress_budget", self.stress_budget >= 1, "at least 1"),
             ("stress_budget",)))
 
@@ -250,8 +250,10 @@ def suspect_instances(nl: Netlist, clock: float, scales=(1.0, 1.2),
                       n_paths: int = 100, window: float | None = None,
                       margin: float = 0.9) -> dict:
     """Near-critical path membership counts per instance tag, summed over
-    delay scales; most hit first.  Computed once per netlist and arguments
-    (:meth:`Netlist.memo`); each call gets its own dict."""
+    delay scales; most hit first.  Computed once per netlist and checked
+    arguments (:meth:`Netlist.memo`); each call gets its own dict."""
+    check_ranges({"n_paths": n_paths}, (
+        ("n_paths", n_paths >= 0, "non-negative"), ("n_paths",)))
     return dict(nl.memo(_suspects, clock, tuple(scales), n_paths, window,
                         margin))
 

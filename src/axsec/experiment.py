@@ -72,12 +72,15 @@ class ExperimentConfig:
     def __post_init__(self):
         check_ranges(self, (
             ("n_variants", self.n_variants >= 1, "at least 1"),
+            ("n_variants",),
             ("infected_fraction", 0.0 <= self.infected_fraction <= 1.0,
              "in [0, 1]"),
             ("characterize_vectors", self.characterize_vectors >= 1,
-             "at least 1"),
+             "at least 1"), ("characterize_vectors",),
             ("trace_vectors", self.trace_vectors >= 1, "at least 1"),
-            ("stealth_vectors", self.stealth_vectors >= 1, "at least 1")))
+            ("trace_vectors",),
+            ("stealth_vectors", self.stealth_vectors >= 1, "at least 1"),
+            ("stealth_vectors",)))
         # forwarded values are checked by their owners, before any output
         self.design_spec()
         VectorStream(1, rho=self.rho)  # the rho of every stream of the run

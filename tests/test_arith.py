@@ -169,17 +169,18 @@ def test_modules_are_labeled_approximate():
 
 
 @pytest.mark.parametrize("params", [
-    ArchParams("add", "loa", 4, 4),       # k must stay below the width
-    ArchParams("add", "loa", 4, -1),
-    ArchParams("mul", "block22", 5, 2),   # digit grid needs an even width
-    ArchParams("add", "trunc", 1, 0),     # width floor
-    ArchParams("add", "exotic", 4, 0),
-    ArchParams("mul", "loa", 4, 1),       # loa is an adder family
-    ArchParams("div", "exact", 4),        # no generator for the operator
+    ("add", "loa", 4, 4),       # k must stay below the width
+    ("add", "loa", 4, -1),
+    ("mul", "block22", 5, 2),   # digit grid needs an even width
+    ("add", "trunc", 1, 0),     # width floor
+    ("add", "exotic", 4, 0),
+    ("mul", "loa", 4, 1),       # loa is an adder family
+    ("div", "exact", 4),        # no generator for the operator
 ])
 def test_bad_params_rejected(params):
+    # refused when the parameters are made
     with pytest.raises(BadParams):
-        gen_module(params)
+        gen_module(ArchParams(*params))
 
 
 def test_a_generator_refuses_another_operator():

@@ -374,7 +374,7 @@ def test_a_trial_simulates_each_run_once(tmp_path, kernel_calls, design,
     # more one-vector run since it left the scalar evaluator: fir seed 1
     # reaches it 4 times, bfly never.  The trial is a cold one: no build,
     # or run kept on one, of an earlier trial in this process is reused
-    arith._gen_module.cache_clear()
+    arith.gen_module.cache_clear()
     designs._build.cache_clear()
     run_experiment(ExperimentConfig(seed=1, design=design), tmp_path / "o")
     assert len(kernel_calls) == runs

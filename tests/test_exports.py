@@ -191,6 +191,28 @@ def test_a_private_import_is_caught():
     assert _private_imports(sources) == [("m", "_pack_rows")]
 
 
+def _wrapped_reads(sources):
+    """(module, line) of every read of ``__wrapped__``, as an attribute or
+    a string: calling past a memo's wrapper skips the checks that guard
+    its keys, so each memo has its one way in."""
+    return [(mod, n.lineno) for mod, text in sources.items()
+            for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and n.attr == "__wrapped__"
+            or isinstance(n, ast.Constant) and n.value == "__wrapped__"]
+
+
+def test_no_memo_is_bypassed():
+    assert _wrapped_reads(_sources()) == []
+
+
+def test_a_bypass_is_caught():
+    sources = _sources()
+    line = sources["arith"].count("\n") + 1
+    sources["arith"] += ("probe = gen_module.__wrapped__\n"
+                         "again = getattr(gen_module, '__wrapped__')\n")
+    assert _wrapped_reads(sources) == [("arith", line), ("arith", line + 1)]
+
+
 #: attributes that reach a run's packed words: its net array, a
 #: stimulus's block and numpy's bit packers, which are also caught as bare
 #: names

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from axsec.arith import ArchParams, gen_module
-from axsec.attack import BudgetConstraints
-from axsec.designs import bfly_spec, const_module, fir_spec
-from axsec.detect import DetectConfig
+from axsec.attack import AttackConfig, BudgetConstraints
+from axsec.designs import (bfly_spec, const_module, fir_spec, resize_module,
+                           sub_module)
+from axsec.detect import DetectConfig, suspect_instances
 from axsec.errors import BadParams, BadThreshold
 from axsec.experiment import ExperimentConfig
 from axsec.sim import VectorStream, check_theta
@@ -80,6 +81,56 @@ RULES = [
     ("sta", "n_paths", WHOLE,
      lambda v: near_critical_paths(_NL, DelayModel(), 10.0, v), (INF, 2.5),
      BadParams),
+    ("suspects", "n_paths", WHOLE,
+     lambda v: suspect_instances(_NL, 10.0, (1.0,), v), (INF, 2.5, 2.0),
+     BadParams),
+    ("attack", "q", WHOLE, lambda v: AttackConfig(q=v), (INF, 2.5),
+     BadParams),
+    ("attack", "scoap_ceiling", WHOLE,
+     lambda v: AttackConfig(scoap_ceiling=v), (INF, 50.0), BadParams),
+    ("attack", "trace_vectors", WHOLE,
+     lambda v: AttackConfig(trace_vectors=v), (INF, 1.5), BadParams),
+    ("attack", "seed", WHOLE, lambda v: AttackConfig(seed=v),
+     (NAN, -1.5, 2.0), BadParams),
+    ("detect", "seed", WHOLE, lambda v: DetectConfig(seed=v), (INF, 1.5),
+     BadParams),
+    ("detect", "n_paths", WHOLE, lambda v: DetectConfig(n_paths=v),
+     (INF, 2.5), BadParams),
+    ("detect", "vectors", WHOLE, lambda v: DetectConfig(vectors=v),
+     (INF, 2.5), BadParams),
+    ("experiment", "seed", WHOLE, lambda v: ExperimentConfig(seed=v),
+     (1.5,), BadParams),
+    ("experiment", "q", WHOLE, lambda v: ExperimentConfig(q=v), (2.5,),
+     BadParams),
+    ("experiment", "n_variants", WHOLE,
+     lambda v: ExperimentConfig(n_variants=v), (INF, 2.5), BadParams),
+    ("experiment", "characterize_vectors", WHOLE,
+     lambda v: ExperimentConfig(characterize_vectors=v), (INF, 2.5),
+     BadParams),
+    ("experiment", "trace_vectors", WHOLE,
+     lambda v: ExperimentConfig(trace_vectors=v), (INF, 2.5), BadParams),
+    ("experiment", "stealth_vectors", WHOLE,
+     lambda v: ExperimentConfig(stealth_vectors=v), (INF, 2.5), BadParams),
+    ("experiment", "twiddle", WHOLE,
+     lambda v: ExperimentConfig(design="bfly", twiddle=v), (3.0,),
+     BadParams),
+    ("fir", "width", WHOLE, lambda v: fir_spec(v, (3, 5, 7, 9)), (INF, 8.0),
+     BadParams),
+    ("fir", "constant", WHOLE, lambda v: fir_spec(8, (v, 5, 7, 9)),
+     (3.0, np.float64(2.5)), BadParams),
+    ("bfly", "width", WHOLE, lambda v: bfly_spec(v, 1), (INF, 8.0),
+     BadParams),
+    ("bfly", "twiddle", WHOLE, lambda v: bfly_spec(8, v), (3.0, 2.5),
+     BadParams),
+    ("const", "constant", WHOLE, lambda v: const_module(v, 8), (3.0, 2.5),
+     BadParams),
+    ("const", "width", WHOLE, lambda v: const_module(3, v), (8.0, INF, NAN),
+     BadParams),
+    ("resize", "w_in", WHOLE, lambda v: resize_module(v, 11), (8.0,),
+     BadParams),
+    ("resize", "w_out", WHOLE, lambda v: resize_module(8, v), (11.0,),
+     BadParams),
+    ("sub", "width", WHOLE, sub_module, (11.0,), BadParams),
 ]
 
 
@@ -122,8 +173,8 @@ def test_python_and_numpy_integers_and_bools_are_whole_numbers():
 
 
 def test_an_integral_float_is_refused_past_a_warm_memo():
-    # ArchParams(..., 4.0) == ArchParams(..., 4), so a memo once found the
-    # build of 4 for 4.0
+    # ArchParams(..., 4.0) == ArchParams(..., 4), and 3.0 == 3 as a key,
+    # so a memo once found the entry of the integer for the float
     gen_module(ArchParams("add", "exact", 4))
     with pytest.raises(BadParams, match="width must be a whole number"):
         gen_module(ArchParams("add", "exact", 4.0))
@@ -131,3 +182,11 @@ def test_an_integral_float_is_refused_past_a_warm_memo():
     assert len(spec.build({"mul0": ArchParams("mul", "trunc", 8, 2)}).gates)
     with pytest.raises(BadParams, match="k must be a whole number, got 2.0"):
         spec.build({"mul0": ArchParams("mul", "trunc", 8, 2.0)})
+    assert len(const_module(3, 8).gates) == 8
+    with pytest.raises(BadParams,
+                       match="constant must be a whole number, got 3.0"):
+        const_module(3.0, 8)
+    assert suspect_instances(_NL, 10.0, (1.0, 1.2), 2)
+    with pytest.raises(BadParams,
+                       match="n_paths must be a whole number, got 2.0"):
+        suspect_instances(_NL, 10.0, (1.0, 1.2), 2.0)
