@@ -36,12 +36,11 @@ def _check_width(width: int):
                                     ("width",)))
 
 
-def _check_const(value: int, width: int):
+def _check_const(value: int, width: int, name="constant", low=0):
     # the width is a whole number before 1 << width is taken
     check_ranges({"width": width}, (("width",),))
-    check_ranges({"constant": value}, (
-        ("constant", 0 <= value < 1 << width, "in [0, 2^width)"),
-        ("constant",)))
+    check_ranges({name: value}, (
+        (name, low <= value < 1 << width, f"in [{low}, 2^width)"), (name,)))
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -128,6 +127,7 @@ def _module_for(slot, assign):
 def fir_slots(width: int, taps: int = 4) -> list[tuple[str, str, int]]:
     """Assignable operator slots: taps multipliers, then the adder tree
     level by level."""
+    check_ranges({"width": width, "taps": taps}, (("width",), ("taps",)))
     if taps < 2 or taps & (taps - 1):
         raise BadParams("taps must be a power of two, at least 2")
     slots = [(f"mul{i}", "mul", width) for i in range(taps)]
@@ -186,9 +186,7 @@ def fir_reference(coeffs):
 def bfly_width(width: int, twiddle: int) -> int:
     """Internal extended width n: y0 = a + tw*b needs n+1 bits, y1 is
     computed mod 2^n."""
-    check_ranges({"twiddle": twiddle}, (
-        ("twiddle", 1 <= twiddle < 1 << width, "in [1, 2^width)"),
-        ("twiddle",)))
+    _check_const(twiddle, width, "twiddle", 1)
     return (((1 << width) - 1) * twiddle).bit_length() + 1
 
 

@@ -10,7 +10,7 @@ stress vectors, and ownership of rarely switching nets.
 
 Candidates must share one :meth:`Netlist.signature`, so a screen packs the
 profiling streams once, as one :class:`axsec.sim.Stimulus`, and replays it
-on every candidate; so does the stress step with its union of stress
+on every candidate; so does the stress step with its union's distinct
 vectors.  Each candidate is simulated once on the profiling stimulus;
 its :class:`_Profile` keeps what the screen reads of that run at its one
 ``theta``: output word values, rare net tags, and the first hit and its
@@ -28,6 +28,7 @@ import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -273,8 +274,9 @@ def _suspects(nl, clock, scales, n_paths, window, margin):
 # resilience
 
 
-def _rank_combos(lengths, limit):
-    """Index tuples over the given ranges, ordered by increasing rank sum."""
+@lru_cache(maxsize=256)
+def _rank_combos(lengths: tuple, limit: int) -> np.ndarray:
+    """Index tuples over the ranges by rank sum, cycled to ``limit`` rows."""
     start = (0,) * len(lengths)
     heap = [(0, start)]
     seen = {start}
@@ -288,6 +290,8 @@ def _rank_combos(lengths, limit):
                 if nxt not in seen:
                     seen.add(nxt)
                     heapq.heappush(heap, (s + 1, nxt))
+    out = np.array(out)[np.arange(limit) % len(out)]
+    out.flags.writeable = False
     return out
 
 
@@ -331,37 +335,37 @@ def _replay_groups(profile, masks, bit):
     return groups
 
 
-def _stress_values(nl, tag, vals, profile, rng):
+def _stress_values(nl, tag, vals, profile, seed, drawn):
     """Fill ``vals``, a zeroed int64 array per input word, with directed
     values for one instance: a low-operand and a high-operand third on the
     input words of its fan-in cone, and a third replaying composed rare
     values of the cone's nets: the nets and input word bits whose
-    :func:`_cone_masks` entry holds the instance's bit."""
+    :func:`_cone_masks` entry holds the instance's bit, else a random third;
+    drawn from the tag's rng once per (tag, cone), kept in ``drawn``."""
     words = dict(nl.input_words())
     masks, bit = nl.memo(_cone_masks), 1 << sorted(nl.instances).index(tag)
-    cone = [w for w in sorted(words) if any(masks[b] & bit for b in words[w])]
+    cone = tuple(w for w in sorted(words)
+                 if any(masks[b] & bit for b in words[w]))
     budget = len(next(iter(vals.values())))
-    b1 = b2 = budget // 3
-    lo = b1 + b2
-    b3 = budget - lo
-    for w in cone:
-        wl = len(words[w])
-        half = max(1, wl // 2)
-        vals[w][:b1] = rng.integers(0, 1 << half, b1)
-        vals[w][b1:lo] = ((1 << wl) - (1 << half)
-                          + rng.integers(0, 1 << half, b2))
+    b1 = budget // 3
+    lo, b3 = 2 * b1, budget - 2 * b1  # b3 >= 1
+    if (tag, cone) not in drawn:
+        rng = sub_rng(seed, 0xE51, zlib.crc32(tag.encode()))
+        tops = [(1 << len(words[w]), 1 << max(1, len(words[w]) // 2))
+                for w in cone]
+        ends = [(rng.integers(0, h, b1), top - h + rng.integers(0, h, b1))
+                for top, h in tops]
+        drawn[tag, cone] = {w: np.concatenate((*e, rng.integers(0, top, b3)))
+                            for w, e, (top, _) in zip(cone, ends, tops)}
     groups = _replay_groups(profile, masks, bit)
-    if groups and b3:
-        # vector r takes combo r % len(combos), its g-th entry the rank of
-        # group g's values; the groups' words are disjoint
-        combos = np.array(_rank_combos([len(r) for _, r in groups], b3))
-        combos = combos[np.arange(b3) % len(combos)]
+    n = lo if groups else budget
+    for w in cone:
+        vals[w][:n] = drawn[tag, cone][w][:n]
+    if groups:  # the groups' words are disjoint
+        combos = _rank_combos(tuple(len(r) for _, r in groups), b3)
         for (sup, ranked), idx in zip(groups, combos.T):
             for w in sup:
                 vals[w][lo:] = np.array([v[w] for v in ranked])[idx]
-    elif b3:
-        for w in cone:
-            vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)
 
 
 def _stress_scores(cands, jobs, profiles, config):
@@ -370,29 +374,33 @@ def _stress_scores(cands, jobs, profiles, config):
 
     Every job's stress vectors come from its own per-tag rng, so they do
     not depend on which other jobs share the batch.  Each job fills its
-    slice of one dict of word values, which is packed once, and each
-    candidate is simulated once on the union, in candidate order; only its
-    output word values are kept.  The
-    :func:`_consensus` of the union is taken once; its majority is per
-    vector, so a job's column slice of the deviations scores the same
-    float as simulating that job alone.
+    slice of one dict of word values; its distinct vectors are packed once,
+    and each candidate is simulated once on them, in candidate order; only
+    its output word values are kept.  Their :func:`_consensus` is taken
+    once; its majority is per vector, so a job's slice of the deviations,
+    gathered back, scores the same float as simulating that job alone.
     """
     if not jobs:
         return []
-    budget, words = config.stress_budget, cands[0][1].signature()[0]
+    budget, words, drawn = config.stress_budget, cands[0][1].signature()[0], {}
     vals = {w: np.zeros(len(jobs) * budget, np.int64) for w, _ in words}
     for j, (idx, tag) in enumerate(jobs):
-        rng = sub_rng(config.seed, 0xE51, zlib.crc32(tag.encode()))
         _stress_values(cands[idx][1], tag, {w: v[j * budget:(j + 1) * budget]
                                             for w, v in vals.items()},
-                       profiles[idx], rng)
-    stim = pack(words, vals)
+                       profiles[idx], config.seed, drawn)
+    # one int64 key per vector up to 63 input bits, else a row of bytes
+    offs = np.cumsum([0] + [n for _, n in words]).tolist()
+    key = (sum(vals[w] << off for (w, _), off in zip(words, offs))
+           if offs[-1] <= 63 else np.stack([vals[w] for w, _ in words], 1)
+           .view(np.dtype((np.void, 8 * len(words)))).ravel())
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    stim = pack(words, {w: v[first] for w, v in vals.items()})
     rows = [_output_values(simulate(nl, stim)) for _, nl in cands]
-    deviating = np.zeros((len(cands), len(jobs) * budget), bool)
+    deviating = np.zeros((len(cands), len(first)), bool)
     for stack, maj, tol in _consensus(cands, rows, config.dev_tol):
         deviating |= np.abs(stack - maj) > tol
-    return [float(1.0 - deviating[idx, j * budget:(j + 1) * budget].mean())
-            for j, (idx, _) in enumerate(jobs)]
+    return [float(1.0 - deviating[idx, inverse[j * budget:(j + 1) * budget]]
+                  .mean()) for j, (idx, _) in enumerate(jobs)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +449,7 @@ def classify(candidates, config: DetectConfig | None = None) \
     path plus rare-net combination alone.  Scores are normalised to the
     worst instance of the same netlist; a netlist with at least one flag is
     INFECTED.  The stress vectors of all instances are batched: each
-    candidate is simulated once on their union, not once per instance.
+    candidate is simulated once on their distinct vectors.
     """
     config = config or DetectConfig()
     cands = _checked(candidates)

@@ -363,6 +363,10 @@ class Netlist:
             memo[k] = build(self, *key)
         return memo[k]
 
+    def held(self, build, *key):
+        """The :meth:`memo` entry of ``(build, key)`` if one is kept."""
+        return self._memo.get((build, key))
+
     @cached_property
     def _memo(self):
         return {}

@@ -48,18 +48,18 @@ class DelayModel:
 
 def arrival_times(nl: Netlist, model: DelayModel | None = None) -> np.ndarray:
     """Latest arrival time at every net, one kernel-plan group at a time:
-    a read-only array, computed once per (netlist, model), and for a
-    derived netlist its base's extended over the appended gates
-    (:attr:`Netlist.suffix`)."""
+    a read-only array, computed once per (netlist, model), for a derived
+    netlist by extending its base's (:attr:`Netlist.suffix`) only where the
+    base holds it already, so no base keeps an array read only once."""
     return nl.memo(_arrival_times, model or DelayModel())
 
 
 def _arrival_times(nl: Netlist, model: DelayModel) -> np.ndarray:
-    base = nl.base
-    (_, groups), rows = nl.suffix if base else (nl.plan, nl.rows)
+    held = nl.base.held(_arrival_times, model) if nl.base else None
+    (_, groups), rows = (nl.plan, nl.rows) if held is None else nl.suffix
     arr = np.zeros(nl.n_nets, np.float64)  # per row; no arrival is negative
-    if base:
-        arr[base.rows] = arrival_times(base, model)
+    if held is not None:
+        arr[nl.base.rows] = held
     for kind, lo, hi, arity, ins in groups:
         arr[lo:hi] = model.of(kind) + arr[ins].reshape(arity, hi - lo).max(
             0, initial=0.0)

@@ -15,20 +15,28 @@ product the variant pool now builds slot by slot; :func:`verify_stealth`
 profiles the clean and the infected netlist in two full runs, where the
 package runs an infected netlist's appended gates on its host's run;
 :func:`stress_values` fills the stress step's replay third one value at a
-time, where the package indexes each word's ranked values.
+time, where the package indexes each word's ranked values, and draws every
+job's thirds from a fresh rng of its tag, where the package draws them once
+per (tag, cone); :func:`stress_union` fills every job's slice that way and
+:func:`stress_scores` simulates every candidate on the whole union, where
+the package simulates the union's distinct vectors and gathers back.
 They are kept here only for the tests.
 """
 
 from operator import attrgetter
 
+import zlib
+
 import numpy as np
 
 from axsec import _kernels
 from axsec.attack import StealthReport
-from axsec.detect import _cone_masks, _rank_combos, _replay_groups
+from axsec.detect import (_cone_masks, _consensus, _output_values,
+                          _rank_combos, _replay_groups)
 from axsec.errors import BadParams, SignatureMismatch
 from axsec.netlist import GateKind, Netlist
-from axsec.sim import activity_and_error, power_proxy, power_ratio
+from axsec.sim import (activity_and_error, pack, power_proxy, power_ratio,
+                       simulate, sub_rng)
 from axsec.sta import DelayModel, arrival_times, slacks
 from axsec.textfmt import serialize_netlist
 
@@ -379,7 +387,7 @@ def stress_values(nl, tag, vals, profile, rng):
                           + rng.integers(0, 1 << half, b2))
     groups = _replay_groups(profile, masks, bit)
     if groups and b3:
-        combos = _rank_combos([len(r) for _, r in groups], b3)
+        combos = _rank_combos(tuple(len(r) for _, r in groups), b3)
         for r in range(b3):
             combo = combos[r % len(combos)]
             for (sup, ranked), idx in zip(groups, combo):
@@ -388,3 +396,34 @@ def stress_values(nl, tag, vals, profile, rng):
     elif b3:
         for w in cone:
             vals[w][lo:] = rng.integers(0, 1 << len(words[w]), b3)
+
+
+def stress_union(cands, jobs, profiles, config) -> dict:
+    """The stress step's union of word values: job j's slice ``[j *
+    budget, (j + 1) * budget)`` filled by :func:`stress_values` from a
+    fresh rng of its tag."""
+    budget, words = config.stress_budget, cands[0][1].signature()[0]
+    vals = {w: np.zeros(len(jobs) * budget, np.int64) for w, _ in words}
+    for j, (idx, tag) in enumerate(jobs):
+        rng = sub_rng(config.seed, 0xE51, zlib.crc32(tag.encode()))
+        stress_values(cands[idx][1], tag,
+                      {w: v[j * budget:(j + 1) * budget]
+                       for w, v in vals.items()}, profiles[idx], rng)
+    return vals
+
+
+def stress_scores(cands, jobs, vals, config) -> list:
+    """:func:`axsec.detect._stress_scores` of the union ``vals``, its
+    slices of ``config.stress_budget`` vectors in job order, with every
+    candidate simulated on the whole union and the consensus taken over
+    every vector, repeats and all."""
+    if not jobs:
+        return []
+    budget = config.stress_budget
+    stim = pack(cands[0][1].signature()[0], vals)
+    rows = [_output_values(simulate(nl, stim)) for _, nl in cands]
+    deviating = np.zeros((len(cands), len(jobs) * budget), bool)
+    for stack, maj, tol in _consensus(cands, rows, config.dev_tol):
+        deviating |= np.abs(stack - maj) > tol
+    return [float(1.0 - deviating[idx, j * budget:(j + 1) * budget].mean())
+            for j, (idx, _) in enumerate(jobs)]

@@ -1,9 +1,10 @@
 """Screening pipeline: consensus, ranking, stress tests, classification."""
 
-import copy
 import re
+import zlib
 from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from axsec.detect import (DetectConfig, DetectionReport, InstanceScore,
 from axsec.errors import (BadParams, EmptySet, LabelMismatch,
                           SignatureMismatch)
 from axsec.experiment import ExperimentConfig, run_experiment
-from axsec.netlist import GateKind
-from axsec.sim import VectorStream, activity_profile, pack, simulate
+from axsec.netlist import GateKind, NetlistBuilder
+from axsec.sim import (VectorStream, activity_profile, pack, simulate,
+                       sub_rng)
 from axsec.textfmt import parse_netlist
 
 from tests import oracles
@@ -227,12 +229,51 @@ def _assert_cone_masks(nl):
         outs = [g.output for g in gates_of_tag(nl, tag)]
         assert {n for n, m in enumerate(masks) if m >> i & 1} \
             == fanin_nets(nl, outs), tag
-        vals = {w: np.zeros(300, np.int64) for w, _ in nl.input_words()}
-        detect._stress_values(nl, tag, vals, _NO_REPLAY,
-                              np.random.default_rng(i))
-        assert tuple(w for w, _ in nl.input_words() if vals[w].any()) \
-            == nl.input_word_support(outs), tag
+        drawn = {}
+        for _ in range(2):  # a second job of the tag reads the kept draws
+            vals, want = ({w: np.zeros(300, np.int64)
+                           for w, _ in nl.input_words()} for _ in range(2))
+            detect._stress_values(nl, tag, vals, _NO_REPLAY, i, drawn)
+            oracles.stress_values(nl, tag, want, _NO_REPLAY, sub_rng(
+                i, 0xE51, zlib.crc32(tag.encode())))
+            assert all(np.array_equal(vals[w], want[w]) for w in vals)
+            assert tuple(w for w, _ in nl.input_words() if vals[w].any()) \
+                == nl.input_word_support(outs), tag
     assert not any(m >> len(tags) for m in masks)
+
+
+def _one_tag(reads_b):
+    """Inputs a and b and one instance u, y = NOT(a) AND b, or AND NOT(a)
+    alone, whose cone then leaves b out."""
+    b = NetlistBuilder()
+    a, c = b.pi("a"), b.pi("b")
+    b.instance("u", "approximate", "add", "x")
+    n = b.gate(GateKind.NOT, (a,), stem="n")
+    b.po(b.gate(GateKind.AND, (n, c if reads_b else n), stem="y"))
+    return b.build()
+
+
+def test_a_screen_draws_each_tag_and_cone_once():
+    # one tag over two cones, in both orders, by jobs that replay a value
+    # of word a or nothing: each fill equals a fresh draw of the tag's rng,
+    # and a replaying job leaves the last third of b at 0
+    narrow, wide = _one_tag(False), _one_tag(True)
+    for order in ((narrow, wide), (wide, narrow)):
+        drawn = {}
+        for nl in order * 2:
+            net = nl.net_names.index("n")
+            for profile in (_NO_REPLAY, SimpleNamespace(replay=(
+                    (net, ("a",), (0.01, 0, "n", (1,))),))):
+                vals, want = ({w: np.zeros(30, np.int64)
+                               for w, _ in nl.input_words()} for _ in range(2))
+                detect._stress_values(nl, "u", vals, profile, 5, drawn)
+                oracles.stress_values(nl, "u", want, profile,
+                                      sub_rng(5, 0xE51, zlib.crc32(b"u")))
+                assert all(np.array_equal(vals[w], want[w]) for w in vals)
+                if nl is wide:
+                    assert vals["b"][:20].any()
+                    assert vals["b"][20:].any() != bool(profile.replay)
+        assert len(drawn) == 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -244,15 +285,16 @@ def test_cone_masks_are_the_fanin_cones_of_random_dags(nl):
 
 
 def test_stress_values_equal_the_one_at_a_time_fill(tmp_path, monkeypatch):
-    # every stress job of fir seeds 1-4; each replays rare values
+    # every stress job of fir seeds 1-4; each replays rare values.  The
+    # oracle draws from a fresh rng of the tag, the step from the thirds
+    # its screen drew once per (tag, cone)
     jobs, real = [], detect._stress_values
 
-    def compared(nl, tag, vals, profile, rng):
+    def compared(nl, tag, vals, profile, seed, drawn):
         want = {w: v.copy() for w, v in vals.items()}
         oracles.stress_values(nl, tag, want, profile,
-                              np.random.Generator(copy.deepcopy(
-                                  rng.bit_generator)))
-        real(nl, tag, vals, profile, rng)
+                              sub_rng(seed, 0xE51, zlib.crc32(tag.encode())))
+        real(nl, tag, vals, profile, seed, drawn)
         jobs.append(all(np.array_equal(vals[w], want[w]) for w in vals))
 
     monkeypatch.setattr(detect, "_stress_values", compared)
@@ -315,7 +357,8 @@ def test_the_cone_pass_runs_once_per_distinct_netlist(trio, monkeypatch):
 @pytest.mark.parametrize("design", ["fir", "bfly"])
 def test_a_screen_takes_one_consensus_per_step(trio, design, monkeypatch):
     # the stress step took a majority per (job, word); now the ranking and
-    # the stress step each take one per output word
+    # the stress step each take one per output word, the stress step's
+    # over the distinct vectors of its union
     if design == "fir":
         cands = trio[0]
     else:
@@ -330,13 +373,25 @@ def test_a_screen_takes_one_consensus_per_step(trio, design, monkeypatch):
         calls.append(vals.shape)
         return real(vals, tol)
 
+    slices, fill = [], detect._stress_values
+
+    def kept(nl, tag, vals, *args):
+        fill(nl, tag, vals, *args)
+        slices.append(vals)
+
     monkeypatch.setattr(detect, "_majority", counting)
+    monkeypatch.setattr(detect, "_stress_values", kept)
     rep = classify(cands, DetectConfig(vectors=500, stress_budget=60))
     jobs = sum(e.resilience is not None for r in rep.netlists
                for e in r.instances)
-    words = len(next(iter(cands.values())).output_words())
+    nl = next(iter(cands.values()))
+    words = len(nl.output_words())
     assert jobs > 1 and words == (1 if design == "fir" else 2)
-    assert calls == [(3, 1000)] * words + [(3, 60 * jobs)] * words
+    assert len(slices) == jobs
+    union = set(zip(*(np.concatenate([v[w] for v in slices]).tolist()
+                      for w, _ in nl.input_words())))
+    assert 1 < len(union) < 60 * jobs
+    assert calls == [(3, 1000)] * words + [(3, len(union))] * words
 
 
 def test_rank_by_error_majority_is_not_the_exact_build(trio):
@@ -508,6 +563,87 @@ def test_classify_resilience_matches_standalone_test(trio):
     for cid, tag, res in scored:
         assert _stress_scores(checked, [(idx[cid], tag)], profiles,
                               config) == [res], (cid, tag)
+
+
+def _xor_trio(wa, wb):
+    """Three candidates on input words a and b of ``wa`` and ``wb`` bits
+    and a 4-bit output word y, bit i of it a[i] XOR b[i] (indices wrapped):
+    v1 ANDs bit 0 and v2 ORs bit 1, so each deviates on some vectors."""
+    cands = {}
+    for cid, kinds in (("v0", "XXXX"), ("v1", "AXXX"), ("v2", "XOXX")):
+        b = NetlistBuilder()
+        a, c = ([b.pi(f"{w}{i}") for i in range(n)]
+                for w, n in (("a", wa), ("b", wb)))
+        b.instance("u", "approximate", "add", "x")
+        ys = [b.gate({"X": GateKind.XOR, "A": GateKind.AND,
+                      "O": GateKind.OR}[k], (a[i % wa], c[i % wb]),
+                     stem=f"y{i}") for i, k in enumerate(kinds)]
+        for w, nets in (("a", a), ("b", c), ("y", ys)):
+            b.word(w, nets)
+        for y in ys:
+            b.po(y)
+        cands[cid] = b.build()
+    return _checked(cands)
+
+
+@pytest.mark.parametrize("widths", [(8, 8), (40, 30)], ids=["key", "rows"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_stress_step_equals_the_full_union(widths, data):
+    # drawn unions with repeats, and the union of one distinct vector, of
+    # 16 input bits (one int64 key) and of 70 (rows of bytes)
+    cands = _xor_trio(*widths)
+    words = cands[0][1].signature()[0]
+    # a few values per word, so distinct vectors share some of them
+    per_word = [data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                   max_size=3)) for _, n in words]
+    pool = data.draw(st.lists(st.tuples(*map(st.sampled_from, per_word)),
+                              min_size=1, max_size=6))
+    budget = data.draw(st.integers(1, 12))
+    jobs = data.draw(st.lists(st.tuples(st.integers(0, 2), st.just("u")),
+                              min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=len(jobs) * budget,
+                               max_size=len(jobs) * budget))
+    config = DetectConfig(stress_budget=budget)
+    mixed = {w: np.array([pool[k][i] for k in picks], np.int64)
+             for i, (w, _) in enumerate(words)}
+    for union in (mixed, {w: np.full_like(v, v[0]) for w, v in mixed.items()}):
+        slices = iter(range(len(jobs)))
+
+        def fill(nl, tag, vals, profile, seed, kept):
+            j = next(slices)
+            for w, v in vals.items():
+                v[:] = union[w][j * budget:(j + 1) * budget]
+
+        with mock.patch.object(detect, "_stress_values", fill), \
+                mock.patch.object(detect, "pack", wraps=pack) as packed:
+            got = _stress_scores(cands, jobs, [None] * 3, config)
+        assert got == oracles.stress_scores(cands, jobs, union, config)
+        # the step simulates each distinct vector of the union once
+        (_, once), _ = packed.call_args
+        vectors = [list(zip(*(v[w].tolist() for w, _ in words)))
+                   for v in (union, once)]
+        assert sorted(vectors[1]) == sorted(set(vectors[0]))
+
+
+@pytest.mark.parametrize("design,seed", [("fir", 1), ("fir", 2),
+                                         ("bfly", 0)])
+def test_the_stress_step_equals_the_full_union_on_trials(design, seed,
+                                                         tmp_path,
+                                                         monkeypatch):
+    screens, real = [], detect._stress_scores
+
+    def compared(cands, jobs, profiles, config):
+        got = real(cands, jobs, profiles, config)
+        union = oracles.stress_union(cands, jobs, profiles, config)
+        screens.append((len(jobs), got == oracles.stress_scores(
+            cands, jobs, union, config)))
+        return got
+
+    monkeypatch.setattr(detect, "_stress_scores", compared)
+    run_experiment(ExperimentConfig(design=design, seed=seed), tmp_path)
+    assert len(screens) == 1 and screens[0][0] > 1 and screens[0][1]
 
 
 def test_classify_simulates_each_candidate_once_for_stress(trio,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axsec import arith, designs
+from axsec import arith, designs, sta
 from axsec.arith import ArchParams
 from axsec.attack import BudgetConstraints, characterize
 from axsec.designs import bfly_spec, fir_spec
@@ -420,6 +420,28 @@ def test_an_infected_netlist_builds_on_its_host(tmp_path, infected_work):
     assert len(work) == 4
     assert all(w["levelize"] == w["plan"] == 0 and 1 <= w["arrival"] <= 2
                for w in work), work
+
+
+def test_no_arrival_pass_runs_only_to_be_extended(tmp_path, monkeypatch):
+    # a derived netlist extends its base's arrival times only where the
+    # base holds them, so no pass runs inside another: fir seeds 1-4 made 9
+    # base passes under their insertions' calibrated models that way, each
+    # kept on a cached build only to be read once
+    depth, passes = [0], []
+    real = sta._arrival_times
+
+    def counting(nl, model):
+        passes.append(depth[0])
+        depth[0] += 1
+        try:
+            return real(nl, model)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sta, "_arrival_times", counting)
+    for seed in range(1, 5):
+        run_experiment(ExperimentConfig(seed=seed), tmp_path / str(seed))
+    assert passes and not any(passes)
 
 
 def test_the_build_guard_sees_a_full_rebuild(tmp_path, infected_work,

@@ -593,6 +593,37 @@ def test_appending_to_a_netlist_equals_the_full_build(base, data):
         base = derived
 
 
+class _Asked(DelayModel):
+    """A delay model that lists each gate kind it is asked for: one per
+    plan group an arrival pass reads."""
+
+    kinds: list = []
+
+    def of(self, kind):
+        self.kinds.append(kind)
+        return super().of(kind)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dags(), st.data())
+def test_a_derived_netlist_extends_only_an_arrival_pass_its_base_holds(
+        base, data):
+    b = _appended(base, data)
+    if _build_or_error(b)[1] is not None:
+        return
+    derived = b.build()
+    assert derived.base is base
+    held, fresh = _Asked(scale=0.9), _Asked(scale=1.3)
+    sta.arrival_times(base, held)
+    for model, groups in ((held, derived.suffix[0][1]),
+                          (fresh, derived.plan[1])):
+        _Asked.kinds.clear()
+        sta.arrival_times(derived, model)
+        assert _Asked.kinds == [g[0] for g in groups]
+    assert base.held(sta._arrival_times, fresh) is None
+    same_build(derived, (held, fresh))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(dags(), st.data())
 def test_a_derived_netlist_runs_on_its_bases_run(base, data):

@@ -12,8 +12,8 @@ import pytest
 
 from axsec.arith import ArchParams, gen_module
 from axsec.attack import AttackConfig, BudgetConstraints
-from axsec.designs import (bfly_spec, const_module, fir_spec, resize_module,
-                           sub_module)
+from axsec.designs import (bfly_spec, bfly_width, const_module, fir_slots,
+                           fir_spec, resize_module, sub_module)
 from axsec.detect import DetectConfig, suspect_instances
 from axsec.errors import BadParams, BadThreshold
 from axsec.experiment import ExperimentConfig
@@ -131,6 +131,17 @@ RULES = [
     ("resize", "w_out", WHOLE, lambda v: resize_module(8, v), (11.0,),
      BadParams),
     ("sub", "width", WHOLE, sub_module, (11.0,), BadParams),
+    # public design helpers, called past the specs' own checks
+    ("bfly_width", "width", WHOLE, lambda v: bfly_width(v, 3), (8.0, INF),
+     BadParams),
+    ("bfly_width", "twiddle", WHOLE, lambda v: bfly_width(8, v), (3.0,),
+     BadParams),
+    ("bfly_width", "twiddle", "in [1, 2^width)", lambda v: bfly_width(8, v),
+     (0, 256, NAN), BadParams),
+    ("fir_slots", "width", WHOLE, lambda v: fir_slots(v, 4), (8.0,),
+     BadParams),
+    ("fir_slots", "taps", WHOLE, lambda v: fir_slots(8, v), (4.0, 2.5, NAN),
+     BadParams),
 ]
 
 
