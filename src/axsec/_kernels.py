@@ -11,7 +11,7 @@ those into a scratch buffer and one ufunc written into its block.
 
 from bisect import bisect_left
 from enum import IntEnum
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,10 +52,11 @@ EMPTY = ((np.zeros(0, np.intp), ()), np.zeros(0, np.intp), ())
 
 def extend(base, gates, depth, inputs):
     """The plan, row map and group levels ``base`` with ``gates`` added:
-    ``gates`` in id order, each id above the base's and read by no gate of
-    the base, ``depth`` the logic level of each net's driver and
-    ``inputs`` the primary inputs in row order, an ``intp`` array (a
-    base's inputs are the same).
+    ``gates`` the :class:`~axsec.netlist.Columns` of gates in id order,
+    each id above the base's and read by no gate of the base, ``depth``
+    the array of each net's driver's logic level and ``inputs`` the
+    primary inputs in row order, an ``intp`` array (a base's inputs are
+    the same).
 
     The plan is ``(nets, groups)``: ``nets[g]`` is the output net of gate
     ``g`` in plan order, in row ``len(inputs) + g``; each group ``(kind,
@@ -69,26 +70,25 @@ def extend(base, gates, depth, inputs):
     above its highest driver if that is higher.
     """
     (nets0, groups0), rows0, levels0 = base
-    pins, n0, m = [g.inputs for g in gates], len(nets0), len(inputs)
-    nets = np.concatenate([nets0, np.fromiter([g.output for g in gates],
-                                              np.intp)])
+    n0, m, ar = len(nets0), len(inputs), np.diff(gates.ptr)
+    flat, ptr = gates.pins.tolist(), gates.ptr.tolist()
+    pins = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+    nets = np.concatenate([nets0, gates.out], dtype=np.intp)
     # kind (a byte), arity, level and input nets per gate: the base's off
     # its groups and blocks (through its row -> net order), then the new
     g0 = np.array([g[:4] for g in groups0], np.intp).reshape(-1, 4).T
     kind, arity, level0 = np.repeat(np.array([g0[0], g0[3], levels0],
                                              np.intp), g0[2] - g0[1], 1)
-    kind = np.concatenate([kind, np.frombuffer(bytes([g.kind for g in gates]),
-                                               np.uint8)])
-    arity = np.concatenate([arity, np.fromiter(map(len, pins), np.intp)])
-    ar, width = arity[n0:], int(arity.max(initial=0))
+    kind = np.concatenate([kind, gates.kind])
+    arity = np.concatenate([arity, ar])
+    width = int(arity.max(initial=0))
     ins = np.zeros((width, len(nets)), np.intp)
     net0 = np.empty_like(rows0)
     net0[rows0] = np.arange(len(rows0))
     for _, lo, hi, a, block in groups0:
         ins[:a, lo - m:hi - m] = net0[block].reshape(a, hi - lo)
-    ins[np.arange(ar.sum()) - np.repeat(np.cumsum(ar) - ar, ar),
-        np.repeat(np.arange(n0, len(nets)), ar)] = np.fromiter(
-            chain.from_iterable(pins), np.intp)
+    ins[np.arange(len(flat)) - np.repeat(gates.ptr[:-1], ar),
+        np.repeat(np.arange(n0, len(nets)), ar)] = gates.pins
     # per net its level (-1: unplaced), per (kind, arity) code its levels
     code = kind * (width + 1) + arity
     lv = np.full(len(depth), -1, np.intp)
@@ -99,8 +99,8 @@ def extend(base, gates, depth, inputs):
         held.setdefault(c, []).append(level)
     # ALAP levels off a reverse pass in logic-level order; gates are placed
     # in ALAP order, also topological, which leaves fewer groups
-    order = np.argsort([depth[o] for o in new], kind="stable").tolist()
-    alap = [max(depth, default=0)] * len(depth)
+    order = np.argsort(depth[nets[n0:]], kind="stable").tolist()
+    alap = [int(depth.max(initial=0))] * len(depth)
     for j in reversed(order):
         a = alap[new[j]] - 1
         for i in pins[j]:

@@ -237,8 +237,8 @@ def gen_module(params: ArchParams, tag: str = "u") -> Netlist:
     """Dispatch to :func:`gen_adder` or :func:`gen_multiplier`.
 
     Memoized per ``(params, tag)``: netlists are immutable, and
-    :func:`~axsec.netlist.flatten` and ``NetlistBuilder(base)`` only copy
-    from them, so every caller may share one build.  ``ArchParams`` refuses
+    :func:`~axsec.netlist.flatten` and ``NetlistBuilder(base)`` only read
+    their gate columns, so every caller may share one build.  ``ArchParams`` refuses
     a width of 4.0 when it is made, so the memo never finds the build of 4.
     """
     return (gen_adder if params.op_type == "add" else gen_multiplier)(

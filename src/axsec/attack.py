@@ -287,7 +287,7 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
 
     # build the infected copy
     b = NetlistBuilder(nl)
-    host = min(Counter(nl.driver(n).tag for n, _ in taps).most_common(),
+    host = min(Counter(nl.driver_tags(n for n, _ in taps)).most_common(),
                key=lambda kv: (-kv[1], kv[0]))[0]
     k = 0
     while f"{host}.g{k}" in b.instances:
@@ -299,7 +299,8 @@ def insert_trojan(nl: Netlist, activity: ActivityReport,
             for n, v in taps]
     trig = _and_tree(b, lits, fresh)
 
-    out_nets = nl.words[nl.output_words()[0][0]]
+    name, out_nets = nl.output_words()[0]
+    b.words.setdefault(name, list(out_nets))  # an ungrouped one keeps it
     if config.payload == "leak":
         for out, sec in zip(out_nets, nl.words[config.secret_word]):
             mux = b.gate(GateKind.MUX2, (trig, out, sec), tag=fresh)
@@ -365,9 +366,10 @@ def verify_stealth(clean: Netlist, infected: Netlist, ht: HTInstance,
     if clean.signature() != infected.signature():
         raise SignatureMismatch("clean and infected netlists disagree on "
                                 "primary I/O words")
-    net = ht.trigger_net
-    if not any(net in g.inputs and g.tag in ht.host_instances
-               for g in infected.gates):
+    net, c = ht.trigger_net, infected.columns
+    readers = np.searchsorted(c.ptr, np.flatnonzero(c.pins == net), "right")
+    if not any(c.tags[t] in ht.host_instances
+               for t in c.tag[readers - 1].tolist()):
         raise BadParams(f"trigger net {net} is not read by a host gate "
                         f"{ht.host_instances} of the infected netlist")
     error_delta = power_delta = rate = min_slack = None

@@ -164,7 +164,7 @@ def _cmd_gen_module(args):
     p = ArchParams(args.op, args.arch, args.width, args.k, args.loa_carry)
     nl = gen_module(p, args.tag)
     write_netlist(nl, args.out)
-    print(f"{args.op} {p.label()} width {args.width}: {len(nl.gates)} gates, "
+    print(f"{args.op} {p.label()} width {args.width}: {nl.n_gates} gates, "
           f"{nl.n_nets} nets -> {args.out}")
 
 
@@ -178,7 +178,7 @@ def _cmd_gen_design(args):
         raise BadParams("--out is required unless --list-slots is given")
     nl = spec.build(_parse_assign(args.assign, spec.slots))
     write_netlist(nl, args.out)
-    print(f"{spec.name}: {len(nl.gates)} gates, {nl.n_nets} nets "
+    print(f"{spec.name}: {nl.n_gates} gates, {nl.n_nets} nets "
           f"-> {args.out}")
 
 

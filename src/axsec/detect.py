@@ -181,7 +181,7 @@ def _profile(nl: Netlist, stim: Stimulus, theta: float) -> _Profile:
                                   nl.net_names[net],
                                   tuple(vals[w][i] for w in sup))))
     return _Profile(_output_values(run),
-                    frozenset(nl.driver(n).tag for n, _ in rare),
+                    frozenset(nl.driver_tags(n for n, _ in rare)),
                     tuple(replay))
 
 
@@ -297,15 +297,16 @@ def _rank_combos(lengths: tuple, limit: int) -> np.ndarray:
 
 def _cone_masks(nl):
     """Per net, the mask of the instance tags (bit i: the i-th in sorted
-    order) whose gate outputs the net is or feeds: one pass in reverse
-    topological order, each gate passing its output's mask to its inputs."""
-    bit = {t: 1 << i for i, t in enumerate(sorted(nl.instances))}
-    masks = [0] * nl.n_nets
-    for g in reversed(nl.ordered_gates()):
-        masks[g.output] |= bit[g.tag]
-        for i in g.inputs:
-            masks[i] |= masks[g.output]
-    return tuple(masks)
+    order) whose gate outputs the net is or feeds: one pass down the logic
+    levels, each gate's pins taking its output's mask."""
+    c, bit = nl.columns, {t: 1 << i
+                          for i, t in enumerate(sorted(nl.instances))}
+    masks = np.zeros(nl.n_nets, np.uint64 if len(bit) <= 64 else object)
+    masks[c.out] = np.array([bit[t] for t in c.tags], masks.dtype)[c.tag]
+    src, dst, cuts = nl.levelled_pins()
+    for a, b in reversed([*zip(cuts, cuts[1:])]):
+        np.bitwise_or.at(masks, src[a:b], masks[dst[a:b]])
+    return tuple(masks.tolist())
 
 
 def _replay_groups(profile, masks, bit):

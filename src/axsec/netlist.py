@@ -9,26 +9,34 @@ treated as immutable once built; analyses only read them.  To derive a modified
 netlist (for example to splice extra logic into a copy), start a new
 :class:`NetlistBuilder` from the existing object.
 
+A built netlist holds its gates as read-only :class:`Columns`, which its
+checks and analyses read; a :class:`Gate` is made only on request, by the
+:attr:`Netlist.gates` view and :meth:`Netlist.driver`.  A builder makes one
+per gate it appends, and none for a base's gates.
+
 A builder that only appended nets, instances and gates with ids above the
 base's, and maybe moved outputs and words, builds on its base (kept as
 :attr:`Netlist.base`): it checks the new parts only and extends the base's
-per-net tables and kernel plan.  Its appended gates also have a plan of
-their own over the base's rows (:attr:`Netlist.suffix`), which runs them
-on a run of the base and over which its fanout, live mask, support masks
-and arrival times extend the base's.  Any other change, or a failed
-check, builds in full, so every error comes from the full build.
+levels and kernel plan.  Its appended gates also have a plan of their own
+over the base's rows (:attr:`Netlist.suffix`), which runs them on a run of
+the base and over which its support masks and arrival times extend the
+base's.  Any other change, or a failed check, builds in full, so every
+error comes from the full build.
 
 Hierarchical designs are expressed with :class:`Design` and :class:`ModuleInst`
-and lowered to a flat :class:`Netlist` with :func:`flatten`, which rewrites
-instance tags into hierarchical paths such as ``top.mul0``.
+and lowered to a flat :class:`Netlist` with :func:`flatten`, which splices
+each module's columns through a map of its nets and rewrites instance tags
+into hierarchical paths such as ``top.mul0``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +66,77 @@ ARITY = {
     GateKind.CONST1: (0, 0),
 }
 
+_KINDS = tuple(GateKind)  # by code
+# the arity bounds by kind code, unbounded as the largest pin count
+_FEWEST, _MOST = np.array([[lo, 2 ** 31 if hi is None else hi]
+                           for lo, hi in map(ARITY.get, _KINDS)]).T
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Gate:
     id: int
     kind: GateKind
     inputs: tuple[int, ...]
     output: int
     tag: str
+
+
+class Columns(NamedTuple):
+    """Gates in id order as read-only arrays: gate ``j`` has id ``ids[j]``
+    and kind code ``kind[j]``, reads nets ``pins[ptr[j]:ptr[j + 1]]`` in pin
+    order, drives net ``out[j]`` and carries tag ``tags[tag[j]]``.  ``ids``
+    is ``range(n)`` when the ids are ``0..n-1``, else a tuple."""
+
+    ids: Sequence
+    kind: np.ndarray
+    ptr: np.ndarray
+    pins: np.ndarray
+    out: np.ndarray
+    tag: np.ndarray
+    tags: tuple
+
+    def past(self, k):
+        """The columns of the gates from position ``k`` on."""
+        p = self.ptr[k:]
+        return Columns(self.ids[k:], self.kind[k:], p - p[0],
+                       self.pins[p[0]:], self.out[k:], self.tag[k:], self.tags)
+
+
+def _ids(ids):
+    return range(len(ids)) if ids == list(range(len(ids))) else tuple(ids)
+
+
+def _columns(gates):
+    """The :class:`Columns` of ``gates``, :class:`Gate` objects in id
+    order; tag indices take the least type that holds them."""
+    index = {}
+    tag = [index.setdefault(g.tag, len(index)) for g in gates]
+    return Columns(
+        _ids([g.id for g in gates]),
+        np.array([g.kind for g in gates], np.uint8),
+        np.array([0, *accumulate(len(g.inputs) for g in gates)], np.int32),
+        np.array([i for g in gates for i in g.inputs], np.int32),
+        np.array([g.output for g in gates], np.int32),
+        np.array(tag, np.min_scalar_type(len(index))), tuple(index))
+
+
+def _cat(parts, ids):
+    """One :class:`Columns` of ``parts`` in order, with gate ids ``ids``:
+    each part ``(columns, net map or None, tag name per tag index)``, and
+    tags of one name share one index."""
+    index = {}  # each column starts empty; ptr at 0
+    cols = ([np.zeros(0, np.uint8)], [np.zeros(1, np.int32)],
+            [np.zeros(0, np.int32)], [np.zeros(0, np.int32)],
+            [np.zeros(0, np.uint8)])
+    for c, nets, names in parts:
+        tag = [index.setdefault(t, len(index)) for t in names]
+        for col, a in zip(cols, (
+                c.kind, c.ptr[1:] + cols[1][-1][-1],
+                c.pins if nets is None else nets[c.pins],
+                c.out if nets is None else nets[c.out],
+                np.array(tag, np.min_scalar_type(len(index)))[c.tag])):
+            col.append(a)
+    return Columns(ids, *map(np.concatenate, cols), tuple(index))
 
 
 @dataclass(frozen=True)
@@ -92,7 +163,8 @@ class Netlist:
     :param inputs: ordered primary input net ids.
     :param outputs: ordered primary output net ids.
     :param words: word name -> LSB-first tuple of net ids.
-    :param gates: gate list (any order; ids unique).
+    :param gates: :class:`Gate` objects (any order; ids unique), or the
+        :class:`Columns` of gates in id order.
     :param instances: instance_tag -> :class:`Instance`.
     :param base: a netlist these fields only append to, as checked by
         :meth:`NetlistBuilder.build`; only what lies past it is validated.
@@ -104,7 +176,10 @@ class Netlist:
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.words = {w: tuple(nets) for w, nets in words.items()}
-        self.gates = tuple(sorted(gates, key=attrgetter("id")))
+        self.columns = gates if isinstance(gates, Columns) else _columns(
+            sorted(gates, key=attrgetter("id")))
+        for a in self.columns[1:6]:
+            a.flags.writeable = False
         self.instances = dict(instances)
         self.base = base
         self._validate()
@@ -115,22 +190,63 @@ class Netlist:
     def n_nets(self):
         return len(self.net_names)
 
+    @property
+    def n_gates(self):
+        return len(self.columns.out)
+
+    @property
+    def gates(self):
+        """The :class:`Gate` of each gate in id order, made on each read."""
+        return tuple(map(self._gate, range(self.n_gates)))
+
     def driver(self, net):
-        """The :class:`Gate` driving ``net``, None for a primary input."""
-        return self._driver[net]
+        """The :class:`Gate` driving ``net``, made on request; None for a
+        primary input."""
+        j = int(self._drv[net])
+        return None if j < 0 else self._gate(j)
+
+    def _gate(self, j):
+        c = self.columns
+        return Gate(c.ids[j], _KINDS[c.kind[j]],
+                    tuple(c.pins[c.ptr[j]:c.ptr[j + 1]].tolist()),
+                    int(c.out[j]), c.tags[c.tag[j]])
+
+    def driver_tags(self, nets):
+        """The instance tag of the gate driving each of ``nets``, which
+        must all be gate-driven."""
+        c = self.columns
+        return [c.tags[t] for t in c.tag[self._drv[list(nets)]].tolist()]
+
+    def ordered(self):
+        """Kind, input nets and output net of each gate by logic level, so
+        after its drivers, as plain values made on each call."""
+        c = self.columns
+        j = np.argsort(self._depth[c.out], kind="stable")
+        pins = c.pins.tolist()
+        return list(zip(map(_KINDS.__getitem__, c.kind[j].tolist()),
+                        [pins[a:b] for a, b in zip(c.ptr[j].tolist(),
+                                                   c.ptr[j + 1].tolist())],
+                        c.out[j].tolist()))
+
+    def levelled_pins(self, k=0):
+        """The input pins of the gates from position ``k`` on, as arrays
+        of the nets read and of their gates' outputs, sorted by the logic
+        level of the output, and the bounds of each level's run: a pass
+        level by level sees every driver before its readers."""
+        c, depth = self.columns.past(k), self._depth
+        dst = np.repeat(c.out, np.diff(c.ptr))
+        at = np.argsort(depth[dst], kind="stable")
+        return c.pins[at], dst[at], np.searchsorted(
+            depth[dst[at]], np.arange(depth.max(initial=0) + 2)).tolist()
 
     def fanout_counts(self):
-        """Read-only ``int64`` array: the gate input pins fed by each net."""
+        """Read-only ``int32`` array: the gate input pins fed by each net."""
         return self._fanout
 
     @cached_property
     def _fanout(self):
-        base = self.base
-        pins = [i for g in self.gates[len(base.gates) if base else 0:]
-                for i in g.inputs]
-        fanout = np.bincount(pins, minlength=self.n_nets)
-        if base:
-            fanout[:base.n_nets] += base._fanout
+        fanout = np.bincount(self.columns.pins, minlength=self.n_nets)
+        fanout = fanout.astype(np.int32)
         fanout.flags.writeable = False
         return fanout
 
@@ -138,14 +254,8 @@ class Netlist:
     def live(self):
         """Read-only per-net mask: the driver is a gate other than CONST0
         and CONST1, so a trigger may tap the net and a screen flag it."""
-        base = self.base
-        (_, groups), rows = self.suffix if base else (self.plan, self.rows)
-        live = np.zeros(self.n_nets, bool)  # per row
-        if base:
-            live[base.rows] = base.live
-        for kind, lo, hi, _, _ in groups:
-            live[lo:hi] = kind not in (GateKind.CONST0, GateKind.CONST1)
-        live = live[rows]
+        c, live = self.columns, np.zeros(self.n_nets, bool)
+        live[c.out] = ~np.isin(c.kind, (GateKind.CONST0, GateKind.CONST1))
         live.flags.writeable = False
         return live
 
@@ -201,51 +311,55 @@ class Netlist:
     # -- invariants --------------------------------------------------------
 
     def _validate(self):
-        # only what lies past a base is checked, and its tables extended
-        base = self.base
-        n0, k0 = (base.n_nets, len(base.gates)) if base else (0, 0)
+        # only what lies past a base is checked, and its tables extended;
+        # the gate checks run over the columns, the first failing gate
+        # reported as checking gate by gate in id order would
+        base, n = self.base, self.n_nets
+        n0, k0 = (base.n_nets, base.n_gates) if base else (0, 0)
         seen = set(self.net_names[:n0])
-        for n in self.net_names[n0:]:
-            if _bad_name(n):
-                raise SemanticError(f"bad net name {n!r}")
-            if n in seen:
-                raise SemanticError(f"duplicate net name {n!r}")
-            seen.add(n)
-        driver = list(base._driver) if base else []
-        driver += [None] * (self.n_nets - n0)
-        last = self.gates[k0 - 1].id if k0 else None  # ids are sorted
-        for g in self.gates[k0:]:
-            if g.id == last:
-                raise SemanticError(f"duplicate gate id {g.id}")
-            last = g.id
-            lo, hi = ARITY[g.kind]
-            if len(g.inputs) < lo or (hi is not None and len(g.inputs) > hi):
-                raise SemanticError(
-                    f"gate {g.id}: {g.kind.name} cannot take {len(g.inputs)} inputs")
-            for i in (*g.inputs, g.output):
-                if not 0 <= i < self.n_nets:
-                    raise SemanticError(f"gate {g.id}: unknown net id {i}")
-            if driver[g.output] is not None:
-                raise SemanticError(
-                    f"net {self.net_names[g.output]!r} has two drivers")
-            driver[g.output] = g
-            if g.tag not in self.instances:
-                raise SemanticError(
-                    f"gate {g.id}: tag {g.tag!r} missing from instance table")
-        self._driver = tuple(driver)
-        for n in (*self.inputs, *self.outputs, *chain(*self.words.values())):
-            if not 0 <= n < self.n_nets:
-                raise SemanticError(f"interface: unknown net id {n}")
+        for name in self.net_names[n0:]:
+            if _bad_name(name):
+                raise SemanticError(f"bad net name {name!r}")
+            if name in seen:
+                raise SemanticError(f"duplicate net name {name!r}")
+            seen.add(name)
+        c = self.columns
+        new = c.past(k0)
+        arity = np.diff(new.ptr)
+        bad = (arity < _FEWEST[new.kind]) | (arity > _MOST[new.kind])
+        bad[np.repeat(np.arange(len(arity)), arity)[
+            (new.pins < 0) | (new.pins >= n)]] = True
+        ok = (new.out >= 0) & (new.out < n)
+        drv = np.full(n, -1, np.int32)  # per net, its driver's position
+        if base:
+            drv[:n0] = base._drv
+        out, again = new.out[ok], np.ones(ok.sum(), bool)
+        again[np.unique(out, return_index=True)[1]] = False
+        bad[np.flatnonzero(ok)[again | (drv[out] >= 0)]] = True
+        bad |= ~ok | ~np.array([t in self.instances for t in c.tags],
+                               bool)[new.tag]
+        if not isinstance(c.ids, range):  # ids are sorted
+            lo = max(k0, 1)
+            bad[lo - k0:] |= np.array(
+                [a == b for a, b in zip(c.ids[lo - 1:], c.ids[lo:])], bool)
+        if bad.any():
+            raise SemanticError(self._gate_error(k0 + int(bad.argmax())))
+        drv[new.out] = np.arange(k0, len(c.out))
+        self._drv = drv
+        for i in (*self.inputs, *self.outputs, *chain(*self.words.values())):
+            if not 0 <= i < n:
+                raise SemanticError(f"interface: unknown net id {i}")
         inputs = set(self.inputs)
         if len(inputs) != len(self.inputs):
             raise SemanticError("repeated primary input")
-        for n in self.inputs:
-            if driver[n] is not None:
+        for i in self.inputs:
+            if drv[i] >= 0:
                 raise SemanticError(
-                    f"primary input {self.net_names[n]!r} is gate-driven")
-        for n in range(n0, self.n_nets):
-            if driver[n] is None and n not in inputs:
-                raise SemanticError(f"net {self.net_names[n]!r} is undriven")
+                    f"primary input {self.net_names[i]!r} is gate-driven")
+        for i in np.flatnonzero(drv[n0:] < 0).tolist():
+            if i + n0 not in inputs:
+                raise SemanticError(
+                    f"net {self.net_names[i + n0]!r} is undriven")
         for w, bits in self.words.items():
             if _bad_name(w):
                 raise SemanticError(f"bad word name {w!r}")
@@ -257,55 +371,64 @@ class Netlist:
             if inst.kind_label not in KIND_LABELS:
                 raise SemanticError(f"instance {tag!r}: bad kind {inst.kind_label!r}")
         self.signature()  # derives the I/O words: refuses a name used twice
-        self._depth = self._levelize(driver, self.gates[k0:])
+        self._depth = self._levelize(new)
 
-    def _levelize(self, driver, new):
+    def _gate_error(self, j):
+        # the first check gate j fails, all gates before it having passed
+        g, out = self._gate(j), self.columns.out
+        lo, hi = ARITY[g.kind]
+        if j and self.columns.ids[j - 1] == g.id:
+            return f"duplicate gate id {g.id}"
+        if len(g.inputs) < lo or (hi is not None and len(g.inputs) > hi):
+            return f"gate {g.id}: {g.kind.name} cannot take {len(g.inputs)} inputs"
+        for i in (*g.inputs, g.output):
+            if not 0 <= i < self.n_nets:
+                return f"gate {g.id}: unknown net id {i}"
+        if g.output in out[:j]:
+            return f"net {self.net_names[g.output]!r} has two drivers"
+        return f"gate {g.id}: tag {g.tag!r} missing from instance table"
+
+    def _levelize(self, new):
         # per net, its driver's level (-1: an input): Kahn's sort of the
-        # ``new`` gates, each one above its highest driver once its last
-        # new driver is levelled (a pin at a time: a gate reading a net
-        # twice waits for it twice); pending keys gate outputs in gate id
-        # order, so a loop is reported from the lowest stuck gate
+        # ``new`` gates' columns, each one above its highest driver once
+        # its last new driver is levelled (a pin at a time: a gate reading
+        # a net twice waits for it twice); a loop is reported from the
+        # lowest stuck gate
         base = self.base
-        depth = list(base._depth) if base else []
-        depth += [-1 if d is None else None for d in driver[len(depth):]]
-        readers = {g.output: [] for g in new}  # of the new gates' outputs
-        pending, ready = {}, []
-        for g in new:
+        depth = base._depth.tolist() if base else []
+        depth += [-1 if j < 0 else None
+                  for j in self._drv[len(depth):].tolist()]
+        flat, ptr, out = new.pins.tolist(), new.ptr.tolist(), new.out.tolist()
+        pins = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+        readers = {o: [] for o in out}  # of the new gates' outputs
+        waits, ready = [0] * len(out), []
+        for j, ins in enumerate(pins):
             n = 0
-            for i in g.inputs:
+            for i in ins:
                 if depth[i] is None:  # driven by a new gate
-                    readers[i].append(g)
+                    readers[i].append(j)
                     n += 1
-            if n:
-                pending[g.output] = n
-            else:
-                ready.append(g)
-        for g in ready:  # grows as gates are levelled
+            waits[j] = n
+            if not n:
+                ready.append(j)
+        for j in ready:  # grows as gates are levelled
             lv = 0
-            for i in g.inputs:
+            for i in pins[j]:
                 if depth[i] >= lv:
                     lv = depth[i] + 1
-            depth[g.output] = lv
-            for r in readers[g.output]:
-                pending[r.output] -= 1
-                if not pending[r.output]:
-                    del pending[r.output]
+            depth[out[j]] = lv
+            for r in readers[out[j]]:
+                waits[r] -= 1
+                if not waits[r]:
                     ready.append(r)
-        if pending:
-            raise CycleError(self._find_cycle(pending))
-        return tuple(depth)
+        if len(ready) < len(out):
+            raise CycleError(self._find_cycle(
+                {o: n for o, n in zip(out, waits) if n}))
+        depth = np.array(depth, np.int32)
+        depth.flags.writeable = False
+        return depth
 
     # -- orders ------------------------------------------------------------
-
-    def ordered_gates(self):
-        """Gates in kernel plan order: scheduled level after scheduled
-        level, a gate above its drivers, so it follows the drivers of its
-        inputs and gates of one level never read each other."""
-        return self._ordered
-
-    @cached_property
-    def _ordered(self):
-        return tuple(map(self._driver.__getitem__, self.plan[0].tolist()))
 
     @property
     def plan(self):
@@ -313,7 +436,9 @@ class Netlist:
         :func:`axsec._kernels.extend`, built once and extended from a
         :attr:`base`'s: the output net of each gate row, and per group its
         kind, row bounds ``lo:hi``, arity and block of input rows; its
-        arrays are read-only."""
+        arrays are read-only.  Its gate order runs scheduled level after
+        scheduled level, a gate above its drivers, so gates of one level
+        never read each other."""
         return self._lowered[0]
 
     @property
@@ -328,7 +453,7 @@ class Netlist:
         base = self.base
         return _kernels.extend(
             base._lowered if base else _kernels.EMPTY,
-            self.gates[len(base.gates) if base else 0:], self._depth,
+            self.columns.past(base.n_gates if base else 0), self._depth,
             np.fromiter(chain(*(b for _, b in self.input_words())), np.intp))
 
     @cached_property
@@ -343,7 +468,7 @@ class Netlist:
         netlist extend its base's over it."""
         base = self.base
         plan, rows, _ = _kernels.extend(
-            _kernels.EMPTY, self.gates[len(base.gates):], self._depth,
+            _kernels.EMPTY, self.columns.past(base.n_gates), self._depth,
             np.argsort(base.rows))  # the inverse of the row map
         return plan, rows
 
@@ -377,7 +502,7 @@ class Netlist:
         net, path = next(iter(pending)), {}
         while net not in path:
             path[net] = len(path)
-            net = next(i for i in self._driver[net].inputs if i in pending)
+            net = next(i for i in self.driver(net).inputs if i in pending)
         return list(path)[path[net]:]
 
     # -- cone queries ------------------------------------------------------
@@ -389,35 +514,47 @@ class Netlist:
         masks = self._support_masks
         m = 0
         for n in nets:
-            m |= masks[n]
+            m |= int(masks[n])
         return tuple(name for i, (name, _) in enumerate(self.input_words())
                      if m >> i & 1)
 
     @cached_property
     def _support_masks(self):
-        # bit i of a net's mask: the i-th input word reaches the net;
-        # one topological pass ORs each gate's input masks, past a base
-        # on the same input words over the appended gates alone
-        base = self.base
-        if base and self.input_words() == base.input_words():
-            masks = [*base._support_masks, *[0] * (self.n_nets - base.n_nets)]
-            gates = map(self._driver.__getitem__, self.suffix[0][0].tolist())
+        # bit i of a net's mask: the i-th input word reaches the net; one
+        # pass level by level ORs each pin's mask into its gate's output,
+        # past a base on the same input words over the appended gates alone
+        base, words, k = self.base, self.input_words(), 0
+        masks = np.zeros(self.n_nets,
+                         np.uint64 if len(words) <= 64 else object)
+        if base and words == base.input_words():
+            masks[:base.n_nets], k = base._support_masks, base.n_gates
         else:
-            masks = [0] * self.n_nets
-            for i, (_, bits) in enumerate(self.input_words()):
-                for b in bits:
-                    masks[b] |= 1 << i
-            gates = self.ordered_gates()
-        for g in gates:
-            m = 0
-            for i in g.inputs:
-                m |= masks[i]
-            masks[g.output] = m
+            for i, (_, bits) in enumerate(words):
+                masks[list(bits)] |= 1 << i
+        src, dst, cuts = self.levelled_pins(k)
+        for a, b in zip(cuts, cuts[1:]):
+            np.bitwise_or.at(masks, dst[a:b], masks[src[a:b]])
+        masks = masks.astype(np.min_scalar_type(masks.max(initial=0)))
+        masks.flags.writeable = False
         return masks
 
     def __repr__(self):
-        return (f"Netlist({len(self.gates)} gates, {self.n_nets} nets, "
+        return (f"Netlist({self.n_gates} gates, {self.n_nets} nets, "
                 f"{len(self.inputs)} PI, {len(self.outputs)} PO)")
+
+
+class _Appended:
+    """A based builder's gate list: its base's gates, made when read, then
+    the appended ones."""
+
+    def __init__(self, base):
+        self.base, self.new = base, []
+
+    def append(self, gate):
+        self.new.append(gate)
+
+    def __iter__(self):
+        return chain(self.base.gates, self.new)
 
 
 class NetlistBuilder:
@@ -425,7 +562,9 @@ class NetlistBuilder:
 
     Optionally seeded from an existing netlist, in which case all nets,
     gates, words and instances are copied and may be extended; this is the
-    supported way to derive a modified copy of an immutable netlist.
+    supported way to derive a modified copy of an immutable netlist.  The
+    base's gates are read from its columns, made as :class:`Gate` objects
+    only if ``gates`` is iterated.
     """
 
     def __init__(self, base: Netlist | None = None):
@@ -433,7 +572,7 @@ class NetlistBuilder:
         self.inputs: list[int] = []
         self.outputs: list[int] = []
         self.words: dict[str, list[int]] = {}
-        self.gates: list[Gate] = []
+        self.gates = []
         self.instances: dict[str, Instance] = {}
         self._by_name: dict[str, int] = {}
         self._next_gate = 0
@@ -443,10 +582,10 @@ class NetlistBuilder:
             self.inputs = list(base.inputs)
             self.outputs = list(base.outputs)
             self.words = {w: list(n) for w, n in base.words.items()}
-            self.gates = list(base.gates)
+            self.gates = _Appended(base)
             self.instances = dict(base.instances)
             self._by_name = dict(zip(base.net_names, range(base.n_nets)))
-            self._next_gate = 1 + (base.gates[-1].id if base.gates else -1)
+            self._next_gate = base.columns.ids[-1] + 1 if base.n_gates else 0
 
     def net(self, name: str) -> int:
         """Return the id for ``name``, creating the net if needed."""
@@ -492,10 +631,19 @@ class NetlistBuilder:
     def build(self) -> Netlist:
         """The netlist, built on the base if this builder only appended to
         it (see the module docstring)."""
-        fields = (self.net_names, self.inputs, self.outputs, self.words,
-                  self.gates, self.instances)
         base = self._base
-        if base is not None and self._appends(base):
+        cols = gates = self.gates  # Gate objects, which the netlist sorts
+        if isinstance(gates, _Appended):
+            c, new = base.columns, _columns(gates.new)
+            ids = [*(c.ids[-1:] or [-1]), *new.ids]
+            if all(a < b for a, b in zip(ids, ids[1:])):  # past the base's
+                cols = _cat([(c, None, c.tags), (new, None, new.tags)],
+                            _ids([*c.ids, *new.ids]))
+            else:
+                cols = list(gates)
+        fields = (self.net_names, self.inputs, self.outputs, self.words,
+                  cols, self.instances)
+        if isinstance(cols, Columns) and self._appends(base):
             try:
                 return Netlist(*fields, base=base)
             except NetlistError:
@@ -503,11 +651,7 @@ class NetlistBuilder:
         return Netlist(*fields)
 
     def _appends(self, base: Netlist) -> bool:
-        k = len(base.gates)
-        ids = [base.gates[-1].id if k else -1, *(g.id for g in self.gates[k:])]
         return (tuple(self.inputs) == base.inputs
-                and all(a < b for a, b in zip(ids, ids[1:]))
-                and tuple(self.gates[:k]) == base.gates
                 and tuple(self.net_names[:base.n_nets]) == base.net_names
                 and base.instances.keys() <= self.instances.keys())
 
@@ -547,13 +691,28 @@ def flatten(design: Design) -> Netlist:
     Instance tags become hierarchical paths rooted at the design name
     (``top.mul0`` for instance ``mul0`` of a design named ``top``); a leaf
     module whose gates share one tag collapses onto the instance path.
+    Each module's gates are spliced in as its columns through a map of its
+    nets, numbered on in instance order.
     Raises :class:`PortMismatch` for unmapped or width-incompatible ports
     and for groups that redefine a port word, and :class:`UnknownModule` for
     instances whose module is not a :class:`Netlist`.
     """
-    b = NetlistBuilder()
-    _emit(design, b)
-    nl = b.build()
+    b, words = NetlistBuilder(), {}
+    for name, width in design.inputs:
+        words[name] = [b.pi(f"{name}[{i}]") for i in range(width)]
+        b.word(name, words[name])
+    for name, width in design.wires + design.outputs:
+        words[name] = [b.net(f"{name}[{i}]") for i in range(width)]
+        b.word(name, words[name])
+    parts = [_place(inst, b, words, design.name) for inst in design.insts]
+    for name, members in design.groups:
+        b.word(name, [n for m in members for n in words[m]])
+    for name, _ in design.outputs:
+        for n in words[name]:
+            b.po(n)
+    nl = Netlist(b.net_names, b.inputs, b.outputs, b.words,
+                 _cat(parts, range(sum(len(c.out) for c, _, _ in parts))),
+                 b.instances)
     # a group reusing a port name would silently widen that port
     for name, width in design.inputs + design.outputs:
         if len(nl.words[name]) != width:
@@ -563,27 +722,8 @@ def flatten(design: Design) -> Netlist:
     return nl
 
 
-def _emit(design: Design, b: NetlistBuilder):
-    words: dict[str, list[int]] = {}
-    for name, width in design.inputs:
-        nets = [b.pi(f"{name}[{i}]") for i in range(width)]
-        b.word(name, nets)
-        words[name] = nets
-    for name, width in design.wires + design.outputs:
-        nets = [b.net(f"{name}[{i}]") for i in range(width)]
-        b.word(name, nets)
-        words[name] = nets
-    for inst in design.insts:
-        _place(inst, b, words, design.name)
-    for name, members in design.groups:
-        nets = [n for m in members for n in words[m]]
-        b.word(name, nets)
-    for name, _ in design.outputs:
-        for n in words[name]:
-            b.po(n)
-
-
 def _place(inst: ModuleInst, b: NetlistBuilder, words, root: str):
+    # the child's columns, its net map and its tags' new names
     child = inst.module
     if not isinstance(child, Netlist):
         raise UnknownModule(
@@ -613,11 +753,9 @@ def _place(inst: ModuleInst, b: NetlistBuilder, words, root: str):
                 f"word {target!r} is {len(words[target])}")
         for cb, pb in zip(bits, words[target]):
             net_map[cb] = pb
-    for n in range(child.n_nets):
-        if n not in net_map:
-            net_map[n] = b.fresh(f"{inst.name}.{child.net_names[n]}")
+    nets = [net_map[n] if n in net_map else b.fresh(f"{inst.name}.{name}")
+            for n, name in enumerate(child.net_names)]
     for tag, entry in child.instances.items():
         b.instance(retag[tag], entry.kind_label, entry.op_type, entry.arch_id)
-    for g in child.gates:
-        b.gate(g.kind, [net_map[i] for i in g.inputs], net_map[g.output],
-               tag=retag[g.tag])
+    c = child.columns
+    return c, np.array(nets, np.int32), [retag[t] for t in c.tags]

@@ -39,17 +39,17 @@ def _expand(nl: Netlist):
     count including virtual nets.  Each entry is (kind, inputs, output)."""
     n = nl.n_nets
     entries = []
-    for g in nl.ordered_gates():
-        if g.kind is not GateKind.MUX2:
-            entries.append((g.kind, g.inputs, g.output))
+    for kind, ins, out in nl.ordered():
+        if kind is not GateKind.MUX2:
+            entries.append((kind, ins, out))
             continue
-        s, a, b = g.inputs
+        s, a, b = ins
         ns, t0, t1 = n, n + 1, n + 2
         n += 3
         entries.append((_NOT, (s,), ns))           # ~s
         entries.append((_AND, (a, ns), t0))        # a & ~s
         entries.append((_AND, (b, s), t1))         # b & s
-        entries.append((_OR, (t0, t1), g.output))
+        entries.append((_OR, (t0, t1), out))
     return entries, n
 
 
@@ -132,7 +132,7 @@ def _scoap(nl: Netlist, observability: bool) -> ScoapReport:
 
 
 def _real(nl: Netlist, values: list) -> np.ndarray:
-    """The read-only array of ``values`` on the real nets."""
-    a = np.array(values[:nl.n_nets], np.int64)
+    """The read-only ``int32`` array of ``values`` on the real nets."""
+    a = np.array(values[:nl.n_nets], np.int32)
     a.flags.writeable = False
     return a

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -106,25 +105,29 @@ class TimingPath:
 
 
 def _path_index(nl: Netlist):
-    """What the path walk needs of a netlist and no delay scale changes:
-    each net's readers, each once, in output net order, the suffix-length
-    bitmasks (bit k of a net's mask: some path of k gates runs from it to
-    an output) and the sorted primary inputs."""
-    cons = [[] for _ in range(nl.n_nets)]
-    for g in sorted(nl.gates, key=attrgetter("output")):
-        for i in g.inputs:
-            rs = cons[i]
-            if not rs or rs[-1] is not g:  # a repeated input reads once
-                rs.append(g)
-    suf = [0] * nl.n_nets
-    for o in nl.outputs:
-        suf[o] = 1
-    for g in reversed(nl.ordered_gates()):
-        s = suf[g.output]
-        if s:
-            for i in g.inputs:
-                suf[i] |= s << 1
-    return cons, suf, sorted(nl.inputs)
+    """What the path walk needs of a netlist and no delay scale changes,
+    as read-only arrays: each net's readers in CSR form, by their output
+    nets, each reader once and in output net order (net ``n``'s at
+    ``outs[ptr[n]:ptr[n + 1]]``); the suffix-length bitmasks (bit k of a
+    net's mask: some path of k gates runs from it to an output), ``uint64``
+    where every path has under 64 gates; the tag index of each net's
+    driver, the tag names and the sorted primary inputs."""
+    c, n = nl.columns, nl.n_nets
+    pairs = np.sort(c.pins.astype(np.int64) * n
+                    + np.repeat(c.out, np.diff(c.ptr)))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each reader once
+    ptr = np.searchsorted(pairs // n, np.arange(n + 1)).astype(np.int32)
+    src, dst, cuts = nl.levelled_pins()  # a path has at most a gate a level
+    suf = np.zeros(n, np.uint64 if len(cuts) <= 64 else object)
+    suf[list(nl.outputs)] = 1
+    for a, b in reversed([*zip(cuts, cuts[1:])]):
+        np.bitwise_or.at(suf, src[a:b], suf[dst[a:b]] << 1)
+    tag = np.zeros(n, c.tag.dtype)
+    tag[c.out] = c.tag
+    index = ptr, (pairs % n).astype(np.int32), suf, tag
+    for a in index:
+        a.flags.writeable = False
+    return *index, c.tags, tuple(sorted(nl.inputs))
 
 
 def _uniform_paths(index, u: float, clock: float, n_paths: int,
@@ -137,7 +140,8 @@ def _uniform_paths(index, u: float, clock: float, n_paths: int,
     are never visited, which keeps this immune to the path explosion above
     the clock.
     """
-    cons, suf, pis = index
+    *arrays, tags, pis = index
+    ptr, outs, suf, tag = (a.tolist() for a in arrays)
     # no path is longer than the longest one from a primary input, however
     # far the clock lies above it
     top = max((suf[pi].bit_length() - 1 for pi in pis), default=-1)
@@ -149,32 +153,31 @@ def _uniform_paths(index, u: float, clock: float, n_paths: int,
         for pi in pis:
             if not suf[pi] >> length & 1:
                 continue
-            # depth-first, pos[k] is the next reader to try at depth k
-            nets, gates, pos = [pi], [], [0]
+            # depth-first, pos[k] is the next reader of nets[k] to try, an
+            # index into outs
+            nets, pos = [pi], [ptr[pi]]
             while pos:
-                depth = len(gates)
+                depth = len(nets) - 1
                 if depth == length:
                     # the path's distinct tags in first-use order
                     out.append(TimingPath(
                         tuple(nets), d, clock - d,
-                        tuple(dict.fromkeys(g.tag for g in gates))))
+                        tuple(dict.fromkeys(tags[tag[o]] for o in nets[1:]))))
                     if len(out) >= n_paths:
                         return out
                 else:
-                    cs, k, bit = cons[nets[-1]], pos[-1], length - depth - 1
-                    while k < len(cs) and not suf[cs[k].output] >> bit & 1:
+                    k, end = pos[-1], ptr[nets[-1] + 1]
+                    bit = length - depth - 1
+                    while k < end and not suf[outs[k]] >> bit & 1:
                         k += 1
-                    if k < len(cs):
-                        g = cs[k]
+                    if k < end:
+                        o = outs[k]
                         pos[-1] = k + 1
-                        pos.append(0)
-                        nets.append(g.output)
-                        gates.append(g)
+                        pos.append(ptr[o])
+                        nets.append(o)
                         continue
                 pos.pop()
                 nets.pop()
-                if gates:
-                    gates.pop()
     return out
 
 

@@ -109,16 +109,20 @@ def _serialize(nl: Netlist) -> str:
     lines += [f"output {name(n)}" for n in nl.outputs]
     for w, bits in nl.words.items():
         lines.append(f"word {w} " + " ".join(name(b) for b in bits))
-    base, new = nl.base, nl.gates
+    base, c = nl.base, nl.columns
     gates, tags = [], []
-    if base is not None and base.gates:  # the base's own lines, copied
+    if base is not None and base.n_gates:  # the base's own lines, copied
         text = "\n" + serialize_netlist(base)
         at = [text.find(f"\n{kw} ") for kw in ("gate", "tag", "inst")]
         gates, tags = [text[at[0] + 1:at[1]]], [text[at[1] + 1:at[2]]]
-        new = new[len(base.gates):]
-    gates += [" ".join([f"gate {g.id} {g.kind.name}",
-                        *map(name, (g.output, *g.inputs))]) for g in new]
-    lines += gates + tags + [f"tag {g.id} {g.tag}" for g in new]
+        c = c.past(base.n_gates)
+    kinds = [k.name for k in GateKind]
+    pins, ptr = c.pins.tolist(), c.ptr.tolist()
+    gates += [" ".join([f"gate {i} {kinds[k]}", *map(name, [o, *pins[a:b]])])
+              for i, k, o, a, b in zip(c.ids, c.kind.tolist(), c.out.tolist(),
+                                        ptr, ptr[1:])]
+    lines += gates + tags + [f"tag {i} {c.tags[t]}"
+                             for i, t in zip(c.ids, c.tag.tolist())]
     for tag in sorted(nl.instances):
         e = nl.instances[tag]
         lines.append(f"inst {tag} {e.kind_label} {e.op_type} {e.arch_id}")

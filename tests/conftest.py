@@ -51,7 +51,7 @@ def infected_work(monkeypatch):
 
     def counting_extend(base, gates, depth, inputs):
         if base is _kernels.EMPTY:
-            planned.append((depth, len(gates)))
+            planned.append((depth, len(gates.out)))
         return extend(base, gates, depth, inputs)
 
     def counting_arrivals(nl, model):
@@ -70,7 +70,7 @@ def infected_work(monkeypatch):
 
     def counts():
         return [work.get(nl, Counter())
-                + Counter(plan=sum(d is nl._depth and k == len(nl.gates)
+                + Counter(plan=sum(d is nl._depth and k == nl.n_gates
                                    for d, k in planned))
                 for nl in infected]
     return counts

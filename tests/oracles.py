@@ -9,7 +9,9 @@ float-array form of what :func:`axsec.sim.error_terms` now computes;
 masks, :func:`gates_of_tag` the linear filter behind their tag bits, and
 :func:`structurally_equal` compares two netlists by net name, and
 :func:`same_build` a netlist derived by appending with the full build of
-its fields; :func:`by_net` puts a run's rows in net id order;
+its fields; :func:`flatten` lowers a design through one builder call per
+gate, where the package splices each module's gate columns, and
+:func:`same_fields` compares two builds field by field; :func:`by_net` puts a run's rows in net id order;
 :func:`pareto_pool` peels fronts over every assignment's sums, the full
 product the variant pool now builds slot by slot; :func:`verify_stealth`
 profiles the clean and the infected netlist in two full runs, where the
@@ -33,8 +35,9 @@ from axsec import _kernels
 from axsec.attack import StealthReport
 from axsec.detect import (_cone_masks, _consensus, _output_values,
                           _rank_combos, _replay_groups)
-from axsec.errors import BadParams, SignatureMismatch
-from axsec.netlist import GateKind, Netlist
+from axsec.errors import (BadParams, PortMismatch, SignatureMismatch,
+                          UnknownModule)
+from axsec.netlist import GateKind, Netlist, NetlistBuilder
 from axsec.sim import (activity_and_error, pack, power_proxy, power_ratio,
                        simulate, sub_rng)
 from axsec.sta import DelayModel, arrival_times, slacks
@@ -225,6 +228,11 @@ def fanin_nets(nl: Netlist, start) -> set:
     return seen
 
 
+def ordered_gates(nl: Netlist) -> tuple:
+    """The gates in kernel plan order, each made by ``driver``."""
+    return tuple(map(nl.driver, nl.plan[0].tolist()))
+
+
 def gates_of_tag(nl: Netlist, tag: str) -> tuple:
     """Gates carrying ``tag`` in gate id order; () for an unknown tag."""
     return tuple(g for g in nl.gates if g.tag == tag)
@@ -261,6 +269,89 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
     return True
 
 
+def flatten(design) -> Netlist:
+    """:func:`axsec.netlist.flatten` with every module gate emitted through
+    :meth:`~axsec.netlist.NetlistBuilder.gate`."""
+    b = NetlistBuilder()
+    words = {}
+    for name, width in design.inputs:
+        words[name] = [b.pi(f"{name}[{i}]") for i in range(width)]
+        b.word(name, words[name])
+    for name, width in design.wires + design.outputs:
+        words[name] = [b.net(f"{name}[{i}]") for i in range(width)]
+        b.word(name, words[name])
+    for inst in design.insts:
+        _place(inst, b, words, design.name)
+    for name, members in design.groups:
+        b.word(name, [n for m in members for n in words[m]])
+    for name, _ in design.outputs:
+        for n in words[name]:
+            b.po(n)
+    nl = b.build()
+    for name, width in design.inputs + design.outputs:
+        if len(nl.words[name]) != width:
+            raise PortMismatch(
+                f"design {design.name!r}: port word {name!r} is "
+                f"{len(nl.words[name])} bits, declared {width}")
+    return nl
+
+
+def _place(inst, b, words, root):
+    child = inst.module
+    if not isinstance(child, Netlist):
+        raise UnknownModule(
+            f"instance {inst.name!r}: not a module: {child!r}")
+    tag_path = f"{root}.{inst.name}"
+    tags = set(child.instances)
+    if len(tags) == 1:
+        retag = {next(iter(tags)): tag_path}
+    else:
+        retag = {t: f"{tag_path}.{t}" for t in tags}
+    ports = dict(child.input_words()) | dict(child.output_words())
+    for port in inst.conn:
+        if port not in ports:
+            raise PortMismatch(f"instance {inst.name!r}: no port {port!r}")
+    net_map = {}
+    for port, bits in ports.items():
+        if port not in inst.conn:
+            raise PortMismatch(
+                f"instance {inst.name!r}: port {port!r} unmapped")
+        target = inst.conn[port]
+        if target not in words:
+            raise PortMismatch(f"instance {inst.name!r}: unknown word "
+                               f"{target!r} for port {port!r}")
+        if len(words[target]) != len(bits):
+            raise PortMismatch(
+                f"instance {inst.name!r}: port {port!r} is {len(bits)} "
+                f"bits, word {target!r} is {len(words[target])}")
+        for cb, pb in zip(bits, words[target]):
+            net_map[cb] = pb
+    for n in range(child.n_nets):
+        if n not in net_map:
+            net_map[n] = b.fresh(f"{inst.name}.{child.net_names[n]}")
+    for tag, entry in child.instances.items():
+        b.instance(retag[tag], entry.kind_label, entry.op_type, entry.arch_id)
+    for g in child.gates:
+        b.gate(g.kind, [net_map[i] for i in g.inputs], net_map[g.output],
+               tag=retag[g.tag])
+
+
+def same_fields(got: Netlist, want: Netlist) -> None:
+    """Assert that two netlists agree in every field: net names, I/O,
+    words in order, instances, gates through the view, levels, plan and
+    row map."""
+    assert got.net_names == want.net_names
+    assert (got.inputs, got.outputs) == (want.inputs, want.outputs)
+    assert list(got.words.items()) == list(want.words.items())
+    assert list(got.instances.items()) == list(want.instances.items())
+    assert got.gates == want.gates
+    assert np.array_equal(got._depth, want._depth)
+    (gn, gg), (wn, wg) = got.plan, want.plan
+    assert np.array_equal(gn, wn) and np.array_equal(got.rows, want.rows)
+    assert [g[:4] for g in gg] == [g[:4] for g in wg]
+    assert all(np.array_equal(a[4], b[4]) for a, b in zip(gg, wg))
+
+
 def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     """Assert that ``derived`` equals the full build of its own fields:
     net levels, drivers, signature, fanout, driver kinds, input word
@@ -272,15 +363,16 @@ def same_build(derived: Netlist, models=(DelayModel(),)) -> None:
     full = Netlist(derived.net_names, derived.inputs, derived.outputs,
                    derived.words, derived.gates, derived.instances)
     assert full.base is None
-    assert derived._depth == full._depth
-    assert sorted(derived.ordered_gates(), key=_gate_id) == list(full.gates)
-    assert derived._driver == full._driver
+    assert np.array_equal(derived._depth, full._depth)
+    assert sorted(ordered_gates(derived), key=_gate_id) == list(full.gates)
+    assert list(map(derived.driver, range(derived.n_nets))) \
+        == list(map(full.driver, range(full.n_nets)))
     assert derived.signature() == full.signature()
     assert derived.input_words() == full.input_words()
     assert derived.output_words() == full.output_words()
     assert np.array_equal(derived.fanout_counts(), full.fanout_counts())
     assert np.array_equal(derived.live, full.live)
-    assert derived._support_masks == full._support_masks
+    assert np.array_equal(derived._support_masks, full._support_masks)
     # a derived build continues its base's schedule, so its plan may
     # group the gates, and order the rows, otherwise than the full
     # build's, but computes the same value on every net

@@ -355,6 +355,26 @@ def test_attack_on_a_netlist_without_outputs_is_a_user_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("word,flags", [
+    ("", ["--payload", "corrupt"]),
+    ("word w a b\n", ["--payload", "leak", "--secret", "w"]),
+], ids=["corrupt", "leak"])
+def test_attack_on_an_ungrouped_output_keeps_its_name(tmp_path, capsys, word,
+                                                      flags):
+    # the output y is a one-bit word named after its net, which is not in
+    # the netlist's words: the payload's lookup ended in a KeyError
+    nl = tmp_path / "a.nl"
+    nl.write_text(f"input a\ninput b\noutput y\n{word}gate 5 AND y a b\n")
+    out = tmp_path / "x.nl"
+    assert main(["attack", "--netlist", str(nl), "--q", "1", "--theta", "0.3",
+                 *flags, "--out", str(out)]) == 0
+    assert "payload hosted at u.g0" in capsys.readouterr().out
+    clean, bad = read_netlist(nl), read_netlist(out)
+    assert bad.signature() == clean.signature() == (
+        (("a", 1), ("b", 1)) if not word else (("w", 2),), (("y", 1),))
+    assert bad.net_names[bad.words["y"][0]] != "y"  # the payload drives it
+
+
 def test_an_interface_naming_one_word_twice_is_a_user_error(tmp_path,
                                                             capsys):
     # the declared word b[0] holds b[1..3] and the ungrouped input b[0]

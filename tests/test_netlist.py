@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from axsec import _kernels, attack, experiment, sta, textfmt
 from axsec.attack import AttackConfig, StealthReport
-from axsec.designs import bfly_spec, fir_spec
+from axsec.designs import (bfly_design, bfly_spec, const_module, fir_design,
+                           fir_spec)
 from axsec.errors import (CycleError, NetlistError, PortMismatch,
                           SemanticError, UnknownModule)
-from axsec.experiment import ExperimentConfig, run_experiment
+from axsec.experiment import ExperimentConfig, arch_menu, run_experiment
 from axsec.netlist import (ARITY, Design, Gate, GateKind, ModuleInst,
                            Netlist, NetlistBuilder, flatten)
 from axsec.sim import (CHUNK, VectorStream, activity_profile,
@@ -23,7 +24,8 @@ from axsec.textfmt import serialize_netlist
 from tests import oracles
 from tests.conftest import dags
 from tests.oracles import (eval_vector, fanin_nets, gates_of_tag,
-                           same_build, structurally_equal)
+                           ordered_gates, same_build, structurally_equal)
+from tests.test_detect import _assert_cone_masks
 
 
 def _and2():
@@ -206,7 +208,7 @@ def test_interface_net_ids_out_of_range_are_refused(place, bad):
 
 def test_topo_order_respects_dependencies():
     nl = _and2()
-    gates = nl.ordered_gates()
+    gates = ordered_gates(nl)
     pos = {g.output: i for i, g in enumerate(gates)}
     for g in gates:
         for i in g.inputs:
@@ -292,6 +294,45 @@ def test_flatten_rejects_a_port_that_does_not_fit(conn, message):
     assert str(got.value) == message
 
 
+def _menu_assignments(spec):
+    """Each slot's menu entries one slot at a time, then each menu
+    position on every slot at once."""
+    menus = [(name, arch_menu(op, w)) for name, op, w in spec.slots]
+    yield from ({name: p} for name, menu in menus for p in menu[1:])
+    for k in range(len(menus[0][1])):
+        yield {name: menu[k] for name, menu in menus}
+
+
+@pytest.mark.parametrize("spec,design", [
+    (fir_spec(), lambda a: fir_design(8, (3, 5, 7, 9), a)),
+    (bfly_spec(), lambda a: bfly_design(8, 3, a)),
+], ids=["fir", "bfly"])
+def test_flatten_splices_what_the_gate_by_gate_lowering_builds(spec, design):
+    for assign in _menu_assignments(spec):
+        oracles.same_fields(spec.build(assign),
+                            oracles.flatten(design(assign)))
+
+
+def test_flatten_renames_a_module_net_that_meets_a_design_net():
+    # the wire f.m0 takes the names f.m0[i] that the module f's own net
+    # m0[i] would take, so those get fresh _1 suffixes
+    inner = fir_spec(4, (1, 2, 3, 1)).build()
+    ins, outs = inner.signature()
+    d = Design("outer", list(ins), list(outs), wires=[("f.m0", 8)], insts=[
+        ModuleInst("k", const_module(5, 8), {"c": "f.m0"}),
+        ModuleInst("f", inner, {w: w for w, _ in ins + outs})])
+    nl = flatten(d)
+    oracles.same_fields(nl, oracles.flatten(d))
+    assert {"f.m0[0]", "f.m0[0]_1", "f.m0[7]_1"} <= set(nl.net_names)
+
+
+def test_flatten_of_a_design_without_instances_has_no_gates():
+    d = Design("top", inputs=[("a", 2)], groups=[("g", ["a"])])
+    nl = flatten(d)
+    oracles.same_fields(nl, oracles.flatten(d))
+    assert nl.n_gates == 0 and nl.words == {"a": (0, 1), "g": (0, 1)}
+
+
 def test_ungrouped_nets_become_one_bit_words():
     nl = _and2()
     assert dict(nl.output_words()) == {"y": (2,)}
@@ -353,7 +394,7 @@ def test_random_layered_builds_are_valid(data):
         nets.append(b.gate(kind, ins, tag="u"))
     b.po(nets[-1])
     nl = b.build()
-    assert len(nl.ordered_gates()) == n_gates
+    assert len(ordered_gates(nl)) == n_gates
     again = NetlistBuilder(nl).build()
     assert structurally_equal(nl, again)
 
@@ -450,7 +491,13 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
     # the block of each group, position by position, the rows of its
     # inputs, the blocks consecutive slices of one array
     nets, groups = nl.plan
-    assert nl.ordered_gates() == tuple(nl.driver(int(o)) for o in nets)
+    entries = nl.ordered()  # every gate once, after its drivers
+    assert sorted(entries, key=lambda e: e[2]) \
+        == [(g.kind, list(g.inputs), g.output)
+            for g in sorted(nl.gates, key=lambda g: g.output)]
+    at = {out: k for k, (_, _, out) in enumerate(entries)}
+    assert all(at[i] < at[out] for _, ins, out in entries for i in ins
+               if i in at)
     order = [b for _, bits in nl.input_words() for b in bits] + nets.tolist()
     assert nl.rows.tolist() == [order.index(n) for n in range(nl.n_nets)]
     levels = nl._lowered[2]
@@ -480,11 +527,29 @@ def test_levels_order_readers_and_fanout_match_their_definitions(nl, rnd):
     assert runs == sorted(set(runs))
     assert sorted(int(o) for o in nets) == sorted(g.output for g in nl.gates)
     pins = [i for g in nl.gates for i in g.inputs]
-    cons = sta._path_index(nl)[0]  # the path walk's readers
+    ptr, outs = sta._path_index(nl)[:2]  # the path walk's readers
     for n in range(nl.n_nets):
-        assert cons[n] == sorted((g for g in nl.gates if n in g.inputs),
-                                 key=lambda g: g.output)
+        assert outs[ptr[n]:ptr[n + 1]].tolist() \
+            == sorted(g.output for g in nl.gates if n in g.inputs)
         assert nl.fanout_counts()[n] == pins.count(n)
+
+
+def test_masks_past_64_bits_are_python_ints():
+    # 70 input words, 69 tags and a 69-gate path: no uint64 holds the
+    # support, tag or path-length masks
+    b = NetlistBuilder()
+    xs = [b.pi(f"x{i}") for i in range(70)]
+    net = xs[0]
+    for i, x in enumerate(xs[1:]):
+        b.instance(f"t{i}", "deterministic", "misc", "exact")
+        net = b.gate(GateKind.AND, (net, x), tag=f"t{i}")
+    b.po(net)
+    nl = b.build()
+    for n in range(nl.n_nets):
+        assert nl.input_word_support((n,)) == _support_by_definition(nl, [n])
+    _assert_cone_masks(nl)
+    paths = sta.near_critical_paths(nl, DelayModel(), 69.0, 3)
+    assert [len(p.nets) for p in paths] == [70, 70, 69]
 
 
 @pytest.mark.parametrize("spec", [fir_spec(), bfly_spec()],

@@ -287,8 +287,8 @@ def _oracle_scoap(nl):
     entries, n = _expand(nl)
     cc0, cc1 = _oracle_controllability(nl, entries, n)
     co = _oracle_observability(nl, entries, n, cc0, cc1)
-    m = nl.n_nets
-    return ScoapReport(cc0[:m], cc1[:m], co[:m])
+    m = nl.n_nets  # the report holds int32 arrays: INF fits
+    return ScoapReport(*(a[:m].astype(np.int32) for a in (cc0, cc1, co)))
 
 
 def _assert_equals_oracle(nl):

@@ -18,6 +18,7 @@ from axsec.sta import (DelayModel, TimingPath, arrival_times,
                        paths_to_instances, slacks)
 
 from tests.conftest import dags, random_dag, timed_dags
+from tests.oracles import ordered_gates
 
 
 def _chain(depth):
@@ -149,7 +150,7 @@ def test_paths_to_instances_ranks_by_count():
 def _arrival_times_by_gate(nl, model):
     """The per-gate arrival loop that the levelized pass replaced."""
     arr = np.zeros(nl.n_nets, np.float64)
-    for g in nl.ordered_gates():
+    for g in ordered_gates(nl):
         d = model.of(g.kind)
         arr[g.output] = d + (max(arr[i] for i in g.inputs) if g.inputs else 0.0)
     return arr
@@ -161,7 +162,7 @@ def _slacks_by_gate(nl, model, clock):
     req = np.full(nl.n_nets, np.inf)
     for o in nl.outputs:
         req[o] = min(req[o], clock)
-    for g in reversed(nl.ordered_gates()):
+    for g in reversed(ordered_gates(nl)):
         r = req[g.output] - model.of(g.kind)
         for i in g.inputs:
             req[i] = min(req[i], r)
@@ -187,7 +188,7 @@ def _path_count(nl):
     count = [0] * nl.n_nets
     for o in set(nl.outputs):
         count[o] = 1
-    for g in reversed(nl.ordered_gates()):
+    for g in reversed(ordered_gates(nl)):
         for i in set(g.inputs):
             count[i] += count[g.output]
     return sum(count[i] for i in nl.inputs)
